@@ -11,15 +11,19 @@ all: build test
 build:
 	$(GO) build ./...
 
+# One uncached pass per CPU count (the test cache does not key on
+# GOMAXPROCS): a result that depends on the host's core count fails
+# here, not on someone's laptop. The race target does the same.
 test:
-	$(GO) test ./...
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -count=1 ./... || exit 1; done
 
 # Race-detector pass over every package. The packet-level campaigns
 # are slow under the detector, so long-running cases honour -short;
 # the determinism and cache-contention tests still run.
 race:
-	$(GO) test -race -short ./...
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -short -count=1 ./... || exit 1; done
 	$(GO) test -race ./internal/parallel/ ./internal/survival/ ./internal/metrics/
+	$(GO) test -race -count=10 -run TestLiveScratchIsRaceFree ./internal/core/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

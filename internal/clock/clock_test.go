@@ -69,6 +69,35 @@ func TestManualCancel(t *testing.T) {
 	}
 }
 
+// Timer records are reused once they leave the heap; the cancel
+// function of a timer that already fired (or was cancelled and
+// discarded) must not reach the record's next tenant.
+func TestStaleCancelMissesRecycledTimer(t *testing.T) {
+	w := NewManual()
+	fired := 0
+	cancelFired := w.AfterFunc(time.Millisecond, func() { fired++ })
+	cancelDropped := w.AfterFunc(2*time.Millisecond, func() { t.Error("cancelled timer fired") })
+	if !cancelDropped() {
+		t.Fatal("pending timer not cancellable")
+	}
+	w.Advance(3 * time.Millisecond) // both records are now free
+	for i := 0; i < 2; i++ {
+		w.AfterFunc(time.Millisecond, func() { fired++ })
+	}
+	if cancelFired() || cancelDropped() {
+		t.Fatal("stale cancel reported a pending timer")
+	}
+	if w.Advance(time.Millisecond); fired != 3 {
+		t.Fatalf("fired %d timers, want 3: a stale cancel hit a reused record", fired)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.AfterFunc(time.Millisecond, func() {})
+		w.Advance(time.Millisecond)
+	}); allocs > 1 {
+		t.Fatalf("AfterFunc + fire allocates %v times, want <= 1", allocs)
+	}
+}
+
 func TestManualPastTargetClamps(t *testing.T) {
 	w := NewManual()
 	w.Advance(50 * time.Millisecond)

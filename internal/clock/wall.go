@@ -24,6 +24,7 @@ import (
 type Wall struct {
 	mu      sync.Mutex
 	timers  timerHeap
+	free    []*wallTimer // fired or discarded records, for reuse
 	seq     uint64
 	manual  bool
 	now     time.Duration // manual mode only
@@ -78,7 +79,14 @@ func (w *Wall) AfterFunc(d time.Duration, fn func()) (cancel func() bool) {
 		d = 0
 	}
 	w.mu.Lock()
-	t := &wallTimer{at: w.nowLocked() + d, seq: w.seq, fn: fn}
+	var t *wallTimer
+	if n := len(w.free); n > 0 {
+		t, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		t = new(wallTimer)
+	}
+	seq := w.seq
+	*t = wallTimer{at: w.nowLocked() + d, seq: seq, fn: fn}
 	w.seq++
 	heap.Push(&w.timers, t)
 	newHead := w.timers[0] == t
@@ -93,12 +101,20 @@ func (w *Wall) AfterFunc(d time.Duration, fn func()) (cancel func() bool) {
 	return func() bool {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		if t.fn == nil {
+		// A record is reused once its timer has left the heap; seq
+		// tells this timer from a later tenant of the same record.
+		if t.seq != seq || t.fn == nil {
 			return false
 		}
 		t.fn = nil
 		return true
 	}
+}
+
+// popLocked removes the heap's head and keeps its record for reuse.
+// Callers have read what they need from it, and hold w.mu.
+func (w *Wall) popLocked() {
+	w.free = append(w.free, heap.Pop(&w.timers).(*wallTimer))
 }
 
 // Pending returns the number of scheduled, uncancelled timers.
@@ -161,15 +177,15 @@ func (w *Wall) RunUntil(t time.Duration) int {
 		for len(w.timers) > 0 {
 			head := w.timers[0]
 			if head.fn == nil { // cancelled
-				heap.Pop(&w.timers)
+				w.popLocked()
 				continue
 			}
 			if head.at > t {
 				break
 			}
-			heap.Pop(&w.timers)
 			fn, head.fn = head.fn, nil
 			w.now = head.at
+			w.popLocked()
 			break
 		}
 		if fn == nil {
@@ -194,15 +210,15 @@ func (w *Wall) loop() {
 		for len(w.timers) > 0 {
 			head := w.timers[0]
 			if head.fn == nil { // cancelled
-				heap.Pop(&w.timers)
+				w.popLocked()
 				continue
 			}
 			if head.at > now {
 				break
 			}
-			heap.Pop(&w.timers)
 			due = append(due, head.fn)
 			head.fn = nil
+			w.popLocked()
 		}
 		wait := time.Duration(-1)
 		if len(w.timers) > 0 {
@@ -246,7 +262,9 @@ func (w *Wall) loop() {
 }
 
 // wallTimer is one scheduled callback. Cancellation nils fn in place;
-// the heap lazily discards dead entries when they surface.
+// the heap lazily discards dead entries when they surface, and records
+// that leave the heap are recycled (AfterFunc then allocates only the
+// cancel function it returns).
 type wallTimer struct {
 	at  time.Duration
 	seq uint64

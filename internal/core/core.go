@@ -115,10 +115,19 @@ type Daemon struct {
 	nextHello  time.Duration
 	drainArmed bool
 
-	// frameBuf is scratch for frames sent immediately (never queued):
-	// the simulated wire copies payloads on Send, so the buffer is
-	// free for reuse as soon as Send returns. Guarded by mu.
+	// frameBuf is scratch for every frame built and sent immediately
+	// (data, probes, echo replies; never queued): transports are done
+	// with the payload when Send returns, so the buffer is free for
+	// the next frame. Building and sending both happen under mu, which
+	// is what keeps the live daemon's concurrent rx goroutines and its
+	// timer goroutine off each other's bytes. probes is the probe
+	// round's per-round work list, likewise guarded by mu.
 	frameBuf []byte
+	probes   []probe
+
+	// Per-frame counters, resolved on first use (see metrics.Handle).
+	probesSent, probeReplies                            *metrics.Handle
+	dataSent, dataDelivered, dataForwarded, dataDropped *metrics.Handle
 
 	rounds *linkmon.Rounds // probe-round driver (own locking)
 }
@@ -141,6 +150,12 @@ func New(tr routing.Transport, clock routing.Clock, cfg Config) (*Daemon, error)
 		routes:  routetable.New(tr.Nodes()),
 		rounds:  linkmon.NewRounds(clock),
 	}
+	d.probesSent = d.mset.Handle(routing.CtrProbesSent)
+	d.probeReplies = d.mset.Handle(routing.CtrProbeReplies)
+	d.dataSent = d.mset.Handle(routing.CtrDataSent)
+	d.dataDelivered = d.mset.Handle(routing.CtrDataDelivered)
+	d.dataForwarded = d.mset.Handle(routing.CtrDataForwarded)
+	d.dataDropped = d.mset.Handle(routing.CtrDataDropped)
 	d.plane = dataplane.New(tr.Node(), tr.Nodes(), cfg.DataTTL, cfg.QueueCapacity,
 		d.mset.Counter(routing.CtrQueueOverflow))
 	if ov := cfg.Overload; ov.Enabled {
@@ -326,12 +341,16 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 		// Phase 2: answer the peer's link check. Hearing a request
 		// proves the src→us direction of this rail works; whether that
 		// counts as link-liveness evidence is StrictLinkEvidence's
-		// call (see noteAlive).
-		reply, err := icmp.Reply(echo)
-		if err == nil {
-			_ = d.tr.Send(rail, src, routing.Envelope(routing.ProtoICMP, reply.Marshal()))
+		// call (see noteAliveLocked). echo.Data aliases the receive
+		// buffer, which is ours until we return; the reply is built
+		// into the scratch and on the wire before then.
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if reply, err := icmp.Reply(echo); err == nil {
+			d.frameBuf = reply.AppendTo(append(d.frameBuf[:0], routing.ProtoICMP))
+			_ = d.tr.Send(rail, src, d.frameBuf)
 		}
-		d.noteAlive(rail, src)
+		d.noteAliveLocked(rail, src)
 		return
 	}
 	// Echo reply: must match our outstanding probe for (src, rail).
@@ -349,7 +368,7 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 	}
 	now := d.clock.Now()
 	d.members.Heard(src, now)
-	d.mset.Counter(routing.CtrProbeReplies).Inc()
+	d.probeReplies.Inc()
 	if len(echo.Data) >= 8 {
 		if sentAt := time.Duration(binary.BigEndian.Uint64(echo.Data[:8])); sentAt <= now {
 			st.ObserveRTT(now - sentAt)
@@ -360,8 +379,8 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 	}
 }
 
-// noteAlive records liveness evidence from valid traffic heard from
-// src on rail. The peer's process is certainly alive, so membership is
+// noteAliveLocked records liveness evidence from valid traffic heard
+// from src on rail. The peer's process is certainly alive, so membership is
 // always refreshed. What it proves about the *link* is subtler: heard
 // traffic vouches for the src→us direction only, and under an
 // asymmetric partition our own frames to src may be vanishing while
@@ -371,10 +390,8 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 // StrictLinkEvidence set, link state moves solely on round-trip
 // evidence — confirmed replies to our own probes — so a dead tx
 // direction accumulates misses and fails over no matter how much the
-// peer is heard.
-func (d *Daemon) noteAlive(rail, src int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// peer is heard. Caller holds d.mu.
+func (d *Daemon) noteAliveLocked(rail, src int) {
 	if d.stopped || !d.links.Monitored(src) {
 		return
 	}

@@ -61,12 +61,11 @@ func (d *Daemon) SendData(dst int, data []byte) error {
 		d.mu.Unlock()
 		return nil
 	}
-	// Sent-immediately frames go through the scratch buffer: the
-	// simulated wire copies the payload before Send returns.
+	// Sent-immediately frames go through the scratch buffer.
 	d.frameBuf = d.plane.NewFrameInto(d.frameBuf, dst, data)
 	d.forwardLocked(dst, d.frameBuf)
 	d.mu.Unlock()
-	d.mset.Counter(routing.CtrDataSent).Inc()
+	d.dataSent.Inc()
 	return nil
 }
 
@@ -75,7 +74,7 @@ func (d *Daemon) SendData(dst int, data []byte) error {
 func (d *Daemon) forwardLocked(dst int, frame []byte) {
 	rt := d.routes.Route(dst)
 	if rt.Kind == RouteNone {
-		d.mset.Counter(routing.CtrDataDropped).Inc()
+		d.dataDropped.Inc()
 		return
 	}
 	_ = d.tr.Send(rt.Rail, rt.Via, frame)
@@ -93,14 +92,14 @@ func (d *Daemon) onData(rail, src int, body []byte) {
 		if stopped || deliver == nil {
 			return
 		}
-		d.mset.Counter(routing.CtrDataDelivered).Inc()
+		d.dataDelivered.Inc()
 		if d.tracing() {
 			d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindDataDelivered,
 				Peer: int(h.Origin), Rail: rail, Detail: detailSeq(h.Seq)})
 		}
 		deliver(int(h.Origin), data)
 	case dataplane.Drop:
-		d.mset.Counter(routing.CtrDataDropped).Inc()
+		d.dataDropped.Inc()
 	case dataplane.Forward:
 		// Relay duty: forward toward the final destination. Classify
 		// already decremented the TTL.
@@ -108,7 +107,7 @@ func (d *Daemon) onData(rail, src int, body []byte) {
 		d.mu.Lock()
 		if d.stopped || !d.links.Monitored(final) {
 			d.mu.Unlock()
-			d.mset.Counter(routing.CtrDataDropped).Inc()
+			d.dataDropped.Inc()
 			return
 		}
 		now := d.clock.Now()
@@ -127,15 +126,15 @@ func (d *Daemon) onData(rail, src int, body []byte) {
 		}
 		if outRail < 0 {
 			d.mu.Unlock()
-			d.mset.Counter(routing.CtrDataDropped).Inc()
+			d.dataDropped.Inc()
 			return
 		}
 		// Re-frame into the scratch buffer and send while still holding
-		// mu (forwardLocked sets the precedent; the wire copies).
+		// mu (forwardLocked sets the precedent).
 		d.frameBuf = dataplane.AppendFrame(d.frameBuf[:0], h, data)
 		_ = d.tr.Send(outRail, outVia, d.frameBuf)
 		d.mu.Unlock()
-		d.mset.Counter(routing.CtrDataForwarded).Inc()
+		d.dataForwarded.Inc()
 		if d.tracing() {
 			d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindDataForwarded,
 				Peer: final, Rail: outRail, Detail: detailOriginSeq(h.Origin, h.Seq)})

@@ -172,7 +172,6 @@ func (d *Daemon) drainControlLocked(now time.Duration) {
 // every rail without an outstanding one — the liveness intent a shed
 // retransmit parked. Caller holds d.mu.
 func (d *Daemon) reprobeLocked(peer int, now time.Duration) {
-	self := uint16(d.tr.Node())
 	for rail := 0; rail < d.tr.Rails(); rail++ {
 		st := d.links.State(peer, rail)
 		if st == nil || st.Pending {
@@ -182,21 +181,10 @@ func (d *Daemon) reprobeLocked(peer int, now time.Duration) {
 		if down {
 			d.markDownLocked(peer, rail, now)
 		}
-		d.sendProbeLocked(self, peer, rail, seq, now, true)
+		d.sendProbeLocked(peer, rail, seq, now, true)
 		if d.cfg.AdaptiveRTO.Enabled() {
 			deadline := d.rtoDeadlineLocked(st)
 			d.clock.AfterFunc(deadline, func() { d.probeExpired(peer, rail, seq) })
-		}
-	}
-}
-
-// sendProbeLocked transmits one echo request carrying its send time
-// (the wire copies, so no buffer is retained). Caller holds d.mu.
-func (d *Daemon) sendProbeLocked(self uint16, peer, rail int, seq uint16, now time.Duration, retransmit bool) {
-	if err := d.tr.Send(rail, peer, probeFrame(self, seq, now)); err == nil {
-		d.mset.Counter(routing.CtrProbesSent).Inc()
-		if retransmit {
-			d.mset.Counter(routing.CtrProbeRetransmits).Inc()
 		}
 	}
 }

@@ -14,6 +14,13 @@ import (
 // ---------------------------------------------------------------
 // Phase 1: link checks.
 
+// probe is one echo request a round has numbered and is about to send.
+type probe struct {
+	peer, rail int
+	seq        uint16
+	deadline   time.Duration // adaptive RTO; 0 = round-based misses
+}
+
 // probeRound runs one phase-1 round: account the previous round's
 // misses, then probe every monitored peer on every rail. The rounds
 // driver reschedules it after it returns.
@@ -47,13 +54,8 @@ func (d *Daemon) probeRound() {
 	if d.cfg.PreferLowLatency {
 		d.steerByLatencyLocked(now)
 	}
-	type probe struct {
-		peer, rail int
-		seq        uint16
-		deadline   time.Duration // adaptive RTO; 0 = round-based misses
-	}
 	rto := d.cfg.AdaptiveRTO
-	var probes []probe
+	probes := d.probes[:0]
 	for peer := 0; peer < d.links.Nodes(); peer++ {
 		if !d.links.Monitored(peer) {
 			continue
@@ -70,7 +72,7 @@ func (d *Daemon) probeRound() {
 			probes = append(probes, p)
 		}
 	}
-	self := uint16(d.tr.Node())
+	d.probes = probes
 	stagger := d.cfg.StaggerProbes && len(probes) > 1
 	dynamic := d.cfg.DynamicMembership
 	sendHello := dynamic
@@ -91,21 +93,46 @@ func (d *Daemon) probeRound() {
 		// inline — and closes the overload min-interval gate.)
 		d.announceLocked(now)
 	}
-	d.mu.Unlock()
-
-	send := func(p probe) {
-		if err := d.tr.Send(p.rail, p.peer, probeFrame(self, p.seq, d.clock.Now())); err == nil {
-			d.mset.Counter(routing.CtrProbesSent).Inc()
-		}
-		if p.deadline > 0 {
-			d.clock.AfterFunc(p.deadline, func() { d.probeExpired(p.peer, p.rail, p.seq) })
-		}
-	}
 	if stagger {
-		d.rounds.Stagger(d.cfg.ProbeInterval, len(probes), func(i int) { send(probes[i]) })
-	} else {
-		for _, p := range probes {
-			send(p)
+		// Staggered sends fire from timers across the interval, past
+		// this round's hold on mu, so they get their own list.
+		batch := append([]probe(nil), probes...)
+		d.mu.Unlock()
+		d.rounds.Stagger(d.cfg.ProbeInterval, len(batch), func(i int) {
+			d.mu.Lock()
+			d.sendRoundProbeLocked(batch[i])
+			d.mu.Unlock()
+		})
+		return
+	}
+	for _, p := range probes {
+		d.sendRoundProbeLocked(p)
+	}
+	d.mu.Unlock()
+}
+
+// sendRoundProbeLocked transmits one of a round's probes, stamped with
+// the instant it actually leaves, and arms its adaptive deadline.
+// Caller holds d.mu.
+func (d *Daemon) sendRoundProbeLocked(p probe) {
+	d.sendProbeLocked(p.peer, p.rail, p.seq, d.clock.Now(), false)
+	if p.deadline > 0 {
+		d.clock.AfterFunc(p.deadline, func() { d.probeExpired(p.peer, p.rail, p.seq) })
+	}
+}
+
+// sendProbeLocked builds one echo request carrying its send time into
+// the frame scratch and transmits it; the echoed copy yields an RTT
+// sample with no per-probe state at the sender. Caller holds d.mu.
+func (d *Daemon) sendProbeLocked(peer, rail int, seq uint16, now time.Duration, retransmit bool) {
+	var ts [8]byte
+	binary.BigEndian.PutUint64(ts[:], uint64(now))
+	echo := icmp.Echo{Request: true, ID: uint16(d.tr.Node()), Seq: seq, Data: ts[:]}
+	d.frameBuf = echo.AppendTo(append(d.frameBuf[:0], routing.ProtoICMP))
+	if err := d.tr.Send(rail, peer, d.frameBuf); err == nil {
+		d.probesSent.Inc()
+		if retransmit {
+			d.mset.Counter(routing.CtrProbeRetransmits).Inc()
 		}
 	}
 }
@@ -148,24 +175,9 @@ func (d *Daemon) probeExpired(peer, rail int, seq uint16) {
 	}
 	nseq, _ := d.links.BeginProbe(peer, rail, d.cfg.MissThreshold)
 	deadline := d.rtoDeadlineLocked(st)
-	self := uint16(d.tr.Node())
+	d.sendProbeLocked(peer, rail, nseq, now, true)
 	d.mu.Unlock()
-
-	if err := d.tr.Send(rail, peer, probeFrame(self, nseq, now)); err == nil {
-		d.mset.Counter(routing.CtrProbesSent).Inc()
-		d.mset.Counter(routing.CtrProbeRetransmits).Inc()
-	}
 	d.clock.AfterFunc(deadline, func() { d.probeExpired(peer, rail, nseq) })
-}
-
-// probeFrame builds one echo-request frame carrying its send time;
-// the echoed copy yields an RTT sample with no per-probe state at the
-// sender.
-func probeFrame(self, seq uint16, now time.Duration) []byte {
-	ts := make([]byte, 8)
-	binary.BigEndian.PutUint64(ts, uint64(now))
-	echo := icmp.Echo{Request: true, ID: self, Seq: seq, Data: ts}
-	return routing.Envelope(routing.ProtoICMP, echo.Marshal())
 }
 
 // steerByLatencyLocked moves direct routes to a clearly faster rail.

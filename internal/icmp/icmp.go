@@ -47,18 +47,23 @@ type Echo struct {
 
 // Marshal encodes the message with a correct Internet checksum.
 func (e Echo) Marshal() []byte {
-	b := make([]byte, HeaderLen+len(e.Data))
+	return e.AppendTo(make([]byte, 0, HeaderLen+len(e.Data)))
+}
+
+// AppendTo appends the encoded message to buf and returns the extended
+// slice — the allocation-free form of Marshal for hot paths that reuse
+// a scratch buffer. The checksum covers only the appended message, so
+// buf may already hold an envelope byte (odd offsets are fine).
+func (e Echo) AppendTo(buf []byte) []byte {
+	typ := byte(TypeEchoReply)
 	if e.Request {
-		b[0] = TypeEchoRequest
-	} else {
-		b[0] = TypeEchoReply
+		typ = TypeEchoRequest
 	}
-	b[1] = 0 // code
-	binary.BigEndian.PutUint16(b[4:6], e.ID)
-	binary.BigEndian.PutUint16(b[6:8], e.Seq)
-	copy(b[HeaderLen:], e.Data)
-	binary.BigEndian.PutUint16(b[2:4], Checksum(b))
-	return b
+	off := len(buf)
+	buf = append(buf, typ, 0, 0, 0, byte(e.ID>>8), byte(e.ID), byte(e.Seq>>8), byte(e.Seq))
+	buf = append(buf, e.Data...)
+	binary.BigEndian.PutUint16(buf[off+2:], Checksum(buf[off:]))
+	return buf
 }
 
 // Unmarshal decodes and validates an echo message, verifying the

@@ -137,3 +137,54 @@ func BenchmarkMarshalUnmarshal(b *testing.B) {
 		}
 	}
 }
+
+// marshalRef is the make-and-fill encoder Marshal used before AppendTo
+// existed, kept as the reference the append codec must match byte for
+// byte.
+func marshalRef(e Echo) []byte {
+	b := make([]byte, HeaderLen+len(e.Data))
+	if e.Request {
+		b[0] = TypeEchoRequest
+	}
+	b[4], b[5] = byte(e.ID>>8), byte(e.ID)
+	b[6], b[7] = byte(e.Seq>>8), byte(e.Seq)
+	copy(b[HeaderLen:], e.Data)
+	ck := Checksum(b)
+	b[2], b[3] = byte(ck>>8), byte(ck)
+	return b
+}
+
+func TestAppendToMatchesReference(t *testing.T) {
+	cases := []Echo{
+		{Request: true, ID: 1, Seq: 2},
+		{Request: false, ID: 1, Seq: 2},
+		{Request: true, ID: 0xffff, Seq: 0xffff, Data: []byte{}},
+		{Request: true, ID: 7, Seq: 9, Data: []byte{0xab}},
+		{Request: false, ID: 7, Seq: 9, Data: []byte("odd")},
+		{Request: true, ID: 127, Seq: 300, Data: []byte{0, 0, 0, 0, 0, 0x98, 0x96, 0x80}},
+		{Request: false, ID: 0x1234, Seq: 0, Data: []byte("drs-probe!")},
+	}
+	for _, e := range cases {
+		want := marshalRef(e)
+		if got := e.AppendTo(nil); !bytes.Equal(got, want) {
+			t.Errorf("%+v: AppendTo(nil) = % x, want % x", e, got, want)
+		}
+		if got := e.Marshal(); !bytes.Equal(got, want) {
+			t.Errorf("%+v: Marshal = % x, want % x", e, got, want)
+		}
+		// Behind an envelope byte the message starts at an odd offset
+		// and the prefix must neither move nor enter the checksum.
+		got := e.AppendTo([]byte{0xee})
+		if got[0] != 0xee || !bytes.Equal(got[1:], want) {
+			t.Errorf("%+v: AppendTo(prefix) = % x, want ee + % x", e, got, want)
+		}
+	}
+}
+
+func TestAppendToReusesCapacity(t *testing.T) {
+	e := Echo{Request: true, ID: 3, Seq: 4, Data: []byte("12345678")}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = e.AppendTo(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendTo into spare capacity allocates %v times", n)
+	}
+}

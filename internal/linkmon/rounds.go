@@ -16,6 +16,12 @@ import (
 type Rounds struct {
 	clock Clock
 
+	// Set once by Run; next is the tick method, bound once so that
+	// rescheduling a round costs the clock's timer and nothing else.
+	interval time.Duration
+	body     func()
+	next     func()
+
 	mu      sync.Mutex
 	stopped bool
 	cancel  func() bool
@@ -29,10 +35,11 @@ func NewRounds(clock Clock) *Rounds {
 // Run executes body now and then every interval until Stop. Call it
 // once, from the protocol's Start.
 func (r *Rounds) Run(interval time.Duration, body func()) {
-	r.tick(interval, body)
+	r.interval, r.body, r.next = interval, body, r.tick
+	r.tick()
 }
 
-func (r *Rounds) tick(interval time.Duration, body func()) {
+func (r *Rounds) tick() {
 	r.mu.Lock()
 	if r.stopped {
 		r.mu.Unlock()
@@ -40,11 +47,11 @@ func (r *Rounds) tick(interval time.Duration, body func()) {
 	}
 	r.mu.Unlock()
 
-	body()
+	r.body()
 
 	r.mu.Lock()
 	if !r.stopped {
-		r.cancel = r.clock.AfterFunc(interval, func() { r.tick(interval, body) })
+		r.cancel = r.clock.AfterFunc(r.interval, r.next)
 	}
 	r.mu.Unlock()
 }

@@ -63,6 +63,30 @@ func (s *Set) Counter(name string) *Counter {
 	return c
 }
 
+// Handle returns a lazily resolving reference to the named counter.
+func (s *Set) Handle(name string) *Handle { return &Handle{set: s, name: name} }
+
+// Handle is a counter reference for per-frame paths: the name is looked
+// up (mutex + map probe) once, on the first Inc, and every later Inc is
+// one atomic add. Resolving lazily rather than at construction keeps
+// Snapshot listing exactly the counters that were ever touched — a
+// handle that never fires registers nothing. Safe for concurrent use.
+type Handle struct {
+	set  *Set
+	name string
+	c    atomic.Pointer[Counter]
+}
+
+// Inc increments the underlying counter by one.
+func (h *Handle) Inc() {
+	c := h.c.Load()
+	if c == nil {
+		c = h.set.Counter(h.name)
+		h.c.Store(c)
+	}
+	c.Inc()
+}
+
 // Gauge returns the gauge with the given name, creating it on first
 // use. The returned pointer is stable: callers may cache it.
 func (s *Set) Gauge(name string) *Gauge {

@@ -93,3 +93,43 @@ func TestConcurrent(t *testing.T) {
 		t.Fatalf("value = %d", got)
 	}
 }
+
+// A handle registers its name on the first Inc, not when it is made:
+// daemons resolve handles at construction and a snapshot must still
+// list only counters that fired.
+func TestHandleRegistersOnFirstInc(t *testing.T) {
+	s := NewSet()
+	h := s.Handle("data.sent")
+	if names := s.Names(); len(names) != 0 {
+		t.Fatalf("unused handle registered %v", names)
+	}
+	h.Inc()
+	h.Inc()
+	if got := s.Snapshot(); len(got) != 1 || got["data.sent"] != 2 {
+		t.Fatalf("snapshot = %v", got)
+	}
+	s.Counter("data.sent").Inc()
+	h.Inc()
+	if v := s.Counter("data.sent").Value(); v != 4 {
+		t.Fatalf("handle and named lookup disagree: %d", v)
+	}
+}
+
+func TestHandleConcurrentFirstUse(t *testing.T) {
+	s := NewSet()
+	h := s.Handle("probes.sent")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				h.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	if v := s.Counter("probes.sent").Value(); v != 8000 {
+		t.Fatalf("value = %d, want 8000", v)
+	}
+}

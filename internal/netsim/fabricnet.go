@@ -65,8 +65,10 @@ type FabricNet struct {
 	epoch  uint64
 	routes []*fabricRoute
 
-	// Pooled in-flight events and the pre-bound hop callback.
+	// Pooled in-flight events and payload buffers, and the pre-bound
+	// hop callback.
 	freeHop *hopEvent
+	freeBuf *fabricBuf
 	hopFn   func(any)
 }
 
@@ -83,13 +85,25 @@ type fabricRoute struct {
 	dist []int32
 }
 
+// fabricBuf is the network's copy of one sent payload. Every scheduled
+// hop event holds a reference — one at a time for a unicast frame, one
+// per sibling still in flight for a broadcast — and the buffer returns
+// to the freelist when the last holder lets go, which for a delivery
+// is after the receiver's handler has returned.
+type fabricBuf struct {
+	b    []byte
+	refs int
+	next *fabricBuf
+}
+
 // hopEvent carries one in-flight frame between fabric elements.
 type hopEvent struct {
-	fr      Frame // Rail is the ingress port; Dst is the final host
-	sw      int32 // switch the frame is arriving at (stage switchHop)
-	nic     int32 // NIC link being crossed (stages 1 and 2)
-	stage   int8  // 0 = at switch, 1 = at host, 2 = post-impairment-delay
-	corrupt bool  // a crossing drew a corruption; mangle at delivery
+	fr      Frame      // Rail is the ingress port; Dst is the final host
+	buf     *fabricBuf // backs fr.Payload
+	sw      int32      // switch the frame is arriving at (stage switchHop)
+	nic     int32      // NIC link being crossed (stages 1 and 2)
+	stage   int8       // 0 = at switch, 1 = at host, 2 = post-impairment-delay
+	corrupt bool       // a crossing drew a corruption; mangle at delivery
 	next    *hopEvent
 }
 
@@ -263,7 +277,11 @@ func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
 	}
 
 	txTime, bits := n.wireTime(len(payload))
-	data := append([]byte(nil), payload...)
+	// The sender may reuse its buffer: the fabric keeps its own copy,
+	// held by this call until every sibling is scheduled.
+	buf := n.allocBuf(payload)
+	defer n.releaseBuf(buf)
+	data := buf.b
 	if corrupt {
 		n.mangleFabric(data)
 		n.stats.Corrupted++
@@ -287,12 +305,12 @@ func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
 				continue
 			}
 			fr := Frame{Src: src, Dst: h, Rail: rail, Payload: data}
-			n.schedHop(arrive, &hopEvent{fr: fr, sw: int32(entry), stage: 0})
+			n.schedHop(arrive, &hopEvent{fr: fr, buf: buf, sw: int32(entry), stage: 0})
 		}
 		return nil
 	}
 	fr := Frame{Src: src, Dst: dst, Rail: rail, Payload: data}
-	n.schedHop(arrive, &hopEvent{fr: fr, sw: int32(entry), stage: 0})
+	n.schedHop(arrive, &hopEvent{fr: fr, buf: buf, sw: int32(entry), stage: 0})
 	return nil
 }
 
@@ -308,10 +326,35 @@ func (n *FabricNet) wireTime(payloadLen int) (time.Duration, float64) {
 
 // schedHop schedules ev (recycling from the freelist when the caller
 // built it on the stack is not possible — see allocHop) at time at.
+// The scheduled event takes its own reference on the payload buffer.
 func (n *FabricNet) schedHop(at simtime.Time, ev *hopEvent) {
 	p := n.allocHop()
-	*p = hopEvent{fr: ev.fr, sw: ev.sw, nic: ev.nic, stage: ev.stage, corrupt: ev.corrupt}
+	*p = *ev // a stack-built or just-fired event: next is nil
+	p.buf.refs++
 	n.sched.AtCall(at, n.hopFn, p)
+}
+
+// allocBuf returns a buffer holding a copy of payload, with one
+// reference owned by the caller.
+func (n *FabricNet) allocBuf(payload []byte) *fabricBuf {
+	buf := n.freeBuf
+	if buf != nil {
+		n.freeBuf = buf.next
+		buf.next = nil
+	} else {
+		buf = new(fabricBuf)
+	}
+	buf.b = append(buf.b[:0], payload...)
+	buf.refs = 1
+	return buf
+}
+
+// releaseBuf drops one reference; the last one recycles the buffer.
+func (n *FabricNet) releaseBuf(buf *fabricBuf) {
+	if buf.refs--; buf.refs == 0 {
+		buf.next = n.freeBuf
+		n.freeBuf = buf
+	}
 }
 
 func (n *FabricNet) allocHop() *hopEvent {
@@ -328,7 +371,10 @@ func (n *FabricNet) freeHopEvent(ev *hopEvent) {
 	n.freeHop = ev
 }
 
-// hop is the scheduler callback for every fabric traversal event.
+// hop is the scheduler callback for every fabric traversal event. The
+// event's hold on the payload ends when its stage returns: a forwarded
+// frame's next event has taken its own by then, and a delivered
+// frame's handler is done reading.
 func (n *FabricNet) hop(arg any) {
 	ev := arg.(*hopEvent)
 	e := *ev
@@ -341,6 +387,7 @@ func (n *FabricNet) hop(arg any) {
 	default:
 		n.hostFinal(e)
 	}
+	n.releaseBuf(e.buf)
 }
 
 // switchArrive handles a frame reaching switch e.sw: deliver down to
@@ -477,11 +524,11 @@ func (n *FabricNet) finishDelivery(e hopEvent, corrupt bool) {
 		return
 	}
 	n.stats.FramesDelivered++
-	// Every delivery gets a private copy: the backing buffer is shared
-	// with broadcast siblings still in flight, and receivers may retain
-	// payloads (discovery queues do).
-	payload := append([]byte(nil), e.fr.Payload...)
+	// Receivers only read the payload; corruption forces a private
+	// copy because broadcast siblings still in flight share the buffer.
+	payload := e.fr.Payload
 	if corrupt {
+		payload = append([]byte(nil), payload...)
 		n.mangleFabric(payload)
 		n.stats.Corrupted++
 	}

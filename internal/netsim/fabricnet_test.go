@@ -27,7 +27,7 @@ func newFatTreeNet(t *testing.T, k int) (*simtime.Scheduler, *FabricNet) {
 func collect(n *FabricNet) *[]Frame {
 	var got []Frame
 	for h := 0; h < n.Nodes(); h++ {
-		n.SetHandler(h, func(fr Frame) { got = append(got, fr) })
+		n.SetHandler(h, func(fr Frame) { got = append(got, keep(fr)) })
 	}
 	return &got
 }

@@ -26,7 +26,7 @@ func newImpairRig(t *testing.T, params Params) *impairRig {
 	rig := &impairRig{sched: sched, net: net, got: map[int][]Frame{}}
 	for node := 0; node < 2; node++ {
 		node := node
-		net.SetHandler(node, func(fr Frame) { rig.got[node] = append(rig.got[node], fr) })
+		net.SetHandler(node, func(fr Frame) { rig.got[node] = append(rig.got[node], keep(fr)) })
 	}
 	return rig
 }
@@ -186,7 +186,7 @@ func TestBroadcastCorruptionIsPerReceiver(t *testing.T) {
 	got := map[int][]byte{}
 	for node := 0; node < 3; node++ {
 		node := node
-		net.SetHandler(node, func(fr Frame) { got[node] = fr.Payload })
+		net.SetHandler(node, func(fr Frame) { got[node] = keep(fr).Payload })
 	}
 	if err := net.SetImpairment(net.Cluster().NIC(1, 0), Impairment{Corrupt: 1}); err != nil {
 		t.Fatal(err)

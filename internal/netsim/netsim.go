@@ -183,7 +183,9 @@ type Frame struct {
 
 // Handler receives frames addressed to (or broadcast past) a node.
 // Handlers run inside scheduler events: they may send frames and set
-// timers but must not block.
+// timers but must not block. fr.Payload belongs to the network: it is
+// valid, and must be left unmodified, only until the handler returns —
+// a handler that keeps any of the bytes copies them first.
 type Handler func(fr Frame)
 
 // Tap observes every frame crossing the network, for invariant
@@ -199,7 +201,9 @@ type Tap interface {
 	// FrameDelivered fires at actual delivery into a node's handler
 	// (fr.Dst is the receiving node, never Broadcast), after every
 	// drop check, with the payload as the handler sees it (corrupted
-	// frames report their mangled bytes).
+	// frames report their mangled bytes). As for a Handler, fr.Payload
+	// is only valid until the call returns; FrameSent's payload is the
+	// sender's buffer and is just as short-lived.
 	FrameDelivered(at time.Duration, fr Frame)
 }
 
@@ -271,9 +275,10 @@ type Network struct {
 	// (src, dst, rail) paths whose frames vanish at delivery.
 	part map[partKey]struct{}
 	// Delivery-event recycling: hub-mode deliveries are never
-	// cancelled, so their event records cycle through a freelist and
-	// the pre-bound deliverEv method value instead of allocating a
-	// fresh closure and timer per frame.
+	// cancelled, so their event records — and the payload copy each
+	// one owns — cycle through a freelist and the pre-bound deliverEv
+	// method value instead of allocating a fresh closure, timer and
+	// buffer per frame.
 	freeEv    *frameEvent
 	deliverEv func(any)
 	// fabric is the Fabric view of the cluster, built once on demand.
@@ -281,9 +286,11 @@ type Network struct {
 }
 
 // frameEvent carries one in-flight hub-mode frame through the
-// scheduler without a per-send closure.
+// scheduler without a per-send closure. buf is the event's own copy of
+// the payload (fr.Payload aliases it), kept across recycling.
 type frameEvent struct {
 	fr   Frame
+	buf  []byte
 	next *frameEvent
 }
 
@@ -412,15 +419,14 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 	}
 	txTime := time.Duration(float64(wire*8) / n.params.Rate * float64(time.Second))
 
-	// Copy the payload: the sender may reuse its buffer.
-	data := append([]byte(nil), payload...)
-	if corrupt {
-		n.mangle(data)
-		seg.stats.Corrupted++
-	}
-	fr := Frame{Src: src, Dst: dst, Rail: rail, Payload: data}
-
 	if n.params.Switched {
+		// Copy the payload: the sender may reuse its buffer.
+		data := append([]byte(nil), payload...)
+		if corrupt {
+			n.mangle(data)
+			seg.stats.Corrupted++
+		}
+		fr := Frame{Src: src, Dst: dst, Rail: rail, Payload: data}
 		n.sendSwitched(seg, fr, txTime, float64(wire*8), extra)
 		return nil
 	}
@@ -440,21 +446,26 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 	} else {
 		ev = new(frameEvent)
 	}
-	ev.fr = fr
+	// The sender may reuse its buffer: the event keeps its own copy.
+	ev.buf = append(ev.buf[:0], payload...)
+	if corrupt {
+		n.mangle(ev.buf)
+		seg.stats.Corrupted++
+	}
+	ev.fr = Frame{Src: src, Dst: dst, Rail: rail, Payload: ev.buf}
 	n.sched.AtCall(end.Add(n.params.Latency+extra), n.deliverEv, ev)
 	return nil
 }
 
-// deliverEvent is the scheduler callback for hub-mode deliveries: it
-// frees the event record (payload reference cleared so the freelist
-// pins nothing) before running the delivery itself.
+// deliverEvent is the scheduler callback for hub-mode deliveries. The
+// event, and with it the payload the handlers are reading, returns to
+// the freelist only after delivery: a handler that sends from inside
+// the callback (every echo reply does) draws a different event.
 func (n *Network) deliverEvent(arg any) {
 	ev := arg.(*frameEvent)
-	fr := ev.fr
-	ev.fr = Frame{}
+	n.deliver(ev.fr)
 	ev.next = n.freeEv
 	n.freeEv = ev
-	n.deliver(fr)
 }
 
 // impairTx applies the transmit-side impairments for a frame leaving
@@ -575,6 +586,12 @@ func (n *Network) deliverTo(seg *segment, fr Frame, node int) {
 				extra += time.Duration(n.impRnd.Uint64n(uint64(imp.Jitter)))
 			}
 			if extra > 0 {
+				// On a hub the delayed frame outlives the recycled
+				// event that owns its payload, so it takes its own
+				// copy; a switched frame's copy is already private.
+				if !n.params.Switched {
+					fr.Payload = append([]byte(nil), fr.Payload...)
+				}
 				n.sched.After(extra, func() { n.completeDelivery(seg, fr, node, corrupt) })
 				return
 			}

@@ -22,10 +22,18 @@ func newNet(t *testing.T, nodes int) (*simtime.Scheduler, *Network) {
 	return sched, n
 }
 
+// keep returns fr with a private copy of its payload: a handler owns
+// the bytes only until it returns, so tests that inspect frames later
+// record them through keep.
+func keep(fr Frame) Frame {
+	fr.Payload = append([]byte(nil), fr.Payload...)
+	return fr
+}
+
 func TestUnicastDelivery(t *testing.T) {
 	sched, n := newNet(t, 3)
 	var got []Frame
-	n.SetHandler(1, func(fr Frame) { got = append(got, fr) })
+	n.SetHandler(1, func(fr Frame) { got = append(got, keep(fr)) })
 	n.SetHandler(2, func(fr Frame) { t.Error("unicast leaked to node 2") })
 	if err := n.Send(0, 0, 1, []byte("hello")); err != nil {
 		t.Fatal(err)
@@ -161,7 +169,7 @@ func TestBroadcastCopiesAreIndependent(t *testing.T) {
 func TestSenderBufferReuseSafe(t *testing.T) {
 	sched, n := newNet(t, 2)
 	var got []byte
-	n.SetHandler(1, func(fr Frame) { got = fr.Payload })
+	n.SetHandler(1, func(fr Frame) { got = keep(fr).Payload })
 	buf := []byte("original")
 	if err := n.Send(0, 0, 1, buf); err != nil {
 		t.Fatal(err)

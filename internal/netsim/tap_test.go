@@ -13,9 +13,9 @@ type recordingTap struct {
 	delivered []Frame
 }
 
-func (r *recordingTap) FrameSent(at time.Duration, fr Frame) { r.sent = append(r.sent, fr) }
+func (r *recordingTap) FrameSent(at time.Duration, fr Frame) { r.sent = append(r.sent, keep(fr)) }
 func (r *recordingTap) FrameDelivered(at time.Duration, fr Frame) {
-	r.delivered = append(r.delivered, fr)
+	r.delivered = append(r.delivered, keep(fr))
 }
 
 // TestTapObservesSendAndDelivery: the tap sees every validated send —

@@ -35,15 +35,15 @@ import (
 // is no point parking idle goroutines on a short sweep). For n ≤ 0 it
 // returns 1 so the engine's bookkeeping stays trivial.
 func Workers(requested, n int) int {
+	if n <= 0 {
+		return 1
+	}
 	w := requested
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if n > 0 && w > n {
+	if w > n {
 		w = n
-	}
-	if w < 1 {
-		w = 1
 	}
 	return w
 }

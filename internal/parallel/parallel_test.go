@@ -20,7 +20,7 @@ func TestWorkersNormalization(t *testing.T) {
 		{4, 1000, 4},
 		{8, 3, 3},
 		{0, 0, 1},
-		{5, -1, 5},
+		{5, -1, 1},
 	}
 	for _, tc := range cases {
 		if got := Workers(tc.requested, tc.n); got != tc.want {

@@ -53,7 +53,9 @@ type Router interface {
 	// the router knows it has no usable route; nil means the datagram
 	// was handed to the network (which may still lose it).
 	SendData(dst int, data []byte) error
-	// SetDeliverFunc installs the application receive callback.
+	// SetDeliverFunc installs the application receive callback. data
+	// is a view of the transport's receive buffer (see
+	// Transport.SetReceiver): valid until fn returns, copied if kept.
 	SetDeliverFunc(fn func(src int, data []byte))
 	// Metrics exposes the router's counters.
 	Metrics() *metrics.Set

@@ -198,7 +198,8 @@ type ClusterSpec struct {
 	// sent/delivered, repair count) when the run finishes.
 	Metrics *metrics.Set
 	// OnDeliver, if non-nil, observes every application delivery in
-	// simulation order.
+	// simulation order. data is a view of the network's receive
+	// buffer: valid until the callback returns, copied if kept.
 	OnDeliver func(at time.Duration, src, dst int, data []byte)
 
 	// fabric is the resolved switched fabric, set by normalize when

@@ -25,6 +25,19 @@ type Mem struct {
 	latency time.Duration
 	rails   int
 	nodes   []*MemNode
+	free    *memDelivery // recycled delivery records
+}
+
+// memDelivery is one frame in flight: the fabric's copy of the payload
+// and where it is going. Records cycle through Mem.free, so a steady
+// exchange allocates only the clock's timer; fire is the record's run
+// method, bound once.
+type memDelivery struct {
+	m              *Mem
+	rail, src, dst int
+	body           []byte
+	fire           func()
+	next           *memDelivery
 }
 
 // MemNode is one node's Transport into a Mem fabric.
@@ -114,41 +127,59 @@ func (n *MemNode) Send(rail, dst int, payload []byte) error {
 	if dst != Broadcast && (dst < 0 || dst >= len(m.nodes)) {
 		return fmt.Errorf("transport: dst %d out of range [0,%d)", dst, len(m.nodes))
 	}
-	m.mu.Lock()
-	if n.down || !n.nicUp[rail] {
-		m.mu.Unlock()
-		return nil // silently vanishes, like a dead NIC
-	}
-	m.mu.Unlock()
 	if dst == Broadcast {
 		for i := range m.nodes {
 			if i != n.node {
-				m.deliverAfter(rail, n.node, i, payload)
+				n.deliverAfter(rail, i, payload)
 			}
 		}
 		return nil
 	}
-	if dst == n.node {
-		return nil // no loopback rail
+	if dst != n.node { // no loopback rail
+		n.deliverAfter(rail, dst, payload)
 	}
-	m.deliverAfter(rail, n.node, dst, payload)
 	return nil
 }
 
-func (m *Mem) deliverAfter(rail, src, dst int, payload []byte) {
-	body := make([]byte, len(payload))
-	copy(body, payload)
-	m.clk.AfterFunc(m.latency, func() {
-		m.mu.Lock()
-		d := m.nodes[dst]
-		if d.down || !d.nicUp[rail] || d.recv == nil {
-			m.mu.Unlock()
-			return
-		}
-		recv := d.recv
+// deliverAfter puts one copy of payload in flight to dst, unless the
+// sender is crashed or its NIC dead: then the frame silently vanishes.
+func (n *MemNode) deliverAfter(rail, dst int, payload []byte) {
+	m := n.m
+	m.mu.Lock()
+	if n.down || !n.nicUp[rail] {
 		m.mu.Unlock()
-		recv(rail, src, body)
-	})
+		return
+	}
+	d := m.free
+	if d != nil {
+		m.free = d.next
+	} else {
+		d = &memDelivery{m: m}
+		d.fire = d.run
+	}
+	m.mu.Unlock()
+	d.rail, d.src, d.dst = rail, n.node, dst
+	d.body = append(d.body[:0], payload...)
+	m.clk.AfterFunc(m.latency, d.fire)
+}
+
+// run hands the frame to its receiver, if that is still up, and
+// recycles the record once the receiver has returned.
+func (d *memDelivery) run() {
+	m := d.m
+	m.mu.Lock()
+	var recv func(rail, src int, payload []byte)
+	if to := m.nodes[d.dst]; !to.down && to.nicUp[d.rail] {
+		recv = to.recv
+	}
+	m.mu.Unlock()
+	if recv != nil {
+		recv(d.rail, d.src, d.body)
+	}
+	m.mu.Lock()
+	d.next = m.free
+	m.free = d
+	m.mu.Unlock()
 }
 
 var _ Transport = (*MemNode)(nil)

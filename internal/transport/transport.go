@@ -33,10 +33,15 @@ type Transport interface {
 	// Send transmits payload on rail to dst (or Broadcast). Send never
 	// blocks; delivery is best-effort, like the hardware it models.
 	// Callers may reuse the payload buffer after Send returns:
-	// implementations that defer delivery must copy.
+	// implementations that defer delivery must copy. Send must not
+	// call any receiver before it returns: callers may hold their own
+	// lock across it, and an inline reply would re-enter that lock.
 	Send(rail, dst int, payload []byte) error
 	// SetReceiver installs the frame callback. The callback may be
 	// invoked concurrently by real transports; simulator transports
-	// invoke it single-threaded.
+	// invoke it single-threaded. payload is the transport's buffer:
+	// the callback may read it only until it returns, must not write
+	// to it, and copies whatever it keeps — the receive-side half of
+	// the rule that lets Send's caller reuse its own.
 	SetReceiver(fn func(rail, src int, payload []byte))
 }

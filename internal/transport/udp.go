@@ -64,16 +64,18 @@ type UDPConfig struct {
 // UDP is a Transport over real UDP sockets, one socket per rail. It
 // frames payloads with a validated header and drops anything
 // malformed: wrong magic, wrong version, source index out of range,
-// or a datagram shorter than the header. Payload bytes are copied out
-// of the receive buffer before the callback runs, and each rail's
-// receive loop runs on its own goroutine — the receiver callback must
-// be safe for concurrent invocation, as the Transport contract warns.
+// or a datagram shorter than the header. The callback is handed a view
+// of the rail's receive buffer, valid until it returns (the Transport
+// contract), and each rail's receive loop runs on its own goroutine —
+// the receiver callback must be safe for concurrent invocation, as the
+// contract also warns.
 type UDP struct {
 	node  int
 	nodes int
 	rails int
 	conns []*net.UDPConn   // per rail
 	peers [][]*net.UDPAddr // [node][rail]
+	tx    []udpTx          // per rail
 
 	mu     sync.Mutex
 	recv   func(rail, src int, payload []byte)
@@ -81,6 +83,13 @@ type UDP struct {
 	txErr  *metrics.Counter
 	closed bool
 	wg     sync.WaitGroup
+}
+
+// udpTx is one rail's reusable header+payload buffer. Senders on the
+// same rail serialize on mu, as they would on the socket anyway.
+type udpTx struct {
+	mu  sync.Mutex
+	buf []byte
 }
 
 // NewUDP binds the local sockets and starts one receive loop per
@@ -98,7 +107,8 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		return nil, fmt.Errorf("transport: node %d out of range [0,%d)", cfg.Node, nodes)
 	}
 	u := &UDP{node: cfg.Node, nodes: nodes, rails: rails,
-		rxErr: &metrics.Counter{}, txErr: &metrics.Counter{}}
+		rxErr: &metrics.Counter{}, txErr: &metrics.Counter{},
+		tx: make([]udpTx, rails)}
 	u.peers = make([][]*net.UDPAddr, nodes)
 	for i, row := range cfg.Peers {
 		if len(row) != rails {
@@ -179,12 +189,16 @@ func (u *UDP) Send(rail, dst int, payload []byte) error {
 	if dst != Broadcast && (dst < 0 || dst >= u.nodes) {
 		return fmt.Errorf("transport: dst %d out of range [0,%d)", dst, u.nodes)
 	}
-	buf := make([]byte, udpHeaderLen+len(payload))
-	buf[0] = udpMagic
-	buf[1] = udpVersion
-	binary.BigEndian.PutUint16(buf[2:4], uint16(u.node))
-	copy(buf[udpHeaderLen:], payload)
+	if dst == u.node {
+		return nil
+	}
 	_, txErr := u.counters()
+	tx := &u.tx[rail]
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	buf := append(tx.buf[:0], udpMagic, udpVersion, byte(u.node>>8), byte(u.node))
+	buf = append(buf, payload...)
+	tx.buf = buf
 	if dst == Broadcast {
 		for i := 0; i < u.nodes; i++ {
 			if i != u.node {
@@ -193,9 +207,6 @@ func (u *UDP) Send(rail, dst int, payload []byte) error {
 				}
 			}
 		}
-		return nil
-	}
-	if dst == u.node {
 		return nil
 	}
 	if _, err := u.conns[rail].WriteToUDP(buf, u.peers[dst][rail]); err != nil {
@@ -244,9 +255,7 @@ func (u *UDP) rxLoop(rail int) {
 		if recv == nil {
 			continue
 		}
-		body := make([]byte, n-udpHeaderLen)
-		copy(body, buf[udpHeaderLen:n])
-		recv(rail, src, body)
+		recv(rail, src, buf[udpHeaderLen:n])
 	}
 }
 
