@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"drsnet/internal/core"
-	"drsnet/internal/routing"
+	"drsnet/internal/transport"
 )
 
 const (
@@ -28,7 +28,7 @@ const (
 	rails = 2
 )
 
-// realClock adapts the wall clock to the routing.Clock interface the
+// realClock adapts the wall clock to the clock.Clock interface the
 // daemons expect.
 type realClock struct{ start time.Time }
 
@@ -126,7 +126,7 @@ func (t *udpTransport) Send(rail, dst int, payload []byte) error {
 			_, _ = t.conns[rail].WriteToUDP(frame, addr)
 		}
 	}
-	if dst == routing.Broadcast {
+	if dst == transport.Broadcast {
 		for to := 0; to < nodes; to++ {
 			if to != t.node {
 				send(to)

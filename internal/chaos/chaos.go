@@ -9,7 +9,7 @@
 // whose transmit side dies while receive keeps working, a backplane
 // that delivers 95% of frames, a link that flaps faster than the
 // routing protocol can converge. This package schedules exactly those
-// against a netsim.Network, deterministically: episodes fire at fixed
+// against a netsim.Net, deterministically: episodes fire at fixed
 // simulated times, and the per-frame randomness (which frame is lost
 // or corrupted) comes from the network's own seeded impairment stream,
 // so a chaos campaign is bit-identical across runs and worker counts.
@@ -71,30 +71,17 @@ func (s *Spec) downFor() time.Duration {
 	return time.Duration(float64(s.FlapPeriod) * duty)
 }
 
-// Validate checks the spec against a cluster shape. The index i is
-// used in error messages so callers can report which entry of a
-// schedule is broken.
-func (s *Spec) Validate(cl topology.Cluster, i int) error {
-	if int(s.Comp) < 0 || int(s.Comp) >= cl.Components() {
-		return fmt.Errorf("chaos: spec[%d]: component %d outside universe of %d (cluster %d×%d)",
-			i, int(s.Comp), cl.Components(), cl.Nodes, cl.Rails)
-	}
-	return s.validateBody(cl.Name(s.Comp), i)
-}
-
-// ValidateFabric checks the spec against a switched fabric, where the
-// component universe also contains switches and trunks.
-func (s *Spec) ValidateFabric(f *topology.Fabric, i int) error {
+// Validate checks the spec against a fabric's component universe (a
+// dual-rail cluster validates against topology.FromCluster of its
+// shape, whose numbering and component names are the cluster's own).
+// The index i is used in error messages so callers can report which
+// entry of a schedule is broken.
+func (s *Spec) Validate(f *topology.Fabric, i int) error {
 	if int(s.Comp) < 0 || int(s.Comp) >= f.Components() {
 		return fmt.Errorf("chaos: spec[%d]: component %d outside universe of %d (%s fabric, %d hosts)",
 			i, int(s.Comp), f.Components(), f.Kind, f.Hosts())
 	}
-	return s.validateBody(f.Name(s.Comp), i)
-}
-
-// validateBody checks everything past the component-range check; name
-// is the component's human-readable name for error messages.
-func (s *Spec) validateBody(name string, i int) error {
+	name := f.Name(s.Comp)
 	if s.Start < 0 {
 		return fmt.Errorf("chaos: spec[%d] (%s): start %v before time zero", i, name, s.Start)
 	}
@@ -132,20 +119,10 @@ func (s *Spec) validateBody(name string, i int) error {
 	return nil
 }
 
-// Validate checks a whole schedule against a cluster shape.
-func Validate(specs []Spec, cl topology.Cluster) error {
+// Validate checks a whole schedule against a fabric.
+func Validate(specs []Spec, f *topology.Fabric) error {
 	for i := range specs {
-		if err := specs[i].Validate(cl, i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ValidateFabric checks a whole schedule against a switched fabric.
-func ValidateFabric(specs []Spec, f *topology.Fabric) error {
-	for i := range specs {
-		if err := specs[i].ValidateFabric(f, i); err != nil {
+		if err := specs[i].Validate(f, i); err != nil {
 			return err
 		}
 	}
@@ -163,15 +140,9 @@ type Injector struct {
 }
 
 // NewInjector validates the schedule against the network's component
-// universe and returns an injector ready to Schedule. A dual-rail
-// Network validates against its cluster shape (preserving the classic
-// error messages); any other Net validates against its fabric.
+// universe and returns an injector ready to Schedule.
 func NewInjector(net netsim.Net, specs []Spec) (*Injector, error) {
-	if nw, ok := net.(*netsim.Network); ok {
-		if err := Validate(specs, nw.Cluster()); err != nil {
-			return nil, err
-		}
-	} else if err := ValidateFabric(specs, net.Fabric()); err != nil {
+	if err := Validate(specs, net.Fabric()); err != nil {
 		return nil, err
 	}
 	return &Injector{sched: net.Scheduler(), net: net, specs: specs}, nil

@@ -162,6 +162,10 @@ func TestDefaultDutyIsHalf(t *testing.T) {
 func TestValidate(t *testing.T) {
 	cl := topology.Dual(3)
 	nic := cl.NIC(1, 0)
+	fab, err := topology.FromCluster(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		spec Spec
@@ -184,7 +188,7 @@ func TestValidate(t *testing.T) {
 		{"does nothing", Spec{Comp: nic}, "does nothing"},
 	}
 	for _, c := range cases {
-		err := c.spec.Validate(cl, 0)
+		err := c.spec.Validate(fab, 0)
 		if c.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)
@@ -196,7 +200,7 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	// The schedule-level helper reports the failing index.
-	err := Validate([]Spec{{Comp: nic, Kill: true}, {Comp: nic}}, cl)
+	err = Validate([]Spec{{Comp: nic, Kill: true}, {Comp: nic}}, fab)
 	if err == nil || !strings.Contains(err.Error(), "spec[1]") {
 		t.Errorf("Validate = %v, want spec[1] error", err)
 	}

@@ -1,15 +1,15 @@
 // Package clock defines the timing seam every protocol layer in this
 // repository runs behind: a Clock hands out the current time and
-// one-shot timers, nothing more. Two implementations exist — Sim,
-// backed by the deterministic simtime.Scheduler, and Wall, backed by
-// the process's monotonic clock (with a drainable manual mode for
-// tests). Protocol code written against Clock runs unmodified under
-// the simulator and inside a live daemon.
+// one-shot timers, nothing more. Two implementations exist — Wall,
+// here, backed by the process's monotonic clock (with a drainable
+// manual mode for tests), and simtime.Clock, on the simulator's side,
+// backed by the deterministic scheduler. Protocol code written against
+// Clock runs unmodified under the simulator and inside a live daemon.
 //
 // Both implementations execute timers in (deadline, scheduling-order)
 // total order. That shared contract is what makes the clock-parity
-// regression test hold: the same scenario driven through Sim and
-// through a drained Wall produces the identical event sequence.
+// regression test hold: the same scenario driven through simtime.Clock
+// and through a drained Wall produces the identical event sequence.
 package clock
 
 import "time"

@@ -178,7 +178,7 @@ func TestLiveWallMonotonicNow(t *testing.T) {
 
 func TestSimAdapter(t *testing.T) {
 	sched := simtime.NewScheduler()
-	c := Sim{Sched: sched}
+	var c Clock = simtime.Clock{Sched: sched}
 	ran := false
 	c.AfterFunc(10*time.Millisecond, func() { ran = true })
 	cancel := c.AfterFunc(20*time.Millisecond, func() { t.Error("cancelled simtime timer ran") })

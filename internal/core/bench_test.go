@@ -5,12 +5,13 @@ import (
 	"time"
 
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 )
 
 // The hot paths of the DRS daemon, benchmarked through the public API
-// and the simulator so the numbers survive internal refactors. The
-// BENCH_core.json baseline at the repo root records these before and
-// after the layered decomposition.
+// and the simulator so the numbers survive internal refactors. Their
+// allocation counts are pinned exactly by the runtime package's
+// allocation tests; the timings are for reading, not for gating.
 
 // BenchmarkProbeRound measures one full phase-1 round of a 10-node
 // dual-rail cluster: 10 daemons × 9 peers × 2 rails probes plus every
@@ -82,7 +83,7 @@ func BenchmarkQueryOfferChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := routeQuery{Origin: 1, Target: 2, Seq: uint32(i + 1), TTL: 1}
-		payload := routing.Envelope(routing.ProtoControl, marshalQuery(q))
+		payload := wire.Envelope(wire.ProtoControl, marshalQuery(q))
 		if err := c.net.Send(1, 0, 0, payload); err != nil {
 			b.Fatal(err)
 		}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/trace"
+	"drsnet/internal/transport"
 )
 
 // Phase-2 control plane: route queries and offers (relay discovery)
@@ -143,7 +145,7 @@ func (d *Daemon) onQuery(rail, src int, q routeQuery) {
 		if d.cfg.Incarnation > 0 {
 			body = marshalOfferInc(offer, d.cfg.Incarnation)
 		}
-		if err := d.tr.Send(rail, origin, routing.Envelope(routing.ProtoControl, body)); err == nil {
+		if err := d.tr.Send(rail, origin, wire.Envelope(wire.ProtoControl, body)); err == nil {
 			d.mset.Counter(routing.CtrOffersSent).Inc()
 			d.event(trace.Event{At: now, Node: self, Kind: trace.KindOfferSent,
 				Peer: origin, Rail: rail, Detail: fmt.Sprintf("target=%d", target)})
@@ -154,9 +156,9 @@ func (d *Daemon) onQuery(rail, src int, q routeQuery) {
 	// left (multi-rail topologies; a no-op at the default TTL of 1).
 	if ttl > 1 {
 		q.TTL = ttl - 1
-		payload := routing.Envelope(routing.ProtoControl, marshalQuery(q))
+		payload := wire.Envelope(wire.ProtoControl, marshalQuery(q))
 		for r := 0; r < d.tr.Rails(); r++ {
-			_ = d.tr.Send(r, routing.Broadcast, payload)
+			_ = d.tr.Send(r, transport.Broadcast, payload)
 		}
 	}
 }

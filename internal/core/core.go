@@ -33,7 +33,7 @@
 // holds only the orchestration: what a probe means, when a route is
 // repaired, how discovery is answered.
 //
-// The daemon is transport-agnostic (routing.Transport / routing.Clock)
+// The daemon is transport-agnostic (transport.Transport / clock.Clock)
 // and runs unmodified over the deterministic packet simulator and over
 // real UDP sockets.
 package core
@@ -44,6 +44,7 @@ import (
 	"sync"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/core/membership"
 	"drsnet/internal/dataplane"
 	"drsnet/internal/icmp"
@@ -52,7 +53,9 @@ import (
 	"drsnet/internal/overload"
 	"drsnet/internal/routetable"
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/trace"
+	"drsnet/internal/transport"
 )
 
 // The route vocabulary is defined by internal/routetable and re-
@@ -86,8 +89,8 @@ const (
 // Daemon is one node's DRS instance.
 type Daemon struct {
 	cfg   Config
-	tr    routing.Transport
-	clock routing.Clock
+	tr    transport.Transport
+	clock clock.Clock
 	mset  *metrics.Set
 
 	mu      sync.Mutex
@@ -133,7 +136,7 @@ type Daemon struct {
 }
 
 // New creates a DRS daemon for the node tr is attached to.
-func New(tr routing.Transport, clock routing.Clock, cfg Config) (*Daemon, error) {
+func New(tr transport.Transport, clock clock.Clock, cfg Config) (*Daemon, error) {
 	if tr == nil || clock == nil {
 		return nil, fmt.Errorf("core: nil transport or clock")
 	}
@@ -318,16 +321,16 @@ func (d *Daemon) RTT(peer, rail int) (RTTStats, bool) {
 // Phase 2: answer requests, fix problems (frame dispatch).
 
 func (d *Daemon) onFrame(rail, src int, payload []byte) {
-	proto, body, err := routing.SplitEnvelope(payload)
+	proto, body, err := wire.SplitEnvelope(payload)
 	if err != nil {
 		return
 	}
 	switch proto {
-	case routing.ProtoICMP:
+	case wire.ProtoICMP:
 		d.onICMP(rail, src, body)
-	case routing.ProtoControl:
+	case wire.ProtoControl:
 		d.onControl(rail, src, body)
-	case routing.ProtoData:
+	case wire.ProtoData:
 		d.onData(rail, src, body)
 	}
 }
@@ -347,7 +350,7 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		if reply, err := icmp.Reply(echo); err == nil {
-			d.frameBuf = reply.AppendTo(append(d.frameBuf[:0], routing.ProtoICMP))
+			d.frameBuf = reply.AppendTo(append(d.frameBuf[:0], wire.ProtoICMP))
 			_ = d.tr.Send(rail, src, d.frameBuf)
 		}
 		d.noteAliveLocked(rail, src)

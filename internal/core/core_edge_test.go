@@ -7,6 +7,7 @@ import (
 	"drsnet/internal/netsim"
 	"drsnet/internal/rng"
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 )
@@ -22,10 +23,10 @@ func lossyCluster(t *testing.T, n int, lossRate float64, cfg Config) *cluster {
 		t.Fatal(err)
 	}
 	c := &cluster{sched: sched, net: net, delivered: make([][]msg, n)}
-	clock := routing.SimClock{Sched: sched}
+	clock := simtime.Clock{Sched: sched}
 	for node := 0; node < n; node++ {
 		node := node
-		d, err := New(routing.NewSimNode(net, node), clock, cfg)
+		d, err := New(netsim.NewTransport(net, node), clock, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func TestStaleOfferIgnored(t *testing.T) {
 	// Hand-craft an unsolicited offer to node 0 claiming node 2
 	// relays to node 1; with no pending discovery it must be ignored.
 	offer := routeOffer{Origin: 0, Target: 1, Seq: 999, Relay: 2}
-	payload := routing.Envelope(routing.ProtoControl, marshalOffer(offer))
+	payload := wire.Envelope(wire.ProtoControl, marshalOffer(offer))
 	if err := c.net.Send(2, 0, 0, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +187,14 @@ func TestMalformedFramesIgnored(t *testing.T) {
 		nil,
 		{},
 		{0xff},
-		{routing.ProtoICMP},              // empty ICMP
-		{routing.ProtoICMP, 1, 2, 3},     // truncated ICMP
-		{routing.ProtoControl},           // empty control
-		{routing.ProtoControl, 99, 1, 2}, // unknown control type
-		{routing.ProtoControl, 1, 0},     // truncated query
-		{routing.ProtoData, 1, 2, 3},     // truncated data header
-		routing.Envelope(routing.ProtoData, // data to an absurd final
-			routing.MarshalData(routing.DataHeader{Origin: 0, Final: 9999, TTL: 3}, nil)),
+		{wire.ProtoICMP},              // empty ICMP
+		{wire.ProtoICMP, 1, 2, 3},     // truncated ICMP
+		{wire.ProtoControl},           // empty control
+		{wire.ProtoControl, 99, 1, 2}, // unknown control type
+		{wire.ProtoControl, 1, 0},     // truncated query
+		{wire.ProtoData, 1, 2, 3},     // truncated data header
+		wire.Envelope(wire.ProtoData, // data to an absurd final
+			wire.MarshalData(wire.DataHeader{Origin: 0, Final: 9999, TTL: 3}, nil)),
 	}
 	for _, g := range garbage {
 		if len(g) == 0 {
@@ -218,8 +219,8 @@ func TestForwardingTTLBoundary(t *testing.T) {
 	defer c.stop()
 	c.runFor(2 * time.Second)
 
-	h := routing.DataHeader{Origin: 0, Final: 1, TTL: 1, Seq: 42}
-	payload := routing.Envelope(routing.ProtoData, routing.MarshalData(h, []byte("doomed")))
+	h := wire.DataHeader{Origin: 0, Final: 1, TTL: 1, Seq: 42}
+	payload := wire.Envelope(wire.ProtoData, wire.MarshalData(h, []byte("doomed")))
 	// Deliver it to node 2 (not the final destination).
 	if err := c.net.Send(0, 0, 2, payload); err != nil {
 		t.Fatal(err)
@@ -244,7 +245,7 @@ func TestSeenQueryCacheGC(t *testing.T) {
 	c.runFor(100 * time.Millisecond)
 	for i := 0; i < 6000; i++ {
 		q := routeQuery{Origin: 1, Target: 2, Seq: uint32(i), TTL: 1}
-		payload := routing.Envelope(routing.ProtoControl, marshalQuery(q))
+		payload := wire.Envelope(wire.ProtoControl, marshalQuery(q))
 		if err := c.net.Send(1, 0, 0, payload); err != nil {
 			t.Fatal(err)
 		}

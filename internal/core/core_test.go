@@ -48,10 +48,10 @@ func newClusterShape(t testing.TB, shape topology.Cluster, cfg Config) *cluster 
 		log:       trace.NewLog(0),
 	}
 	cfg.Trace = c.log
-	clock := routing.SimClock{Sched: sched}
+	clock := simtime.Clock{Sched: sched}
 	for node := 0; node < shape.Nodes; node++ {
 		node := node
-		d, err := New(routing.NewSimNode(net, node), clock, cfg)
+		d, err := New(netsim.NewTransport(net, node), clock, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestMonitorSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(routing.NewSimNode(net, 0), routing.SimClock{Sched: sched}, cfg)
+	d, err := New(netsim.NewTransport(net, 0), simtime.Clock{Sched: sched}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,8 +393,8 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := routing.NewSimNode(net, 0)
-	clock := routing.SimClock{Sched: sched}
+	tr := netsim.NewTransport(net, 0)
+	clock := simtime.Clock{Sched: sched}
 	if _, err := New(nil, clock, DefaultConfig()); err == nil {
 		t.Error("nil transport accepted")
 	}

@@ -26,7 +26,7 @@ func lifecycleDaemon(t *testing.T, nodes int, cfg Config) (*Daemon, *trace.Log) 
 	}
 	log := trace.NewLog(0)
 	cfg.Trace = log
-	d, err := New(routing.NewSimNode(net, 0), routing.SimClock{Sched: sched}, cfg)
+	d, err := New(netsim.NewTransport(net, 0), simtime.Clock{Sched: sched}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +95,8 @@ func TestWarmRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := routing.NewSimNode(net, 0)
-	clock := routing.SimClock{Sched: sched}
+	tr := netsim.NewTransport(net, 0)
+	clock := simtime.Clock{Sched: sched}
 	valid := func() *Checkpoint {
 		return &Checkpoint{Node: 0, Incarnation: 1, Peers: []PeerState{
 			{Peer: 1, Route: Route{Kind: RouteDirect, Rail: 1, Via: 1}, Rails: make([]RailState, 2)},
@@ -169,7 +169,7 @@ func TestWarmRestoreSeedsPreviousLife(t *testing.T) {
 	cfg2.Incarnation = 2
 	cfg2.Restore = cp
 	cfg2.Trace = c.log
-	d, err := New(routing.NewSimNode(c.net, 0), routing.SimClock{Sched: c.sched}, cfg2)
+	d, err := New(netsim.NewTransport(c.net, 0), simtime.Clock{Sched: c.sched}, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestWarmRestoreDynamicReaddsPeers(t *testing.T) {
 		Route:       Route{Kind: RouteDirect, Rail: 1, Via: 1},
 		Rails:       []RailState{{Up: true}, {Up: false}},
 	}}}
-	d, err := New(routing.NewSimNode(net, 0), routing.SimClock{Sched: sched}, cfg)
+	d, err := New(netsim.NewTransport(net, 0), simtime.Clock{Sched: sched}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

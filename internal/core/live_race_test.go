@@ -9,6 +9,7 @@ import (
 	"drsnet/internal/clock"
 	"drsnet/internal/icmp"
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/transport"
 )
 
@@ -16,12 +17,12 @@ import (
 // state the peer's codec would reject — what a torn scratch buffer
 // looks like on the wire.
 type checkedTransport struct {
-	routing.Transport
+	transport.Transport
 	bad *atomic.Int64
 }
 
 func (c checkedTransport) Send(rail, dst int, payload []byte) error {
-	if len(payload) > 0 && payload[0] == routing.ProtoICMP {
+	if len(payload) > 0 && payload[0] == wire.ProtoICMP {
 		if _, err := icmp.Unmarshal(payload[1:]); err != nil {
 			c.bad.Add(1)
 		}
@@ -77,7 +78,7 @@ func TestLiveScratchIsRaceFree(t *testing.T) {
 		go func(rail int) {
 			defer wg.Done()
 			req := icmp.Echo{Request: true, ID: 1, Seq: uint16(rail), Data: []byte("12345678")}.
-				AppendTo([]byte{routing.ProtoICMP})
+				AppendTo([]byte{wire.ProtoICMP})
 			for {
 				select {
 				case <-stop:

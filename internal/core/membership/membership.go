@@ -13,8 +13,8 @@ package membership
 import (
 	"time"
 
-	"drsnet/internal/routing"
 	"drsnet/internal/routing/wire"
+	"drsnet/internal/transport"
 )
 
 // Tracker records which peers are statically configured, when each
@@ -79,36 +79,36 @@ func (m *Tracker) StaleIncarnation(peer int, inc uint32) bool {
 
 // Announce broadcasts a hello on every rail so unknown peers learn
 // the sender (and the sender learns them from their hellos).
-func Announce(tr routing.Transport) {
-	hello := routing.Envelope(routing.ProtoControl, wire.MarshalHello())
+func Announce(tr transport.Transport) {
+	hello := wire.Envelope(wire.ProtoControl, wire.MarshalHello())
 	for rail := 0; rail < tr.Rails(); rail++ {
-		_ = tr.Send(rail, routing.Broadcast, hello)
+		_ = tr.Send(rail, transport.Broadcast, hello)
 	}
 }
 
 // AnnounceInc broadcasts an incarnation-stamped hello on every rail
 // (the lifecycle-enabled variant of Announce).
-func AnnounceInc(tr routing.Transport, inc uint32) {
-	hello := routing.Envelope(routing.ProtoControl, wire.MarshalHelloInc(inc))
+func AnnounceInc(tr transport.Transport, inc uint32) {
+	hello := wire.Envelope(wire.ProtoControl, wire.MarshalHelloInc(inc))
 	for rail := 0; rail < tr.Rails(); rail++ {
-		_ = tr.Send(rail, routing.Broadcast, hello)
+		_ = tr.Send(rail, transport.Broadcast, hello)
 	}
 }
 
 // Goodbye broadcasts a departure announcement on every rail.
-func Goodbye(tr routing.Transport) {
-	bye := routing.Envelope(routing.ProtoControl, wire.MarshalGoodbye())
+func Goodbye(tr transport.Transport) {
+	bye := wire.Envelope(wire.ProtoControl, wire.MarshalGoodbye())
 	for rail := 0; rail < tr.Rails(); rail++ {
-		_ = tr.Send(rail, routing.Broadcast, bye)
+		_ = tr.Send(rail, transport.Broadcast, bye)
 	}
 }
 
 // Rejoin broadcasts a rejoin announcement on every rail: the restart
 // handshake a recovering daemon opens with, telling peers its new
 // incarnation so they purge state from the previous life.
-func Rejoin(tr routing.Transport, inc uint32) {
-	msg := routing.Envelope(routing.ProtoControl, wire.MarshalRejoin(inc))
+func Rejoin(tr transport.Transport, inc uint32) {
+	msg := wire.Envelope(wire.ProtoControl, wire.MarshalRejoin(inc))
 	for rail := 0; rail < tr.Rails(); rail++ {
-		_ = tr.Send(rail, routing.Broadcast, msg)
+		_ = tr.Send(rail, transport.Broadcast, msg)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"drsnet/internal/routing"
 	"drsnet/internal/routing/wire"
+	"drsnet/internal/transport"
 )
 
 func TestTracker(t *testing.T) {
@@ -56,7 +56,7 @@ func TestAnnounceAndGoodbye(t *testing.T) {
 		t.Fatalf("%d frames broadcast, want 4", len(tr.frames))
 	}
 	for i, frame := range tr.frames {
-		if tr.dsts[i] != routing.Broadcast {
+		if tr.dsts[i] != transport.Broadcast {
 			t.Fatalf("frame %d sent to %d, not broadcast", i, tr.dsts[i])
 		}
 		proto, body, err := wire.SplitEnvelope(frame)

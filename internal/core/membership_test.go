@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"drsnet/internal/netsim"
-	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 )
@@ -21,10 +21,10 @@ func dynamicCluster(t *testing.T, n int, cfg Config) *cluster {
 		t.Fatal(err)
 	}
 	c := &cluster{sched: sched, net: net, delivered: make([][]msg, n)}
-	clock := routing.SimClock{Sched: sched}
+	clock := simtime.Clock{Sched: sched}
 	for node := 0; node < n; node++ {
 		node := node
-		d, err := New(routing.NewSimNode(net, node), clock, cfg)
+		d, err := New(netsim.NewTransport(net, node), clock, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,10 +78,10 @@ func TestDynamicLateJoiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
+	clock := simtime.Clock{Sched: sched}
 	var daemons []*Daemon
 	for node := 0; node < 4; node++ {
-		d, err := New(routing.NewSimNode(net, node), clock, cfg)
+		d, err := New(netsim.NewTransport(net, node), clock, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,8 +187,8 @@ func TestStaticSeedsNeverForgotten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
-	d, err := New(routing.NewSimNode(net, 0), clock, cfg)
+	clock := simtime.Clock{Sched: sched}
+	d, err := New(netsim.NewTransport(net, 0), clock, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,8 @@ func TestStaticModeIgnoresHellos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
-	d, err := New(routing.NewSimNode(net, 0), clock, cfg)
+	clock := simtime.Clock{Sched: sched}
+	d, err := New(netsim.NewTransport(net, 0), clock, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestStaticModeIgnoresHellos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Stop()
-	if err := net.Send(2, 0, 0, routing.Envelope(routing.ProtoControl, marshalHello())); err != nil {
+	if err := net.Send(2, 0, 0, wire.Envelope(wire.ProtoControl, marshalHello())); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunUntil(simtime.Time(time.Second))
@@ -266,7 +266,7 @@ func TestDynamicConfigValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DynamicMembership = true
 	cfg.ForgetAfter = -time.Second
-	if _, err := New(routing.NewSimNode(net, 0), routing.SimClock{Sched: sched}, cfg); err == nil {
+	if _, err := New(netsim.NewTransport(net, 0), simtime.Clock{Sched: sched}, cfg); err == nil {
 		t.Fatal("negative ForgetAfter accepted")
 	}
 }

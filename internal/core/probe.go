@@ -8,7 +8,9 @@ import (
 	"drsnet/internal/dataplane"
 	"drsnet/internal/icmp"
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/trace"
+	"drsnet/internal/transport"
 )
 
 // ---------------------------------------------------------------
@@ -128,7 +130,7 @@ func (d *Daemon) sendProbeLocked(peer, rail int, seq uint16, now time.Duration, 
 	var ts [8]byte
 	binary.BigEndian.PutUint64(ts[:], uint64(now))
 	echo := icmp.Echo{Request: true, ID: uint16(d.tr.Node()), Seq: seq, Data: ts[:]}
-	d.frameBuf = echo.AppendTo(append(d.frameBuf[:0], routing.ProtoICMP))
+	d.frameBuf = echo.AppendTo(append(d.frameBuf[:0], wire.ProtoICMP))
 	if err := d.tr.Send(rail, peer, d.frameBuf); err == nil {
 		d.probesSent.Inc()
 		if retransmit {
@@ -391,9 +393,9 @@ func (d *Daemon) sendQueryLocked(peer int, now time.Duration) {
 		Seq:    q.Seq,
 		TTL:    uint8(d.cfg.RelayTTL),
 	}
-	payload := routing.Envelope(routing.ProtoControl, marshalQuery(query))
+	payload := wire.Envelope(wire.ProtoControl, marshalQuery(query))
 	for rail := 0; rail < d.tr.Rails(); rail++ {
-		if err := d.tr.Send(rail, routing.Broadcast, payload); err == nil {
+		if err := d.tr.Send(rail, transport.Broadcast, payload); err == nil {
 			d.mset.Counter(routing.CtrQueriesSent).Inc()
 		}
 	}

@@ -4,26 +4,29 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/icmp"
 	"drsnet/internal/netsim"
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
+	"drsnet/internal/transport"
 )
 
 // recordingTransport wraps a Transport and records the send time of
 // every ICMP probe.
 type recordingTransport struct {
-	routing.Transport
-	clock routing.Clock
+	transport.Transport
+	clock clock.Clock
 	sends *[]time.Duration
 }
 
 func (r *recordingTransport) Send(rail, dst int, payload []byte) error {
 	// Count only outgoing echo REQUESTS (probes); the daemon also
 	// sends echo replies to its peers' probes through this transport.
-	if len(payload) > 1 && payload[0] == routing.ProtoICMP &&
-		payload[1] == icmp.TypeEchoRequest && dst != routing.Broadcast {
+	if len(payload) > 1 && payload[0] == wire.ProtoICMP &&
+		payload[1] == icmp.TypeEchoRequest && dst != transport.Broadcast {
 		*r.sends = append(*r.sends, r.clock.Now())
 	}
 	return r.Transport.Send(rail, dst, payload)
@@ -36,21 +39,21 @@ func probeSpread(t *testing.T, stagger bool) (spread time.Duration, sends int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
+	clock := simtime.Clock{Sched: sched}
 	var times []time.Duration
 
 	cfg := DefaultConfig()
 	cfg.StaggerProbes = stagger
 	// Only node 0 gets the recording wrapper; the rest run plainly so
 	// replies flow.
-	tr := &recordingTransport{Transport: routing.NewSimNode(net, 0), clock: clock, sends: &times}
+	tr := &recordingTransport{Transport: netsim.NewTransport(net, 0), clock: clock, sends: &times}
 	d0, err := New(tr, clock, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	daemons := []*Daemon{d0}
 	for node := 1; node < 8; node++ {
-		d, err := New(routing.NewSimNode(net, node), clock, cfg)
+		d, err := New(netsim.NewTransport(net, node), clock, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

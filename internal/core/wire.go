@@ -6,7 +6,7 @@ import "drsnet/internal/routing/wire"
 // with every other on-the-wire format; the aliases below keep this
 // package's internals reading naturally.
 
-// DRS control message types (carried in routing.ProtoControl frames).
+// DRS control message types (carried in wire.ProtoControl frames).
 const (
 	msgRouteQuery = wire.MsgRouteQuery
 	msgRouteOffer = wire.MsgRouteOffer

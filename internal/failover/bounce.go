@@ -7,6 +7,7 @@ import (
 	"drsnet/internal/metrics"
 	"drsnet/internal/routing"
 	"drsnet/internal/routing/wire"
+	"drsnet/internal/transport"
 )
 
 // Bounce is the header-rewriting static fast-failover variant. All
@@ -32,7 +33,7 @@ import (
 // on rail 1) while keeping every tree static.
 type Bounce struct {
 	mu       sync.Mutex
-	tr       routing.Transport
+	tr       transport.Transport
 	sensor   Sensor
 	nodes    int
 	rails    int
@@ -47,7 +48,7 @@ type Bounce struct {
 }
 
 // NewBounce returns the header-rewriting variant.
-func NewBounce(tr routing.Transport, sensor Sensor, cfg Config) (*Bounce, error) {
+func NewBounce(tr transport.Transport, sensor Sensor, cfg Config) (*Bounce, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("failover: nil transport")
 	}

@@ -40,6 +40,7 @@ import (
 	"drsnet/internal/metrics"
 	"drsnet/internal/routing"
 	"drsnet/internal/routing/wire"
+	"drsnet/internal/transport"
 )
 
 // Sensor is the physical-layer carrier oracle: whether this node's
@@ -178,7 +179,7 @@ func (c Config) hopLimit() int {
 // a precomputed candidate list, ordinary ProtoData frames.
 type Router struct {
 	mu      sync.Mutex
-	tr      routing.Transport
+	tr      transport.Transport
 	sensor  Sensor
 	table   Table
 	plane   *dataplane.Plane
@@ -190,7 +191,7 @@ type Router struct {
 
 // New returns a router running an arbitrary table. The table is
 // bounds-checked only; callers own its semantics.
-func New(tr routing.Transport, sensor Sensor, table Table, cfg Config) (*Router, error) {
+func New(tr transport.Transport, sensor Sensor, table Table, cfg Config) (*Router, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("failover: nil transport")
 	}
@@ -214,7 +215,7 @@ func New(tr routing.Transport, sensor Sensor, table Table, cfg Config) (*Router,
 }
 
 // NewRotor returns the circular direct-rail variant.
-func NewRotor(tr routing.Transport, sensor Sensor, cfg Config) (*Router, error) {
+func NewRotor(tr transport.Transport, sensor Sensor, cfg Config) (*Router, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("failover: nil transport")
 	}
@@ -222,7 +223,7 @@ func NewRotor(tr routing.Transport, sensor Sensor, cfg Config) (*Router, error) 
 }
 
 // NewArbor returns the arborescence variant.
-func NewArbor(tr routing.Transport, sensor Sensor, cfg Config) (*Router, error) {
+func NewArbor(tr transport.Transport, sensor Sensor, cfg Config) (*Router, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("failover: nil transport")
 	}

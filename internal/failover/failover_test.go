@@ -11,6 +11,7 @@ import (
 	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
+	"drsnet/internal/transport"
 )
 
 // carrier adapts one node's view of the network to the Sensor oracle,
@@ -38,7 +39,7 @@ type cluster struct {
 	got     [][]recv
 }
 
-func newCluster(t *testing.T, n int, build func(tr routing.Transport, s failover.Sensor) (routing.Router, error)) *cluster {
+func newCluster(t *testing.T, n int, build func(tr transport.Transport, s failover.Sensor) (routing.Router, error)) *cluster {
 	t.Helper()
 	sched := simtime.NewScheduler()
 	net, err := netsim.New(sched, topology.Dual(n), netsim.DefaultParams(), 1)
@@ -50,7 +51,7 @@ func newCluster(t *testing.T, n int, build func(tr routing.Transport, s failover
 	net.SetTap(c.checker)
 	for node := 0; node < n; node++ {
 		node := node
-		r, err := build(routing.NewSimNode(net, node), carrier{net, node})
+		r, err := build(netsim.NewTransport(net, node), carrier{net, node})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,22 +72,22 @@ func (c *cluster) finalize() *invariant.Report {
 	return c.checker.Finalize(c.sched.Now().Duration())
 }
 
-func rotor(tr routing.Transport, s failover.Sensor) (routing.Router, error) {
+func rotor(tr transport.Transport, s failover.Sensor) (routing.Router, error) {
 	return failover.NewRotor(tr, s, failover.Config{})
 }
 
-func arbor(tr routing.Transport, s failover.Sensor) (routing.Router, error) {
+func arbor(tr transport.Transport, s failover.Sensor) (routing.Router, error) {
 	return failover.NewArbor(tr, s, failover.Config{})
 }
 
-func bounce(tr routing.Transport, s failover.Sensor) (routing.Router, error) {
+func bounce(tr transport.Transport, s failover.Sensor) (routing.Router, error) {
 	return failover.NewBounce(tr, s, failover.Config{})
 }
 
 // TestHealthyDelivery: on an unimpaired cluster every variant
 // delivers directly, invariant-clean.
 func TestHealthyDelivery(t *testing.T) {
-	for name, build := range map[string]func(routing.Transport, failover.Sensor) (routing.Router, error){
+	for name, build := range map[string]func(transport.Transport, failover.Sensor) (routing.Router, error){
 		"rotor": rotor, "arbor": arbor, "bounce": bounce,
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -154,7 +155,7 @@ func TestMixedRailFailure(t *testing.T) {
 		}
 	})
 
-	for name, build := range map[string]func(routing.Transport, failover.Sensor) (routing.Router, error){
+	for name, build := range map[string]func(transport.Transport, failover.Sensor) (routing.Router, error){
 		"arbor": arbor, "bounce": bounce,
 	} {
 		t.Run(name+"-relays", func(t *testing.T) {
@@ -267,7 +268,7 @@ func TestBrokenTableLoops(t *testing.T) {
 		t.Next[2] = []failover.Hop{{Rail: 0, Via: via}}
 		return t
 	}
-	build := func(tr routing.Transport, s failover.Sensor) (routing.Router, error) {
+	build := func(tr transport.Transport, s failover.Sensor) (routing.Router, error) {
 		tables := map[int]failover.Table{
 			0: broken(0, 1),
 			1: broken(1, 0),

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/routing"
 )
 
@@ -77,7 +78,7 @@ func (c *FlowConfig) normalize() error {
 // node, then Dial outgoing flows and Listen for incoming ones.
 type Endpoint struct {
 	router routing.Router
-	clock  routing.Clock
+	clock  clock.Clock
 
 	mu      sync.Mutex
 	senders map[flowKey]*Flow
@@ -92,7 +93,7 @@ type flowKey struct {
 // NewEndpoint wraps a started Router. It takes over the router's
 // deliver callback; all application traffic on this node must flow
 // through this endpoint afterwards.
-func NewEndpoint(router routing.Router, clock routing.Clock) (*Endpoint, error) {
+func NewEndpoint(router routing.Router, clock clock.Clock) (*Endpoint, error) {
 	if router == nil || clock == nil {
 		return nil, fmt.Errorf("flowsim: nil router or clock")
 	}

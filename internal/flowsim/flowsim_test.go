@@ -32,13 +32,13 @@ func newRig(t *testing.T, nodes int, probe time.Duration, lossRate float64, fcfg
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
+	clock := simtime.Clock{Sched: sched}
 	r := &rig{sched: sched, net: net}
 	var endpoints []*Endpoint
 	for node := 0; node < nodes; node++ {
 		cfg := core.DefaultConfig()
 		cfg.ProbeInterval = probe
-		d, err := core.New(routing.NewSimNode(net, node), clock, cfg)
+		d, err := core.New(netsim.NewTransport(net, node), clock, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,9 +174,9 @@ func TestFlowDiesOnStaticOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
+	clock := simtime.Clock{Sched: sched}
 	mk := func(node int) *Endpoint {
-		s, err := routing.NewStatic(routing.NewSimNode(net, node), 0)
+		s, err := routing.NewStatic(netsim.NewTransport(net, node), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,8 +256,8 @@ func TestEndpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
-	s, err := routing.NewStatic(routing.NewSimNode(net, 0), 0)
+	clock := simtime.Clock{Sched: sched}
+	s, err := routing.NewStatic(netsim.NewTransport(net, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,3 @@
 // Unless stated otherwise the types are not goroutine-safe; the
 // owning protocol serializes access under its own lock.
 package linkmon
-
-import "drsnet/internal/clock"
-
-// Clock abstracts time. It is the canonical seam from internal/clock
-// (this package sits below routing, which aliases the same
-// definition).
-type Clock = clock.Clock

@@ -7,20 +7,9 @@ import (
 	"drsnet/internal/simtime"
 )
 
-// simClock adapts the deterministic scheduler to the Clock interface
-// (the same shape internal/netsim uses for protocol code).
-type simClock struct{ s *simtime.Scheduler }
-
-func (c simClock) Now() time.Duration { return c.s.Now().Duration() }
-
-func (c simClock) AfterFunc(d time.Duration, fn func()) func() bool {
-	t := c.s.After(d, fn)
-	return t.Cancel
-}
-
 func TestRoundsPeriodAndStop(t *testing.T) {
 	s := simtime.NewScheduler()
-	r := NewRounds(simClock{s})
+	r := NewRounds(simtime.Clock{Sched: s})
 	var fired []time.Duration
 	r.Run(time.Second, func() { fired = append(fired, s.Now().Duration()) })
 	s.RunUntil(simtime.Time(3500 * time.Millisecond))
@@ -44,7 +33,7 @@ func TestRoundsPeriodAndStop(t *testing.T) {
 
 func TestStaggerSpreadsSends(t *testing.T) {
 	s := simtime.NewScheduler()
-	r := NewRounds(simClock{s})
+	r := NewRounds(simtime.Clock{Sched: s})
 	type send struct {
 		i  int
 		at time.Duration
@@ -71,7 +60,7 @@ func TestStaggerSpreadsSends(t *testing.T) {
 
 func TestStaggerSkipsAfterStop(t *testing.T) {
 	s := simtime.NewScheduler()
-	r := NewRounds(simClock{s})
+	r := NewRounds(simtime.Clock{Sched: s})
 	var count int
 	r.Stagger(time.Second, 4, func(int) { count++ })
 	s.RunUntil(simtime.Time(300 * time.Millisecond)) // send 0 and 1

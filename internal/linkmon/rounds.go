@@ -3,6 +3,8 @@ package linkmon
 import (
 	"sync"
 	"time"
+
+	"drsnet/internal/clock"
 )
 
 // Rounds drives one periodic protocol round. The body runs first
@@ -14,7 +16,7 @@ import (
 // Rounds is safe for concurrent use; the body itself runs outside any
 // Rounds lock.
 type Rounds struct {
-	clock Clock
+	clock clock.Clock
 
 	// Set once by Run; next is the tick method, bound once so that
 	// rescheduling a round costs the clock's timer and nothing else.
@@ -28,7 +30,7 @@ type Rounds struct {
 }
 
 // NewRounds returns a stopped-free round driver on clock.
-func NewRounds(clock Clock) *Rounds {
+func NewRounds(clock clock.Clock) *Rounds {
 	return &Rounds{clock: clock}
 }
 

@@ -2,9 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"time"
 
-	"drsnet/internal/rng"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 )
@@ -36,16 +34,8 @@ import (
 // process is configured, so healthy runs are byte-identical across
 // refactors.
 type FabricNet struct {
-	sched  *simtime.Scheduler
-	fab    *topology.Fabric
-	params Params
-
-	nicTx, nicRx []bool // per dense NIC id
-	swUp         []bool
-	trkUp        []bool
-	nodeUp       []bool
-	handler      []Handler
-	tap          Tap
+	state
+	fab *topology.Fabric
 
 	// Busy clocks, one per link direction.
 	nicBusyUp   []simtime.Time // host → switch
@@ -53,16 +43,12 @@ type FabricNet struct {
 	trkBusyAB   []simtime.Time
 	trkBusyBA   []simtime.Time
 
-	rnd    *rng.Source
-	impRnd *rng.Source
-	imp    map[topology.Component]Impairment
-
 	stats SegmentStats
 
 	// Routing tables: per destination host, the next trunk from every
 	// switch toward the destination's nearest live attachment switch.
-	// epoch invalidates all tables whenever component state changes.
-	epoch  uint64
+	// A table is stale when its epoch differs from state.epoch, which
+	// every component state change bumps.
 	routes []*fabricRoute
 
 	// Pooled in-flight events and payload buffers, and the pre-bound
@@ -110,82 +96,46 @@ type hopEvent struct {
 // NewFabricNet builds a healthy fabric network on the scheduler.
 // Params.Switched is ignored — a fabric is switched by construction.
 func NewFabricNet(sched *simtime.Scheduler, fab *topology.Fabric, params Params, seed uint64) (*FabricNet, error) {
-	if sched == nil {
-		return nil, fmt.Errorf("netsim: nil scheduler")
-	}
 	if fab == nil {
 		return nil, fmt.Errorf("netsim: nil fabric")
 	}
 	if err := fab.Validate(); err != nil {
 		return nil, err
 	}
-	if err := params.validate(); err != nil {
+	st, err := newState(sched, params, fab.Hosts(), fab.Ports(), fab.Components(), seed)
+	if err != nil {
 		return nil, err
 	}
 	nics := fab.Hosts() * fab.Ports()
 	n := &FabricNet{
-		sched:       sched,
+		state:       st,
 		fab:         fab,
-		params:      params,
-		nicTx:       make([]bool, nics),
-		nicRx:       make([]bool, nics),
-		swUp:        make([]bool, fab.Switches()),
-		trkUp:       make([]bool, fab.Trunks()),
-		nodeUp:      make([]bool, fab.Hosts()),
-		handler:     make([]Handler, fab.Hosts()),
 		nicBusyUp:   make([]simtime.Time, nics),
 		nicBusyDown: make([]simtime.Time, nics),
 		trkBusyAB:   make([]simtime.Time, fab.Trunks()),
 		trkBusyBA:   make([]simtime.Time, fab.Trunks()),
-		rnd:         rng.New(seed),
 		routes:      make([]*fabricRoute, fab.Hosts()),
 	}
-	n.impRnd = n.rnd.Split(0xc4a05)
 	n.hopFn = n.hop
-	for i := range n.nicTx {
-		n.nicTx[i], n.nicRx[i] = true, true
-	}
-	for i := range n.swUp {
-		n.swUp[i] = true
-	}
-	for i := range n.trkUp {
-		n.trkUp[i] = true
-	}
-	for i := range n.nodeUp {
-		n.nodeUp[i] = true
-	}
 	return n, nil
 }
 
 // Fabric returns the fabric shape.
 func (n *FabricNet) Fabric() *topology.Fabric { return n.fab }
 
-// Nodes returns the number of hosts.
-func (n *FabricNet) Nodes() int { return n.fab.Hosts() }
-
-// Rails returns the number of NIC ports per host.
-func (n *FabricNet) Rails() int { return n.fab.Ports() }
-
-// Scheduler returns the driving scheduler.
-func (n *FabricNet) Scheduler() *simtime.Scheduler { return n.sched }
-
-// SetHandler installs the frame handler for host.
-func (n *FabricNet) SetHandler(host int, h Handler) {
-	n.checkHost(host)
-	n.handler[host] = h
+// swComp and trkComp are the component ids of switch s and trunk t,
+// without the range checks of Fabric.Switch and Fabric.TrunkComp: the
+// indices come from the fabric's own tables.
+func (n *FabricNet) swComp(s int) topology.Component {
+	return topology.Component(n.nodes*n.ports + s)
 }
 
-// SetTap installs (or removes) the frame observer.
-func (n *FabricNet) SetTap(t Tap) { n.tap = t }
-
-func (n *FabricNet) checkHost(h int) {
-	if h < 0 || h >= n.fab.Hosts() {
-		panic(fmt.Sprintf("netsim: host %d out of range [0,%d)", h, n.fab.Hosts()))
-	}
+func (n *FabricNet) trkComp(t int) topology.Component {
+	return topology.Component(n.nodes*n.ports + n.fab.Switches() + t)
 }
 
-// invalidateRoutes marks every cached routing table stale.
-func (n *FabricNet) invalidateRoutes() { n.epoch++ }
+func (n *FabricNet) swUp(s int) bool  { return n.txUp[n.swComp(s)] }
+func (n *FabricNet) trkUp(t int) bool { return n.txUp[n.trkComp(t)] }
 
 // routeFor returns dst's converged routing table, rebuilding it if
 // component state changed since it was computed. The rebuild is a
@@ -212,10 +162,10 @@ func (n *FabricNet) routeFor(dst int) *fabricRoute {
 	// Seed with dst's live attachment switches, lowest port first so
 	// a switch serving the host through two ports uses the lowest.
 	queue := make([]int32, 0, S)
-	for p := 0; p < n.fab.Ports(); p++ {
-		nic := dst*n.fab.Ports() + p
+	for p := 0; p < n.ports; p++ {
+		nic := dst*n.ports + p
 		s := n.fab.HostSwitch(dst, p)
-		if !n.nicRx[nic] || !n.swUp[s] {
+		if !n.rxUp[nic] || !n.swUp(s) {
 			continue
 		}
 		if rt.dist[s] < 0 {
@@ -227,7 +177,7 @@ func (n *FabricNet) routeFor(dst int) *fabricRoute {
 	for head := 0; head < len(queue); head++ {
 		u := int(queue[head])
 		n.fab.SwitchNeighbors(u, func(v, t int) {
-			if rt.dist[v] >= 0 || !n.trkUp[t] || !n.swUp[v] {
+			if rt.dist[v] >= 0 || !n.trkUp(t) || !n.swUp(v) {
 				return
 			}
 			rt.dist[v] = rt.dist[u] + 1
@@ -242,15 +192,8 @@ func (n *FabricNet) routeFor(dst int) *fabricRoute {
 // Broadcast). Semantics mirror Network.Send: the call never blocks
 // and drops are silent but counted.
 func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
-	n.checkHost(src)
-	if rail < 0 || rail >= n.fab.Ports() {
-		return fmt.Errorf("netsim: rail %d out of range", rail)
-	}
-	if dst != Broadcast {
-		n.checkHost(dst)
-		if dst == src {
-			return fmt.Errorf("netsim: node %d sending to itself", src)
-		}
+	if err := n.checkSend(src, rail, dst); err != nil {
+		return err
 	}
 	n.stats.FramesSent++
 	if n.tap != nil {
@@ -260,17 +203,17 @@ func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
 		n.stats.DroppedNodeDown++
 		return nil
 	}
-	nic := src*n.fab.Ports() + rail
-	if !n.nicTx[nic] {
+	nic := src*n.ports + rail
+	if !n.txUp[nic] {
 		n.stats.DroppedTxNIC++
 		return nil
 	}
 	entry := n.fab.HostSwitch(src, rail)
-	if !n.swUp[entry] {
+	if !n.swUp(entry) {
 		n.stats.DroppedSegment++
 		return nil
 	}
-	drop, extra, corrupt := n.impair2(n.fab.NIC(src, rail), n.fab.Switch(entry))
+	drop, extra, corrupt := n.impair2(topology.Component(nic), n.swComp(entry))
 	if drop {
 		n.stats.DroppedImpaired++
 		return nil
@@ -283,24 +226,19 @@ func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
 	defer n.releaseBuf(buf)
 	data := buf.b
 	if corrupt {
-		n.mangleFabric(data)
+		n.mangle(data)
 		n.stats.Corrupted++
 	}
 
 	// Serialize once on the sender's NIC link, then fan out.
-	start := n.sched.Now()
-	if n.nicBusyUp[nic] > start {
-		start = n.nicBusyUp[nic]
-	}
-	end := start.Add(txTime)
-	n.nicBusyUp[nic] = end
+	end := occupy(&n.nicBusyUp[nic], n.sched.Now(), txTime)
 	n.stats.BitsSent += bits
 	arrive := end.Add(n.params.Latency + extra)
 
 	if dst == Broadcast {
 		// Replicate toward every other host, ascending, sharing the
 		// single ingress serialization — an L2 flood.
-		for h := 0; h < n.fab.Hosts(); h++ {
+		for h := 0; h < n.nodes; h++ {
 			if h == src {
 				continue
 			}
@@ -312,16 +250,6 @@ func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
 	fr := Frame{Src: src, Dst: dst, Rail: rail, Payload: data}
 	n.schedHop(arrive, &hopEvent{fr: fr, buf: buf, sw: int32(entry), stage: 0})
 	return nil
-}
-
-// wireTime returns the serialization time and on-wire bits of a
-// payload under the fabric's parameters.
-func (n *FabricNet) wireTime(payloadLen int) (time.Duration, float64) {
-	wire := payloadLen + n.params.OverheadBytes
-	if wire < n.params.MinFrameBytes {
-		wire = n.params.MinFrameBytes
-	}
-	return time.Duration(float64(wire*8) / n.params.Rate * float64(time.Second)), float64(wire * 8)
 }
 
 // schedHop schedules ev (recycling from the freelist when the caller
@@ -390,131 +318,105 @@ func (n *FabricNet) hop(arg any) {
 	n.releaseBuf(e.buf)
 }
 
-// switchArrive handles a frame reaching switch e.sw: deliver down to
-// the destination host if attached here, otherwise forward along the
-// converged route.
+// switchArrive handles a frame reaching switch e.sw: cross the host
+// link down to the destination if it is attached here, otherwise the
+// next trunk of the converged route.
 func (n *FabricNet) switchArrive(e hopEvent) {
 	sw := int(e.sw)
-	if !n.swUp[sw] {
+	if !n.swUp(sw) {
 		n.stats.DroppedSegment++
 		return
 	}
 	rt := n.routeFor(e.fr.Dst)
+	var link topology.Component // the link to cross
+	var busy *simtime.Time      // and its busy clock in this direction
 	switch {
 	case rt.downNIC[sw] >= 0:
 		// Attachment switch: serialize down the host link.
-		nic := rt.downNIC[sw]
-		drop, extra, corrupt := n.impair1(n.fab.NIC(int(nic)/n.fab.Ports(), int(nic)%n.fab.Ports()))
-		if drop {
-			n.stats.DroppedImpaired++
-			return
-		}
-		txTime, bits := n.wireTime(len(e.fr.Payload))
-		start := n.sched.Now()
-		if n.nicBusyDown[nic] > start {
-			start = n.nicBusyDown[nic]
-		}
-		end := start.Add(txTime)
-		n.nicBusyDown[nic] = end
-		n.stats.BitsSent += bits
-		e.nic = nic
-		e.stage = 1
-		e.corrupt = e.corrupt || corrupt
-		n.schedHop(end.Add(n.params.Latency+extra), &e)
+		e.nic, e.stage = rt.downNIC[sw], 1
+		link, busy = topology.Component(e.nic), &n.nicBusyDown[e.nic]
 	case rt.trunk[sw] >= 0:
 		t := int(rt.trunk[sw])
-		if !n.trkUp[t] {
-			// Route table converged before this in-flight frame arrived.
-			n.stats.DroppedSegment++
-			return
-		}
 		tr := n.fab.Trunk(t)
 		peer := tr.A
-		busy := &n.trkBusyBA[t]
+		busy = &n.trkBusyBA[t]
 		if sw == tr.A {
 			peer = tr.B
 			busy = &n.trkBusyAB[t]
 		}
-		if !n.swUp[peer] {
+		// A dead trunk or peer here means the route table converged
+		// before this in-flight frame arrived.
+		if !n.trkUp(t) || !n.swUp(peer) {
 			n.stats.DroppedSegment++
 			return
 		}
-		drop, extra, corrupt := n.impair1(n.fab.TrunkComp(t))
-		if drop {
-			n.stats.DroppedImpaired++
-			return
-		}
-		txTime, bits := n.wireTime(len(e.fr.Payload))
-		start := n.sched.Now()
-		if *busy > start {
-			start = *busy
-		}
-		end := start.Add(txTime)
-		*busy = end
-		n.stats.BitsSent += bits
 		e.sw = int32(peer)
-		e.corrupt = e.corrupt || corrupt
-		n.schedHop(end.Add(n.params.Latency+extra), &e)
+		link = n.trkComp(t)
 	default:
 		// No live path to the destination.
 		n.stats.DroppedSegment++
+		return
 	}
+	drop, extra, corrupt := n.impair(link)
+	if drop {
+		n.stats.DroppedImpaired++
+		return
+	}
+	txTime, bits := n.wireTime(len(e.fr.Payload))
+	end := occupy(busy, n.sched.Now(), txTime)
+	n.stats.BitsSent += bits
+	e.corrupt = e.corrupt || corrupt
+	n.schedHop(end.Add(n.params.Latency+extra), &e)
 }
 
 // hostArrive is the final hop into the receiver, mirroring Network's
 // deliverTo: the receive-side NIC impairment is drawn here, and a
 // delayed frame re-checks component state when the delay elapses.
 func (n *FabricNet) hostArrive(e hopEvent) {
-	if !n.nicRx[e.nic] {
-		n.stats.DroppedRxNIC++
+	if !n.rxAlive(e) {
 		return
 	}
-	if !n.nodeUp[e.fr.Dst] {
-		n.stats.DroppedNodeDown++
+	drop, extra, corrupt := n.impairRx(topology.Component(e.nic))
+	if drop {
+		n.stats.DroppedImpaired++
 		return
 	}
-	corrupt := e.corrupt
-	if n.imp != nil {
-		if imp, ok := n.imp[topology.Component(e.nic)]; ok {
-			if imp.Loss > 0 && n.impRnd.Float64() < imp.Loss {
-				n.stats.DroppedImpaired++
-				return
-			}
-			if imp.Corrupt > 0 && n.impRnd.Float64() < imp.Corrupt {
-				corrupt = true
-			}
-			extra := imp.Delay
-			if imp.Jitter > 0 {
-				extra += time.Duration(n.impRnd.Uint64n(uint64(imp.Jitter)))
-			}
-			if extra > 0 {
-				// Stage 2 skips the impairment draw — the delay has
-				// already been applied — but re-checks NIC and process
-				// state at the deferred instant, like completeDelivery.
-				e.corrupt = corrupt
-				e.stage = 2
-				n.schedHop(n.sched.Now().Add(extra), &e)
-				return
-			}
-		}
+	e.corrupt = e.corrupt || corrupt
+	if extra > 0 {
+		// Stage 2 skips the impairment draw — the delay has already
+		// been applied — but re-checks NIC and process state at the
+		// deferred instant, like completeDelivery.
+		e.stage = 2
+		n.schedHop(n.sched.Now().Add(extra), &e)
+		return
 	}
-	n.finishDelivery(e, corrupt)
+	n.finishDelivery(e)
 }
 
 // hostFinal completes a delivery that an rx impairment delayed.
 func (n *FabricNet) hostFinal(e hopEvent) {
-	if !n.nicRx[e.nic] {
+	if n.rxAlive(e) {
+		n.finishDelivery(e)
+	}
+}
+
+// rxAlive counts and reports the drop when the receiving NIC or the
+// process behind it is down. Drop causes are tested NIC first, then
+// process — Network tests them the other way round, and the per-cause
+// counters fold into pinned digests, so neither order may change.
+func (n *FabricNet) rxAlive(e hopEvent) bool {
+	if !n.rxUp[e.nic] {
 		n.stats.DroppedRxNIC++
-		return
+		return false
 	}
 	if !n.nodeUp[e.fr.Dst] {
 		n.stats.DroppedNodeDown++
-		return
+		return false
 	}
-	n.finishDelivery(e, e.corrupt)
+	return true
 }
 
-func (n *FabricNet) finishDelivery(e hopEvent, corrupt bool) {
+func (n *FabricNet) finishDelivery(e hopEvent) {
 	if n.params.LossRate > 0 && n.rnd.Float64() < n.params.LossRate {
 		n.stats.DroppedLoss++
 		return
@@ -527,181 +429,18 @@ func (n *FabricNet) finishDelivery(e hopEvent, corrupt bool) {
 	// Receivers only read the payload; corruption forces a private
 	// copy because broadcast siblings still in flight share the buffer.
 	payload := e.fr.Payload
-	if corrupt {
+	if e.corrupt {
 		payload = append([]byte(nil), payload...)
-		n.mangleFabric(payload)
+		n.mangle(payload)
 		n.stats.Corrupted++
 	}
 	// The delivery rail is the port the frame finally came in through.
-	rail := int(e.nic) % n.fab.Ports()
+	rail := int(e.nic) % n.ports
 	out := Frame{Src: e.fr.Src, Dst: e.fr.Dst, Rail: rail, Payload: payload}
 	if n.tap != nil {
 		n.tap.FrameDelivered(n.sched.Now().Duration(), out)
 	}
 	h(out)
-}
-
-// impair1 draws the impairment for one component crossing.
-func (n *FabricNet) impair1(c topology.Component) (drop bool, extra time.Duration, corrupt bool) {
-	if n.imp == nil {
-		return false, 0, false
-	}
-	imp, ok := n.imp[c]
-	if !ok {
-		return false, 0, false
-	}
-	if imp.Loss > 0 && n.impRnd.Float64() < imp.Loss {
-		return true, 0, false
-	}
-	extra = imp.Delay
-	if imp.Jitter > 0 {
-		extra += time.Duration(n.impRnd.Uint64n(uint64(imp.Jitter)))
-	}
-	if imp.Corrupt > 0 && n.impRnd.Float64() < imp.Corrupt {
-		corrupt = true
-	}
-	return false, extra, corrupt
-}
-
-// impair2 draws impairments for two components in order.
-func (n *FabricNet) impair2(a, b topology.Component) (drop bool, extra time.Duration, corrupt bool) {
-	if n.imp == nil {
-		return false, 0, false
-	}
-	d1, e1, c1 := n.impair1(a)
-	if d1 {
-		return true, 0, false
-	}
-	d2, e2, c2 := n.impair1(b)
-	if d2 {
-		return true, 0, false
-	}
-	return false, e1 + e2, c1 || c2
-}
-
-// mangleFabric flips one byte in place (see Network.mangle).
-func (n *FabricNet) mangleFabric(data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	i := n.impRnd.Intn(len(data))
-	data[i] ^= byte(1 + n.impRnd.Intn(255))
-}
-
-// Fail takes a component down. Direction is meaningful only for NICs.
-func (n *FabricNet) Fail(c topology.Component) { n.FailDir(c, DirBoth) }
-
-// Restore brings a component back.
-func (n *FabricNet) Restore(c topology.Component) { n.RestoreDir(c, DirBoth) }
-
-// FailDir takes one direction of a NIC down; for switches and trunks
-// the direction is ignored and the whole component fails.
-func (n *FabricNet) FailDir(c topology.Component, dir Direction) {
-	n.setComponent(c, dir, false)
-}
-
-// RestoreDir brings one direction of a component back.
-func (n *FabricNet) RestoreDir(c topology.Component, dir Direction) {
-	n.setComponent(c, dir, true)
-}
-
-func (n *FabricNet) setComponent(c topology.Component, dir Direction, up bool) {
-	kind, a, b := n.fab.Describe(c)
-	switch kind {
-	case topology.KindNIC:
-		nic := a*n.fab.Ports() + b
-		if dir == DirBoth || dir == DirTx {
-			n.nicTx[nic] = up
-		}
-		if dir == DirBoth || dir == DirRx {
-			n.nicRx[nic] = up
-		}
-	case topology.KindSwitch:
-		n.swUp[a] = up
-	case topology.KindTrunk:
-		n.trkUp[a] = up
-	}
-	n.invalidateRoutes()
-}
-
-// FailNode fail-stops host's daemon process (see Network.FailNode).
-func (n *FabricNet) FailNode(host int) {
-	n.checkHost(host)
-	n.nodeUp[host] = false
-}
-
-// RestoreNode brings a fail-stopped host's process back.
-func (n *FabricNet) RestoreNode(host int) {
-	n.checkHost(host)
-	n.nodeUp[host] = true
-}
-
-// NodeUp reports whether host's daemon process is running.
-func (n *FabricNet) NodeUp(host int) bool {
-	n.checkHost(host)
-	return n.nodeUp[host]
-}
-
-// ComponentUp reports whether a component is fully operational.
-func (n *FabricNet) ComponentUp(c topology.Component) bool {
-	kind, a, b := n.fab.Describe(c)
-	switch kind {
-	case topology.KindNIC:
-		nic := a*n.fab.Ports() + b
-		return n.nicTx[nic] && n.nicRx[nic]
-	case topology.KindSwitch:
-		return n.swUp[a]
-	default:
-		return n.trkUp[a]
-	}
-}
-
-// DirUp reports whether the given direction of a component works.
-func (n *FabricNet) DirUp(c topology.Component, dir Direction) bool {
-	kind, a, b := n.fab.Describe(c)
-	if kind != topology.KindNIC {
-		return n.ComponentUp(c)
-	}
-	nic := a*n.fab.Ports() + b
-	switch dir {
-	case DirTx:
-		return n.nicTx[nic]
-	case DirRx:
-		return n.nicRx[nic]
-	default:
-		return n.nicTx[nic] && n.nicRx[nic]
-	}
-}
-
-// SetImpairment installs (or replaces) the impairment on component c.
-func (n *FabricNet) SetImpairment(c topology.Component, imp Impairment) error {
-	if err := imp.Validate(); err != nil {
-		return err
-	}
-	n.fab.Describe(c) // range check
-	if imp.IsZero() {
-		n.ClearImpairment(c)
-		return nil
-	}
-	if n.imp == nil {
-		n.imp = make(map[topology.Component]Impairment)
-	}
-	n.imp[c] = imp
-	return nil
-}
-
-// ClearImpairment removes any impairment on c.
-func (n *FabricNet) ClearImpairment(c topology.Component) {
-	delete(n.imp, c)
-	if len(n.imp) == 0 {
-		n.imp = nil
-	}
-}
-
-// ImpairmentOn returns the active impairment on c, if any.
-func (n *FabricNet) ImpairmentOn(c topology.Component) (Impairment, bool) {
-	imp, ok := n.imp[c]
-	return imp, ok
 }
 
 // CarrierUp reports whether src's port rail currently has a converged
@@ -710,17 +449,14 @@ func (n *FabricNet) ImpairmentOn(c topology.Component) (Impairment, bool) {
 // link-state view a converged switching layer exposes to its hosts,
 // the closest analogue of the dual-rail carrier oracle.
 func (n *FabricNet) CarrierUp(src, peer, rail int) bool {
-	n.checkHost(src)
-	n.checkHost(peer)
-	if rail < 0 || rail >= n.fab.Ports() {
-		panic(fmt.Sprintf("netsim: rail %d out of range", rail))
-	}
-	nic := src*n.fab.Ports() + rail
-	if !n.nicTx[nic] {
+	n.checkNode(src)
+	n.checkNode(peer)
+	n.checkRail(rail)
+	if !n.txUp[n.nic(src, rail)] {
 		return false
 	}
 	entry := n.fab.HostSwitch(src, rail)
-	if !n.swUp[entry] {
+	if !n.swUp(entry) {
 		return false
 	}
 	rt := n.routeFor(peer)
@@ -733,15 +469,15 @@ func (n *FabricNet) CarrierUp(src, peer, rail int) bool {
 // a host needs its receive NIC; a hop out needs a transmit NIC; every
 // intermediate host needs its process up.
 func (n *FabricNet) Reachable(src, dst int) bool {
-	n.checkHost(src)
-	n.checkHost(dst)
+	n.checkNode(src)
+	n.checkNode(dst)
 	if !n.nodeUp[src] || !n.nodeUp[dst] {
 		return false
 	}
 	if src == dst {
 		return true
 	}
-	hosts, ports := n.fab.Hosts(), n.fab.Ports()
+	hosts, ports := n.nodes, n.ports
 	verts := hosts + n.fab.Switches()
 	visited := make([]bool, verts)
 	visited[src] = true
@@ -758,7 +494,7 @@ func (n *FabricNet) Reachable(src, dst int) bool {
 			for p := 0; p < ports; p++ {
 				nic := u*ports + p
 				s := hosts + n.fab.HostSwitch(u, p)
-				if !n.nicTx[nic] || !n.swUp[s-hosts] || visited[s] {
+				if !n.txUp[nic] || !n.swUp(s-hosts) || visited[s] {
 					continue
 				}
 				visited[s] = true
@@ -770,7 +506,7 @@ func (n *FabricNet) Reachable(src, dst int) bool {
 		// attached hosts via live receive NICs.
 		sw := u - hosts
 		n.fab.SwitchNeighbors(sw, func(v, t int) {
-			if visited[hosts+v] || !n.trkUp[t] || !n.swUp[v] {
+			if visited[hosts+v] || !n.trkUp(t) || !n.swUp(v) {
 				return
 			}
 			visited[hosts+v] = true
@@ -781,7 +517,7 @@ func (n *FabricNet) Reachable(src, dst int) bool {
 				continue
 			}
 			for p := 0; p < ports; p++ {
-				if n.fab.HostSwitch(h, p) == sw && n.nicRx[h*ports+p] {
+				if n.fab.HostSwitch(h, p) == sw && n.rxUp[h*ports+p] {
 					if h == dst {
 						return true
 					}
@@ -795,37 +531,21 @@ func (n *FabricNet) Reachable(src, dst int) bool {
 	return false
 }
 
-// FailedComponents returns the currently failed components ascending.
-func (n *FabricNet) FailedComponents() []topology.Component {
-	var out []topology.Component
-	for i := 0; i < n.fab.Components(); i++ {
-		c := topology.Component(i)
-		if !n.ComponentUp(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Stats returns a copy of the aggregate traffic counters. A fabric
 // has one counter set; any in-range rail index returns it.
 func (n *FabricNet) Stats(rail int) SegmentStats {
-	if rail < 0 || rail >= n.fab.Ports() {
-		panic(fmt.Sprintf("netsim: rail %d out of range", rail))
-	}
+	n.checkRail(rail)
 	return n.stats
 }
 
 // Utilization returns the fraction of total fabric link capacity
 // consumed so far (all links aggregated; same value for any rail).
 func (n *FabricNet) Utilization(rail int) float64 {
-	if rail < 0 || rail >= n.fab.Ports() {
-		panic(fmt.Sprintf("netsim: rail %d out of range", rail))
-	}
+	n.checkRail(rail)
 	elapsed := n.sched.Now().Duration().Seconds()
 	if elapsed <= 0 {
 		return 0
 	}
-	links := float64(n.fab.Hosts()*n.fab.Ports() + n.fab.Trunks())
+	links := float64(n.nodes*n.ports + n.fab.Trunks())
 	return n.stats.BitsSent / (n.params.Rate * links * elapsed)
 }

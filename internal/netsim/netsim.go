@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"time"
 
-	"drsnet/internal/rng"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 )
@@ -236,7 +235,6 @@ type SegmentStats struct {
 }
 
 type segment struct {
-	up        bool
 	busyUntil simtime.Time
 	// Per-node port clocks, used only in switched mode.
 	ingressBusy []simtime.Time
@@ -244,32 +242,12 @@ type segment struct {
 	stats       SegmentStats
 }
 
-// Network is one simulated cluster network.
+// Network is one simulated cluster network: the shared-segment (or
+// per-rail switched) timing model over the common fault state.
 type Network struct {
-	sched   *simtime.Scheduler
+	state
 	cluster topology.Cluster
-	params  Params
 	segs    []segment
-	// Per-NIC duplex state: a NIC is operational only when both halves
-	// are; a unidirectional (gray) failure kills one half.
-	nicTx [][]bool
-	nicRx [][]bool
-	// Per-node process state: false while the node's daemon is
-	// fail-stopped (crash lifecycle). Unlike NIC failures this
-	// blackholes every frame the node sends or would receive without
-	// touching the electrical component state.
-	nodeUp  []bool
-	handler []Handler
-	rnd     *rng.Source
-	// Gray-failure state: active impairments by component, nil until
-	// the first SetImpairment so the healthy fast path stays free.
-	// impRnd is a substream split off the loss source at construction
-	// (splitting does not perturb the parent), so enabling impairments
-	// never changes the Params.LossRate draw sequence.
-	imp    map[topology.Component]Impairment
-	impRnd *rng.Source
-	// tap, when non-nil, observes every frame (see Tap).
-	tap Tap
 	// part holds the installed network partitions (nil until the first
 	// Partition, so partition-free runs pay nothing): directed
 	// (src, dst, rail) paths whose frames vanish at delivery.
@@ -297,42 +275,19 @@ type frameEvent struct {
 // New builds a healthy network for the given cluster shape on the
 // given scheduler. seed feeds the (optional) random-loss process.
 func New(sched *simtime.Scheduler, cluster topology.Cluster, params Params, seed uint64) (*Network, error) {
-	if sched == nil {
-		return nil, fmt.Errorf("netsim: nil scheduler")
-	}
 	if err := cluster.Validate(); err != nil {
 		return nil, err
 	}
-	if err := params.validate(); err != nil {
+	st, err := newState(sched, params, cluster.Nodes, cluster.Rails, cluster.Components(), seed)
+	if err != nil {
 		return nil, err
 	}
-	n := &Network{
-		sched:   sched,
-		cluster: cluster,
-		params:  params,
-		segs:    make([]segment, cluster.Rails),
-		nicTx:   make([][]bool, cluster.Nodes),
-		nicRx:   make([][]bool, cluster.Nodes),
-		nodeUp:  make([]bool, cluster.Nodes),
-		handler: make([]Handler, cluster.Nodes),
-		rnd:     rng.New(seed),
-	}
-	n.impRnd = n.rnd.Split(0xc4a05)
+	n := &Network{state: st, cluster: cluster, segs: make([]segment, cluster.Rails)}
 	n.deliverEv = n.deliverEvent
-	for r := range n.segs {
-		n.segs[r].up = true
-		if params.Switched {
+	if params.Switched {
+		for r := range n.segs {
 			n.segs[r].ingressBusy = make([]simtime.Time, cluster.Nodes)
 			n.segs[r].egressBusy = make([]simtime.Time, cluster.Nodes)
-		}
-	}
-	for i := range n.nicTx {
-		n.nicTx[i] = make([]bool, cluster.Rails)
-		n.nicRx[i] = make([]bool, cluster.Rails)
-		n.nodeUp[i] = true
-		for r := range n.nicTx[i] {
-			n.nicTx[i][r] = true
-			n.nicRx[i][r] = true
 		}
 	}
 	return n, nil
@@ -340,12 +295,6 @@ func New(sched *simtime.Scheduler, cluster topology.Cluster, params Params, seed
 
 // Cluster returns the cluster shape.
 func (n *Network) Cluster() topology.Cluster { return n.cluster }
-
-// Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return n.cluster.Nodes }
-
-// Rails returns the number of rails (NIC ports per node).
-func (n *Network) Rails() int { return n.cluster.Rails }
 
 // Fabric returns the fabric view of the cluster — same component
 // numbering, back planes exposed as switches. Built once, on demand.
@@ -360,19 +309,8 @@ func (n *Network) Fabric() *topology.Fabric {
 	return n.fabric
 }
 
-// Scheduler returns the driving scheduler (for protocol timers).
-func (n *Network) Scheduler() *simtime.Scheduler { return n.sched }
-
-// SetHandler installs the frame handler for node.
-func (n *Network) SetHandler(node int, h Handler) {
-	n.checkNode(node)
-	n.handler[node] = h
-}
-
-// SetTap installs (or, with nil, removes) the network's frame
-// observer. At most one tap is active; the healthy fast path pays
-// nothing when none is installed.
-func (n *Network) SetTap(t Tap) { n.tap = t }
+// segUp reports whether rail's back plane is up.
+func (n *Network) segUp(rail int) bool { return n.txUp[n.nodes*n.ports+rail] }
 
 // Send transmits payload from src to dst on rail. dst may be
 // Broadcast. The call never blocks and never reports delivery
@@ -380,15 +318,8 @@ func (n *Network) SetTap(t Tap) { n.tap = t }
 // dead segment silently vanishes (the drop is counted in
 // SegmentStats). An error is returned only for malformed requests.
 func (n *Network) Send(src, rail, dst int, payload []byte) error {
-	n.checkNode(src)
-	if rail < 0 || rail >= n.cluster.Rails {
-		return fmt.Errorf("netsim: rail %d out of range", rail)
-	}
-	if dst != Broadcast {
-		n.checkNode(dst)
-		if dst == src {
-			return fmt.Errorf("netsim: node %d sending to itself", src)
-		}
+	if err := n.checkSend(src, rail, dst); err != nil {
+		return err
 	}
 	seg := &n.segs[rail]
 	seg.stats.FramesSent++
@@ -399,25 +330,22 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 		seg.stats.DroppedNodeDown++
 		return nil
 	}
-	if !n.nicTx[src][rail] {
+	if !n.txUp[n.nic(src, rail)] {
 		seg.stats.DroppedTxNIC++
 		return nil
 	}
-	if !seg.up {
+	if !n.segUp(rail) {
 		seg.stats.DroppedSegment++
 		return nil
 	}
-	drop, extra, corrupt := n.impairTx(src, rail)
+	// The sender's NIC impairment, then the segment's.
+	drop, extra, corrupt := n.impair2(n.nic(src, rail), topology.Component(n.nodes*n.ports+rail))
 	if drop {
 		seg.stats.DroppedImpaired++
 		return nil
 	}
 
-	wire := len(payload) + n.params.OverheadBytes
-	if wire < n.params.MinFrameBytes {
-		wire = n.params.MinFrameBytes
-	}
-	txTime := time.Duration(float64(wire*8) / n.params.Rate * float64(time.Second))
+	txTime, bits := n.wireTime(len(payload))
 
 	if n.params.Switched {
 		// Copy the payload: the sender may reuse its buffer.
@@ -427,18 +355,13 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 			seg.stats.Corrupted++
 		}
 		fr := Frame{Src: src, Dst: dst, Rail: rail, Payload: data}
-		n.sendSwitched(seg, fr, txTime, float64(wire*8), extra)
+		n.sendSwitched(seg, fr, txTime, bits, extra)
 		return nil
 	}
 
 	// Shared medium (hub): one frame at a time on the whole segment.
-	start := n.sched.Now()
-	if seg.busyUntil > start {
-		start = seg.busyUntil
-	}
-	end := start.Add(txTime)
-	seg.busyUntil = end
-	seg.stats.BitsSent += float64(wire * 8)
+	end := occupy(&seg.busyUntil, n.sched.Now(), txTime)
+	seg.stats.BitsSent += bits
 	ev := n.freeEv
 	if ev != nil {
 		n.freeEv = ev.next
@@ -468,70 +391,19 @@ func (n *Network) deliverEvent(arg any) {
 	n.freeEv = ev
 }
 
-// impairTx applies the transmit-side impairments for a frame leaving
-// src on rail: the sender's NIC impairment and the segment's, in that
-// order. It returns whether the frame is eaten, the extra delay it
-// accrues, and whether its payload is corrupted. With no impairments
-// installed it draws no randomness at all, keeping unimpaired runs
-// byte-identical.
-func (n *Network) impairTx(src, rail int) (drop bool, extra time.Duration, corrupt bool) {
-	if n.imp == nil {
-		return false, 0, false
-	}
-	comps := [2]topology.Component{n.cluster.NIC(src, rail), n.cluster.Backplane(rail)}
-	for _, c := range comps {
-		imp, ok := n.imp[c]
-		if !ok {
-			continue
-		}
-		if imp.Loss > 0 && n.impRnd.Float64() < imp.Loss {
-			return true, 0, false
-		}
-		extra += imp.Delay
-		if imp.Jitter > 0 {
-			extra += time.Duration(n.impRnd.Uint64n(uint64(imp.Jitter)))
-		}
-		if imp.Corrupt > 0 && n.impRnd.Float64() < imp.Corrupt {
-			corrupt = true
-		}
-	}
-	return false, extra, corrupt
-}
-
-// mangle flips one byte of data in place (no-op for empty payloads) —
-// the corruption model: a burst error the FCS failed to catch.
-func (n *Network) mangle(data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	i := n.impRnd.Intn(len(data))
-	data[i] ^= byte(1 + n.impRnd.Intn(255))
-}
-
 // sendSwitched models a store-and-forward switch: the frame serializes
 // on the sender's ingress port, crosses the fabric, then serializes
 // again on each receiver's egress port — so disjoint flows proceed in
 // parallel and only same-port traffic contends.
 func (n *Network) sendSwitched(seg *segment, fr Frame, txTime time.Duration, bits float64, extra time.Duration) {
-	ingStart := n.sched.Now()
-	if seg.ingressBusy[fr.Src] > ingStart {
-		ingStart = seg.ingressBusy[fr.Src]
-	}
-	ingDone := ingStart.Add(txTime)
-	seg.ingressBusy[fr.Src] = ingDone
+	ingDone := occupy(&seg.ingressBusy[fr.Src], n.sched.Now(), txTime)
 	seg.stats.BitsSent += bits
 
 	half := n.params.Latency / 2
 	deliverVia := func(node int) {
-		arrival := ingDone.Add(half + extra)
-		egStart := arrival
-		if seg.egressBusy[node] > egStart {
-			egStart = seg.egressBusy[node]
-		}
-		egDone := egStart.Add(txTime)
-		seg.egressBusy[node] = egDone
+		egDone := occupy(&seg.egressBusy[node], ingDone.Add(half+extra), txTime)
 		n.sched.At(egDone.Add(half), func() {
-			if !seg.up {
+			if !n.segUp(fr.Rail) {
 				seg.stats.DroppedSegment++
 				return
 			}
@@ -551,7 +423,7 @@ func (n *Network) sendSwitched(seg *segment, fr Frame, txTime time.Duration, bit
 
 func (n *Network) deliver(fr Frame) {
 	seg := &n.segs[fr.Rail]
-	if !seg.up {
+	if !n.segUp(fr.Rail) {
 		seg.stats.DroppedSegment++
 		return
 	}
@@ -571,31 +443,20 @@ func (n *Network) deliverTo(seg *segment, fr Frame, node int) {
 	// Receive-side impairment of the receiver's NIC: drawn here, at
 	// arrival on the segment, so broadcast receivers are impaired
 	// independently.
-	corrupt := false
-	if n.imp != nil {
-		if imp, ok := n.imp[n.cluster.NIC(node, fr.Rail)]; ok {
-			if imp.Loss > 0 && n.impRnd.Float64() < imp.Loss {
-				seg.stats.DroppedImpaired++
-				return
-			}
-			if imp.Corrupt > 0 && n.impRnd.Float64() < imp.Corrupt {
-				corrupt = true
-			}
-			extra := imp.Delay
-			if imp.Jitter > 0 {
-				extra += time.Duration(n.impRnd.Uint64n(uint64(imp.Jitter)))
-			}
-			if extra > 0 {
-				// On a hub the delayed frame outlives the recycled
-				// event that owns its payload, so it takes its own
-				// copy; a switched frame's copy is already private.
-				if !n.params.Switched {
-					fr.Payload = append([]byte(nil), fr.Payload...)
-				}
-				n.sched.After(extra, func() { n.completeDelivery(seg, fr, node, corrupt) })
-				return
-			}
+	drop, extra, corrupt := n.impairRx(n.nic(node, fr.Rail))
+	if drop {
+		seg.stats.DroppedImpaired++
+		return
+	}
+	if extra > 0 {
+		// On a hub the delayed frame outlives the recycled event that
+		// owns its payload, so it takes its own copy; a switched
+		// frame's copy is already private.
+		if !n.params.Switched {
+			fr.Payload = append([]byte(nil), fr.Payload...)
 		}
+		n.sched.After(extra, func() { n.completeDelivery(seg, fr, node, corrupt) })
+		return
 	}
 	n.completeDelivery(seg, fr, node, corrupt)
 }
@@ -603,12 +464,15 @@ func (n *Network) deliverTo(seg *segment, fr Frame, node int) {
 // completeDelivery is the final hop into the receiver: the NIC state
 // and random-loss checks happen here, at actual delivery time, so a
 // NIC that died while an impairment delayed the frame still eats it.
+// Drop causes are tested process first, then NIC — FabricNet tests
+// them the other way round, and the per-cause counters fold into
+// pinned digests, so neither order may change.
 func (n *Network) completeDelivery(seg *segment, fr Frame, node int, corrupt bool) {
 	if !n.nodeUp[node] {
 		seg.stats.DroppedNodeDown++
 		return
 	}
-	if !n.nicRx[node][fr.Rail] {
+	if !n.rxUp[n.nic(node, fr.Rail)] {
 		seg.stats.DroppedRxNIC++
 		return
 	}
@@ -642,129 +506,6 @@ func (n *Network) completeDelivery(seg *segment, fr Frame, node int, corrupt boo
 	h(out)
 }
 
-// Fail takes a component (NIC or back plane) down. Failing an already
-// failed component is a no-op. Frames in flight on a failed segment
-// are lost; frames in flight to a failed NIC are lost at delivery.
-func (n *Network) Fail(c topology.Component) { n.FailDir(c, DirBoth) }
-
-// Restore brings a failed component back (both directions of a NIC).
-func (n *Network) Restore(c topology.Component) { n.RestoreDir(c, DirBoth) }
-
-// FailDir takes one direction of a NIC down — the gray failure a
-// fail-stop model cannot express: a TX-dead NIC silently eats
-// everything its node sends on that rail while replies still arrive,
-// and vice versa. For back planes the direction is ignored (a shared
-// segment has no duplex halves).
-func (n *Network) FailDir(c topology.Component, dir Direction) {
-	kind, node, rail := n.cluster.Describe(c)
-	if kind == topology.KindBackplane {
-		n.segs[rail].up = false
-		return
-	}
-	if dir == DirBoth || dir == DirTx {
-		n.nicTx[node][rail] = false
-	}
-	if dir == DirBoth || dir == DirRx {
-		n.nicRx[node][rail] = false
-	}
-}
-
-// RestoreDir brings one direction of a NIC back.
-func (n *Network) RestoreDir(c topology.Component, dir Direction) {
-	kind, node, rail := n.cluster.Describe(c)
-	if kind == topology.KindBackplane {
-		n.segs[rail].up = true
-		return
-	}
-	if dir == DirBoth || dir == DirTx {
-		n.nicTx[node][rail] = true
-	}
-	if dir == DirBoth || dir == DirRx {
-		n.nicRx[node][rail] = true
-	}
-}
-
-// FailNode fail-stops node's daemon process: every frame it sends or
-// would receive blackholes from this instant until RestoreNode. The
-// NICs stay electrically up — ComponentUp still reports healthy — so
-// peers see unanswered probes, not a severed link, exactly like a
-// crashed router whose hardware keeps link lights on.
-func (n *Network) FailNode(node int) {
-	n.checkNode(node)
-	n.nodeUp[node] = false
-}
-
-// RestoreNode brings a fail-stopped node's process back.
-func (n *Network) RestoreNode(node int) {
-	n.checkNode(node)
-	n.nodeUp[node] = true
-}
-
-// NodeUp reports whether node's daemon process is running.
-func (n *Network) NodeUp(node int) bool {
-	n.checkNode(node)
-	return n.nodeUp[node]
-}
-
-// ComponentUp reports whether a component is fully operational (both
-// directions, for a NIC).
-func (n *Network) ComponentUp(c topology.Component) bool {
-	kind, node, rail := n.cluster.Describe(c)
-	if kind == topology.KindBackplane {
-		return n.segs[rail].up
-	}
-	return n.nicTx[node][rail] && n.nicRx[node][rail]
-}
-
-// DirUp reports whether the given direction of a component works
-// (for back planes any direction means the whole segment).
-func (n *Network) DirUp(c topology.Component, dir Direction) bool {
-	kind, node, rail := n.cluster.Describe(c)
-	if kind == topology.KindBackplane {
-		return n.segs[rail].up
-	}
-	switch dir {
-	case DirTx:
-		return n.nicTx[node][rail]
-	case DirRx:
-		return n.nicRx[node][rail]
-	default:
-		return n.nicTx[node][rail] && n.nicRx[node][rail]
-	}
-}
-
-// SetImpairment installs (or replaces) the impairment on component c.
-// A zero impairment is equivalent to ClearImpairment.
-func (n *Network) SetImpairment(c topology.Component, imp Impairment) error {
-	if err := imp.Validate(); err != nil {
-		return err
-	}
-	n.cluster.Describe(c) // range check (panics exactly like Fail)
-	if imp.IsZero() {
-		n.ClearImpairment(c)
-		return nil
-	}
-	if n.imp == nil {
-		n.imp = make(map[topology.Component]Impairment)
-	}
-	n.imp[c] = imp
-	return nil
-}
-
-// ClearImpairment removes any impairment on c.
-func (n *Network) ClearImpairment(c topology.Component) {
-	delete(n.imp, c)
-	if len(n.imp) == 0 {
-		n.imp = nil
-	}
-}
-
-// ImpairmentOn returns the active impairment on c, if any.
-func (n *Network) ImpairmentOn(c topology.Component) (Impairment, bool) {
-	imp, ok := n.imp[c]
-	return imp, ok
-}
-
 // CarrierUp reports whether src's logical link to peer on rail has
 // carrier right now: src's transmit half, the segment and peer's
 // receive half are all electrically alive. This is the physical-layer
@@ -776,10 +517,8 @@ func (n *Network) ImpairmentOn(c topology.Component) (Impairment, bool) {
 func (n *Network) CarrierUp(src, peer, rail int) bool {
 	n.checkNode(src)
 	n.checkNode(peer)
-	if rail < 0 || rail >= n.cluster.Rails {
-		panic(fmt.Sprintf("netsim: rail %d out of range", rail))
-	}
-	return n.nicTx[src][rail] && n.segs[rail].up && n.nicRx[peer][rail]
+	n.checkRail(rail)
+	return n.txUp[n.nic(src, rail)] && n.segUp(rail) && n.rxUp[n.nic(peer, rail)]
 }
 
 // Reachable reports ground-truth connectivity from src to dst at this
@@ -812,7 +551,7 @@ func (n *Network) Reachable(src, dst int) bool {
 				continue
 			}
 			for r := 0; r < n.cluster.Rails; r++ {
-				if n.nicTx[u][r] && n.segs[r].up && n.nicRx[v][r] && !n.partitioned(u, v, r) {
+				if n.txUp[n.nic(u, r)] && n.segUp(r) && n.rxUp[n.nic(v, r)] && !n.partitioned(u, v, r) {
 					if v == dst {
 						return true
 					}
@@ -826,25 +565,9 @@ func (n *Network) Reachable(src, dst int) bool {
 	return false
 }
 
-// FailedComponents returns the currently failed components in
-// ascending order — the ground-truth failure scenario for comparing
-// simulated behaviour against the analytic model.
-func (n *Network) FailedComponents() []topology.Component {
-	var out []topology.Component
-	for i := 0; i < n.cluster.Components(); i++ {
-		c := topology.Component(i)
-		if !n.ComponentUp(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Stats returns a copy of the traffic counters for rail.
 func (n *Network) Stats(rail int) SegmentStats {
-	if rail < 0 || rail >= n.cluster.Rails {
-		panic(fmt.Sprintf("netsim: rail %d out of range", rail))
-	}
+	n.checkRail(rail)
 	return n.segs[rail].stats
 }
 
@@ -862,10 +585,4 @@ func (n *Network) Utilization(rail int) float64 {
 		capacity *= float64(n.cluster.Nodes)
 	}
 	return n.Stats(rail).BitsSent / capacity
-}
-
-func (n *Network) checkNode(node int) {
-	if node < 0 || node >= n.cluster.Nodes {
-		panic(fmt.Sprintf("netsim: node %d out of range [0,%d)", node, n.cluster.Nodes))
-	}
 }

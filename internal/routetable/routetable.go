@@ -89,6 +89,8 @@ type Table struct {
 	// seen dedupes heard queries by (origin, seq) across rails and
 	// rebroadcasts.
 	seen map[uint64]time.Duration
+	// seenSwept is when seen was last swept of expired entries.
+	seenSwept time.Duration
 	// queryBudget, when non-nil, rate-limits discovery broadcasts
 	// (see budget.go). Nil means unbudgeted.
 	queryBudget *overload.Bucket
@@ -207,20 +209,23 @@ func (t *Table) Cancels() []func() bool {
 	return out
 }
 
-// seenGCThreshold bounds the dedupe cache; past it, entries older than
-// the window are collected.
+// seenGCThreshold is the dedupe cache population past which entries
+// older than the window are collected.
 const seenGCThreshold = 4096
 
 // SeenRecently reports whether the (origin, seq) query was already
-// heard within window of now, recording it otherwise. The cache is
-// garbage-collected once it holds seenGCThreshold entries.
+// heard within window of now, recording it otherwise. Once the cache
+// holds seenGCThreshold entries it is swept of expired ones, at most
+// once per window: a storm of distinct queries keeps the cache full of
+// live entries, and would otherwise pay an O(n) pass per query.
 func (t *Table) SeenRecently(origin uint16, seq uint32, now, window time.Duration) bool {
 	key := uint64(origin)<<32 | uint64(seq)
 	if at, ok := t.seen[key]; ok && now-at < window {
 		return true
 	}
 	t.seen[key] = now
-	if len(t.seen) >= seenGCThreshold {
+	if len(t.seen) >= seenGCThreshold && now-t.seenSwept >= window {
+		t.seenSwept = now
 		for k, at := range t.seen {
 			if now-at >= window {
 				delete(t.seen, k)

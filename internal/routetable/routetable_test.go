@@ -136,6 +136,29 @@ func TestSeenGC(t *testing.T) {
 	if tbl.SeenSize() >= seenGCThreshold {
 		t.Fatalf("cache not collected: %d entries", tbl.SeenSize())
 	}
+
+	// A storm of distinct queries at one instant is all live: nothing
+	// may be collected, every one still dedupes, and the first query a
+	// window later finds the whole storm expired.
+	tbl = New(2)
+	const storm, at = 10000, 5 * time.Second
+	for i := 0; i < storm; i++ {
+		if tbl.SeenRecently(1, uint32(i), at, window) {
+			t.Fatalf("fresh query %d reported seen", i)
+		}
+	}
+	for i := 0; i < storm; i++ {
+		if !tbl.SeenRecently(1, uint32(i), at, window) {
+			t.Fatalf("live query %d not deduped", i)
+		}
+	}
+	if tbl.SeenSize() != storm {
+		t.Fatalf("cache holds %d entries after the storm, want %d", tbl.SeenSize(), storm)
+	}
+	tbl.SeenRecently(2, 0, at+window, window)
+	if tbl.SeenSize() != 1 {
+		t.Fatalf("cache holds %d entries a window after the storm, want 1", tbl.SeenSize())
+	}
 }
 
 func TestViaRelay(t *testing.T) {

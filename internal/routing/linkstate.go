@@ -5,11 +5,13 @@ import (
 	"sync"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/dataplane"
 	"drsnet/internal/linkmon"
 	"drsnet/internal/metrics"
 	"drsnet/internal/routing/wire"
 	"drsnet/internal/trace"
+	"drsnet/internal/transport"
 )
 
 // LinkState is an OSPF-style baseline, the second traditional protocol
@@ -31,8 +33,8 @@ import (
 // discipline are LinkState's own.
 type LinkState struct {
 	cfg   LinkStateConfig
-	tr    Transport
-	clock Clock
+	tr    transport.Transport
+	clock clock.Clock
 	mset  *metrics.Set
 
 	mu      sync.Mutex
@@ -124,7 +126,7 @@ func (c *LinkStateConfig) normalize() error {
 }
 
 // NewLinkState returns an OSPF-lite router over tr.
-func NewLinkState(tr Transport, clock Clock, cfg LinkStateConfig) (*LinkState, error) {
+func NewLinkState(tr transport.Transport, clock clock.Clock, cfg LinkStateConfig) (*LinkState, error) {
 	if tr == nil || clock == nil {
 		return nil, fmt.Errorf("routing: nil transport or clock")
 	}
@@ -206,9 +208,9 @@ func (ls *LinkState) helloRound() {
 	ls.mu.Unlock()
 
 	// Hellos on every rail.
-	hello := Envelope(ProtoControl, wire.MarshalLSHello())
+	hello := wire.Envelope(wire.ProtoControl, wire.MarshalLSHello())
 	for rail := 0; rail < ls.tr.Rails(); rail++ {
-		_ = ls.tr.Send(rail, Broadcast, hello)
+		_ = ls.tr.Send(rail, transport.Broadcast, hello)
 	}
 	ls.mset.Counter(CtrProbesSent).Inc() // hellos are this protocol's probes
 
@@ -235,22 +237,22 @@ func (ls *LinkState) originateLSA() {
 		}
 	}
 	ls.lsdb[ls.tr.Node()] = entry
-	payload := Envelope(ProtoControl, wire.MarshalLSA(entry.LSA))
+	payload := wire.Envelope(wire.ProtoControl, wire.MarshalLSA(entry.LSA))
 	ls.mu.Unlock()
 
 	for rail := 0; rail < ls.tr.Rails(); rail++ {
-		_ = ls.tr.Send(rail, Broadcast, payload)
+		_ = ls.tr.Send(rail, transport.Broadcast, payload)
 	}
 	ls.mset.Counter(CtrAdvertsSent).Inc()
 }
 
 func (ls *LinkState) onFrame(rail, src int, payload []byte) {
-	proto, body, err := SplitEnvelope(payload)
+	proto, body, err := wire.SplitEnvelope(payload)
 	if err != nil {
 		return
 	}
 	switch proto {
-	case ProtoControl:
+	case wire.ProtoControl:
 		if len(body) == 0 {
 			return
 		}
@@ -260,7 +262,7 @@ func (ls *LinkState) onFrame(rail, src int, payload []byte) {
 		case wire.MsgLSA:
 			ls.onLSA(body)
 		}
-	case ProtoData:
+	case wire.ProtoData:
 		ls.onData(body)
 	}
 }
@@ -305,12 +307,12 @@ func (ls *LinkState) onLSA(body []byte) {
 		return // stale or duplicate: do not re-flood (flooding terminates)
 	}
 	ls.lsdb[origin] = &lsa{LSA: entry, heardAt: ls.clock.Now()}
-	payload := Envelope(ProtoControl, wire.MarshalLSA(entry))
+	payload := wire.Envelope(wire.ProtoControl, wire.MarshalLSA(entry))
 	ls.mu.Unlock()
 
 	// Re-flood the news on every rail so it crosses rail boundaries.
 	for rail := 0; rail < ls.tr.Rails(); rail++ {
-		_ = ls.tr.Send(rail, Broadcast, payload)
+		_ = ls.tr.Send(rail, transport.Broadcast, payload)
 	}
 	ls.recompute()
 }

@@ -24,10 +24,10 @@ func newLSHarness(t *testing.T, n int, cfg LinkStateConfig) *lsHarness {
 		t.Fatal(err)
 	}
 	h := &lsHarness{sched: sched, net: net, delivered: make([][]deliveredMsg, n)}
-	clock := SimClock{Sched: sched}
+	clock := simtime.Clock{Sched: sched}
 	for node := 0; node < n; node++ {
 		node := node
-		r, err := NewLinkState(NewSimNode(net, node), clock, cfg)
+		r, err := NewLinkState(netsim.NewTransport(net, node), clock, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,8 +201,8 @@ func TestLinkStateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewSimNode(net, 0)
-	clock := SimClock{Sched: sched}
+	tr := netsim.NewTransport(net, 0)
+	clock := simtime.Clock{Sched: sched}
 	if _, err := NewLinkState(nil, clock, DefaultLinkStateConfig()); err == nil {
 		t.Error("nil transport accepted")
 	}

@@ -5,10 +5,13 @@ import (
 	"sync"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/dataplane"
 	"drsnet/internal/linkmon"
 	"drsnet/internal/metrics"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/trace"
+	"drsnet/internal/transport"
 )
 
 // ReactiveConfig parameterizes the RIP-like baseline. The defaults
@@ -67,8 +70,8 @@ func (c *ReactiveConfig) normalize() error {
 // dataplane.Plane. Only the distance-vector policy is Reactive's own.
 type Reactive struct {
 	cfg   ReactiveConfig
-	tr    Transport
-	clock Clock
+	tr    transport.Transport
+	clock clock.Clock
 	mset  *metrics.Set
 
 	mu      sync.Mutex
@@ -93,7 +96,7 @@ type twoHopRoute struct {
 }
 
 // NewReactive returns a reactive router over tr driven by clock.
-func NewReactive(tr Transport, clock Clock, cfg ReactiveConfig) (*Reactive, error) {
+func NewReactive(tr transport.Transport, clock clock.Clock, cfg ReactiveConfig) (*Reactive, error) {
 	if tr == nil || clock == nil {
 		return nil, fmt.Errorf("routing: nil transport or clock")
 	}
@@ -170,10 +173,10 @@ func (r *Reactive) advertise() {
 	}
 	r.mu.Unlock()
 
-	body, err := MarshalAdvert(Advert{Reachable: reachable})
+	body, err := wire.MarshalAdvert(wire.Advert{Reachable: reachable})
 	if err == nil {
 		for rail := 0; rail < r.tr.Rails(); rail++ {
-			if err := r.tr.Send(rail, Broadcast, Envelope(ProtoAdvert, body)); err == nil {
+			if err := r.tr.Send(rail, transport.Broadcast, wire.Envelope(wire.ProtoAdvert, body)); err == nil {
 				r.mset.Counter(CtrAdvertsSent).Inc()
 			}
 		}
@@ -181,20 +184,20 @@ func (r *Reactive) advertise() {
 }
 
 func (r *Reactive) onFrame(rail, src int, payload []byte) {
-	proto, body, err := SplitEnvelope(payload)
+	proto, body, err := wire.SplitEnvelope(payload)
 	if err != nil {
 		return
 	}
 	switch proto {
-	case ProtoAdvert:
+	case wire.ProtoAdvert:
 		r.onAdvert(rail, src, body)
-	case ProtoData:
+	case wire.ProtoData:
 		r.onData(rail, src, body)
 	}
 }
 
 func (r *Reactive) onAdvert(rail, src int, body []byte) {
-	adv, err := UnmarshalAdvert(body)
+	adv, err := wire.UnmarshalAdvert(body)
 	if err != nil {
 		return
 	}

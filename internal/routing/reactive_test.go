@@ -31,10 +31,10 @@ func newHarness(t *testing.T, n int, cfg ReactiveConfig) *harness {
 		t.Fatal(err)
 	}
 	h := &harness{sched: sched, net: net, delivered: make([][]deliveredMsg, n)}
-	clock := SimClock{Sched: sched}
+	clock := simtime.Clock{Sched: sched}
 	for node := 0; node < n; node++ {
 		node := node
-		r, err := NewReactive(NewSimNode(net, node), clock, cfg)
+		r, err := NewReactive(netsim.NewTransport(net, node), clock, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,8 +190,8 @@ func TestReactiveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewSimNode(net, 0)
-	clock := SimClock{Sched: sched}
+	tr := netsim.NewTransport(net, 0)
+	clock := simtime.Clock{Sched: sched}
 	if _, err := NewReactive(nil, clock, DefaultReactiveConfig()); err == nil {
 		t.Error("nil transport accepted")
 	}
@@ -231,11 +231,11 @@ func TestStaticDeliversAndNeverRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []deliveredMsg
-	a, err := NewStatic(NewSimNode(net, 0), 0)
+	a, err := NewStatic(netsim.NewTransport(net, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewStatic(NewSimNode(net, 1), 0)
+	b, err := NewStatic(netsim.NewTransport(net, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +276,10 @@ func TestStaticValidation(t *testing.T) {
 	if _, err := NewStatic(nil, 0); err == nil {
 		t.Error("nil transport accepted")
 	}
-	if _, err := NewStatic(NewSimNode(net, 0), 5); err == nil {
+	if _, err := NewStatic(netsim.NewTransport(net, 0), 5); err == nil {
 		t.Error("bad rail accepted")
 	}
-	s, err := NewStatic(NewSimNode(net, 0), 0)
+	s, err := NewStatic(netsim.NewTransport(net, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

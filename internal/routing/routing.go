@@ -12,32 +12,17 @@
 //     based on reactively rerouting when a specified timeout period
 //     has been reached."
 //
-// Routers are transport-agnostic: the same code runs over the
-// deterministic packet simulator (SimNode/SimClock) and over real UDP
-// sockets (examples/livecluster provides a UDP transport).
+// Routers are written against transport.Transport and clock.Clock
+// only: the same code runs over the deterministic packet simulator
+// (netsim.Transport, simtime.Clock) and over real UDP sockets
+// (transport.UDP, clock.Wall). This package imports no simulator.
 package routing
 
 import (
 	"errors"
 
-	"drsnet/internal/clock"
 	"drsnet/internal/metrics"
-	"drsnet/internal/transport"
 )
-
-// Broadcast is the destination meaning "every node on the rail".
-const Broadcast = transport.Broadcast
-
-// Transport is a node's interface to its network. The canonical
-// definition lives in internal/transport, alongside its three
-// implementations (simulator, in-memory, UDP); the alias keeps this
-// package the one-stop vocabulary for routing implementations.
-type Transport = transport.Transport
-
-// Clock abstracts time so protocol code runs identically under the
-// simulator's virtual clock and the real one. The canonical
-// definition lives in internal/clock.
-type Clock = clock.Clock
 
 // Router is the data-plane contract every routing implementation
 // satisfies. Applications hand a Router datagrams addressed by node

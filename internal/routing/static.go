@@ -5,6 +5,8 @@ import (
 	"sync"
 
 	"drsnet/internal/metrics"
+	"drsnet/internal/routing/wire"
+	"drsnet/internal/transport"
 )
 
 // Static is the no-fault-tolerance baseline: every datagram goes
@@ -13,7 +15,7 @@ import (
 // a cluster with a single network and no routing protocol at all.
 type Static struct {
 	mu      sync.Mutex
-	tr      Transport
+	tr      transport.Transport
 	rail    int
 	deliver func(src int, data []byte)
 	mset    *metrics.Set
@@ -23,7 +25,7 @@ type Static struct {
 }
 
 // NewStatic returns a static router pinning traffic to rail.
-func NewStatic(tr Transport, rail int) (*Static, error) {
+func NewStatic(tr transport.Transport, rail int) (*Static, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("routing: nil transport")
 	}
@@ -74,19 +76,19 @@ func (s *Static) SendData(dst int, data []byte) error {
 		return fmt.Errorf("routing: bad destination %d", dst)
 	}
 	s.seq++
-	h := DataHeader{Origin: uint16(s.tr.Node()), Final: uint16(dst), TTL: 1, Seq: s.seq}
+	h := wire.DataHeader{Origin: uint16(s.tr.Node()), Final: uint16(dst), TTL: 1, Seq: s.seq}
 	s.mu.Unlock()
 
 	s.mset.Counter(CtrDataSent).Inc()
-	return s.tr.Send(s.rail, dst, Envelope(ProtoData, MarshalData(h, data)))
+	return s.tr.Send(s.rail, dst, wire.Envelope(wire.ProtoData, wire.MarshalData(h, data)))
 }
 
 func (s *Static) onFrame(rail, src int, payload []byte) {
-	proto, body, err := SplitEnvelope(payload)
-	if err != nil || proto != ProtoData {
+	proto, body, err := wire.SplitEnvelope(payload)
+	if err != nil || proto != wire.ProtoData {
 		return
 	}
-	h, data, err := UnmarshalData(body)
+	h, data, err := wire.UnmarshalData(body)
 	if err != nil {
 		return
 	}

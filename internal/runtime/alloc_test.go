@@ -3,6 +3,11 @@ package runtime
 import (
 	"testing"
 	"time"
+
+	"drsnet/internal/core"
+	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
+	"drsnet/internal/topology"
 )
 
 // A fault-free steady-state probe round is the simulator's inner loop:
@@ -29,5 +34,84 @@ func TestSteadyProbeRoundAllocations(t *testing.T) {
 	}
 	if allocs > 20 {
 		t.Fatalf("a steady probe round allocates %.0f times, want <= 20", allocs)
+	}
+}
+
+// The three data-path operations of a DRS daemon, each at its exact
+// allocation count on a started ten-node cluster. The counts do not
+// depend on the host, so any stray make on these paths fails here.
+func TestDataPathAllocations(t *testing.T) {
+	const runs = 100
+	payload := make([]byte, 64)
+	started := func(t *testing.T) *Cluster {
+		c, err := Build(ClusterSpec{Nodes: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		c.RunFor(2 * time.Second)
+		return c
+	}
+	sendTo1 := func(t *testing.T, c *Cluster) func() {
+		d, _ := c.Daemon(0)
+		return func() {
+			if err := d.SendData(1, payload); err != nil {
+				t.Fatal(err)
+			}
+			c.RunFor(50 * time.Microsecond)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		want float64
+		op   func(t *testing.T, c *Cluster) func()
+	}{
+		{"direct send", 1, sendTo1},
+		// After a cross-rail failure every 0→1 datagram crosses a
+		// third node's forwarding code.
+		{"relay forward", 2, func(t *testing.T, c *Cluster) func() {
+			cl := topology.Dual(10)
+			c.Net().Fail(cl.NIC(0, 0))
+			c.Net().Fail(cl.NIC(1, 1))
+			tun := c.Spec().Tunables
+			c.RunFor(time.Duration(tun.MissThreshold+3) * tun.ProbeInterval)
+			if d, _ := c.Daemon(0); d.RouteTo(1).Kind != core.RouteRelay {
+				t.Fatalf("route 0→1 is %+v, want a relay", d.RouteTo(1))
+			}
+			return sendTo1(t, c)
+		}},
+		// Node 0 hears a distinct route query each time and answers it
+		// with an offer. The frames are built ahead of the measurement.
+		{"query to offer", 3, func(t *testing.T, c *Cluster) func() {
+			frames := make([][]byte, runs+1) // AllocsPerRun warms up once
+			for i := range frames {
+				q := wire.Query{Origin: 1, Target: 2, Seq: uint32(i + 1), TTL: 1}
+				frames[i] = wire.Envelope(wire.ProtoControl, wire.MarshalQuery(q))
+			}
+			d, _ := c.Daemon(0)
+			offers := d.Metrics().Counter(routing.CtrOffersSent)
+			next := 0
+			t.Cleanup(func() {
+				if got := offers.Value(); got != int64(len(frames)) {
+					t.Errorf("node 0 sent %d offers for %d queries", got, len(frames))
+				}
+			})
+			return func() {
+				if err := c.Net().Send(1, 0, 0, frames[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+				c.RunFor(time.Millisecond)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.op(t, started(t))
+			if got := testing.AllocsPerRun(runs, op); got != tc.want {
+				t.Fatalf("%s allocates %v times, want exactly %v", tc.name, got, tc.want)
+			}
+		})
 	}
 }

@@ -3,8 +3,10 @@ package runtime
 import (
 	"fmt"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/core"
 	"drsnet/internal/routing"
+	"drsnet/internal/transport"
 )
 
 // liveCarrier is the carrier oracle handed to routers assembled
@@ -32,7 +34,7 @@ func (liveCarrier) CarrierUp(peer, rail int) bool { return true }
 //
 // Only dual-rail cluster shapes are supported: switched fabrics have
 // no per-node transport of this form.
-func BuildNode(spec ClusterSpec, node int, tr routing.Transport, clk routing.Clock,
+func BuildNode(spec ClusterSpec, node int, tr transport.Transport, clk clock.Clock,
 	incarnation uint32, restore *core.Checkpoint) (routing.Router, error) {
 	if err := spec.normalize(); err != nil {
 		return nil, err

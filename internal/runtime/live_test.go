@@ -32,7 +32,7 @@ func liveSpec(log *trace.Log) ClusterSpec {
 
 // buildLiveCluster assembles and starts one router per node over the
 // shared in-memory transport, all at incarnation 1.
-func buildLiveCluster(t *testing.T, spec ClusterSpec, mem *transport.Mem, clk routing.Clock) []routing.Router {
+func buildLiveCluster(t *testing.T, spec ClusterSpec, mem *transport.Mem, clk clock.Clock) []routing.Router {
 	t.Helper()
 	routers := make([]routing.Router, spec.Nodes)
 	for n := range routers {
@@ -156,7 +156,7 @@ func TestHermeticLifecycle(t *testing.T) {
 // transport against the given clock and returns the full protocol
 // event sequence. advanceTo runs the clock's timers up to an absolute
 // virtual instant.
-func parityRun(t *testing.T, clk routing.Clock, advanceTo func(time.Duration)) []string {
+func parityRun(t *testing.T, clk clock.Clock, advanceTo func(time.Duration)) []string {
 	t.Helper()
 	log := trace.NewLog(4096)
 	spec := liveSpec(log)
@@ -184,14 +184,14 @@ func parityRun(t *testing.T, clk routing.Clock, advanceTo func(time.Duration)) [
 }
 
 // TestClockParity is the regression behind the clock seam: the same
-// scenario driven by the simulator's scheduler (via the clock.Sim
+// scenario driven by the simulator's scheduler (via the simtime.Clock
 // adapter) and by a drained wall clock must produce the identical
 // protocol event sequence. Both implementations execute timers in
 // (deadline, scheduling-order) total order, so any divergence here
 // means one of them broke the determinism contract.
 func TestClockParity(t *testing.T) {
 	sched := simtime.NewScheduler()
-	simEvents := parityRun(t, clock.Sim{Sched: sched}, func(to time.Duration) {
+	simEvents := parityRun(t, simtime.Clock{Sched: sched}, func(to time.Duration) {
 		sched.RunUntil(simtime.Time(to))
 	})
 

@@ -23,9 +23,11 @@ import (
 	"strings"
 	"sync"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/core"
 	"drsnet/internal/failover"
 	"drsnet/internal/routing"
+	"drsnet/internal/transport"
 )
 
 // Names of the built-in protocols (registered by this package).
@@ -48,9 +50,9 @@ type BuildContext struct {
 	// Node is the local node index.
 	Node int
 	// Transport is the node's interface to the simulated network.
-	Transport routing.Transport
+	Transport transport.Transport
 	// Clock is the simulation clock.
-	Clock routing.Clock
+	Clock clock.Clock
 	// Spec is the cluster specification being built (tunables, trace).
 	Spec *ClusterSpec
 	// Carrier is the node's physical-layer carrier oracle (loss of

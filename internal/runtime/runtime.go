@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"drsnet/internal/chaos"
+	"drsnet/internal/clock"
 	"drsnet/internal/core"
 	"drsnet/internal/invariant"
 	"drsnet/internal/metrics"
@@ -14,12 +15,23 @@ import (
 	"drsnet/internal/routing"
 	"drsnet/internal/simtime"
 	"drsnet/internal/trace"
+	"drsnet/internal/transport"
 )
 
 // Metrics collects runtime engine telemetry: RunMany records
 // runmany.wall_ns and runmany.workers gauges plus a runmany.runs
 // counter for each sharded fleet call.
 var Metrics = metrics.NewSet()
+
+// The simulator's adapters live on the simulator's side and satisfy
+// the protocol seams structurally, so neither seam package imports a
+// simulator; this is where the two meet. netsim.Transport passes dst
+// through unmapped, which needs the two Broadcast constants equal.
+var (
+	_ transport.Transport = (*netsim.Transport)(nil)
+	_ clock.Clock         = simtime.Clock{}
+	_                     = [1]struct{}{}[transport.Broadcast-netsim.Broadcast]
+)
 
 // defaultPayload is the flow body when a spec leaves Payload nil.
 var defaultPayload = []byte("flow")
@@ -161,8 +173,8 @@ func Build(spec ClusterSpec) (*Cluster, error) {
 func (c *Cluster) buildRouter(node int) (routing.Router, error) {
 	ctx := BuildContext{
 		Node:      node,
-		Transport: routing.NewSimNode(c.net, node),
-		Clock:     routing.SimClock{Sched: c.sched},
+		Transport: netsim.NewTransport(c.net, node),
+		Clock:     simtime.Clock{Sched: c.sched},
 		Spec:      &c.spec,
 		Carrier:   carrierSensor{net: c.net, node: node},
 	}
@@ -203,7 +215,7 @@ func (c *Cluster) Network() *netsim.Network {
 func (c *Cluster) Net() netsim.Net { return c.net }
 
 // Clock returns the simulation clock routers were built with.
-func (c *Cluster) Clock() routing.Clock { return routing.SimClock{Sched: c.sched} }
+func (c *Cluster) Clock() clock.Clock { return simtime.Clock{Sched: c.sched} }
 
 // TraceLog returns the protocol event log (the spec's sink, or the
 // private log Build created).

@@ -301,12 +301,19 @@ func (s *ClusterSpec) normalize() error {
 			return fmt.Errorf("runtime: faults[%d] component %d outside universe %d", i, int(f.Comp), universe)
 		}
 	}
-	if s.fabric != nil {
-		if err := chaos.ValidateFabric(s.Impairments, s.fabric); err != nil {
+	if len(s.Impairments) > 0 {
+		// Only an impaired spec pays for the fabric view of a dual-rail
+		// cluster: the sweeps build hundreds of unimpaired clusters.
+		f := s.fabric
+		if f == nil {
+			var err error
+			if f, err = topology.FromCluster(cl); err != nil {
+				return fmt.Errorf("runtime: %v", err)
+			}
+		}
+		if err := chaos.Validate(s.Impairments, f); err != nil {
 			return fmt.Errorf("runtime: %v", err)
 		}
-	} else if err := chaos.Validate(s.Impairments, cl); err != nil {
-		return fmt.Errorf("runtime: %v", err)
 	}
 	if err := s.Tunables.AdaptiveRTO.Normalize(); err != nil {
 		return fmt.Errorf("runtime: %v", err)

@@ -150,7 +150,7 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Timer {
 
 // AfterFunc schedules fn to run d from now and returns a cancel
 // function — the shape the clock.Clock seam exposes, so a Scheduler
-// can sit directly behind a clock.Sim adapter. The returned function
+// can sit directly behind a Clock adapter. The returned function
 // reports whether the event was still pending.
 func (s *Scheduler) AfterFunc(d time.Duration, fn func()) (cancel func() bool) {
 	return s.After(d, fn).Cancel

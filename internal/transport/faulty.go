@@ -65,10 +65,10 @@ type FaultStats struct {
 // It applies drop, duplicate, reorder, delay and corrupt impairments,
 // directed (src, dst, rail) partitions — symmetric splits are two
 // directed cuts — and per-node skew windows, all on the receive path,
-// so it composes identically over Sim, Mem and UDP transports.
+// so it composes identically over netsim, Mem and UDP transports.
 //
 // Every random decision comes from one rng.Source substream, so under
-// a deterministic inner transport (Mem on a manual clock, Sim) a
+// a deterministic inner transport (Mem on a manual clock, netsim) a
 // campaign replays bit-identically from its seed. Over UDP the
 // decisions are still seeded but goroutine interleaving orders them.
 //

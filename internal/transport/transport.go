@@ -1,10 +1,10 @@
 // Package transport defines the node-to-network seam every protocol
 // layer in this repository runs behind: a Transport is a node's view
 // of its cluster fabric — one NIC per rail, addressed by node index.
-// Three implementations exist:
+// Two implementations live here, and the simulator supplies a third
+// from its own side (netsim.Transport, one node of a deterministic
+// netsim network), so this package imports no simulator:
 //
-//   - Sim: one node of a deterministic netsim network (dual-rail
-//     Network or switched FabricNet). The simulator path.
 //   - Mem: an in-memory cluster where delivery is deferred through a
 //     clock.Clock — hermetic multi-daemon tests with no sockets, and
 //     fully deterministic under a drained clock.
