@@ -62,10 +62,12 @@ cover:
 fuzz:
 	$(GO) test ./internal/scenario/ -run FuzzLoad -fuzz FuzzLoad -fuzztime 30s
 
-# Ten-second fuzz pass over the wire-format frame parser — the surface
-# the chaos layer's frame corruption exercises (CI gate).
+# Ten-second fuzz passes (CI gate) over the wire-format frame parser —
+# the surface the chaos layer's frame corruption exercises — and over
+# the event scheduler's (at, seq) execution order with per-link lanes.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=10s ./internal/routing/wire
+	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOrder -fuzztime=10s ./internal/simtime
 
 # Gray-failure gate: the chaos injector and campaign-harness tests
 # (golden tables, worker-count determinism) plus one quick live

@@ -24,7 +24,10 @@ import (
 // Timing: a frame serializes (at Params.Rate) on each link it
 // crosses — the sender's NIC link, every trunk, the receiver's NIC
 // link — and pays Params.Latency propagation per link. Each link
-// direction has its own busy clock, so disjoint paths never contend.
+// direction has its own busy clock, so disjoint paths never contend,
+// and its own scheduler lane: arrivals off one link come out of the
+// busy clock in order, so the event queue holds one entry per busy
+// link rather than one per frame in flight.
 //
 // Failure semantics mirror Network: NICs fail per-direction (gray
 // failures), switches and trunks fail whole, FailNode blackholes a
@@ -37,11 +40,11 @@ type FabricNet struct {
 	state
 	fab *topology.Fabric
 
-	// Busy clocks, one per link direction.
-	nicBusyUp   []simtime.Time // host → switch
-	nicBusyDown []simtime.Time // switch → host
-	trkBusyAB   []simtime.Time
-	trkBusyBA   []simtime.Time
+	// Link directions, indexed by NIC or trunk.
+	nicUp   []link // host → switch
+	nicDown []link // switch → host
+	trkAB   []link
+	trkBA   []link
 
 	stats SegmentStats
 
@@ -58,6 +61,13 @@ type FabricNet struct {
 	hopFn   func(any)
 }
 
+// link is one direction of a fabric link: its busy clock and the
+// scheduler lane its arrivals queue on.
+type link struct {
+	busy simtime.Time
+	lane simtime.Lane
+}
+
 // fabricRoute is one destination host's converged routing state.
 type fabricRoute struct {
 	epoch uint64
@@ -71,9 +81,9 @@ type fabricRoute struct {
 	dist []int32
 }
 
-// fabricBuf is the network's copy of one sent payload. Every scheduled
-// hop event holds a reference — one at a time for a unicast frame, one
-// per sibling still in flight for a broadcast — and the buffer returns
+// fabricBuf is the network's copy of one sent payload. Every hop event
+// in flight holds a reference — one for a unicast frame, one per
+// sibling still in flight for a broadcast — and the buffer returns
 // to the freelist when the last holder lets go, which for a delivery
 // is after the receiver's handler has returned.
 type fabricBuf struct {
@@ -82,15 +92,17 @@ type fabricBuf struct {
 	next *fabricBuf
 }
 
-// hopEvent carries one in-flight frame between fabric elements.
+// hopEvent carries one in-flight frame from its first hop to its
+// delivery or drop; each hop reschedules the same record.
 type hopEvent struct {
-	fr      Frame      // Rail is the ingress port; Dst is the final host
-	buf     *fabricBuf // backs fr.Payload
-	sw      int32      // switch the frame is arriving at (stage switchHop)
-	nic     int32      // NIC link being crossed (stages 1 and 2)
-	stage   int8       // 0 = at switch, 1 = at host, 2 = post-impairment-delay
-	corrupt bool       // a crossing drew a corruption; mangle at delivery
-	next    *hopEvent
+	buf      *fabricBuf // the payload, one reference held by this event
+	next     *hopEvent  // freelist link
+	src, dst int32      // dst is the final host
+	size     int32      // payload length, so forwarding never reads buf
+	sw       int32      // switch the frame is arriving at (stage 0)
+	nic      int32      // NIC link being crossed (stages 1 and 2)
+	stage    int8       // 0 = at switch, 1 = at host, 2 = post-impairment-delay
+	corrupt  bool       // a crossing drew a corruption; mangle at delivery
 }
 
 // NewFabricNet builds a healthy fabric network on the scheduler.
@@ -108,13 +120,13 @@ func NewFabricNet(sched *simtime.Scheduler, fab *topology.Fabric, params Params,
 	}
 	nics := fab.Hosts() * fab.Ports()
 	n := &FabricNet{
-		state:       st,
-		fab:         fab,
-		nicBusyUp:   make([]simtime.Time, nics),
-		nicBusyDown: make([]simtime.Time, nics),
-		trkBusyAB:   make([]simtime.Time, fab.Trunks()),
-		trkBusyBA:   make([]simtime.Time, fab.Trunks()),
-		routes:      make([]*fabricRoute, fab.Hosts()),
+		state:   st,
+		fab:     fab,
+		nicUp:   make([]link, nics),
+		nicDown: make([]link, nics),
+		trkAB:   make([]link, fab.Trunks()),
+		trkBA:   make([]link, fab.Trunks()),
+		routes:  make([]*fabricRoute, fab.Hosts()),
 	}
 	n.hopFn = n.hop
 	return n, nil
@@ -223,43 +235,43 @@ func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
 	// The sender may reuse its buffer: the fabric keeps its own copy,
 	// held by this call until every sibling is scheduled.
 	buf := n.allocBuf(payload)
-	defer n.releaseBuf(buf)
-	data := buf.b
 	if corrupt {
-		n.mangle(data)
+		n.mangle(buf.b)
 		n.stats.Corrupted++
 	}
 
 	// Serialize once on the sender's NIC link, then fan out.
-	end := occupy(&n.nicBusyUp[nic], n.sched.Now(), txTime)
+	up := &n.nicUp[nic]
+	end := occupy(&up.busy, n.sched.Now(), txTime)
 	n.stats.BitsSent += bits
 	arrive := end.Add(n.params.Latency + extra)
-
-	if dst == Broadcast {
+	if dst != Broadcast {
+		n.firstHop(arrive, up, buf, src, dst, entry)
+	} else {
 		// Replicate toward every other host, ascending, sharing the
 		// single ingress serialization — an L2 flood.
 		for h := 0; h < n.nodes; h++ {
-			if h == src {
-				continue
+			if h != src {
+				n.firstHop(arrive, up, buf, src, h, entry)
 			}
-			fr := Frame{Src: src, Dst: h, Rail: rail, Payload: data}
-			n.schedHop(arrive, &hopEvent{fr: fr, buf: buf, sw: int32(entry), stage: 0})
 		}
-		return nil
 	}
-	fr := Frame{Src: src, Dst: dst, Rail: rail, Payload: data}
-	n.schedHop(arrive, &hopEvent{fr: fr, buf: buf, sw: int32(entry), stage: 0})
+	n.releaseBuf(buf)
 	return nil
 }
 
-// schedHop schedules ev (recycling from the freelist when the caller
-// built it on the stack is not possible — see allocHop) at time at.
-// The scheduled event takes its own reference on the payload buffer.
-func (n *FabricNet) schedHop(at simtime.Time, ev *hopEvent) {
-	p := n.allocHop()
-	*p = *ev // a stack-built or just-fired event: next is nil
-	p.buf.refs++
-	n.sched.AtCall(at, n.hopFn, p)
+// firstHop schedules a frame's arrival at its entry switch on the
+// sender's uplink lane; the new event takes its own reference on buf.
+func (n *FabricNet) firstHop(at simtime.Time, up *link, buf *fabricBuf, src, dst, entry int) {
+	ev := n.freeHop
+	if ev != nil {
+		n.freeHop = ev.next
+	} else {
+		ev = new(hopEvent)
+	}
+	*ev = hopEvent{buf: buf, src: int32(src), dst: int32(dst), size: int32(len(buf.b)), sw: int32(entry)}
+	buf.refs++
+	n.sched.LaneCall(&up.lane, at, n.hopFn, ev)
 }
 
 // allocBuf returns a buffer holding a copy of payload, with one
@@ -285,158 +297,148 @@ func (n *FabricNet) releaseBuf(buf *fabricBuf) {
 	}
 }
 
-func (n *FabricNet) allocHop() *hopEvent {
-	if ev := n.freeHop; ev != nil {
-		n.freeHop = ev.next
-		ev.next = nil
-		return ev
-	}
-	return new(hopEvent)
-}
-
-func (n *FabricNet) freeHopEvent(ev *hopEvent) {
-	*ev = hopEvent{next: n.freeHop}
-	n.freeHop = ev
-}
-
-// hop is the scheduler callback for every fabric traversal event. The
-// event's hold on the payload ends when its stage returns: a forwarded
-// frame's next event has taken its own by then, and a delivered
-// frame's handler is done reading.
+// hop is the scheduler callback for every fabric traversal event. A
+// stage that forwards the frame reschedules ev and keeps its hold on
+// the payload; otherwise the frame is delivered or dropped, and the
+// event and its hold end here — after the receiver's handler is done
+// reading.
 func (n *FabricNet) hop(arg any) {
 	ev := arg.(*hopEvent)
-	e := *ev
-	n.freeHopEvent(ev)
-	switch e.stage {
+	var fwd bool
+	switch ev.stage {
 	case 0:
-		n.switchArrive(e)
+		fwd = n.switchArrive(ev)
 	case 1:
-		n.hostArrive(e)
+		fwd = n.hostArrive(ev)
 	default:
-		n.hostFinal(e)
+		if n.rxAlive(ev) {
+			n.finishDelivery(ev)
+		}
 	}
-	n.releaseBuf(e.buf)
+	if !fwd {
+		n.releaseBuf(ev.buf)
+		*ev = hopEvent{next: n.freeHop}
+		n.freeHop = ev
+	}
 }
 
-// switchArrive handles a frame reaching switch e.sw: cross the host
+// switchArrive handles a frame reaching switch ev.sw: cross the host
 // link down to the destination if it is attached here, otherwise the
-// next trunk of the converged route.
-func (n *FabricNet) switchArrive(e hopEvent) {
-	sw := int(e.sw)
+// next trunk of the converged route. It reports whether the frame was
+// forwarded.
+func (n *FabricNet) switchArrive(ev *hopEvent) bool {
+	sw := int(ev.sw)
 	if !n.swUp(sw) {
 		n.stats.DroppedSegment++
-		return
+		return false
 	}
-	rt := n.routeFor(e.fr.Dst)
-	var link topology.Component // the link to cross
-	var busy *simtime.Time      // and its busy clock in this direction
+	rt := n.routeFor(int(ev.dst))
+	var comp topology.Component // the link to cross
+	var out *link               // and its direction
 	switch {
 	case rt.downNIC[sw] >= 0:
 		// Attachment switch: serialize down the host link.
-		e.nic, e.stage = rt.downNIC[sw], 1
-		link, busy = topology.Component(e.nic), &n.nicBusyDown[e.nic]
+		ev.nic, ev.stage = rt.downNIC[sw], 1
+		comp, out = topology.Component(ev.nic), &n.nicDown[ev.nic]
 	case rt.trunk[sw] >= 0:
 		t := int(rt.trunk[sw])
 		tr := n.fab.Trunk(t)
 		peer := tr.A
-		busy = &n.trkBusyBA[t]
+		out = &n.trkBA[t]
 		if sw == tr.A {
 			peer = tr.B
-			busy = &n.trkBusyAB[t]
+			out = &n.trkAB[t]
 		}
 		// A dead trunk or peer here means the route table converged
 		// before this in-flight frame arrived.
 		if !n.trkUp(t) || !n.swUp(peer) {
 			n.stats.DroppedSegment++
-			return
+			return false
 		}
-		e.sw = int32(peer)
-		link = n.trkComp(t)
+		ev.sw = int32(peer)
+		comp = n.trkComp(t)
 	default:
 		// No live path to the destination.
 		n.stats.DroppedSegment++
-		return
+		return false
 	}
-	drop, extra, corrupt := n.impair(link)
+	drop, extra, corrupt := n.impair(comp)
 	if drop {
 		n.stats.DroppedImpaired++
-		return
+		return false
 	}
-	txTime, bits := n.wireTime(len(e.fr.Payload))
-	end := occupy(busy, n.sched.Now(), txTime)
+	txTime, bits := n.wireTime(int(ev.size))
+	end := occupy(&out.busy, n.sched.Now(), txTime)
 	n.stats.BitsSent += bits
-	e.corrupt = e.corrupt || corrupt
-	n.schedHop(end.Add(n.params.Latency+extra), &e)
+	ev.corrupt = ev.corrupt || corrupt
+	n.sched.LaneCall(&out.lane, end.Add(n.params.Latency+extra), n.hopFn, ev)
+	return true
 }
 
 // hostArrive is the final hop into the receiver, mirroring Network's
 // deliverTo: the receive-side NIC impairment is drawn here, and a
-// delayed frame re-checks component state when the delay elapses.
-func (n *FabricNet) hostArrive(e hopEvent) {
-	if !n.rxAlive(e) {
-		return
+// delayed frame re-checks component state when the delay elapses. It
+// reports whether delivery was deferred.
+func (n *FabricNet) hostArrive(ev *hopEvent) bool {
+	if !n.rxAlive(ev) {
+		return false
 	}
-	drop, extra, corrupt := n.impairRx(topology.Component(e.nic))
+	drop, extra, corrupt := n.impairRx(topology.Component(ev.nic))
 	if drop {
 		n.stats.DroppedImpaired++
-		return
+		return false
 	}
-	e.corrupt = e.corrupt || corrupt
+	ev.corrupt = ev.corrupt || corrupt
 	if extra > 0 {
 		// Stage 2 skips the impairment draw — the delay has already
 		// been applied — but re-checks NIC and process state at the
-		// deferred instant, like completeDelivery.
-		e.stage = 2
-		n.schedHop(n.sched.Now().Add(extra), &e)
-		return
+		// deferred instant, like completeDelivery. It crosses no link,
+		// so it has no lane.
+		ev.stage = 2
+		n.sched.AtCall(n.sched.Now().Add(extra), n.hopFn, ev)
+		return true
 	}
-	n.finishDelivery(e)
-}
-
-// hostFinal completes a delivery that an rx impairment delayed.
-func (n *FabricNet) hostFinal(e hopEvent) {
-	if n.rxAlive(e) {
-		n.finishDelivery(e)
-	}
+	n.finishDelivery(ev)
+	return false
 }
 
 // rxAlive counts and reports the drop when the receiving NIC or the
 // process behind it is down. Drop causes are tested NIC first, then
 // process — Network tests them the other way round, and the per-cause
 // counters fold into pinned digests, so neither order may change.
-func (n *FabricNet) rxAlive(e hopEvent) bool {
-	if !n.rxUp[e.nic] {
+func (n *FabricNet) rxAlive(ev *hopEvent) bool {
+	if !n.rxUp[ev.nic] {
 		n.stats.DroppedRxNIC++
 		return false
 	}
-	if !n.nodeUp[e.fr.Dst] {
+	if !n.nodeUp[ev.dst] {
 		n.stats.DroppedNodeDown++
 		return false
 	}
 	return true
 }
 
-func (n *FabricNet) finishDelivery(e hopEvent) {
+func (n *FabricNet) finishDelivery(ev *hopEvent) {
 	if n.params.LossRate > 0 && n.rnd.Float64() < n.params.LossRate {
 		n.stats.DroppedLoss++
 		return
 	}
-	h := n.handler[e.fr.Dst]
+	h := n.handler[ev.dst]
 	if h == nil {
 		return
 	}
 	n.stats.FramesDelivered++
 	// Receivers only read the payload; corruption forces a private
 	// copy because broadcast siblings still in flight share the buffer.
-	payload := e.fr.Payload
-	if e.corrupt {
+	payload := ev.buf.b
+	if ev.corrupt {
 		payload = append([]byte(nil), payload...)
 		n.mangle(payload)
 		n.stats.Corrupted++
 	}
 	// The delivery rail is the port the frame finally came in through.
-	rail := int(e.nic) % n.ports
-	out := Frame{Src: e.fr.Src, Dst: e.fr.Dst, Rail: rail, Payload: payload}
+	rail := int(ev.nic) % n.ports
+	out := Frame{Src: int(ev.src), Dst: int(ev.dst), Rail: rail, Payload: payload}
 	if n.tap != nil {
 		n.tap.FrameDelivered(n.sched.Now().Duration(), out)
 	}

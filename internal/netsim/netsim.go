@@ -236,6 +236,9 @@ type SegmentStats struct {
 
 type segment struct {
 	busyUntil simtime.Time
+	// lane queues the hub's deliveries in busy-clock order (see
+	// simtime.Lane).
+	lane simtime.Lane
 	// Per-node port clocks, used only in switched mode.
 	ingressBusy []simtime.Time
 	egressBusy  []simtime.Time
@@ -376,7 +379,7 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 		seg.stats.Corrupted++
 	}
 	ev.fr = Frame{Src: src, Dst: dst, Rail: rail, Payload: ev.buf}
-	n.sched.AtCall(end.Add(n.params.Latency+extra), n.deliverEv, ev)
+	n.sched.LaneCall(&seg.lane, end.Add(n.params.Latency+extra), n.deliverEv, ev)
 	return nil
 }
 

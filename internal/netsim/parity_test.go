@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/conn"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 )
@@ -160,4 +161,84 @@ func TestReachableOraclesAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// forEachFailureSet calls fn with every set of at most two whole
+// components out of comps, the empty set first.
+func forEachFailureSet(comps int, fn func(failed []topology.Component)) {
+	fn(nil)
+	for a := 0; a < comps; a++ {
+		fn([]topology.Component{topology.Component(a)})
+		for b := a + 1; b < comps; b++ {
+			fn([]topology.Component{topology.Component(a), topology.Component(b)})
+		}
+	}
+}
+
+// TestReachableMatchesAnalyticOracles pins the packet engines'
+// Reachable to the analytic evaluators the survivability figures use,
+// with no packets: for every whole-component failure set of at most
+// two elements, FabricNet.Reachable equals conn.FabricEvaluator on
+// FatTree(4) and BCube(4,1), and Network.Reachable equals
+// conn.Evaluator on Dual(4), for every ordered pair. All four let
+// hosts relay. Under -short the fabrics check the pairs out of the
+// first and the last host only.
+func TestReachableMatchesAnalyticOracles(t *testing.T) {
+	fatTree, err := topology.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcube, err := topology.BCube(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*topology.Fabric{fatTree, bcube} {
+		ev, err := conn.NewFabricEvaluator(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := ev.NewScratch()
+		forEachFailureSet(f.Components(), func(failed []topology.Component) {
+			n, err := NewFabricNet(simtime.NewScheduler(), f, DefaultParams(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range failed {
+				n.Fail(c)
+			}
+			for a := 0; a < f.Hosts(); a++ {
+				if testing.Short() && a != 0 && a != f.Hosts()-1 {
+					continue
+				}
+				for b := 0; b < f.Hosts(); b++ {
+					if got, want := n.Reachable(a, b), ev.PairConnected(sc, failed, a, b); got != want {
+						t.Fatalf("%d hosts, failed %v: FabricNet.Reachable(%d,%d) = %v, FabricEvaluator says %v",
+							f.Hosts(), failed, a, b, got, want)
+					}
+				}
+			}
+		})
+	}
+
+	cl := topology.Dual(4)
+	ev, err := conn.NewEvaluator(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forEachFailureSet(cl.Components(), func(failed []topology.Component) {
+		n, err := New(simtime.NewScheduler(), cl, DefaultParams(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range failed {
+			n.Fail(c)
+		}
+		for a := 0; a < cl.Nodes; a++ {
+			for b := 0; b < cl.Nodes; b++ {
+				if got, want := n.Reachable(a, b), ev.PairConnected(failed, a, b); got != want {
+					t.Fatalf("Dual(4), failed %v: Network.Reachable(%d,%d) = %v, Evaluator says %v", failed, a, b, got, want)
+				}
+			}
+		}
+	})
 }

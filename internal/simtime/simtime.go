@@ -31,40 +31,71 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // Timer is a handle to a scheduled event; it can be cancelled.
 type Timer struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	call      func(any) // handle-free path: call(arg) instead of fn()
-	arg       any
+	at   Time
+	seq  uint64
+	call func(any) // the event is call(arg); At's fn runs through callFunc
+	arg  any
+	// sched is set while a handle-bearing timer is pending and cleared
+	// when it leaves the queue, so Cancel can tell pending from fired
+	// and keep the scheduler's live count exact.
+	sched     *Scheduler
+	next      *Timer // the timer behind this one in its Lane
 	cancelled bool
 	pooled    bool // recycled after firing; never escapes to callers
-	index     int  // heap index, -1 once popped
 }
+
+// callFunc runs the func() that At stores as a timer's arg.
+func callFunc(fn any) { fn.(func())() }
 
 // Cancel prevents the event from firing. Cancelling an event that has
 // already fired (or was already cancelled) is a no-op. Cancel reports
 // whether the event was still pending.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.cancelled || t.index == -2 {
+	if t == nil || t.cancelled || t.sched == nil {
 		return false
 	}
 	t.cancelled = true
+	t.sched.live--
 	return true
 }
 
 // When returns the simulated time the timer fires at.
 func (t *Timer) When() Time { return t.at }
 
+// Lane is a FIFO of events whose times never decrease — the arrivals
+// of one serializing link. Only its head sits in the scheduler's heap;
+// the rest wait in line behind it, so a link with a thousand frames in
+// flight costs the heap one entry. The zero value is an empty lane. A
+// Lane that has been passed to LaneCall must not be copied.
+type Lane struct {
+	// tail is the last timer to join, and seq the sequence number it
+	// joined with. Timers hold no pointer back to their lane, so the
+	// lane is empty once that timer has run: it was recycled (call is
+	// nil) or reused for a later event (its seq moved on).
+	tail *Timer
+	seq  uint64
+}
+
+// queued reports whether the lane's tail is still waiting to run.
+func (l *Lane) queued() bool {
+	return l.tail != nil && l.tail.seq == l.seq && l.tail.call != nil
+}
+
 // Scheduler is a deterministic discrete-event executor.
 // It is not safe for concurrent use; simulations are single-threaded
 // by design (parallelism in this repository lives one level up, across
 // independent simulations).
 type Scheduler struct {
-	now  Time
-	heap []*Timer // binary min-heap ordered by (at, seq)
+	now Time
+	// heap is a binary min-heap ordered by (at, seq) holding every
+	// pending timer that is not waiting behind a lane head.
+	heap []*Timer
 	seq  uint64
-	// executed counts events that have run (for tests and tracing).
+	// executed counts events that have run (for tests and tracing);
+	// live counts scheduled events that have neither run nor been
+	// cancelled.
 	executed uint64
+	live     int
 
 	// Timer recycling for the handle-free AtCall path. Fired pooled
 	// timers go back on the free list; timers handed out by At never
@@ -83,15 +114,7 @@ func (s *Scheduler) Now() Time { return s.now }
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // Pending returns the number of scheduled, uncancelled events.
-func (s *Scheduler) Pending() int {
-	n := 0
-	for _, t := range s.heap {
-		if !t.cancelled {
-			n++
-		}
-	}
-	return n
-}
+func (s *Scheduler) Pending() int { return s.live }
 
 func (s *Scheduler) checkAt(at Time) {
 	if at < s.now {
@@ -107,8 +130,9 @@ func (s *Scheduler) At(at Time, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: nil event function")
 	}
-	t := &Timer{at: at, seq: s.seq, fn: fn}
+	t := &Timer{at: at, seq: s.seq, call: callFunc, arg: fn, sched: s}
 	s.seq++
+	s.live++
 	s.push(t)
 	return t
 }
@@ -119,7 +143,15 @@ func (s *Scheduler) At(at Time, fn func()) *Timer {
 // hot paths (per-frame delivery events) where the event is never
 // cancelled; `call` should be a long-lived bound value (a method
 // value stored once, not a fresh closure per call).
-func (s *Scheduler) AtCall(at Time, call func(any), arg any) {
+func (s *Scheduler) AtCall(at Time, call func(any), arg any) { s.LaneCall(nil, at, call, arg) }
+
+// LaneCall is AtCall for an event queued on lane l: the arrival of a
+// frame on the link l stands for. Execution order is exactly AtCall's
+// — (at, scheduling order) — because a lane only ever holds events in
+// that order: an event no earlier than the lane's tail joins the lane,
+// and one that is earlier (a jittered or delayed arrival overtaking
+// the link's queue) goes straight onto the heap. A nil l is AtCall.
+func (s *Scheduler) LaneCall(l *Lane, at Time, call func(any), arg any) {
 	s.checkAt(at)
 	if call == nil {
 		panic("simtime: nil event function")
@@ -140,6 +172,19 @@ func (s *Scheduler) AtCall(at Time, call func(any), arg any) {
 	}
 	t.at, t.seq, t.call, t.arg = at, s.seq, call, arg
 	s.seq++
+	s.live++
+	if l != nil {
+		queued := l.queued()
+		if queued && at >= l.tail.at {
+			// In lane order: wait behind the tail, out of the heap.
+			l.tail.next = t
+			l.tail, l.seq = t, t.seq
+			return
+		}
+		if !queued {
+			l.tail, l.seq = t, t.seq // the new head
+		}
+	}
 	s.push(t)
 }
 
@@ -168,26 +213,24 @@ func (s *Scheduler) Step() bool {
 		}
 		s.now = t.at
 		s.executed++
-		if t.call != nil {
-			call, arg := t.call, t.arg
-			s.recycle(t)
-			call(arg)
-		} else {
-			t.fn()
-		}
+		s.live--
+		call, arg := t.call, t.arg
+		s.recycle(t)
+		call(arg)
 		return true
 	}
 	return false
 }
 
-// recycle returns a pooled timer to the free list. Timers created by
-// At are left for the garbage collector — their handles may still be
-// referenced by the caller.
+// recycle returns a pooled timer to the free list; its nil call is how
+// a Lane tells that its tail has run. Timers created by At are left for
+// the garbage collector — their handles may still be referenced by the
+// caller.
 func (s *Scheduler) recycle(t *Timer) {
 	if !t.pooled {
 		return
 	}
-	t.call, t.arg, t.fn = nil, nil, nil
+	t.call, t.arg = nil, nil
 	s.free = append(s.free, t)
 }
 
@@ -250,53 +293,56 @@ func (t *Timer) less(u *Timer) bool {
 
 // push inserts t into the heap and sifts it up.
 func (s *Scheduler) push(t *Timer) {
-	s.heap = append(s.heap, t)
+	s.heap = append(s.heap, nil)
 	h := s.heap
 	i := len(h) - 1
-	t.index = i
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h[i].less(h[p]) {
+		if !t.less(h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
-		h[i].index = i
-		h[p].index = p
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = t
 }
 
-// pop removes and returns the minimum timer, marking it fired.
+// pop removes and returns the minimum timer. When it heads a lane, the
+// lane's next timer takes its place at the root — it is no earlier, so
+// one sift down restores the heap.
 func (s *Scheduler) pop() *Timer {
 	h := s.heap
-	n := len(h)
 	top := h[0]
-	last := h[n-1]
-	h[n-1] = nil
-	s.heap = h[:n-1]
-	if n > 1 {
-		h = s.heap
-		h[0] = last
-		last.index = 0
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= len(h) {
-				break
-			}
-			min := l
-			if r := l + 1; r < len(h) && h[r].less(h[l]) {
-				min = r
-			}
-			if !h[min].less(h[i]) {
-				break
-			}
-			h[i], h[min] = h[min], h[i]
-			h[i].index = i
-			h[min].index = min
-			i = min
+	top.sched = nil
+	t := top.next
+	top.next = nil
+	if t == nil {
+		n := len(h) - 1
+		t = h[n]
+		h[n] = nil
+		h = h[:n]
+		s.heap = h
+		if n == 0 {
+			return top
 		}
 	}
-	top.index = -2 // mark fired/expired
+	// Sift t down from the root.
+	n := len(h)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(t) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = t
 	return top
 }
