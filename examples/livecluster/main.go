@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/core"
 	"drsnet/internal/transport"
 )
@@ -27,16 +28,6 @@ const (
 	nodes = 4
 	rails = 2
 )
-
-// realClock adapts the wall clock to the clock.Clock interface the
-// daemons expect.
-type realClock struct{ start time.Time }
-
-func (c realClock) Now() time.Duration { return time.Since(c.start) }
-func (c realClock) AfterFunc(d time.Duration, fn func()) func() bool {
-	t := time.AfterFunc(d, fn)
-	return t.Stop
-}
 
 // udpTransport is one node's pair of "NICs": a UDP socket per rail on
 // 127.0.0.1, plus an up/down flag per rail for fault injection.
@@ -145,7 +136,8 @@ func (t *udpTransport) SetReceiver(fn func(rail, src int, payload []byte)) {
 }
 
 func main() {
-	clock := realClock{start: time.Now()}
+	clk := clock.NewWall()
+	defer clk.Stop()
 
 	// Bind every socket first so all addresses are known, then wire
 	// the mesh.
@@ -185,7 +177,7 @@ func main() {
 	var deliveredMu sync.Mutex
 	var delivered []string
 	for n := 0; n < nodes; n++ {
-		d, err := core.New(transports[n], clock, cfg)
+		d, err := core.New(transports[n], clk, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -98,6 +100,23 @@ func TestStaleCancelMissesRecycledTimer(t *testing.T) {
 	}
 }
 
+func TestAfterCallAllocatesNothing(t *testing.T) {
+	w := NewManual()
+	fired := 0
+	call := func(arg any) { fired++ }
+	w.AfterCall(time.Millisecond, call, w)
+	w.Advance(time.Millisecond)
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.AfterCall(time.Millisecond, call, w)
+		w.Advance(time.Millisecond)
+	}); allocs != 0 {
+		t.Fatalf("AfterCall + fire allocates %v times, want 0", allocs)
+	}
+	if fired != 102 { // warm-up, AllocsPerRun's own warm-up, 100 runs
+		t.Fatalf("fired %d timers, want 102", fired)
+	}
+}
+
 func TestManualPastTargetClamps(t *testing.T) {
 	w := NewManual()
 	w.Advance(50 * time.Millisecond)
@@ -173,6 +192,97 @@ func TestLiveWallMonotonicNow(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	if b := w.Now(); b <= a {
 		t.Fatalf("Now not monotonic: %v then %v", a, b)
+	}
+}
+
+// clockOp is one step of an ordering script run against both Clock
+// implementations.
+type clockOp struct {
+	kind   byte          // 'f' AfterFunc, 'c' AfterCall, 'x' cancel, 'r' run until d
+	d      time.Duration // delay, or the absolute target of 'r'
+	handle int           // 'x': index into the AfterFunc handles, in scheduling order
+	nested time.Duration // 'f'/'c' with nested > 0: the callback schedules the other kind this far out
+}
+
+// replayClock runs ops on c, draining through runUntil, and returns
+// every observable event: each firing with its label and time, and
+// each cancel's result.
+func replayClock(c Clock, runUntil func(time.Duration), ops []clockOp) []string {
+	var log []string
+	var handles []func() bool
+	var schedule func(kind byte, d, nested time.Duration, label string)
+	schedule = func(kind byte, d, nested time.Duration, label string) {
+		fire := func() {
+			log = append(log, fmt.Sprintf("%s@%v", label, c.Now()))
+			if nested > 0 {
+				other := byte('c')
+				if kind == 'c' {
+					other = 'f'
+				}
+				schedule(other, nested, 0, label+"/n")
+			}
+		}
+		if kind == 'f' {
+			handles = append(handles, c.AfterFunc(d, fire))
+			return
+		}
+		c.AfterCall(d, func(fn any) { fn.(func())() }, fire)
+	}
+	for i, op := range ops {
+		switch op.kind {
+		case 'f', 'c':
+			schedule(op.kind, op.d, op.nested, fmt.Sprint(i))
+		case 'x':
+			log = append(log, fmt.Sprintf("cancel %d %v", op.handle, handles[op.handle]()))
+		case 'r':
+			runUntil(op.d)
+		}
+	}
+	return log
+}
+
+// TestAfterCallOrderMatchesSimtime runs each script on a manual Wall
+// and on simtime.Clock: AfterFunc and AfterCall share one sequence, so
+// ties break identically, cancels agree, a stale cancel of a recycled
+// record misses, and timers scheduled from callbacks interleave the
+// same way.
+func TestAfterCallOrderMatchesSimtime(t *testing.T) {
+	ms := time.Millisecond
+	scripts := map[string][]clockOp{
+		"ties across kinds": {
+			{kind: 'f', d: 10 * ms}, {kind: 'c', d: 10 * ms}, {kind: 'f', d: 10 * ms},
+			{kind: 'c', d: 5 * ms}, {kind: 'c', d: 10 * ms}, {kind: 'r', d: 20 * ms},
+		},
+		"cancel and stale cancel of recycled records": {
+			{kind: 'f', d: ms}, {kind: 'f', d: 2 * ms}, {kind: 'c', d: 2 * ms},
+			{kind: 'x', handle: 1}, {kind: 'x', handle: 1}, {kind: 'r', d: 3 * ms},
+			// Both AfterFunc records are free now; these reuse them.
+			{kind: 'c', d: ms}, {kind: 'f', d: ms}, {kind: 'c', d: 2 * ms},
+			{kind: 'x', handle: 0}, {kind: 'x', handle: 1}, {kind: 'r', d: 4 * ms},
+			{kind: 'x', handle: 2}, {kind: 'r', d: 10 * ms},
+		},
+		"scheduled from callbacks": {
+			{kind: 'f', d: 10 * ms, nested: 5 * ms}, {kind: 'c', d: 10 * ms, nested: 5 * ms},
+			{kind: 'c', d: 15 * ms}, {kind: 'f', d: 15 * ms}, {kind: 'c', d: 12 * ms, nested: 3 * ms},
+			{kind: 'r', d: 14 * ms}, {kind: 'x', handle: 1}, {kind: 'f', d: ms, nested: ms},
+			{kind: 'r', d: 40 * ms},
+		},
+		"zero delay and a past target": {
+			{kind: 'r', d: 5 * ms}, {kind: 'c'}, {kind: 'f'}, {kind: 'c', d: ms, nested: 1},
+			{kind: 'r', d: 5 * ms}, {kind: 'r', d: 7 * ms},
+		},
+	}
+	for name, ops := range scripts {
+		w := NewManual()
+		wall := replayClock(w, func(t time.Duration) { w.RunUntil(t) }, ops)
+		sched := simtime.NewScheduler()
+		sim := replayClock(simtime.Clock{Sched: sched}, func(t time.Duration) { sched.RunUntil(simtime.Time(t)) }, ops)
+		if !reflect.DeepEqual(wall, sim) {
+			t.Errorf("%s:\nWall    %v\nsimtime %v", name, wall, sim)
+		}
+		if w.Pending() != sched.Pending() {
+			t.Errorf("%s: Wall has %d pending, simtime %d", name, w.Pending(), sched.Pending())
+		}
 	}
 }
 

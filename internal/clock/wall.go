@@ -1,8 +1,8 @@
 package clock
 
 import (
-	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -23,11 +23,11 @@ import (
 // simulator's clock.
 type Wall struct {
 	mu      sync.Mutex
-	timers  timerHeap
+	timers  []*wallTimer // binary min-heap ordered by (at, seq)
 	free    []*wallTimer // fired or discarded records, for reuse
 	seq     uint64
 	manual  bool
-	now     time.Duration // manual mode only
+	now     atomic.Int64  // manual mode only: written under mu, read lock-free
 	start   time.Time     // live mode epoch
 	kick    chan struct{} // live mode: wakes the dispatcher on a new head
 	done    chan struct{} // live mode: closed by Stop
@@ -53,19 +53,17 @@ func NewManual() *Wall {
 	return &Wall{manual: true}
 }
 
-func (w *Wall) nowLocked() time.Duration {
+// Now implements Clock. It takes no lock: manual and start never
+// change after construction, and manual time is an atomic.
+func (w *Wall) Now() time.Duration {
 	if w.manual {
-		return w.now
+		return time.Duration(w.now.Load())
 	}
 	return time.Since(w.start)
 }
 
-// Now implements Clock.
-func (w *Wall) Now() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nowLocked()
-}
+// callFunc runs the func() that AfterFunc stores as a timer's arg.
+func callFunc(fn any) { fn.(func())() }
 
 // AfterFunc implements Clock. A negative delay is clamped to zero —
 // unlike the simulator, a real clock cannot treat "slightly in the
@@ -75,6 +73,32 @@ func (w *Wall) AfterFunc(d time.Duration, fn func()) (cancel func() bool) {
 	if fn == nil {
 		panic("clock: nil timer function")
 	}
+	t, seq := w.schedule(d, callFunc, fn)
+	return func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		// A record is reused once its timer has left the heap; seq
+		// tells this timer from a later tenant of the same record.
+		if t.seq != seq || t.call == nil {
+			return false
+		}
+		t.call, t.arg = nil, nil
+		return true
+	}
+}
+
+// AfterCall implements Clock: AfterFunc without a handle, allocating
+// nothing once the record pool is warm. Negative d is clamped to zero.
+func (w *Wall) AfterCall(d time.Duration, call func(any), arg any) {
+	if call == nil {
+		panic("clock: nil timer function")
+	}
+	w.schedule(d, call, arg)
+}
+
+// schedule queues call(arg) d from now on a recycled record and
+// returns the record with the sequence number it holds it under.
+func (w *Wall) schedule(d time.Duration, call func(any), arg any) (*wallTimer, uint64) {
 	if d < 0 {
 		d = 0
 	}
@@ -86,9 +110,9 @@ func (w *Wall) AfterFunc(d time.Duration, fn func()) (cancel func() bool) {
 		t = new(wallTimer)
 	}
 	seq := w.seq
-	*t = wallTimer{at: w.nowLocked() + d, seq: seq, fn: fn}
+	*t = wallTimer{at: w.Now() + d, seq: seq, call: call, arg: arg}
 	w.seq++
-	heap.Push(&w.timers, t)
+	w.push(t)
 	newHead := w.timers[0] == t
 	live := !w.manual && !w.stopped
 	w.mu.Unlock()
@@ -98,23 +122,15 @@ func (w *Wall) AfterFunc(d time.Duration, fn func()) (cancel func() bool) {
 		default:
 		}
 	}
-	return func() bool {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		// A record is reused once its timer has left the heap; seq
-		// tells this timer from a later tenant of the same record.
-		if t.seq != seq || t.fn == nil {
-			return false
-		}
-		t.fn = nil
-		return true
-	}
+	return t, seq
 }
 
 // popLocked removes the heap's head and keeps its record for reuse.
 // Callers have read what they need from it, and hold w.mu.
 func (w *Wall) popLocked() {
-	w.free = append(w.free, heap.Pop(&w.timers).(*wallTimer))
+	t := w.pop()
+	t.call, t.arg = nil, nil
+	w.free = append(w.free, t)
 }
 
 // Pending returns the number of scheduled, uncancelled timers.
@@ -123,7 +139,7 @@ func (w *Wall) Pending() int {
 	defer w.mu.Unlock()
 	n := 0
 	for _, t := range w.timers {
-		if t.fn != nil {
+		if t.call != nil {
 			n++
 		}
 	}
@@ -151,10 +167,7 @@ func (w *Wall) Advance(d time.Duration) int {
 	if d < 0 {
 		d = 0
 	}
-	w.mu.Lock()
-	target := w.now + d
-	w.mu.Unlock()
-	return w.RunUntil(target)
+	return w.RunUntil(w.Now() + d)
 }
 
 // RunUntil advances a manual Wall to absolute time t (clamped: a
@@ -169,32 +182,33 @@ func (w *Wall) RunUntil(t time.Duration) int {
 	n := 0
 	for {
 		w.mu.Lock()
-		if t < w.now {
+		if t < w.Now() {
 			w.mu.Unlock()
 			return n
 		}
-		var fn func()
+		var call func(any)
+		var arg any
 		for len(w.timers) > 0 {
 			head := w.timers[0]
-			if head.fn == nil { // cancelled
+			if head.call == nil { // cancelled
 				w.popLocked()
 				continue
 			}
 			if head.at > t {
 				break
 			}
-			fn, head.fn = head.fn, nil
-			w.now = head.at
+			call, arg = head.call, head.arg
+			w.now.Store(int64(head.at))
 			w.popLocked()
 			break
 		}
-		if fn == nil {
-			w.now = t
+		if call == nil {
+			w.now.Store(int64(t))
 			w.mu.Unlock()
 			return n
 		}
 		w.mu.Unlock()
-		fn()
+		call(arg)
 		n++
 	}
 }
@@ -203,21 +217,21 @@ func (w *Wall) RunUntil(t time.Duration) int {
 // deadline (or a kick, when a sooner timer arrives), then runs every
 // due timer outside the lock.
 func (w *Wall) loop() {
+	var due []wallCall
 	for {
 		w.mu.Lock()
-		now := time.Since(w.start)
-		var due []func()
+		now := w.Now()
+		due = due[:0]
 		for len(w.timers) > 0 {
 			head := w.timers[0]
-			if head.fn == nil { // cancelled
+			if head.call == nil { // cancelled
 				w.popLocked()
 				continue
 			}
 			if head.at > now {
 				break
 			}
-			due = append(due, head.fn)
-			head.fn = nil
+			due = append(due, wallCall{head.call, head.arg})
 			w.popLocked()
 		}
 		wait := time.Duration(-1)
@@ -226,8 +240,9 @@ func (w *Wall) loop() {
 		}
 		w.mu.Unlock()
 
-		for _, fn := range due {
-			fn()
+		for i, c := range due {
+			c.call(c.arg)
+			due[i] = wallCall{} // drop the reference for the collector
 		}
 		if len(due) > 0 {
 			// Callbacks may have scheduled or cancelled; recompute
@@ -261,38 +276,79 @@ func (w *Wall) loop() {
 	}
 }
 
-// wallTimer is one scheduled callback. Cancellation nils fn in place;
-// the heap lazily discards dead entries when they surface, and records
-// that leave the heap are recycled (AfterFunc then allocates only the
-// cancel function it returns).
+// wallCall is one due callback, copied out of its record so the
+// record can be recycled before the callback runs.
+type wallCall struct {
+	call func(any)
+	arg  any
+}
+
+// wallTimer is one scheduled callback, call(arg). Cancellation nils
+// call in place; the heap lazily discards dead entries when they
+// surface, and records that leave the heap are recycled, so AfterCall
+// allocates nothing and AfterFunc only the cancel function it returns.
 type wallTimer struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+	at   time.Duration
+	seq  uint64
+	call func(any)
+	arg  any
 }
 
-// timerHeap orders timers by (deadline, sequence) — the same total
-// order simtime uses, which is what makes drained-mode execution
-// reproduce the simulator's event sequence.
-type timerHeap []*wallTimer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// less orders timers by (deadline, sequence) — the same total order
+// simtime uses, which is what makes drained-mode execution reproduce
+// the simulator's event sequence.
+func (t *wallTimer) less(u *wallTimer) bool {
+	if t.at != u.at {
+		return t.at < u.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *timerHeap) Push(x any) { *h = append(*h, x.(*wallTimer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+	return t.seq < u.seq
 }
 
-var _ Clock = (*Wall)(nil)
+// push inserts t into the heap, sifting a hole up from the end.
+// Callers hold w.mu.
+func (w *Wall) push(t *wallTimer) {
+	w.timers = append(w.timers, nil)
+	h := w.timers
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = t
+}
+
+// pop removes and returns the heap's minimum, sifting the last entry
+// down from the root. Callers hold w.mu and a non-empty heap.
+func (w *Wall) pop() *wallTimer {
+	h := w.timers
+	top := h[0]
+	n := len(h) - 1
+	t := h[n]
+	h[n] = nil
+	h = h[:n]
+	w.timers = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(t) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = t
+	return top
+}

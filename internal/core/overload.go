@@ -75,16 +75,21 @@ func (d *Daemon) armDrainLocked() {
 	if delay <= 0 {
 		delay = 50 * time.Millisecond
 	}
-	d.clock.AfterFunc(d.jitter.Scale(delay, d.cfg.Overload.JitterFrac), func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.drainArmed = false
-		if d.stopped {
-			return
-		}
-		d.drainControlLocked(d.clock.Now())
-		d.armDrainLocked()
-	})
+	d.clock.AfterCall(d.jitter.Scale(delay, d.cfg.Overload.JitterFrac), runDrain, d)
+}
+
+// runDrain is the clock callback armDrainLocked schedules: one
+// budgeted control-queue drain, re-armed while work remains.
+func runDrain(arg any) {
+	d := arg.(*Daemon)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.drainArmed = false
+	if d.stopped {
+		return
+	}
+	d.drainControlLocked(d.clock.Now())
+	d.armDrainLocked()
 }
 
 // overloadRoundLocked is the probe round's overload housekeeping:
@@ -184,7 +189,7 @@ func (d *Daemon) reprobeLocked(peer int, now time.Duration) {
 		d.sendProbeLocked(peer, rail, seq, now, true)
 		if d.cfg.AdaptiveRTO.Enabled() {
 			deadline := d.rtoDeadlineLocked(st)
-			d.clock.AfterFunc(deadline, func() { d.probeExpired(peer, rail, seq) })
+			d.clock.AfterCall(deadline, callFunc, func() { d.probeExpired(peer, rail, seq) })
 		}
 	}
 }

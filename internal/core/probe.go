@@ -119,7 +119,7 @@ func (d *Daemon) probeRound() {
 func (d *Daemon) sendRoundProbeLocked(p probe) {
 	d.sendProbeLocked(p.peer, p.rail, p.seq, d.clock.Now(), false)
 	if p.deadline > 0 {
-		d.clock.AfterFunc(p.deadline, func() { d.probeExpired(p.peer, p.rail, p.seq) })
+		d.clock.AfterCall(p.deadline, callFunc, func() { d.probeExpired(p.peer, p.rail, p.seq) })
 	}
 }
 
@@ -179,8 +179,12 @@ func (d *Daemon) probeExpired(peer, rail int, seq uint16) {
 	deadline := d.rtoDeadlineLocked(st)
 	d.sendProbeLocked(peer, rail, nseq, now, true)
 	d.mu.Unlock()
-	d.clock.AfterFunc(deadline, func() { d.probeExpired(peer, rail, nseq) })
+	d.clock.AfterCall(deadline, callFunc, func() { d.probeExpired(peer, rail, nseq) })
 }
+
+// callFunc runs a func() scheduled through clock.Clock.AfterCall: the
+// deadline is never cancelled, so it needs no handle.
+func callFunc(fn any) { fn.(func())() }
 
 // steerByLatencyLocked moves direct routes to a clearly faster rail.
 // A move needs both rails measured (≥ minSteerSamples each) and the

@@ -18,3 +18,9 @@ func (c Clock) Now() time.Duration { return c.Sched.Now().Duration() }
 func (c Clock) AfterFunc(d time.Duration, fn func()) (cancel func() bool) {
 	return c.Sched.AfterFunc(d, fn)
 }
+
+// AfterCall schedules call(arg) after d on the scheduler's pooled,
+// handle-free path (Scheduler.AtCall).
+func (c Clock) AfterCall(d time.Duration, call func(any), arg any) {
+	c.Sched.AtCall(c.Sched.Now().Add(d), call, arg)
+}

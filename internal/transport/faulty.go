@@ -82,6 +82,19 @@ type Faults struct {
 	cuts  map[cutKey]struct{}
 	skew  map[int]time.Duration
 	stats FaultStats
+	free  *faultDelivery // recycled deferred-delivery records
+}
+
+// faultDelivery is one deferred frame: its own copy of the payload and
+// the receiver it goes to, copies times. Records cycle through
+// Faults.free once the last copy's receiver has returned, so a
+// deferred frame allocates nothing in steady state.
+type faultDelivery struct {
+	f                 *Faults
+	fn                func(rail, src int, payload []byte)
+	rail, src, copies int
+	body              []byte
+	next              *faultDelivery
 }
 
 type cutKey struct{ src, dst, rail int }
@@ -216,11 +229,11 @@ func (t *Faulty) SetReceiver(fn func(rail, src int, payload []byte)) {
 
 // deliver runs one received frame through the policy: partition check,
 // drop/duplicate/corrupt/reorder draws, then immediate or deferred
-// hand-off. Deferred copies the payload (the wire buffer is the inner
-// transport's to reuse).
+// hand-off. Deferred copies the payload into a pooled record (the wire
+// buffer is the inner transport's to reuse).
 func (f *Faults) deliver(dst, rail, src int, payload []byte, fn func(rail, src int, payload []byte)) {
 	f.mu.Lock()
-	if f.cut(src, dst, rail) {
+	if len(f.cuts) > 0 && f.cut(src, dst, rail) {
 		f.stats.Partitioned++
 		f.mu.Unlock()
 		return
@@ -250,28 +263,49 @@ func (f *Faults) deliver(dst, rail, src int, payload []byte, fn func(rail, src i
 		f.stats.Reordered++
 		delay += s.ReorderDelay
 	}
-	delay += f.skew[dst]
+	if len(f.skew) > 0 {
+		delay += f.skew[dst]
+	}
 	copies := 1
 	if dup {
 		f.stats.Duplicated++
 		copies = 2
 	}
 	f.stats.Delivered += int64(copies)
-	f.mu.Unlock()
-
 	if delay <= 0 {
+		f.mu.Unlock()
 		for i := 0; i < copies; i++ {
 			fn(rail, src, payload)
 		}
 		return
 	}
-	body := make([]byte, len(payload))
-	copy(body, payload)
-	f.clk.AfterFunc(delay, func() {
-		for i := 0; i < copies; i++ {
-			fn(rail, src, body)
-		}
-	})
+	d := f.free
+	if d != nil {
+		f.free = d.next
+	} else {
+		d = &faultDelivery{f: f}
+	}
+	f.mu.Unlock()
+	d.fn, d.rail, d.src, d.copies = fn, rail, src, copies
+	d.body = append(d.body[:0], payload...)
+	f.clk.AfterCall(delay, runFaultDelivery, d)
+}
+
+// runFaultDelivery is the clock callback for a *faultDelivery.
+func runFaultDelivery(d any) { d.(*faultDelivery).run() }
+
+// run hands every copy of the frame to its receiver, then recycles the
+// record once the last receiver has returned.
+func (d *faultDelivery) run() {
+	for i := 0; i < d.copies; i++ {
+		d.fn(d.rail, d.src, d.body)
+	}
+	f := d.f
+	d.fn = nil
+	f.mu.Lock()
+	d.next = f.free
+	f.free = d
+	f.mu.Unlock()
 }
 
 var _ Transport = (*Faulty)(nil)

@@ -29,14 +29,13 @@ type Mem struct {
 }
 
 // memDelivery is one frame in flight: the fabric's copy of the payload
-// and where it is going. Records cycle through Mem.free, so a steady
-// exchange allocates only the clock's timer; fire is the record's run
-// method, bound once.
+// and where it is going. Records cycle through Mem.free and the clock
+// recycles its own timer records, so a steady exchange allocates
+// nothing.
 type memDelivery struct {
 	m              *Mem
 	rail, src, dst int
 	body           []byte
-	fire           func()
 	next           *memDelivery
 }
 
@@ -155,13 +154,15 @@ func (n *MemNode) deliverAfter(rail, dst int, payload []byte) {
 		m.free = d.next
 	} else {
 		d = &memDelivery{m: m}
-		d.fire = d.run
 	}
 	m.mu.Unlock()
 	d.rail, d.src, d.dst = rail, n.node, dst
 	d.body = append(d.body[:0], payload...)
-	m.clk.AfterFunc(m.latency, d.fire)
+	m.clk.AfterCall(m.latency, runDelivery, d)
 }
+
+// runDelivery is the clock callback for a *memDelivery.
+func runDelivery(d any) { d.(*memDelivery).run() }
 
 // run hands the frame to its receiver, if that is still up, and
 // recycles the record once the receiver has returned.

@@ -8,22 +8,36 @@ import (
 	"drsnet/internal/clock"
 )
 
-// One frame through Mem costs the clock's timer and nothing else: the
-// payload copy and the delivery record are recycled.
+// A frame through Mem allocates nothing in steady state: the payload
+// copy, the delivery record and the clock's timer record are all
+// recycled. A skewed frame through Faults.Wrap(Mem) takes the deferred
+// path, whose record and payload copy are recycled too.
 func TestMemFrameAllocations(t *testing.T) {
-	clk := clock.NewManual()
-	m := NewMem(2, 1, clk, time.Millisecond)
-	m.Node(1).SetReceiver(func(rail, src int, payload []byte) {})
-	payload := []byte("steady-state")
-	exchange := func() {
-		if err := m.Node(0).Send(0, 1, payload); err != nil {
-			t.Fatal(err)
+	for _, skew := range []time.Duration{0, 3 * time.Millisecond} {
+		clk := clock.NewManual()
+		m := NewMem(2, 1, clk, time.Millisecond)
+		var tx, rx Transport = m.Node(0), m.Node(1)
+		if skew > 0 {
+			f := NewFaults(1, clk)
+			f.SetSkew(1, skew)
+			tx, rx = f.Wrap(tx), f.Wrap(rx)
 		}
-		clk.Advance(time.Millisecond)
-	}
-	exchange()
-	if allocs := testing.AllocsPerRun(100, exchange); allocs > 1 {
-		t.Fatalf("a Mem frame allocates %v times, want <= 1", allocs)
+		got := 0
+		rx.SetReceiver(func(rail, src int, payload []byte) { got++ })
+		payload := []byte("steady-state")
+		exchange := func() {
+			if err := tx.Send(0, 1, payload); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(time.Millisecond + skew)
+		}
+		exchange()
+		if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
+			t.Errorf("skew %v: a frame allocates %v times, want 0", skew, allocs)
+		}
+		if got != 102 {
+			t.Errorf("skew %v: %d frames delivered, want 102", skew, got)
+		}
 	}
 }
 
