@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,49 +25,63 @@ import (
 )
 
 func main() {
-	nodes := flag.Int("nodes", 10, "cluster size")
-	mtbf := flag.Duration("mtbf", 1000*time.Hour, "per-component mean time between failures")
-	mttr := flag.Duration("mttr", 4*time.Hour, "per-component mean time to repair")
-	probe := flag.Duration("probe", time.Second, "DRS probe interval")
-	miss := flag.Int("miss", 2, "DRS miss threshold")
-	allPairs := flag.Bool("allpairs", false, "also print full-cluster (all-pairs) availability")
-	measure := flag.Bool("measure", false, "run the packet-level measurement alongside the model")
-	horizon := flag.Duration("horizon", 2*time.Hour, "measurement horizon (with -measure)")
-	workers := flag.Int("workers", 0, "surface worker goroutines (0 = all CPUs); output is identical for every count")
-	topo := flag.String("topology", "", `switched fabric descriptor (e.g. "fatTree:k=8", "bcube:n=4,k=1"); Monte Carlo-estimates fabric availability instead of the dual-rail closed form`)
-	mc := flag.Int64("mc", 100000, "Monte Carlo iterations for the fabric structural term (with -topology)")
-	seed := flag.Uint64("seed", 1, "Monte Carlo seed (with -topology)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("drsavail", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	nodes := flags.Int("nodes", 10, "cluster size")
+	mtbf := flags.Duration("mtbf", 1000*time.Hour, "per-component mean time between failures")
+	mttr := flags.Duration("mttr", 4*time.Hour, "per-component mean time to repair")
+	probe := flags.Duration("probe", time.Second, "DRS probe interval")
+	miss := flags.Int("miss", 2, "DRS miss threshold")
+	allPairs := flags.Bool("allpairs", false, "also print full-cluster (all-pairs) availability")
+	measure := flags.Bool("measure", false, "run the packet-level measurement alongside the model")
+	horizon := flags.Duration("horizon", 2*time.Hour, "measurement horizon (with -measure)")
+	workers := flags.Int("workers", 0, "surface worker goroutines (0 = all CPUs); output is identical for every count")
+	topo := flags.String("topology", "", `switched fabric descriptor (e.g. "fatTree:k=8", "bcube:n=4,k=1"); Monte Carlo-estimates fabric availability instead of the dual-rail closed form`)
+	mc := flags.Int64("mc", 100000, "Monte Carlo iterations for the fabric structural term (with -topology)")
+	seed := flags.Uint64("seed", 1, "Monte Carlo seed (with -topology)")
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "drsavail: %v\n", err)
+		return 1
+	}
 
 	if *topo != "" {
-		fabricMode(*topo, *mtbf, *mttr, *probe, *miss, *mc, *seed, *workers)
-		return
+		if err := fabricMode(stdout, *topo, *mtbf, *mttr, *probe, *miss, *mc, *seed, *workers); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	q, err := availability.SteadyStateQ(*mtbf, *mttr)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Printf("# per-component steady state: MTBF %v, MTTR %v → q = %.6f\n\n", *mtbf, *mttr, q)
+	fmt.Fprintf(stdout, "# per-component steady state: MTBF %v, MTTR %v → q = %.6f\n\n", *mtbf, *mttr, q)
 
 	// Availability surface over q and cluster size.
-	fmt.Printf("# pair availability under IID component failures (Equation 1 mixture)\n")
+	fmt.Fprintf(stdout, "# pair availability under IID component failures (Equation 1 mixture)\n")
 	surface, err := experiments.Surface(experiments.DefaultSurfaceQs(), experiments.DefaultSurfaceSizes(), false, *workers)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	if err := experiments.WriteSurface(os.Stdout, surface); err != nil {
-		fail(err)
+	if err := experiments.WriteSurface(stdout, surface); err != nil {
+		return fail(err)
 	}
 
 	if *allPairs {
-		fmt.Printf("\n# full-cluster (all-pairs) availability\n")
+		fmt.Fprintf(stdout, "\n# full-cluster (all-pairs) availability\n")
 		surface, err := experiments.Surface(experiments.DefaultSurfaceQs(), experiments.DefaultSurfaceSizes(), true, *workers)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		if err := experiments.WriteSurface(os.Stdout, surface); err != nil {
-			fail(err)
+		if err := experiments.WriteSurface(stdout, surface); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -77,10 +92,10 @@ func main() {
 		RepairWindow: time.Duration(float64(*miss)+0.5) * *probe,
 	})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Printf("\n# effective pair availability at N=%d (probe %v, miss %d)\n", *nodes, *probe, *miss)
-	fmt.Printf("structural: %.6f   detection penalty: %.6f   effective: %.6f (%d nines, %v downtime/yr)\n",
+	fmt.Fprintf(stdout, "\n# effective pair availability at N=%d (probe %v, miss %d)\n", *nodes, *probe, *miss)
+	fmt.Fprintf(stdout, "structural: %.6f   detection penalty: %.6f   effective: %.6f (%d nines, %v downtime/yr)\n",
 		res.Structural, res.DetectionPenalty, res.Effective,
 		availability.Nines(res.Effective),
 		availability.DowntimePerYear(1-res.Effective).Round(time.Minute))
@@ -94,24 +109,25 @@ func main() {
 		// Scale failure pressure so a short horizon still sees churn.
 		cfg.MTBF = 20 * time.Minute
 		cfg.MTTR = time.Minute
-		fmt.Printf("\n")
+		fmt.Fprintf(stdout, "\n")
 		mres, err := experiments.MeasureAvailability(cfg)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		if err := experiments.WriteAvailability(os.Stdout, mres); err != nil {
-			fail(err)
+		if err := experiments.WriteAvailability(stdout, mres); err != nil {
+			return fail(err)
 		}
 	}
+	return 0
 }
 
 // fabricMode prints the effective availability of a DRS deployment on
 // a switched fabric: a Monte Carlo structural term plus the detection
 // penalty over the fabric's active-path component count.
-func fabricMode(desc string, mtbf, mttr, probe time.Duration, miss int, mc int64, seed uint64, workers int) {
+func fabricMode(w io.Writer, desc string, mtbf, mttr, probe time.Duration, miss int, mc int64, seed uint64, workers int) error {
 	fab, err := topology.Parse(desc)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	res, err := availability.EffectiveFabric(availability.FabricParams{
 		Fabric:       fab,
@@ -123,22 +139,18 @@ func fabricMode(desc string, mtbf, mttr, probe time.Duration, miss int, mc int64
 		Workers:      workers,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("# %s: %d hosts × %d ports, %d switches, %d trunks (%d components)\n",
+	fmt.Fprintf(w, "# %s: %d hosts × %d ports, %d switches, %d trunks (%d components)\n",
 		fab.Kind, fab.Hosts(), fab.Ports(), fab.Switches(), fab.Trunks(), fab.Components())
-	fmt.Printf("# per-component steady state: MTBF %v, MTTR %v → q = %.6f\n", mtbf, mttr, res.Q)
-	fmt.Printf("# monitored pair: hosts 0 and %d (%d active-path components)\n\n",
+	fmt.Fprintf(w, "# per-component steady state: MTBF %v, MTTR %v → q = %.6f\n", mtbf, mttr, res.Q)
+	fmt.Fprintf(w, "# monitored pair: hosts 0 and %d (%d active-path components)\n\n",
 		fab.Hosts()-1, res.PathComponents)
-	fmt.Printf("structural: %.6f ±%.6f (Monte Carlo, %d iterations)\n",
+	fmt.Fprintf(w, "structural: %.6f ±%.6f (Monte Carlo, %d iterations)\n",
 		res.Structural, res.CI95, mc)
-	fmt.Printf("detection penalty: %.6f   effective: %.6f (%d nines, %v downtime/yr)\n",
+	fmt.Fprintf(w, "detection penalty: %.6f   effective: %.6f (%d nines, %v downtime/yr)\n",
 		res.DetectionPenalty, res.Effective,
 		availability.Nines(res.Effective),
 		availability.DowntimePerYear(1-res.Effective).Round(time.Minute))
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "drsavail: %v\n", err)
-	os.Exit(1)
+	return nil
 }

@@ -59,7 +59,7 @@ func iidMixture(n int, q float64, count func(n, f int) *big.Int) (float64, error
 	if n < 2 {
 		return 0, fmt.Errorf("availability: need n >= 2, have %d", n)
 	}
-	if q < 0 || q > 1 {
+	if math.IsNaN(q) || q < 0 || q > 1 {
 		return 0, fmt.Errorf("availability: q=%v outside [0,1]", q)
 	}
 	m := 2*n + 2
@@ -98,7 +98,7 @@ func EstimateIID(n int, q float64, allPairs bool, iterations int64, seed uint64)
 	if n < 2 {
 		return 0, 0, fmt.Errorf("availability: need n >= 2, have %d", n)
 	}
-	if q < 0 || q > 1 {
+	if math.IsNaN(q) || q < 0 || q > 1 {
 		return 0, 0, fmt.Errorf("availability: q=%v outside [0,1]", q)
 	}
 	if iterations <= 0 {
@@ -114,12 +114,7 @@ func EstimateIID(n int, q float64, allPairs bool, iterations int64, seed uint64)
 	failed := make([]topology.Component, 0, m)
 	var successes int64
 	for i := int64(0); i < iterations; i++ {
-		failed = failed[:0]
-		for comp := 0; comp < m; comp++ {
-			if r.Float64() < q {
-				failed = append(failed, topology.Component(comp))
-			}
-		}
+		failed = rng.AppendBernoulli(r, failed[:0], m, q)
 		ok := false
 		if allPairs {
 			ok = eval.AllConnected(failed)

@@ -42,6 +42,9 @@ func TestIIDEdgeCases(t *testing.T) {
 	if _, err := PSuccessIID(10, 1.1); err == nil {
 		t.Fatal("q>1 accepted")
 	}
+	if _, err := PSuccessIID(10, math.NaN()); err == nil {
+		t.Fatal("q NaN accepted")
+	}
 }
 
 // refIID computes the IID success probability by enumerating every
@@ -168,6 +171,29 @@ func TestEstimateIIDValidation(t *testing.T) {
 	}
 	if _, _, err := EstimateIID(4, 0.1, false, 0, 1); err == nil {
 		t.Error("zero iterations accepted")
+	}
+	if _, _, err := EstimateIID(4, math.NaN(), false, 100, 1); err == nil {
+		t.Error("q NaN accepted")
+	}
+}
+
+// TestEstimateIIDPinned pins exact estimates: the failure draws must
+// consume the seeded stream exactly as a per-component Float64 loop.
+func TestEstimateIIDPinned(t *testing.T) {
+	for _, c := range []struct {
+		allPairs bool
+		p, ci95  float64
+	}{
+		{false, 0.93855, 0.00332836329624637},
+		{true, 0.8219, 0.0053025225422623145},
+	} {
+		p, ci95, err := EstimateIID(8, 0.1, c.allPairs, 20000, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != c.p || ci95 != c.ci95 {
+			t.Errorf("allPairs=%v: (%v, %v), pinned (%v, %v)", c.allPairs, p, ci95, c.p, c.ci95)
+		}
 	}
 }
 

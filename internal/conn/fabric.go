@@ -21,6 +21,10 @@ import (
 type FabricEvaluator struct {
 	f     *topology.Fabric
 	verts int // hosts then switches
+	hosts int32
+	// swComp maps a switch vertex to its component: switch ids are
+	// contiguous, so vertex v ≥ hosts is component v + swComp.
+	swComp int32
 
 	// CSR adjacency: for vertex v, edges are adj/edgeComp in
 	// [off[v], off[v+1]) — the neighbouring vertex and the component id
@@ -35,7 +39,9 @@ type FabricScratch struct {
 	failed  []bool  // indexed by component id; set and cleared per query
 	visited []int32 // epoch marks per vertex
 	epoch   int32
-	queue   []int32
+	// BFS queues, each preallocated to hold every vertex; the pair
+	// search runs one per side.
+	queue, queueB []int32
 }
 
 // NewFabricEvaluator builds an evaluator for the fabric.
@@ -68,6 +74,8 @@ func NewFabricEvaluator(f *topology.Fabric) (*FabricEvaluator, error) {
 	e := &FabricEvaluator{
 		f:        f,
 		verts:    verts,
+		hosts:    int32(hosts),
+		swComp:   int32(f.Switch(0)) - int32(hosts),
 		off:      deg,
 		adj:      make([]int32, 2*edges),
 		edgeComp: make([]int32, 2*edges),
@@ -104,6 +112,7 @@ func (e *FabricEvaluator) NewScratch() *FabricScratch {
 		failed:  make([]bool, e.f.Components()),
 		visited: make([]int32, e.verts),
 		queue:   make([]int32, 0, e.verts),
+		queueB:  make([]int32, 0, e.verts),
 	}
 }
 
@@ -121,48 +130,89 @@ func (sc *FabricScratch) unmark(failed []topology.Component) {
 	}
 }
 
-// blockedSwitch reports whether vertex v (≥ hosts) is a failed switch.
-func (e *FabricEvaluator) blockedSwitch(sc *FabricScratch, v int32) bool {
-	hosts := e.f.Hosts()
-	if int(v) < hosts {
-		return false
-	}
-	return sc.failed[e.f.Switch(int(v)-hosts)]
-}
-
-// bfs runs a breadth-first search from host a over usable edges. If
-// target ≥ 0 it stops early on reaching it and reports success; with
-// target < 0 it visits the whole component and returns false. Visited
-// marks for the query's epoch are left in sc.visited.
-func (e *FabricEvaluator) bfs(sc *FabricScratch, a, target int) bool {
-	if sc.epoch == 1<<31-1 {
-		// Epoch wrap: reset marks so stale epochs can't alias.
-		for i := range sc.visited {
-			sc.visited[i] = 0
-		}
+// newMarks reserves k ≤ 2 fresh visit marks and returns the first. On
+// epoch wrap it clears every mark so stale epochs can't alias.
+func (sc *FabricScratch) newMarks(k int32) int32 {
+	if sc.epoch >= 1<<31-2 {
+		clear(sc.visited)
 		sc.epoch = 0
 	}
-	sc.epoch++
-	sc.visited[a] = sc.epoch
-	sc.queue = append(sc.queue[:0], int32(a))
-	for head := 0; head < len(sc.queue); head++ {
-		u := sc.queue[head]
-		for i := e.off[u]; i < e.off[u+1]; i++ {
-			if sc.failed[e.edgeComp[i]] {
+	first := sc.epoch + 1
+	sc.epoch += k
+	return first
+}
+
+// bfs runs a breadth-first search from host a over usable edges and
+// visits its whole component, leaving the query's marks (sc.epoch) in
+// sc.visited.
+func (e *FabricEvaluator) bfs(sc *FabricScratch, a int) {
+	mark := sc.newMarks(1)
+	off, adj, comp := e.off, e.adj, e.edgeComp
+	visited, failed := sc.visited, sc.failed
+	visited[a] = mark
+	// The queue holds every vertex, so the appends never reallocate.
+	queue := append(sc.queue[:0], int32(a))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for i := off[u]; i < off[u+1]; i++ {
+			if failed[comp[i]] {
 				continue
 			}
-			v := e.adj[i]
-			if sc.visited[v] == sc.epoch || e.blockedSwitch(sc, v) {
+			v := adj[i]
+			if visited[v] == mark || v >= e.hosts && failed[v+e.swComp] {
 				continue
 			}
-			if int(v) == target {
-				return true
-			}
-			sc.visited[v] = sc.epoch
-			sc.queue = append(sc.queue, v)
+			visited[v] = mark
+			queue = append(queue, v)
 		}
 	}
-	return false
+}
+
+// meet reports whether hosts a ≠ b can communicate, by a two-ended
+// level-synchronous search: each side has its own mark and queue, each
+// step expands the whole current level of the side whose level is
+// smaller, and the search succeeds when an edge reaches a vertex
+// carrying the other side's mark. It fails when a side's next level
+// comes up empty. Every usable edge is usable both ways, so the answer
+// is bfs's, at the cost of two small balls instead of one large one.
+func (e *FabricEvaluator) meet(sc *FabricScratch, a, b int) bool {
+	mine := sc.newMarks(2)
+	other := mine + 1
+	off, adj, comp := e.off, e.adj, e.edgeComp
+	visited, failed := sc.visited, sc.failed
+	visited[a], visited[b] = mine, other
+	// Both queues hold every vertex, so the appends never reallocate.
+	q, qo := append(sc.queue[:0], int32(a)), append(sc.queueB[:0], int32(b))
+	lo, loO := 0, 0 // the sides' current levels are q[lo:] and qo[loO:]
+	for {
+		if len(q)-lo > len(qo)-loO {
+			q, qo, lo, loO, mine, other = qo, q, loO, lo, other, mine
+		}
+		end := len(q)
+		for _, u := range q[lo:end] {
+			for i := off[u]; i < off[u+1]; i++ {
+				if failed[comp[i]] {
+					continue
+				}
+				v := adj[i]
+				switch visited[v] {
+				case mine:
+					continue
+				case other:
+					return true
+				}
+				if v >= e.hosts && failed[v+e.swComp] {
+					continue
+				}
+				visited[v] = mine
+				q = append(q, v)
+			}
+		}
+		if len(q) == end {
+			return false
+		}
+		lo = end
+	}
 }
 
 // PairConnected reports whether hosts a and b can communicate under
@@ -178,7 +228,7 @@ func (e *FabricEvaluator) PairConnected(sc *FabricScratch, failed []topology.Com
 		sc = e.NewScratch()
 	}
 	sc.mark(failed)
-	ok := e.bfs(sc, a, b)
+	ok := e.meet(sc, a, b)
 	sc.unmark(failed)
 	return ok
 }
@@ -190,7 +240,7 @@ func (e *FabricEvaluator) AllConnected(sc *FabricScratch, failed []topology.Comp
 		sc = e.NewScratch()
 	}
 	sc.mark(failed)
-	e.bfs(sc, 0, -1)
+	e.bfs(sc, 0)
 	ok := true
 	for h := 0; h < e.f.Hosts(); h++ {
 		if sc.visited[h] != sc.epoch {
@@ -210,7 +260,7 @@ func (e *FabricEvaluator) HostsReachable(sc *FabricScratch, failed []topology.Co
 		sc = e.NewScratch()
 	}
 	sc.mark(failed)
-	e.bfs(sc, a, -1)
+	e.bfs(sc, a)
 	out := make([]bool, e.f.Hosts())
 	for h := range out {
 		out[h] = sc.visited[h] == sc.epoch

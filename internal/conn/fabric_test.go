@@ -150,3 +150,146 @@ func TestFabricQueriesZeroAlloc(t *testing.T) {
 		t.Fatalf("PairConnected allocates %v per run, want 0", allocs)
 	}
 }
+
+// searchFabrics are the shapes the pair-search checks run on: a
+// switch-centric fat-tree at two sizes, the server-centric BCube whose
+// paths relay through hosts, and the paper's dual-rail cluster.
+func searchFabrics(tb testing.TB) []*topology.Fabric {
+	tb.Helper()
+	var out []*topology.Fabric
+	for _, build := range []func() (*topology.Fabric, error){
+		func() (*topology.Fabric, error) { return topology.FatTree(4) },
+		func() (*topology.Fabric, error) { return topology.FatTree(6) },
+		func() (*topology.Fabric, error) { return topology.BCube(4, 1) },
+		func() (*topology.Fabric, error) { return topology.FromCluster(topology.Dual(5)) },
+	} {
+		f, err := build()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// TestPairSearchMatchesBFS: the two-ended pair search answers exactly
+// what a single-source search does, for every ordered pair, over
+// seeded independent failure sets from sparse to half the fabric down.
+func TestPairSearchMatchesBFS(t *testing.T) {
+	sets := 100
+	if testing.Short() {
+		sets = 25
+	}
+	for _, f := range searchFabrics(t) {
+		fe, err := NewFabricEvaluator(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := fe.NewScratch()
+		r := rng.New(2)
+		var failed []topology.Component
+		for _, q := range []float64{0.02, 0.1, 0.25, 0.5} {
+			for set := 0; set < sets; set++ {
+				failed = rng.AppendBernoulli(r, failed[:0], f.Components(), q)
+				for a := 0; a < f.Hosts(); a++ {
+					reach := fe.HostsReachable(sc, failed, a)
+					for b, want := range reach {
+						if got := fe.PairConnected(sc, failed, a, b); got != want {
+							t.Fatalf("%s, %d hosts, failed %v: PairConnected(%d,%d) = %v, HostsReachable says %v",
+								f.Kind, f.Hosts(), failed, a, b, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFabricEpochWrap: queries straddling the visit-mark wrap still
+// answer as a fresh scratch does.
+func TestFabricEpochWrap(t *testing.T) {
+	f, err := topology.BCube(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := NewFabricEvaluator(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(5)
+	var failed []topology.Component
+	for _, start := range []int32{1<<31 - 4, 1<<31 - 3, 1<<31 - 2} {
+		sc := fe.NewScratch()
+		// Leave marks of a whole-fabric search at every vertex, then
+		// jump to the last epochs before the wrap.
+		fe.AllConnected(sc, nil)
+		sc.epoch = start
+		for i := 0; i < 8; i++ {
+			failed = rng.AppendBernoulli(r, failed[:0], f.Components(), 0.25)
+			a, b := r.Intn(f.Hosts()), r.Intn(f.Hosts())
+			fresh := fe.NewScratch()
+			if got, want := fe.PairConnected(sc, failed, a, b), fe.PairConnected(fresh, failed, a, b); got != want {
+				t.Fatalf("start %d, query %d: PairConnected(%d,%d) = %v, fresh scratch says %v", start, i, a, b, got, want)
+			}
+			if got, want := fe.AllConnected(sc, failed), fe.AllConnected(fresh, failed); got != want {
+				t.Fatalf("start %d, query %d: AllConnected = %v, fresh scratch says %v", start, i, got, want)
+			}
+			if sc.epoch <= 0 {
+				t.Fatalf("start %d, query %d: epoch overflowed to %d", start, i, sc.epoch)
+			}
+		}
+		if sc.epoch >= start {
+			t.Fatalf("start %d: epoch %d never wrapped", start, sc.epoch)
+		}
+	}
+}
+
+// FuzzFabricPairConnected: the fuzz bytes pick a fabric, a pair and a
+// failure set (each further byte fails one component), and the
+// two-ended search must agree with the single-source search.
+func FuzzFabricPairConnected(f *testing.F) {
+	var evals []*FabricEvaluator
+	for _, build := range []func() (*topology.Fabric, error){
+		func() (*topology.Fabric, error) { return topology.FatTree(4) },
+		func() (*topology.Fabric, error) { return topology.BCube(4, 1) },
+	} {
+		fab, err := build()
+		if err != nil {
+			f.Fatal(err)
+		}
+		fe, err := NewFabricEvaluator(fab)
+		if err != nil {
+			f.Fatal(err)
+		}
+		evals = append(evals, fe)
+	}
+	f.Add([]byte{0, 0, 15})
+	f.Add([]byte{0, 0, 15, 16, 24})
+	f.Add([]byte{1, 0, 5, 16, 20})
+	f.Add([]byte{1, 3, 12, 0, 1, 2, 3, 17, 21, 30})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		fe := evals[int(data[0])%len(evals)]
+		hosts := int(fe.hosts)
+		a, b := int(data[1])%hosts, int(data[2])%hosts
+		if a == b {
+			b = (a + 1) % hosts
+		}
+		m := fe.f.Components()
+		var failed []topology.Component
+		for _, c := range data[3:] {
+			failed = append(failed, topology.Component(int(c)%m))
+		}
+		sc := fe.NewScratch()
+		sc.mark(failed)
+		got := fe.meet(sc, a, b)
+		fe.bfs(sc, a)
+		want := sc.visited[b] == sc.epoch
+		sc.unmark(failed)
+		if got != want {
+			t.Fatalf("%s, failed %v: meet(%d,%d) = %v, bfs says %v", fe.f.Kind, failed, a, b, got, want)
+		}
+	})
+}

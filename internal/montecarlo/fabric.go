@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -60,6 +61,8 @@ func (c *FabricConfig) normalize() error {
 	}
 	m := c.Fabric.Components()
 	switch {
+	case math.IsNaN(c.Q):
+		return fmt.Errorf("montecarlo: q is NaN")
 	case c.Failures > 0 && c.Q > 0:
 		return fmt.Errorf("montecarlo: set Failures or Q, not both")
 	case c.Failures == 0 && c.Q == 0:
@@ -143,11 +146,7 @@ func EstimateFabric(cfg FabricConfig) (Result, error) {
 							failed = append(failed, topology.Component(v))
 						}
 					} else {
-						for cmp := 0; cmp < m; cmp++ {
-							if sub.Float64() < cfg.Q {
-								failed = append(failed, topology.Component(cmp))
-							}
-						}
+						failed = rng.AppendBernoulli(sub, failed, m, cfg.Q)
 					}
 					ok := false
 					if cfg.AllPairs {

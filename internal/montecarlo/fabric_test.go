@@ -159,6 +159,41 @@ func TestEstimateFabricBCubeRelayCounts(t *testing.T) {
 	}
 }
 
+// TestEstimateFabricPinned pins exact results of all three scoring
+// modes: any change to how failures are drawn or how connectivity is
+// searched that is not exact shows up here, at every worker count.
+func TestEstimateFabricPinned(t *testing.T) {
+	ft8, ft4 := mustFatTree(t, 8), mustFatTree(t, 4)
+	bc, err := topology.BCube(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  FabricConfig
+		want Result
+	}{
+		{"q model", FabricConfig{Fabric: ft8, Q: 0.01, Iterations: 8192, Seed: 1, PairB: ft8.Hosts() - 1},
+			Result{Successes: 7883, Iterations: 8192, P: 0.9622802734375, CI95: 0.0041256858815693995}},
+		{"fixed f", FabricConfig{Fabric: ft4, Failures: 3, Iterations: 20000, Seed: 5, PairB: 15},
+			Result{Successes: 16427, Iterations: 20000, P: 0.82135, CI95: 0.005308926521830943}},
+		{"all pairs", FabricConfig{Fabric: bc, Failures: 2, Iterations: 20000, Seed: 9, AllPairs: true},
+			Result{Successes: 18356, Iterations: 20000, P: 0.9178, CI95: 0.0038067206586246917}},
+	} {
+		for _, w := range []int{1, 3} {
+			cfg := c.cfg
+			cfg.Workers = w
+			got, err := EstimateFabric(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Errorf("%s, workers=%d: %+v, pinned %+v", c.name, w, got, c.want)
+			}
+		}
+	}
+}
+
 func TestEstimateFabricConfigErrors(t *testing.T) {
 	fab := mustFatTree(t, 4)
 	good := func() FabricConfig {
@@ -170,6 +205,8 @@ func TestEstimateFabricConfigErrors(t *testing.T) {
 		"neither model": func(c *FabricConfig) { c.Failures = 0 },
 		"failures oob":  func(c *FabricConfig) { c.Failures = fab.Components() + 1 },
 		"q oob":         func(c *FabricConfig) { c.Failures = 0; c.Q = 1 },
+		"q NaN":         func(c *FabricConfig) { c.Failures = 0; c.Q = math.NaN() },
+		"f and q NaN":   func(c *FabricConfig) { c.Q = math.NaN() },
 		"iterations":    func(c *FabricConfig) { c.Iterations = 0 },
 		"workers":       func(c *FabricConfig) { c.Workers = -1 },
 		"pair oob":      func(c *FabricConfig) { c.PairB = 99 },

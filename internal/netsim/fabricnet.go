@@ -59,6 +59,9 @@ type FabricNet struct {
 	freeHop *hopEvent
 	freeBuf *fabricBuf
 	hopFn   func(any)
+
+	// Switch → attached-NIC index for Reachable (see attachIndex).
+	attOff, attNIC []int32
 }
 
 // link is one direction of a fabric link: its busy clock and the
@@ -480,6 +483,7 @@ func (n *FabricNet) Reachable(src, dst int) bool {
 		return true
 	}
 	hosts, ports := n.nodes, n.ports
+	attOff, attNIC := n.attachIndex()
 	verts := hosts + n.fab.Switches()
 	visited := make([]bool, verts)
 	visited[src] = true
@@ -514,23 +518,45 @@ func (n *FabricNet) Reachable(src, dst int) bool {
 			visited[hosts+v] = true
 			queue = append(queue, hosts+v)
 		})
-		for h := 0; h < hosts; h++ {
-			if visited[h] {
+		for _, nic := range attNIC[attOff[sw]:attOff[sw+1]] {
+			h := int(nic) / ports
+			if visited[h] || !n.rxUp[nic] {
 				continue
 			}
-			for p := 0; p < ports; p++ {
-				if n.fab.HostSwitch(h, p) == sw && n.rxUp[h*ports+p] {
-					if h == dst {
-						return true
-					}
-					visited[h] = true
-					queue = append(queue, h)
-					break
-				}
+			if h == dst {
+				return true
 			}
+			visited[h] = true
+			queue = append(queue, h)
 		}
 	}
 	return false
+}
+
+// attachIndex returns the switch → attached-NIC index in CSR form:
+// switch s's NICs are nics[off[s]:off[s+1]], in ascending NIC order.
+// It is built on first use, so only runs that ask for Reachable pay
+// for it.
+func (n *FabricNet) attachIndex() (off, nics []int32) {
+	if n.attOff == nil {
+		S, total := n.fab.Switches(), n.nodes*n.ports
+		off = make([]int32, S+1)
+		for nic := 0; nic < total; nic++ {
+			off[n.fab.HostSwitch(nic/n.ports, nic%n.ports)+1]++
+		}
+		for s := 0; s < S; s++ {
+			off[s+1] += off[s]
+		}
+		nics = make([]int32, total)
+		fill := make([]int32, S)
+		for nic := 0; nic < total; nic++ {
+			s := n.fab.HostSwitch(nic/n.ports, nic%n.ports)
+			nics[off[s]+fill[s]] = int32(nic)
+			fill[s]++
+		}
+		n.attOff, n.attNIC = off, nics
+	}
+	return n.attOff, n.attNIC
 }
 
 // Stats returns a copy of the aggregate traffic counters. A fabric

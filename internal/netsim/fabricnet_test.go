@@ -388,3 +388,22 @@ func TestFabricNetNodeFailBlackholes(t *testing.T) {
 		t.Fatal("FailNode must not touch NIC state")
 	}
 }
+
+// BenchmarkFabricReachable times the ground-truth oracle the invariant
+// checker calls on every originated packet, corner to corner of a
+// healthy 432-host fat-tree.
+func BenchmarkFabricReachable(b *testing.B) {
+	f, err := topology.FatTree(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, err := NewFabricNet(simtime.NewScheduler(), f, DefaultParams(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if !n.Reachable(0, f.Hosts()-1) {
+			b.Fatal("healthy fat-tree pair unreachable")
+		}
+	}
+}

@@ -125,6 +125,44 @@ func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// AppendBernoulli makes n draws exactly as n calls of Float64 would,
+// appends T(i) to dst for every draw i below q, and returns the
+// extended slice; r is left in the state those calls would leave it.
+// q ≤ 0 selects nothing and q ≥ 1 selects every index. A NaN q also
+// selects nothing, as Float64() < NaN never holds, but a NaN
+// probability is a configuration error callers must reject.
+//
+// This is the hot path of the independent-failure Monte Carlo models:
+// the generator state stays in locals across the loop, and each draw
+// is compared as an integer. Float64() < q is x>>11 < ⌈q·2⁵³⌉ exactly,
+// because scaling by a power of two is exact.
+func AppendBernoulli[T ~int](r *Source, dst []T, n int, q float64) []T {
+	var thresh uint64
+	switch {
+	case q >= 1:
+		thresh = 1 << 53
+	case q > 0:
+		thresh = uint64(math.Ceil(q * (1 << 53)))
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := 0; i < n; i++ {
+		// One Uint64 step, as in the method above.
+		x := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		if x>>11 < thresh {
+			dst = append(dst, T(i))
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return dst
+}
+
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)

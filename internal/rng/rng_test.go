@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -236,6 +237,46 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Fatalf("NormFloat64 variance = %v, want ~1", variance)
+	}
+}
+
+// TestAppendBernoulliMatchesFloat64: the kernel selects exactly the
+// indices a Float64 loop selects and leaves the stream where that loop
+// leaves it, at the boundary probabilities and at q equal to a drawn
+// value and its float neighbours.
+func TestAppendBernoulliMatchesFloat64(t *testing.T) {
+	first := New(77).Float64()
+	qs := []float64{
+		0, 1e-300, 0.01, 0.5, math.Nextafter(1, 0), 1,
+		-1, 2, math.Inf(1), math.NaN(),
+		first, math.Nextafter(first, 0), math.Nextafter(first, 1),
+	}
+	for _, n := range []int{0, 1, 7, 36612} {
+		for _, q := range qs {
+			ref, got := New(77), New(77)
+			var want []int
+			for i := 0; i < n; i++ {
+				if ref.Float64() < q {
+					want = append(want, i)
+				}
+			}
+			sel := AppendBernoulli(got, []int{-1}, n, q)
+			if sel[0] != -1 || !slices.Equal(sel[1:], want) {
+				t.Fatalf("n=%d q=%v: selected %d indices, Float64 loop %d", n, q, len(sel)-1, len(want))
+			}
+			if a, b := got.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("n=%d q=%v: next Uint64 %d, Float64 loop leaves %d", n, q, a, b)
+			}
+		}
+	}
+}
+
+func BenchmarkAppendBernoulli(b *testing.B) {
+	r := New(1)
+	dst := make([]int, 0, 1024)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dst = AppendBernoulli(r, dst[:0], 36612, 0.01)
 	}
 }
 
