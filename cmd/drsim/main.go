@@ -75,6 +75,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.MissThreshold = *miss
 		cfg.Seed = *seed
 		cfg.Workers = *workers
+		timed := false
+		fs.Visit(func(f *flag.Flag) {
+			timed = timed || f.Name == "failat" || f.Name == "duration" || f.Name == "traffic"
+		})
+		if timed {
+			return fail(fmt.Errorf("-failat/-duration/-traffic do not apply to -coverage"))
+		}
 		res, err := experiments.FaultCoverage(cfg)
 		if err != nil {
 			return fail(err)

@@ -57,24 +57,56 @@ func TestSingleProtocolRowsMatchComparison(t *testing.T) {
 	}
 }
 
-// TestCoverageWorkersIdentical: the campaign output is byte-identical
-// for every worker count.
+// TestCoverageWorkersIdentical pins the campaign tables byte for byte:
+// the serial -nodes 5 table, which every worker count must reproduce,
+// and the serial -nodes 8 -probe 500ms table. Each scenario stops at its
+// verdict, and the tables are the ones a run of every scenario to its
+// deadline prints.
 func TestCoverageWorkersIdentical(t *testing.T) {
-	render := func(workers string) string {
+	const n5 = `# Fault coverage: 5 nodes, all scenarios up to 2 faults (78 total)
+class                    scenarios survivable  recovered  mean-outage   max-outage inconsis
+backplane                        2          2          2           1s           2s        0
+backplane+backplane              1          0          0           0s           0s        0
+backplane+nic                   20         16         16           1s           2s        0
+nic                             10         10         10        400ms           2s        0
+nic+nic                         45         43         43        698ms           2s        0
+TOTAL                           78         71         71        733ms           2s        0
+`
+	const n8 = `# Fault coverage: 8 nodes, all scenarios up to 2 faults (171 total)
+class                    scenarios survivable  recovered  mean-outage   max-outage inconsis
+backplane                        2          2          2        500ms           1s        0
+backplane+backplane              1          0          0           0s           0s        0
+backplane+nic                   32         28         28        500ms           1s        0
+nic                             16         16         16        125ms           1s        0
+nic+nic                        120        118        118        229ms       1.001s        0
+TOTAL                          171        164        164        269ms       1.001s        0
+`
+	render := func(args ...string) string {
 		var out, errb bytes.Buffer
-		if code := run([]string{"-coverage", "-nodes", "5", "-workers", workers}, &out, &errb); code != 0 {
-			t.Fatalf("workers=%s: exit %d, stderr: %s", workers, code, errb.String())
+		if code := run(append([]string{"-coverage"}, args...), &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb.String())
 		}
 		return out.String()
 	}
-	ref := render("1")
-	if !strings.Contains(ref, "TOTAL") {
-		t.Fatalf("coverage output missing total row:\n%s", ref)
+	if got := render("-nodes", "8", "-probe", "500ms", "-workers", "1"); got != n8 {
+		t.Errorf("-nodes 8 -probe 500ms drifted:\n--- got ---\n%s--- want ---\n%s", got, n8)
 	}
-	for _, w := range []string{"2", "7", "0"} {
-		if got := render(w); got != ref {
-			t.Fatalf("workers=%s output differs:\n--- got ---\n%s--- want ---\n%s", w, got, ref)
+	for _, w := range []string{"1", "2", "7", "0"} {
+		if got := render("-nodes", "5", "-workers", w); got != n5 {
+			t.Fatalf("workers=%s output differs:\n--- got ---\n%s--- want ---\n%s", w, got, n5)
 		}
+	}
+}
+
+// TestCoverageRejectsTimingFlags: the campaign has its own timing, so
+// the recovery experiment's timing flags are refused, not ignored.
+func TestCoverageRejectsTimingFlags(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-coverage", "-nodes", "4", "-traffic", "50ms"}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "do not apply to -coverage") {
+		t.Fatalf("stderr %q does not say why -traffic was refused", errb.String())
 	}
 }
 

@@ -152,6 +152,7 @@ func New(tr transport.Transport, clock clock.Clock, cfg Config) (*Daemon, error)
 		members: membership.New(tr.Nodes()),
 		routes:  routetable.New(tr.Nodes()),
 		rounds:  linkmon.NewRounds(clock),
+		probes:  make([]probe, 0, tr.Nodes()*tr.Rails()),
 	}
 	d.probesSent = d.mset.Handle(routing.CtrProbesSent)
 	d.probeReplies = d.mset.Handle(routing.CtrProbeReplies)

@@ -23,7 +23,8 @@ type CoverageConfig struct {
 	// DRS tunables.
 	ProbeInterval time.Duration
 	MissThreshold int
-	// Timing: failure injected at FailAt; outcome judged at Deadline.
+	// Timing: failure injected at FailAt; a scenario with no 0→1
+	// delivery in [FailAt, Deadline] did not recover.
 	TrafficInterval time.Duration
 	FailAt          time.Duration
 	Deadline        time.Duration
@@ -176,14 +177,15 @@ type scenarioOutcome struct {
 	want      bool // analytic predicate: pair (0,1) survivable
 	recovered bool // the running DRS delivered after the failure
 	outage    time.Duration
+	// ranUntil is the simulated time the scenario stopped at: the end
+	// of the traffic slice holding its first post-failure delivery, or
+	// Deadline when it never recovered.
+	ranUntil time.Duration
 }
 
-// runScenario simulates one fault scenario in a private runtime
-// cluster and judges it against the analytic predicate. It mutates
-// nothing shared, so any number of scenarios can run concurrently.
-func runScenario(cfg CoverageConfig, cluster topology.Cluster, eval *conn.Evaluator, scenario []topology.Component) (scenarioOutcome, error) {
-	want := eval.PairConnected(scenario, 0, 1)
-
+// scenarioSpec is the cluster one fault scenario runs on: the 0→1
+// traffic flow, with every component of the scenario failing at FailAt.
+func scenarioSpec(cfg CoverageConfig, scenario []topology.Component) runtime.ClusterSpec {
 	spec := runtime.ClusterSpec{
 		Nodes:    cfg.Nodes,
 		Protocol: runtime.ProtoDRS,
@@ -203,19 +205,44 @@ func runScenario(cfg CoverageConfig, cluster topology.Cluster, eval *conn.Evalua
 	for _, comp := range scenario {
 		spec.Faults = append(spec.Faults, runtime.Fault{At: cfg.FailAt, Comp: comp})
 	}
-	run, err := runtime.Run(spec)
+	return spec
+}
+
+// runScenario simulates one fault scenario in a private runtime
+// cluster and judges it against the analytic predicate. It mutates
+// nothing shared, so any number of scenarios can run concurrently.
+//
+// The verdict is fixed by the first 0→1 delivery at or after FailAt:
+// deliveries are observed in event order, so nothing simulated later
+// can change it. The run therefore advances in traffic-interval slices
+// and stops at the end of the slice holding that delivery; a scenario
+// that never recovers runs to Deadline. Slicing RunUntil does not
+// reorder events, so the outcome is the one a full run would give.
+func runScenario(cfg CoverageConfig, cluster topology.Cluster, eval *conn.Evaluator, scenario []topology.Component) (scenarioOutcome, error) {
+	want := eval.PairConnected(scenario, 0, 1)
+
+	var firstAfter time.Duration = -1
+	spec := scenarioSpec(cfg, scenario)
+	spec.OnDeliver = func(at time.Duration, src, dst int, _ []byte) {
+		if firstAfter < 0 && src == 0 && dst == 1 && at >= cfg.FailAt {
+			firstAfter = at
+		}
+	}
+	c, err := runtime.Build(spec)
 	if err != nil {
 		return scenarioOutcome{}, err
 	}
-
-	var firstAfter time.Duration = -1
-	for _, at := range run.Flows[0].Deliveries {
-		if at >= cfg.FailAt {
-			firstAfter = at
-			break
-		}
+	if err := c.Start(); err != nil {
+		return scenarioOutcome{}, err
 	}
-	out := scenarioOutcome{want: want, recovered: firstAfter >= 0}
+	c.ScheduleFlows()
+	c.ScheduleFaults()
+	for firstAfter < 0 && c.Now() < cfg.Deadline {
+		c.RunUntil(min(c.Now()+cfg.TrafficInterval, cfg.Deadline))
+	}
+	c.StopRouters()
+
+	out := scenarioOutcome{want: want, recovered: firstAfter >= 0, ranUntil: c.Now()}
 	if out.recovered {
 		out.outage = firstAfter - cfg.FailAt
 	}

@@ -4,12 +4,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"drsnet/internal/conn"
+	"drsnet/internal/runtime"
+	"drsnet/internal/topology"
 )
 
 func TestFaultCoverageExhaustiveConsistency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive campaign in -short mode")
-	}
 	// A 6-node cluster: 14 components → 14 single + 91 double = 105
 	// scenarios, each simulated end to end.
 	cfg := DefaultCoverageConfig()
@@ -60,6 +61,62 @@ func TestFaultCoverageExhaustiveConsistency(t *testing.T) {
 	}
 	if strings.Contains(out, "first inconsistency") {
 		t.Fatalf("unexpected inconsistency note:\n%s", out)
+	}
+}
+
+// TestCoverageStopMatchesFullRun: a scenario stopped at its verdict has
+// exactly the outcome of the same spec run to Deadline, for every
+// scenario of a 6-node cluster up to two faults, with the failure on a
+// traffic send and between two sends. Recovered scenarios stop within
+// one traffic slice of their first post-failure delivery, and the
+// campaign's simulated time falls below half the full-run total.
+func TestCoverageStopMatchesFullRun(t *testing.T) {
+	onSend := DefaultCoverageConfig()
+	onSend.Nodes = 6
+	between := onSend
+	between.FailAt += 57 * time.Millisecond
+	for _, cfg := range []CoverageConfig{onSend, between} {
+		cluster := topology.Dual(cfg.Nodes)
+		eval, err := conn.NewEvaluator(cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenarios := enumerateScenarios(cluster.Components(), cfg.MaxFaults)
+		var simulated time.Duration
+		for _, scenario := range scenarios {
+			got, err := runScenario(cfg, cluster, eval, scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := runtime.Run(scenarioSpec(cfg, scenario))
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstAfter := time.Duration(-1)
+			for _, at := range run.Flows[0].Deliveries {
+				if at >= cfg.FailAt {
+					firstAfter = at
+					break
+				}
+			}
+			if got.recovered != (firstAfter >= 0) || (got.recovered && got.outage != firstAfter-cfg.FailAt) {
+				t.Fatalf("FailAt %v, scenario %v: stopped run %+v, full run first delivery after failure %v",
+					cfg.FailAt, scenario, got, firstAfter)
+			}
+			if got.recovered {
+				if got.ranUntil < firstAfter || got.ranUntil > firstAfter+cfg.TrafficInterval {
+					t.Fatalf("FailAt %v, scenario %v: stopped at %v, want within one slice of %v",
+						cfg.FailAt, scenario, got.ranUntil, firstAfter)
+				}
+			} else if got.ranUntil != cfg.Deadline {
+				t.Fatalf("FailAt %v, scenario %v: unrecovered run stopped at %v, want %v",
+					cfg.FailAt, scenario, got.ranUntil, cfg.Deadline)
+			}
+			simulated += got.ranUntil
+		}
+		if full := time.Duration(len(scenarios)) * cfg.Deadline; 2*simulated >= full {
+			t.Fatalf("FailAt %v: simulated %v, not below half of the full-run %v", cfg.FailAt, simulated, full)
+		}
 	}
 }
 

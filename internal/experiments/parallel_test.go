@@ -136,9 +136,6 @@ func coverageCampaign(t *testing.T, workers int) string {
 // rows, outage statistics and first-inconsistency line — must be
 // byte-identical between serial and 8-way parallel runs.
 func TestCoverageWorkersByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("packet-level campaign is slow in -short mode")
-	}
 	ref := coverageCampaign(t, 1)
 	got := coverageCampaign(t, 8)
 	if got != ref {

@@ -119,6 +119,46 @@ func TestTableProbeLifecycle(t *testing.T) {
 	}
 }
 
+// TestTableRemoveAddResets: the rows share one slab, so a re-added
+// peer must get fresh rails without disturbing its neighbours' states.
+func TestTableRemoveAddResets(t *testing.T) {
+	tbl := NewTable(4, 2)
+	for peer := 0; peer < 4; peer++ {
+		tbl.Add(peer)
+		for rail := 0; rail < 2; rail++ {
+			seq, _ := tbl.BeginProbe(peer, rail, 2)
+			st, _ := tbl.Confirm(peer, rail, seq)
+			st.ObserveRTT(time.Duration(peer*10+rail+1) * time.Millisecond)
+			st.Misses = peer + 1
+			st.Up = rail == 0
+		}
+	}
+	want := map[int][]State{}
+	for _, peer := range []int{0, 2, 3} {
+		want[peer] = []State{*tbl.State(peer, 0), *tbl.State(peer, 1)}
+	}
+
+	tbl.Remove(1)
+	if !tbl.Add(1) {
+		t.Fatal("re-Add after Remove refused")
+	}
+	for rail := 0; rail < 2; rail++ {
+		if got := *tbl.State(1, rail); got != (State{Up: true}) {
+			t.Errorf("re-added peer 1 rail %d = %+v, want fresh", rail, got)
+		}
+	}
+	if cap(tbl.links[1]) != 2 {
+		t.Errorf("row capacity %d reaches into the neighbour's rails", cap(tbl.links[1]))
+	}
+	for peer, states := range want {
+		for rail, w := range states {
+			if got := *tbl.State(peer, rail); got != w {
+				t.Errorf("peer %d rail %d = %+v after peer 1 was re-added, want %+v", peer, rail, got, w)
+			}
+		}
+	}
+}
+
 func TestTableSeqSharedAndWraps(t *testing.T) {
 	tbl := NewTable(3, 2)
 	tbl.Add(1)

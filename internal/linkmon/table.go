@@ -82,7 +82,10 @@ func (st *State) SRTT() (time.Duration, int64) { return st.srtt, st.samples }
 type Table struct {
 	rails int
 	links [][]State // nil row = unmonitored peer
-	seq   uint16
+	// slab backs every row: peer p's rails live at [p·rails, (p+1)·rails),
+	// so a table costs one allocation however many peers it monitors.
+	slab []State
+	seq  uint16
 	// retransmitBudget, when non-nil, rate-limits RTO-driven probe
 	// retransmits (see budget.go). Nil means unbudgeted.
 	retransmitBudget *overload.Bucket
@@ -91,7 +94,7 @@ type Table struct {
 // NewTable returns a table for a cluster of nodes×rails with no peer
 // monitored yet.
 func NewTable(nodes, rails int) *Table {
-	return &Table{rails: rails, links: make([][]State, nodes)}
+	return &Table{rails: rails, links: make([][]State, nodes), slab: make([]State, nodes*rails)}
 }
 
 // Nodes returns the cluster size the table was created for.
@@ -106,10 +109,12 @@ func (t *Table) Add(peer int) bool {
 	if t.links[peer] != nil {
 		return false
 	}
-	t.links[peer] = make([]State, t.rails)
-	for r := range t.links[peer] {
-		t.links[peer][r] = State{Up: true}
+	lo, hi := peer*t.rails, (peer+1)*t.rails
+	row := t.slab[lo:hi:hi]
+	for r := range row {
+		row[r] = State{Up: true}
 	}
+	t.links[peer] = row
 	return true
 }
 

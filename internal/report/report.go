@@ -246,10 +246,23 @@ func sectionCoverage(w io.Writer, cfg Config) error {
 	}); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nEvery scenario's simulated outcome matched the analytic predicate\n")
-	fmt.Fprintf(w, "(%d scenarios, %d inconsistencies).\n\n",
-		res.Total.Scenarios, res.Total.Inconsistent)
+	coverageVerdict(w, res)
 	return nil
+}
+
+// coverageVerdict writes the sentence under the coverage table. It
+// claims a clean match only when no scenario disagreed with the
+// analytic predicate; otherwise it gives the count, and the table above
+// already names the first disagreeing scenario.
+func coverageVerdict(w io.Writer, res *experiments.CoverageResult) {
+	if res.Total.Inconsistent == 0 {
+		fmt.Fprintf(w, "\nEvery scenario's simulated outcome matched the analytic predicate\n")
+		fmt.Fprintf(w, "(%d scenarios, 0 inconsistencies).\n\n", res.Total.Scenarios)
+		return
+	}
+	fmt.Fprintf(w, "\n%d of %d scenarios' simulated outcomes disagreed with the analytic predicate\n",
+		res.Total.Inconsistent, res.Total.Scenarios)
+	fmt.Fprintf(w, "(first shown above).\n\n")
 }
 
 func sectionOverhead(w io.Writer, cfg Config) error {

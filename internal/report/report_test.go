@@ -3,6 +3,8 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"drsnet/internal/experiments"
 )
 
 func TestGenerateQuick(t *testing.T) {
@@ -52,6 +54,26 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if gen() != gen() {
 		t.Fatal("report not deterministic for a fixed seed")
+	}
+}
+
+// TestCoverageVerdict: the clean-match sentence appears only when no
+// scenario disagreed; otherwise the count is reported instead.
+func TestCoverageVerdict(t *testing.T) {
+	const clean = "\nEvery scenario's simulated outcome matched the analytic predicate\n" +
+		"(78 scenarios, 0 inconsistencies).\n\n"
+	var sb strings.Builder
+	coverageVerdict(&sb, &experiments.CoverageResult{Total: experiments.ClassStats{Scenarios: 78}})
+	if sb.String() != clean {
+		t.Fatalf("clean verdict = %q, want %q", sb.String(), clean)
+	}
+
+	const dirty = "\n2 of 78 scenarios' simulated outcomes disagreed with the analytic predicate\n" +
+		"(first shown above).\n\n"
+	sb.Reset()
+	coverageVerdict(&sb, &experiments.CoverageResult{Total: experiments.ClassStats{Scenarios: 78, Inconsistent: 2}})
+	if sb.String() != dirty {
+		t.Fatalf("inconsistent verdict = %q, want %q", sb.String(), dirty)
 	}
 }
 
