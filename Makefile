@@ -63,13 +63,15 @@ cover:
 fuzz:
 	$(GO) test ./internal/scenario/ -run FuzzLoad -fuzz FuzzLoad -fuzztime 30s
 
-# Ten-second fuzz passes (CI gate) over the wire-format frame parser —
-# the surface the chaos layer's frame corruption exercises — over the
-# event scheduler's (at, seq) execution order with per-link lanes, and
-# over the fabric evaluator's two-ended pair search against its
+# Ten-second fuzz passes (CI gate) over the wire-format frame parser
+# and the ICMP echo decoder every probe passes through — the surfaces
+# the chaos layer's frame corruption exercises — over the event
+# scheduler's (at, seq) execution order with per-link lanes, and over
+# the fabric evaluator's two-ended pair search against its
 # single-source search.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=10s ./internal/routing/wire
+	$(GO) test -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/icmp
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOrder -fuzztime=10s ./internal/simtime
 	$(GO) test -run='^$$' -fuzz=FuzzFabricPairConnected -fuzztime=10s ./internal/conn
 

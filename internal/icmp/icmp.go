@@ -80,9 +80,13 @@ func Unmarshal(b []byte) (Echo, error) {
 	if b[1] != 0 {
 		return Echo{}, ErrBadCode
 	}
-	if Checksum(b) != 0 {
-		// Checksumming a message that includes a valid checksum field
-		// yields zero (ones'-complement arithmetic).
+	// Compare with the checksum AppendTo writes over the other words.
+	// Summing the whole message to zero instead would also accept
+	// 0xffff where the encoder writes 0x0000 (ones'-complement
+	// arithmetic has two zeros), a form that does not re-encode to the
+	// same bytes.
+	rest := uint32(^Checksum(b[:2])) + uint32(^Checksum(b[4:]))
+	if binary.BigEndian.Uint16(b[2:4]) != ^uint16(rest&0xffff+rest>>16) {
 		return Echo{}, ErrBadChecksum
 	}
 	return Echo{

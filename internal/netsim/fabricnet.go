@@ -54,11 +54,13 @@ type FabricNet struct {
 	// every component state change bumps.
 	routes []*fabricRoute
 
-	// Pooled in-flight events and payload buffers, and the pre-bound
-	// hop callback.
+	// Pooled in-flight frame records and the hop callback each one's
+	// timer is bound to.
 	freeHop *hopEvent
-	freeBuf *fabricBuf
 	hopFn   func(any)
+
+	// bfs is routeFor's queue, one slot per switch.
+	bfs []int32
 
 	// Switch → attached-NIC index for Reachable (see attachIndex).
 	attOff, attNIC []int32
@@ -84,28 +86,18 @@ type fabricRoute struct {
 	dist []int32
 }
 
-// fabricBuf is the network's copy of one sent payload. Every hop event
-// in flight holds a reference — one for a unicast frame, one per
-// sibling still in flight for a broadcast — and the buffer returns
-// to the freelist when the last holder lets go, which for a delivery
-// is after the receiver's handler has returned.
-type fabricBuf struct {
-	b    []byte
-	refs int
-	next *fabricBuf
-}
-
-// hopEvent carries one in-flight frame from its first hop to its
-// delivery or drop; each hop reschedules the same record.
+// hopEvent is one in-flight frame, from its first hop to its delivery
+// or drop: each hop reschedules the same record, and its timer, on the
+// next link's lane.
 type hopEvent struct {
-	buf      *fabricBuf // the payload, one reference held by this event
-	next     *hopEvent  // freelist link
-	src, dst int32      // dst is the final host
-	size     int32      // payload length, so forwarding never reads buf
-	sw       int32      // switch the frame is arriving at (stage 0)
-	nic      int32      // NIC link being crossed (stages 1 and 2)
-	stage    int8       // 0 = at switch, 1 = at host, 2 = post-impairment-delay
-	corrupt  bool       // a crossing drew a corruption; mangle at delivery
+	tm       simtime.Timer // bound to hop(ev) when the record is made
+	b        []byte        // the frame's own payload copy; capacity kept across recycling
+	next     *hopEvent     // freelist link
+	src, dst int32         // dst is the final host
+	sw       int32         // switch the frame is arriving at (stage 0)
+	nic      int32         // NIC link being crossed (stages 1 and 2)
+	stage    int8          // 0 = at switch, 1 = at host, 2 = post-impairment-delay
+	corrupt  bool          // a crossing drew a corruption; mangle at delivery
 }
 
 // NewFabricNet builds a healthy fabric network on the scheduler.
@@ -130,6 +122,7 @@ func NewFabricNet(sched *simtime.Scheduler, fab *topology.Fabric, params Params,
 		trkAB:   make([]link, fab.Trunks()),
 		trkBA:   make([]link, fab.Trunks()),
 		routes:  make([]*fabricRoute, fab.Hosts()),
+		bfs:     make([]int32, 0, fab.Switches()),
 	}
 	n.hopFn = n.hop
 	return n, nil
@@ -176,7 +169,9 @@ func (n *FabricNet) routeFor(dst int) *fabricRoute {
 	}
 	// Seed with dst's live attachment switches, lowest port first so
 	// a switch serving the host through two ports uses the lowest.
-	queue := make([]int32, 0, S)
+	// Every switch joins the queue at most once, so it never outgrows
+	// its scratch.
+	queue := n.bfs[:0]
 	for p := 0; p < n.ports; p++ {
 		nic := dst*n.ports + p
 		s := n.fab.HostSwitch(dst, p)
@@ -235,11 +230,11 @@ func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
 	}
 
 	txTime, bits := n.wireTime(len(payload))
-	// The sender may reuse its buffer: the fabric keeps its own copy,
-	// held by this call until every sibling is scheduled.
-	buf := n.allocBuf(payload)
 	if corrupt {
-		n.mangle(buf.b)
+		// One transmit-side draw mangles the frame once; every sibling
+		// copies the mangled bytes.
+		payload = append([]byte(nil), payload...)
+		n.mangle(payload)
 		n.stats.Corrupted++
 	}
 
@@ -249,62 +244,39 @@ func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
 	n.stats.BitsSent += bits
 	arrive := end.Add(n.params.Latency + extra)
 	if dst != Broadcast {
-		n.firstHop(arrive, up, buf, src, dst, entry)
+		n.firstHop(arrive, up, payload, src, dst, entry)
 	} else {
 		// Replicate toward every other host, ascending, sharing the
 		// single ingress serialization — an L2 flood.
 		for h := 0; h < n.nodes; h++ {
 			if h != src {
-				n.firstHop(arrive, up, buf, src, h, entry)
+				n.firstHop(arrive, up, payload, src, h, entry)
 			}
 		}
 	}
-	n.releaseBuf(buf)
 	return nil
 }
 
 // firstHop schedules a frame's arrival at its entry switch on the
-// sender's uplink lane; the new event takes its own reference on buf.
-func (n *FabricNet) firstHop(at simtime.Time, up *link, buf *fabricBuf, src, dst, entry int) {
+// sender's uplink lane, in a record holding its own copy of payload —
+// the sender may reuse its buffer once Send returns.
+func (n *FabricNet) firstHop(at simtime.Time, up *link, payload []byte, src, dst, entry int) {
 	ev := n.freeHop
 	if ev != nil {
 		n.freeHop = ev.next
 	} else {
 		ev = new(hopEvent)
+		ev.tm.Bind(n.hopFn, ev)
 	}
-	*ev = hopEvent{buf: buf, src: int32(src), dst: int32(dst), size: int32(len(buf.b)), sw: int32(entry)}
-	buf.refs++
-	n.sched.LaneCall(&up.lane, at, n.hopFn, ev)
-}
-
-// allocBuf returns a buffer holding a copy of payload, with one
-// reference owned by the caller.
-func (n *FabricNet) allocBuf(payload []byte) *fabricBuf {
-	buf := n.freeBuf
-	if buf != nil {
-		n.freeBuf = buf.next
-		buf.next = nil
-	} else {
-		buf = new(fabricBuf)
-	}
-	buf.b = append(buf.b[:0], payload...)
-	buf.refs = 1
-	return buf
-}
-
-// releaseBuf drops one reference; the last one recycles the buffer.
-func (n *FabricNet) releaseBuf(buf *fabricBuf) {
-	if buf.refs--; buf.refs == 0 {
-		buf.next = n.freeBuf
-		n.freeBuf = buf
-	}
+	ev.b = append(ev.b[:0], payload...)
+	ev.src, ev.dst, ev.sw, ev.stage, ev.corrupt = int32(src), int32(dst), int32(entry), 0, false
+	n.sched.LaneTimer(&up.lane, at, &ev.tm)
 }
 
 // hop is the scheduler callback for every fabric traversal event. A
-// stage that forwards the frame reschedules ev and keeps its hold on
-// the payload; otherwise the frame is delivered or dropped, and the
-// event and its hold end here — after the receiver's handler is done
-// reading.
+// stage that forwards the frame reschedules ev; otherwise the frame is
+// delivered or dropped, and the record returns to the freelist here —
+// after the receiver's handler is done reading its payload.
 func (n *FabricNet) hop(arg any) {
 	ev := arg.(*hopEvent)
 	var fwd bool
@@ -319,8 +291,7 @@ func (n *FabricNet) hop(arg any) {
 		}
 	}
 	if !fwd {
-		n.releaseBuf(ev.buf)
-		*ev = hopEvent{next: n.freeHop}
+		ev.next = n.freeHop
 		n.freeHop = ev
 	}
 }
@@ -370,11 +341,11 @@ func (n *FabricNet) switchArrive(ev *hopEvent) bool {
 		n.stats.DroppedImpaired++
 		return false
 	}
-	txTime, bits := n.wireTime(int(ev.size))
+	txTime, bits := n.wireTime(len(ev.b))
 	end := occupy(&out.busy, n.sched.Now(), txTime)
 	n.stats.BitsSent += bits
 	ev.corrupt = ev.corrupt || corrupt
-	n.sched.LaneCall(&out.lane, end.Add(n.params.Latency+extra), n.hopFn, ev)
+	n.sched.LaneTimer(&out.lane, end.Add(n.params.Latency+extra), &ev.tm)
 	return true
 }
 
@@ -398,7 +369,7 @@ func (n *FabricNet) hostArrive(ev *hopEvent) bool {
 		// deferred instant, like completeDelivery. It crosses no link,
 		// so it has no lane.
 		ev.stage = 2
-		n.sched.AtCall(n.sched.Now().Add(extra), n.hopFn, ev)
+		n.sched.LaneTimer(nil, n.sched.Now().Add(extra), &ev.tm)
 		return true
 	}
 	n.finishDelivery(ev)
@@ -431,17 +402,14 @@ func (n *FabricNet) finishDelivery(ev *hopEvent) {
 		return
 	}
 	n.stats.FramesDelivered++
-	// Receivers only read the payload; corruption forces a private
-	// copy because broadcast siblings still in flight share the buffer.
-	payload := ev.buf.b
+	// The record owns its payload, so corruption mangles it in place.
 	if ev.corrupt {
-		payload = append([]byte(nil), payload...)
-		n.mangle(payload)
+		n.mangle(ev.b)
 		n.stats.Corrupted++
 	}
 	// The delivery rail is the port the frame finally came in through.
 	rail := int(ev.nic) % n.ports
-	out := Frame{Src: int(ev.src), Dst: int(ev.dst), Rail: rail, Payload: payload}
+	out := Frame{Src: int(ev.src), Dst: int(ev.dst), Rail: rail, Payload: ev.b}
 	if n.tap != nil {
 		n.tap.FrameDelivered(n.sched.Now().Duration(), out)
 	}

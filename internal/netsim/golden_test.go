@@ -159,3 +159,25 @@ func TestImpairedDualTapGolden(t *testing.T) {
 	}
 	checkGolden(t, "tap_dual6_impaired.golden", driveImpaired(t, sched, n, cl.NIC(4, 1)))
 }
+
+// TestCorruptFatTreeTapGolden pins every corruption draw on a fat
+// tree: on a sender NIC whose script includes broadcasts (one transmit
+// draw mangles every sibling alike), on a trunk crossed by unicast
+// requests and replies, and on a receiving NIC.
+func TestCorruptFatTreeTapGolden(t *testing.T) {
+	f, err := topology.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := simtime.NewScheduler()
+	n, err := NewFabricNet(sched, f, DefaultParams(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []topology.Component{f.NIC(1, 0), f.TrunkComp(0), f.NIC(7, 0)} {
+		if err := n.SetImpairment(c, Impairment{Corrupt: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGolden(t, "tap_fattree4_corrupt.golden", driveImpaired(t, sched, n, f.NIC(14, 0)))
+}

@@ -256,12 +256,15 @@ type Network struct {
 	// (src, dst, rail) paths whose frames vanish at delivery.
 	part map[partKey]struct{}
 	// Delivery-event recycling: hub-mode deliveries are never
-	// cancelled, so their event records — and the payload copy each
-	// one owns — cycle through a freelist and the pre-bound deliverEv
-	// method value instead of allocating a fresh closure, timer and
-	// buffer per frame.
+	// cancelled, so their event records — each with its own scheduler
+	// timer, bound once to deliverEv, and its own payload copy — cycle
+	// through a freelist instead of allocating a fresh closure, timer
+	// and buffer per frame.
 	freeEv    *frameEvent
 	deliverEv func(any)
+	// rx[node] is node's copy of the broadcast it is receiving, reused
+	// from one broadcast to the next.
+	rx [][]byte
 	// fabric is the Fabric view of the cluster, built once on demand.
 	fabric *topology.Fabric
 }
@@ -270,6 +273,7 @@ type Network struct {
 // scheduler without a per-send closure. buf is the event's own copy of
 // the payload (fr.Payload aliases it), kept across recycling.
 type frameEvent struct {
+	tm   simtime.Timer // bound to deliverEvent(ev) when the record is made
 	fr   Frame
 	buf  []byte
 	next *frameEvent
@@ -285,7 +289,7 @@ func New(sched *simtime.Scheduler, cluster topology.Cluster, params Params, seed
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{state: st, cluster: cluster, segs: make([]segment, cluster.Rails)}
+	n := &Network{state: st, cluster: cluster, segs: make([]segment, cluster.Rails), rx: make([][]byte, cluster.Nodes)}
 	n.deliverEv = n.deliverEvent
 	if params.Switched {
 		for r := range n.segs {
@@ -371,6 +375,7 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 		ev.next = nil
 	} else {
 		ev = new(frameEvent)
+		ev.tm.Bind(n.deliverEv, ev)
 	}
 	// The sender may reuse its buffer: the event keeps its own copy.
 	ev.buf = append(ev.buf[:0], payload...)
@@ -379,7 +384,7 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 		seg.stats.Corrupted++
 	}
 	ev.fr = Frame{Src: src, Dst: dst, Rail: rail, Payload: ev.buf}
-	n.sched.LaneCall(&seg.lane, end.Add(n.params.Latency+extra), n.deliverEv, ev)
+	n.sched.LaneTimer(&seg.lane, end.Add(n.params.Latency+extra), &ev.tm)
 	return nil
 }
 
@@ -492,11 +497,13 @@ func (n *Network) completeDelivery(seg *segment, fr Frame, node int, corrupt boo
 		return
 	}
 	seg.stats.FramesDelivered++
-	// Each receiver of a broadcast gets its own copy; corruption also
-	// forces a private copy so the wire image stays intact for others.
+	// Each receiver of a broadcast reads its own copy. A unicast
+	// frame's bytes already belong to this delivery alone, so
+	// corruption mangles them in place.
 	payload := fr.Payload
-	if fr.Dst == Broadcast || corrupt {
-		payload = append([]byte(nil), fr.Payload...)
+	if fr.Dst == Broadcast {
+		n.rx[node] = append(n.rx[node][:0], fr.Payload...)
+		payload = n.rx[node]
 	}
 	if corrupt {
 		n.mangle(payload)

@@ -125,7 +125,7 @@ func TestDelayedFrameSurvivesRecycling(t *testing.T) {
 }
 
 // Receive-side corruption of one broadcast receiver leaves the others'
-// bytes — and, on the fabric, the shared buffer — intact.
+// bytes intact: the mangled copy is that receiver's alone.
 func TestBroadcastSiblingsIntactWhenOneIsCorrupted(t *testing.T) {
 	for name, e := range ownershipNets(t) {
 		net := e.net
@@ -156,34 +156,35 @@ func TestBroadcastSiblingsIntactWhenOneIsCorrupted(t *testing.T) {
 	}
 }
 
-func TestFabricUnicastSendAllocatesNothing(t *testing.T) {
-	sched, n := newFatTreeNet(t, 4)
-	n.SetHandler(15, func(Frame) {})
-	payload := []byte("steady-state")
-	exchange := func() {
-		if err := n.Send(0, 0, 15, payload); err != nil {
-			t.Fatal(err)
+// Once warm, carrying a frame allocates nothing on either engine:
+// every record, timer and payload copy is reused.
+func TestSendAllocatesNothing(t *testing.T) {
+	for name, e := range ownershipNets(t) {
+		for _, dst := range []int{3, Broadcast} {
+			kind := "unicast"
+			if dst == Broadcast {
+				kind = "broadcast"
+			}
+			t.Run(name+"/"+kind, func(t *testing.T) {
+				delivered := 0
+				for h := 0; h < e.net.Nodes(); h++ {
+					e.net.SetHandler(h, func(Frame) { delivered++ })
+				}
+				payload := []byte("steady-state")
+				exchange := func() {
+					if err := e.net.Send(0, 0, dst, payload); err != nil {
+						t.Fatal(err)
+					}
+					e.sched.Run(0)
+				}
+				exchange() // routes computed, pools primed
+				if delivered == 0 {
+					t.Fatal("nothing delivered")
+				}
+				if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
+					t.Fatalf("a %s %s allocates %v times, want 0", name, kind, allocs)
+				}
+			})
 		}
-		sched.Run(0)
-	}
-	exchange() // routes computed, pools primed
-	if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
-		t.Fatalf("a fabric unicast allocates %v times, want 0", allocs)
-	}
-}
-
-func TestHubUnicastSendAllocatesNothing(t *testing.T) {
-	sched, n := newNet(t, 2)
-	n.SetHandler(1, func(Frame) {})
-	payload := []byte("steady-state")
-	exchange := func() {
-		if err := n.Send(0, 0, 1, payload); err != nil {
-			t.Fatal(err)
-		}
-		sched.Run(0)
-	}
-	exchange()
-	if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
-		t.Fatalf("a hub unicast allocates %v times, want 0", allocs)
 	}
 }

@@ -6,34 +6,51 @@ import (
 )
 
 // orderRig interprets a byte script of scheduler operations — At,
-// AtCall and LaneCall over several lanes, Cancel, Step and RunUntil —
+// AtCall and LaneTimer over several lanes, Cancel, Step and RunUntil —
 // against a reference model. Every event may schedule a child when it
-// runs. After each operation the rig checks Pending against a
-// brute-force count and the heap size against what lanes promise; at
-// the end the executed sequence must be the uncancelled events sorted
-// by (at, seq).
+// runs. Lane events ride records that own their timers, drawn from a
+// rig-held freelist the way the simulator's frames are: once its event
+// has run, a record goes back on the freelist — often while it is
+// still its lane's stale tail — or reschedules itself onto another
+// lane from inside that event, as a fabric hop does. After each
+// operation the rig checks Pending against a brute-force count and the
+// heap size against what lanes promise; at the end the executed
+// sequence must be the uncancelled events sorted by (at, seq).
 type orderRig struct {
-	t     testing.TB
-	s     *Scheduler
-	lanes []Lane
-	fire  func(any)
+	t       testing.TB
+	s       *Scheduler
+	lanes   []Lane
+	fire    func(any) // AtCall events: arg is the event id
+	fireRec func(any) // lane events: arg is the record
 
 	evs     []orderEv
 	fired   []int
-	handles []int // ids of the events scheduled through At
+	handles []int      // ids of the events scheduled through At
+	free    []*laneRec // records whose events have run; the last is reused first
 
 	laneLive []int  // events queued on each lane, not yet run
 	laneLast []Time // time of the last event to join each lane
 	direct   int    // live events pushed straight onto the heap
 	cancels  int    // successful cancels (their timers may linger in the heap)
 	fallback int    // lane events that went to the heap out of lane order
+	refused  int    // LaneTimer calls on a pending record, each of which panicked
+}
+
+// laneRec is a caller-owned record with its own timer, like a
+// simulator frame; id is the event it carries now.
+type laneRec struct {
+	tm Timer
+	id int
 }
 
 type orderEv struct {
 	at        Time
-	timer     *Timer // At only
-	lane      int    // -1 when the event did not join a lane
-	spawn     byte   // schedules a child when non-zero
+	timer     *Timer   // At only
+	rec       *laneRec // lane events only
+	lane      int      // -1 when the event did not join a lane
+	hopTo     int      // the lane a thenHop record moves on to
+	then      int      // what a lane event's record does once the event has run
+	spawn     byte     // schedules a child when non-zero
 	cancelled bool
 	fired     bool
 }
@@ -45,6 +62,13 @@ const (
 	kindLaneAny
 )
 
+// What a lane event's record does once its event has run.
+const (
+	thenFree = iota // back on top of the freelist
+	thenPark        // to the bottom of the freelist, unused while later events draw others
+	thenHop         // rescheduled onto the next lane, from inside its own event
+)
+
 func newOrderRig(t testing.TB, lanes int) *orderRig {
 	r := &orderRig{
 		t:        t,
@@ -54,12 +78,14 @@ func newOrderRig(t testing.TB, lanes int) *orderRig {
 		laneLast: make([]Time, lanes),
 	}
 	r.fire = func(arg any) { r.run(arg.(int)) }
+	r.fireRec = func(arg any) { r.run(arg.(*laneRec).id) }
 	return r
 }
 
 // schedule adds one event; its seq is its id, since the rig schedules
-// everything the scheduler sees.
-func (r *orderRig) schedule(kind, lane int, at Time, spawn byte) {
+// everything the scheduler sees. A lane event rides rec, or a record
+// from the freelist when rec is nil.
+func (r *orderRig) schedule(kind, lane int, at Time, spawn byte, then int, rec *laneRec) {
 	id := len(r.evs)
 	ev := orderEv{at: at, lane: -1, spawn: spawn}
 	switch kind {
@@ -71,12 +97,16 @@ func (r *orderRig) schedule(kind, lane int, at Time, spawn byte) {
 		r.s.AtCall(at, r.fire, id)
 		r.direct++
 	default:
-		l := &r.lanes[lane]
+		if rec == nil {
+			rec = r.takeRec()
+		}
+		rec.id = id
+		ev.rec, ev.then, ev.hopTo = rec, then, (lane+1)%len(r.lanes)
 		if kind == kindLane && r.laneLast[lane] > at {
 			at = r.laneLast[lane]
 		}
 		ev.at = at
-		r.s.LaneCall(l, at, r.fire, id)
+		r.s.LaneTimer(&r.lanes[lane], at, &rec.tm)
 		if r.laneLive[lane] > 0 && at < r.laneLast[lane] {
 			r.direct++
 			r.fallback++
@@ -89,22 +119,42 @@ func (r *orderRig) schedule(kind, lane int, at Time, spawn byte) {
 	r.evs = append(r.evs, ev)
 }
 
+func (r *orderRig) takeRec() *laneRec {
+	if n := len(r.free); n > 0 {
+		rec := r.free[n-1]
+		r.free = r.free[:n-1]
+		return rec
+	}
+	rec := &laneRec{}
+	rec.tm.Bind(r.fireRec, rec)
+	return rec
+}
+
 func (r *orderRig) run(id int) {
 	ev := &r.evs[id]
 	if ev.fired || ev.cancelled || r.s.Now() != ev.at {
 		r.t.Fatalf("event %d (at %v) ran at %v: fired %v, cancelled %v", id, ev.at, r.s.Now(), ev.fired, ev.cancelled)
 	}
 	ev.fired = true
+	e := *ev // scheduling below may move r.evs
 	r.fired = append(r.fired, id)
-	if ev.lane >= 0 {
-		r.laneLive[ev.lane]--
+	if e.lane >= 0 {
+		r.laneLive[e.lane]--
 	} else {
 		r.direct--
 	}
 	r.check()
-	if ev.spawn != 0 {
-		b := ev.spawn
-		r.schedule(int(b%3), int(b)%len(r.lanes), r.s.Now()+Time(b%5), b/2)
+	if b := e.spawn; b != 0 {
+		r.schedule(int(b%3), int(b)%len(r.lanes), r.s.Now()+Time(b%5), b/2, int(b>>2)%3, nil)
+	}
+	switch {
+	case e.rec == nil:
+	case e.then == thenHop:
+		r.schedule(kindLane, e.hopTo, r.s.Now()+Time(id%3), 0, thenFree, e.rec)
+	case e.then == thenPark:
+		r.free = append([]*laneRec{e.rec}, r.free...)
+	default:
+		r.free = append(r.free, e.rec)
 	}
 }
 
@@ -122,6 +172,27 @@ func (r *orderRig) cancel(i int) {
 		r.direct--
 		r.cancels++
 	}
+}
+
+// repend schedules the most recent still-pending lane record again,
+// which must panic and leave the scheduler untouched.
+func (r *orderRig) repend(lane int) {
+	var rec *laneRec
+	for k := len(r.evs) - 1; k >= 0 && rec == nil; k-- {
+		if ev := &r.evs[k]; ev.rec != nil && !ev.fired {
+			rec = ev.rec
+		}
+	}
+	if rec == nil {
+		return
+	}
+	defer func() {
+		if recover() != nil {
+			r.refused++
+		}
+	}()
+	r.s.LaneTimer(&r.lanes[lane], r.s.Now(), &rec.tm)
+	r.t.Fatalf("LaneTimer rescheduled the pending record of event %d", rec.id)
 }
 
 // check compares Pending with a brute-force count, and the heap size
@@ -154,15 +225,16 @@ func (r *orderRig) exec(script []byte) {
 	for ; len(script) >= 3; script = script[3:] {
 		op, a, b := script[0], script[1], script[2]
 		now := r.s.Now()
-		switch op % 7 {
+		lane := int(b) % len(r.lanes)
+		switch op % 10 {
 		case 0:
-			r.schedule(kindAt, 0, now+Time(a), op/7)
+			r.schedule(kindAt, 0, now+Time(a), op/10, thenFree, nil)
 		case 1:
-			r.schedule(kindAtCall, 0, now+Time(a), op/7)
+			r.schedule(kindAtCall, 0, now+Time(a), op/10, thenFree, nil)
 		case 2:
-			r.schedule(kindLane, int(b)%len(r.lanes), now+Time(a%4), op/7)
+			r.schedule(kindLane, lane, now+Time(a%4), op/10, thenFree, nil)
 		case 3:
-			r.schedule(kindLaneAny, int(b)%len(r.lanes), now+Time(a), op/7)
+			r.schedule(kindLaneAny, lane, now+Time(a), op/10, thenFree, nil)
 		case 4:
 			r.cancel(int(a))
 		case 5:
@@ -171,6 +243,12 @@ func (r *orderRig) exec(script []byte) {
 			}
 		case 6:
 			r.s.RunUntil(now + Time(a))
+		case 7:
+			r.schedule(kindLane, lane, now+Time(a%4), op/10, thenHop, nil)
+		case 8:
+			r.schedule(kindLane, lane, now+Time(a%4), op/10, thenPark, nil)
+		case 9:
+			r.repend(lane)
 		}
 		r.check()
 	}
@@ -204,13 +282,13 @@ func (r *orderRig) exec(script []byte) {
 }
 
 // lcgScript returns n operations drawn from a fixed generator; with
-// monotone set it never emits the out-of-lane-order LaneCall.
+// monotone set it never emits the out-of-lane-order lane event.
 func lcgScript(seed uint64, n int, monotone bool) []byte {
 	out := make([]byte, 0, 3*n)
 	for len(out) < 3*n {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		op := byte(seed >> 56)
-		if monotone && op%7 == 3 {
+		if monotone && op%10 == 3 {
 			continue
 		}
 		out = append(out, op, byte(seed>>40), byte(seed>>32))
@@ -225,15 +303,25 @@ func TestSchedulerOrderTable(t *testing.T) {
 		ops      int
 		lanes    int
 		monotone bool
+		script   []byte // replaces the generated script when set
 	}{
-		{"one-lane", 1, 400, 1, false},
-		{"four-lanes", 2, 2000, 4, false},
-		{"many-lanes", 3, 3000, 16, false},
-		{"monotone", 4, 3000, 8, true},
-		{"monotone-one-lane", 5, 1000, 1, true},
+		{name: "one-lane", seed: 1, ops: 400, lanes: 1},
+		{name: "four-lanes", seed: 2, ops: 2000, lanes: 4},
+		{name: "many-lanes", seed: 3, ops: 3000, lanes: 16},
+		{name: "monotone", seed: 4, ops: 3000, lanes: 8, monotone: true},
+		{name: "monotone-one-lane", seed: 5, ops: 1000, lanes: 1, monotone: true},
+		// A lane event, then LaneTimer on its still-queued record.
+		{name: "pending-timer-panics", lanes: 2, script: []byte{2, 5, 0, 9, 0, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newOrderRig(t, tc.lanes)
+			if tc.script != nil {
+				r.exec(tc.script)
+				if r.refused != 1 {
+					t.Fatalf("%d LaneTimer calls on a pending record panicked, want 1", r.refused)
+				}
+				return
+			}
 			r.exec(lcgScript(tc.seed, tc.ops, tc.monotone))
 			if tc.monotone && r.fallback != 0 {
 				t.Fatalf("%d lane events took the heap fallback in a monotone script", r.fallback)
@@ -252,8 +340,10 @@ func TestLaneHeapHoldsOneEntryPerLane(t *testing.T) {
 	lanes := make([]Lane, 4)
 	var ran []int
 	record := func(arg any) { ran = append(ran, arg.(int)) }
-	for i := 0; i < 4000; i++ {
-		s.LaneCall(&lanes[i%4], Time(i/4), record, i)
+	timers := make([]Timer, 4000)
+	for i := range timers {
+		timers[i].Bind(record, i)
+		s.LaneTimer(&lanes[i%4], Time(i/4), &timers[i])
 	}
 	if len(s.heap) != 4 || s.Pending() != 4000 {
 		t.Fatalf("heap %d, pending %d; want 4 and 4000", len(s.heap), s.Pending())
@@ -273,6 +363,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{2, 5, 0, 2, 3, 1, 3, 0, 0, 5, 0, 0})
 	f.Add([]byte{0, 10, 0, 4, 0, 0, 9, 4, 1, 6, 20, 0, 3, 1, 1})
 	f.Add(lcgScript(7, 200, false))
+	f.Add([]byte{7, 1, 0, 8, 2, 1, 2, 0, 0, 5, 3, 0, 9, 0, 0, 2, 1, 1, 5, 3, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*1000 {
 			script = script[:3*1000]

@@ -29,15 +29,20 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // String formats the time as a duration since simulation start.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Timer is a handle to a scheduled event; it can be cancelled.
+// Timer is one scheduled event. At returns it as a handle that can
+// be cancelled. A caller can also own one outright: embedded in the
+// record an event carries, bound once with Bind and scheduled with
+// LaneTimer each time the record moves on, so the record and its
+// place in the queue are one allocation.
 type Timer struct {
 	at   Time
 	seq  uint64
 	call func(any) // the event is call(arg); At's fn runs through callFunc
 	arg  any
-	// sched is set while a handle-bearing timer is pending and cleared
-	// when it leaves the queue, so Cancel can tell pending from fired
-	// and keep the scheduler's live count exact.
+	// sched is set while the timer is pending and cleared when it
+	// leaves the queue: Cancel reads it to tell pending from fired and
+	// keep the scheduler's live count exact, a Lane to tell whether its
+	// tail has run, and LaneTimer to refuse a timer still queued.
 	sched     *Scheduler
 	next      *Timer // the timer behind this one in its Lane
 	cancelled bool
@@ -46,6 +51,11 @@ type Timer struct {
 
 // callFunc runs the func() that At stores as a timer's arg.
 func callFunc(fn any) { fn.(func())() }
+
+// Bind sets the event an owned timer runs: call(arg). Bind it once,
+// to a long-lived method value and the record the timer lives in, and
+// schedule it with LaneTimer as often as needed.
+func (t *Timer) Bind(call func(any), arg any) { t.call, t.arg = call, arg }
 
 // Cancel prevents the event from firing. Cancelling an event that has
 // already fired (or was already cancelled) is a no-op. Cancel reports
@@ -66,19 +76,19 @@ func (t *Timer) When() Time { return t.at }
 // of one serializing link. Only its head sits in the scheduler's heap;
 // the rest wait in line behind it, so a link with a thousand frames in
 // flight costs the heap one entry. The zero value is an empty lane. A
-// Lane that has been passed to LaneCall must not be copied.
+// Lane that has been passed to LaneTimer must not be copied.
 type Lane struct {
 	// tail is the last timer to join, and seq the sequence number it
 	// joined with. Timers hold no pointer back to their lane, so the
-	// lane is empty once that timer has run: it was recycled (call is
-	// nil) or reused for a later event (its seq moved on).
+	// lane is empty once that timer has left the queue (sched is nil)
+	// or been scheduled again for a later event (its seq moved on).
 	tail *Timer
 	seq  uint64
 }
 
 // queued reports whether the lane's tail is still waiting to run.
 func (l *Lane) queued() bool {
-	return l.tail != nil && l.tail.seq == l.seq && l.tail.call != nil
+	return l.tail != nil && l.tail.seq == l.seq && l.tail.sched != nil
 }
 
 // Scheduler is a deterministic discrete-event executor.
@@ -143,25 +153,12 @@ func (s *Scheduler) At(at Time, fn func()) *Timer {
 // hot paths (per-frame delivery events) where the event is never
 // cancelled; `call` should be a long-lived bound value (a method
 // value stored once, not a fresh closure per call).
-func (s *Scheduler) AtCall(at Time, call func(any), arg any) { s.LaneCall(nil, at, call, arg) }
-
-// LaneCall is AtCall for an event queued on lane l: the arrival of a
-// frame on the link l stands for. Execution order is exactly AtCall's
-// — (at, scheduling order) — because a lane only ever holds events in
-// that order: an event no earlier than the lane's tail joins the lane,
-// and one that is earlier (a jittered or delayed arrival overtaking
-// the link's queue) goes straight onto the heap. A nil l is AtCall.
-func (s *Scheduler) LaneCall(l *Lane, at Time, call func(any), arg any) {
-	s.checkAt(at)
-	if call == nil {
-		panic("simtime: nil event function")
-	}
+func (s *Scheduler) AtCall(at Time, call func(any), arg any) {
 	var t *Timer
 	if n := len(s.free); n > 0 {
 		t = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		t.cancelled = false
 	} else {
 		if len(s.slab) == cap(s.slab) {
 			s.slab = make([]Timer, 0, 128)
@@ -170,7 +167,29 @@ func (s *Scheduler) LaneCall(l *Lane, at Time, call func(any), arg any) {
 		t = &s.slab[len(s.slab)-1]
 		t.pooled = true
 	}
-	t.at, t.seq, t.call, t.arg = at, s.seq, call, arg
+	t.Bind(call, arg)
+	s.LaneTimer(nil, at, t)
+}
+
+// LaneTimer schedules the caller-owned timer t, bound with Bind, to
+// fire at absolute time at, queued on lane l — the arrival of a frame
+// on the link l stands for — or on no lane when l is nil. Its contract
+// is AtCall's: t is never cancelled, nothing is allocated, and events
+// run in exactly (at, scheduling order), because a lane only ever
+// holds events in that order: an event no earlier than the lane's tail
+// joins the lane, and one that is earlier (a jittered or delayed
+// arrival overtaking the link's queue) goes straight onto the heap.
+// Once t has fired it may be scheduled again, from inside its own
+// event too; scheduling it while it is still pending panics.
+func (s *Scheduler) LaneTimer(l *Lane, at Time, t *Timer) {
+	s.checkAt(at)
+	if t.call == nil {
+		panic("simtime: nil event function")
+	}
+	if t.sched != nil {
+		panic("simtime: LaneTimer on a pending timer")
+	}
+	t.at, t.seq, t.sched, t.cancelled = at, s.seq, s, false
 	s.seq++
 	s.live++
 	if l != nil {
@@ -222,10 +241,10 @@ func (s *Scheduler) Step() bool {
 	return false
 }
 
-// recycle returns a pooled timer to the free list; its nil call is how
-// a Lane tells that its tail has run. Timers created by At are left for
-// the garbage collector — their handles may still be referenced by the
-// caller.
+// recycle returns a pooled timer to the free list, dropping the event
+// it held. Timers created by At are left for the garbage collector —
+// their handles may still be referenced by the caller — and owned
+// timers stay with their owners.
 func (s *Scheduler) recycle(t *Timer) {
 	if !t.pooled {
 		return

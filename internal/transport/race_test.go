@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,6 +55,11 @@ func TestMemConcurrentChaosRace(t *testing.T) {
 						return
 					}
 				}
+				// Yield: on one CPU a spinning sender otherwise keeps
+				// whole time slices, and the chaos loop, which runs
+				// between them, can crash each sender just before its
+				// slice for the entire run, so that nothing is sent.
+				runtime.Gosched()
 			}
 		}()
 	}
