@@ -66,14 +66,17 @@ fuzz:
 # Ten-second fuzz passes (CI gate) over the wire-format frame parser
 # and the ICMP echo decoder every probe passes through — the surfaces
 # the chaos layer's frame corruption exercises — over the event
-# scheduler's (at, seq) execution order with per-link lanes, and over
+# scheduler's (at, seq) execution order with per-link lanes, over
 # the fabric evaluator's two-ended pair search against its
-# single-source search.
+# single-source search, and over the two files drsd reads at boot:
+# the warm-start checkpoint image and the node config.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=10s ./internal/routing/wire
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/icmp
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOrder -fuzztime=10s ./internal/simtime
 	$(GO) test -run='^$$' -fuzz=FuzzFabricPairConnected -fuzztime=10s ./internal/conn
+	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzLoadConfig -fuzztime=10s ./cmd/drsd
 
 # Gray-failure gate: the chaos injector and campaign-harness tests
 # (golden tables, worker-count determinism) plus one quick live

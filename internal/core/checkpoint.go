@@ -133,7 +133,8 @@ func (d *Daemon) restoreLocked(cp *Checkpoint) error {
 		if rt.Kind == RouteNone || rt == d.routes.Route(ps.Peer) {
 			continue
 		}
-		if rt.Rail < 0 || rt.Rail >= d.tr.Rails() || rt.Via < 0 || rt.Via >= d.tr.Nodes() {
+		if rt.Rail < 0 || rt.Rail >= d.tr.Rails() || rt.Via < 0 || rt.Via >= d.tr.Nodes() ||
+			!routeShaped(rt, d.tr.Node(), ps.Peer) {
 			return fmt.Errorf("core: checkpoint route to peer %d malformed", ps.Peer)
 		}
 		d.routes.SetRoute(ps.Peer, rt)
@@ -141,4 +142,17 @@ func (d *Daemon) restoreLocked(cp *Checkpoint) error {
 			Peer: ps.Peer, Rail: rt.Rail, Detail: fmt.Sprintf("%s via %d (warm restore)", rt.Kind, rt.Via)})
 	}
 	return nil
+}
+
+// routeShaped reports whether rt has the shape of a route from node
+// self to peer: Direct goes via the peer itself, Relay via a third
+// node.
+func routeShaped(rt Route, self, peer int) bool {
+	switch rt.Kind {
+	case RouteDirect:
+		return rt.Via == peer
+	case RouteRelay:
+		return rt.Via != peer && rt.Via != self
+	}
+	return false
 }

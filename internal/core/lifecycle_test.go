@@ -102,12 +102,19 @@ func TestWarmRestoreValidation(t *testing.T) {
 			{Peer: 1, Route: Route{Kind: RouteDirect, Rail: 1, Via: 1}, Rails: make([]RailState, 2)},
 		}}
 	}
-	// The valid baseline is accepted.
+	// The valid baseline is accepted, and so is a relay through the
+	// third node.
 	cfg := DefaultConfig()
 	cfg.Incarnation = 2
 	cfg.Restore = valid()
 	if _, err := New(tr, clock, cfg); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
+	}
+	relay := Route{Kind: RouteRelay, Rail: 0, Via: 2}
+	cfg.Restore = valid()
+	cfg.Restore.Peers[0].Route = relay
+	if d, err := New(tr, clock, cfg); err != nil || d.RouteTo(1) != relay {
+		t.Fatalf("relay route not restored: err %v", err)
 	}
 
 	cases := []struct {
@@ -132,6 +139,19 @@ func TestWarmRestoreValidation(t *testing.T) {
 			"carries 1 rails"},
 		{"malformed route", 2, func(cp *Checkpoint) { cp.Peers[0].Route.Rail = 5 },
 			"malformed"},
+		// In range, but no daemon installs routes of these shapes.
+		{"route kind 7", 2, func(cp *Checkpoint) { cp.Peers[0].Route.Kind = 7 },
+			"checkpoint route to peer 1 malformed"},
+		{"route kind -1", 2, func(cp *Checkpoint) { cp.Peers[0].Route.Kind = -1 },
+			"checkpoint route to peer 1 malformed"},
+		{"direct via another node", 2, func(cp *Checkpoint) { cp.Peers[0].Route.Via = 2 },
+			"checkpoint route to peer 1 malformed"},
+		{"relay via the restoring node", 2,
+			func(cp *Checkpoint) { cp.Peers[0].Route = Route{Kind: RouteRelay, Rail: 0, Via: 0} },
+			"checkpoint route to peer 1 malformed"},
+		{"relay via the peer", 2,
+			func(cp *Checkpoint) { cp.Peers[0].Route = Route{Kind: RouteRelay, Rail: 0, Via: 1} },
+			"checkpoint route to peer 1 malformed"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

@@ -84,18 +84,38 @@ func (d *Damping) Normalize() error {
 	return nil
 }
 
-// decayPenalty folds elapsed time into the path's penalty.
-func (st *State) decayPenalty(cfg Damping, now time.Duration) {
-	if now <= st.penaltyAt {
+// dampState is the cold half of a damped path's State: the penalty,
+// the instant it was last decayed to, and the hold-down times. Most
+// paths never flap with damping enabled, so it is allocated by the
+// first RecordFlap that charges a penalty.
+type dampState struct {
+	penalty     float64
+	penaltyAt   time.Duration
+	dampedAt    time.Duration
+	dampedTotal time.Duration
+}
+
+// damping returns the path's damping record, allocating it on first
+// use.
+func (st *State) damping() *dampState {
+	if st.cold == nil {
+		st.cold = new(dampState)
+	}
+	return st.cold
+}
+
+// decay folds elapsed time into the penalty.
+func (ds *dampState) decay(cfg Damping, now time.Duration) {
+	if now <= ds.penaltyAt {
 		return
 	}
-	if st.penalty > 0 {
-		st.penalty *= math.Exp2(-float64(now-st.penaltyAt) / float64(cfg.HalfLife))
-		if st.penalty < 1e-9 {
-			st.penalty = 0
+	if ds.penalty > 0 {
+		ds.penalty *= math.Exp2(-float64(now-ds.penaltyAt) / float64(cfg.HalfLife))
+		if ds.penalty < 1e-9 {
+			ds.penalty = 0
 		}
 	}
-	st.penaltyAt = now
+	ds.penaltyAt = now
 }
 
 // RecordFlap counts one down transition and, when damping is enabled,
@@ -105,21 +125,23 @@ func (st *State) RecordFlap(cfg Damping, now time.Duration) {
 	if !cfg.Enabled() {
 		return
 	}
-	st.decayPenalty(cfg, now)
-	st.penalty += cfg.Penalty
-	if st.penalty > cfg.Max {
-		st.penalty = cfg.Max
+	ds := st.damping()
+	ds.decay(cfg, now)
+	ds.penalty += cfg.Penalty
+	if ds.penalty > cfg.Max {
+		ds.penalty = cfg.Max
 	}
 }
 
 // Suppressed reports whether a recovering path must stay untrusted:
-// its decayed penalty has reached the suppress threshold.
+// its decayed penalty has reached the suppress threshold. A path with
+// no damping record has never been charged, so it is not suppressed.
 func (st *State) Suppressed(cfg Damping, now time.Duration) bool {
-	if !cfg.Enabled() {
+	if !cfg.Enabled() || st.cold == nil {
 		return false
 	}
-	st.decayPenalty(cfg, now)
-	return st.penalty >= cfg.Suppress
+	st.cold.decay(cfg, now)
+	return st.cold.penalty >= cfg.Suppress
 }
 
 // EnterDamped marks the path held down from now. Entering an already
@@ -129,7 +151,7 @@ func (st *State) EnterDamped(now time.Duration) {
 		return
 	}
 	st.damped = true
-	st.dampedAt = now
+	st.damping().dampedAt = now
 }
 
 // TryRelease exits the hold-down once the decayed penalty has fallen
@@ -139,13 +161,14 @@ func (st *State) TryRelease(cfg Damping, now time.Duration) (held time.Duration,
 	if !st.damped {
 		return 0, false
 	}
-	st.decayPenalty(cfg, now)
-	if st.penalty >= cfg.Reuse {
+	ds := st.cold // EnterDamped allocated it
+	ds.decay(cfg, now)
+	if ds.penalty >= cfg.Reuse {
 		return 0, false
 	}
 	st.damped = false
-	held = now - st.dampedAt
-	st.dampedTotal += held
+	held = now - ds.dampedAt
+	ds.dampedTotal += held
 	return held, true
 }
 
@@ -158,9 +181,13 @@ func (st *State) Flaps() int64 { return st.flaps }
 // Penalty returns the penalty decayed to now (read-only: the stored
 // state is not modified, so telemetry reads don't disturb damping).
 func (st *State) Penalty(cfg Damping, now time.Duration) float64 {
-	p := st.penalty
-	if cfg.Enabled() && now > st.penaltyAt && p > 0 {
-		p *= math.Exp2(-float64(now-st.penaltyAt) / float64(cfg.HalfLife))
+	ds := st.cold
+	if ds == nil {
+		return 0
+	}
+	p := ds.penalty
+	if cfg.Enabled() && now > ds.penaltyAt && p > 0 {
+		p *= math.Exp2(-float64(now-ds.penaltyAt) / float64(cfg.HalfLife))
 	}
 	return p
 }
@@ -168,9 +195,13 @@ func (st *State) Penalty(cfg Damping, now time.Duration) float64 {
 // DampedFor returns the total time the path has spent held down,
 // including the current spell.
 func (st *State) DampedFor(now time.Duration) time.Duration {
-	total := st.dampedTotal
+	ds := st.cold
+	if ds == nil {
+		return 0
+	}
+	total := ds.dampedTotal
 	if st.damped {
-		total += now - st.dampedAt
+		total += now - ds.dampedAt
 	}
 	return total
 }

@@ -37,6 +37,18 @@ func TestDampingDisabledIsInert(t *testing.T) {
 	if st.Flaps() != 100 {
 		t.Fatalf("Flaps = %d, want 100", st.Flaps())
 	}
+	if st.Penalty(cfg, 100*time.Second) != 0 || st.DampedFor(100*time.Second) != 0 {
+		t.Fatal("disabled damping charged a penalty or a hold-down")
+	}
+	// The damping record is cold: counting a flap without damping
+	// never allocates it.
+	now := 100 * time.Second
+	if allocs := testing.AllocsPerRun(100, func() { st.RecordFlap(cfg, now) }); allocs != 0 {
+		t.Fatalf("RecordFlap with damping disabled allocates %v times, want 0", allocs)
+	}
+	if st.cold != nil {
+		t.Fatal("RecordFlap with damping disabled allocated the damping record")
+	}
 }
 
 // TestDampingSuppressAfterRepeatedFlaps: rapid flaps accumulate

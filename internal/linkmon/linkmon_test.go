@@ -3,6 +3,7 @@ package linkmon
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"drsnet/internal/simtime"
 )
@@ -147,8 +148,8 @@ func TestTableRemoveAddResets(t *testing.T) {
 			t.Errorf("re-added peer 1 rail %d = %+v, want fresh", rail, got)
 		}
 	}
-	if cap(tbl.links[1]) != 2 {
-		t.Errorf("row capacity %d reaches into the neighbour's rails", cap(tbl.links[1]))
+	if cap(tbl.row(1)) != 2 {
+		t.Errorf("row capacity %d reaches into the neighbour's rails", cap(tbl.row(1)))
 	}
 	for peer, states := range want {
 		for rail, w := range states {
@@ -236,5 +237,14 @@ func TestDeadlines(t *testing.T) {
 	}
 	if d.AnyAlive(1, now+5*time.Second) {
 		t.Fatal("alive after expiry")
+	}
+}
+
+// TestStateIsOneCacheLine: a daemon keeps one State per monitored
+// path, N² across a cluster, so the hot fields must stay within one
+// 64-byte line; damping bookkeeping belongs behind State.cold.
+func TestStateIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(State{}); size != 64 {
+		t.Fatalf("State is %d bytes, want 64", size)
 	}
 }

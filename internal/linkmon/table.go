@@ -14,34 +14,38 @@ type RTTStats struct {
 	Samples int64
 }
 
-// State tracks request/reply monitoring of one (peer, rail) path.
+// State tracks request/reply monitoring of one (peer, rail) path. It
+// is one 64-byte cache line: a daemon holds one per monitored path, so
+// the table grows as N² and every probe, echo and route decision
+// touches one. Flap-damping bookkeeping that only damped paths need
+// lives behind the cold pointer (see damping.go).
 type State struct {
-	// Up is the declared link state. Links start optimistically up:
-	// the deployed daemon assumes health until a check fails.
-	Up bool
-	// Misses counts consecutive unanswered probes.
-	Misses int
-	// Pending marks an outstanding probe; PendingSeq identifies it.
-	Pending    bool
-	PendingSeq uint16
-
 	// RTT estimation (Jacobson/Karels) from probe timestamps.
 	srtt    time.Duration
 	rttvar  time.Duration
 	samples int64
 
+	// Misses counts consecutive unanswered probes.
+	Misses int
 	// backoff counts consecutive adaptive-RTO misses (see rto.go);
 	// each doubles the next probe deadline up to the configured cap.
 	backoff int
+	// flaps counts down transitions, damped or not.
+	flaps int64
+	// cold holds the damping penalty and hold-down times; nil until
+	// the first flap recorded with damping enabled.
+	cold *dampState
 
-	// Route-flap damping bookkeeping (see damping.go). Inert unless
-	// the owner records flaps with an enabled Damping config.
-	penalty     float64
-	penaltyAt   time.Duration
-	damped      bool
-	dampedAt    time.Duration
-	dampedTotal time.Duration
-	flaps       int64
+	// PendingSeq identifies the outstanding probe.
+	PendingSeq uint16
+	// Up is the declared link state. Links start optimistically up:
+	// the deployed daemon assumes health until a check fails.
+	Up bool
+	// Pending marks an outstanding probe.
+	Pending bool
+	// damped holds the path down (see damping.go). It sits here, not
+	// in cold, because Usable reads it on every route decision.
+	damped bool
 }
 
 // ObserveRTT folds one probe round-trip sample into the smoothed
@@ -81,11 +85,12 @@ func (st *State) SRTT() (time.Duration, int64) { return st.srtt, st.samples }
 // allocates probe sequence numbers from one shared counter.
 type Table struct {
 	rails int
-	links [][]State // nil row = unmonitored peer
 	// slab backs every row: peer p's rails live at [p·rails, (p+1)·rails),
 	// so a table costs one allocation however many peers it monitors.
 	slab []State
-	seq  uint16
+	// monitored[p] marks peer p's row live.
+	monitored []bool
+	seq       uint16
 	// retransmitBudget, when non-nil, rate-limits RTO-driven probe
 	// retransmits (see budget.go). Nil means unbudgeted.
 	retransmitBudget *overload.Bucket
@@ -94,36 +99,42 @@ type Table struct {
 // NewTable returns a table for a cluster of nodes×rails with no peer
 // monitored yet.
 func NewTable(nodes, rails int) *Table {
-	return &Table{rails: rails, links: make([][]State, nodes), slab: make([]State, nodes*rails)}
+	return &Table{rails: rails, slab: make([]State, nodes*rails), monitored: make([]bool, nodes)}
 }
 
 // Nodes returns the cluster size the table was created for.
-func (t *Table) Nodes() int { return len(t.links) }
+func (t *Table) Nodes() int { return len(t.monitored) }
 
 // Rails returns the rail count.
 func (t *Table) Rails() int { return t.rails }
 
+// row returns peer's rails, capped so that appending to the row can
+// never reach into the next peer's.
+func (t *Table) row(peer int) []State {
+	lo, hi := peer*t.rails, (peer+1)*t.rails
+	return t.slab[lo:hi:hi]
+}
+
 // Add begins monitoring peer with every rail optimistically up; it
 // reports false if the peer was already monitored.
 func (t *Table) Add(peer int) bool {
-	if t.links[peer] != nil {
+	if t.monitored[peer] {
 		return false
 	}
-	lo, hi := peer*t.rails, (peer+1)*t.rails
-	row := t.slab[lo:hi:hi]
+	row := t.row(peer)
 	for r := range row {
 		row[r] = State{Up: true}
 	}
-	t.links[peer] = row
+	t.monitored[peer] = true
 	return true
 }
 
 // Remove forgets peer entirely.
-func (t *Table) Remove(peer int) { t.links[peer] = nil }
+func (t *Table) Remove(peer int) { t.monitored[peer] = false }
 
 // Monitored reports whether peer is currently monitored.
 func (t *Table) Monitored(peer int) bool {
-	return peer >= 0 && peer < len(t.links) && t.links[peer] != nil
+	return peer >= 0 && peer < len(t.monitored) && t.monitored[peer]
 }
 
 // State returns the mutable state of the (peer, rail) path, or nil
@@ -132,7 +143,7 @@ func (t *Table) State(peer, rail int) *State {
 	if !t.Monitored(peer) || rail < 0 || rail >= t.rails {
 		return nil
 	}
-	return &t.links[peer][rail]
+	return &t.slab[peer*t.rails+rail]
 }
 
 // AnyUp reports whether any rail to peer is up.
@@ -140,8 +151,9 @@ func (t *Table) AnyUp(peer int) bool {
 	if !t.Monitored(peer) {
 		return false
 	}
-	for rail := range t.links[peer] {
-		if t.links[peer][rail].Up {
+	row := t.row(peer)
+	for rail := range row {
+		if row[rail].Up {
 			return true
 		}
 	}
@@ -153,8 +165,9 @@ func (t *Table) FirstUp(peer int) (rail int, ok bool) {
 	if !t.Monitored(peer) {
 		return 0, false
 	}
-	for rail := range t.links[peer] {
-		if t.links[peer][rail].Up {
+	row := t.row(peer)
+	for rail := range row {
+		if row[rail].Up {
 			return rail, true
 		}
 	}
@@ -174,9 +187,9 @@ func (t *Table) AnyUsable(peer int) bool {
 	if !t.Monitored(peer) {
 		return false
 	}
-	for rail := range t.links[peer] {
-		st := &t.links[peer][rail]
-		if st.Up && !st.damped {
+	row := t.row(peer)
+	for rail := range row {
+		if row[rail].Up && !row[rail].damped {
 			return true
 		}
 	}
@@ -188,9 +201,9 @@ func (t *Table) FirstUsable(peer int) (rail int, ok bool) {
 	if !t.Monitored(peer) {
 		return 0, false
 	}
-	for rail := range t.links[peer] {
-		st := &t.links[peer][rail]
-		if st.Up && !st.damped {
+	row := t.row(peer)
+	for rail := range row {
+		if row[rail].Up && !row[rail].damped {
 			return rail, true
 		}
 	}
@@ -203,7 +216,7 @@ func (t *Table) FirstUsable(peer int) (rail int, ok bool) {
 // The returned sequence number comes from the table-wide counter, so
 // no two outstanding probes share one.
 func (t *Table) BeginProbe(peer, rail, threshold int) (seq uint16, down bool) {
-	st := &t.links[peer][rail]
+	st := &t.slab[peer*t.rails+rail]
 	if st.Pending {
 		st.Misses++
 		down = st.Up && st.Misses >= threshold

@@ -88,16 +88,18 @@ type fabricRoute struct {
 
 // hopEvent is one in-flight frame, from its first hop to its delivery
 // or drop: each hop reschedules the same record, and its timer, on the
-// next link's lane.
+// next link's lane. It is 128 bytes, payload included for every frame
+// that fits inline.
 type hopEvent struct {
 	tm       simtime.Timer // bound to hop(ev) when the record is made
-	b        []byte        // the frame's own payload copy; capacity kept across recycling
+	p        payload       // the frame's own copy of its bytes
 	next     *hopEvent     // freelist link
 	src, dst int32         // dst is the final host
-	sw       int32         // switch the frame is arriving at (stage 0)
-	nic      int32         // NIC link being crossed (stages 1 and 2)
-	stage    int8          // 0 = at switch, 1 = at host, 2 = post-impairment-delay
-	corrupt  bool          // a crossing drew a corruption; mangle at delivery
+	// port is the switch the frame is arriving at in stage 0, and the
+	// NIC link being crossed in stages 1 and 2.
+	port    int32
+	stage   int8 // 0 = at switch, 1 = at host, 2 = post-impairment-delay
+	corrupt bool // a crossing drew a corruption; mangle at delivery
 }
 
 // NewFabricNet builds a healthy fabric network on the scheduler.
@@ -268,8 +270,8 @@ func (n *FabricNet) firstHop(at simtime.Time, up *link, payload []byte, src, dst
 		ev = new(hopEvent)
 		ev.tm.Bind(n.hopFn, ev)
 	}
-	ev.b = append(ev.b[:0], payload...)
-	ev.src, ev.dst, ev.sw, ev.stage, ev.corrupt = int32(src), int32(dst), int32(entry), 0, false
+	ev.p.set(payload)
+	ev.src, ev.dst, ev.port, ev.stage, ev.corrupt = int32(src), int32(dst), int32(entry), 0, false
 	n.sched.LaneTimer(&up.lane, at, &ev.tm)
 }
 
@@ -296,12 +298,12 @@ func (n *FabricNet) hop(arg any) {
 	}
 }
 
-// switchArrive handles a frame reaching switch ev.sw: cross the host
+// switchArrive handles a frame reaching switch ev.port: cross the host
 // link down to the destination if it is attached here, otherwise the
 // next trunk of the converged route. It reports whether the frame was
 // forwarded.
 func (n *FabricNet) switchArrive(ev *hopEvent) bool {
-	sw := int(ev.sw)
+	sw := int(ev.port)
 	if !n.swUp(sw) {
 		n.stats.DroppedSegment++
 		return false
@@ -312,8 +314,8 @@ func (n *FabricNet) switchArrive(ev *hopEvent) bool {
 	switch {
 	case rt.downNIC[sw] >= 0:
 		// Attachment switch: serialize down the host link.
-		ev.nic, ev.stage = rt.downNIC[sw], 1
-		comp, out = topology.Component(ev.nic), &n.nicDown[ev.nic]
+		ev.port, ev.stage = rt.downNIC[sw], 1
+		comp, out = topology.Component(ev.port), &n.nicDown[ev.port]
 	case rt.trunk[sw] >= 0:
 		t := int(rt.trunk[sw])
 		tr := n.fab.Trunk(t)
@@ -329,7 +331,7 @@ func (n *FabricNet) switchArrive(ev *hopEvent) bool {
 			n.stats.DroppedSegment++
 			return false
 		}
-		ev.sw = int32(peer)
+		ev.port = int32(peer)
 		comp = n.trkComp(t)
 	default:
 		// No live path to the destination.
@@ -341,7 +343,7 @@ func (n *FabricNet) switchArrive(ev *hopEvent) bool {
 		n.stats.DroppedImpaired++
 		return false
 	}
-	txTime, bits := n.wireTime(len(ev.b))
+	txTime, bits := n.wireTime(len(ev.p.bytes()))
 	end := occupy(&out.busy, n.sched.Now(), txTime)
 	n.stats.BitsSent += bits
 	ev.corrupt = ev.corrupt || corrupt
@@ -357,7 +359,7 @@ func (n *FabricNet) hostArrive(ev *hopEvent) bool {
 	if !n.rxAlive(ev) {
 		return false
 	}
-	drop, extra, corrupt := n.impairRx(topology.Component(ev.nic))
+	drop, extra, corrupt := n.impairRx(topology.Component(ev.port))
 	if drop {
 		n.stats.DroppedImpaired++
 		return false
@@ -381,7 +383,7 @@ func (n *FabricNet) hostArrive(ev *hopEvent) bool {
 // process — Network tests them the other way round, and the per-cause
 // counters fold into pinned digests, so neither order may change.
 func (n *FabricNet) rxAlive(ev *hopEvent) bool {
-	if !n.rxUp[ev.nic] {
+	if !n.rxUp[ev.port] {
 		n.stats.DroppedRxNIC++
 		return false
 	}
@@ -403,13 +405,14 @@ func (n *FabricNet) finishDelivery(ev *hopEvent) {
 	}
 	n.stats.FramesDelivered++
 	// The record owns its payload, so corruption mangles it in place.
+	b := ev.p.bytes()
 	if ev.corrupt {
-		n.mangle(ev.b)
+		n.mangle(b)
 		n.stats.Corrupted++
 	}
 	// The delivery rail is the port the frame finally came in through.
-	rail := int(ev.nic) % n.ports
-	out := Frame{Src: int(ev.src), Dst: int(ev.dst), Rail: rail, Payload: ev.b}
+	rail := int(ev.port) % n.ports
+	out := Frame{Src: int(ev.src), Dst: int(ev.dst), Rail: rail, Payload: b}
 	if n.tap != nil {
 		n.tap.FrameDelivered(n.sched.Now().Duration(), out)
 	}

@@ -270,13 +270,14 @@ type Network struct {
 }
 
 // frameEvent carries one in-flight hub-mode frame through the
-// scheduler without a per-send closure. buf is the event's own copy of
-// the payload (fr.Payload aliases it), kept across recycling.
+// scheduler without a per-send closure, in 128 bytes: the Frame its
+// handlers see is built at delivery, around the event's own payload
+// copy.
 type frameEvent struct {
-	tm   simtime.Timer // bound to deliverEvent(ev) when the record is made
-	fr   Frame
-	buf  []byte
-	next *frameEvent
+	tm             simtime.Timer // bound to deliverEvent(ev) when the record is made
+	p              payload
+	next           *frameEvent
+	src, dst, rail int32
 }
 
 // New builds a healthy network for the given cluster shape on the
@@ -378,12 +379,12 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 		ev.tm.Bind(n.deliverEv, ev)
 	}
 	// The sender may reuse its buffer: the event keeps its own copy.
-	ev.buf = append(ev.buf[:0], payload...)
+	ev.p.set(payload)
 	if corrupt {
-		n.mangle(ev.buf)
+		n.mangle(ev.p.bytes())
 		seg.stats.Corrupted++
 	}
-	ev.fr = Frame{Src: src, Dst: dst, Rail: rail, Payload: ev.buf}
+	ev.src, ev.dst, ev.rail = int32(src), int32(dst), int32(rail)
 	n.sched.LaneTimer(&seg.lane, end.Add(n.params.Latency+extra), &ev.tm)
 	return nil
 }
@@ -394,7 +395,7 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 // the callback (every echo reply does) draws a different event.
 func (n *Network) deliverEvent(arg any) {
 	ev := arg.(*frameEvent)
-	n.deliver(ev.fr)
+	n.deliver(Frame{Src: int(ev.src), Dst: int(ev.dst), Rail: int(ev.rail), Payload: ev.p.bytes()})
 	ev.next = n.freeEv
 	n.freeEv = ev
 }

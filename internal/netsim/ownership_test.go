@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"drsnet/internal/simtime"
 )
@@ -186,5 +187,80 @@ func TestSendAllocatesNothing(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Payloads of every size round-trip through recycled records, whether
+// a record's previous frame sat inline or in its spill buffer, and
+// once warm a spilled frame allocates nothing either.
+func TestRecycledPayloadsSwitchInlineAndSpill(t *testing.T) {
+	sizes := []int{17, 100, 0, inlineBytes, inlineBytes + 1, 5, 1500, inlineBytes - 1}
+	for name, e := range ownershipNets(t) {
+		var got [][]byte
+		e.net.SetHandler(1, func(fr Frame) { got = append(got, keep(fr).Payload) })
+		var want [][]byte
+		for i, size := range sizes {
+			b := bytes.Repeat([]byte{byte('a' + i)}, size)
+			want = append(want, b)
+			if err := e.net.Send(0, 0, 1, b); err != nil {
+				t.Fatal(err)
+			}
+			e.sched.Run(0) // the next send reuses this frame's record
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d frames delivered, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%s: frame %d (%d bytes) arrived as %d bytes %q", name, i, len(want[i]), len(got[i]), got[i])
+			}
+		}
+
+		e.net.SetHandler(1, func(Frame) {})
+		big := make([]byte, 200)
+		exchange := func() {
+			if err := e.net.Send(0, 0, 1, big); err != nil {
+				t.Fatal(err)
+			}
+			e.sched.Run(0)
+		}
+		exchange()
+		if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
+			t.Errorf("%s: a warm spilled frame allocates %v times, want 0", name, allocs)
+		}
+	}
+}
+
+// A cold send of a probe-sized frame allocates its in-flight record
+// and nothing else: the payload rides inline. Each send below finds
+// the freelist empty, because no earlier frame has been delivered.
+func TestColdSendAllocatesOneObjectPerRecord(t *testing.T) {
+	probe := make([]byte, 17) // envelope byte plus an ICMP echo
+	for _, dst := range []int{3, Broadcast} {
+		for name, e := range ownershipNets(t) {
+			records := 1.0
+			if _, fabric := e.net.(*FabricNet); fabric && dst == Broadcast {
+				records = float64(e.net.Nodes() - 1) // one per sibling
+			}
+			send := func() {
+				if err := e.net.Send(0, 0, dst, probe); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, send); allocs != records {
+				t.Errorf("%s to %d: a cold send allocates %v objects, want %v", name, dst, allocs, records)
+			}
+		}
+	}
+}
+
+// Each engine's in-flight record fits in 128 bytes with its payload
+// inline: about 186k of them are live at a fat-tree probe burst.
+func TestInFlightRecordsFit128Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(hopEvent{}); size > 128 {
+		t.Errorf("FabricNet hopEvent is %d bytes, want <= 128", size)
+	}
+	if size := unsafe.Sizeof(frameEvent{}); size > 128 {
+		t.Errorf("Network frameEvent is %d bytes, want <= 128", size)
 	}
 }

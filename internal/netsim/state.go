@@ -324,6 +324,44 @@ func (s *state) wireTime(payloadLen int) (time.Duration, float64) {
 	return time.Duration(float64(wire*8) / s.params.Rate * float64(time.Second)), float64(wire * 8)
 }
 
+// inlineBytes is the largest payload an in-flight record holds inline:
+// every probe, echo, query, offer and rejoin fits, and it is what
+// leaves each engine's record at 128 bytes.
+const inlineBytes = 28
+
+// spilled marks a payload whose bytes live in the spill buffer.
+const spilled = 0xff
+
+// payload is an in-flight frame's own copy of its bytes: inline when
+// they fit, otherwise in a spill buffer the record keeps, capacity
+// and all, across recycling.
+type payload struct {
+	spill  *[]byte
+	n      uint8 // inline length, or spilled
+	inline [inlineBytes]byte
+}
+
+// set copies b into the payload.
+func (p *payload) set(b []byte) {
+	if len(b) <= inlineBytes {
+		p.n = uint8(copy(p.inline[:], b))
+		return
+	}
+	if p.spill == nil {
+		p.spill = new([]byte)
+	}
+	*p.spill = append((*p.spill)[:0], b...)
+	p.n = spilled
+}
+
+// bytes returns the payload, valid until the record is recycled.
+func (p *payload) bytes() []byte {
+	if p.n == spilled {
+		return *p.spill
+	}
+	return p.inline[:p.n]
+}
+
 // occupy serializes a frame of duration tx on the link whose busy
 // clock is *busy, starting when the link is free but no earlier than
 // from, and returns the instant the last bit leaves.
