@@ -109,13 +109,13 @@ failover-smoke:
 	$(GO) run ./cmd/drsim -config examples/scenarios/static-failover.json
 
 # Live daemon gate: the clock and transport seams (in-memory, UDP),
-# the hermetic multi-daemon lifecycle and clock-parity regressions,
-# drsd's -validate golden errors, and the real 3-process localhost
-# cluster: converge, SIGHUP reload, kill -9, warm rejoin, SIGTERM
-# drain. The process test binds ephemeral loopback UDP ports only.
+# the hermetic multi-daemon lifecycle, in-phase round and clock-parity
+# regressions, drsd's -validate golden errors, and the real 3-process
+# localhost cluster: converge, SIGHUP reload, kill -9, warm rejoin,
+# SIGTERM drain. The process test binds ephemeral loopback UDP ports only.
 daemon-smoke:
 	$(GO) test ./internal/clock/ ./internal/transport/
-	$(GO) test ./internal/runtime/ -run 'HermeticLifecycle|ClockParity'
+	$(GO) test ./internal/runtime/ -run 'HermeticLifecycle|HermeticInPhase|ClockParity'
 	$(GO) test ./cmd/drsd/ -timeout 180s
 
 # Nemesis gate: the fault-schedule fuzzer's own tests (determinism,

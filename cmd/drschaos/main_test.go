@@ -14,7 +14,7 @@ func TestLossCampaignGolden(t *testing.T) {
 	const golden = `# chaos campaign: backplane-0 frame loss (4 nodes, 30s, seed 3)
   protocol  intensity   avail%   flaps  damped  repairs mean-failover
        drs       0.00    99.17       0       0        0             -
-       drs       0.30    87.29      30       0       12            0s
+       drs       0.30    85.62      28       0       11            0s
     static       0.00    99.17       0       0        0             -
     static       0.30    66.67       0       0        0             -
 `
@@ -210,10 +210,10 @@ failover-bounce     flap    81.25      0         0     46        0
 failover-bounce    crash    85.83      0         0     36        0
 failover-bounce  dynamic    99.17      0         0      4        0
             drs    clean    99.17      0         0      4        0
-            drs     loss    85.83      0         0     68        5
+            drs     loss    92.08      0         0     38       10
             drs     flap    87.50      0         0     60       21
             drs    crash    83.96      0         0     36       12
-            drs  dynamic    85.83      0         0     68       24
+            drs  dynamic    85.83      0         0     68       23
       linkstate    clean    99.17      0         0      4        0
       linkstate     loss    79.38      0         0     99        0
       linkstate     flap    78.12     36         0    129        0
@@ -286,7 +286,7 @@ func TestStormCampaignGolden(t *testing.T) {
        drs      0.00     off    98.33        0       20      0         0     128        0
        drs      0.00      on    98.33        0       20    310         5      54        0
        drs      0.50     off    93.33        2       26      0         0     144       14
-       drs      0.50      on    89.50        2       30    207         3      55        4
+       drs      0.50      on    90.67        2       24    211         3      55        8
 `
 	var out, errb bytes.Buffer
 	args := []string{"-mode", "storm", "-nodes", "5", "-duration", "30s",

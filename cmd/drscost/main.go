@@ -34,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxN := flags.Int("max", 128, "largest cluster size")
 	step := flags.Int("step", 2, "cluster size step")
 	workers := flags.Int("workers", 0, "sweep worker goroutines (0 = all CPUs); output is identical for every count")
-	ordered := flags.Bool("ordered", false, "model every daemon probing every peer (doubles traffic)")
+	ordered := flags.Bool("ordered", false, "model every daemon probing every peer, as the daemon did before pairs shared one exchange (doubles traffic)")
 	plot := flags.Bool("plot", false, "render the figure as an ASCII chart instead of a table")
 	if err := flags.Parse(args); err != nil {
 		return 2

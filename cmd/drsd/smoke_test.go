@@ -80,8 +80,11 @@ func TestDaemonSmoke(t *testing.T) {
 		}
 	}()
 
-	// Phase 1: convergence — every daemon sees both peers direct with
-	// completed probe rounds.
+	// Phase 1: convergence — every daemon sees both peers direct with a
+	// round trip measured on every path. The higher id of a pair only
+	// answers once it hears the lower id's requests, so its replies
+	// counter may stay near zero; the RTT those requests carry is what
+	// proves completed exchanges at that end.
 	for n := 0; n < nodes; n++ {
 		waitStatus(t, statusPath[n], "converge", func(s smokeStatus) bool {
 			if _, ok := s.Counters["transport.rx_errors"]; !ok {
@@ -90,7 +93,7 @@ func TestDaemonSmoke(t *testing.T) {
 			if _, ok := s.Counters["transport.tx_errors"]; !ok {
 				return false
 			}
-			return s.allDirect(nodes) && s.Counters["probes.replies"] >= 4
+			return s.allDirect(nodes) && s.allMeasured()
 		})
 	}
 
@@ -155,7 +158,8 @@ type smokeStatus struct {
 		Route       string `json:"route"`
 		Incarnation uint32 `json:"incarnation"`
 		Rails       []struct {
-			Up bool `json:"up"`
+			Up   bool          `json:"up"`
+			SRTT time.Duration `json:"srtt"`
 		} `json:"rails"`
 	} `json:"peers"`
 }
@@ -200,6 +204,18 @@ func (s smokeStatus) allDirect(nodes int) bool {
 	for _, p := range s.Peers {
 		if p.Route != "direct" {
 			return false
+		}
+	}
+	return true
+}
+
+// allMeasured reports whether every monitored path has an RTT estimate.
+func (s smokeStatus) allMeasured() bool {
+	for _, p := range s.Peers {
+		for _, r := range p.Rails {
+			if r.SRTT <= 0 {
+				return false
+			}
 		}
 	}
 	return true

@@ -14,7 +14,7 @@ import (
 func TestRecoveryGoldenAllProtocols(t *testing.T) {
 	const golden = `# Recovery: scenario=nic nodes=10 traffic every 100ms, failure at 10s
 protocol             sent      lost   recov       outage       detect       repair  masked tcp-alive
-drs                   400        21    true  2.00061652s           2s           2s   false      true
+drs                   400        21    true  2.00031412s           2s           2s   false      true
 failover-arbor        400         1    true      11.72µs           0s           0s    true      true
 failover-bounce       400         1    true      11.72µs           0s           0s    true      true
 failover-rotor        400         1    true      11.72µs           0s           0s    true      true
@@ -70,7 +70,7 @@ backplane+backplane              1          0          0           0s           
 backplane+nic                   20         16         16           1s           2s        0
 nic                             10         10         10        400ms           2s        0
 nic+nic                         45         43         43        698ms           2s        0
-TOTAL                           78         71         71        733ms           2s        0
+TOTAL                           78         71         71        732ms           2s        0
 `
 	const n8 = `# Fault coverage: 8 nodes, all scenarios up to 2 faults (171 total)
 class                    scenarios survivable  recovered  mean-outage   max-outage inconsis
@@ -78,8 +78,8 @@ backplane                        2          2          2        500ms           
 backplane+backplane              1          0          0           0s           0s        0
 backplane+nic                   32         28         28        500ms           1s        0
 nic                             16         16         16        125ms           1s        0
-nic+nic                        120        118        118        229ms       1.001s        0
-TOTAL                          171        164        164        269ms       1.001s        0
+nic+nic                        120        118        118        229ms           1s        0
+TOTAL                          171        164        164        268ms           1s        0
 `
 	render := func(args ...string) string {
 		var out, errb bytes.Buffer

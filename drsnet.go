@@ -102,7 +102,8 @@ type CostModel struct {
 	// (default 84: a minimum Ethernet frame plus preamble and gap).
 	ProbeFrameBytes int
 	// OrderedPairs, when true, models every daemon independently
-	// probing every peer (double the traffic of per-pair checking).
+	// probing every peer (double the traffic of per-pair checking):
+	// the ablation of the daemon's one exchange per pair.
 	OrderedPairs bool
 }
 

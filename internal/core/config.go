@@ -73,7 +73,9 @@ type Config struct {
 	// probes keep resetting our miss counter while our data
 	// blackholes. Strict evidence lets misses accumulate on the dead
 	// tx direction and the route fail over. Membership freshness
-	// still counts heard traffic either way.
+	// still counts heard traffic either way. Because the answering end
+	// of a pair then needs round trips of its own, every daemon probes
+	// every peer (two exchanges per pair and rail).
 	StrictLinkEvidence bool
 	// FlapDamping holds a recovered (peer, rail) path down, RFC
 	// 2439-style, while its flap penalty stays high: each link-down
@@ -114,7 +116,8 @@ type Config struct {
 	// at srtt + 4·rttvar (clamped, exponentially backed off on
 	// consecutive misses) and the miss is counted the moment it
 	// expires instead of at the next round. The zero value keeps the
-	// classic round-based miss accounting.
+	// classic round-based miss accounting. Like StrictLinkEvidence, it
+	// needs a round trip at each end, so every daemon probes every peer.
 	AdaptiveRTO linkmon.RTO
 	// Trace, if non-nil, receives protocol events.
 	Trace *trace.Log

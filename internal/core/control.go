@@ -123,10 +123,11 @@ func (d *Daemon) onQuery(rail, src int, q routeQuery) {
 		// The query reached us, so origin↔us works on this rail:
 		// offer ourselves; the origin installs a direct route.
 		canOffer = true
-	} else if d.links.Monitored(target) && d.links.AnyUsable(target) {
+	} else if d.links.AnyFresh(target) {
 		// Only offer relay duty over paths we actually trust: a damped
 		// rail would accept the origin's traffic and then refuse to
-		// forward it.
+		// forward it, and a rail that has missed a check is likely
+		// failing for us as it did for the origin.
 		canOffer = true
 	} else if rt := d.routes.Route(target); rt.Kind == RouteRelay && rt.Via != origin {
 		// We reach the target through our own relay: offering chains

@@ -6,11 +6,15 @@
 // Each node runs a Daemon that executes the paper's two-stage run
 // process:
 //
-//	Phase 1 (link checks): every probe interval, the daemon sends an
-//	ICMP echo request to every monitored host on every rail. A
-//	returned echo proves "the hub, wiring, network interface card,
+//	Phase 1 (link checks): every probe interval, each pair of daemons
+//	shares one ICMP echo exchange on every rail. The lower id sends
+//	the request; the higher id answers it, and stops probing the peer
+//	itself once it has heard the peer's request in the previous round.
+//	A returned echo proves "the hub, wiring, network interface card,
 //	device driver, network protocol stack and host kernel are
-//	operational" for that path. Consecutive misses mark the link down.
+//	operational" for that path. Consecutive misses (an unanswered
+//	request, or a round in which the awaited request never came) mark
+//	the link down.
 //
 //	Phase 2 (answer and fix): the daemon answers peers' echo requests
 //	and route queries, and repairs its own routes as failures are
@@ -354,7 +358,7 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 			d.frameBuf = reply.AppendTo(append(d.frameBuf[:0], wire.ProtoICMP))
 			_ = d.tr.Send(rail, src, d.frameBuf)
 		}
-		d.noteAliveLocked(rail, src)
+		d.noteAliveLocked(rail, src, echo.Data)
 		return
 	}
 	// Echo reply: must match our outstanding probe for (src, rail).
@@ -383,19 +387,20 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 	}
 }
 
-// noteAliveLocked records liveness evidence from valid traffic heard
-// from src on rail. The peer's process is certainly alive, so membership is
-// always refreshed. What it proves about the *link* is subtler: heard
-// traffic vouches for the src→us direction only, and under an
-// asymmetric partition our own frames to src may be vanishing while
-// theirs arrive. By default (the original, optimistic behavior) the
-// evidence is credited against probe misses and may re-raise the rail
-// — cheap fast recovery, but it masks one-way cuts. With
-// StrictLinkEvidence set, link state moves solely on round-trip
+// noteAliveLocked records liveness evidence from an echo request
+// heard from src on rail, data being its echo data. The peer's process
+// is certainly alive, so membership is always refreshed. What it
+// proves about the *link* is subtler: heard traffic vouches for the
+// src→us direction only, and under an asymmetric partition our own
+// frames to src may be vanishing while theirs arrive. By default (the
+// original, optimistic behavior) the evidence is credited against
+// probe misses, meets the check an answering round awaits, and may
+// re-raise the rail — cheap fast recovery, but it masks one-way cuts.
+// With StrictLinkEvidence set, link state moves solely on round-trip
 // evidence — confirmed replies to our own probes — so a dead tx
 // direction accumulates misses and fails over no matter how much the
 // peer is heard. Caller holds d.mu.
-func (d *Daemon) noteAliveLocked(rail, src int) {
+func (d *Daemon) noteAliveLocked(rail, src int, data []byte) {
 	if d.stopped || !d.links.Monitored(src) {
 		return
 	}
@@ -405,6 +410,13 @@ func (d *Daemon) noteAliveLocked(rail, src int) {
 	}
 	st := d.links.State(src, rail)
 	st.Misses = 0
+	if st.HeardRequest() && len(data) >= probeData {
+		// An answering round measures no round trip of its own: it
+		// takes the requester's.
+		if rtt := time.Duration(binary.BigEndian.Uint64(data[8:probeData])); rtt > 0 {
+			st.ObserveRTT(rtt)
+		}
+	}
 	if !st.Up {
 		d.markUpLocked(src, rail, d.clock.Now())
 	}

@@ -315,13 +315,16 @@ func TestProbeSeqWraparound(t *testing.T) {
 		d.mu.Unlock()
 	}
 	c.runFor(10 * time.Second) // ~100 rounds × 2 probes: well past the wrap
+	// Node 0 requests for the pair; node 1 answers and stops numbering
+	// probes once it has heard node 0's first requests.
+	d := c.daemons[0]
+	d.mu.Lock()
+	seq := d.links.Seq()
+	d.mu.Unlock()
+	if seq >= 65530 {
+		t.Fatalf("sequence did not wrap (%d)", seq)
+	}
 	for _, d := range c.daemons {
-		d.mu.Lock()
-		seq := d.links.Seq()
-		d.mu.Unlock()
-		if seq >= 65530 {
-			t.Fatalf("sequence did not wrap (%d)", seq)
-		}
 		if d.Metrics().Counter(routing.CtrLinkDown).Value() != 0 {
 			t.Fatal("wraparound caused spurious link-down")
 		}

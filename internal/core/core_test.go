@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"drsnet/internal/conn"
+	"drsnet/internal/icmp"
 	"drsnet/internal/netsim"
 	"drsnet/internal/rng"
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 	"drsnet/internal/trace"
@@ -36,6 +38,19 @@ func newCluster(t testing.TB, n int, cfg Config) *cluster {
 
 func newClusterShape(t testing.TB, shape topology.Cluster, cfg Config) *cluster {
 	t.Helper()
+	c := buildClusterShape(t, shape, cfg, nil)
+	for _, d := range c.daemons {
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// buildClusterShape assembles the harness without starting a daemon;
+// tweak, if non-nil, adjusts each node's copy of cfg.
+func buildClusterShape(t testing.TB, shape topology.Cluster, cfg Config, tweak func(node int, cfg *Config)) *cluster {
+	t.Helper()
 	sched := simtime.NewScheduler()
 	net, err := netsim.New(sched, shape, netsim.DefaultParams(), 1)
 	if err != nil {
@@ -51,6 +66,10 @@ func newClusterShape(t testing.TB, shape topology.Cluster, cfg Config) *cluster 
 	clock := simtime.Clock{Sched: sched}
 	for node := 0; node < shape.Nodes; node++ {
 		node := node
+		cfg := cfg
+		if tweak != nil {
+			tweak(node, &cfg)
+		}
 		d, err := New(netsim.NewTransport(net, node), clock, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -59,11 +78,6 @@ func newClusterShape(t testing.TB, shape topology.Cluster, cfg Config) *cluster 
 			c.delivered[node] = append(c.delivered[node], msg{src, string(data)})
 		})
 		c.daemons = append(c.daemons, d)
-	}
-	for _, d := range c.daemons {
-		if err := d.Start(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return c
 }
@@ -94,10 +108,40 @@ func TestSteadyStateDirectDelivery(t *testing.T) {
 	}
 }
 
+// echoTap counts the echo requests and replies each node transmits.
+type echoTap struct{ requests, replies []int }
+
+func (e *echoTap) FrameSent(_ time.Duration, fr netsim.Frame) {
+	if len(fr.Payload) < 2 || fr.Payload[0] != wire.ProtoICMP {
+		return
+	}
+	if fr.Payload[1] == icmp.TypeEchoRequest {
+		e.requests[fr.Src]++
+	} else {
+		e.replies[fr.Src]++
+	}
+}
+
+func (e *echoTap) FrameDelivered(time.Duration, netsim.Frame) {}
+
 func TestProbesFlowAndLinksStayUp(t *testing.T) {
 	c := newCluster(t, 3, DefaultConfig())
 	defer c.stop()
+	tap := &echoTap{requests: make([]int, 3), replies: make([]int, 3)}
+	c.net.SetTap(tap)
 	c.runFor(5 * time.Second)
+	// Each pair shares one exchange per round and rail: the lower id
+	// requests and the higher id answers. The tap sees the five rounds
+	// after the first, which ran inside Start; by then node 2, the
+	// higher id of both its pairs, only answers.
+	for node, want := range []int{2, 1, 0} {
+		if got := tap.requests[node]; got != want*2*5 {
+			t.Errorf("node %d sent %d requests in 5 rounds, want %d", node, got, want*2*5)
+		}
+		if tap.replies[node] == 0 {
+			t.Errorf("node %d answered no requests", node)
+		}
+	}
 	for node, d := range c.daemons {
 		for peer := 0; peer < 3; peer++ {
 			if peer == node {
@@ -108,9 +152,6 @@ func TestProbesFlowAndLinksStayUp(t *testing.T) {
 					t.Fatalf("node %d thinks (%d,%d) is down on a healthy network", node, peer, rail)
 				}
 			}
-		}
-		if d.Metrics().Counter(routing.CtrProbesSent).Value() == 0 {
-			t.Fatalf("node %d sent no probes", node)
 		}
 		if d.Metrics().Counter(routing.CtrProbeReplies).Value() == 0 {
 			t.Fatalf("node %d got no replies", node)

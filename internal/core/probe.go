@@ -16,6 +16,10 @@ import (
 // ---------------------------------------------------------------
 // Phase 1: link checks.
 
+// probeData is the length of a probe's echo data: its send time, then
+// the requester's newest RTT sample on the path.
+const probeData = 16
+
 // probe is one echo request a round has numbered and is about to send.
 type probe struct {
 	peer, rail int
@@ -24,8 +28,9 @@ type probe struct {
 }
 
 // probeRound runs one phase-1 round: account the previous round's
-// misses, then probe every monitored peer on every rail. The rounds
-// driver reschedules it after it returns.
+// misses, then check every monitored peer on every rail, by probe or,
+// at the answering end of a shared exchange, by awaiting the peer's
+// request. The rounds driver reschedules it after it returns.
 func (d *Daemon) probeRound() {
 	d.mu.Lock()
 	if d.stopped {
@@ -57,15 +62,25 @@ func (d *Daemon) probeRound() {
 		d.steerByLatencyLocked(now)
 	}
 	rto := d.cfg.AdaptiveRTO
+	// One echo exchange per pair and rail: the lower id requests, and
+	// the higher id answers instead of probing once it has heard the
+	// peer's request. Strict evidence and adaptive deadlines need
+	// round trips of their own at both ends, so they keep probing.
+	shared := !d.cfg.StrictLinkEvidence && !rto.Enabled()
+	self := d.tr.Node()
 	probes := d.probes[:0]
 	for peer := 0; peer < d.links.Nodes(); peer++ {
 		if !d.links.Monitored(peer) {
 			continue
 		}
+		answer := shared && peer < self
 		for rail := 0; rail < d.tr.Rails(); rail++ {
-			seq, down := d.links.BeginProbe(peer, rail, d.cfg.MissThreshold)
+			seq, send, down := d.links.BeginRound(peer, rail, d.cfg.MissThreshold, answer)
 			if down {
 				d.markDownLocked(peer, rail, now)
+			}
+			if !send {
+				continue
 			}
 			p := probe{peer: peer, rail: rail, seq: seq}
 			if rto.Enabled() {
@@ -123,13 +138,16 @@ func (d *Daemon) sendRoundProbeLocked(p probe) {
 	}
 }
 
-// sendProbeLocked builds one echo request carrying its send time into
-// the frame scratch and transmits it; the echoed copy yields an RTT
-// sample with no per-probe state at the sender. Caller holds d.mu.
+// sendProbeLocked builds one echo request into the frame scratch and
+// transmits it. Its data is the send time, whose echoed copy yields an
+// RTT sample with no per-probe state at the sender, then the newest
+// sample on this path not yet sent, which gives the answering end an
+// RTT of its own (zero when there is none). Caller holds d.mu.
 func (d *Daemon) sendProbeLocked(peer, rail int, seq uint16, now time.Duration, retransmit bool) {
-	var ts [8]byte
-	binary.BigEndian.PutUint64(ts[:], uint64(now))
-	echo := icmp.Echo{Request: true, ID: uint16(d.tr.Node()), Seq: seq, Data: ts[:]}
+	var data [probeData]byte
+	binary.BigEndian.PutUint64(data[:8], uint64(now))
+	binary.BigEndian.PutUint64(data[8:], uint64(d.links.State(peer, rail).TakeSample()))
+	echo := icmp.Echo{Request: true, ID: uint16(d.tr.Node()), Seq: seq, Data: data[:]}
 	d.frameBuf = echo.AppendTo(append(d.frameBuf[:0], wire.ProtoICMP))
 	if err := d.tr.Send(rail, peer, d.frameBuf); err == nil {
 		d.probesSent.Inc()

@@ -35,12 +35,14 @@ type Params struct {
 	// reply), including preamble and inter-frame gap.
 	FrameBytes int
 	// OrderedPairs selects the probing policy. When false (the
-	// default), each unordered pair is checked once per round per rail
-	// — an echo exchange validates both directions, and the answering
-	// daemon refreshes its own state for the peer from the request it
-	// saw. When true, every daemon independently probes every peer,
-	// doubling the traffic; the corresponding bench quantifies this
-	// ablation.
+	// default, and the DRS daemon's policy), each unordered pair is
+	// checked once per round per rail: the lower id sends the request,
+	// and the answering daemon refreshes its own state for the peer
+	// from the request it saw. When true, every daemon independently
+	// probes every peer, doubling the traffic: the ablation, and what
+	// the daemon did before pairs shared one exchange (it still does
+	// with strict link evidence or adaptive deadlines, which need a
+	// round trip at each end).
 	OrderedPairs bool
 	// Switched models a switched fabric instead of the paper's shared
 	// hubs: every node has a dedicated full-rate port, so the binding

@@ -298,6 +298,23 @@ func TestProbeOverheadMatchesCostModel(t *testing.T) {
 	}
 }
 
+// Figure 1's headline at packet level: 90 hosts probed every 0.538 s,
+// the round time the cost model gives for a 10% budget, load a rail by
+// 10%. A daemon that probes every ordered pair loads it by 20%.
+func TestProbeOverheadFigure1Headline(t *testing.T) {
+	const budget = 0.10
+	measured, predicted, err := ProbeOverhead(90, 538*time.Millisecond, 10*time.Second, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := math.Abs(predicted-budget) / budget; rel > 0.01 {
+		t.Fatalf("model predicts %v at the headline's interval, want %v", predicted, budget)
+	}
+	if rel := math.Abs(measured-budget) / budget; rel > 0.15 {
+		t.Fatalf("Dual(90) at 0.538 s loads rail 0 by %.4f, want within 15%% of %v", measured, budget)
+	}
+}
+
 func TestProbeOverheadValidation(t *testing.T) {
 	if _, _, err := ProbeOverhead(1, time.Second, time.Second, false); err == nil {
 		t.Error("n=1 accepted")

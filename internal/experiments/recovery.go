@@ -269,14 +269,16 @@ func WriteRecovery(w io.Writer, results []*RecoveryResult) error {
 // ProbeOverhead measures, empirically, the bandwidth the DRS's
 // phase-1 link checks consume on one rail of an idle n-node cluster,
 // and returns it alongside the cost model's prediction — the
-// simulation-level validation of Figure 1. The DRS probes every peer
-// on every rail each round (ordered pairs), so the prediction uses the
-// ordered-pairs policy. With switched set, both the simulated fabric
-// and the prediction use the switched (per-port) model; the measured
-// figure is then aggregate-fabric utilization, which for uniform
-// all-pairs probing equals the per-port load.
+// simulation-level validation of Figure 1. The measurement skips the
+// first round: until a daemon has heard a peer's request it probes
+// that peer too, so only from the second round on does each pair
+// share one echo exchange, the steady state the model prices. With
+// switched set, both the simulated fabric and the prediction use the
+// switched (per-port) model; the measured figure is then
+// aggregate-fabric utilization, which for uniform all-pairs probing
+// equals the per-port load.
 func ProbeOverhead(n int, probeInterval, duration time.Duration, switched bool) (measured, predicted float64, err error) {
-	if n < 2 || probeInterval <= 0 || duration <= 0 {
+	if n < 2 || probeInterval <= 0 || duration <= probeInterval {
 		return 0, 0, fmt.Errorf("experiments: bad probe-overhead parameters")
 	}
 	cluster, err := runtime.Build(runtime.ClusterSpec{
@@ -292,17 +294,21 @@ func ProbeOverhead(n int, probeInterval, duration time.Duration, switched bool) 
 	if err := cluster.Start(); err != nil {
 		return 0, 0, err
 	}
+	// Utilization is a fraction of the capacity elapsed so far, so the
+	// window's load is the difference of the two readings' totals.
+	cluster.RunUntil(probeInterval)
+	warm := cluster.Network().Utilization(0) * probeInterval.Seconds()
 	cluster.RunUntil(duration)
 	cluster.StopRouters()
-	measured = cluster.Network().Utilization(0)
+	measured = (cluster.Network().Utilization(0)*duration.Seconds() - warm) / (duration - probeInterval).Seconds()
 
 	params := costmodel.Defaults()
-	params.OrderedPairs = true
 	var bits float64
 	if switched {
 		// Aggregate fabric load per round: every node's port carries
-		// its 2(n-1) ordered-pair frames, and with symmetric traffic
-		// the aggregate utilization equals the per-port utilization.
+		// its n-1 frames of the pairs' exchanges, and with symmetric
+		// traffic the aggregate utilization equals the per-port
+		// utilization.
 		bits = float64(params.FramesPerRoundPort(n)) * float64(params.FrameBytes) * 8
 	} else {
 		bits = params.BitsPerRound(n)

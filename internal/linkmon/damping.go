@@ -176,7 +176,7 @@ func (st *State) TryRelease(cfg Damping, now time.Duration) (held time.Duration,
 func (st *State) Damped() bool { return st.damped }
 
 // Flaps returns the number of down transitions recorded on the path.
-func (st *State) Flaps() int64 { return st.flaps }
+func (st *State) Flaps() int64 { return int64(st.flaps) }
 
 // Penalty returns the penalty decayed to now (read-only: the stored
 // state is not modified, so telemetry reads don't disturb damping).

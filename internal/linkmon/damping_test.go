@@ -169,12 +169,12 @@ func TestUsableSkipsDampedRails(t *testing.T) {
 	if rail, ok := tbl.FirstUp(1); !ok || rail != 0 {
 		t.Fatalf("FirstUp = %d,%v, want 0,true (damped is still physically up)", rail, ok)
 	}
-	if !tbl.AnyUsable(1) {
-		t.Fatal("AnyUsable = false with rail 1 clean")
+	if !tbl.AnyFresh(1) {
+		t.Fatal("AnyFresh = false with rail 1 clean")
 	}
 	tbl.State(1, 1).EnterDamped(0)
-	if tbl.AnyUsable(1) {
-		t.Fatal("AnyUsable = true with every rail damped")
+	if tbl.AnyFresh(1) {
+		t.Fatal("AnyFresh = true with every rail damped")
 	}
 	if _, ok := tbl.FirstUsable(1); ok {
 		t.Fatal("FirstUsable found a rail with every rail damped")

@@ -5,7 +5,8 @@
 //     the link-state hello round, the reactive advertisement loop) and
 //     can stagger a round's transmissions across the interval.
 //   - Table tracks per-(peer, rail) probe state for request/reply
-//     monitoring: outstanding probe sequence, consecutive misses,
+//     monitoring: outstanding probe sequence or, at the answering end
+//     of a shared exchange, the awaited request; consecutive misses,
 //     up/down, and a Jacobson/Karels RTT estimate.
 //   - Deadlines tracks per-(peer, rail) expiry times for
 //     timeout-style monitoring: link-state adjacencies and reactive

@@ -248,3 +248,81 @@ func TestStateIsOneCacheLine(t *testing.T) {
 		t.Fatalf("State is %d bytes, want 64", size)
 	}
 }
+
+// TestBeginRoundAnswersAfterHeardRequest walks the answering end of a
+// shared exchange: it probes until it hears the peer's request, then
+// waits for one request per round, and a round without one is a miss
+// after which it probes again.
+func TestBeginRoundAnswersAfterHeardRequest(t *testing.T) {
+	tbl := NewTable(2, 1)
+	tbl.Add(0)
+	st := tbl.State(0, 0)
+	round := func(wantProbe, wantDown bool, wantMisses int) uint16 {
+		t.Helper()
+		seq, probe, down := tbl.BeginRound(0, 0, 2, true)
+		if probe != wantProbe || down != wantDown || st.Misses != wantMisses {
+			t.Fatalf("BeginRound = probe %v down %v misses %d, want %v %v %d",
+				probe, down, st.Misses, wantProbe, wantDown, wantMisses)
+		}
+		return seq
+	}
+	seq := round(true, false, 0) // nothing heard yet: probe
+	if st.HeardRequest() {
+		t.Fatal("a probing round reported an awaited request")
+	}
+	if _, ok := tbl.Confirm(0, 0, seq); !ok {
+		t.Fatal("reply to the round's probe not confirmed")
+	}
+	round(false, false, 0) // heard last round: wait instead
+	if !st.HeardRequest() {
+		t.Fatal("the awaited request was not reported as awaited")
+	}
+	round(false, false, 0) // met, and heard again: keep waiting
+	round(true, false, 1)  // no request came: a miss, probe again
+	round(true, true, 2)   // nor a reply: the threshold is reached
+
+	// Without answer set, a heard request changes nothing.
+	st.HeardRequest()
+	if _, probe, _ := tbl.BeginRound(0, 0, 2, false); !probe {
+		t.Fatal("a requesting end waited for a request")
+	}
+}
+
+// TestTakeSampleHandsEachSampleOnce: a request carries each RTT sample
+// to the answering end once; with no new sample it carries zero.
+func TestTakeSampleHandsEachSampleOnce(t *testing.T) {
+	var st State
+	if got := st.TakeSample(); got != 0 {
+		t.Fatalf("fresh path carries %v", got)
+	}
+	st.ObserveRTT(3 * time.Millisecond)
+	st.ObserveRTT(5 * time.Millisecond)
+	if got := st.TakeSample(); got != 5*time.Millisecond {
+		t.Fatalf("TakeSample = %v, want the newest sample 5ms", got)
+	}
+	if got := st.TakeSample(); got != 0 {
+		t.Fatalf("second TakeSample = %v, want 0", got)
+	}
+}
+
+// TestAnyFreshSkipsMissedRails: a rail is promised to others only if
+// it is usable and has missed no check.
+func TestAnyFreshSkipsMissedRails(t *testing.T) {
+	tbl := NewTable(2, 2)
+	if tbl.AnyFresh(1) {
+		t.Fatal("unmonitored peer is fresh")
+	}
+	tbl.Add(1)
+	if !tbl.AnyFresh(1) {
+		t.Fatal("new peer is not fresh")
+	}
+	tbl.State(1, 0).Misses = 1
+	tbl.State(1, 1).Up = false
+	if tbl.AnyFresh(1) {
+		t.Fatal("fresh with one rail missed and the other down")
+	}
+	tbl.State(1, 1).Up = true
+	if !tbl.AnyFresh(1) {
+		t.Fatal("not fresh with rail 1 up and unmissed")
+	}
+}

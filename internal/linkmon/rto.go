@@ -87,7 +87,7 @@ func (st *State) Deadline(cfg RTO) time.Duration {
 			d = cfg.Max
 		}
 	}
-	shift := st.backoff
+	shift := int(st.backoff)
 	if shift > cfg.MaxBackoff {
 		shift = cfg.MaxBackoff
 	}
@@ -99,7 +99,7 @@ func (st *State) Deadline(cfg RTO) time.Duration {
 func (st *State) RecordRTOMiss() { st.backoff++ }
 
 // Backoff returns the consecutive-miss backoff count (testing hook).
-func (st *State) Backoff() int { return st.backoff }
+func (st *State) Backoff() int { return int(st.backoff) }
 
 // SeedRTT restores a checkpointed RTT estimate so a warm-started
 // daemon begins with its previous life's deadlines instead of the

@@ -19,19 +19,26 @@ type RTTStats struct {
 // the table grows as N² and every probe, echo and route decision
 // touches one. Flap-damping bookkeeping that only damped paths need
 // lives behind the cold pointer (see damping.go).
+//
+// A path's check each round is either our own probe (Pending, matched
+// by the peer's reply) or, at the answering end of a shared echo
+// exchange, a wait for the peer's request (awaiting); see BeginRound.
 type State struct {
 	// RTT estimation (Jacobson/Karels) from probe timestamps.
 	srtt    time.Duration
 	rttvar  time.Duration
 	samples int64
+	// last is the newest RTT sample not yet carried to the peer in a
+	// request (zero when none is waiting); see TakeSample.
+	last time.Duration
 
 	// Misses counts consecutive unanswered probes.
 	Misses int
 	// backoff counts consecutive adaptive-RTO misses (see rto.go);
 	// each doubles the next probe deadline up to the configured cap.
-	backoff int
+	backoff int32
 	// flaps counts down transitions, damped or not.
-	flaps int64
+	flaps int32
 	// cold holds the damping penalty and hold-down times; nil until
 	// the first flap recorded with damping enabled.
 	cold *dampState
@@ -46,6 +53,9 @@ type State struct {
 	// damped holds the path down (see damping.go). It sits here, not
 	// in cold, because Usable reads it on every route decision.
 	damped bool
+	// heard marks a request from the peer since the round began;
+	// awaiting marks a round whose check is the peer's next request.
+	heard, awaiting bool
 }
 
 // ObserveRTT folds one probe round-trip sample into the smoothed
@@ -55,6 +65,7 @@ func (st *State) ObserveRTT(rtt time.Duration) {
 		return
 	}
 	st.samples++
+	st.last = rtt
 	if st.samples == 1 {
 		st.srtt = rtt
 		st.rttvar = rtt / 2
@@ -66,6 +77,15 @@ func (st *State) ObserveRTT(rtt time.Duration) {
 	}
 	st.srtt += (rtt - st.srtt) / 8
 	st.rttvar += (err - st.rttvar) / 4
+}
+
+// TakeSample returns the newest RTT sample not yet taken, or zero,
+// so that a requester hands each of its samples to the answering end
+// at most once.
+func (st *State) TakeSample() time.Duration {
+	rtt := st.last
+	st.last = 0
+	return rtt
 }
 
 // RTT returns the smoothed estimate; ok is false before the first
@@ -182,14 +202,17 @@ func (t *Table) Usable(peer, rail int) bool {
 	return st != nil && st.Up && !st.damped
 }
 
-// AnyUsable reports whether any rail to peer is usable.
-func (t *Table) AnyUsable(peer int) bool {
+// AnyFresh reports whether any rail to peer is usable and has missed
+// no check since its last evidence: the paths worth promising to
+// others. A usable rail with a miss may already be dead, and is only
+// still up because the threshold has not been reached.
+func (t *Table) AnyFresh(peer int) bool {
 	if !t.Monitored(peer) {
 		return false
 	}
 	row := t.row(peer)
 	for rail := range row {
-		if row[rail].Up && !row[rail].damped {
+		if row[rail].Up && !row[rail].damped && row[rail].Misses == 0 {
 			return true
 		}
 	}
@@ -211,20 +234,49 @@ func (t *Table) FirstUsable(peer int) (rail int, ok bool) {
 }
 
 // BeginProbe arms the next probe for (peer, rail): a still-pending
-// previous probe counts as a miss, and down reports that the miss just
+// previous check counts as a miss, and down reports that the miss just
 // crossed threshold on an up link (the caller declares the link down).
 // The returned sequence number comes from the table-wide counter, so
 // no two outstanding probes share one.
 func (t *Table) BeginProbe(peer, rail, threshold int) (seq uint16, down bool) {
+	seq, _, down = t.BeginRound(peer, rail, threshold, false)
+	return seq, down
+}
+
+// BeginRound opens (peer, rail)'s check for a new round. The previous
+// round's check, the reply to our probe or the peer's request we
+// waited for, counts as a miss if it never came, and down reports that
+// the miss just crossed threshold on an up link. With answer set, a
+// path whose peer's request was heard during the previous round waits
+// for the next one instead of probing (probe is false); any other path
+// arms a probe under seq, as BeginProbe does.
+func (t *Table) BeginRound(peer, rail, threshold int, answer bool) (seq uint16, probe, down bool) {
 	st := &t.slab[peer*t.rails+rail]
-	if st.Pending {
+	if st.Pending || st.awaiting {
 		st.Misses++
 		down = st.Up && st.Misses >= threshold
 	}
+	heard := st.heard
+	st.heard = false
+	if answer && heard {
+		st.Pending, st.awaiting = false, true
+		return 0, false, down
+	}
+	st.awaiting = false
 	t.seq++
 	st.Pending = true
 	st.PendingSeq = t.seq
-	return t.seq, down
+	return t.seq, true, down
+}
+
+// HeardRequest credits a request heard from the peer on this path: it
+// meets the check an answering round awaits, lets the next round wait
+// again, and reports whether this round was waiting for it.
+func (st *State) HeardRequest() (awaited bool) {
+	awaited = st.awaiting
+	st.awaiting = false
+	st.heard = true
+	return awaited
 }
 
 // Confirm matches an echo reply against the outstanding probe for

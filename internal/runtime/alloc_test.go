@@ -5,14 +5,15 @@ import (
 	"time"
 
 	"drsnet/internal/core"
+	"drsnet/internal/linkmon"
 	"drsnet/internal/routing"
 	"drsnet/internal/routing/wire"
 	"drsnet/internal/topology"
 )
 
 // A fault-free steady-state probe round is the simulator's inner loop:
-// ten nodes exchange 360 frames (180 requests, 180 replies) per
-// interval. Every buffer on that path is scratch or pooled, so what a
+// ten nodes exchange 180 frames per interval, one request and one
+// reply for each of the 45 pairs on each of the two rails. Every buffer on that path is scratch or pooled, so what a
 // round allocates is bounded by a constant, not by the frame count
 // (1180 before the buffer-ownership rule was used).
 func TestSteadyProbeRoundAllocations(t *testing.T) {
@@ -29,11 +30,39 @@ func TestSteadyProbeRoundAllocations(t *testing.T) {
 	const rounds = 20
 	allocs := testing.AllocsPerRun(rounds, func() { c.RunFor(interval) })
 	after := c.Net().Stats(0).FramesDelivered + c.Net().Stats(1).FramesDelivered
-	if per := (after - before) / (rounds + 1); per != 360 {
-		t.Fatalf("a round delivered %d frames, want 360", per)
+	if per := (after - before) / (rounds + 1); per != 180 {
+		t.Fatalf("a round delivered %d frames, want 180", per)
 	}
 	if allocs > 20 {
 		t.Fatalf("a steady probe round allocates %.0f times, want <= 20", allocs)
+	}
+}
+
+// Strict link evidence and adaptive deadlines each need a round trip
+// of their own at both ends of a pair, so with either set every daemon
+// still probes every peer: 360 frames a round on the same cluster.
+func TestPerDirectionModesProbeOrderedPairs(t *testing.T) {
+	for name, tun := range map[string]Tunables{
+		"strict evidence": {StrictLinkEvidence: true},
+		"adaptive RTO":    {AdaptiveRTO: linkmon.DefaultRTO()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := Build(ClusterSpec{Nodes: 10, Tunables: tun})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+			c.RunFor(2 * time.Second)
+			before := c.Net().Stats(0).FramesDelivered + c.Net().Stats(1).FramesDelivered
+			const rounds = 5
+			c.RunFor(rounds * c.Spec().Tunables.ProbeInterval)
+			after := c.Net().Stats(0).FramesDelivered + c.Net().Stats(1).FramesDelivered
+			if per := (after - before) / rounds; per != 360 {
+				t.Fatalf("a round delivered %d frames, want 360", per)
+			}
+		})
 	}
 }
 

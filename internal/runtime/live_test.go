@@ -80,6 +80,32 @@ func peerEntry(t *testing.T, s core.Status, peer int) core.PeerStatus {
 	return core.PeerStatus{}
 }
 
+// TestHermeticInPhaseRounds runs three daemons whose 50 ms probe
+// rounds start together on a live clock, over the in-memory
+// transport. A request and the answering end's round then fall due at
+// nearly the same instant, and scheduling jitter decides which comes
+// first; that may cost the answering end a probe, never a link.
+func TestHermeticInPhaseRounds(t *testing.T) {
+	clk := clock.NewWall()
+	defer clk.Stop()
+	mem := transport.NewMem(3, 2, clk, 200*time.Microsecond)
+	log := trace.NewLog(0)
+	routers := buildLiveCluster(t, liveSpec(log), mem, clk)
+	time.Sleep(5 * time.Second)
+	for _, r := range routers {
+		r.Stop()
+	}
+	if n := log.Count(trace.KindLinkDown); n != 0 {
+		t.Fatalf("%d link-down events on a fault-free network: %v", n, log.Filter(trace.KindLinkDown))
+	}
+	// Node 2 answers both its pairs: past its first round it probes a
+	// peer only after a round in which no request arrived. Probing
+	// every peer on both rails would take 400 probes in 100 rounds.
+	if sent := routers[2].Metrics().Counter(routing.CtrProbesSent).Value(); sent >= 200 {
+		t.Fatalf("node 2 sent %d probes in 100 rounds; it should mostly answer", sent)
+	}
+}
+
 // TestHermeticLifecycle is the satellite's in-process version of the
 // 3-process smoke test: three DRS daemons over the in-memory
 // transport and a drained wall clock converge, one fail-stops without
