@@ -14,7 +14,7 @@ func TestLossCampaignGolden(t *testing.T) {
 	const golden = `# chaos campaign: backplane-0 frame loss (4 nodes, 30s, seed 3)
   protocol  intensity   avail%   flaps  damped  repairs mean-failover
        drs       0.00    99.17       0       0        0             -
-       drs       0.30    85.62      28       0       11            0s
+       drs       0.30    85.42      39       0       11            0s
     static       0.00    99.17       0       0        0             -
     static       0.30    66.67       0       0        0             -
 `
@@ -210,7 +210,7 @@ failover-bounce     flap    81.25      0         0     46        0
 failover-bounce    crash    85.83      0         0     36        0
 failover-bounce  dynamic    99.17      0         0      4        0
             drs    clean    99.17      0         0      4        0
-            drs     loss    92.08      0         0     38       10
+            drs     loss    80.42      0         0     94        9
             drs     flap    87.50      0         0     60       21
             drs    crash    83.96      0         0     36       12
             drs  dynamic    85.83      0         0     68       23

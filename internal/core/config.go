@@ -171,14 +171,15 @@ func (c *Config) normalize(nodes, self int) error {
 	if c.Restore != nil && c.Incarnation == 0 {
 		return fmt.Errorf("core: warm restore requires a nonzero incarnation")
 	}
-	if c.Monitor == nil && !c.DynamicMembership {
+	if c.Monitor == nil && !c.DynamicMembership && nodes > 1 {
+		c.Monitor = make([]int, 0, nodes-1)
 		for n := 0; n < nodes; n++ {
 			if n != self {
 				c.Monitor = append(c.Monitor, n)
 			}
 		}
 	}
-	seen := make(map[int]bool)
+	seen := make([]bool, nodes)
 	for _, p := range c.Monitor {
 		if p < 0 || p >= nodes || p == self {
 			return fmt.Errorf("core: monitored peer %d invalid for node %d of %d", p, self, nodes)

@@ -8,8 +8,9 @@
 //
 //	Phase 1 (link checks): every probe interval, each pair of daemons
 //	shares one ICMP echo exchange on every rail. The lower id sends
-//	the request; the higher id answers it, and stops probing the peer
-//	itself once it has heard the peer's request in the previous round.
+//	the request; the higher id answers it, and probes the peer itself
+//	only after a round in which it heard no request (a new path
+//	starts as if one had been heard, so the first round shares too).
 //	A returned echo proves "the hub, wiring, network interface card,
 //	device driver, network protocol stack and host kernel are
 //	operational" for that path. Consecutive misses (an unanswered

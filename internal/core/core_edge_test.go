@@ -4,12 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/netsim"
 	"drsnet/internal/rng"
 	"drsnet/internal/routing"
 	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
+	"drsnet/internal/transport"
 )
 
 // lossyCluster builds a cluster over a network with random frame loss.
@@ -376,5 +378,32 @@ func TestMonitoringEventuallyConsistent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sizedTransport is a transport to nowhere of a given cluster size,
+// enough for New.
+type sizedTransport struct{ nodes int }
+
+func (s sizedTransport) Node() int                                       { return 0 }
+func (s sizedTransport) Nodes() int                                      { return s.nodes }
+func (s sizedTransport) Rails() int                                      { return 2 }
+func (s sizedTransport) Send(int, int, []byte) error                     { return nil }
+func (s sizedTransport) SetReceiver(func(rail, src int, payload []byte)) {}
+
+// New's allocation count does not grow with the cluster: validating
+// the default Monitor list costs one slice whatever its length.
+func TestNewAllocationsIndependentOfClusterSize(t *testing.T) {
+	clk := clock.NewManual()
+	allocs := func(nodes int) float64 {
+		var tr transport.Transport = sizedTransport{nodes}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := New(tr, clk, DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(432); small != large {
+		t.Fatalf("New allocates %v times at 16 nodes and %v at 432, want the same", small, large)
 	}
 }

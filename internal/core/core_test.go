@@ -132,14 +132,15 @@ func TestProbesFlowAndLinksStayUp(t *testing.T) {
 	c.runFor(5 * time.Second)
 	// Each pair shares one exchange per round and rail: the lower id
 	// requests and the higher id answers. The tap sees the five rounds
-	// after the first, which ran inside Start; by then node 2, the
-	// higher id of both its pairs, only answers.
+	// after the first, which ran inside Start; in every round node 0
+	// only requests and node 2, the higher id of both its pairs, only
+	// answers.
 	for node, want := range []int{2, 1, 0} {
 		if got := tap.requests[node]; got != want*2*5 {
 			t.Errorf("node %d sent %d requests in 5 rounds, want %d", node, got, want*2*5)
 		}
-		if tap.replies[node] == 0 {
-			t.Errorf("node %d answered no requests", node)
+		if got := tap.replies[node]; got != node*2*5 {
+			t.Errorf("node %d sent %d replies in 5 rounds, want %d", node, got, node*2*5)
 		}
 	}
 	for node, d := range c.daemons {
@@ -151,10 +152,12 @@ func TestProbesFlowAndLinksStayUp(t *testing.T) {
 				if !d.LinkUp(peer, rail) {
 					t.Fatalf("node %d thinks (%d,%d) is down on a healthy network", node, peer, rail)
 				}
+				// The answering end measures the requester's round
+				// trips, carried in the requests.
+				if _, ok := d.RTT(peer, rail); !ok {
+					t.Fatalf("node %d has no RTT for (%d,%d)", node, peer, rail)
+				}
 			}
-		}
-		if d.Metrics().Counter(routing.CtrProbeReplies).Value() == 0 {
-			t.Fatalf("node %d got no replies", node)
 		}
 		if d.Metrics().Counter(routing.CtrLinkDown).Value() != 0 {
 			t.Fatalf("node %d saw spurious link-down", node)

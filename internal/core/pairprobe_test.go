@@ -90,6 +90,82 @@ func TestAsymmetricMonitorKeepsAnswererProbing(t *testing.T) {
 	}
 }
 
+// Node 2's first round toward node 0 waits on the path's grant, and
+// no request ever meets it, since node 0 does not monitor node 2.
+// That unmet granted wait is no evidence of a dead link: even with a
+// miss threshold of 1 nothing goes down.
+func TestUnmetGrantedWaitRaisesNoLinkDown(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MissThreshold = 1
+	c := buildClusterShape(t, topology.Dual(3), cfg, func(node int, cfg *Config) {
+		if node == 0 {
+			cfg.Monitor = []int{1}
+		}
+	})
+	for _, d := range c.daemons {
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer c.stop()
+	c.runFor(5 * time.Second)
+	if n := c.log.Count(trace.KindLinkDown); n != 0 {
+		t.Errorf("%d spurious link-down events", n)
+	}
+}
+
+// A path already dead at Start: the requester misses its reply in
+// rounds 1 and 2 and declares the link down at 2 s. The answering end
+// spends round 0 on its granted wait, which no request meets and which
+// is no miss, then probes, and declares the link down one round later,
+// at 3 s.
+func TestPathDeadAtStartAnswererOneRoundLater(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ProbeInterval, cfg.MissThreshold = time.Second, 2
+	c := buildClusterShape(t, topology.Dual(2), cfg, nil)
+	c.net.Fail(c.net.Cluster().NIC(1, 0))
+	for _, d := range c.daemons {
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer c.stop()
+	c.runFor(5 * time.Second)
+	for node, want := range []time.Duration{2 * time.Second, 3 * time.Second} {
+		e, ok := c.log.First(trace.KindLinkDown, node)
+		if !ok || e.Rail != 0 || e.At != want {
+			t.Errorf("node %d: first link-down %+v (found %v), want rail 0 at %v", node, e, ok, want)
+		}
+	}
+}
+
+// The first round already shares exchanges: on Dual(10) the round that
+// runs inside Start sends one request per pair and rail, 45 × 2, and
+// node 0, the lowest id, never has a request to answer.
+func TestFirstRoundSharesExchanges(t *testing.T) {
+	c := buildClusterShape(t, topology.Dual(10), DefaultConfig(), nil)
+	tap := &echoTap{requests: make([]int, 10), replies: make([]int, 10)}
+	c.net.SetTap(tap)
+	for _, d := range c.daemons {
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer c.stop()
+	c.runFor(500 * time.Millisecond)
+	total := 0
+	for _, n := range tap.requests {
+		total += n
+	}
+	if total != 90 {
+		t.Errorf("first round sent %d requests, want 90", total)
+	}
+	c.runFor(3 * time.Second)
+	if tap.replies[0] != 0 {
+		t.Errorf("node 0 sent %d replies, want 0", tap.replies[0])
+	}
+}
+
 // A failure seen from both ends of one exchange: node 0 requests and
 // node 1 answers. Whatever the phase of the two daemons' rounds and
 // wherever in a round the NIC dies, the answering end declares the

@@ -1,10 +1,12 @@
 package linkmon
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/simtime"
 )
 
@@ -29,6 +31,42 @@ func TestRoundsPeriodAndStop(t *testing.T) {
 	s.RunUntil(simtime.Time(10 * time.Second))
 	if len(fired) != 4 {
 		t.Fatalf("rounds kept firing after Stop: %d", len(fired))
+	}
+}
+
+// TestRoundsStopRacesTick stops drivers on a live clock while their
+// rounds tick on the clock's goroutine. Stop cancels no timer, so the
+// stopped flag alone keeps the pending one from starting a body: after
+// Stop returns, at most the one body already past its check may start,
+// and a driver stopped between rounds starts none.
+func TestRoundsStopRacesTick(t *testing.T) {
+	clk := clock.NewWall()
+	defer clk.Stop()
+	const drivers, interval = 20, time.Millisecond
+	late := int64(0)
+	for i := 0; i < drivers; i++ {
+		r := NewRounds(clk)
+		var started atomic.Int64
+		ticking := make(chan struct{})
+		r.Run(interval, func() {
+			if started.Add(1) == 3 {
+				close(ticking)
+			}
+		})
+		<-ticking
+		r.Stop()
+		atStop := started.Load()
+		time.Sleep(10 * interval)
+		extra := started.Load() - atStop
+		if extra > 1 {
+			t.Fatalf("driver %d: %d bodies started after Stop returned, want at most 1", i, extra)
+		}
+		late += extra
+	}
+	// A body in flight at Stop is a narrow race; one after every Stop
+	// means the pending timer ran its body.
+	if late == drivers {
+		t.Fatalf("every driver started a body after Stop returned")
 	}
 }
 
@@ -121,7 +159,8 @@ func TestTableProbeLifecycle(t *testing.T) {
 }
 
 // TestTableRemoveAddResets: the rows share one slab, so a re-added
-// peer must get fresh rails without disturbing its neighbours' states.
+// peer must get fresh rails, with a new granted wait, without
+// disturbing its neighbours' states.
 func TestTableRemoveAddResets(t *testing.T) {
 	tbl := NewTable(4, 2)
 	for peer := 0; peer < 4; peer++ {
@@ -144,7 +183,7 @@ func TestTableRemoveAddResets(t *testing.T) {
 		t.Fatal("re-Add after Remove refused")
 	}
 	for rail := 0; rail < 2; rail++ {
-		if got := *tbl.State(1, rail); got != (State{Up: true}) {
+		if got := *tbl.State(1, rail); got != (State{Up: true, heard: true, granted: true}) {
 			t.Errorf("re-added peer 1 rail %d = %+v, want fresh", rail, got)
 		}
 	}
@@ -250,9 +289,10 @@ func TestStateIsOneCacheLine(t *testing.T) {
 }
 
 // TestBeginRoundAnswersAfterHeardRequest walks the answering end of a
-// shared exchange: it probes until it hears the peer's request, then
-// waits for one request per round, and a round without one is a miss
-// after which it probes again.
+// shared exchange: its first round waits on Add's grant, and when no
+// request meets that wait it probes until it hears the peer's request;
+// then it waits for one request per round, and a round without one is
+// a miss after which it probes again.
 func TestBeginRoundAnswersAfterHeardRequest(t *testing.T) {
 	tbl := NewTable(2, 1)
 	tbl.Add(0)
@@ -266,7 +306,8 @@ func TestBeginRoundAnswersAfterHeardRequest(t *testing.T) {
 		}
 		return seq
 	}
-	seq := round(true, false, 0) // nothing heard yet: probe
+	round(false, false, 0)       // a new path waits on its grant
+	seq := round(true, false, 0) // nothing heard: no miss, probe
 	if st.HeardRequest() {
 		t.Fatal("a probing round reported an awaited request")
 	}
@@ -285,6 +326,56 @@ func TestBeginRoundAnswersAfterHeardRequest(t *testing.T) {
 	st.HeardRequest()
 	if _, probe, _ := tbl.BeginRound(0, 0, 2, false); !probe {
 		t.Fatal("a requesting end waited for a request")
+	}
+}
+
+// TestGrantedWait pins the first rounds of a new path with a miss
+// threshold of 1, so that any miss counted would also take the link
+// down. Each script runs on a fresh table; "wait" and "probe" are
+// BeginRound's expected choice, "heard" a request arriving, "readd"
+// Remove followed by Add.
+func TestGrantedWait(t *testing.T) {
+	type step struct {
+		op     string
+		misses int
+	}
+	for _, tc := range []struct {
+		name   string
+		answer bool
+		steps  []step
+	}{
+		{"new answering path awaits in its first round", true,
+			[]step{{"wait", 0}}},
+		{"unmet granted wait adds no miss and probes next round", true,
+			[]step{{"wait", 0}, {"probe", 0}, {"probe", 1}}},
+		{"granted wait met by a request is followed by an earned wait that counts", true,
+			[]step{{"wait", 0}, {"heard", 0}, {"wait", 0}, {"probe", 1}}},
+		{"requester path probes from round 0", false,
+			[]step{{"probe", 0}, {"probe", 1}}},
+		{"re-added path is granted again", true,
+			[]step{{"wait", 0}, {"heard", 0}, {"wait", 0}, {"readd", 0}, {"wait", 0}, {"probe", 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl := NewTable(2, 1)
+			tbl.Add(0)
+			for i, s := range tc.steps {
+				switch s.op {
+				case "heard":
+					tbl.State(0, 0).HeardRequest()
+				case "readd":
+					tbl.Remove(0)
+					tbl.Add(0)
+				default:
+					_, probe, down := tbl.BeginRound(0, 0, 1, tc.answer)
+					if probe != (s.op == "probe") || down != (s.misses > 0) {
+						t.Fatalf("step %d: BeginRound = probe %v down %v, want %s", i, probe, down, s.op)
+					}
+				}
+				if got := tbl.State(0, 0).Misses; got != s.misses {
+					t.Fatalf("step %d (%s): %d misses, want %d", i, s.op, got, s.misses)
+				}
+			}
+		})
 	}
 }
 

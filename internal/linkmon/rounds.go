@@ -12,21 +12,20 @@ import (
 // after the body returns, so under a deterministic scheduler every
 // send a round makes is ordered before the timer that starts the next
 // round — the property the byte-identical simulation goldens pin.
+// Each round is rescheduled on the clock's handle-free AfterCall path,
+// so a steady round allocates nothing.
 //
 // Rounds is safe for concurrent use; the body itself runs outside any
 // Rounds lock.
 type Rounds struct {
 	clock clock.Clock
 
-	// Set once by Run; next is the tick method, bound once so that
-	// rescheduling a round costs the clock's timer and nothing else.
+	// Set once by Run.
 	interval time.Duration
 	body     func()
-	next     func()
 
 	mu      sync.Mutex
 	stopped bool
-	cancel  func() bool
 }
 
 // NewRounds returns a stopped-free round driver on clock.
@@ -37,9 +36,12 @@ func NewRounds(clock clock.Clock) *Rounds {
 // Run executes body now and then every interval until Stop. Call it
 // once, from the protocol's Start.
 func (r *Rounds) Run(interval time.Duration, body func()) {
-	r.interval, r.body, r.next = interval, body, r.tick
+	r.interval, r.body = interval, body
 	r.tick()
 }
+
+// runTick is the rounds timer's callback, arg being the *Rounds.
+func runTick(r any) { r.(*Rounds).tick() }
 
 func (r *Rounds) tick() {
 	r.mu.Lock()
@@ -53,7 +55,7 @@ func (r *Rounds) tick() {
 
 	r.mu.Lock()
 	if !r.stopped {
-		r.cancel = r.clock.AfterFunc(r.interval, r.next)
+		r.clock.AfterCall(r.interval, runTick, r)
 	}
 	r.mu.Unlock()
 }
@@ -83,16 +85,14 @@ func (r *Rounds) Stagger(interval time.Duration, n int, send func(i int)) {
 	}
 }
 
-// Stop halts the loop: the pending timer is canceled and any timer
-// that already fired becomes a no-op.
+// Stop halts the loop: no round body starts after Stop returns, except
+// one that was already past its stopped check. The pending timer is
+// not cancelled; when it fires it finds the driver stopped and does
+// nothing.
 func (r *Rounds) Stop() {
 	r.mu.Lock()
 	r.stopped = true
-	cancel := r.cancel
 	r.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 }
 
 // Stopped reports whether Stop has been called.

@@ -23,6 +23,8 @@ type RTTStats struct {
 // A path's check each round is either our own probe (Pending, matched
 // by the peer's reply) or, at the answering end of a shared echo
 // exchange, a wait for the peer's request (awaiting); see BeginRound.
+// A new path's first wait is granted rather than earned (granted): no
+// request has been heard yet, so missing it is no evidence.
 type State struct {
 	// RTT estimation (Jacobson/Karels) from probe timestamps.
 	srtt    time.Duration
@@ -54,8 +56,9 @@ type State struct {
 	// in cold, because Usable reads it on every route decision.
 	damped bool
 	// heard marks a request from the peer since the round began;
-	// awaiting marks a round whose check is the peer's next request.
-	heard, awaiting bool
+	// awaiting marks a round whose check is the peer's next request;
+	// granted marks a wait that Add granted, whose miss is no miss.
+	heard, awaiting, granted bool
 }
 
 // ObserveRTT folds one probe round-trip sample into the smoothed
@@ -136,14 +139,17 @@ func (t *Table) row(peer int) []State {
 }
 
 // Add begins monitoring peer with every rail optimistically up; it
-// reports false if the peer was already monitored.
+// reports false if the peer was already monitored. Every rail starts
+// with a granted wait, as if the peer's request had been heard: at the
+// answering end the first round awaits the request instead of probing,
+// so the pair shares one exchange from the start (see BeginRound).
 func (t *Table) Add(peer int) bool {
 	if t.monitored[peer] {
 		return false
 	}
 	row := t.row(peer)
 	for r := range row {
-		row[r] = State{Up: true}
+		row[r] = State{Up: true, heard: true, granted: true}
 	}
 	t.monitored[peer] = true
 	return true
@@ -249,10 +255,14 @@ func (t *Table) BeginProbe(peer, rail, threshold int) (seq uint16, down bool) {
 // the miss just crossed threshold on an up link. With answer set, a
 // path whose peer's request was heard during the previous round waits
 // for the next one instead of probing (probe is false); any other path
-// arms a probe under seq, as BeginProbe does.
+// arms a probe under seq, as BeginProbe does. A new path's first round
+// waits on Add's grant; if no request meets that wait it is no miss,
+// and the path probes from the next round on. A path already dead at
+// the start is therefore declared down one round later at the
+// answering end than at the requester.
 func (t *Table) BeginRound(peer, rail, threshold int, answer bool) (seq uint16, probe, down bool) {
 	st := &t.slab[peer*t.rails+rail]
-	if st.Pending || st.awaiting {
+	if st.Pending || st.awaiting && !st.granted {
 		st.Misses++
 		down = st.Up && st.Misses >= threshold
 	}
@@ -262,7 +272,7 @@ func (t *Table) BeginRound(peer, rail, threshold int, answer bool) (seq uint16, 
 		st.Pending, st.awaiting = false, true
 		return 0, false, down
 	}
-	st.awaiting = false
+	st.awaiting, st.granted = false, false
 	t.seq++
 	st.Pending = true
 	st.PendingSeq = t.seq
@@ -271,10 +281,11 @@ func (t *Table) BeginRound(peer, rail, threshold int, answer bool) (seq uint16, 
 
 // HeardRequest credits a request heard from the peer on this path: it
 // meets the check an answering round awaits, lets the next round wait
-// again, and reports whether this round was waiting for it.
+// again, and reports whether this round was waiting for it. The next
+// wait is earned, so missing it counts.
 func (st *State) HeardRequest() (awaited bool) {
 	awaited = st.awaiting
-	st.awaiting = false
+	st.awaiting, st.granted = false, false
 	st.heard = true
 	return awaited
 }

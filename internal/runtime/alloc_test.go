@@ -13,9 +13,11 @@ import (
 
 // A fault-free steady-state probe round is the simulator's inner loop:
 // ten nodes exchange 180 frames per interval, one request and one
-// reply for each of the 45 pairs on each of the two rails. Every buffer on that path is scratch or pooled, so what a
-// round allocates is bounded by a constant, not by the frame count
-// (1180 before the buffer-ownership rule was used).
+// reply for each of the 45 pairs on each of the two rails. Every
+// buffer on that path is scratch or pooled and every round is
+// rescheduled without a timer handle, so a round allocates nothing
+// (1180 times before the buffer-ownership rule was used, 20 while
+// each daemon's round took a cancellable timer).
 func TestSteadyProbeRoundAllocations(t *testing.T) {
 	c, err := Build(ClusterSpec{Nodes: 10})
 	if err != nil {
@@ -33,8 +35,8 @@ func TestSteadyProbeRoundAllocations(t *testing.T) {
 	if per := (after - before) / (rounds + 1); per != 180 {
 		t.Fatalf("a round delivered %d frames, want 180", per)
 	}
-	if allocs > 20 {
-		t.Fatalf("a steady probe round allocates %.0f times, want <= 20", allocs)
+	if allocs != 0 {
+		t.Fatalf("a steady probe round allocates %.0f times, want 0", allocs)
 	}
 }
 
