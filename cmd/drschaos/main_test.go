@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -183,16 +185,10 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// TestFailoverCampaignGolden pins the static fast-failover head-to-head
-// to the digit, default lineup included (no -protocols flag: the mode
-// swaps in the static family plus the convergence protocols). The
-// rows carry the head-to-head story: the relay-capable variants hold
-// the clean-run availability through the dynamic regime that degrades
-// every convergence protocol, the stateless arborescence is convicted
-// of forwarding loops when a node is fully cut off mid-flap, and the
-// bounce variant matches its availability with provable loop-freedom.
-func TestFailoverCampaignGolden(t *testing.T) {
-	const golden = `# chaos campaign: static fast-failover head-to-head (4 nodes, 30s, seed 3)
+// failoverGolden is the static fast-failover head-to-head table:
+// TestFailoverCampaignGolden pins it, and EXPERIMENTS.md quotes rows
+// of it.
+const failoverGolden = `# chaos campaign: static fast-failover head-to-head (4 nodes, 30s, seed 3)
        protocol   regime   avail%  loops  revisits  drops  repairs
  failover-rotor    clean    99.17      0         0      4        0
  failover-rotor     loss    88.96      0         0     53        0
@@ -225,13 +221,48 @@ failover-bounce  dynamic    99.17      0         0      4        0
        reactive    crash    76.04      0         0     82        0
        reactive  dynamic    75.00      0         0    120        0
 `
+
+// TestFailoverCampaignGolden pins the static fast-failover head-to-head
+// to the digit, default lineup included (no -protocols flag: the mode
+// swaps in the static family plus the convergence protocols). The
+// rows carry the head-to-head story: the relay-capable variants hold
+// the clean-run availability through the dynamic regime that degrades
+// every convergence protocol, the stateless arborescence is convicted
+// of forwarding loops when a node is fully cut off mid-flap, and the
+// bounce variant matches its availability with provable loop-freedom.
+func TestFailoverCampaignGolden(t *testing.T) {
 	var out, errb bytes.Buffer
 	args := []string{"-mode", "failover", "-nodes", "4", "-duration", "30s", "-seed", "3"}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	if out.String() != golden {
-		t.Fatalf("failover head-to-head drifted:\n--- got ---\n%s--- want ---\n%s", out.String(), golden)
+	if out.String() != failoverGolden {
+		t.Fatalf("failover head-to-head drifted:\n--- got ---\n%s--- want ---\n%s", out.String(), failoverGolden)
+	}
+}
+
+// TestExperimentsQuotesFailoverGolden: every row of the head-to-head
+// excerpt in EXPERIMENTS.md appears verbatim in the pinned table, so
+// the write-up cannot drift from what the campaign prints.
+func TestExperimentsQuotesFailoverGolden(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(doc), "The head-to-head campaign (`drschaos -mode failover`")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no failover head-to-head excerpt")
+	}
+	_, block, _ := strings.Cut(after, "```\n")
+	block, _, ok = strings.Cut(block, "```")
+	if !ok || strings.TrimSpace(block) == "" {
+		t.Fatal("the failover excerpt in EXPERIMENTS.md has no table")
+	}
+	rows := strings.Split(failoverGolden, "\n")
+	for _, line := range strings.Split(strings.TrimSuffix(block, "\n"), "\n") {
+		if !slices.Contains(rows, line) {
+			t.Errorf("EXPERIMENTS.md quotes a row the golden table does not hold:\n%s", line)
+		}
 	}
 }
 

@@ -13,9 +13,12 @@ import (
 // has run, a record goes back on the freelist — often while it is
 // still its lane's stale tail — or reschedules itself onto another
 // lane from inside that event, as a fabric hop does. After each
-// operation the rig checks Pending against a brute-force count and the
-// heap size against what lanes promise; at the end the executed
-// sequence must be the uncancelled events sorted by (at, seq).
+// operation the rig checks Pending against a brute-force count, the
+// timers the heap queues against what lanes promise, and every run
+// against its order; at the end the executed sequence must be the
+// uncancelled events sorted by (at, seq). A burst files many lane
+// heads at one instant, so that they share runs; the rig counts how
+// runs form and retire, watching the heap root before each pop.
 type orderRig struct {
 	t       testing.TB
 	s       *Scheduler
@@ -34,6 +37,22 @@ type orderRig struct {
 	cancels  int    // successful cancels (their timers may linger in the heap)
 	fallback int    // lane events that went to the heap out of lane order
 	refused  int    // LaneTimer calls on a pending record, each of which panicked
+
+	root    rootView // the heap root as the last operation or event left it
+	joined  int      // timers filed onto the heap that joined a run
+	split   int      // lane successors refused by the run at their instant, opening a second
+	reused  int      // lane successors that took an emptied root in place
+	retired int      // runs emptied by a pop
+}
+
+// rootView is the heap root seen before a pop. When ok, the root holds
+// an uncancelled timer, so the next pop is the one that runs it.
+type rootView struct {
+	ok   bool
+	n    int    // heap entries
+	run  bool   // the root is a run
+	left int    // timers the root entry holds
+	succ *Timer // the root timer's lane successor
 }
 
 // laneRec is a caller-owned record with its own timer, like a
@@ -61,6 +80,10 @@ const (
 	kindLane // at no earlier than the lane's tail
 	kindLaneAny
 )
+
+// burstAtCalls is how many AtCall events a burst adds at its instant
+// at most, beside its lane heads.
+const burstAtCalls = 8
 
 // What a lane event's record does once its event has run.
 const (
@@ -90,11 +113,15 @@ func (r *orderRig) schedule(kind, lane int, at Time, spawn byte, then int, rec *
 	ev := orderEv{at: at, lane: -1, spawn: spawn}
 	switch kind {
 	case kindAt:
+		heap := len(r.s.heap)
 		ev.timer = r.s.At(at, func() { r.run(id) })
+		r.filed(heap)
 		r.handles = append(r.handles, id)
 		r.direct++
 	case kindAtCall:
+		heap := len(r.s.heap)
 		r.s.AtCall(at, r.fire, id)
+		r.filed(heap)
 		r.direct++
 	default:
 		if rec == nil {
@@ -106,7 +133,11 @@ func (r *orderRig) schedule(kind, lane int, at Time, spawn byte, then int, rec *
 			at = r.laneLast[lane]
 		}
 		ev.at = at
+		heap := len(r.s.heap)
 		r.s.LaneTimer(&r.lanes[lane], at, &rec.tm)
+		if r.laneLive[lane] == 0 || at < r.laneLast[lane] {
+			r.filed(heap)
+		}
 		if r.laneLive[lane] > 0 && at < r.laneLast[lane] {
 			r.direct++
 			r.fallback++
@@ -117,6 +148,89 @@ func (r *orderRig) schedule(kind, lane int, at Time, spawn byte, then int, rec *
 		}
 	}
 	r.evs = append(r.evs, ev)
+}
+
+// filed counts the timer just queued in the heap as a join when the
+// heap, which held heap entries before, gained none.
+func (r *orderRig) filed(heap int) {
+	if len(r.s.heap) == heap {
+		r.joined++
+	}
+}
+
+// burst files one lane event on every lane at a single instant, and up
+// to burstAtCalls AtCall events beside them. It first queues lane b a
+// head one tick earlier with a successor at the burst's instant: that
+// successor is older than every timer the burst files, so when it is
+// promoted the run open there must refuse it.
+func (r *orderRig) burst(a, b byte) {
+	at := r.s.Now() + 1 + Time(a%4)
+	lane := int(b) % len(r.lanes)
+	r.schedule(kindLane, lane, at-1, 0, thenFree, nil)
+	r.schedule(kindLane, lane, at, 0, thenFree, nil)
+	for i := 1; i < len(r.lanes); i++ {
+		r.schedule(kindLane, (lane+i)%len(r.lanes), at, 0, thenFree, nil)
+	}
+	for i := 0; i < int(a>>2)%(burstAtCalls+1); i++ {
+		r.schedule(kindAtCall, 0, at, 0, thenFree, nil)
+	}
+}
+
+// look records the heap root before the next pop.
+func (r *orderRig) look() {
+	r.root = rootView{n: len(r.s.heap)}
+	if r.root.n == 0 {
+		return
+	}
+	e := &r.s.heap[0]
+	if e.head.cancelled {
+		return
+	}
+	q := r.queue(e)
+	r.root.ok, r.root.run, r.root.succ = true, e.run != 0, e.head.next
+	r.root.left = len(q)
+}
+
+// popped tells, from the root seen before the pop that ran the current
+// event, what that pop did with the root and the lane successor.
+func (r *orderRig) popped() {
+	v := r.root
+	r.root.ok = false
+	if !v.ok {
+		return
+	}
+	if v.left == 1 {
+		if v.run {
+			r.retired++
+		}
+		if v.succ != nil && len(r.s.heap) == v.n {
+			r.reused++
+		}
+	}
+	if v.succ == nil {
+		return
+	}
+	for i := range r.s.heap {
+		e := &r.s.heap[i]
+		if e.head != v.succ || e.run == 0 {
+			continue
+		}
+		for j := range r.s.heap {
+			if f := &r.s.heap[j]; j != i && f.run != 0 && f.at == e.at && r.queue(f)[len(r.queue(f))-1].seq > e.seq {
+				r.split++
+				return
+			}
+		}
+	}
+}
+
+// queue returns the timers heap entry e holds, head first.
+func (r *orderRig) queue(e *entry) []*Timer {
+	if e.run == 0 {
+		return []*Timer{e.head}
+	}
+	run := r.s.runs[e.run]
+	return run.q[run.i:]
 }
 
 func (r *orderRig) takeRec() *laneRec {
@@ -136,6 +250,7 @@ func (r *orderRig) run(id int) {
 		r.t.Fatalf("event %d (at %v) ran at %v: fired %v, cancelled %v", id, ev.at, r.s.Now(), ev.fired, ev.cancelled)
 	}
 	ev.fired = true
+	r.popped()
 	e := *ev // scheduling below may move r.evs
 	r.fired = append(r.fired, id)
 	if e.lane >= 0 {
@@ -156,6 +271,7 @@ func (r *orderRig) run(id int) {
 	default:
 		r.free = append(r.free, e.rec)
 	}
+	r.look()
 }
 
 func (r *orderRig) cancel(i int) {
@@ -195,9 +311,10 @@ func (r *orderRig) repend(lane int) {
 	r.t.Fatalf("LaneTimer rescheduled the pending record of event %d", rec.id)
 }
 
-// check compares Pending with a brute-force count, and the heap size
-// with one entry per non-empty lane plus every event pushed directly
-// (cancelled timers stay in the heap until they reach its root).
+// check compares Pending with a brute-force count, and the timers the
+// heap queues with one per non-empty lane plus every event pushed
+// directly (cancelled timers stay queued until they reach the root);
+// runs may only make the entries fewer than the timers.
 func (r *orderRig) check() {
 	r.t.Helper()
 	live := 0
@@ -215,8 +332,27 @@ func (r *orderRig) check() {
 			lo++
 		}
 	}
-	if h := len(r.s.heap); h < lo || h > lo+r.cancels {
-		r.t.Fatalf("heap holds %d timers, want %d..%d", h, lo, lo+r.cancels)
+	q := r.s.queued()
+	if q < lo || q > lo+r.cancels {
+		r.t.Fatalf("heap queues %d timers, want %d..%d", q, lo, lo+r.cancels)
+	}
+	if h := len(r.s.heap); h > q {
+		r.t.Fatalf("heap holds %d entries for %d timers", h, q)
+	}
+	for i := range r.s.heap {
+		e := &r.s.heap[i]
+		if e.head.at != e.at || e.head.seq != e.seq {
+			r.t.Fatalf("entry %d is keyed (%v, %d), its head is (%v, %d)", i, e.at, e.seq, e.head.at, e.head.seq)
+		}
+		q := r.queue(e)
+		if q[0] != e.head {
+			r.t.Fatalf("entry %d is not keyed by its run's head", i)
+		}
+		for j, t := range q[1:] {
+			if prev := q[j]; t.at != e.at || t.seq <= prev.seq || t.sched == nil {
+				r.t.Fatalf("run at %v holds (%v, %d) after seq %d", e.at, t.at, t.seq, prev.seq)
+			}
+		}
 	}
 }
 
@@ -248,9 +384,14 @@ func (r *orderRig) exec(script []byte) {
 		case 8:
 			r.schedule(kindLane, lane, now+Time(a%4), op/10, thenPark, nil)
 		case 9:
-			r.repend(lane)
+			if op/10%2 == 1 {
+				r.burst(a, b)
+			} else {
+				r.repend(lane)
+			}
 		}
 		r.check()
+		r.look()
 	}
 	r.s.Run(0)
 	r.check()
@@ -296,6 +437,16 @@ func lcgScript(seed uint64, n int, monotone bool) []byte {
 	return out
 }
 
+// burstScript files bursts onto fresh and busy instants between steps
+// and drains; run on five lanes it joins runs, splits one and reuses
+// the root for a promoted successor, and retires runs.
+var burstScript = []byte{
+	19, 5, 0, 5, 3, 0, 5, 3, 0, // burst at now+2 with one AtCall, then 8 steps
+	19, 33, 1, 39, 37, 2, 5, 1, 0, // two bursts at one instant, then 2 steps
+	2, 0, 3, 19, 30, 3, 6, 1, 0, // a lane event at now, a burst at now+3, run to now+1
+	59, 7, 4, 6, 9, 0, // a burst, run past it
+}
+
 func TestSchedulerOrderTable(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -304,6 +455,7 @@ func TestSchedulerOrderTable(t *testing.T) {
 		lanes    int
 		monotone bool
 		script   []byte // replaces the generated script when set
+		refused  int    // LaneTimer calls on a pending record the script makes
 	}{
 		{name: "one-lane", seed: 1, ops: 400, lanes: 1},
 		{name: "four-lanes", seed: 2, ops: 2000, lanes: 4},
@@ -311,14 +463,18 @@ func TestSchedulerOrderTable(t *testing.T) {
 		{name: "monotone", seed: 4, ops: 3000, lanes: 8, monotone: true},
 		{name: "monotone-one-lane", seed: 5, ops: 1000, lanes: 1, monotone: true},
 		// A lane event, then LaneTimer on its still-queued record.
-		{name: "pending-timer-panics", lanes: 2, script: []byte{2, 5, 0, 9, 0, 1}},
+		{name: "pending-timer-panics", lanes: 2, script: []byte{2, 5, 0, 9, 0, 1}, refused: 1},
+		{name: "burst", lanes: 5, script: burstScript},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newOrderRig(t, tc.lanes)
 			if tc.script != nil {
 				r.exec(tc.script)
-				if r.refused != 1 {
-					t.Fatalf("%d LaneTimer calls on a pending record panicked, want 1", r.refused)
+				if r.refused != tc.refused {
+					t.Fatalf("%d LaneTimer calls on a pending record panicked, want %d", r.refused, tc.refused)
+				}
+				if tc.refused == 0 {
+					r.requireRuns()
 				}
 				return
 			}
@@ -329,12 +485,32 @@ func TestSchedulerOrderTable(t *testing.T) {
 			if !tc.monotone && r.fallback == 0 {
 				t.Fatal("script never exercised the heap fallback")
 			}
+			r.requireRuns()
 		})
 	}
 }
 
+// requireRuns fails unless the script joined a run, split one, reused
+// an emptied root for a lane successor and retired a run.
+func (r *orderRig) requireRuns() {
+	r.t.Helper()
+	for _, c := range []struct {
+		n    int
+		what string
+	}{
+		{r.joined, "joined a run"},
+		{r.split, "refused a lane successor a join, opening a second run"},
+		{r.reused, "reused an emptied root in place"},
+		{r.retired, "retired a run"},
+	} {
+		if c.n == 0 {
+			r.t.Errorf("script never %s", c.what)
+		}
+	}
+}
+
 // TestLaneHeapHoldsOneEntryPerLane: a thousand monotone arrivals on
-// each of four lanes cost the heap four entries.
+// each of four lanes queue four timers in the heap, the lane heads.
 func TestLaneHeapHoldsOneEntryPerLane(t *testing.T) {
 	s := NewScheduler()
 	lanes := make([]Lane, 4)
@@ -345,8 +521,8 @@ func TestLaneHeapHoldsOneEntryPerLane(t *testing.T) {
 		timers[i].Bind(record, i)
 		s.LaneTimer(&lanes[i%4], Time(i/4), &timers[i])
 	}
-	if len(s.heap) != 4 || s.Pending() != 4000 {
-		t.Fatalf("heap %d, pending %d; want 4 and 4000", len(s.heap), s.Pending())
+	if s.queued() != 4 || len(s.heap) > 4 || s.Pending() != 4000 {
+		t.Fatalf("heap queues %d timers in %d entries, pending %d; want 4, at most 4 and 4000", s.queued(), len(s.heap), s.Pending())
 	}
 	s.Run(0)
 	for i, v := range ran {
@@ -364,6 +540,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 4, 0, 0, 9, 4, 1, 6, 20, 0, 3, 1, 1})
 	f.Add(lcgScript(7, 200, false))
 	f.Add([]byte{7, 1, 0, 8, 2, 1, 2, 0, 0, 5, 3, 0, 9, 0, 0, 2, 1, 1, 5, 3, 0})
+	f.Add(burstScript)
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*1000 {
 			script = script[:3*1000]

@@ -73,10 +73,12 @@ func (t *Timer) Cancel() bool {
 func (t *Timer) When() Time { return t.at }
 
 // Lane is a FIFO of events whose times never decrease — the arrivals
-// of one serializing link. Only its head sits in the scheduler's heap;
+// of one serializing link. Only its head is queued in the scheduler;
 // the rest wait in line behind it, so a link with a thousand frames in
-// flight costs the heap one entry. The zero value is an empty lane. A
-// Lane that has been passed to LaneTimer must not be copied.
+// flight costs the queue one timer, and the lane heads of many links
+// due at one instant can share a heap entry. The zero value is an
+// empty lane. A Lane that has been passed to LaneTimer must not be
+// copied.
 type Lane struct {
 	// tail is the last timer to join, and seq the sequence number it
 	// joined with. Timers hold no pointer back to their lane, so the
@@ -91,16 +93,25 @@ func (l *Lane) queued() bool {
 	return l.tail != nil && l.tail.seq == l.seq && l.tail.sched != nil
 }
 
-// Scheduler is a deterministic discrete-event executor.
+// Scheduler is a deterministic discrete-event executor. It queues
+// every pending timer that is not waiting behind a lane head in a
+// binary min-heap whose entries each hold one timer or a run of timers
+// due at one instant; events run in exactly (at, seq) order either way.
 // It is not safe for concurrent use; simulations are single-threaded
 // by design (parallelism in this repository lives one level up, across
 // independent simulations).
 type Scheduler struct {
 	now Time
-	// heap is a binary min-heap ordered by (at, seq) holding every
-	// pending timer that is not waiting behind a lane head.
-	heap []*Timer
+	// heap is ordered by each entry's key, its head's (at, seq).
+	heap []entry
 	seq  uint64
+	// runs holds every run by its number (runs[0] is unused, so that
+	// zero means none); idle numbers the retired ones, which keep
+	// their capacity. Entries and the index name runs by number: an
+	// entry moved while the collector runs then pays one write
+	// barrier, not two, and the index holds no pointers at all.
+	runs []*run
+	idle []int32
 	// executed counts events that have run (for tests and tracing);
 	// live counts scheduled events that have neither run nor been
 	// cancelled.
@@ -112,6 +123,8 @@ type Scheduler struct {
 	// do, because the caller may still hold the handle.
 	free []*Timer
 	slab []Timer // block-allocated backing store for pooled timers
+
+	index [1 << indexBits]slot // instant -> the run open there (see file)
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -174,11 +187,12 @@ func (s *Scheduler) AtCall(at Time, call func(any), arg any) {
 // LaneTimer schedules the caller-owned timer t, bound with Bind, to
 // fire at absolute time at, queued on lane l — the arrival of a frame
 // on the link l stands for — or on no lane when l is nil. Its contract
-// is AtCall's: t is never cancelled, nothing is allocated, and events
-// run in exactly (at, scheduling order), because a lane only ever
-// holds events in that order: an event no earlier than the lane's tail
-// joins the lane, and one that is earlier (a jittered or delayed
-// arrival overtaking the link's queue) goes straight onto the heap.
+// is AtCall's: t is never cancelled, nothing is allocated in steady
+// state, and events run in exactly (at, scheduling order), because a
+// lane only ever holds events in that order: an event no earlier than
+// the lane's tail joins the lane, and one that is earlier (a jittered
+// or delayed arrival overtaking the link's queue) is queued in the
+// scheduler directly, as the head of an empty lane is.
 // Once t has fired it may be scheduled again, from inside its own
 // event too; scheduling it while it is still pending panics.
 func (s *Scheduler) LaneTimer(l *Lane, at Time, t *Timer) {
@@ -291,61 +305,194 @@ func (s *Scheduler) RunUntil(deadline Time) int {
 // peek returns the timestamp of the next uncancelled event.
 func (s *Scheduler) peek() (Time, bool) {
 	for len(s.heap) > 0 {
-		t := s.heap[0]
-		if t.cancelled {
+		if s.heap[0].head.cancelled {
 			s.recycle(s.pop())
 			continue
 		}
-		return t.at, true
+		return s.heap[0].at, true
 	}
 	return 0, false
 }
 
-// less orders timers by (time, sequence) — a total order, so any
-// correct heap yields the identical execution sequence.
-func (t *Timer) less(u *Timer) bool {
-	if t.at != u.at {
-		return t.at < u.at
-	}
-	return t.seq < u.seq
+// entry is one heap entry: a lone timer (run 0) or the run it heads,
+// keyed by its head's (at, seq) so that sifting compares values
+// instead of chasing timers.
+type entry struct {
+	at   Time
+	seq  uint64
+	head *Timer
+	run  int32
 }
 
-// push inserts t into the heap and sifts it up.
+// less orders entries by (time, sequence) — a total order, so any
+// correct heap yields the identical execution sequence.
+func (e *entry) less(f *entry) bool {
+	if e.at != f.at {
+		return e.at < f.at
+	}
+	return e.seq < f.seq
+}
+
+// run is a FIFO of timers due at one instant, in seq order; q[i] is
+// its head. One heap entry stands for the whole run, keyed by that
+// head, so two runs — or a run and lone timers — at one instant still
+// pop in exactly (at, seq) order.
+type run struct {
+	q []*Timer
+	i int
+}
+
+// slot is one line of the instant index: the instant it last saw, how
+// many lone timers were filed there, and the run open there.
+type slot struct {
+	at   Time
+	lone int32
+	run  int32
+}
+
+const (
+	// runAfter is how many timers at one instant go into the heap
+	// alone before the next opens a run: a hub's lockstep pairs are
+	// cheaper as lone entries than as a run.
+	runAfter    = 2
+	indexBits   = 6 // the instant index has 1<<indexBits slots
+	firstRuns   = 16
+	firstRunCap = 8
+)
+
+// firstBlock is a scheduler's first allocation, made on first use:
+// firstRuns runs of firstRunCap timers, the run table and free list
+// that number them, and a heap of firstRuns entries, so a short-lived
+// scheduler does not grow them from nil.
+type firstBlock struct {
+	runs  [firstRuns]run
+	slots [firstRuns * firstRunCap]*Timer
+	table [firstRuns + 1]*run
+	idle  [firstRuns]int32
+	heap  [firstRuns]entry
+}
+
+func (s *Scheduler) firstUse() {
+	b := new(firstBlock)
+	s.heap = b.heap[:0]
+	s.runs = b.table[:1]
+	s.idle = b.idle[:0]
+	for i := range b.runs {
+		r := &b.runs[i]
+		r.q = b.slots[i*firstRunCap : i*firstRunCap : (i+1)*firstRunCap]
+		s.idle = append(s.idle, int32(len(s.runs)))
+		s.runs = append(s.runs, r)
+	}
+}
+
+// file files the heap-resident timer t. It joins the run open at its
+// instant when that run is live there and its tail is older;
+// otherwise file returns the entry t needs of its own, lone or as the
+// head of a new run. The index is a lossy cache: a stale or colliding
+// slot only costs grouping, never order.
+func (s *Scheduler) file(t *Timer) (entry, bool) {
+	sl := &s.index[uint64(t.at)*0x9e3779b97f4a7c15>>(64-indexBits)]
+	if sl.at != t.at {
+		// The run left here needs no clearing: t joins it only while
+		// it is live at t's instant.
+		sl.at, sl.lone = t.at, 1
+		return entry{at: t.at, seq: t.seq, head: t}, false
+	}
+	if sl.lone < runAfter {
+		sl.lone++
+		return entry{at: t.at, seq: t.seq, head: t}, false
+	}
+	if sl.run != 0 {
+		if r := s.runs[sl.run]; r.i < len(r.q) {
+			if tail := r.q[len(r.q)-1]; tail.at == t.at && tail.seq < t.seq {
+				r.q = append(r.q, t)
+				return entry{}, true
+			}
+		}
+	}
+	var n int32
+	if k := len(s.idle); k > 0 {
+		n = s.idle[k-1]
+		s.idle = s.idle[:k-1]
+	} else {
+		n = int32(len(s.runs))
+		s.runs = append(s.runs, &run{q: make([]*Timer, 0, firstRunCap)})
+	}
+	r := s.runs[n]
+	r.q = append(r.q, t)
+	sl.run = n
+	return entry{at: t.at, seq: t.seq, head: t, run: n}, false
+}
+
+// push files t and, unless it joined a run, sifts its entry up.
 func (s *Scheduler) push(t *Timer) {
-	s.heap = append(s.heap, nil)
+	if s.heap == nil {
+		s.firstUse()
+	}
+	e, joined := s.file(t)
+	if joined {
+		return
+	}
+	s.heap = append(s.heap, entry{})
 	h := s.heap
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !t.less(h[p]) {
+		if !e.less(&h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = t
+	h[i] = e
 }
 
-// pop removes and returns the minimum timer. When it heads a lane, the
-// lane's next timer takes its place at the root — it is no earlier, so
-// one sift down restores the heap.
+// pop removes and returns the minimum timer. When the root's run
+// still holds timers, its next one re-keys the root. When the popped
+// timer heads a lane, the lane's next timer is filed; if it needs an
+// entry of its own and the root is left empty, it takes the root in
+// place — it is no earlier, so one sift down restores the heap.
 func (s *Scheduler) pop() *Timer {
 	h := s.heap
-	top := h[0]
+	root := &h[0]
+	top := root.head
 	top.sched = nil
-	t := top.next
+	succ := top.next
 	top.next = nil
-	if t == nil {
-		n := len(h) - 1
-		t = h[n]
-		h[n] = nil
-		h = h[:n]
-		s.heap = h
-		if n == 0 {
+	if n := root.run; n != 0 {
+		r := s.runs[n]
+		r.q[r.i] = nil
+		if r.i++; r.i < len(r.q) {
+			next := r.q[r.i]
+			s.siftDown(entry{at: root.at, seq: next.seq, head: next, run: n})
+			if succ != nil {
+				s.push(succ)
+			}
+			return top
+		}
+		r.q, r.i = r.q[:0], 0
+		s.idle = append(s.idle, n)
+	}
+	if succ != nil {
+		if e, joined := s.file(succ); !joined {
+			s.siftDown(e)
 			return top
 		}
 	}
-	// Sift t down from the root.
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	s.heap = h[:n]
+	if n > 0 {
+		s.siftDown(last)
+	}
+	return top
+}
+
+// siftDown puts e at the root in place of the entry there and sifts it
+// down.
+func (s *Scheduler) siftDown(e entry) {
+	h := s.heap
 	n := len(h)
 	i := 0
 	for {
@@ -353,15 +500,28 @@ func (s *Scheduler) pop() *Timer {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && h[r].less(h[c]) {
+		if r := c + 1; r < n && h[r].less(&h[c]) {
 			c = r
 		}
-		if !h[c].less(t) {
+		if !h[c].less(&e) {
 			break
 		}
 		h[i] = h[c]
 		i = c
 	}
-	h[i] = t
-	return top
+	h[i] = e
+}
+
+// queued counts the heap-resident timers: lane heads and every timer
+// not on a lane, cancelled ones included until they pop.
+func (s *Scheduler) queued() int {
+	n := 0
+	for i := range s.heap {
+		if k := s.heap[i].run; k != 0 {
+			n += len(s.runs[k].q) - s.runs[k].i
+		} else {
+			n++
+		}
+	}
+	return n
 }

@@ -330,3 +330,138 @@ func TestHeapStressAgainstReferenceOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestSimultaneousLaneHeadsShareARun: the heads of 432 lanes due at one
+// instant share a few heap entries, and their successors, promoted as
+// the heads run, join a run at their own instant; all run in seq
+// order.
+func TestSimultaneousLaneHeadsShareARun(t *testing.T) {
+	const lanes = 432
+	s := NewScheduler()
+	ls := make([]Lane, lanes)
+	timers := make([]Timer, 2*lanes)
+	var ran []int
+	record := func(arg any) { ran = append(ran, arg.(int)) }
+	for i := range timers {
+		timers[i].Bind(record, i)
+		s.LaneTimer(&ls[i%lanes], Time(10+10*(i/lanes)), &timers[i])
+	}
+	if s.queued() != lanes || len(s.heap) > runAfter+1 {
+		t.Fatalf("heap queues %d timers in %d entries, want %d in at most %d", s.queued(), len(s.heap), lanes, runAfter+1)
+	}
+	s.Step()
+	if s.queued() != lanes || len(s.heap) > 2*(runAfter+1) {
+		t.Fatalf("after one step the heap queues %d timers in %d entries, want %d in at most %d", s.queued(), len(s.heap), lanes, 2*(runAfter+1))
+	}
+	s.Run(0)
+	if len(ran) != len(timers) {
+		t.Fatalf("ran %d events, want %d", len(ran), len(timers))
+	}
+	for i, v := range ran {
+		if v != i {
+			t.Fatalf("position %d ran event %d", i, v)
+		}
+	}
+}
+
+// lockstep is a fabric in miniature: every lane holds depth frames,
+// one tick apart, and each frame re-arms itself on its lane depth
+// ticks on once it has run, so every lane's head falls due at the
+// same instant.
+type lockstep struct {
+	s      *Scheduler
+	lanes  []Lane
+	frames []lockFrame
+	depth  int
+}
+
+type lockFrame struct {
+	tm   Timer
+	l    *lockstep
+	lane int
+}
+
+func newLockstep(lanes, depth int) *lockstep {
+	l := &lockstep{s: NewScheduler(), lanes: make([]Lane, lanes), frames: make([]lockFrame, lanes*depth), depth: depth}
+	for i := range l.frames {
+		f := &l.frames[i]
+		f.l, f.lane = l, i%lanes
+		f.tm.Bind(hopFrame, f)
+		l.s.LaneTimer(&l.lanes[f.lane], Time(1+i/lanes), &f.tm)
+	}
+	return l
+}
+
+func hopFrame(arg any) {
+	f := arg.(*lockFrame)
+	s := f.l.s
+	s.LaneTimer(&f.l.lanes[f.lane], s.Now()+Time(f.l.depth), &f.tm)
+}
+
+func benchLockstep(b *testing.B, lanes, depth int) {
+	l := newLockstep(lanes, depth)
+	l.s.Run(lanes * depth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	l.s.Run(b.N)
+}
+
+// BenchmarkSchedulerFabricBurst: a fabric's lockstep, many lanes with
+// a shallow queue each — simultaneous lane heads share runs.
+func BenchmarkSchedulerFabricBurst(b *testing.B) { benchLockstep(b, 2000, 4) }
+
+// BenchmarkSchedulerHub: a hub's lockstep pair of deep lanes, where
+// runs never form.
+func BenchmarkSchedulerHub(b *testing.B) { benchLockstep(b, 2, 1000) }
+
+// BenchmarkSchedulerIsolated: one timer re-arming itself, alone in the
+// heap.
+func BenchmarkSchedulerIsolated(b *testing.B) { benchLockstep(b, 1, 1) }
+
+func TestWarmFabricBurstAllocatesNothing(t *testing.T) {
+	l := newLockstep(2000, 4)
+	l.s.Run(2 * 2000 * 4)
+	if n := testing.AllocsPerRun(5, func() { l.s.Run(2000 * 4) }); n != 0 {
+		t.Fatalf("a warmed fabric burst allocates %v times per round, want 0", n)
+	}
+}
+
+// TestFreshSchedulerAllocations: a fresh scheduler's first thousand
+// events, over 15 instants in flight with 8 timers each — at most 16
+// runs at once, counting the one draining — allocate no more than the
+// scheduler and a heap of timer pointers growing from nil to the same
+// number of pending timers would.
+func TestFreshSchedulerAllocations(t *testing.T) {
+	const instants, each, events = 15, 8, 1000
+	var heap []*Timer
+	growth := testing.AllocsPerRun(1, func() {
+		schedSink = NewScheduler()
+		heap = nil
+		for i := 0; i < instants*each; i++ {
+			heap = append(heap, nil)
+		}
+	})
+	var s *Scheduler
+	timers := make([]Timer, instants*each)
+	rearm := func(arg any) {
+		if s.Executed() < events {
+			s.LaneTimer(nil, s.Now()+instants, arg.(*Timer))
+		}
+	}
+	for i := range timers {
+		timers[i].Bind(rearm, &timers[i])
+	}
+	got := testing.AllocsPerRun(1, func() {
+		s = NewScheduler()
+		for i := range timers {
+			s.LaneTimer(nil, Time(1+i%instants), &timers[i])
+		}
+		s.Run(0)
+	})
+	t.Logf("%v allocations; a growing heap and the scheduler make %v", got, growth)
+	if got > growth {
+		t.Fatalf("a fresh scheduler allocated %v times in its first %d events, a growing heap %v", got, events, growth)
+	}
+}
+
+var schedSink *Scheduler
