@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchsmoke loc fabric-smoke cover fuzz fuzzsmoke chaos-smoke crash-smoke failover-smoke daemon-smoke nemesis-smoke storm-smoke clean
+.PHONY: all build test race bench benchsmoke loc cover fuzz fuzzsmoke smoke clean
 
 all: build test
 
@@ -37,21 +37,10 @@ bench:
 benchsmoke:
 	$(GO) test -run xxx -bench=. -benchtime=1x ./...
 
-# Non-test Go lines outside bench/: the figure every PR reports its
-# delta in.
+# Non-test Go lines outside bench/ and test fixtures: the figure every
+# PR reports its delta in.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
-
-# Switched-fabric gate: the fabric graph, forwarding, Monte Carlo and
-# scenario-layer tests, then the shipped fat-tree scenario (ToR outage
-# under the forwarding-invariant checker) through drsim, and one small
-# fabric survivability table. Deterministic end to end, so any diff is
-# a real regression.
-fabric-smoke:
-	$(GO) test ./internal/topology/ ./internal/conn/ ./internal/netsim/ ./internal/montecarlo/
-	$(GO) test ./internal/scenario/ -run 'Topology|FatTree|RoundTrip'
-	$(GO) run ./cmd/drsim -config examples/scenarios/fat-tree.json
-	$(GO) run ./cmd/drsurvive -topology fatTree:k=4 -f 1,2,4 -mc 20000
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # Coverage pass: per-package profile plus the aggregate per-function
 # summary (the `total:` line at the end is the headline number).
@@ -79,70 +68,29 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoadConfig -fuzztime=10s ./cmd/drsd
 
-# Gray-failure gate: the chaos injector and campaign-harness tests
-# (golden tables, worker-count determinism) plus one quick live
-# campaign and the flapping-rail damping scenario. Everything here is
-# deterministic, so any diff is a real regression.
-chaos-smoke:
-	$(GO) test ./internal/chaos/ ./cmd/drschaos/
-	$(GO) run ./cmd/drschaos -nodes 4 -duration 20s -levels 0,0.2 -protocols drs,static
-	$(GO) run ./cmd/drsim -config examples/scenarios/flapping-rail.json
-
-# Crash–restart lifecycle gate: the crash scheduler, lifecycle and
-# campaign tests (warm-vs-cold goldens, worker-count determinism) plus
-# one live crash campaign and the rolling-crash scenario. Deterministic
-# end to end, so any diff is a real regression.
-crash-smoke:
-	$(GO) test ./internal/chaos/ ./internal/linkmon/ ./cmd/drschaos/
-	$(GO) test ./internal/core/ ./internal/runtime/ -run 'Lifecycle|Crash|Warm|Rejoin|Incarnation|RTO'
-	$(GO) run ./cmd/drschaos -mode crash -nodes 4 -duration 30s -protocols drs,reactive -rto
-	$(GO) run ./cmd/drsim -config examples/scenarios/rolling-crash.json
-
-# Static fast-failover gate: the failover family and the invariant
-# checker (exhaustive single-failure sweeps, dynamic-flap goldens,
-# negative loop controls), the head-to-head campaign goldens, one live
-# campaign run and the invariant-enforced scenario. Deterministic end
-# to end, so any diff is a real regression.
-failover-smoke:
-	$(GO) test ./internal/failover/ ./internal/invariant/ ./cmd/drschaos/
-	$(GO) test ./internal/runtime/ -run 'Invariant|Failover'
-	$(GO) run ./cmd/drschaos -mode failover -nodes 4 -duration 20s -protocols failover-rotor,failover-arbor,failover-bounce,drs
-	$(GO) run ./cmd/drsim -config examples/scenarios/static-failover.json
-
-# Live daemon gate: the clock and transport seams (in-memory, UDP),
-# the hermetic multi-daemon lifecycle, in-phase round and clock-parity
-# regressions, drsd's -validate golden errors, and the real 3-process
-# localhost cluster: converge, SIGHUP reload, kill -9, warm rejoin,
-# SIGTERM drain. The process test binds ephemeral loopback UDP ports only.
-daemon-smoke:
-	$(GO) test ./internal/clock/ ./internal/transport/
-	$(GO) test ./internal/runtime/ -run 'HermeticLifecycle|HermeticInPhase|ClockParity'
-	$(GO) test ./cmd/drsd/ -timeout 180s
-
-# Nemesis gate: the fault-schedule fuzzer's own tests (determinism,
-# shrinking, invariants) under the race detector, a fixed-seed campaign
-# that must heal clean, and the pinned regression replay that must
-# still reproduce its shrunk violation (exit 1). Everything runs on
-# virtual time, bit-identical from its seeds.
-nemesis-smoke:
+# End-to-end gate over the CLIs: the two test runs whose flags differ
+# from `make test` (the nemesis fuzzer under the race detector without
+# -short; the 3-process drsd cluster under a 180 s timeout), then the
+# shipped scenarios and one small campaign per drschaos mode through
+# their binaries, a fabric survivability table, a fixed-seed nemesis
+# campaign that must heal clean, and the pinned regression replay that
+# must still reproduce its shrunk violation (exit 1). Everything runs
+# on virtual time from fixed seeds, so any diff is a real regression.
+smoke:
 	$(GO) test -race ./internal/nemesis/ ./cmd/drsnemesis/
+	$(GO) test ./cmd/drsd/ -timeout 180s
+	$(GO) run ./cmd/drsim -config examples/scenarios/fat-tree.json
+	$(GO) run ./cmd/drsim -config examples/scenarios/flapping-rail.json
+	$(GO) run ./cmd/drsim -config examples/scenarios/rolling-crash.json
+	$(GO) run ./cmd/drsim -config examples/scenarios/static-failover.json
+	$(GO) run ./cmd/drsurvive -topology fatTree:k=4 -f 1,2,4 -mc 20000
+	$(GO) run ./cmd/drschaos -nodes 4 -duration 20s -levels 0,0.2 -protocols drs,static
+	$(GO) run ./cmd/drschaos -mode crash -nodes 4 -duration 30s -protocols drs,reactive -rto
+	$(GO) run ./cmd/drschaos -mode failover -nodes 4 -duration 20s -protocols failover-rotor,failover-arbor,failover-bounce,drs
+	$(GO) run ./cmd/drschaos -mode storm -nodes 5 -duration 30s -levels 0,0.5 -seed 3
 	$(GO) run ./cmd/drsnemesis -seed 1 -schedules 10 -horizon 6s -repro /dev/null
 	$(GO) run ./cmd/drsnemesis -replay cmd/drsnemesis/testdata/regression.json; \
 		status=$$?; test $$status -eq 1 || { echo "regression replay exited $$status, want 1"; exit 1; }
-
-# Overload-protection gate: the budget/queue/governor primitives and
-# the wiring tests across the stack (core overload behaviors, tunable
-# plumbing, scenario schema, drsd gauges), the storm-campaign harness
-# (golden table, worker-count determinism, budget-bound property), the
-# budgeted nemesis invariant, then one live correlated-failure storm
-# campaign. Deterministic end to end, so any diff is a real regression.
-storm-smoke:
-	$(GO) test ./internal/overload/ ./internal/dataplane/
-	$(GO) test ./internal/core/ ./internal/runtime/ ./internal/scenario/ -run 'Overload|Storm'
-	$(GO) test ./cmd/drsd/ -run 'Overload|MetricsSnapshot'
-	$(GO) test ./cmd/drschaos/ -run 'Storm'
-	$(GO) test ./internal/nemesis/ -run 'Budget'
-	$(GO) run ./cmd/drschaos -mode storm -nodes 5 -duration 30s -levels 0,0.5 -seed 3
 
 clean:
 	$(GO) clean ./...

@@ -362,7 +362,7 @@ func BenchmarkEquation1Exact(b *testing.B) {
 func BenchmarkAllPairsAnalytic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for f := 2; f <= 10; f++ {
-			survival.AllPairsSeries(f, f+1, 63)
+			survival.AllPairsSeriesWorkers(f, f+1, 63, 1)
 		}
 	}
 }

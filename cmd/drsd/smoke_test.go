@@ -18,7 +18,7 @@ import (
 // daemon (graceful reload), kill -9 another, watch the survivors
 // drop its routes, warm-restart it from its checkpoint, and watch the
 // incarnation-guarded rejoin land in everyone's route tables. Skipped
-// under -short (make race stays fast); `make daemon-smoke` runs it in
+// under -short (make race stays fast); `make smoke` runs it in
 // CI with a bounded timeout.
 func TestDaemonSmoke(t *testing.T) {
 	if testing.Short() {

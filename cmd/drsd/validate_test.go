@@ -114,6 +114,13 @@ func TestValidateErrors(t *testing.T) {
 				`, "peers": ` + goodPeers + `, "statusEvery": "-1s"}`,
 			wantErr: "drsd: negative checkpointEvery or statusEvery",
 		},
+		{
+			name:    "fractional period",
+			cluster: goodCluster,
+			config: `{"node": 0, "cluster": "cluster.json", "listen": ` + goodListen +
+				`, "peers": ` + goodPeers + `, "statusEvery": 0.5}`,
+			wantErr: "drsd: config CONFIG: scenario: duration 0.5 is not a whole number of nanoseconds in int64 range",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

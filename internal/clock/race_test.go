@@ -61,8 +61,8 @@ func TestManualAdvanceRacesAfterFunc(t *testing.T) {
 	<-driverDone
 	clk.Advance(time.Second)
 
-	if clk.Pending() != 0 {
-		t.Fatalf("%d timers still pending after the final drain", clk.Pending())
+	if pending(clk) != 0 {
+		t.Fatalf("%d timers still pending after the final drain", pending(clk))
 	}
 	if got := fired.Load() + cancelled.Load(); got != registered.Load() {
 		t.Fatalf("fired %d + cancelled %d = %d, want %d registered",

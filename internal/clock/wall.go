@@ -133,19 +133,6 @@ func (w *Wall) popLocked() {
 	w.free = append(w.free, t)
 }
 
-// Pending returns the number of scheduled, uncancelled timers.
-func (w *Wall) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := 0
-	for _, t := range w.timers {
-		if t.call != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Stop shuts down a live Wall's dispatcher goroutine. Pending timers
 // never fire. Stop is idempotent and a no-op on a manual Wall.
 func (w *Wall) Stop() {

@@ -41,9 +41,6 @@ func NewEvaluator(c topology.Cluster) (*Evaluator, error) {
 	return &Evaluator{c: c}, nil
 }
 
-// Cluster returns the cluster shape the evaluator was built for.
-func (e *Evaluator) Cluster() topology.Cluster { return e.c }
-
 // maxTrackedNodes bounds the scratch used to track nodes that have at
 // least one failed NIC; failure scenarios larger than this fall back
 // to the general path. The paper's experiments use f ≤ 10.
@@ -174,11 +171,6 @@ func (e *Evaluator) PairConnected(failed []topology.Component, a, b int) bool {
 	return reached&maskB != 0
 }
 
-// PairConnectedSet is PairConnected for scenarios stored as a Set.
-func (e *Evaluator) PairConnectedSet(failed *topology.Set, a, b int) bool {
-	return e.PairConnected(failed.Components(), a, b)
-}
-
 // pairConnectedGeneral handles arbitrarily large failure scenarios by
 // materializing every node's mask. O(Nodes · len(failed)) worst case,
 // used only off the hot path.
@@ -251,41 +243,6 @@ func (e *Evaluator) AllConnected(failed []topology.Component) bool {
 		}
 	}
 	return true
-}
-
-// AttachedRails returns the bitmask of rails node is attached to under
-// the failure scenario (bit k set means attached to rail k).
-func (e *Evaluator) AttachedRails(failed []topology.Component, node int) uint64 {
-	e.checkNode(node)
-	return e.allMasks(failed)[node]
-}
-
-// ComponentsReachable returns, for each node, whether it can
-// communicate with node a under the failure scenario.
-func (e *Evaluator) ComponentsReachable(failed []topology.Component, a int) []bool {
-	e.checkNode(a)
-	masks := e.allMasks(failed)
-	out := make([]bool, e.c.Nodes)
-	if masks[a] == 0 {
-		out[a] = true
-		return out
-	}
-	reached := masks[a]
-	for {
-		prev := reached
-		for _, m := range masks {
-			if m&reached != 0 {
-				reached |= m
-			}
-		}
-		if reached == prev {
-			break
-		}
-	}
-	for i, m := range masks {
-		out[i] = i == a || m&reached != 0
-	}
-	return out
 }
 
 func (e *Evaluator) checkNode(n int) {

@@ -103,9 +103,6 @@ func NewFabricEvaluator(f *topology.Fabric) (*FabricEvaluator, error) {
 	return e, nil
 }
 
-// Fabric returns the fabric the evaluator was built for.
-func (e *FabricEvaluator) Fabric() *topology.Fabric { return e.f }
-
 // NewScratch returns fresh per-worker query state.
 func (e *FabricEvaluator) NewScratch() *FabricScratch {
 	return &FabricScratch{
@@ -250,24 +247,6 @@ func (e *FabricEvaluator) AllConnected(sc *FabricScratch, failed []topology.Comp
 	}
 	sc.unmark(failed)
 	return ok
-}
-
-// HostsReachable returns, for each host, whether it can communicate
-// with host a under the failure scenario.
-func (e *FabricEvaluator) HostsReachable(sc *FabricScratch, failed []topology.Component, a int) []bool {
-	e.checkHost(a)
-	if sc == nil {
-		sc = e.NewScratch()
-	}
-	sc.mark(failed)
-	e.bfs(sc, a)
-	out := make([]bool, e.f.Hosts())
-	for h := range out {
-		out[h] = sc.visited[h] == sc.epoch
-	}
-	out[a] = true
-	sc.unmark(failed)
-	return out
 }
 
 func (e *FabricEvaluator) checkHost(h int) {

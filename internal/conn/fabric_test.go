@@ -87,7 +87,7 @@ func TestFabricFatTreeConnectivity(t *testing.T) {
 	}
 	// Failing a host's only NIC isolates exactly that host.
 	nic := f.NIC(5, 0)
-	reach := fe.HostsReachable(sc, []topology.Component{nic}, 0)
+	reach := fe.hostsReachable(sc, []topology.Component{nic}, 0)
 	for h, ok := range reach {
 		want := h != 5
 		if ok != want {
@@ -192,10 +192,10 @@ func TestPairSearchMatchesBFS(t *testing.T) {
 			for set := 0; set < sets; set++ {
 				failed = rng.AppendBernoulli(r, failed[:0], f.Components(), q)
 				for a := 0; a < f.Hosts(); a++ {
-					reach := fe.HostsReachable(sc, failed, a)
+					reach := fe.hostsReachable(sc, failed, a)
 					for b, want := range reach {
 						if got := fe.PairConnected(sc, failed, a, b); got != want {
-							t.Fatalf("%s, %d hosts, failed %v: PairConnected(%d,%d) = %v, HostsReachable says %v",
+							t.Fatalf("%s, %d hosts, failed %v: PairConnected(%d,%d) = %v, hostsReachable says %v",
 								f.Kind, f.Hosts(), failed, a, b, got, want)
 						}
 					}
@@ -292,4 +292,23 @@ func FuzzFabricPairConnected(f *testing.F) {
 			t.Fatalf("%s, failed %v: meet(%d,%d) = %v, bfs says %v", fe.f.Kind, failed, a, b, got, want)
 		}
 	})
+}
+
+// hostsReachable returns, for each host, whether it can communicate
+// with host a under the failure scenario: the single-source oracle the
+// two-ended pair search is checked against.
+func (e *FabricEvaluator) hostsReachable(sc *FabricScratch, failed []topology.Component, a int) []bool {
+	e.checkHost(a)
+	if sc == nil {
+		sc = e.NewScratch()
+	}
+	sc.mark(failed)
+	e.bfs(sc, a)
+	out := make([]bool, e.f.Hosts())
+	for h := range out {
+		out[h] = sc.visited[h] == sc.epoch
+	}
+	out[a] = true
+	sc.unmark(failed)
+	return out
 }

@@ -67,8 +67,6 @@ import (
 // exported here: the daemon's public API predates the layering, and
 // every consumer (runtime, experiments, examples) speaks these names.
 type (
-	// RouteKind classifies an installed route.
-	RouteKind = routetable.Kind
 	// Route describes the daemon's current path to one destination.
 	Route = routetable.Route
 	// Repair records one completed route repair, the unit of the

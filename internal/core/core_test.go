@@ -599,9 +599,9 @@ func TestNoRoutingLoopsUnderChurn(t *testing.T) {
 
 func TestRouteKindString(t *testing.T) {
 	if RouteNone.String() != "none" || RouteDirect.String() != "direct" || RouteRelay.String() != "relay" {
-		t.Fatal("RouteKind strings wrong")
+		t.Fatal("route kind strings wrong")
 	}
-	if RouteKind(9).String() == "" {
+	if (Route{Kind: 9}).Kind.String() == "" {
 		t.Fatal("unknown kind empty")
 	}
 }

@@ -193,29 +193,6 @@ func (p Params) MaxNodes(budget, responseTime float64) (int, error) {
 	return 0, fmt.Errorf("costmodel: no cluster of ≥2 nodes fits budget %v in %vs", budget, responseTime)
 }
 
-// Point is one (nodes, responseTime) sample of a Figure 1 curve.
-type Point struct {
-	Nodes        int
-	ResponseTime float64 // seconds
-}
-
-// Curve returns the Figure 1 series for one bandwidth budget over
-// n = nMin..nMax.
-func (p Params) Curve(budget float64, nMin, nMax int) ([]Point, error) {
-	if nMin < 2 || nMax < nMin {
-		return nil, fmt.Errorf("costmodel: bad range [%d,%d]", nMin, nMax)
-	}
-	out := make([]Point, 0, nMax-nMin+1)
-	for n := nMin; n <= nMax; n++ {
-		rt, err := p.ResponseTime(n, budget)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Point{Nodes: n, ResponseTime: rt})
-	}
-	return out, nil
-}
-
 // FigureBudgets are the bandwidth budgets plotted in the paper's
 // Figure 1.
 var FigureBudgets = []float64{0.05, 0.10, 0.15, 0.25}

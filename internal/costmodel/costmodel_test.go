@@ -130,21 +130,18 @@ func TestMaxNodesTooTight(t *testing.T) {
 }
 
 func TestCurve(t *testing.T) {
+	// Figure 1's curves rise: response time grows with cluster size.
 	p := Defaults()
-	c, err := p.Curve(0.10, 2, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c) != 127 || c[0].Nodes != 2 || c[126].Nodes != 128 {
-		t.Fatalf("curve shape wrong: len=%d", len(c))
-	}
-	for i := 1; i < len(c); i++ {
-		if c[i].ResponseTime <= c[i-1].ResponseTime {
-			t.Fatal("response time must grow with cluster size")
+	prev := 0.0
+	for n := 2; n <= 128; n++ {
+		rt, err := p.ResponseTime(n, 0.10)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := p.Curve(0.10, 10, 5); err == nil {
-		t.Fatal("bad range accepted")
+		if rt <= prev {
+			t.Fatalf("N=%d: response time %v does not exceed N=%d's %v", n, rt, n-1, prev)
+		}
+		prev = rt
 	}
 }
 

@@ -120,16 +120,6 @@ func (cq *ControlQueue) Push(it ControlItem) bool {
 	return true
 }
 
-// Peek returns the most important queued intent without removing it.
-func (cq *ControlQueue) Peek() (ControlItem, bool) {
-	for c := range cq.q {
-		if len(cq.q[c]) > 0 {
-			return cq.q[c][0], true
-		}
-	}
-	return ControlItem{}, false
-}
-
 // Pop removes and returns the most important queued intent.
 func (cq *ControlQueue) Pop() (ControlItem, bool) {
 	for c := range cq.q {

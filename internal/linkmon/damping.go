@@ -175,9 +175,6 @@ func (st *State) TryRelease(cfg Damping, now time.Duration) (held time.Duration,
 // Damped reports whether the path is currently held down.
 func (st *State) Damped() bool { return st.damped }
 
-// Flaps returns the number of down transitions recorded on the path.
-func (st *State) Flaps() int64 { return int64(st.flaps) }
-
 // Penalty returns the penalty decayed to now (read-only: the stored
 // state is not modified, so telemetry reads don't disturb damping).
 func (st *State) Penalty(cfg Damping, now time.Duration) float64 {
@@ -190,18 +187,4 @@ func (st *State) Penalty(cfg Damping, now time.Duration) float64 {
 		p *= math.Exp2(-float64(now-ds.penaltyAt) / float64(cfg.HalfLife))
 	}
 	return p
-}
-
-// DampedFor returns the total time the path has spent held down,
-// including the current spell.
-func (st *State) DampedFor(now time.Duration) time.Duration {
-	ds := st.cold
-	if ds == nil {
-		return 0
-	}
-	total := ds.dampedTotal
-	if st.damped {
-		total += now - ds.dampedAt
-	}
-	return total
 }

@@ -34,10 +34,10 @@ func TestDampingDisabledIsInert(t *testing.T) {
 	if st.Damped() {
 		t.Fatal("disabled damping damped a path")
 	}
-	if st.Flaps() != 100 {
-		t.Fatalf("Flaps = %d, want 100", st.Flaps())
+	if st.flaps != 100 {
+		t.Fatalf("Flaps = %d, want 100", st.flaps)
 	}
-	if st.Penalty(cfg, 100*time.Second) != 0 || st.DampedFor(100*time.Second) != 0 {
+	if st.Penalty(cfg, 100*time.Second) != 0 || dampedFor(&st, 100*time.Second) != 0 {
 		t.Fatal("disabled damping charged a penalty or a hold-down")
 	}
 	// The damping record is cold: counting a flap without damping
@@ -99,8 +99,8 @@ func TestDampingDecayAndRelease(t *testing.T) {
 	if held != 2*cfg.HalfLife {
 		t.Fatalf("held = %v, want %v", held, 2*cfg.HalfLife)
 	}
-	if st.DampedFor(at+2*cfg.HalfLife) != 2*cfg.HalfLife {
-		t.Fatalf("DampedFor = %v", st.DampedFor(at+2*cfg.HalfLife))
+	if dampedFor(&st, at+2*cfg.HalfLife) != 2*cfg.HalfLife {
+		t.Fatalf("DampedFor = %v", dampedFor(&st, at+2*cfg.HalfLife))
 	}
 	// Second release is a no-op.
 	if _, again := st.TryRelease(cfg, at+3*cfg.HalfLife); again {
@@ -166,7 +166,7 @@ func TestUsableSkipsDampedRails(t *testing.T) {
 	if rail, ok := tbl.FirstUsable(1); !ok || rail != 1 {
 		t.Fatalf("FirstUsable = %d,%v, want 1,true", rail, ok)
 	}
-	if rail, ok := tbl.FirstUp(1); !ok || rail != 0 {
+	if rail, ok := firstUp(tbl, 1); !ok || rail != 0 {
 		t.Fatalf("FirstUp = %d,%v, want 0,true (damped is still physically up)", rail, ok)
 	}
 	if !tbl.AnyFresh(1) {
@@ -179,4 +179,18 @@ func TestUsableSkipsDampedRails(t *testing.T) {
 	if _, ok := tbl.FirstUsable(1); ok {
 		t.Fatal("FirstUsable found a rail with every rail damped")
 	}
+}
+
+// dampedFor returns the total time the path has spent held down,
+// including the current spell.
+func dampedFor(st *State, now time.Duration) time.Duration {
+	ds := st.cold
+	if ds == nil {
+		return 0
+	}
+	total := ds.dampedTotal
+	if st.damped {
+		total += now - ds.dampedAt
+	}
+	return total
 }

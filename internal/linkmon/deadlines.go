@@ -19,9 +19,6 @@ func NewDeadlines(nodes, rails int) *Deadlines {
 	return d
 }
 
-// Nodes returns the cluster size the matrix was created for.
-func (d *Deadlines) Nodes() int { return len(d.m) }
-
 // Refresh extends the (peer, rail) deadline to expiry and reports
 // whether the path was dead at now (the transition edge protocols
 // re-advertise on).

@@ -25,8 +25,8 @@ func TestRoundsPeriodAndStop(t *testing.T) {
 		}
 	}
 	r.Stop()
-	if !r.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
+	if !r.stopped {
+		t.Fatal("not stopped after Stop")
 	}
 	s.RunUntil(simtime.Time(10 * time.Second))
 	if len(fired) != 4 {
@@ -148,7 +148,7 @@ func TestTableProbeLifecycle(t *testing.T) {
 		t.Fatal("not down after two misses")
 	}
 	tbl.State(1, 0).Up = false
-	if rail, ok := tbl.FirstUp(1); !ok || rail != 1 || !tbl.AnyUp(1) {
+	if rail, ok := firstUp(tbl, 1); !ok || rail != 1 || !tbl.AnyUp(1) {
 		t.Fatalf("FirstUp = %d,%v after rail 0 down", rail, ok)
 	}
 
@@ -416,4 +416,18 @@ func TestAnyFreshSkipsMissedRails(t *testing.T) {
 	if !tbl.AnyFresh(1) {
 		t.Fatal("not fresh with rail 1 up and unmissed")
 	}
+}
+
+// firstUp returns the lowest-numbered up rail to peer.
+func firstUp(t *Table, peer int) (rail int, ok bool) {
+	if !t.Monitored(peer) {
+		return 0, false
+	}
+	row := t.row(peer)
+	for rail := range row {
+		if row[rail].Up {
+			return rail, true
+		}
+	}
+	return 0, false
 }

@@ -94,10 +94,3 @@ func (r *Rounds) Stop() {
 	r.stopped = true
 	r.mu.Unlock()
 }
-
-// Stopped reports whether Stop has been called.
-func (r *Rounds) Stopped() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stopped
-}

@@ -98,9 +98,6 @@ func (st *State) Deadline(cfg RTO) time.Duration {
 // the backoff. Confirm resets it.
 func (st *State) RecordRTOMiss() { st.backoff++ }
 
-// Backoff returns the consecutive-miss backoff count (testing hook).
-func (st *State) Backoff() int { return int(st.backoff) }
-
 // SeedRTT restores a checkpointed RTT estimate so a warm-started
 // daemon begins with its previous life's deadlines instead of the
 // conservative Max. Non-positive sample counts and negative durations

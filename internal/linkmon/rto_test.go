@@ -98,16 +98,16 @@ func TestRTOBackoffDoublesAndCaps(t *testing.T) {
 			t.Fatalf("after %d misses deadline = %v, want %v", miss+1, d, want)
 		}
 	}
-	if st.Backoff() != 5 {
-		t.Fatalf("backoff = %d, want 5", st.Backoff())
+	if st.backoff != 5 {
+		t.Fatalf("backoff = %d, want 5", st.backoff)
 	}
 	// A confirmed probe clears the backoff along with the miss count.
 	seq, _ := tab.BeginProbe(1, 0, 2)
 	if _, ok := tab.Confirm(1, 0, seq); !ok {
 		t.Fatal("confirm rejected the matching reply")
 	}
-	if st.Backoff() != 0 {
-		t.Fatalf("backoff = %d after Confirm, want 0", st.Backoff())
+	if st.backoff != 0 {
+		t.Fatalf("backoff = %d after Confirm, want 0", st.backoff)
 	}
 	if d := st.Deadline(cfg); d != base {
 		t.Fatalf("deadline = %v after Confirm, want %v", d, base)

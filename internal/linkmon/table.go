@@ -128,9 +128,6 @@ func NewTable(nodes, rails int) *Table {
 // Nodes returns the cluster size the table was created for.
 func (t *Table) Nodes() int { return len(t.monitored) }
 
-// Rails returns the rail count.
-func (t *Table) Rails() int { return t.rails }
-
 // row returns peer's rails, capped so that appending to the row can
 // never reach into the next peer's.
 func (t *Table) row(peer int) []State {
@@ -184,20 +181,6 @@ func (t *Table) AnyUp(peer int) bool {
 		}
 	}
 	return false
-}
-
-// FirstUp returns the lowest-numbered up rail to peer.
-func (t *Table) FirstUp(peer int) (rail int, ok bool) {
-	if !t.Monitored(peer) {
-		return 0, false
-	}
-	row := t.row(peer)
-	for rail := range row {
-		if row[rail].Up {
-			return rail, true
-		}
-	}
-	return 0, false
 }
 
 // Usable reports whether the (peer, rail) path is up AND not held

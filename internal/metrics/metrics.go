@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -122,17 +121,5 @@ func (s *Set) Snapshot() map[string]int64 {
 	for name, c := range s.m {
 		out[name] = c.Value()
 	}
-	return out
-}
-
-// Names returns the registered counter names in sorted order.
-func (s *Set) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.m))
-	for name := range s.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }

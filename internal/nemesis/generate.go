@@ -5,6 +5,7 @@ import (
 
 	"drsnet/internal/rng"
 	"drsnet/internal/runtime"
+	"drsnet/internal/scenario"
 )
 
 // Config shapes schedule generation. The zero value means every
@@ -57,9 +58,9 @@ func Generate(seed uint64, cfg Config) Schedule {
 		Seed:          seed,
 		Nodes:         cfg.Nodes,
 		Protocol:      cfg.Protocol,
-		ProbeInterval: Duration(cfg.ProbeInterval),
-		Horizon:       Duration(cfg.Horizon),
-		Settle:        Duration(cfg.Settle),
+		ProbeInterval: scenario.Duration(cfg.ProbeInterval),
+		Horizon:       scenario.Duration(cfg.Horizon),
+		Settle:        scenario.Duration(cfg.Settle),
 	}
 	for i := 0; i < cfg.Episodes; i++ {
 		s.Episodes = append(s.Episodes, randomEpisode(r, &s))
@@ -73,7 +74,7 @@ func Generate(seed uint64, cfg Config) Schedule {
 // degrades to a partition instead (overlapping lives of one process
 // are not a meaningful schedule).
 func randomEpisode(r *rng.Source, s *Schedule) Episode {
-	h := s.Horizon.dur()
+	h := time.Duration(s.Horizon)
 	// Windows start in the first 90% of the horizon and run 10–30% of
 	// it, clamped to end by the horizon — so schedules routinely carry
 	// faults right up to the heal barrier, and the settle window (not
@@ -85,7 +86,7 @@ func randomEpisode(r *rng.Source, s *Schedule) Episode {
 	if stop > h {
 		stop = h
 	}
-	e := Episode{Start: Duration(start), Stop: Duration(stop)}
+	e := Episode{Start: scenario.Duration(start), Stop: scenario.Duration(stop)}
 	switch k := r.Intn(100); {
 	case k < 40:
 		e.Kind = KindPartition
@@ -102,7 +103,7 @@ func randomEpisode(r *rng.Source, s *Schedule) Episode {
 		e.Warm = r.Intn(2) == 1
 		for _, prev := range s.Episodes {
 			if prev.Kind == KindCrash && prev.A == e.A &&
-				e.Start.dur() < prev.Stop.dur() && prev.Start.dur() < e.Stop.dur() {
+				e.Start < prev.Stop && prev.Start < e.Stop {
 				e.Kind = KindPartition
 				e.Warm = false
 				break
@@ -112,11 +113,11 @@ func randomEpisode(r *rng.Source, s *Schedule) Episode {
 		e.Rail = r.Intn(rails)
 		// Toggle a few times per window, never faster than 4 toggles
 		// per probe interval would allow the monitor to notice.
-		e.Period = Duration(s.ProbeInterval.dur() + time.Duration(r.Uint64n(uint64(s.ProbeInterval.dur()*4))))
+		e.Period = scenario.Duration(time.Duration(s.ProbeInterval) + time.Duration(r.Uint64n(uint64(time.Duration(s.ProbeInterval)*4))))
 	case KindSkew:
 		// Up to 4 probe intervals of delivery lag: enough to blow probe
 		// deadlines, not enough to look like a crash.
-		e.Skew = Duration(s.ProbeInterval.dur()/2 + time.Duration(r.Uint64n(uint64(s.ProbeInterval.dur()*7/2))))
+		e.Skew = scenario.Duration(time.Duration(s.ProbeInterval)/2 + time.Duration(r.Uint64n(uint64(time.Duration(s.ProbeInterval)*7/2))))
 	}
 	if e.Kind == KindPartition {
 		e.B = (e.A + 1 + r.Intn(s.Nodes-1)) % s.Nodes

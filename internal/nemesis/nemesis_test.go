@@ -9,6 +9,7 @@ import (
 
 	"drsnet/internal/routing"
 	"drsnet/internal/runtime"
+	"drsnet/internal/scenario"
 )
 
 // quickCfg keeps campaign tests fast: a short horizon is still dozens
@@ -99,11 +100,11 @@ func hasKind(s Schedule, kind string) bool {
 func TestCrashRestartRejoins(t *testing.T) {
 	s := Schedule{
 		Seed: 9, Nodes: 3,
-		ProbeInterval: Duration(100 * time.Millisecond),
-		Horizon:       Duration(4 * time.Second),
-		Settle:        Duration(2 * time.Second),
+		ProbeInterval: scenario.Duration(100 * time.Millisecond),
+		Horizon:       scenario.Duration(4 * time.Second),
+		Settle:        scenario.Duration(2 * time.Second),
 		Episodes: []Episode{
-			{Kind: KindCrash, A: 1, Start: Duration(time.Second), Stop: Duration(3 * time.Second), Warm: true},
+			{Kind: KindCrash, A: 1, Start: scenario.Duration(time.Second), Stop: scenario.Duration(3 * time.Second), Warm: true},
 		},
 	}
 	out, err := Run(s)
@@ -135,13 +136,13 @@ func TestCrashRestartRejoins(t *testing.T) {
 func violatingSchedule() Schedule {
 	return Schedule{
 		Seed: 11, Nodes: 3,
-		ProbeInterval: Duration(100 * time.Millisecond),
-		Horizon:       Duration(3 * time.Second),
+		ProbeInterval: scenario.Duration(100 * time.Millisecond),
+		Horizon:       scenario.Duration(3 * time.Second),
 		Settle:        0,
 		Episodes: []Episode{
-			{Kind: KindSkew, A: 2, Start: Duration(500 * time.Millisecond), Stop: Duration(time.Second), Skew: Duration(50 * time.Millisecond)},
-			{Kind: KindPartition, A: 0, B: 1, Rail: AllRails, Direction: DirBoth, Start: Duration(time.Second), Stop: Duration(3 * time.Second)},
-			{Kind: KindFlap, A: 2, Rail: 1, Start: Duration(time.Second), Stop: Duration(2 * time.Second), Period: Duration(200 * time.Millisecond)},
+			{Kind: KindSkew, A: 2, Start: scenario.Duration(500 * time.Millisecond), Stop: scenario.Duration(time.Second), Skew: scenario.Duration(50 * time.Millisecond)},
+			{Kind: KindPartition, A: 0, B: 1, Rail: AllRails, Direction: DirBoth, Start: scenario.Duration(time.Second), Stop: scenario.Duration(3 * time.Second)},
+			{Kind: KindFlap, A: 2, Rail: 1, Start: scenario.Duration(time.Second), Stop: scenario.Duration(2 * time.Second), Period: scenario.Duration(200 * time.Millisecond)},
 		},
 	}
 }
@@ -204,11 +205,11 @@ func TestShrinkPassingScheduleIsNoop(t *testing.T) {
 func TestDeliveryOnlyProtocols(t *testing.T) {
 	s := Schedule{
 		Seed: 5, Nodes: 3, Protocol: runtime.ProtoStatic,
-		ProbeInterval: Duration(100 * time.Millisecond),
-		Horizon:       Duration(2 * time.Second),
-		Settle:        Duration(time.Second),
+		ProbeInterval: scenario.Duration(100 * time.Millisecond),
+		Horizon:       scenario.Duration(2 * time.Second),
+		Settle:        scenario.Duration(time.Second),
 		Episodes: []Episode{
-			{Kind: KindPartition, A: 0, B: 1, Rail: 0, Direction: DirBoth, Start: Duration(500 * time.Millisecond), Stop: Duration(1500 * time.Millisecond)},
+			{Kind: KindPartition, A: 0, B: 1, Rail: 0, Direction: DirBoth, Start: scenario.Duration(500 * time.Millisecond), Stop: scenario.Duration(1500 * time.Millisecond)},
 		},
 	}
 	out, err := Run(s)
@@ -231,13 +232,13 @@ func TestDeliveryOnlyProtocols(t *testing.T) {
 func TestBudgetScheduleHoldsBound(t *testing.T) {
 	s := Schedule{
 		Seed: 21, Nodes: 3,
-		ProbeInterval: Duration(100 * time.Millisecond),
+		ProbeInterval: scenario.Duration(100 * time.Millisecond),
 		Budget:        &BudgetSpec{},
-		Horizon:       Duration(4 * time.Second),
-		Settle:        Duration(2 * time.Second),
+		Horizon:       scenario.Duration(4 * time.Second),
+		Settle:        scenario.Duration(2 * time.Second),
 		Episodes: []Episode{
-			{Kind: KindPartition, A: 0, B: 1, Rail: AllRails, Direction: DirBoth, Start: Duration(500 * time.Millisecond), Stop: Duration(2 * time.Second)},
-			{Kind: KindCrash, A: 2, Start: Duration(time.Second), Stop: Duration(3 * time.Second), Warm: true},
+			{Kind: KindPartition, A: 0, B: 1, Rail: AllRails, Direction: DirBoth, Start: scenario.Duration(500 * time.Millisecond), Stop: scenario.Duration(2 * time.Second)},
+			{Kind: KindCrash, A: 2, Start: scenario.Duration(time.Second), Stop: scenario.Duration(3 * time.Second), Warm: true},
 		},
 	}
 	out, err := Run(s)
@@ -310,8 +311,8 @@ func TestScheduleValidation(t *testing.T) {
 	}{
 		{"too few nodes", func(s *Schedule) { s.Nodes = 1 }, "nodes"},
 		{"zero horizon", func(s *Schedule) { s.Horizon = 0 }, "horizon"},
-		{"negative settle", func(s *Schedule) { s.Settle = Duration(-time.Second) }, "settle"},
-		{"window past horizon", func(s *Schedule) { s.Episodes[1].Stop = Duration(9 * time.Second) }, "outside"},
+		{"negative settle", func(s *Schedule) { s.Settle = scenario.Duration(-time.Second) }, "settle"},
+		{"window past horizon", func(s *Schedule) { s.Episodes[1].Stop = scenario.Duration(9 * time.Second) }, "outside"},
 		{"empty window", func(s *Schedule) { s.Episodes[1].Stop = s.Episodes[1].Start }, "outside"},
 		{"node out of range", func(s *Schedule) { s.Episodes[1].A = 7 }, "outside"},
 		{"partition self", func(s *Schedule) { s.Episodes[1].B = s.Episodes[1].A }, "peer"},
@@ -323,8 +324,8 @@ func TestScheduleValidation(t *testing.T) {
 		{"negative budget rate", func(s *Schedule) { s.Budget = &BudgetSpec{ProbeRate: -1} }, "budget"},
 		{"overlapping crashes", func(s *Schedule) {
 			s.Episodes = append(s.Episodes,
-				Episode{Kind: KindCrash, A: 0, Start: Duration(time.Second), Stop: Duration(2 * time.Second)},
-				Episode{Kind: KindCrash, A: 0, Start: Duration(1500 * time.Millisecond), Stop: Duration(2500 * time.Millisecond)})
+				Episode{Kind: KindCrash, A: 0, Start: scenario.Duration(time.Second), Stop: scenario.Duration(2 * time.Second)},
+				Episode{Kind: KindCrash, A: 0, Start: scenario.Duration(1500 * time.Millisecond), Stop: scenario.Duration(2500 * time.Millisecond)})
 		}, "overlapping"},
 	}
 	if err := base.Validate(); err != nil {
@@ -362,7 +363,9 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, s) {
 		t.Fatalf("round trip changed the schedule:\n%+v\n%+v", back, s)
 	}
-	if err := json.Unmarshal([]byte(`{"horizon": 5}`), &back); err == nil {
-		t.Fatal("numeric duration accepted")
+	// Durations share scenario's JSON form: a number counts whole
+	// nanoseconds, and anything else is rejected.
+	if err := json.Unmarshal([]byte(`{"horizon": 1.5}`), &back); err == nil {
+		t.Fatal("fractional numeric duration accepted")
 	}
 }

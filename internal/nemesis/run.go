@@ -11,6 +11,7 @@ import (
 	"drsnet/internal/overload"
 	"drsnet/internal/routing"
 	"drsnet/internal/runtime"
+	"drsnet/internal/scenario"
 	"drsnet/internal/transport"
 )
 
@@ -78,8 +79,8 @@ func Run(s Schedule) (*Outcome, error) {
 	if s.Protocol == "" {
 		s.Protocol = runtime.ProtoDRS
 	}
-	if s.ProbeInterval.dur() == 0 {
-		s.ProbeInterval = Duration(100 * time.Millisecond)
+	if s.ProbeInterval == 0 {
+		s.ProbeInterval = scenario.Duration(100 * time.Millisecond)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -95,7 +96,7 @@ func Run(s Schedule) (*Outcome, error) {
 			Nodes:    s.Nodes,
 			Protocol: s.Protocol,
 			Tunables: runtime.Tunables{
-				ProbeInterval: s.ProbeInterval.dur(),
+				ProbeInterval: time.Duration(s.ProbeInterval),
 				MissThreshold: 2,
 				// The lifecycle guards restarts; strict link evidence
 				// makes asymmetric cuts detectable instead of masked —
@@ -131,9 +132,9 @@ func Run(s Schedule) (*Outcome, error) {
 	// Fault phase, then the heal barrier (episodes all end by the
 	// horizon; HealAll also clears anything a hand-written replay file
 	// left dangling), then the settle window.
-	r.clk.RunUntil(s.Horizon.dur())
+	r.clk.RunUntil(time.Duration(s.Horizon))
 	r.faults.HealAll()
-	r.clk.RunUntil(s.Horizon.dur() + s.Settle.dur())
+	r.clk.RunUntil(time.Duration(s.Horizon) + time.Duration(s.Settle))
 
 	out := &Outcome{Schedule: s}
 	r.checkStatusInvariants(out)
@@ -170,11 +171,11 @@ func (r *runner) arm(e Episode) {
 	switch e.Kind {
 	case KindPartition:
 		for _, cut := range cuts(e) {
-			r.faults.PartitionWindow(cut.src, cut.dst, cut.rail, e.Start.dur(), e.Stop.dur())
+			r.faults.PartitionWindow(cut.src, cut.dst, cut.rail, time.Duration(e.Start), time.Duration(e.Stop))
 		}
 	case KindCrash:
 		node, warm := e.A, e.Warm
-		r.clk.AfterFunc(e.Start.dur(), func() {
+		r.clk.AfterFunc(time.Duration(e.Start), func() {
 			if d, ok := r.routers[node].(*core.Daemon); ok && warm {
 				r.checkpoint[node] = d.Checkpoint()
 			} else {
@@ -183,7 +184,7 @@ func (r *runner) arm(e Episode) {
 			r.mem.FailNode(node)
 			r.routers[node].Stop()
 		})
-		r.clk.AfterFunc(e.Stop.dur(), func() {
+		r.clk.AfterFunc(time.Duration(e.Stop), func() {
 			r.mem.RestoreNode(node)
 			if err := r.boot(node, r.incarnation[node]+1, r.checkpoint[node]); err != nil {
 				// The spec built once already; a rebuild cannot fail.
@@ -192,15 +193,15 @@ func (r *runner) arm(e Episode) {
 		})
 	case KindFlap:
 		node, rail := e.A, e.Rail
-		for at, up := e.Start.dur(), false; at < e.Stop.dur(); at, up = at+e.Period.dur(), !up {
+		for at, up := time.Duration(e.Start), false; at < time.Duration(e.Stop); at, up = at+time.Duration(e.Period), !up {
 			state := up
 			r.clk.AfterFunc(at, func() { r.mem.SetNIC(node, rail, state) })
 		}
-		r.clk.AfterFunc(e.Stop.dur(), func() { r.mem.SetNIC(node, rail, true) })
+		r.clk.AfterFunc(time.Duration(e.Stop), func() { r.mem.SetNIC(node, rail, true) })
 	case KindSkew:
-		node, skew := e.A, e.Skew.dur()
-		r.clk.AfterFunc(e.Start.dur(), func() { r.faults.SetSkew(node, skew) })
-		r.clk.AfterFunc(e.Stop.dur(), func() { r.faults.SetSkew(node, 0) })
+		node, skew := e.A, time.Duration(e.Skew)
+		r.clk.AfterFunc(time.Duration(e.Start), func() { r.faults.SetSkew(node, skew) })
+		r.clk.AfterFunc(time.Duration(e.Stop), func() { r.faults.SetSkew(node, 0) })
 	}
 }
 
@@ -265,10 +266,10 @@ func (r *runner) checkStatusInvariants(out *Outcome) {
 			// Membership: the peer must have been heard recently — more
 			// than a few silent probe rounds at check time means the
 			// failure detector never recovered from the faults.
-			stale := r.sched.Horizon.dur() + r.sched.Settle.dur() - 3*r.sched.ProbeInterval.dur()
+			stale := time.Duration(r.sched.Horizon) + time.Duration(r.sched.Settle) - 3*time.Duration(r.sched.ProbeInterval)
 			if p.LastHeard < stale {
 				add("membership", n, peer, "last heard %v, silent since (checked at %v)",
-					p.LastHeard, r.sched.Horizon.dur()+r.sched.Settle.dur())
+					p.LastHeard, time.Duration(r.sched.Horizon)+time.Duration(r.sched.Settle))
 			}
 		}
 	}
@@ -289,7 +290,7 @@ func peerView(s *core.Status, peer int) (core.PeerStatus, bool) {
 // settle-bounded status invariants, a delivery failure here means the
 // cluster lost a route it never gets back.
 func (r *runner) deliveryWindow() time.Duration {
-	w := 10 * r.sched.ProbeInterval.dur()
+	w := 10 * time.Duration(r.sched.ProbeInterval)
 	if w < 500*time.Millisecond {
 		w = 500 * time.Millisecond
 	}
@@ -366,7 +367,7 @@ func (r *runner) checkBudget(out *Outcome) {
 	if r.sched.Budget == nil {
 		return
 	}
-	window := r.sched.Horizon.dur() + r.sched.Settle.dur() + r.deliveryWindow()
+	window := time.Duration(r.sched.Horizon) + time.Duration(r.sched.Settle) + r.deliveryWindow()
 	var vs []Violation
 	for n, rt := range r.routers {
 		if _, ok := rt.(*core.Daemon); !ok {

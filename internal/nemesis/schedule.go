@@ -18,38 +18,13 @@
 package nemesis
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"drsnet/internal/overload"
+	"drsnet/internal/scenario"
 	"drsnet/internal/transport"
 )
-
-// Duration is a time.Duration that marshals as a Go duration string
-// ("150ms"), so schedule repro files stay human-readable and -editable.
-type Duration time.Duration
-
-// MarshalJSON implements json.Marshaler.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (d *Duration) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("nemesis: duration must be a string like \"150ms\": %v", err)
-	}
-	v, err := time.ParseDuration(s)
-	if err != nil {
-		return fmt.Errorf("nemesis: %v", err)
-	}
-	*d = Duration(v)
-	return nil
-}
-
-func (d Duration) dur() time.Duration { return time.Duration(d) }
 
 // Episode kinds.
 const (
@@ -92,20 +67,20 @@ type Episode struct {
 	// Direction orients a partition: "both", "tx" (A→B only) or "rx".
 	Direction string `json:"direction,omitempty"`
 	// Start and Stop bound the window on the run's virtual clock.
-	Start Duration `json:"start"`
-	Stop  Duration `json:"stop"`
+	Start scenario.Duration `json:"start"`
+	Stop  scenario.Duration `json:"stop"`
 	// Warm restarts a crashed node from its last checkpoint instead of
 	// cold (crash only).
 	Warm bool `json:"warm,omitempty"`
 	// Period is the flap toggle cadence (flap only).
-	Period Duration `json:"period,omitempty"`
+	Period scenario.Duration `json:"period,omitempty"`
 	// Skew is the delivery delay imposed on node A (skew only).
-	Skew Duration `json:"skew,omitempty"`
+	Skew scenario.Duration `json:"skew,omitempty"`
 }
 
 // String renders the episode as one log-friendly line.
 func (e Episode) String() string {
-	w := fmt.Sprintf("[%v,%v)", e.Start.dur(), e.Stop.dur())
+	w := fmt.Sprintf("[%v,%v)", time.Duration(e.Start), time.Duration(e.Stop))
 	switch e.Kind {
 	case KindPartition:
 		rail := fmt.Sprintf("rail %d", e.Rail)
@@ -120,9 +95,9 @@ func (e Episode) String() string {
 		}
 		return fmt.Sprintf("crash %d (%s restart) %s", e.A, mode, w)
 	case KindFlap:
-		return fmt.Sprintf("flap %d rail %d every %v %s", e.A, e.Rail, e.Period.dur(), w)
+		return fmt.Sprintf("flap %d rail %d every %v %s", e.A, e.Rail, time.Duration(e.Period), w)
 	case KindSkew:
-		return fmt.Sprintf("skew %d by %v %s", e.A, e.Skew.dur(), w)
+		return fmt.Sprintf("skew %d by %v %s", e.A, time.Duration(e.Skew), w)
 	}
 	return fmt.Sprintf("%s %s", e.Kind, w)
 }
@@ -141,7 +116,7 @@ type Schedule struct {
 	// Protocol names a registered routing protocol (default "drs").
 	Protocol string `json:"protocol,omitempty"`
 	// ProbeInterval is the DRS probe cadence (default 100ms).
-	ProbeInterval Duration `json:"probeInterval,omitempty"`
+	ProbeInterval scenario.Duration `json:"probeInterval,omitempty"`
 	// Budget, when present, enables control-plane overload protection
 	// on every DRS daemon and arms the post-heal budget invariant.
 	// Absent means disabled — existing repro files replay unchanged.
@@ -149,12 +124,12 @@ type Schedule struct {
 	// Horizon is when every fault is healed: partitions lifted, crashed
 	// nodes restarted, flaps ended, skew cleared. Episodes must end by
 	// it.
-	Horizon Duration `json:"horizon"`
+	Horizon scenario.Duration `json:"horizon"`
 	// Settle is how long after Horizon the cluster gets to reconverge
 	// before the invariants are checked. A settle shorter than a few
 	// probe rounds makes violations expected — useful for exercising
 	// the shrinker, dishonest as a protocol verdict.
-	Settle Duration `json:"settle"`
+	Settle scenario.Duration `json:"settle"`
 	// Episodes is the fault script.
 	Episodes []Episode `json:"episodes"`
 }
@@ -208,14 +183,14 @@ func (s *Schedule) Validate() error {
 	if s.Nodes < 2 {
 		return fmt.Errorf("nemesis: %d nodes (want ≥ 2)", s.Nodes)
 	}
-	if s.Horizon.dur() <= 0 {
-		return fmt.Errorf("nemesis: horizon %v must be positive", s.Horizon.dur())
+	if s.Horizon <= 0 {
+		return fmt.Errorf("nemesis: horizon %v must be positive", time.Duration(s.Horizon))
 	}
-	if s.Settle.dur() < 0 {
-		return fmt.Errorf("nemesis: negative settle %v", s.Settle.dur())
+	if s.Settle < 0 {
+		return fmt.Errorf("nemesis: negative settle %v", time.Duration(s.Settle))
 	}
-	if s.ProbeInterval.dur() < 0 {
-		return fmt.Errorf("nemesis: negative probe interval %v", s.ProbeInterval.dur())
+	if s.ProbeInterval < 0 {
+		return fmt.Errorf("nemesis: negative probe interval %v", time.Duration(s.ProbeInterval))
 	}
 	if s.Budget != nil {
 		if _, err := s.Budget.config(); err != nil {
@@ -228,8 +203,8 @@ func (s *Schedule) Validate() error {
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("nemesis: episodes[%d] (%s): %s", i, e.Kind, fmt.Sprintf(format, args...))
 		}
-		if e.Start.dur() < 0 || e.Stop.dur() <= e.Start.dur() || e.Stop.dur() > s.Horizon.dur() {
-			return fail("window [%v,%v) outside (0, horizon %v]", e.Start.dur(), e.Stop.dur(), s.Horizon.dur())
+		if e.Start < 0 || e.Stop <= e.Start || e.Stop > s.Horizon {
+			return fail("window [%v,%v) outside (0, horizon %v]", time.Duration(e.Start), time.Duration(e.Stop), time.Duration(s.Horizon))
 		}
 		if e.A < 0 || e.A >= s.Nodes {
 			return fail("node %d outside [0,%d)", e.A, s.Nodes)
@@ -249,21 +224,21 @@ func (s *Schedule) Validate() error {
 			}
 		case KindCrash:
 			for _, w := range crashes[e.A] {
-				if e.Start.dur() < w.stop && w.start < e.Stop.dur() {
+				if time.Duration(e.Start) < w.stop && w.start < time.Duration(e.Stop) {
 					return fail("overlapping crash windows on node %d", e.A)
 				}
 			}
-			crashes[e.A] = append(crashes[e.A], window{e.Start.dur(), e.Stop.dur()})
+			crashes[e.A] = append(crashes[e.A], window{time.Duration(e.Start), time.Duration(e.Stop)})
 		case KindFlap:
 			if e.Rail < 0 || e.Rail >= rails {
 				return fail("rail %d outside [0,%d)", e.Rail, rails)
 			}
-			if e.Period.dur() <= 0 {
-				return fail("period %v must be positive", e.Period.dur())
+			if e.Period <= 0 {
+				return fail("period %v must be positive", time.Duration(e.Period))
 			}
 		case KindSkew:
-			if e.Skew.dur() <= 0 {
-				return fail("skew %v must be positive", e.Skew.dur())
+			if e.Skew <= 0 {
+				return fail("skew %v must be positive", time.Duration(e.Skew))
 			}
 		default:
 			return fail("unknown kind")

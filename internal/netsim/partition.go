@@ -59,28 +59,6 @@ func (n *Network) Heal(src, dst, rail int) {
 	}
 }
 
-// HealPartitions removes every installed partition at once — the
-// "network heals" step of a nemesis schedule.
-func (n *Network) HealPartitions() { n.part = nil }
-
-// Partitioned reports whether frames from src to dst on rail are
-// currently blocked. With AllRails it reports whether every rail of
-// the directed pair is blocked.
-func (n *Network) Partitioned(src, dst, rail int) bool {
-	n.checkNode(src)
-	n.checkNode(dst)
-	n.checkPartRail(rail)
-	if n.part == nil {
-		return false
-	}
-	for _, r := range n.partRails(rail) {
-		if _, ok := n.part[partKey{src, dst, r}]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // partitioned is the delivery-path check: nil map short-circuits so
 // partition-free runs stay byte-identical to their pre-partition
 // goldens.

@@ -14,10 +14,10 @@ func TestPartitionAsymmetric(t *testing.T) {
 	n.SetHandler(1, func(Frame) { at1++ })
 
 	n.Partition(0, 1, 0)
-	if !n.Partitioned(0, 1, 0) {
-		t.Fatal("Partitioned(0,1,0) = false after Partition")
+	if !blocked(n, 0, 1, 0) {
+		t.Fatal("0→1 on rail 0 not blocked after Partition")
 	}
-	if n.Partitioned(1, 0, 0) {
+	if blocked(n, 1, 0, 0) {
 		t.Fatal("reverse direction blocked by a directed partition")
 	}
 
@@ -41,7 +41,7 @@ func TestPartitionAsymmetric(t *testing.T) {
 	}
 
 	n.Heal(0, 1, 0)
-	if n.Partitioned(0, 1, 0) {
+	if blocked(n, 0, 1, 0) {
 		t.Fatal("still partitioned after Heal")
 	}
 	if err := n.Send(0, 0, 1, []byte("healed")); err != nil {
@@ -54,7 +54,7 @@ func TestPartitionAsymmetric(t *testing.T) {
 }
 
 // TestPartitionAllRails: AllRails blocks every segment of the directed
-// pair at once, and HealPartitions clears the whole partition state.
+// pair at once, and Heal with AllRails clears them all.
 func TestPartitionAllRails(t *testing.T) {
 	sched, n := newNet(t, 2)
 	delivered := 0
@@ -62,7 +62,7 @@ func TestPartitionAllRails(t *testing.T) {
 
 	n.Partition(0, 1, AllRails)
 	for rail := 0; rail < 2; rail++ {
-		if !n.Partitioned(0, 1, rail) {
+		if !blocked(n, 0, 1, rail) {
 			t.Fatalf("rail %d not blocked by AllRails partition", rail)
 		}
 		if err := n.Send(0, rail, 1, []byte("blocked")); err != nil {
@@ -74,9 +74,9 @@ func TestPartitionAllRails(t *testing.T) {
 		t.Fatalf("deliveries through an AllRails partition: %d", delivered)
 	}
 
-	n.HealPartitions()
-	if n.Partitioned(0, 1, AllRails) {
-		t.Fatal("still partitioned after HealPartitions")
+	n.Heal(0, 1, AllRails)
+	if blocked(n, 0, 1, 0) || blocked(n, 0, 1, 1) {
+		t.Fatal("still partitioned after Heal with AllRails")
 	}
 	if err := n.Send(0, 0, 1, []byte("healed")); err != nil {
 		t.Fatal(err)
@@ -179,5 +179,19 @@ func TestPartitionValidation(t *testing.T) {
 	}
 	mustPanic("self-partition", func() { n.Partition(0, 0, 0) })
 	mustPanic("bad rail", func() { n.Partition(0, 1, 2) })
-	mustPanic("bad node", func() { n.Partitioned(0, 5, 0) })
+	mustPanic("bad node", func() { blocked(n, 0, 5, 0) })
+}
+
+// blocked reports whether frames from src to dst on rail are blocked;
+// with AllRails, whether every rail of the directed pair is.
+func blocked(n *Network, src, dst, rail int) bool {
+	n.checkNode(src)
+	n.checkNode(dst)
+	n.checkPartRail(rail)
+	for _, r := range n.partRails(rail) {
+		if !n.partitioned(src, dst, r) {
+			return false
+		}
+	}
+	return true
 }

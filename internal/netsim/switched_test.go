@@ -78,7 +78,7 @@ func TestSwitchedSameEgressSerializes(t *testing.T) {
 		t.Fatalf("delivered %d", len(times))
 	}
 	if times[1]-times[0] != simtime.Time(txTime84()) {
-		t.Fatalf("egress serialization gap %v, want %v", times[1].Sub(times[0]), txTime84())
+		t.Fatalf("egress serialization gap %v, want %v", times[1]-times[0], txTime84())
 	}
 }
 

@@ -254,10 +254,6 @@ func NewGovernor(cfg Config) *Governor {
 // Degraded reports whether the node is in degraded mode.
 func (g *Governor) Degraded() bool { return g.degraded }
 
-// Since returns when the current degraded episode began (valid only
-// while Degraded).
-func (g *Governor) Since() time.Duration { return g.since }
-
 // Shed records one budget-saturation event and reports whether it
 // entered degraded mode. DegradedSheds < 0 disables entry.
 func (g *Governor) Shed(now time.Duration) (entered bool) {

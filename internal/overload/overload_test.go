@@ -165,8 +165,8 @@ func TestGovernorEntersOnShedBurstInsideWindow(t *testing.T) {
 	if !g.Shed(200 * time.Millisecond) {
 		t.Fatal("third shed inside window did not enter")
 	}
-	if !g.Degraded() || g.Since() != 200*time.Millisecond {
-		t.Fatalf("degraded=%v since=%v", g.Degraded(), g.Since())
+	if !g.Degraded() || g.since != 200*time.Millisecond {
+		t.Fatalf("degraded=%v since=%v", g.Degraded(), g.since)
 	}
 }
 

@@ -81,16 +81,6 @@ func (r *Source) Split(id uint64) *Source {
 	return &child
 }
 
-// Int63 returns a non-negative 63-bit integer. It exists so a Source
-// can stand in where math/rand.Source semantics are expected.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
-// Seed is a no-op provided for interface compatibility with
-// math/rand.Source; use Reseed for deterministic reseeding.
-func (r *Source) Seed(seed int64) { r.Reseed(uint64(seed)) }
-
 // Uint64n returns a uniform integer in [0, n). It panics if n == 0.
 // The implementation uses Lemire's multiply-shift rejection method,
 // which is unbiased.
@@ -163,25 +153,6 @@ func AppendBernoulli[T ~int](r *Source, dst []T, n int, q float64) []T {
 	return dst
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the
-// Fisher–Yates algorithm. swap exchanges elements i and j.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := int(r.Uint64n(uint64(i + 1)))
-		swap(i, j)
-	}
-}
-
 // SampleK fills dst with k distinct integers drawn uniformly from
 // [0, n) in unspecified order, using Floyd's algorithm (O(k) expected
 // time, no allocation beyond the scratch map when k is small relative
@@ -227,17 +198,4 @@ func (r *Source) ExpFloat64() float64 {
 	// argument is never zero.
 	u := 1 - r.Float64()
 	return -math.Log(u)
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the Marsaglia polar method.
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }

@@ -135,23 +135,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(11)
-	for _, n := range []int{0, 1, 2, 5, 17, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestSampleKDistinctAndInRange(t *testing.T) {
 	r := New(21)
 	check := func(k, n int) bool {
@@ -221,29 +204,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(19)
-	const iters = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < iters; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / iters
-	variance := sumSq/iters - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("NormFloat64 mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("NormFloat64 variance = %v, want ~1", variance)
-	}
-}
-
-// TestAppendBernoulliMatchesFloat64: the kernel selects exactly the
-// indices a Float64 loop selects and leaves the stream where that loop
-// leaves it, at the boundary probabilities and at q equal to a drawn
-// value and its float neighbours.
 func TestAppendBernoulliMatchesFloat64(t *testing.T) {
 	first := New(77).Float64()
 	qs := []float64{

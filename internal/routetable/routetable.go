@@ -18,8 +18,7 @@ import (
 	"drsnet/internal/overload"
 )
 
-// Kind classifies an installed route. Package core exports it as
-// RouteKind.
+// Kind classifies an installed route.
 type Kind int
 
 // Route kinds.
@@ -44,8 +43,8 @@ func (k Kind) String() string {
 	case Relay:
 		return "relay"
 	default:
-		// core's exported alias for this type is RouteKind; keep its
-		// diagnostic format.
+		// The type was once core.RouteKind; its diagnostic format
+		// stays.
 		return fmt.Sprintf("RouteKind(%d)", int(k))
 	}
 }

@@ -458,14 +458,6 @@ func (ls *LinkState) onData(body []byte) {
 	}
 }
 
-// RouteVia reports the current first hop toward dst (testing hook).
-func (ls *LinkState) RouteVia(dst int) (via, rail int, ok bool) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	rt := ls.routes[dst]
-	return rt.via, rt.rail, rt.valid
-}
-
 func (ls *LinkState) event(e trace.Event) {
 	if ls.cfg.Trace != nil {
 		ls.cfg.Trace.Append(e)

@@ -61,7 +61,7 @@ func TestLinkStateConvergesAndDelivers(t *testing.T) {
 			if a == b {
 				continue
 			}
-			via, _, ok := h.routers[a].RouteVia(b)
+			via, _, ok := h.routers[a].routeVia(b)
 			if !ok {
 				t.Fatalf("%d has no route to %d after convergence", a, b)
 			}
@@ -99,7 +99,7 @@ func TestLinkStateNICFailureRecoversAfterDeadInterval(t *testing.T) {
 	// After the dead interval the adjacency expires, LSAs re-flood,
 	// SPF moves to rail 1.
 	h.runFor(cfg.DeadInterval + 2*cfg.HelloInterval)
-	via, rail, ok := h.routers[0].RouteVia(1)
+	via, rail, ok := h.routers[0].routeVia(1)
 	if !ok || via != 1 || rail != 1 {
 		t.Fatalf("route after recovery: via=%d rail=%d ok=%v", via, rail, ok)
 	}
@@ -127,7 +127,7 @@ func TestLinkStateCrossRailMultiHop(t *testing.T) {
 	h.net.Fail(cl.NIC(1, 1))
 	h.runFor(cfg.DeadInterval + 4*cfg.HelloInterval)
 
-	via, _, ok := h.routers[0].RouteVia(1)
+	via, _, ok := h.routers[0].routeVia(1)
 	if !ok {
 		t.Fatal("no SPF route across the rails")
 	}
@@ -187,7 +187,7 @@ func TestLinkStateDeadNodeAgesOut(t *testing.T) {
 	h.net.Fail(cl.NIC(2, 0))
 	h.net.Fail(cl.NIC(2, 1))
 	h.runFor(cfg.LSAMaxAge + 3*cfg.HelloInterval)
-	if _, _, ok := h.routers[0].RouteVia(2); ok {
+	if _, _, ok := h.routers[0].routeVia(2); ok {
 		t.Fatal("route to a long-dead node survived MaxAge")
 	}
 	if err := h.routers[0].SendData(2, []byte("x")); err != ErrNoRoute {
@@ -249,7 +249,7 @@ func TestLinkStateTTLBoundsForwarding(t *testing.T) {
 	h.net.Fail(cl.NIC(0, 0))
 	h.net.Fail(cl.NIC(1, 1))
 	h.runFor(cfg.DeadInterval + 4*cfg.HelloInterval)
-	if _, _, ok := h.routers[0].RouteVia(1); !ok {
+	if _, _, ok := h.routers[0].routeVia(1); !ok {
 		t.Skip("no multi-hop route formed")
 	}
 	if err := h.routers[0].SendData(1, []byte("x")); err != nil {
@@ -276,10 +276,10 @@ func TestLinkStateManyFailuresMatchReachability(t *testing.T) {
 	// dead + backplane 1 dead → node 0 fully detached. Node 3 is fine
 	// on rail 0.
 	h.runFor(cfg.LSAMaxAge + 5*cfg.HelloInterval)
-	if _, _, ok := h.routers[1].RouteVia(0); ok {
+	if _, _, ok := h.routers[1].routeVia(0); ok {
 		t.Fatal("route to a detached node")
 	}
-	if _, _, ok := h.routers[1].RouteVia(3); !ok {
+	if _, _, ok := h.routers[1].routeVia(3); !ok {
 		t.Fatal("no route to a reachable node")
 	}
 	if err := h.routers[1].SendData(3, []byte("ok")); err != nil {
@@ -306,7 +306,7 @@ func TestLinkStateQueueOverflowDropsOldest(t *testing.T) {
 	h.net.Fail(nic0)
 	h.net.Fail(nic1)
 	h.runFor(cfg.DeadInterval + 2*cfg.HelloInterval)
-	if _, _, ok := h.routers[0].RouteVia(1); ok {
+	if _, _, ok := h.routers[0].routeVia(1); ok {
 		t.Fatal("route to isolated node survived the dead interval")
 	}
 
@@ -337,4 +337,12 @@ func TestLinkStateQueueOverflowDropsOldest(t *testing.T) {
 			t.Fatalf("delivery %d = %+v, want payload %q from 0", i, msg, want)
 		}
 	}
+}
+
+// routeVia reports the current first hop toward dst.
+func (ls *LinkState) routeVia(dst int) (via, rail int, ok bool) {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	rt := ls.routes[dst]
+	return rt.via, rt.rail, rt.valid
 }

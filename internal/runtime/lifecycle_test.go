@@ -209,7 +209,7 @@ func TestCrashAdvancesIncarnation(t *testing.T) {
 		t.Fatalf("uncrashed node's incarnation = %d, want 1", c.incarnation[0])
 	}
 	crashed, restarted := 0, 0
-	for _, e := range c.TraceLog().Events() {
+	for _, e := range c.log.Events() {
 		switch e.Kind {
 		case trace.KindNodeCrashed:
 			crashed++
@@ -238,7 +238,7 @@ func TestCrashIgnoredWithoutLifecycle(t *testing.T) {
 	if !c.Network().NodeUp(1) {
 		t.Fatal("Crash acted on a lifecycle-free cluster")
 	}
-	if n := len(c.TraceLog().Events()); n != 0 {
+	if n := len(c.log.Events()); n != 0 {
 		t.Fatalf("lifecycle events on a lifecycle-free cluster: %d", n)
 	}
 	c.StopRouters()

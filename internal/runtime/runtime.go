@@ -217,10 +217,6 @@ func (c *Cluster) Net() netsim.Net { return c.net }
 // Clock returns the simulation clock routers were built with.
 func (c *Cluster) Clock() clock.Clock { return simtime.Clock{Sched: c.sched} }
 
-// TraceLog returns the protocol event log (the spec's sink, or the
-// private log Build created).
-func (c *Cluster) TraceLog() *trace.Log { return c.log }
-
 // Router returns node's router.
 func (c *Cluster) Router(node int) routing.Router { return c.routers[node] }
 
@@ -536,12 +532,6 @@ func cloneCounters(src map[string]int64) map[string]int64 {
 		dst[name] = v
 	}
 	return dst
-}
-
-// DeliveriesFor returns the delivery timestamps recorded for the
-// (from, to) pair.
-func (c *Cluster) DeliveriesFor(from, to int) []time.Duration {
-	return append([]time.Duration(nil), c.deliveries[pair{from, to}]...)
 }
 
 // Finish collects the run's outcome. Call after the simulation has

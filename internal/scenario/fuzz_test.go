@@ -83,6 +83,9 @@ func FuzzLoad(f *testing.F) {
 		           {"at": "-5s", "kind": "backplane", "rail": 0},
 		           {"at": "1s", "kind": "nic", "node": 99, "rail": 7}]}`))
 	f.Add([]byte(`{"duration": "-10s"}`))
+	f.Add([]byte(`{"nodes": 2, "duration": 1e19, "traffic": [{"from": 0, "to": 1, "interval": 1000000}]}`))
+	f.Add([]byte(`{"nodes": 2, "duration": 9.3e18, "traffic": [{"from": 0, "to": 1, "interval": 1000000}]}`))
+	f.Add([]byte(`{"nodes": 2, "duration": 1e10, "traffic": [{"from": 0, "to": 1, "interval": 1.5}]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Add([]byte("\xff\xfe{}"))

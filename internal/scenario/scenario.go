@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"time"
 
 	"drsnet/internal/chaos"
@@ -23,7 +25,8 @@ import (
 )
 
 // Duration is a time.Duration that unmarshals from JSON strings like
-// "200ms" or "1m30s" (or from a number of nanoseconds).
+// "200ms" or "1m30s", or from a whole number of nanoseconds, and
+// marshals as a string.
 type Duration time.Duration
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -40,7 +43,18 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 		}
 		*d = Duration(parsed)
 	case float64:
-		*d = Duration(time.Duration(t))
+		// A number counts nanoseconds. A plain integer is read exactly;
+		// any other form must hold a whole value in int64 range, as
+		// converting a fractional or out-of-range float to an integer
+		// would truncate or wrap.
+		n, err := strconv.ParseInt(string(b), 10, 64)
+		if err != nil {
+			if t != math.Trunc(t) || t < -(1<<63) || t >= 1<<63 {
+				return fmt.Errorf("scenario: duration %s is not a whole number of nanoseconds in int64 range", b)
+			}
+			n = int64(t)
+		}
+		*d = Duration(n)
 	default:
 		return fmt.Errorf("scenario: duration must be a string or number, have %T", v)
 	}

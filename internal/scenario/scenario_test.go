@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -55,8 +56,35 @@ func TestDurationForms(t *testing.T) {
 	if err := json.Unmarshal([]byte(`"1m30s"`), &d); err != nil || time.Duration(d) != 90*time.Second {
 		t.Fatalf("string form: %v %v", time.Duration(d), err)
 	}
-	if err := json.Unmarshal([]byte(`5000000000`), &d); err != nil || time.Duration(d) != 5*time.Second {
-		t.Fatalf("numeric form: %v %v", time.Duration(d), err)
+	// A number counts nanoseconds: whole values in int64 range decode
+	// exactly, and anything else is an error naming the value rather
+	// than a wrapped or truncated duration.
+	for _, c := range []struct {
+		in   string
+		want time.Duration // 0: must be rejected
+	}{
+		{`5000000000`, 5 * time.Second},
+		{`1e9`, time.Second},
+		{`-1500`, -1500},
+		{`9007199254740993`, 9007199254740993},
+		{`9223372036854775807`, math.MaxInt64},
+		{`-9223372036854775808`, math.MinInt64},
+		{`1e19`, 0},
+		{`9.3e18`, 0},
+		{`-9.3e18`, 0},
+		{`9223372036854775808`, 0},
+		{`1.5`, 0},
+		{`0.5`, 0},
+	} {
+		var d Duration
+		err := json.Unmarshal([]byte(c.in), &d)
+		if c.want == 0 {
+			if err == nil || !strings.Contains(err.Error(), c.in) {
+				t.Errorf("%s: decoded %d, %v; want an error naming the value", c.in, d, err)
+			}
+		} else if err != nil || time.Duration(d) != c.want {
+			t.Errorf("%s: decoded %d, %v; want %d", c.in, d, err, c.want)
+		}
 	}
 	if err := json.Unmarshal([]byte(`"ten seconds"`), &d); err == nil {
 		t.Fatal("garbage duration accepted")

@@ -548,3 +548,17 @@ func FuzzSchedulerOrder(f *testing.F) {
 		newOrderRig(t, 5).exec(script)
 	})
 }
+
+// queued counts the heap-resident timers: lane heads and every timer
+// not on a lane, cancelled ones included until they pop.
+func (s *Scheduler) queued() int {
+	n := 0
+	for i := range s.heap {
+		if k := s.heap[i].run; k != 0 {
+			n += len(s.runs[k].q) - s.runs[k].i
+		} else {
+			n++
+		}
+	}
+	return n
+}

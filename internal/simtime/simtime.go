@@ -20,9 +20,6 @@ type Time int64
 // Add returns t shifted by d.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
-// Sub returns the duration t - u.
-func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
-
 // Duration converts t to the duration elapsed since time zero.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
@@ -68,9 +65,6 @@ func (t *Timer) Cancel() bool {
 	t.sched.live--
 	return true
 }
-
-// When returns the simulated time the timer fires at.
-func (t *Timer) When() Time { return t.at }
 
 // Lane is a FIFO of events whose times never decrease — the arrivals
 // of one serializing link. Only its head is queued in the scheduler;
@@ -510,18 +504,4 @@ func (s *Scheduler) siftDown(e entry) {
 		i = c
 	}
 	h[i] = e
-}
-
-// queued counts the heap-resident timers: lane heads and every timer
-// not on a lane, cancelled ones included until they pop.
-func (s *Scheduler) queued() int {
-	n := 0
-	for i := range s.heap {
-		if k := s.heap[i].run; k != 0 {
-			n += len(s.runs[k].q) - s.runs[k].i
-		} else {
-			n++
-		}
-	}
-	return n
 }

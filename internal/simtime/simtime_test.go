@@ -196,9 +196,6 @@ func TestTimeHelpers(t *testing.T) {
 	if tt != Time(1500*time.Millisecond) {
 		t.Fatalf("Add = %v", tt)
 	}
-	if d := tt.Sub(Time(500 * time.Millisecond)); d != time.Second {
-		t.Fatalf("Sub = %v", d)
-	}
 	if tt.Duration() != 1500*time.Millisecond {
 		t.Fatalf("Duration = %v", tt.Duration())
 	}

@@ -1,29 +1,16 @@
 // Package stats provides the small set of statistics used by the
-// survivability experiments: running moments, mean absolute deviation
-// (the y-axis of the paper's Figure 3), confidence intervals for
-// Bernoulli estimators, and simple series summaries.
+// survivability experiments: the mean and maximum absolute deviation
+// between two series (the y-axis of the paper's Figure 3) and
+// confidence intervals for Bernoulli estimators.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by reductions over empty data sets.
 var ErrEmpty = errors.New("stats: empty data set")
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
 
 // MeanAbsDeviation returns the mean of |a[i]-b[i]| over paired series.
 // This is the convergence metric of the paper's Figure 3: the mean
@@ -60,88 +47,6 @@ func MaxAbsDeviation(a, b []float64) (float64, error) {
 	return m, nil
 }
 
-// Running accumulates streaming moments using Welford's algorithm,
-// which stays numerically stable over very long runs.
-type Running struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one observation into the accumulator.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// N returns the number of observations.
-func (r *Running) N() int64 { return r.n }
-
-// Mean returns the running mean (0 if no observations).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Min returns the smallest observation (0 if none).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (0 if none).
-func (r *Running) Max() float64 { return r.max }
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (r *Running) StdErr() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.StdDev() / math.Sqrt(float64(r.n))
-}
-
-// Merge folds another accumulator into r (parallel reduction), using
-// the Chan et al. pairwise update.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	r.mean += delta * float64(o.n) / float64(n)
-	r.m2 += o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n = n
-}
-
 // BernoulliCI returns the half-width of a normal-approximation
 // confidence interval for a proportion estimated from k successes out
 // of n trials, at the given z score (1.96 ≈ 95%).
@@ -151,69 +56,4 @@ func BernoulliCI(k, n int64, z float64) float64 {
 	}
 	p := float64(k) / float64(n)
 	return z * math.Sqrt(p*(1-p)/float64(n))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Histogram counts observations into nbins equal-width bins spanning
-// [lo, hi). Values outside the range are clamped into the end bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram creates a histogram over [lo, hi) with nbins bins.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || !(hi > lo) {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, nbins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	i := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }

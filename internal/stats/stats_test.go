@@ -4,21 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"drsnet/internal/rng"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func TestMean(t *testing.T) {
-	m, err := Mean([]float64{1, 2, 3, 4})
-	if err != nil || m != 2.5 {
-		t.Fatalf("Mean = %v, %v; want 2.5, nil", m, err)
-	}
-	if _, err := Mean(nil); err != ErrEmpty {
-		t.Fatalf("Mean(nil) err = %v, want ErrEmpty", err)
-	}
-}
 
 func TestMeanAbsDeviation(t *testing.T) {
 	d, err := MeanAbsDeviation([]float64{1, 2, 3}, []float64{2, 2, 1})
@@ -59,82 +47,6 @@ func TestMaxAbsDeviation(t *testing.T) {
 	}
 }
 
-func TestRunningMatchesDirect(t *testing.T) {
-	r := rng.New(1)
-	xs := make([]float64, 1000)
-	var run Running
-	for i := range xs {
-		xs[i] = r.NormFloat64()*3 + 7
-		run.Add(xs[i])
-	}
-	mean, _ := Mean(xs)
-	if !almostEqual(run.Mean(), mean, 1e-9) {
-		t.Fatalf("running mean %v != direct %v", run.Mean(), mean)
-	}
-	// Direct two-pass variance.
-	sq := 0.0
-	for _, x := range xs {
-		sq += (x - mean) * (x - mean)
-	}
-	direct := sq / float64(len(xs)-1)
-	if !almostEqual(run.Variance(), direct, 1e-6) {
-		t.Fatalf("running variance %v != direct %v", run.Variance(), direct)
-	}
-	if run.N() != 1000 {
-		t.Fatalf("N = %d", run.N())
-	}
-}
-
-func TestRunningMinMax(t *testing.T) {
-	var run Running
-	for _, x := range []float64{3, -2, 9, 0} {
-		run.Add(x)
-	}
-	if run.Min() != -2 || run.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", run.Min(), run.Max())
-	}
-}
-
-func TestRunningMergeEqualsSequential(t *testing.T) {
-	r := rng.New(2)
-	var whole, a, b Running
-	for i := 0; i < 500; i++ {
-		x := r.Float64() * 100
-		whole.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	if !almostEqual(a.Mean(), whole.Mean(), 1e-9) {
-		t.Fatalf("merged mean %v != %v", a.Mean(), whole.Mean())
-	}
-	if !almostEqual(a.Variance(), whole.Variance(), 1e-6) {
-		t.Fatalf("merged variance %v != %v", a.Variance(), whole.Variance())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatal("merged min/max mismatch")
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(5)
-	a.Merge(b) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 5 {
-		t.Fatal("merge with empty changed accumulator")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 5 {
-		t.Fatal("merge into empty did not copy")
-	}
-}
-
 func TestBernoulliCI(t *testing.T) {
 	if ci := BernoulliCI(50, 100, 1.96); !almostEqual(ci, 1.96*math.Sqrt(0.25/100), 1e-12) {
 		t.Fatalf("CI = %v", ci)
@@ -146,65 +58,4 @@ func TestBernoulliCI(t *testing.T) {
 	if ci := BernoulliCI(10, 10, 1.96); ci != 0 {
 		t.Fatalf("CI = %v, want 0", ci)
 	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	for _, tc := range []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	} {
-		got, err := Quantile(xs, tc.q)
-		if err != nil || !almostEqual(got, tc.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, %v; want %v", tc.q, got, err, tc.want)
-		}
-	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Fatal("empty quantile not reported")
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Fatal("out-of-range q not reported")
-	}
-	one, err := Quantile([]float64{42}, 0.7)
-	if err != nil || one != 42 {
-		t.Fatalf("single-element quantile = %v, %v", one, err)
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Quantile(xs, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// -3 clamps to bin 0, 42 clamps to bin 4.
-	want := []int64{3, 1, 1, 0, 2}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("bin %d = %d, want %d (all: %v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-	if !almostEqual(h.Fraction(0), 3.0/7, 1e-12) {
-		t.Fatalf("Fraction(0) = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(1,1,3) did not panic")
-		}
-	}()
-	NewHistogram(1, 1, 3)
 }

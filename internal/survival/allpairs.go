@@ -84,15 +84,10 @@ func AllPairsPSuccessFloat(n, f int) float64 {
 	return v
 }
 
-// AllPairsSeries returns AllPairsPSuccessFloat(n, f) for
-// n = nMin..nMax.
-func AllPairsSeries(f, nMin, nMax int) []float64 {
-	return AllPairsSeriesWorkers(f, nMin, nMax, 1)
-}
-
-// AllPairsSeriesWorkers is AllPairsSeries computed by the parallel
-// sweep engine with the given worker count (0 = GOMAXPROCS); the
-// result is bit-identical for every worker count.
+// AllPairsSeriesWorkers returns AllPairsPSuccessFloat(n, f) for
+// n = nMin..nMax, computed by the parallel sweep engine with the given
+// worker count (0 = GOMAXPROCS); the result is bit-identical for every
+// worker count.
 func AllPairsSeriesWorkers(f, nMin, nMax, workers int) []float64 {
 	if nMin < 2 || nMax < nMin {
 		panic(fmt.Sprintf("survival: bad series range [%d,%d]", nMin, nMax))

@@ -11,7 +11,7 @@ func TestAllPairsClosedFormMatchesEnumeration(t *testing.T) {
 	for n := 2; n <= 7; n++ {
 		m := 2*n + 2
 		for f := 0; f <= m; f++ {
-			succ, tot, err := EnumerateAllPairs(topology.Dual(n), f)
+			succ, tot, err := enumerateAllPairs(topology.Dual(n), f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestAllPairsConvergesToOne(t *testing.T) {
 }
 
 func TestAllPairsSeries(t *testing.T) {
-	s := AllPairsSeries(3, 4, 20)
+	s := AllPairsSeriesWorkers(3, 4, 20, 1)
 	if len(s) != 17 {
 		t.Fatalf("len = %d", len(s))
 	}
@@ -96,7 +96,7 @@ func TestAllPairsPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"n too small": func() { AllPairsSuccessCount(1, 1) },
 		"f too large": func() { AllPairsSuccessCount(3, 99) },
-		"bad series":  func() { AllPairsSeries(2, 9, 3) },
+		"bad series":  func() { AllPairsSeriesWorkers(2, 9, 3, 1) },
 	} {
 		func() {
 			defer func() {

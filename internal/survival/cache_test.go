@@ -20,7 +20,7 @@ func TestClosedFormEnumerationMemoAgree(t *testing.T) {
 			raw := successCountRaw(n, f)
 			memo1 := SuccessCount(n, f) // cold: populates the cache
 			memo2 := SuccessCount(n, f) // warm: served from the cache
-			enum, _, err := EnumeratePair(topology.Dual(n), f, 0, 1)
+			enum, _, err := enumeratePair(topology.Dual(n), f, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +42,7 @@ func TestAllPairsMemoAgainstRawAndEnumeration(t *testing.T) {
 		for f := 0; f <= 5; f++ {
 			raw := allPairsSuccessCountRaw(n, f)
 			memo := AllPairsSuccessCount(n, f)
-			enum, _, err := EnumerateAllPairs(topology.Dual(n), f)
+			enum, _, err := enumerateAllPairs(topology.Dual(n), f)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,12 +8,12 @@ import (
 	"drsnet/internal/topology"
 )
 
-// EnumeratePair counts, by brute force, the failure scenarios of size
+// enumeratePair counts, by brute force, the failure scenarios of size
 // f under which nodes a and b can communicate in cluster c. It visits
 // every one of the C(|components|, f) subsets, so it is exponential —
 // use it as the gold standard for validating the closed form and the
 // Monte Carlo estimator on small systems.
-func EnumeratePair(c topology.Cluster, f, a, b int) (success, total *big.Int, err error) {
+func enumeratePair(c topology.Cluster, f, a, b int) (success, total *big.Int, err error) {
 	e, err := conn.NewEvaluator(c)
 	if err != nil {
 		return nil, nil, err
@@ -37,11 +37,11 @@ func EnumeratePair(c topology.Cluster, f, a, b int) (success, total *big.Int, er
 	return big.NewInt(int64(succ)), big.NewInt(int64(tot)), nil
 }
 
-// EnumerateAllPairs counts the failure scenarios of size f under which
+// enumerateAllPairs counts the failure scenarios of size f under which
 // EVERY pair of nodes in cluster c can communicate (full cluster
 // survivability, a strictly stronger criterion than the paper's
 // designated-pair model).
-func EnumerateAllPairs(c topology.Cluster, f int) (success, total *big.Int, err error) {
+func enumerateAllPairs(c topology.Cluster, f int) (success, total *big.Int, err error) {
 	e, err := conn.NewEvaluator(c)
 	if err != nil {
 		return nil, nil, err
@@ -92,36 +92,4 @@ func forEachSubset(n, k int, fn func(idx []int)) {
 			idx[j] = idx[j-1] + 1
 		}
 	}
-}
-
-// Threshold returns the smallest N in [nMin, nMax] for which
-// P[Success](N, f) exceeds target, using exact rational comparison.
-// It returns an error if no N in the range qualifies.
-//
-// The paper's stated thresholds for target 0.99 are N=18 (f=2),
-// N=32 (f=3) and N=45 (f=4); tests assert this function reproduces
-// them.
-func Threshold(f int, target *big.Rat, nMin, nMax int) (int, error) {
-	if nMin < 2 {
-		nMin = 2
-	}
-	for n := nMin; n <= nMax; n++ {
-		if 2*n+2 < f {
-			continue // not enough components to fail
-		}
-		if PSuccess(n, f).Cmp(target) > 0 {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("survival: P[Success] does not exceed %s for f=%d with N ≤ %d",
-		target.FloatString(4), f, nMax)
-}
-
-// ThresholdFloat is Threshold with a float64 target, converted exactly.
-func ThresholdFloat(f int, target float64, nMin, nMax int) (int, error) {
-	r := new(big.Rat)
-	if r.SetFloat64(target) == nil {
-		return 0, fmt.Errorf("survival: target %v is not finite", target)
-	}
-	return Threshold(f, r, nMin, nMax)
 }

@@ -171,12 +171,6 @@ func PSuccessFloat(n, f int) float64 {
 	return v
 }
 
-// FailureCount returns C(2N+2, f) − F(N, f): the number of scenarios
-// that sever the designated pair.
-func FailureCount(n, f int) *big.Int {
-	return new(big.Int).Sub(TotalCount(n, f), SuccessCount(n, f))
-}
-
 // Series returns PSuccessFloat(n, f) for n = nMin..nMax inclusive —
 // one curve of the paper's Figure 2.
 func Series(f, nMin, nMax int) []float64 {
@@ -199,33 +193,34 @@ func SeriesWorkers(f, nMin, nMax, workers int) []float64 {
 	return out
 }
 
-// MixtureSuccess returns the unconditional success probability when
-// the number of simultaneous failures is not fixed but geometric: the
-// paper observes that if each additional concurrent failure is a
-// factor q less likely (P[f failures] ∝ q^f), multi-failure scenarios
-// decay exponentially. The mixture is truncated at maxF and
-// renormalized; f=0 and f=1 scenarios always succeed (a single
-// component failure can never sever a dual-rail pair when N ≥ 2...
-// except a lone failure of one of A's NICs still leaves the other
-// rail, so P(n,0)=P(n,1)=1, which the model confirms).
-func MixtureSuccess(n int, q float64, maxF int) float64 {
-	if q < 0 || q >= 1 {
-		panic(fmt.Sprintf("survival: mixture weight q=%v outside [0,1)", q))
+// Threshold returns the smallest N in [nMin, nMax] for which
+// P[Success](N, f) exceeds target, using exact rational comparison.
+// It returns an error if no N in the range qualifies.
+//
+// The paper's stated thresholds for target 0.99 are N=18 (f=2),
+// N=32 (f=3) and N=45 (f=4); tests assert this function reproduces
+// them.
+func Threshold(f int, target *big.Rat, nMin, nMax int) (int, error) {
+	if nMin < 2 {
+		nMin = 2
 	}
-	if maxF < 0 {
-		panic("survival: negative maxF")
+	for n := nMin; n <= nMax; n++ {
+		if 2*n+2 < f {
+			continue // not enough components to fail
+		}
+		if PSuccess(n, f).Cmp(target) > 0 {
+			return n, nil
+		}
 	}
-	m := 2*n + 2
-	if maxF > m {
-		maxF = m
+	return 0, fmt.Errorf("survival: P[Success] does not exceed %s for f=%d with N ≤ %d",
+		target.FloatString(4), f, nMax)
+}
+
+// ThresholdFloat is Threshold with a float64 target, converted exactly.
+func ThresholdFloat(f int, target float64, nMin, nMax int) (int, error) {
+	r := new(big.Rat)
+	if r.SetFloat64(target) == nil {
+		return 0, fmt.Errorf("survival: target %v is not finite", target)
 	}
-	wsum := 0.0
-	acc := 0.0
-	w := 1.0
-	for f := 0; f <= maxF; f++ {
-		acc += w * PSuccessFloat(n, f)
-		wsum += w
-		w *= q
-	}
-	return acc / wsum
+	return Threshold(f, r, nMin, nMax)
 }

@@ -163,7 +163,7 @@ func TestClosedFormMatchesEnumeration(t *testing.T) {
 			maxF = m
 		}
 		for f := 0; f <= maxF; f++ {
-			succ, tot, err := EnumeratePair(topology.Dual(n), f, 0, 1)
+			succ, tot, err := enumeratePair(topology.Dual(n), f, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func TestClosedFormMatchesEnumerationHighF(t *testing.T) {
 	for n := 2; n <= 5; n++ {
 		m := 2*n + 2
 		for f := 0; f <= m; f++ {
-			succ, _, err := EnumeratePair(topology.Dual(n), f, 0, 1)
+			succ, _, err := enumeratePair(topology.Dual(n), f, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,12 +197,12 @@ func TestPairChoiceIrrelevantBySymmetry(t *testing.T) {
 	// The model designates nodes 0 and 1, but any pair must give the
 	// same count by symmetry.
 	c := topology.Dual(5)
-	ref, _, err := EnumeratePair(c, 3, 0, 1)
+	ref, _, err := enumeratePair(c, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pair := range [][2]int{{0, 2}, {1, 4}, {2, 3}} {
-		got, _, err := EnumeratePair(c, 3, pair[0], pair[1])
+		got, _, err := enumeratePair(c, 3, pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,40 +302,15 @@ func TestPSuccessPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestMixtureSuccess(t *testing.T) {
-	// q=0 means only the zero-failure scenario: certain success.
-	if p := MixtureSuccess(10, 0, 10); p != 1 {
-		t.Fatalf("MixtureSuccess(q=0) = %v, want 1", p)
-	}
-	// Mixtures are bounded by the best and worst mixed-in terms.
-	p := MixtureSuccess(10, 0.2, 10)
-	if p <= PSuccessFloat(10, 10) || p > 1 {
-		t.Fatalf("MixtureSuccess = %v out of expected range", p)
-	}
-	// Heavier tails can only hurt.
-	if MixtureSuccess(10, 0.5, 10) > MixtureSuccess(10, 0.1, 10) {
-		t.Fatal("mixture not monotone in q")
-	}
-}
-
-func TestMixturePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MixtureSuccess(q=1) did not panic")
-		}
-	}()
-	MixtureSuccess(10, 1, 5)
-}
-
 func TestEnumerateAllPairsStricter(t *testing.T) {
 	// Full-cluster survivability is a subset of pair survivability.
 	c := topology.Dual(5)
 	for f := 0; f <= 4; f++ {
-		all, tot1, err := EnumerateAllPairs(c, f)
+		all, tot1, err := enumerateAllPairs(c, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair, tot2, err := EnumeratePair(c, f, 0, 1)
+		pair, tot2, err := enumeratePair(c, f, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,10 +352,10 @@ func TestForEachSubsetCounts(t *testing.T) {
 }
 
 func TestEnumerateRejectsBadF(t *testing.T) {
-	if _, _, err := EnumeratePair(topology.Dual(3), 99, 0, 1); err == nil {
+	if _, _, err := enumeratePair(topology.Dual(3), 99, 0, 1); err == nil {
 		t.Fatal("oversized f accepted")
 	}
-	if _, _, err := EnumerateAllPairs(topology.Dual(3), -1); err == nil {
+	if _, _, err := enumerateAllPairs(topology.Dual(3), -1); err == nil {
 		t.Fatal("negative f accepted")
 	}
 }

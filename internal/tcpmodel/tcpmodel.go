@@ -68,37 +68,6 @@ func (p Params) AttemptTimes() ([]time.Duration, error) {
 	return out, nil
 }
 
-// Outcome describes what a TCP sender experiences across an outage.
-type Outcome struct {
-	// Delivered reports whether some attempt landed after the outage.
-	Delivered bool
-	// Delay is the application-visible extra latency: the offset of
-	// the first successful attempt (0 when the first send succeeds).
-	Delay time.Duration
-	// Attempts is the number of transmissions used (1 = no
-	// retransmission needed).
-	Attempts int
-}
-
-// Send models a segment first transmitted at sendTime while the path
-// is unusable during [outageStart, outageStart+outageLen). Attempts
-// that fall inside the outage are lost; the first attempt at or after
-// the end of the outage is delivered.
-func (p Params) Send(sendTime, outageStart time.Time, outageLen time.Duration) (Outcome, error) {
-	attempts, err := p.AttemptTimes()
-	if err != nil {
-		return Outcome{}, err
-	}
-	outageEnd := outageStart.Add(outageLen)
-	for i, off := range attempts {
-		at := sendTime.Add(off)
-		if at.Before(outageStart) || !at.Before(outageEnd) {
-			return Outcome{Delivered: true, Delay: off, Attempts: i + 1}, nil
-		}
-	}
-	return Outcome{Delivered: false, Delay: 0, Attempts: len(attempts)}, nil
-}
-
 // MaxMaskableOutage returns the longest outage that a DRS-style repair
 // can hide behind a single retransmission: if the path is restored
 // within this duration of the first (lost) transmission, TCP recovers

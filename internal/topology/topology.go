@@ -121,99 +121,3 @@ func (c Cluster) Name(comp Component) string {
 	}
 	return fmt.Sprintf("backplane(%d)", rail)
 }
-
-// Set is a bitset over a cluster's component universe, used to
-// represent failure scenarios ("these components are down").
-// The zero value of a Set is not usable; create one with NewSet.
-type Set struct {
-	words []uint64
-	n     int
-}
-
-// NewSet returns an empty Set over a universe of n components.
-func NewSet(n int) *Set {
-	if n < 0 {
-		panic("topology: negative universe size")
-	}
-	return &Set{words: make([]uint64, (n+63)/64), n: n}
-}
-
-// NewSetOf returns a Set over universe n containing the given components.
-func NewSetOf(n int, comps ...Component) *Set {
-	s := NewSet(n)
-	for _, c := range comps {
-		s.Add(c)
-	}
-	return s
-}
-
-// Universe returns the universe size the Set was created with.
-func (s *Set) Universe() int { return s.n }
-
-func (s *Set) check(c Component) {
-	if int(c) < 0 || int(c) >= s.n {
-		panic(fmt.Sprintf("topology: component %d out of universe %d", c, s.n))
-	}
-}
-
-// Add inserts component c.
-func (s *Set) Add(c Component) {
-	s.check(c)
-	s.words[c>>6] |= 1 << (uint(c) & 63)
-}
-
-// Remove deletes component c.
-func (s *Set) Remove(c Component) {
-	s.check(c)
-	s.words[c>>6] &^= 1 << (uint(c) & 63)
-}
-
-// Contains reports whether component c is in the set.
-func (s *Set) Contains(c Component) bool {
-	s.check(c)
-	return s.words[c>>6]&(1<<(uint(c)&63)) != 0
-}
-
-// Len returns the number of components in the set.
-func (s *Set) Len() int {
-	total := 0
-	for _, w := range s.words {
-		total += popcount(w)
-	}
-	return total
-}
-
-// Clear removes all components.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
-}
-
-// Components returns the members in ascending order.
-func (s *Set) Components() []Component {
-	out := make([]Component, 0, s.Len())
-	for i := 0; i < s.n; i++ {
-		if s.Contains(Component(i)) {
-			out = append(out, Component(i))
-		}
-	}
-	return out
-}
-
-func popcount(w uint64) int {
-	// Kernighan's loop is fine here: failure sets are tiny (f ≤ 10).
-	n := 0
-	for w != 0 {
-		w &= w - 1
-		n++
-	}
-	return n
-}

@@ -104,100 +104,3 @@ func TestOutOfRangePanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestSetBasics(t *testing.T) {
-	s := NewSet(130)
-	if s.Len() != 0 || s.Universe() != 130 {
-		t.Fatal("fresh set not empty")
-	}
-	s.Add(0)
-	s.Add(64)
-	s.Add(129)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	for _, c := range []Component{0, 64, 129} {
-		if !s.Contains(c) {
-			t.Fatalf("missing %d", c)
-		}
-	}
-	if s.Contains(1) {
-		t.Fatal("spurious membership")
-	}
-	s.Remove(64)
-	if s.Contains(64) || s.Len() != 2 {
-		t.Fatal("Remove failed")
-	}
-	got := s.Components()
-	if len(got) != 2 || got[0] != 0 || got[1] != 129 {
-		t.Fatalf("Components = %v", got)
-	}
-	s.Clear()
-	if s.Len() != 0 {
-		t.Fatal("Clear failed")
-	}
-}
-
-func TestSetCloneIndependent(t *testing.T) {
-	s := NewSetOf(10, 1, 2)
-	c := s.Clone()
-	c.Add(3)
-	if s.Contains(3) {
-		t.Fatal("Clone shares storage")
-	}
-	if !c.Contains(1) || !c.Contains(2) {
-		t.Fatal("Clone lost members")
-	}
-}
-
-func TestSetAddIdempotent(t *testing.T) {
-	s := NewSet(8)
-	s.Add(5)
-	s.Add(5)
-	if s.Len() != 1 {
-		t.Fatalf("Len after double add = %d", s.Len())
-	}
-	s.Remove(7) // removing an absent member is a no-op
-	if s.Len() != 1 {
-		t.Fatal("Remove of absent member changed set")
-	}
-}
-
-func TestSetOutOfUniversePanics(t *testing.T) {
-	s := NewSet(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add out of universe did not panic")
-		}
-	}()
-	s.Add(4)
-}
-
-func TestSetQuickMembership(t *testing.T) {
-	err := quick.Check(func(adds []uint8) bool {
-		s := NewSet(256)
-		ref := make(map[Component]bool)
-		for _, a := range adds {
-			c := Component(a)
-			if ref[c] {
-				s.Remove(c)
-				delete(ref, c)
-			} else {
-				s.Add(c)
-				ref[c] = true
-			}
-		}
-		if s.Len() != len(ref) {
-			return false
-		}
-		for i := 0; i < 256; i++ {
-			if s.Contains(Component(i)) != ref[Component(i)] {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -173,13 +173,6 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Dropped returns the number of events discarded due to the bound.
-func (l *Log) Dropped() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
 // at returns the i-th retained event (0 = oldest). Caller holds mu.
 func (l *Log) at(i int) Event {
 	idx := l.start + i

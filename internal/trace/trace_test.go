@@ -31,7 +31,7 @@ func TestBoundDropsOldest(t *testing.T) {
 	if len(evs) > 4 {
 		t.Fatalf("retained %d events, bound 4", len(evs))
 	}
-	if l.Dropped() == 0 {
+	if l.dropped == 0 {
 		t.Fatal("no drops recorded")
 	}
 	// The newest event is always retained.

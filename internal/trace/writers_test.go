@@ -15,7 +15,7 @@ func TestDefaultBound(t *testing.T) {
 	if n := len(l.Events()); n > 1<<16 {
 		t.Fatalf("retained %d events, default bound %d", n, 1<<16)
 	}
-	if l.Dropped() == 0 {
+	if l.dropped == 0 {
 		t.Fatal("overflow recorded no drops")
 	}
 }
@@ -30,7 +30,7 @@ func TestDroppedAccumulatesAcrossHalvings(t *testing.T) {
 	}
 	// Appends 9..12 trigger one halving (drop 4), 13..16 a second,
 	// 17 a third.
-	if d := l.Dropped(); d != 12 {
+	if d := l.dropped; d != 12 {
 		t.Fatalf("Dropped = %d, want 12 (three halvings of 4)", d)
 	}
 	evs := l.Events()
@@ -73,7 +73,7 @@ func TestFilterEmptyLog(t *testing.T) {
 	if _, ok := l.First(KindLinkDown, -1); ok {
 		t.Fatal("First on empty log found an event")
 	}
-	if l.Dropped() != 0 {
+	if l.dropped != 0 {
 		t.Fatal("empty log reports drops")
 	}
 }
