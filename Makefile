@@ -58,8 +58,9 @@ fuzz:
 # the chaos layer's frame corruption exercises — over the event
 # scheduler's (at, seq) execution order with per-link lanes, over
 # the fabric evaluator's two-ended pair search against its
-# single-source search, and over the two files drsd reads at boot:
-# the warm-start checkpoint image and the node config.
+# single-source search, over the two files drsd reads at boot (the
+# warm-start checkpoint image and the node config), and over the
+# scenario loader drsim and drsd both parse cluster documents with.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=10s ./internal/routing/wire
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/icmp
@@ -67,6 +68,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFabricPairConnected -fuzztime=10s ./internal/conn
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoadConfig -fuzztime=10s ./cmd/drsd
+	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/scenario
 
 # End-to-end gate over the CLIs: the two test runs whose flags differ
 # from `make test` (the nemesis fuzzer under the race detector without

@@ -43,8 +43,8 @@ type Config struct {
 }
 
 // loadConfig parses and cross-validates a node config, returning it
-// together with the cluster spec it names. Every error string is part
-// of the -validate contract and golden-tested.
+// together with the normalized cluster spec it names. Every error
+// string is part of the -validate contract and golden-tested.
 func loadConfig(path string) (*Config, runtime.ClusterSpec, error) {
 	var spec runtime.ClusterSpec
 	f, err := os.Open(path)
@@ -78,25 +78,21 @@ func loadConfig(path string) (*Config, runtime.ClusterSpec, error) {
 	if err != nil {
 		return nil, spec, fmt.Errorf("drsd: cluster %s: %v", cfg.Cluster, err)
 	}
-	if kind := spec.Topology.Kind; !(kind == "" || kind == "dualRail") {
-		return nil, spec, fmt.Errorf("drsd: cluster %s: live mode supports dual-rail clusters only, not %q fabrics", cfg.Cluster, kind)
-	}
-	rails := spec.Rails
-	if rails == 0 {
-		rails = 2 // the dual-rail default runtime normalization applies
+	if spec.Fabric() != nil {
+		return nil, spec, fmt.Errorf("drsd: cluster %s: live mode supports dual-rail clusters only, not %q fabrics", cfg.Cluster, spec.Topology.Kind)
 	}
 	if cfg.Node < 0 || cfg.Node >= spec.Nodes {
 		return nil, spec, fmt.Errorf("drsd: node %d out of range [0,%d)", cfg.Node, spec.Nodes)
 	}
-	if len(cfg.Listen) != rails {
-		return nil, spec, fmt.Errorf("drsd: listen has %d addresses, cluster has %d rails", len(cfg.Listen), rails)
+	if len(cfg.Listen) != spec.Rails {
+		return nil, spec, fmt.Errorf("drsd: listen has %d addresses, cluster has %d rails", len(cfg.Listen), spec.Rails)
 	}
 	if len(cfg.Peers) != spec.Nodes {
 		return nil, spec, fmt.Errorf("drsd: peers has %d rows, cluster has %d nodes", len(cfg.Peers), spec.Nodes)
 	}
 	for i, row := range cfg.Peers {
-		if len(row) != rails {
-			return nil, spec, fmt.Errorf("drsd: peers[%d] has %d addresses, cluster has %d rails", i, len(row), rails)
+		if len(row) != spec.Rails {
+			return nil, spec, fmt.Errorf("drsd: peers[%d] has %d addresses, cluster has %d rails", i, len(row), spec.Rails)
 		}
 	}
 	if cfg.CheckpointEvery < 0 || cfg.StatusEvery < 0 {

@@ -34,6 +34,7 @@ func FuzzLoadConfig(f *testing.F) {
 	f.Add([]byte(`{"node": 0, "cluster": "cluster.json", "listen": [], "peers": [], "statusEvery": "-1s"}`),
 		[]byte(`{"topology": {"kind": "fatTree", "k": 4}, "duration": "10s"}`))
 	f.Add([]byte(`{"cluster": "/dev/null"}`), []byte(`{}`))
+	f.Add([]byte(goodNodeConfig(goodListen, goodPeers)), []byte(flapCluster))
 	f.Fuzz(func(t *testing.T, config, cluster []byte) {
 		// The target stays inside its own directory: a node file that
 		// names a cluster document elsewhere is not an input.
@@ -54,7 +55,7 @@ func FuzzLoadConfig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rails := railsOf(spec)
+		rails := spec.Rails
 		if cfg.Node < 0 || cfg.Node >= spec.Nodes {
 			t.Fatalf("node %d accepted for a %d-node cluster", cfg.Node, spec.Nodes)
 		}

@@ -41,7 +41,6 @@ func buildGaugeInstance(t *testing.T) (*instance, []routing.Router, *transport.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Protocol = protocolOf(spec)
 	clk := clock.NewManual()
 	mem := transport.NewMem(spec.Nodes, 2, clk, 200*time.Microsecond)
 	routers := make([]routing.Router, spec.Nodes)

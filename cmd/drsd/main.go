@@ -61,26 +61,12 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("config ok: node %d of %d-node %d-rail cluster, protocol %s\n",
-			cfg.Node, spec.Nodes, railsOf(spec), protocolOf(spec))
+			cfg.Node, spec.Nodes, spec.Rails, spec.Protocol)
 		return
 	}
 	if err := runDaemon(*configPath); err != nil {
 		log.Fatal(err)
 	}
-}
-
-func railsOf(spec runtime.ClusterSpec) int {
-	if spec.Rails == 0 {
-		return 2
-	}
-	return spec.Rails
-}
-
-func protocolOf(spec runtime.ClusterSpec) string {
-	if spec.Protocol == "" {
-		return runtime.ProtoDRS
-	}
-	return spec.Protocol
 }
 
 // instance is one life of the daemon: router, transport, clock and
@@ -102,7 +88,6 @@ func start(configPath string, inc uint32, restore *core.Checkpoint) (*instance, 
 	if err != nil {
 		return nil, err
 	}
-	spec.Protocol = protocolOf(spec)
 	tr, err := transport.NewUDP(cfg.transportConfig())
 	if err != nil {
 		return nil, fmt.Errorf("drsd: %v", err)
@@ -238,7 +223,7 @@ func runDaemon(configPath string) error {
 		boot = "warm"
 	}
 	log.Printf("node %d up: incarnation %d (%s), %d-node %d-rail cluster, protocol %s",
-		inst.cfg.Node, inst.inc, boot, inst.spec.Nodes, railsOf(inst.spec), inst.spec.Protocol)
+		inst.cfg.Node, inst.inc, boot, inst.spec.Nodes, inst.spec.Rails, inst.spec.Protocol)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGHUP, syscall.SIGTERM, os.Interrupt)

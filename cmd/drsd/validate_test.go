@@ -16,6 +16,15 @@ const goodCluster = `{
   "traffic": [{"from": 0, "to": 1, "interval": "500ms"}]
 }`
 
+// flapCluster parses, but its one impairment flaps with a period too
+// short to spend any time down, so the daemon cannot be built from it.
+const flapCluster = `{
+  "nodes": 3,
+  "duration": "10s",
+  "traffic": [{"from": 0, "to": 1, "interval": "500ms"}],
+  "impairments": [{"start": "1s", "kind": "nic", "node": 0, "rail": 0, "flapPeriod": "1ns"}]
+}`
+
 // write drops a file into dir and returns its path.
 func write(t *testing.T, dir, name, content string) string {
 	t.Helper()
@@ -72,6 +81,12 @@ func TestValidateErrors(t *testing.T) {
 			cluster: `{"nodes": 3, "duration": "10s", "traffic": []}`,
 			config:  goodNodeConfig(goodListen, goodPeers),
 			wantErr: "drsd: cluster cluster.json: scenario: no traffic flows",
+		},
+		{
+			name:    "impairment the runtime rejects",
+			cluster: flapCluster,
+			config:  goodNodeConfig(goodListen, goodPeers),
+			wantErr: "drsd: cluster cluster.json: runtime: chaos: spec[0] (nic(0,0)): flap period 1ns with duty 0.5 rounds to zero down-time",
 		},
 		{
 			name: "fabric topology rejected",

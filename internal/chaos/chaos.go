@@ -62,13 +62,17 @@ type Spec struct {
 // mode classifies the spec; used by Validate and Schedule.
 func (s *Spec) flapping() bool { return s.FlapPeriod != 0 }
 
+// duty returns the effective fraction of each flap period spent down.
+func (s *Spec) duty() float64 {
+	if s.FlapDuty == 0 {
+		return 0.5
+	}
+	return s.FlapDuty
+}
+
 // downFor returns how long the component stays down each flap period.
 func (s *Spec) downFor() time.Duration {
-	duty := s.FlapDuty
-	if duty == 0 {
-		duty = 0.5
-	}
-	return time.Duration(float64(s.FlapPeriod) * duty)
+	return time.Duration(float64(s.FlapPeriod) * s.duty())
 }
 
 // Validate checks the spec against a fabric's component universe (a
@@ -114,7 +118,7 @@ func (s *Spec) Validate(f *topology.Fabric, i int) error {
 	}
 	if s.flapping() && s.downFor() <= 0 {
 		return fmt.Errorf("chaos: spec[%d] (%s): flap period %v with duty %v rounds to zero down-time",
-			i, name, s.FlapPeriod, s.FlapDuty)
+			i, name, s.FlapPeriod, s.duty())
 	}
 	return nil
 }

@@ -186,6 +186,7 @@ func TestValidate(t *testing.T) {
 		{"duty without period", Spec{Comp: nic, Kill: true, FlapDuty: 0.5}, "without a flap period"},
 		{"kill and flap", Spec{Comp: nic, Kill: true, FlapPeriod: time.Second}, "mutually exclusive"},
 		{"does nothing", Spec{Comp: nic}, "does nothing"},
+		{"period rounds to zero", Spec{Comp: nic, FlapPeriod: time.Nanosecond}, "flap period 1ns with duty 0.5 rounds to zero down-time"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate(fab, 0)

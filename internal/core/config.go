@@ -60,10 +60,6 @@ type Config struct {
 	// DRS used fixed rail preference; this extension uses the probes
 	// the protocol already pays for as a congestion signal.
 	PreferLowLatency bool
-	// ForgetAfter removes a dynamically learned peer that has been
-	// silent on every rail for this long (0 = never forget; static
-	// members are never forgotten).
-	ForgetAfter time.Duration
 	// StrictLinkEvidence restricts link-liveness evidence to round
 	// trips: only confirmed replies to our own probes clear misses or
 	// raise a rail. By default any traffic heard from a peer also
@@ -155,9 +151,6 @@ func (c *Config) normalize(nodes, self int) error {
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 16
-	}
-	if c.ForgetAfter < 0 {
-		return fmt.Errorf("core: negative ForgetAfter")
 	}
 	if err := c.FlapDamping.Normalize(); err != nil {
 		return fmt.Errorf("core: %v", err)

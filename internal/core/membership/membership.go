@@ -35,8 +35,8 @@ func New(nodes int) *Tracker {
 	}
 }
 
-// MarkStatic pins peer as pre-configured: static members are never
-// forgotten, no matter how long they stay silent.
+// MarkStatic pins peer as pre-configured: static members stay
+// monitored even after a goodbye.
 func (m *Tracker) MarkStatic(peer int) { m.static[peer] = true }
 
 // IsStatic reports whether peer is pre-configured.
@@ -47,12 +47,6 @@ func (m *Tracker) Heard(peer int, now time.Duration) { m.lastHeard[peer] = now }
 
 // LastHeard returns the last time peer produced valid traffic.
 func (m *Tracker) LastHeard(peer int) time.Duration { return m.lastHeard[peer] }
-
-// Stale reports whether a dynamically learned peer has been silent on
-// every rail for longer than ttl (static members are never stale).
-func (m *Tracker) Stale(peer int, now, ttl time.Duration) bool {
-	return !m.static[peer] && now-m.lastHeard[peer] > ttl
-}
 
 // Incarnation returns the highest incarnation observed from peer
 // (zero until the first incarnation-stamped frame).

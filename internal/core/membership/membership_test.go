@@ -18,17 +18,6 @@ func TestTracker(t *testing.T) {
 	if m.LastHeard(2) != 5*time.Second {
 		t.Fatalf("last heard = %v", m.LastHeard(2))
 	}
-	// Dynamic peer 2: stale only once silence exceeds ttl.
-	if m.Stale(2, 7*time.Second, 2*time.Second) {
-		t.Fatal("stale at exactly ttl")
-	}
-	if !m.Stale(2, 7*time.Second+time.Nanosecond, 2*time.Second) {
-		t.Fatal("not stale past ttl")
-	}
-	// Static peer 1 never goes stale.
-	if m.Stale(1, time.Hour, time.Second) {
-		t.Fatal("static peer went stale")
-	}
 }
 
 // broadcastRecorder counts hello/goodbye broadcasts per rail.

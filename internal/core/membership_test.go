@@ -144,43 +144,9 @@ func TestDynamicGoodbyeRemovesPeer(t *testing.T) {
 	}
 }
 
-func TestDynamicForgetSilentPeer(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ForgetAfter = 5 * time.Second
-	c := dynamicCluster(t, 3, cfg)
-	defer c.stop()
-	c.runFor(3 * cfg.ProbeInterval)
-	if len(c.daemons[0].Peers()) != 2 {
-		t.Fatal("discovery incomplete")
-	}
-	// Node 2 falls off the network entirely (both NICs die) without a
-	// goodbye; after ForgetAfter it is dropped.
-	cl := c.net.Cluster()
-	c.net.Fail(cl.NIC(2, 0))
-	c.net.Fail(cl.NIC(2, 1))
-	c.runFor(cfg.ForgetAfter + 3*cfg.ProbeInterval)
-	for _, p := range c.daemons[0].Peers() {
-		if p == 2 {
-			t.Fatal("silent peer never forgotten")
-		}
-	}
-	// Live peers are unaffected.
-	if len(c.daemons[0].Peers()) != 1 {
-		t.Fatalf("peers = %v", c.daemons[0].Peers())
-	}
-	// When the peer comes back and hellos, it is re-learned.
-	c.net.Restore(cl.NIC(2, 0))
-	c.net.Restore(cl.NIC(2, 1))
-	c.runFor(3 * cfg.ProbeInterval)
-	if len(c.daemons[0].Peers()) != 2 {
-		t.Fatalf("returning peer not re-learned: %v", c.daemons[0].Peers())
-	}
-}
-
 func TestStaticSeedsNeverForgotten(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DynamicMembership = true
-	cfg.ForgetAfter = 2 * time.Second
 	cfg.Monitor = []int{1} // node 1 is a static seed
 	sched := simtime.NewScheduler()
 	net, err := netsim.New(sched, topology.Dual(3), netsim.DefaultParams(), 1)
@@ -265,8 +231,8 @@ func TestDynamicConfigValidation(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.DynamicMembership = true
-	cfg.ForgetAfter = -time.Second
+	cfg.Monitor = []int{0} // a seed naming the daemon itself
 	if _, err := New(netsim.NewTransport(net, 0), simtime.Clock{Sched: sched}, cfg); err == nil {
-		t.Fatal("negative ForgetAfter accepted")
+		t.Fatal("dynamic daemon seeded with itself accepted")
 	}
 }

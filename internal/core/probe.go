@@ -41,20 +41,6 @@ func (d *Daemon) probeRound() {
 	// Overload housekeeping first: re-evaluate degraded mode and
 	// drain whatever deferred control work the budgets now admit.
 	d.overloadRoundLocked(now)
-	// Dynamic membership: forget peers that have been silent too long
-	// before probing them again.
-	if d.cfg.DynamicMembership && d.cfg.ForgetAfter > 0 {
-		for peer := 0; peer < d.links.Nodes(); peer++ {
-			if !d.links.Monitored(peer) || d.members.IsStatic(peer) {
-				continue
-			}
-			if d.members.Stale(peer, now, d.cfg.ForgetAfter) {
-				d.removePeerLocked(peer)
-				d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindRouteLost,
-					Peer: peer, Rail: -1, Detail: "peer forgotten (silent)"})
-			}
-		}
-	}
 	if d.cfg.FlapDamping.Enabled() {
 		d.releaseDampedLocked(now)
 	}

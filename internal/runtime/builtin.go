@@ -59,7 +59,7 @@ func buildLinkState(ctx BuildContext) (routing.Router, error) {
 
 // buildStatic constructs the no-fault-tolerance strawman.
 func buildStatic(ctx BuildContext) (routing.Router, error) {
-	return routing.NewStatic(ctx.Transport, ctx.Spec.Tunables.StaticRail)
+	return routing.NewStatic(ctx.Transport, 0)
 }
 
 // failoverConfig maps the spec's tunables onto the static fast-failover

@@ -36,7 +36,7 @@ func (liveCarrier) CarrierUp(peer, rail int) bool { return true }
 // no per-node transport of this form.
 func BuildNode(spec ClusterSpec, node int, tr transport.Transport, clk clock.Clock,
 	incarnation uint32, restore *core.Checkpoint) (routing.Router, error) {
-	if err := spec.normalize(); err != nil {
+	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
 	if spec.fabric != nil {

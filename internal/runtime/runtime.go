@@ -104,7 +104,7 @@ type Cluster struct {
 // spec's registered protocol builder. Routers are created in node
 // order and are not started.
 func Build(spec ClusterSpec) (*Cluster, error) {
-	if err := spec.normalize(); err != nil {
+	if err := spec.Normalize(); err != nil {
 		return nil, err
 	}
 	builder, err := Lookup(spec.Protocol)
@@ -541,7 +541,6 @@ func (c *Cluster) Finish() *Result {
 	if c.checker != nil {
 		res.Invariant = c.checker.Finalize(c.Now())
 	}
-	totalSent, totalDelivered := 0, 0
 	for i, f := range c.spec.Flows {
 		del := c.deliveries[pair{f.From, f.To}]
 		res.Flows = append(res.Flows, FlowResult{
@@ -550,8 +549,6 @@ func (c *Cluster) Finish() *Result {
 			Delivered:  len(del),
 			Deliveries: append([]time.Duration(nil), del...),
 		})
-		totalSent += c.sent[i]
-		totalDelivered += len(del)
 	}
 	res.Counters = make([]map[string]int64, len(c.routers))
 	for node := range c.routers {
@@ -581,12 +578,6 @@ func (c *Cluster) Finish() *Result {
 	}
 	for rail := 0; rail < c.spec.Rails; rail++ {
 		res.Utilization = append(res.Utilization, c.net.Utilization(rail))
-	}
-	if m := c.spec.Metrics; m != nil {
-		m.Gauge("run.sent").Set(int64(totalSent))
-		m.Gauge("run.delivered").Set(int64(totalDelivered))
-		m.Gauge("run.repairs").Set(int64(len(res.Repairs)))
-		m.Counter("run.completed").Inc()
 	}
 	return res
 }

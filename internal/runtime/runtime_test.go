@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/linkmon"
 	"drsnet/internal/topology"
 	"drsnet/internal/trace"
 )
@@ -126,10 +127,12 @@ func TestOnDeliverObservesEveryDelivery(t *testing.T) {
 
 func TestSpecValidation(t *testing.T) {
 	cases := map[string]func(*ClusterSpec){
-		"too few nodes":   func(s *ClusterSpec) { s.Nodes = 1 },
-		"bad protocol":    func(s *ClusterSpec) { s.Protocol = "ospf" },
-		"bad loss rate":   func(s *ClusterSpec) { s.LossRate = 1.5 },
-		"bad static rail": func(s *ClusterSpec) { s.Tunables.StaticRail = 7 },
+		"too few nodes": func(s *ClusterSpec) { s.Nodes = 1 },
+		"bad protocol":  func(s *ClusterSpec) { s.Protocol = "ospf" },
+		"bad loss rate": func(s *ClusterSpec) { s.LossRate = 1.5 },
+		"damp reuse above suppress": func(s *ClusterSpec) {
+			s.Tunables.FlapDamping = linkmon.Damping{Suppress: 1, Reuse: 2}
+		},
 		"flow self-loop":  func(s *ClusterSpec) { s.Flows[0].To = s.Flows[0].From },
 		"flow interval":   func(s *ClusterSpec) { s.Flows[0].Interval = 0 },
 		"flow start":      func(s *ClusterSpec) { s.Flows[0].Start = -2 },
@@ -141,6 +144,9 @@ func TestSpecValidation(t *testing.T) {
 		mutate(&spec)
 		if _, err := Run(spec); err == nil {
 			t.Errorf("%s: Run accepted an invalid spec", name)
+		}
+		if err := spec.Normalize(); err == nil {
+			t.Errorf("%s: Normalize accepted an invalid spec", name)
 		}
 	}
 	if _, err := Run(ClusterSpec{Nodes: 3, Flows: []Flow{{From: 0, To: 1, Interval: time.Second}}}); err == nil {

@@ -7,7 +7,6 @@ import (
 	"drsnet/internal/chaos"
 	"drsnet/internal/invariant"
 	"drsnet/internal/linkmon"
-	"drsnet/internal/metrics"
 	"drsnet/internal/overload"
 	"drsnet/internal/topology"
 	"drsnet/internal/trace"
@@ -38,8 +37,6 @@ type Tunables struct {
 	// RouteTimeout is the reactive route expiry (default 6× the
 	// advertisement interval).
 	RouteTimeout time.Duration
-	// StaticRail pins static routing to one rail (default 0).
-	StaticRail int
 	// FlapDamping enables RFC 2439-style route-flap damping in the DRS
 	// (ignored by the baselines). The zero value disables damping; see
 	// linkmon.Damping for the threshold semantics and
@@ -76,26 +73,26 @@ type Tunables struct {
 // shared segments. "fatTree" and "bcube" run the same protocols over a
 // multi-hop switched fabric instead; their Nodes and Rails are derived
 // from the fabric shape, so a spec naming a fabric kind leaves Nodes
-// and Rails zero (or set to exactly the derived values).
+// and Rails zero (or set to exactly the derived values). The json tags
+// are the scenario document's "topology" block.
 type TopologySpec struct {
 	// Kind is "" or "dualRail" (the paper's cluster), "fatTree", or
 	// "bcube".
-	Kind string
+	Kind string `json:"kind"`
 	// K is the fat-tree arity (even, ≥ 2). Fat-tree only.
-	K int
+	K int `json:"k,omitempty"`
 	// N is the BCube switch radix (≥ 2). BCube only.
-	N int
+	N int `json:"n,omitempty"`
 	// Level is the BCube level k: hosts get Level+1 ports. BCube only.
-	Level int
+	Level int `json:"level,omitempty"`
 }
 
-// dualRail reports whether the spec selects the classic cluster shape.
-func (t TopologySpec) dualRail() bool { return t.Kind == "" || t.Kind == "dualRail" }
-
-// build constructs the switched fabric the spec names (never called
-// for dual-rail kinds).
-func (t TopologySpec) build() (*topology.Fabric, error) {
+// Fabric constructs the switched fabric the spec names, or returns nil
+// for the dual-rail kinds.
+func (t TopologySpec) Fabric() (*topology.Fabric, error) {
 	switch t.Kind {
+	case "", "dualRail":
+		return nil, nil
 	case "fatTree":
 		return topology.FatTree(t.K)
 	case "bcube":
@@ -194,32 +191,32 @@ type ClusterSpec struct {
 	// Trace, if non-nil, receives every protocol event of the run;
 	// nil means a private log, exposed on the Result.
 	Trace *trace.Log
-	// Metrics, if non-nil, receives run telemetry gauges (per-flow
-	// sent/delivered, repair count) when the run finishes.
-	Metrics *metrics.Set
 	// OnDeliver, if non-nil, observes every application delivery in
 	// simulation order. data is a view of the network's receive
 	// buffer: valid until the callback returns, copied if kept.
 	OnDeliver func(at time.Duration, src, dst int, data []byte)
 
-	// fabric is the resolved switched fabric, set by normalize when
+	// fabric is the resolved switched fabric, set by Normalize when
 	// Topology names one (nil for dual-rail shapes).
 	fabric *topology.Fabric
 }
 
 // Fabric returns the spec's resolved switched fabric, or nil for
-// dual-rail shapes. Valid after normalize (i.e. on built clusters).
+// dual-rail shapes. Valid after Normalize (i.e. on built clusters).
 func (s *ClusterSpec) Fabric() *topology.Fabric { return s.fabric }
 
-// normalize applies defaults and validates the spec in place.
-func (s *ClusterSpec) normalize() error {
-	if !s.Topology.dualRail() {
+// Normalize applies defaults and validates the spec in place. It is
+// the one validator of a cluster: Build and BuildNode call it, and so
+// do the scenario loader and drsd through it. A normalized spec
+// normalizes again to itself.
+func (s *ClusterSpec) Normalize() error {
+	f, err := s.Topology.Fabric()
+	if err != nil {
+		return fmt.Errorf("runtime: %v", err)
+	}
+	if f != nil {
 		if s.Switched {
 			return fmt.Errorf("runtime: Switched is a dual-rail ablation; %q fabrics are switched by construction", s.Topology.Kind)
-		}
-		f, err := s.Topology.build()
-		if err != nil {
-			return fmt.Errorf("runtime: %v", err)
 		}
 		if s.Nodes != 0 && s.Nodes != f.Hosts() {
 			return fmt.Errorf("runtime: nodes %d conflicts with %s topology (%d hosts); leave Nodes zero",
@@ -265,9 +262,6 @@ func (s *ClusterSpec) normalize() error {
 	if s.Tunables.ProbeInterval < 0 || s.Tunables.MissThreshold < 0 ||
 		s.Tunables.AdvertiseInterval < 0 || s.Tunables.RouteTimeout < 0 {
 		return fmt.Errorf("runtime: negative protocol tunable")
-	}
-	if s.Tunables.StaticRail < 0 || s.Tunables.StaticRail >= s.Rails {
-		return fmt.Errorf("runtime: static rail %d out of range [0,%d)", s.Tunables.StaticRail, s.Rails)
 	}
 	if s.Tunables.FailoverTTL < 0 {
 		return fmt.Errorf("runtime: failover TTL %d must be ≥ 0", s.Tunables.FailoverTTL)
@@ -315,6 +309,9 @@ func (s *ClusterSpec) normalize() error {
 			return fmt.Errorf("runtime: %v", err)
 		}
 	}
+	if err := s.Tunables.FlapDamping.Normalize(); err != nil {
+		return fmt.Errorf("runtime: %v", err)
+	}
 	if err := s.Tunables.AdaptiveRTO.Normalize(); err != nil {
 		return fmt.Errorf("runtime: %v", err)
 	}
@@ -336,7 +333,7 @@ func (s *ClusterSpec) normalize() error {
 	return nil
 }
 
-// topology returns the spec's cluster shape (after normalize).
+// topology returns the spec's cluster shape (after Normalize).
 func (s *ClusterSpec) topology() topology.Cluster {
 	return topology.Cluster{Nodes: s.Nodes, Rails: s.Rails}
 }

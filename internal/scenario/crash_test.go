@@ -98,7 +98,7 @@ func TestCrashScenarioValidation(t *testing.T) {
 	}{
 		{"unknown node", func(s *Scenario) {
 			s.Crashes = []CrashSpec{{Node: 7, At: sec(5)}}
-		}, "node 7 invalid"},
+		}, "unknown node 7"},
 		{"crash after horizon", func(s *Scenario) {
 			s.Crashes = []CrashSpec{{Node: 1, At: sec(40)}}
 		}, "outside [0,30s]"},

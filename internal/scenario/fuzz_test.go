@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"drsnet/internal/runtime"
 )
 
 // validDoc is a minimal well-formed scenario used as a fuzz seed and
@@ -70,9 +72,9 @@ func TestLoadRejectsMalformed(t *testing.T) {
 	}
 }
 
-// FuzzLoad is the satellite fuzz target: whatever bytes arrive, Load
-// either returns a scenario that re-validates cleanly or an error —
-// it must never panic.
+// FuzzLoad: whatever bytes arrive, Load either returns an error or a
+// scenario that re-validates cleanly and, at up to 64 nodes, builds
+// into a cluster — it must never panic.
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte(validDoc))
 	f.Add([]byte(`{"nodes": 2, "duration": 1000000000, "traffic": [{"from": 0, "to": 1, "interval": 1000000}]}`))
@@ -89,6 +91,13 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Add([]byte("\xff\xfe{}"))
+	f.Add([]byte(`{"nodes": 3, "duration": "10s", "traffic": [{"from": 0, "to": 1, "interval": "1s"}],
+		"impairments": [{"start": "1s", "kind": "nic", "node": 0, "rail": 0, "flapPeriod": "1ns"}]}`))
+	f.Add([]byte(`{"nodes": 3, "duration": "10s", "traffic": [{"from": 0, "to": 1, "interval": "1s"}],
+		"partitions": [{"a": 0, "b": 1, "rail": -7, "start": "3s"}]}`))
+	f.Add([]byte(`{"topology": {"kind": "fatTree", "k": 4}, "duration": "10s",
+		"traffic": [{"from": 0, "to": 15, "interval": "1s"}],
+		"events": [{"at": "1s", "kind": "trunk", "index": 3}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -98,8 +107,17 @@ func FuzzLoad(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Load accepted a scenario Validate rejects: %v", err)
 		}
-		if s.Nodes < 2 || s.Duration <= 0 {
-			t.Fatalf("accepted scenario with nodes=%d duration=%v", s.Nodes, s.Duration)
+		spec, err := s.Spec()
+		if err != nil {
+			t.Fatalf("Load accepted a scenario Spec rejects: %v", err)
+		}
+		if spec.Nodes < 2 || spec.Duration <= 0 {
+			t.Fatalf("accepted scenario with nodes=%d duration=%v", spec.Nodes, spec.Duration)
+		}
+		if spec.Nodes <= 64 {
+			if _, err := runtime.Build(spec); err != nil {
+				t.Fatalf("Load accepted a scenario runtime.Build rejects: %v", err)
+			}
 		}
 	})
 }

@@ -41,13 +41,13 @@ func TestImpairmentValidationErrors(t *testing.T) {
 		"bad rail": {func(s *Scenario) { s.Impairments[0].Rail = 3 },
 			"rail 3 invalid"},
 		"loss above one": {func(s *Scenario) { s.Impairments[0].Loss = 1.2 },
-			"loss probability 1.2 outside [0,1]"},
+			"loss 1.2 outside [0,1]"},
 		"negative corrupt": {func(s *Scenario) { s.Impairments[0].Corrupt = -0.1 },
 			"corrupt probability -0.1 outside [0,1]"},
 		"negative delay": {func(s *Scenario) { s.Impairments[0].Delay = Duration(-time.Second) },
-			"negative delay"},
+			"negative impairment delay"},
 		"negative jitter": {func(s *Scenario) { s.Impairments[0].Jitter = Duration(-1) },
-			"negative jitter"},
+			"negative impairment jitter"},
 		"start after horizon": {func(s *Scenario) { s.Impairments[0].Start = Duration(time.Minute) },
 			"start 1m0s outside [0,30s]"},
 		"stop before start": {func(s *Scenario) { s.Impairments[0].Stop = Duration(time.Second) },
@@ -55,9 +55,9 @@ func TestImpairmentValidationErrors(t *testing.T) {
 		"bad direction": {func(s *Scenario) { s.Impairments[0].Direction = "sideways" },
 			`direction "sideways" (want both, tx or rx)`},
 		"duty without period": {func(s *Scenario) { s.Impairments[0].FlapDuty = 0.5 },
-			"flap period must be > 0"},
+			"flap duty set without a flap period"},
 		"negative period": {func(s *Scenario) { s.Impairments[0].FlapPeriod = Duration(-time.Second) },
-			"flap period must be > 0"},
+			"flap period must be positive"},
 		"duty out of range": {func(s *Scenario) {
 			s.Impairments[0].FlapPeriod = Duration(time.Second)
 			s.Impairments[0].FlapDuty = 1.5
@@ -65,7 +65,7 @@ func TestImpairmentValidationErrors(t *testing.T) {
 		"kill and flap": {func(s *Scenario) {
 			s.Impairments[0].Kill = true
 			s.Impairments[0].FlapPeriod = Duration(time.Second)
-		}, "kill and flapPeriod are mutually exclusive"},
+		}, "kill and flap are mutually exclusive"},
 		"does nothing": {func(s *Scenario) { s.Impairments[0].Loss = 0 },
 			"does nothing"},
 		"damp without flag": {func(s *Scenario) { s.DampSuppress = 3 },

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"drsnet/internal/netsim"
+	"drsnet/internal/runtime"
 )
 
 const partitionJSON = `{
@@ -93,6 +94,9 @@ func TestPartitionScenarioValidation(t *testing.T) {
 		{"bad rail", func(s *Scenario) {
 			s.Partitions = []PartitionSpec{{A: 0, B: 1, Rail: 3, Start: sec(5)}}
 		}, "rail 3 outside"},
+		{"negative rail other than -1", func(s *Scenario) {
+			s.Partitions = []PartitionSpec{{A: 0, B: 1, Rail: -7, Start: sec(5)}}
+		}, "rail -7 outside [0,2)"},
 		{"past horizon", func(s *Scenario) {
 			s.Partitions = []PartitionSpec{{A: 0, B: 1, Start: sec(40)}}
 		}, "outside [0,30s]"},
@@ -104,7 +108,7 @@ func TestPartitionScenarioValidation(t *testing.T) {
 		}, `direction "sideways"`},
 		{"fabric topology", func(s *Scenario) {
 			s.Nodes = 0
-			s.Topology = &TopologySpec{Kind: "fatTree", K: 4}
+			s.Topology = &runtime.TopologySpec{Kind: "fatTree", K: 4}
 			s.Partitions = []PartitionSpec{{A: 0, B: 1, Start: sec(5)}}
 		}, "dual-rail only"},
 	}

@@ -79,20 +79,6 @@ type TrafficSpec struct {
 	Stop Duration `json:"stop,omitempty"`
 }
 
-// TopologySpec selects the network shape. Fabric kinds derive the
-// node count from the shape; a document may leave "nodes" zero or set
-// it to exactly the derived value.
-type TopologySpec struct {
-	// Kind is "dualRail" (the default shape), "fatTree" or "bcube".
-	Kind string `json:"kind"`
-	// K is the fat-tree arity (even, ≥ 2). Fat-tree only.
-	K int `json:"k,omitempty"`
-	// N is the BCube switch radix (≥ 2). BCube only.
-	N int `json:"n,omitempty"`
-	// Level is the BCube level (hosts get level+1 ports). BCube only.
-	Level int `json:"level,omitempty"`
-}
-
 // EventSpec is one scripted component state change.
 type EventSpec struct {
 	At Duration `json:"at"`
@@ -195,7 +181,7 @@ type Scenario struct {
 	Nodes int `json:"nodes"`
 	// Topology selects the network shape; absent means the paper's
 	// dual-rail cluster.
-	Topology *TopologySpec `json:"topology,omitempty"`
+	Topology *runtime.TopologySpec `json:"topology,omitempty"`
 	// Protocol names a routing protocol registered with
 	// internal/runtime ("drs", the default; "reactive"; "linkstate";
 	// "static"; or any protocol a plugin registered).
@@ -256,29 +242,12 @@ type Scenario struct {
 	// Partitions is the network-partition script (dual-rail only).
 	Partitions []PartitionSpec `json:"partitions,omitempty"`
 
-	// fab is the resolved switched fabric, cached by Validate (nil for
-	// dual-rail documents).
-	fab *topology.Fabric
+	// spec is the normalized cluster the document describes, cached
+	// by Validate.
+	spec *runtime.ClusterSpec
 }
 
-// fabricShape resolves the document's switched fabric, nil for
-// dual-rail documents.
-func (s *Scenario) fabricShape() (*topology.Fabric, error) {
-	t := s.Topology
-	if t == nil || t.Kind == "" || t.Kind == "dualRail" {
-		return nil, nil
-	}
-	switch t.Kind {
-	case "fatTree":
-		return topology.FatTree(t.K)
-	case "bcube":
-		return topology.BCube(t.N, t.Level)
-	default:
-		return nil, fmt.Errorf("unknown topology kind %q (want dualRail, fatTree or bcube)", t.Kind)
-	}
-}
-
-// Load parses a scenario document.
+// Load parses and validates a scenario document.
 func Load(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -292,254 +261,244 @@ func Load(r io.Reader) (*Scenario, error) {
 	return &s, nil
 }
 
-// Validate applies defaults and checks consistency.
+// Validate checks what only the document form can get wrong,
+// translates the document into a runtime.ClusterSpec and normalizes
+// it: every cluster rule is runtime.ClusterSpec.Normalize's. The lists
+// translate entry for entry, so flows[i], crash[i] and spec[i] in a
+// runtime error name the document's traffic[i], crashes[i] and
+// impairments[i]. Load validates; a document edited afterwards must be
+// validated again before Spec or Run see the edit.
 func (s *Scenario) Validate() error {
-	fab, err := s.fabricShape()
+	s.spec = nil
+	spec, err := s.translate()
 	if err != nil {
-		return fmt.Errorf("scenario: %v", err)
+		return err
 	}
-	s.fab = fab
-	if fab != nil {
-		if s.Switched {
-			return fmt.Errorf("scenario: switched is a dual-rail ablation; %q fabrics are switched by construction", s.Topology.Kind)
+	if err := spec.Normalize(); err != nil {
+		return err
+	}
+	s.spec = &spec
+	return nil
+}
+
+// Spec returns the normalized runtime.ClusterSpec the document
+// describes — the declarative layer the unified runtime executes.
+func (s *Scenario) Spec() (runtime.ClusterSpec, error) {
+	if s.spec == nil {
+		if err := s.Validate(); err != nil {
+			return runtime.ClusterSpec{}, err
 		}
-		switch s.Nodes {
-		case 0:
-			s.Nodes = fab.Hosts()
-		case fab.Hosts():
-		default:
-			return fmt.Errorf("scenario: nodes %d conflicts with %s topology (%d hosts); omit nodes",
-				s.Nodes, s.Topology.Kind, fab.Hosts())
-		}
 	}
-	if s.Nodes < 2 {
-		return fmt.Errorf("scenario: need ≥ 2 nodes, have %d", s.Nodes)
-	}
+	return *s.spec, nil
+}
+
+// translate maps the document onto a runtime.ClusterSpec, checking
+// the rules that only the document form can break: its own horizon,
+// the kind/node/rail/index component addresses, direction strings,
+// duplicate events, and threshold fields set without their switch.
+func (s *Scenario) translate() (runtime.ClusterSpec, error) {
+	var spec runtime.ClusterSpec
 	if s.Duration <= 0 {
-		return fmt.Errorf("scenario: duration must be positive")
-	}
-	if s.Protocol == "" {
-		s.Protocol = runtime.ProtoDRS
-	}
-	if _, err := runtime.Lookup(s.Protocol); err != nil {
-		return fmt.Errorf("scenario: %v", err)
-	}
-	if s.ProbeInterval == 0 {
-		s.ProbeInterval = Duration(time.Second)
-	}
-	if s.MissThreshold == 0 {
-		s.MissThreshold = 2
-	}
-	if s.AdvertiseInterval == 0 {
-		s.AdvertiseInterval = Duration(time.Second)
-	}
-	if s.RouteTimeout == 0 {
-		s.RouteTimeout = 6 * s.AdvertiseInterval
-	}
-	if s.LossRate < 0 || s.LossRate >= 1 {
-		return fmt.Errorf("scenario: loss rate %v outside [0,1)", s.LossRate)
-	}
-	if s.FailoverTTL < 0 {
-		return fmt.Errorf("scenario: failover TTL %d must be ≥ 0", s.FailoverTTL)
-	}
-	if s.Invariant != nil && s.Invariant.MaxHops < 0 {
-		return fmt.Errorf("scenario: invariant maxHops %d must be ≥ 0", s.Invariant.MaxHops)
+		return spec, fmt.Errorf("scenario: duration must be positive")
 	}
 	if len(s.Traffic) == 0 {
-		return fmt.Errorf("scenario: no traffic flows")
+		return spec, fmt.Errorf("scenario: no traffic flows")
+	}
+	if s.Topology != nil {
+		spec.Topology = *s.Topology
+	}
+	fab, err := spec.Topology.Fabric()
+	if err != nil {
+		return spec, fmt.Errorf("scenario: %v", err)
+	}
+	damp, err := s.damping()
+	if err != nil {
+		return spec, err
+	}
+	rto, err := s.rto()
+	if err != nil {
+		return spec, err
+	}
+	spec.Nodes = s.Nodes
+	spec.Protocol = s.Protocol
+	spec.Switched = s.Switched
+	spec.LossRate = s.LossRate
+	spec.Seed = s.Seed
+	spec.Duration = time.Duration(s.Duration)
+	spec.Tunables = runtime.Tunables{
+		ProbeInterval:      time.Duration(s.ProbeInterval),
+		MissThreshold:      s.MissThreshold,
+		StaggerProbes:      s.StaggerProbes,
+		PreferLowLatency:   s.PreferLowLatency,
+		StrictLinkEvidence: s.StrictLinkEvidence,
+		FlapDamping:        damp,
+		AdaptiveRTO:        rto,
+		Overload:           s.overload(),
+		AdvertiseInterval:  time.Duration(s.AdvertiseInterval),
+		RouteTimeout:       time.Duration(s.RouteTimeout),
+		FailoverTTL:        s.FailoverTTL,
+	}
+	if s.Invariant != nil {
+		spec.Invariant = &invariant.Config{
+			RequireDelivery: s.Invariant.RequireDelivery,
+			MaxHops:         s.Invariant.MaxHops,
+		}
 	}
 	for i, t := range s.Traffic {
-		if t.From < 0 || t.From >= s.Nodes || t.To < 0 || t.To >= s.Nodes || t.From == t.To {
-			return fmt.Errorf("scenario: traffic[%d] endpoints (%d,%d) invalid", i, t.From, t.To)
-		}
-		if t.Interval <= 0 {
-			return fmt.Errorf("scenario: traffic[%d] interval must be positive", i)
-		}
+		// runtime reads a negative Start as StartImmediately.
 		if t.Start < 0 {
-			return fmt.Errorf("scenario: traffic[%d] start must be non-negative", i)
-		}
-		if t.Stop < 0 {
-			return fmt.Errorf("scenario: traffic[%d] stop must be non-negative", i)
+			return spec, fmt.Errorf("scenario: traffic[%d] start must be non-negative", i)
 		}
 		if t.Stop != 0 && t.Stop <= t.Start {
-			return fmt.Errorf("scenario: traffic[%d] stop %v not after start %v",
+			return spec, fmt.Errorf("scenario: traffic[%d] stop %v not after start %v",
 				i, time.Duration(t.Stop), time.Duration(t.Start))
 		}
-	}
-	rails := 2
-	if fab != nil {
-		rails = fab.Ports()
-	}
-	seen := make(map[EventSpec]int, len(s.Events))
-	for i, e := range s.Events {
-		if e.At < 0 || e.At > s.Duration {
-			return fmt.Errorf("scenario: events[%d] at %v outside [0,%v]",
-				i, time.Duration(e.At), time.Duration(s.Duration))
-		}
-		switch e.Kind {
-		case "nic":
-			if e.Node < 0 || e.Node >= s.Nodes {
-				return fmt.Errorf("scenario: events[%d] node %d invalid", i, e.Node)
-			}
-			if e.Rail < 0 || e.Rail >= rails {
-				return fmt.Errorf("scenario: events[%d] rail %d invalid", i, e.Rail)
-			}
-			e.Index = 0
-		case "backplane":
-			if fab != nil {
-				return fmt.Errorf("scenario: events[%d] kind \"backplane\" is dual-rail only; use \"switch\" with an index", i)
-			}
-			// Node is ignored for back planes; normalize the dedup key so
-			// {"backplane", node:0} and {"backplane", node:3} collide.
-			e.Node, e.Index = 0, 0
-			if e.Rail < 0 || e.Rail >= 2 {
-				return fmt.Errorf("scenario: events[%d] rail %d invalid", i, e.Rail)
-			}
-		case "switch":
-			if fab == nil {
-				return fmt.Errorf("scenario: events[%d] kind \"switch\" needs a fabric topology", i)
-			}
-			if e.Index < 0 || e.Index >= fab.Switches() {
-				return fmt.Errorf("scenario: events[%d] switch index %d outside [0,%d)", i, e.Index, fab.Switches())
-			}
-			e.Node, e.Rail = 0, 0
-		case "trunk":
-			if fab == nil {
-				return fmt.Errorf("scenario: events[%d] kind \"trunk\" needs a fabric topology", i)
-			}
-			if e.Index < 0 || e.Index >= fab.Trunks() {
-				return fmt.Errorf("scenario: events[%d] trunk index %d outside [0,%d)", i, e.Index, fab.Trunks())
-			}
-			e.Node, e.Rail = 0, 0
-		default:
-			if fab != nil {
-				return fmt.Errorf("scenario: events[%d] kind %q (want nic, switch or trunk)", i, e.Kind)
-			}
-			return fmt.Errorf("scenario: events[%d] kind %q (want nic or backplane)", i, e.Kind)
-		}
-		if j, dup := seen[e]; dup {
-			return fmt.Errorf("scenario: events[%d] duplicates events[%d] (same time, component and action)", i, j)
-		}
-		seen[e] = i
-	}
-	for i, im := range s.Impairments {
-		if err := s.validateImpairment(i, im); err != nil {
-			return err
-		}
-	}
-	if err := s.validateCrashes(); err != nil {
-		return err
-	}
-	if err := s.validatePartitions(); err != nil {
-		return err
-	}
-	if _, err := s.damping(); err != nil {
-		return err
-	}
-	if _, err := s.rto(); err != nil {
-		return err
-	}
-	if _, err := s.overload(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// validateCrashes checks the crash–restart script: each episode's
-// fields against the document, then the per-node overlap rules the
-// chaos layer enforces (a node cannot crash again before a previous
-// episode restarted it).
-func (s *Scenario) validateCrashes() error {
-	for i, c := range s.Crashes {
-		if c.Node < 0 || c.Node >= s.Nodes {
-			return fmt.Errorf("scenario: crashes[%d] node %d invalid (cluster has %d nodes)", i, c.Node, s.Nodes)
-		}
-		if c.At < 0 || c.At > s.Duration {
-			return fmt.Errorf("scenario: crashes[%d] at %v outside [0,%v]",
-				i, time.Duration(c.At), time.Duration(s.Duration))
-		}
-		if c.Restart != 0 && c.Restart <= c.At {
-			return fmt.Errorf("scenario: crashes[%d] restart %v not after crash at %v",
-				i, time.Duration(c.Restart), time.Duration(c.At))
-		}
-		if c.Warm && c.Restart == 0 {
-			return fmt.Errorf("scenario: crashes[%d] warm restart requested but the node never restarts", i)
-		}
-	}
-	if err := chaos.ValidateCrashes(s.crashSpecs(), s.Nodes); err != nil {
-		return fmt.Errorf("scenario: %v", err)
-	}
-	return nil
-}
-
-// validatePartitions checks the partition script: dual-rail only,
-// episodes inside the horizon, then the field rules the chaos layer
-// enforces.
-func (s *Scenario) validatePartitions() error {
-	if len(s.Partitions) == 0 {
-		return nil
-	}
-	if s.fab != nil {
-		return fmt.Errorf("scenario: partitions are dual-rail only (topology %q)", s.Topology.Kind)
-	}
-	for i, p := range s.Partitions {
-		if p.Start > s.Duration || p.Stop > s.Duration {
-			return fmt.Errorf("scenario: partitions[%d] outside [0,%v]", i, time.Duration(s.Duration))
-		}
-		if _, err := parseDirection(p.Direction); err != nil {
-			return fmt.Errorf("scenario: partitions[%d] %v", i, err)
-		}
-	}
-	specs, err := s.partitionSpecs()
-	if err != nil {
-		return err
-	}
-	if err := chaos.ValidatePartitions(specs, s.Nodes, 2); err != nil {
-		return fmt.Errorf("scenario: %v", err)
-	}
-	return nil
-}
-
-// partitionSpecs maps the document's partition script onto the chaos
-// layer.
-func (s *Scenario) partitionSpecs() ([]chaos.PartitionSpec, error) {
-	if len(s.Partitions) == 0 {
-		return nil, nil
-	}
-	specs := make([]chaos.PartitionSpec, 0, len(s.Partitions))
-	for i, p := range s.Partitions {
-		dir, err := parseDirection(p.Direction)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: partitions[%d] %v", i, err)
-		}
-		rail := p.Rail
-		if rail < 0 {
-			rail = netsim.AllRails
-		}
-		specs = append(specs, chaos.PartitionSpec{
-			A: p.A, B: p.B, Rail: rail,
-			Start: time.Duration(p.Start), Stop: time.Duration(p.Stop),
-			Direction: dir,
+		spec.Flows = append(spec.Flows, runtime.Flow{
+			From:     t.From,
+			To:       t.To,
+			Interval: time.Duration(t.Interval),
+			Start:    time.Duration(t.Start),
+			Stop:     time.Duration(t.Stop),
 		})
 	}
-	return specs, nil
-}
-
-// crashSpecs maps the document's crash script onto the chaos layer.
-func (s *Scenario) crashSpecs() []chaos.CrashSpec {
-	if len(s.Crashes) == 0 {
-		return nil
+	seen := make(map[runtime.Fault]int, len(s.Events))
+	for i, e := range s.Events {
+		if err := s.instant("events", i, "at", e.At); err != nil {
+			return spec, err
+		}
+		comp, err := s.component(fab, e.Kind, e.Node, e.Rail, e.Index)
+		if err != nil {
+			return spec, fmt.Errorf("scenario: events[%d] %v", i, err)
+		}
+		f := runtime.Fault{At: time.Duration(e.At), Comp: comp, Restore: e.Restore}
+		if j, dup := seen[f]; dup {
+			return spec, fmt.Errorf("scenario: events[%d] duplicates events[%d] (same time, component and action)", i, j)
+		}
+		seen[f] = i
+		spec.Faults = append(spec.Faults, f)
 	}
-	specs := make([]chaos.CrashSpec, 0, len(s.Crashes))
-	for _, c := range s.Crashes {
-		specs = append(specs, chaos.CrashSpec{
+	for i, im := range s.Impairments {
+		if err := s.instant("impairments", i, "start", im.Start); err != nil {
+			return spec, err
+		}
+		comp, err := s.component(fab, im.Kind, im.Node, im.Rail, im.Index)
+		if err != nil {
+			return spec, fmt.Errorf("scenario: impairments[%d] %v", i, err)
+		}
+		dir, err := parseDirection(im.Direction)
+		if err != nil {
+			return spec, fmt.Errorf("scenario: impairments[%d] %v", i, err)
+		}
+		spec.Impairments = append(spec.Impairments, chaos.Spec{
+			Comp:  comp,
+			Start: time.Duration(im.Start),
+			Stop:  time.Duration(im.Stop),
+			Impair: netsim.Impairment{
+				Loss:    im.Loss,
+				Corrupt: im.Corrupt,
+				Delay:   time.Duration(im.Delay),
+				Jitter:  time.Duration(im.Jitter),
+			},
+			Kill:       im.Kill,
+			Direction:  dir,
+			FlapPeriod: time.Duration(im.FlapPeriod),
+			FlapDuty:   im.FlapDuty,
+		})
+	}
+	for i, c := range s.Crashes {
+		if err := s.instant("crashes", i, "at", c.At); err != nil {
+			return spec, err
+		}
+		spec.Crashes = append(spec.Crashes, chaos.CrashSpec{
 			Node:      c.Node,
 			At:        time.Duration(c.At),
 			RestartAt: time.Duration(c.Restart),
 			Warm:      c.Warm,
 		})
 	}
-	return specs
+	for i, p := range s.Partitions {
+		if err := s.instant("partitions", i, "start", p.Start); err != nil {
+			return spec, err
+		}
+		if err := s.instant("partitions", i, "stop", p.Stop); err != nil {
+			return spec, err
+		}
+		dir, err := parseDirection(p.Direction)
+		if err != nil {
+			return spec, fmt.Errorf("scenario: partitions[%d] %v", i, err)
+		}
+		rail := p.Rail
+		if rail == -1 {
+			rail = netsim.AllRails
+		}
+		spec.Partitions = append(spec.Partitions, chaos.PartitionSpec{
+			A: p.A, B: p.B, Rail: rail,
+			Start: time.Duration(p.Start), Stop: time.Duration(p.Stop),
+			Direction: dir,
+		})
+	}
+	return spec, nil
+}
+
+// instant checks that one scripted instant lies inside the document's
+// horizon.
+func (s *Scenario) instant(list string, i int, field string, at Duration) error {
+	if at < 0 || at > s.Duration {
+		return fmt.Errorf("scenario: %s[%d] %s %v outside [0,%v]",
+			list, i, field, time.Duration(at), time.Duration(s.Duration))
+	}
+	return nil
+}
+
+// component addresses the NIC, back plane, switch or trunk an event or
+// impairment names: fab is the document's switched fabric, nil for the
+// dual-rail cluster of s.Nodes hosts.
+func (s *Scenario) component(fab *topology.Fabric, kind string, node, rail, index int) (topology.Component, error) {
+	nodes, rails := s.Nodes, 2
+	if fab != nil {
+		nodes, rails = fab.Hosts(), fab.Ports()
+	}
+	switch kind {
+	case "nic":
+		if node < 0 || node >= nodes {
+			return 0, fmt.Errorf("node %d invalid (cluster has %d nodes)", node, nodes)
+		}
+		if rail < 0 || rail >= rails {
+			return 0, fmt.Errorf("rail %d invalid (cluster has %d rails)", rail, rails)
+		}
+		if fab != nil {
+			return fab.NIC(node, rail), nil
+		}
+		return topology.Dual(nodes).NIC(node, rail), nil
+	case "backplane":
+		// Node is ignored for back planes.
+		if fab != nil {
+			return 0, fmt.Errorf(`kind "backplane" is dual-rail only; use "switch" with an index`)
+		}
+		if rail < 0 || rail >= rails {
+			return 0, fmt.Errorf("rail %d invalid (cluster has %d rails)", rail, rails)
+		}
+		return topology.Dual(nodes).Backplane(rail), nil
+	case "switch", "trunk":
+		if fab == nil {
+			return 0, fmt.Errorf("kind %q needs a fabric topology", kind)
+		}
+		n := fab.Switches()
+		if kind == "trunk" {
+			n = fab.Trunks()
+		}
+		if index < 0 || index >= n {
+			return 0, fmt.Errorf("%s index %d outside [0,%d)", kind, index, n)
+		}
+		if kind == "trunk" {
+			return fab.TrunkComp(index), nil
+		}
+		return fab.Switch(index), nil
+	}
+	if fab != nil {
+		return 0, fmt.Errorf("kind %q (want nic, switch or trunk)", kind)
+	}
+	return 0, fmt.Errorf("kind %q (want nic or backplane)", kind)
 }
 
 // OverloadSpec configures the DRS control-plane overload-protection
@@ -563,14 +522,14 @@ type OverloadSpec struct {
 }
 
 // overload builds the DRS overload-protection config from the
-// document's block: disabled when absent, defaults from
-// overload.Default, individual knobs overridable.
-func (s *Scenario) overload() (overload.Config, error) {
-	if s.Overload == nil {
-		return overload.Config{}, nil
-	}
+// document's block: disabled when absent; runtime fills the zero knobs
+// from overload.Default.
+func (s *Scenario) overload() overload.Config {
 	o := s.Overload
-	c := overload.Config{
+	if o == nil {
+		return overload.Config{}
+	}
+	return overload.Config{
 		Enabled:          true,
 		ProbeRate:        o.ProbeRate,
 		ProbeBurst:       o.ProbeBurst,
@@ -583,10 +542,6 @@ func (s *Scenario) overload() (overload.Config, error) {
 		DegradedQuiet:    time.Duration(o.DegradedQuiet),
 		JitterFrac:       o.JitterFrac,
 	}
-	if err := c.Normalize(); err != nil {
-		return overload.Config{}, fmt.Errorf("scenario: %v", err)
-	}
-	return c, nil
 }
 
 // rto builds the DRS adaptive-RTO config from the document's knobs:
@@ -606,99 +561,7 @@ func (s *Scenario) rto() (linkmon.RTO, error) {
 	if s.RTOMax != 0 {
 		r.Max = time.Duration(s.RTOMax)
 	}
-	if err := r.Normalize(); err != nil {
-		return linkmon.RTO{}, fmt.Errorf("scenario: %v", err)
-	}
 	return r, nil
-}
-
-// validateImpairment checks one gray-failure episode, with error
-// messages that name the offending field and entry.
-func (s *Scenario) validateImpairment(i int, im ImpairmentSpec) error {
-	switch im.Kind {
-	case "nic":
-		if im.Node < 0 || im.Node >= s.Nodes {
-			return fmt.Errorf("scenario: impairments[%d] node %d invalid (cluster has %d nodes)", i, im.Node, s.Nodes)
-		}
-		rails := 2
-		if s.fab != nil {
-			rails = s.fab.Ports()
-		}
-		if im.Rail < 0 || im.Rail >= rails {
-			if s.fab == nil {
-				return fmt.Errorf("scenario: impairments[%d] rail %d invalid (dual-rail cluster)", i, im.Rail)
-			}
-			return fmt.Errorf("scenario: impairments[%d] rail %d outside [0,%d)", i, im.Rail, rails)
-		}
-	case "backplane":
-		// Node is ignored for back planes.
-		if s.fab != nil {
-			return fmt.Errorf("scenario: impairments[%d] kind \"backplane\" is dual-rail only; use \"switch\" with an index", i)
-		}
-		if im.Rail < 0 || im.Rail >= 2 {
-			return fmt.Errorf("scenario: impairments[%d] rail %d invalid (dual-rail cluster)", i, im.Rail)
-		}
-	case "switch":
-		if s.fab == nil {
-			return fmt.Errorf("scenario: impairments[%d] kind \"switch\" needs a fabric topology", i)
-		}
-		if im.Index < 0 || im.Index >= s.fab.Switches() {
-			return fmt.Errorf("scenario: impairments[%d] switch index %d outside [0,%d)", i, im.Index, s.fab.Switches())
-		}
-	case "trunk":
-		if s.fab == nil {
-			return fmt.Errorf("scenario: impairments[%d] kind \"trunk\" needs a fabric topology", i)
-		}
-		if im.Index < 0 || im.Index >= s.fab.Trunks() {
-			return fmt.Errorf("scenario: impairments[%d] trunk index %d outside [0,%d)", i, im.Index, s.fab.Trunks())
-		}
-	default:
-		if s.fab != nil {
-			return fmt.Errorf("scenario: impairments[%d] kind %q (want nic, switch or trunk)", i, im.Kind)
-		}
-		return fmt.Errorf("scenario: impairments[%d] kind %q (want nic or backplane)", i, im.Kind)
-	}
-	if im.Start < 0 || im.Start > s.Duration {
-		return fmt.Errorf("scenario: impairments[%d] start %v outside [0,%v]",
-			i, time.Duration(im.Start), time.Duration(s.Duration))
-	}
-	if im.Stop < 0 {
-		return fmt.Errorf("scenario: impairments[%d] negative stop %v", i, time.Duration(im.Stop))
-	}
-	if im.Stop != 0 && im.Stop <= im.Start {
-		return fmt.Errorf("scenario: impairments[%d] stop %v not after start %v",
-			i, time.Duration(im.Stop), time.Duration(im.Start))
-	}
-	if im.Loss < 0 || im.Loss > 1 {
-		return fmt.Errorf("scenario: impairments[%d] loss probability %v outside [0,1]", i, im.Loss)
-	}
-	if im.Corrupt < 0 || im.Corrupt > 1 {
-		return fmt.Errorf("scenario: impairments[%d] corrupt probability %v outside [0,1]", i, im.Corrupt)
-	}
-	if im.Delay < 0 {
-		return fmt.Errorf("scenario: impairments[%d] negative delay %v", i, time.Duration(im.Delay))
-	}
-	if im.Jitter < 0 {
-		return fmt.Errorf("scenario: impairments[%d] negative jitter %v", i, time.Duration(im.Jitter))
-	}
-	if _, err := parseDirection(im.Direction); err != nil {
-		return fmt.Errorf("scenario: impairments[%d] %v", i, err)
-	}
-	if im.FlapPeriod < 0 || (im.FlapDuty != 0 && im.FlapPeriod <= 0) {
-		return fmt.Errorf("scenario: impairments[%d] flap period must be > 0, got %v",
-			i, time.Duration(im.FlapPeriod))
-	}
-	if im.FlapDuty < 0 || im.FlapDuty >= 1 {
-		return fmt.Errorf("scenario: impairments[%d] flap duty %v outside (0,1)", i, im.FlapDuty)
-	}
-	if im.Kill && im.FlapPeriod > 0 {
-		return fmt.Errorf("scenario: impairments[%d] kill and flapPeriod are mutually exclusive", i)
-	}
-	if !im.Kill && im.FlapPeriod == 0 &&
-		im.Loss == 0 && im.Corrupt == 0 && im.Delay == 0 && im.Jitter == 0 {
-		return fmt.Errorf("scenario: impairments[%d] does nothing (no loss, corrupt, delay, jitter, kill or flap)", i)
-	}
-	return nil
 }
 
 // parseDirection maps the JSON direction strings onto the simulator's
@@ -728,7 +591,7 @@ func (s *Scenario) damping() (linkmon.Damping, error) {
 	d := linkmon.DefaultDamping()
 	if s.DampSuppress != 0 {
 		d.Suppress = s.DampSuppress
-		d.Reuse = 0 // renormalize unless overridden below
+		d.Reuse = 0 // runtime derives these unless overridden below
 		d.Max = 0
 	}
 	if s.DampReuse != 0 {
@@ -739,9 +602,6 @@ func (s *Scenario) damping() (linkmon.Damping, error) {
 	}
 	if s.DampMaxPenalty != 0 {
 		d.Max = s.DampMaxPenalty
-	}
-	if err := d.Normalize(); err != nil {
-		return linkmon.Damping{}, fmt.Errorf("scenario: %v", err)
 	}
 	return d, nil
 }
@@ -766,120 +626,6 @@ type Report struct {
 	Invariant *invariant.Report
 	// Trace carries the protocol event log.
 	Trace *trace.Log
-}
-
-// Spec translates the document into a runtime.ClusterSpec — the
-// declarative layer the unified runtime executes.
-func (s *Scenario) Spec() (runtime.ClusterSpec, error) {
-	if err := s.Validate(); err != nil {
-		return runtime.ClusterSpec{}, err
-	}
-	damp, err := s.damping()
-	if err != nil {
-		return runtime.ClusterSpec{}, err
-	}
-	rto, err := s.rto()
-	if err != nil {
-		return runtime.ClusterSpec{}, err
-	}
-	ovl, err := s.overload()
-	if err != nil {
-		return runtime.ClusterSpec{}, err
-	}
-	spec := runtime.ClusterSpec{
-		Nodes:    s.Nodes,
-		Protocol: s.Protocol,
-		Switched: s.Switched,
-		LossRate: s.LossRate,
-		Seed:     s.Seed,
-		Duration: time.Duration(s.Duration),
-		Tunables: runtime.Tunables{
-			ProbeInterval:      time.Duration(s.ProbeInterval),
-			MissThreshold:      s.MissThreshold,
-			StaggerProbes:      s.StaggerProbes,
-			PreferLowLatency:   s.PreferLowLatency,
-			StrictLinkEvidence: s.StrictLinkEvidence,
-			FlapDamping:        damp,
-			AdaptiveRTO:        rto,
-			Overload:           ovl,
-			AdvertiseInterval:  time.Duration(s.AdvertiseInterval),
-			RouteTimeout:       time.Duration(s.RouteTimeout),
-			FailoverTTL:        s.FailoverTTL,
-			Lifecycle:          len(s.Crashes) > 0,
-		},
-		Crashes: s.crashSpecs(),
-	}
-	spec.Partitions, err = s.partitionSpecs()
-	if err != nil {
-		return runtime.ClusterSpec{}, err
-	}
-	if t := s.Topology; t != nil {
-		// Nodes was derived (or checked) against the shape in Validate;
-		// the runtime re-derives and re-checks it from the same spec.
-		spec.Topology = runtime.TopologySpec{Kind: t.Kind, K: t.K, N: t.N, Level: t.Level}
-	}
-	if s.Invariant != nil {
-		spec.Invariant = &invariant.Config{
-			RequireDelivery: s.Invariant.RequireDelivery,
-			MaxHops:         s.Invariant.MaxHops,
-		}
-	}
-	for _, t := range s.Traffic {
-		spec.Flows = append(spec.Flows, runtime.Flow{
-			From:     t.From,
-			To:       t.To,
-			Interval: time.Duration(t.Interval),
-			Start:    time.Duration(t.Start),
-			Stop:     time.Duration(t.Stop),
-		})
-	}
-	cl := topology.Dual(s.Nodes)
-	component := func(kind string, node, rail, index int) topology.Component {
-		if s.fab != nil {
-			switch kind {
-			case "nic":
-				return s.fab.NIC(node, rail)
-			case "switch":
-				return s.fab.Switch(index)
-			default: // "trunk" — Validate rejected everything else
-				return s.fab.TrunkComp(index)
-			}
-		}
-		if kind == "nic" {
-			return cl.NIC(node, rail)
-		}
-		return cl.Backplane(rail)
-	}
-	for _, e := range s.Events {
-		spec.Faults = append(spec.Faults, runtime.Fault{
-			At:      time.Duration(e.At),
-			Comp:    component(e.Kind, e.Node, e.Rail, e.Index),
-			Restore: e.Restore,
-		})
-	}
-	for _, im := range s.Impairments {
-		comp := component(im.Kind, im.Node, im.Rail, im.Index)
-		dir, err := parseDirection(im.Direction)
-		if err != nil {
-			return runtime.ClusterSpec{}, fmt.Errorf("scenario: %v", err)
-		}
-		spec.Impairments = append(spec.Impairments, chaos.Spec{
-			Comp:  comp,
-			Start: time.Duration(im.Start),
-			Stop:  time.Duration(im.Stop),
-			Impair: netsim.Impairment{
-				Loss:    im.Loss,
-				Corrupt: im.Corrupt,
-				Delay:   time.Duration(im.Delay),
-				Jitter:  time.Duration(im.Jitter),
-			},
-			Kill:       im.Kill,
-			Direction:  dir,
-			FlapPeriod: time.Duration(im.FlapPeriod),
-			FlapDuty:   im.FlapDuty,
-		})
-	}
-	return spec, nil
 }
 
 // Run executes the scenario deterministically on the unified runtime.

@@ -30,16 +30,20 @@ func TestLoadSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Nodes != 5 || s.Protocol != "drs" {
-		t.Fatalf("scenario = %+v", s)
+	spec, err := s.Spec()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if time.Duration(s.ProbeInterval) != 500*time.Millisecond {
-		t.Fatalf("probe interval = %v", time.Duration(s.ProbeInterval))
+	if spec.Nodes != 5 || spec.Protocol != "drs" {
+		t.Fatalf("spec = %+v", spec)
 	}
-	if len(s.Traffic) != 2 || len(s.Events) != 2 {
-		t.Fatalf("traffic/events = %d/%d", len(s.Traffic), len(s.Events))
+	if spec.Tunables.ProbeInterval != 500*time.Millisecond {
+		t.Fatalf("probe interval = %v", spec.Tunables.ProbeInterval)
 	}
-	if !s.Events[1].Restore {
+	if len(spec.Flows) != 2 || len(spec.Faults) != 2 {
+		t.Fatalf("flows/faults = %d/%d", len(spec.Flows), len(spec.Faults))
+	}
+	if !spec.Faults[1].Restore {
 		t.Fatal("restore flag lost")
 	}
 }
@@ -106,15 +110,15 @@ func TestValidateDefaultsAndErrors(t *testing.T) {
 			Traffic:  []TrafficSpec{{From: 0, To: 1, Interval: Duration(time.Second)}},
 		}
 	}
-	s := good()
-	if err := s.Validate(); err != nil {
+	spec, err := good().Spec()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Protocol != "drs" || s.MissThreshold != 2 || time.Duration(s.ProbeInterval) != time.Second {
-		t.Fatalf("defaults not applied: %+v", s)
+	if tun := spec.Tunables; spec.Protocol != "drs" || tun.MissThreshold != 2 || tun.ProbeInterval != time.Second {
+		t.Fatalf("defaults not applied: %+v", spec)
 	}
-	if time.Duration(s.RouteTimeout) != 6*time.Second {
-		t.Fatalf("route timeout default = %v", time.Duration(s.RouteTimeout))
+	if spec.Tunables.RouteTimeout != 6*time.Second {
+		t.Fatalf("route timeout default = %v", spec.Tunables.RouteTimeout)
 	}
 
 	for name, mutate := range map[string]func(*Scenario){

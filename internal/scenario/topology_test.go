@@ -4,28 +4,31 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"drsnet/internal/runtime"
 )
 
 // fatTreeDoc returns a minimal valid fat-tree scenario document.
 func fatTreeDoc() *Scenario {
 	return &Scenario{
-		Topology: &TopologySpec{Kind: "fatTree", K: 4},
+		Topology: &runtime.TopologySpec{Kind: "fatTree", K: 4},
 		Duration: Duration(10 * time.Second),
 		Traffic:  []TrafficSpec{{From: 0, To: 15, Interval: Duration(time.Second)}},
 	}
 }
 
 func TestTopologyDefaultsAndDerivedNodes(t *testing.T) {
-	s := fatTreeDoc()
-	if err := s.Validate(); err != nil {
+	spec, err := fatTreeDoc().Spec()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Nodes != 16 {
-		t.Fatalf("derived nodes = %d, want 16", s.Nodes)
+	if spec.Nodes != 16 {
+		t.Fatalf("derived nodes = %d, want 16", spec.Nodes)
 	}
 
+	s := fatTreeDoc()
+
 	// An explicit node count matching the shape is accepted too.
-	s = fatTreeDoc()
 	s.Nodes = 16
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -33,7 +36,7 @@ func TestTopologyDefaultsAndDerivedNodes(t *testing.T) {
 
 	// A dual-rail kind spelled out behaves exactly like no topology block.
 	s = fatTreeDoc()
-	s.Topology = &TopologySpec{Kind: "dualRail"}
+	s.Topology = &runtime.TopologySpec{Kind: "dualRail"}
 	s.Nodes = 16
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
@@ -57,7 +60,7 @@ func TestTopologyValidationErrors(t *testing.T) {
 			"fat-tree arity must be even",
 		},
 		"bcube radix too small": {
-			func(s *Scenario) { s.Topology = &TopologySpec{Kind: "bcube", N: 1, Level: 1} },
+			func(s *Scenario) { s.Topology = &runtime.TopologySpec{Kind: "bcube", N: 1, Level: 1} },
 			"BCube radix must be ≥ 2",
 		},
 		"nodes conflict": {
@@ -66,7 +69,7 @@ func TestTopologyValidationErrors(t *testing.T) {
 		},
 		"switched ablation": {
 			func(s *Scenario) { s.Switched = true },
-			"switched is a dual-rail ablation",
+			"Switched is a dual-rail ablation",
 		},
 		"backplane event under fabric": {
 			func(s *Scenario) {

@@ -270,6 +270,11 @@ func FatTree(k int) (*Fabric, error) {
 	if k < 2 || k%2 != 0 {
 		return nil, fmt.Errorf("topology: fat-tree arity must be even and ≥ 2, have %d", k)
 	}
+	// The BCube host limit, checked on k before k³/4 can overflow:
+	// k = 160 is the largest even arity within 2^20 hosts.
+	if k > 160 {
+		return nil, fmt.Errorf("topology: fat-tree arity %d above 160 (limit %d hosts)", k, 1<<20)
+	}
 	half := k / 2
 	hosts := k * half * half
 	edge := k * half

@@ -109,6 +109,13 @@ func TestFatTreeShape(t *testing.T) {
 	if _, err := FatTree(0); err == nil {
 		t.Fatal("FatTree(0) should fail")
 	}
+	// Arity past the 2^20-host limit fails before allocating anything,
+	// however large (k³/4 would overflow an int long before 1<<62).
+	for _, k := range []int{162, 1 << 40, 1 << 62} {
+		if _, err := FatTree(k); err == nil || !strings.Contains(err.Error(), "above 160") {
+			t.Fatalf("FatTree(%d): err = %v, want the host limit", k, err)
+		}
+	}
 }
 
 func TestBCubeShape(t *testing.T) {
