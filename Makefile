@@ -26,6 +26,7 @@ race:
 	$(GO) test -race -count=10 -run TestLiveScratchIsRaceFree ./internal/core/
 	$(GO) test -race -count=10 -run TestRoundsStopRacesTick ./internal/linkmon/
 	$(GO) test -race -count=10 -run 'TestManualAdvanceRacesAfterFunc|TestNowRacesAdvance' ./internal/clock/
+	$(GO) test -race -count=10 -run TestUDPReceiverSwapRace ./internal/transport/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -53,8 +54,9 @@ cover:
 fuzz:
 	$(GO) test ./internal/scenario/ -run FuzzLoad -fuzz FuzzLoad -fuzztime 30s
 
-# Ten-second fuzz passes (CI gate) over the wire-format frame parser
-# and the ICMP echo decoder every probe passes through — the surfaces
+# Ten-second fuzz passes (part of `make smoke`) over the wire-format
+# frame parser, the ICMP echo decoder every probe passes through and
+# its checksum kernel against the 16-bit loop it replaced — the surfaces
 # the chaos layer's frame corruption exercises — over the event
 # scheduler's (at, seq) execution order with per-link lanes, over
 # the fabric evaluator's two-ended pair search against its
@@ -64,21 +66,24 @@ fuzz:
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=10s ./internal/routing/wire
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/icmp
+	$(GO) test -run='^$$' -fuzz=FuzzChecksum -fuzztime=10s ./internal/icmp
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOrder -fuzztime=10s ./internal/simtime
 	$(GO) test -run='^$$' -fuzz=FuzzFabricPairConnected -fuzztime=10s ./internal/conn
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoadConfig -fuzztime=10s ./cmd/drsd
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/scenario
 
-# End-to-end gate over the CLIs: the two test runs whose flags differ
-# from `make test` (the nemesis fuzzer under the race detector without
-# -short; the 3-process drsd cluster under a 180 s timeout), then the
-# shipped scenarios and one small campaign per drschaos mode through
-# their binaries, a fabric survivability table, a fixed-seed nemesis
-# campaign that must heal clean, and the pinned regression replay that
-# must still reproduce its shrunk violation (exit 1). Everything runs
-# on virtual time from fixed seeds, so any diff is a real regression.
-smoke:
+# End-to-end gate: one iteration of every benchmark (benchsmoke), the
+# ten-second fuzz passes (fuzzsmoke), then over the CLIs: the two test
+# runs whose flags differ from `make test` (the nemesis fuzzer under
+# the race detector without -short; the 3-process drsd cluster under
+# a 180 s timeout), then the shipped scenarios and one small campaign
+# per drschaos mode through their binaries, a fabric survivability
+# table, a fixed-seed nemesis campaign that must heal clean, and the
+# pinned regression replay that must still reproduce its shrunk
+# violation (exit 1). Everything runs on virtual time from fixed
+# seeds, so any diff is a real regression.
+smoke: benchsmoke fuzzsmoke
 	$(GO) test -race ./internal/nemesis/ ./cmd/drsnemesis/
 	$(GO) test ./cmd/drsd/ -timeout 180s
 	$(GO) run ./cmd/drsim -config examples/scenarios/fat-tree.json

@@ -80,13 +80,12 @@ func Unmarshal(b []byte) (Echo, error) {
 	if b[1] != 0 {
 		return Echo{}, ErrBadCode
 	}
-	// Compare with the checksum AppendTo writes over the other words.
-	// Summing the whole message to zero instead would also accept
-	// 0xffff where the encoder writes 0x0000 (ones'-complement
-	// arithmetic has two zeros), a form that does not re-encode to the
-	// same bytes.
-	rest := uint32(^Checksum(b[:2])) + uint32(^Checksum(b[4:]))
-	if binary.BigEndian.Uint16(b[2:4]) != ^uint16(rest&0xffff+rest>>16) {
+	// Compare with the checksum AppendTo writes, summed in one pass
+	// over every word but the checksum field. Summing the whole message
+	// to zero instead would also accept 0xffff where the encoder writes
+	// 0x0000 (ones'-complement arithmetic has two zeros), a form that
+	// does not re-encode to the same bytes.
+	if binary.BigEndian.Uint16(b[2:4]) != ^fold(uint64(binary.BigEndian.Uint16(b))+sum(b[4:])) {
 		return Echo{}, ErrBadChecksum
 	}
 	return Echo{
@@ -109,17 +108,36 @@ func Reply(e Echo) (Echo, error) {
 // Checksum computes the Internet checksum (RFC 1071) over b: the
 // ones'-complement of the ones'-complement sum of the 16-bit words,
 // padding an odd final byte with zero.
-func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(b[0])<<8 | uint32(b[1])
+func Checksum(b []byte) uint16 { return ^fold(sum(b)) }
+
+// sum adds b as big-endian 32-bit words, then a trailing 16-bit word
+// and a zero-padded odd byte. Each 32-bit word is its two 16-bit words
+// scaled by 2^16, and 2^16 ≡ 1 modulo 0xffff, so fold of the total is
+// the ones'-complement sum of the 16-bit words at half the additions.
+// The uint64 cannot overflow below 2^32 words.
+func sum(b []byte) uint64 {
+	var s uint64
+	for len(b) >= 4 {
+		s += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		s += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		s += uint64(b[0]) << 8
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	return s
+}
+
+// fold reduces s to 16 bits with end-around carry. Each step keeps s
+// modulo 0xffff and keeps a nonzero s nonzero, so the result is 0 only
+// for an all-zero sum, as the 16-bit word-by-word loop gives.
+func fold(s uint64) uint16 {
+	s = s&0xffffffff + s>>32 // < 2^33
+	s = s&0xffffffff + s>>32 // < 2^32
+	s = s&0xffff + s>>16     // < 2^17
+	s = s&0xffff + s>>16     // < 2^16
+	return uint16(s)
 }

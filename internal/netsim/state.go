@@ -55,6 +55,10 @@ type state struct {
 	// epoch counts component state changes; FabricNet's route tables
 	// are stale when their epoch differs.
 	epoch uint64
+
+	// minTx and minBits are wireTime's answer for a minimum frame.
+	minTx   time.Duration
+	minBits float64
 }
 
 // newState builds the healthy state of a nodes×ports network whose
@@ -78,6 +82,7 @@ func newState(sched *simtime.Scheduler, params Params, nodes, ports, comps int, 
 		rnd:     rng.New(seed),
 	}
 	s.impRnd = s.rnd.Split(0xc4a05)
+	s.minTx, s.minBits = params.frameTime(params.MinFrameBytes)
 	for c := range s.txUp {
 		s.txUp[c], s.rxUp[c] = true, true
 	}
@@ -315,13 +320,21 @@ func (s *state) mangle(data []byte) {
 }
 
 // wireTime returns the serialization time and on-wire bits of a
-// payload: overhead added, minimum frame size enforced.
+// payload: overhead added, minimum frame size enforced. Probes, echoes,
+// queries and offers are all minimum frames, so their answer is the
+// one newState computed.
 func (s *state) wireTime(payloadLen int) (time.Duration, float64) {
 	wire := payloadLen + s.params.OverheadBytes
-	if wire < s.params.MinFrameBytes {
-		wire = s.params.MinFrameBytes
+	if wire <= s.params.MinFrameBytes {
+		return s.minTx, s.minBits
 	}
-	return time.Duration(float64(wire*8) / s.params.Rate * float64(time.Second)), float64(wire * 8)
+	return s.params.frameTime(wire)
+}
+
+// frameTime returns the serialization time and bits of wire bytes on
+// the wire.
+func (p Params) frameTime(wire int) (time.Duration, float64) {
+	return time.Duration(float64(wire*8) / p.Rate * float64(time.Second)), float64(wire * 8)
 }
 
 // inlineBytes is the largest payload an in-flight record holds inline:

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drsnet/internal/metrics"
@@ -15,7 +17,7 @@ const (
 	// CtrRxErrors counts socket-level receive errors (not malformed
 	// datagrams — those are silent, they're the internet's problem).
 	CtrRxErrors = "transport.rx_errors"
-	// CtrTxErrors counts swallowed per-peer WriteToUDP errors. Sends
+	// CtrTxErrors counts swallowed per-peer socket write errors. Sends
 	// stay best-effort — the counter is how an operator sees a rail
 	// quietly eating frames.
 	CtrTxErrors = "transport.tx_errors"
@@ -69,19 +71,24 @@ type UDPConfig struct {
 // contract), and each rail's receive loop runs on its own goroutine —
 // the receiver callback must be safe for concurrent invocation, as the
 // contract also warns.
+//
+// Neither direction allocates or takes a transport-wide lock per
+// datagram: the receiver, the error counters and the closed bit are
+// atomics, peers are stored as netip.AddrPort, and the receive loop
+// reads without asking for the sender's address (the header names
+// the source node). The only lock is each rail's transmit buffer.
 type UDP struct {
 	node  int
 	nodes int
 	rails int
-	conns []*net.UDPConn   // per rail
-	peers [][]*net.UDPAddr // [node][rail]
-	tx    []udpTx          // per rail
+	conns []*net.UDPConn     // per rail
+	peers [][]netip.AddrPort // [node][rail]
+	tx    []udpTx            // per rail
 
-	mu     sync.Mutex
-	recv   func(rail, src int, payload []byte)
-	rxErr  *metrics.Counter
-	txErr  *metrics.Counter
-	closed bool
+	recv   atomic.Pointer[func(rail, src int, payload []byte)]
+	rxErr  atomic.Pointer[metrics.Counter]
+	txErr  atomic.Pointer[metrics.Counter]
+	closed atomic.Bool
 	wg     sync.WaitGroup
 }
 
@@ -106,17 +113,17 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	if cfg.Node < 0 || cfg.Node >= nodes {
 		return nil, fmt.Errorf("transport: node %d out of range [0,%d)", cfg.Node, nodes)
 	}
-	u := &UDP{node: cfg.Node, nodes: nodes, rails: rails,
-		rxErr: &metrics.Counter{}, txErr: &metrics.Counter{},
-		tx: make([]udpTx, rails)}
-	u.peers = make([][]*net.UDPAddr, nodes)
+	u := &UDP{node: cfg.Node, nodes: nodes, rails: rails, tx: make([]udpTx, rails)}
+	u.rxErr.Store(&metrics.Counter{})
+	u.txErr.Store(&metrics.Counter{})
+	u.peers = make([][]netip.AddrPort, nodes)
 	for i, row := range cfg.Peers {
 		if len(row) != rails {
 			return nil, fmt.Errorf("transport: peer %d has %d rail addresses, want %d", i, len(row), rails)
 		}
-		u.peers[i] = make([]*net.UDPAddr, rails)
+		u.peers[i] = make([]netip.AddrPort, rails)
 		for r, addr := range row {
-			a, err := net.ResolveUDPAddr("udp", addr)
+			a, err := peerAddr(addr)
 			if err != nil {
 				return nil, fmt.Errorf("transport: peer %d rail %d: %w", i, r, err)
 			}
@@ -143,6 +150,23 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	return u, nil
 }
 
+// peerAddr resolves a peer address into the form WriteToUDPAddrPort
+// accepts from either socket family. IPv4 is unmapped, because an IPv4
+// socket refuses ::ffff:a.b.c.d, the form (*net.UDPAddr).AddrPort
+// gives a resolved IPv4 address. A host-less ":port" becomes 0.0.0.0,
+// this host, where WriteToUDP sent it.
+func peerAddr(addr string) (netip.AddrPort, error) {
+	a, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	ip := netip.IPv4Unspecified()
+	if len(a.IP) != 0 {
+		ip = a.AddrPort().Addr().Unmap()
+	}
+	return netip.AddrPortFrom(ip, uint16(a.Port)), nil
+}
+
 // Node implements Transport.
 func (u *UDP) Node() int { return u.node }
 
@@ -154,9 +178,11 @@ func (u *UDP) Rails() int { return u.rails }
 
 // SetReceiver implements Transport.
 func (u *UDP) SetReceiver(fn func(rail, src int, payload []byte)) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.recv = fn
+	if fn == nil {
+		u.recv.Store(nil)
+		return
+	}
+	u.recv.Store(&fn)
 }
 
 // SetMetrics redirects the transport's error counters into set (under
@@ -164,17 +190,8 @@ func (u *UDP) SetReceiver(fn func(rail, src int, payload []byte)) {
 // protocol counters in a daemon's status report. Errors counted before
 // the call stay on the internal counters.
 func (u *UDP) SetMetrics(set *metrics.Set) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.rxErr = set.Counter(CtrRxErrors)
-	u.txErr = set.Counter(CtrTxErrors)
-}
-
-// counters returns the current error counters under the lock.
-func (u *UDP) counters() (rx, tx *metrics.Counter) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.rxErr, u.txErr
+	u.rxErr.Store(set.Counter(CtrRxErrors))
+	u.txErr.Store(set.Counter(CtrTxErrors))
 }
 
 // Send implements Transport. Sends are best-effort: a socket-level
@@ -192,7 +209,6 @@ func (u *UDP) Send(rail, dst int, payload []byte) error {
 	if dst == u.node {
 		return nil
 	}
-	_, txErr := u.counters()
 	tx := &u.tx[rail]
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -202,15 +218,15 @@ func (u *UDP) Send(rail, dst int, payload []byte) error {
 	if dst == Broadcast {
 		for i := 0; i < u.nodes; i++ {
 			if i != u.node {
-				if _, err := u.conns[rail].WriteToUDP(buf, u.peers[i][rail]); err != nil {
-					txErr.Inc()
+				if _, err := u.conns[rail].WriteToUDPAddrPort(buf, u.peers[i][rail]); err != nil {
+					u.txErr.Load().Inc()
 				}
 			}
 		}
 		return nil
 	}
-	if _, err := u.conns[rail].WriteToUDP(buf, u.peers[dst][rail]); err != nil {
-		txErr.Inc()
+	if _, err := u.conns[rail].WriteToUDPAddrPort(buf, u.peers[dst][rail]); err != nil {
+		u.txErr.Load().Inc()
 	}
 	return nil
 }
@@ -225,16 +241,12 @@ func (u *UDP) rxLoop(rail int) {
 	buf := make([]byte, maxDatagram)
 	backoff := rxBackoffMin
 	for {
-		n, _, err := u.conns[rail].ReadFromUDP(buf)
+		n, err := u.conns[rail].Read(buf)
 		if err != nil {
-			u.mu.Lock()
-			closed := u.closed
-			u.mu.Unlock()
-			if closed {
+			if u.closed.Load() {
 				return
 			}
-			rxErr, _ := u.counters()
-			rxErr.Inc()
+			u.rxErr.Load().Inc()
 			time.Sleep(backoff)
 			if backoff *= 2; backoff > rxBackoffMax {
 				backoff = rxBackoffMax
@@ -249,26 +261,18 @@ func (u *UDP) rxLoop(rail int) {
 		if src >= u.nodes || src == u.node {
 			continue // forged or reflected source index
 		}
-		u.mu.Lock()
-		recv := u.recv
-		u.mu.Unlock()
-		if recv == nil {
-			continue
+		if recv := u.recv.Load(); recv != nil {
+			(*recv)(rail, src, buf[udpHeaderLen:n])
 		}
-		recv(rail, src, buf[udpHeaderLen:n])
 	}
 }
 
 // Close shuts the sockets and waits for the receive loops to exit.
 // It is idempotent.
 func (u *UDP) Close() error {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
+	if u.closed.Swap(true) {
 		return nil
 	}
-	u.closed = true
-	u.mu.Unlock()
 	u.closeConns()
 	u.wg.Wait()
 	return nil

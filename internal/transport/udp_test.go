@@ -256,3 +256,92 @@ func TestUDPRxErrorBackoff(t *testing.T) {
 		}
 	}
 }
+
+// TestUDPRoundTripAllocations: a datagram allocates nothing on either
+// side of the socket — not in Send, not in the receive loop — for a
+// unicast and for a broadcast to two peers. AllocsPerRun counts every
+// goroutine's allocations, so the receive loops are inside the count.
+func TestUDPRoundTripAllocations(t *testing.T) {
+	a := freeAddrs(t, 3)
+	peers := [][]string{{a[0]}, {a[1]}, {a[2]}}
+	nodes := make([]*UDP, len(peers))
+	for n := range nodes {
+		u, err := NewUDP(UDPConfig{Node: n, Listen: peers[n], Peers: peers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { u.Close() })
+		nodes[n] = u
+	}
+	arrived := make(chan struct{}, 2) // one slot per receiving peer
+	for _, u := range nodes[1:] {
+		u.SetReceiver(func(rail, src int, payload []byte) { arrived <- struct{}{} })
+	}
+	timeout := time.NewTimer(time.Hour)
+	defer timeout.Stop()
+	payload := []byte("drs-probe")
+	for _, c := range []struct {
+		name      string
+		dst, want int
+	}{{"unicast", 1, 1}, {"broadcast", Broadcast, 2}} {
+		got := testing.AllocsPerRun(200, func() {
+			if err := nodes[0].Send(0, c.dst, payload); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < c.want; i++ {
+				timeout.Reset(5 * time.Second)
+				select {
+				case <-arrived:
+					timeout.Stop()
+				case <-timeout.C:
+					t.Fatalf("%s: datagram lost on loopback", c.name)
+				}
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: %v allocations per datagram round trip, want 0", c.name, got)
+		}
+	}
+}
+
+// TestUDPPeerAddressForms: peers stored as netip.AddrPort still reach
+// every address form a config may name — a wildcard listener, and a
+// host-less ":port" peer, which names this host.
+func TestUDPPeerAddressForms(t *testing.T) {
+	a := freeAddrs(t, 2)
+	var ports [2]string
+	for i, addr := range a {
+		_, ports[i], _ = net.SplitHostPort(addr)
+	}
+	hostless := []string{":" + ports[0], ":" + ports[1]}
+	loopback := []string{"127.0.0.1:" + ports[0], "127.0.0.1:" + ports[1]}
+	for _, c := range []struct {
+		name          string
+		listen, peers []string
+	}{
+		{"wildcard listen, host-less peers", hostless, hostless},
+		{"loopback listen, host-less peers", loopback, hostless},
+		{"wildcard listen, loopback peers", hostless, loopback},
+	} {
+		peers := [][]string{c.peers[:1], c.peers[1:]}
+		u0, err := NewUDP(UDPConfig{Node: 0, Listen: c.listen[:1], Peers: peers})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		u1, err := NewUDP(UDPConfig{Node: 1, Listen: c.listen[1:], Peers: peers})
+		if err != nil {
+			u0.Close()
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var sink udpSink
+		u1.SetReceiver(sink.recv)
+		if err := u0.Send(0, 1, []byte(c.name)); err != nil {
+			t.Fatal(err)
+		}
+		if got := sink.wait(t, 1)[0]; got != (memFrame{0, 0, c.name}) {
+			t.Errorf("%s: got %v", c.name, got)
+		}
+		u0.Close()
+		u1.Close()
+	}
+}
