@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -167,5 +169,32 @@ route repairs: 2   utilization rail0 0.0347%  rail1 0.0429%
 	}
 	if out.String() != golden {
 		t.Fatalf("partition-heal report drifted:\n--- got ---\n%s--- want ---\n%s", out.String(), golden)
+	}
+}
+
+// TestScenarioTraceGolden pins every shipped scenario's report and
+// state-change trace byte for byte: the SHA-256 of `drsim -config F
+// -trace` for each examples/scenarios document.
+func TestScenarioTraceGolden(t *testing.T) {
+	for _, tc := range []struct{ file, sum string }{
+		{"fat-tree.json", "cad9c2e92b375a7721609f965f87ff6c019b6ae18646a62094001d29fef05648"},
+		{"flapping-rail.json", "a3e468b262151adf9fcea6f3764dba163a45b46a0d239184610a166fd83ee55b"},
+		{"lossy-switched.json", "d70fb05ad886da9991a4e456fc8b29846cec430f717f2c0f8e1ebc618e1e00b0"},
+		{"nic-failover.json", "acf7f9e7a5e2839762d148de81fa3b90674e4f59b80f36e675c238b4bd905ca4"},
+		{"partition-heal.json", "2a3ba5a4fc599b4f915e39bc9a18e7ce4d26a23580ed93fc627e804b5138001d"},
+		{"rolling-backplane-maintenance.json", "5cc5a14a19abe224fb3a83b8e94e910ff04033f9ea9207e912cf6a257bb89767"},
+		{"rolling-crash.json", "60e2b0e3ce684897eeb8a42dc3732a51779b5e5f80352f2bc893f660eac85f95"},
+		{"static-failover.json", "d2097bcbcc8dec695b592dd8298ad37c9547b2eb44fe6c60f27ddd63a591b7e5"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run([]string{"-config", "../../examples/scenarios/" + tc.file, "-trace"}, &out, &errb); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, errb.String())
+			}
+			sum := sha256.Sum256(out.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != tc.sum {
+				t.Fatalf("report and trace digest %s, want %s", got, tc.sum)
+			}
+		})
 	}
 }
