@@ -61,8 +61,10 @@ fuzz:
 # scheduler's (at, seq) execution order with per-link lanes, over
 # the fabric evaluator's two-ended pair search against its
 # single-source search, over the two files drsd reads at boot (the
-# warm-start checkpoint image and the node config), and over the
-# scenario loader drsim and drsd both parse cluster documents with.
+# warm-start checkpoint image and the node config), over the scenario
+# loader drsim and drsd both parse cluster documents with, and over
+# the nemesis schedule validator hand-written -replay files pass
+# through (every schedule it accepts must run).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=10s ./internal/routing/wire
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/icmp
@@ -72,6 +74,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLoadConfig -fuzztime=10s ./cmd/drsd
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz=FuzzSchedule -fuzztime=10s ./internal/nemesis
 
 # End-to-end gate: one iteration of every benchmark (benchsmoke), the
 # ten-second fuzz passes (fuzzsmoke), then over the CLIs: the two test
@@ -81,8 +84,11 @@ fuzzsmoke:
 # per drschaos mode through their binaries, a fabric survivability
 # table, a fixed-seed nemesis campaign that must heal clean, and the
 # pinned regression replay that must still reproduce its shrunk
-# violation (exit 1). Everything runs on virtual time from fixed
-# seeds, so any diff is a real regression.
+# violation (exit 1). These runs check that the binaries work end to
+# end; they compare no output. The byte-for-byte pins are tier-1
+# tests: cmd/drsim TestScenarioTraceGolden (every shipped scenario's
+# report and trace), the drschaos, drsim and drsnemesis goldens, and
+# internal/nemesis TestOutcomesGolden (30 generated schedules).
 smoke: benchsmoke fuzzsmoke
 	$(GO) test -race ./internal/nemesis/ ./cmd/drsnemesis/
 	$(GO) test ./cmd/drsd/ -timeout 180s

@@ -290,7 +290,7 @@ func (c *campaign) spec(protocol string, intensity float64, variant bool) runtim
 		// Degrade rail 0's backplane for the whole run; rail 1 stays
 		// clean, so a protocol that reroutes can dodge the loss.
 		if intensity > 0 {
-			spec.Impairments = append(spec.Impairments, chaos.Spec{
+			spec.Episodes = append(spec.Episodes, chaos.Episode{
 				Comp:   cl.Backplane(0),
 				Impair: netsim.Impairment{Loss: intensity},
 			})
@@ -301,7 +301,7 @@ func (c *campaign) spec(protocol string, intensity float64, variant bool) runtim
 		// cycle. Higher duty, longer outages, more route churn.
 		spec.Faults = append(spec.Faults, runtime.Fault{At: time.Second, Comp: cl.NIC(1, 1)})
 		if intensity > 0 {
-			spec.Impairments = append(spec.Impairments, chaos.Spec{
+			spec.Episodes = append(spec.Episodes, chaos.Episode{
 				Comp:       cl.NIC(1, 0),
 				Start:      5 * time.Second,
 				FlapPeriod: 8 * time.Second,
@@ -321,11 +321,11 @@ func (c *campaign) spec(protocol string, intensity float64, variant bool) runtim
 			crashAts = crashAts[:1]
 		}
 		for _, at := range crashAts {
-			cs := chaos.CrashSpec{Node: 1, At: at, Warm: variant && mttr > 0}
+			cs := chaos.Episode{Kind: chaos.Crash, A: 1, Start: at, Warm: variant && mttr > 0}
 			if mttr > 0 {
-				cs.RestartAt = at + mttr
+				cs.Stop = at + mttr
 			}
-			spec.Crashes = append(spec.Crashes, cs)
+			spec.Episodes = append(spec.Episodes, cs)
 		}
 	case "storm":
 		// Correlated failure storm: rail 0's backplane dies at 5 s
@@ -351,8 +351,8 @@ func (c *campaign) spec(protocol string, intensity float64, variant bool) runtim
 			k = c.nodes - 1 // node 0 always survives to measure from
 		}
 		for n := 1; n <= k; n++ {
-			spec.Crashes = append(spec.Crashes, chaos.CrashSpec{
-				Node: n, At: 5 * time.Second, RestartAt: 8 * time.Second,
+			spec.Episodes = append(spec.Episodes, chaos.Episode{
+				Kind: chaos.Crash, A: n, Start: 5 * time.Second, Stop: 8 * time.Second,
 			})
 		}
 	}
@@ -394,7 +394,7 @@ func (c *campaign) specFailover(protocol, regime string) runtime.ClusterSpec {
 	case "loss":
 		// Rail 0's backplane drops a fifth of its frames for the whole
 		// run — a gray failure no carrier oracle can see.
-		spec.Impairments = append(spec.Impairments, chaos.Spec{
+		spec.Episodes = append(spec.Episodes, chaos.Episode{
 			Comp:   cl.Backplane(0),
 			Impair: netsim.Impairment{Loss: 0.2},
 		})
@@ -402,7 +402,7 @@ func (c *campaign) specFailover(protocol, regime string) runtime.ClusterSpec {
 		// Node 1 loses its rail-1 NIC for good, then its only remaining
 		// NIC flaps — the drschaos flap campaign's 0.4-duty cell.
 		spec.Faults = append(spec.Faults, runtime.Fault{At: time.Second, Comp: cl.NIC(1, 1)})
-		spec.Impairments = append(spec.Impairments, chaos.Spec{
+		spec.Episodes = append(spec.Episodes, chaos.Episode{
 			Comp:       cl.NIC(1, 0),
 			Start:      5 * time.Second,
 			FlapPeriod: 8 * time.Second,
@@ -415,22 +415,22 @@ func (c *campaign) specFailover(protocol, regime string) runtime.ClusterSpec {
 		// notices. Node 2's rail-0 NIC dies first so the survivors
 		// hold non-trivial routes when the crash lands.
 		spec.Faults = append(spec.Faults, runtime.Fault{At: time.Second, Comp: cl.NIC(2, 0)})
-		spec.Crashes = append(spec.Crashes, chaos.CrashSpec{
-			Node: 1, At: 10 * time.Second, RestartAt: 18 * time.Second,
+		spec.Episodes = append(spec.Episodes, chaos.Episode{
+			Kind: chaos.Crash, A: 1, Start: 10 * time.Second, Stop: 18 * time.Second,
 		})
 	case "dynamic":
 		// Dai & Foerster's adversary: two NICs on different nodes and
 		// rails flapping with incommensurate periods, so mixed-rail
 		// cuts open and close continuously — faster than DRS probes
 		// converge, slow enough that carrier sensing stays truthful.
-		spec.Impairments = append(spec.Impairments,
-			chaos.Spec{
+		spec.Episodes = append(spec.Episodes,
+			chaos.Episode{
 				Comp:       cl.NIC(1, 1),
 				Start:      time.Second,
 				FlapPeriod: 900 * time.Millisecond,
 				FlapDuty:   0.5,
 			},
-			chaos.Spec{
+			chaos.Episode{
 				Comp:       cl.NIC(2, 0),
 				Start:      time.Second,
 				FlapPeriod: 1300 * time.Millisecond,

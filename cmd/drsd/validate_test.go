@@ -86,7 +86,34 @@ func TestValidateErrors(t *testing.T) {
 			name:    "impairment the runtime rejects",
 			cluster: flapCluster,
 			config:  goodNodeConfig(goodListen, goodPeers),
-			wantErr: "drsd: cluster cluster.json: runtime: chaos: spec[0] (nic(0,0)): flap period 1ns with duty 0.5 rounds to zero down-time",
+			wantErr: "drsd: cluster cluster.json: runtime: chaos: impairments[0] (nic(0,0)): flap period 1ns with duty 0.5 rounds to zero down-time",
+		},
+		{
+			name: "linkstate hello past its dead interval",
+			cluster: `{
+  "nodes": 3, "duration": "10s", "protocol": "linkstate", "advertiseInterval": "5s",
+  "traffic": [{"from": 0, "to": 1, "interval": "500ms"}]
+}`,
+			config:  goodNodeConfig(goodListen, goodPeers),
+			wantErr: "drsd: cluster cluster.json: runtime: advertise interval 5s above the link-state dead interval 4s",
+		},
+		{
+			name: "reactive route timeout below its advertisements",
+			cluster: `{
+  "nodes": 3, "duration": "10s", "protocol": "reactive", "advertiseInterval": "2s", "routeTimeout": "1s",
+  "traffic": [{"from": 0, "to": 1, "interval": "500ms"}]
+}`,
+			config:  goodNodeConfig(goodListen, goodPeers),
+			wantErr: "drsd: cluster cluster.json: runtime: route timeout 1s below advertise interval 2s",
+		},
+		{
+			name: "drs probe interval with no query timeout",
+			cluster: `{
+  "nodes": 3, "duration": "10s", "probeInterval": "1ns",
+  "traffic": [{"from": 0, "to": 1, "interval": "500ms"}]
+}`,
+			config:  goodNodeConfig(goodListen, goodPeers),
+			wantErr: "drsd: cluster cluster.json: runtime: probe interval 1ns leaves the DRS no query timeout (half the interval)",
 		},
 		{
 			name: "fabric topology rejected",

@@ -112,6 +112,9 @@ func runReplay(path string, stdout io.Writer, fail func(error) int) int {
 	if err := json.Unmarshal(buf, &s); err != nil {
 		return fail(fmt.Errorf("%s: %v", path, err))
 	}
+	if err := s.Validate(); err != nil {
+		return fail(fmt.Errorf("%s: %v", path, err))
+	}
 	out, err := nemesis.Run(s)
 	if err != nil {
 		return fail(fmt.Errorf("%s: %v", path, err))

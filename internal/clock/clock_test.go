@@ -3,6 +3,7 @@ package clock
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -176,6 +177,38 @@ func TestLiveWallCancel(t *testing.T) {
 	defer mu.Unlock()
 	if ran {
 		t.Fatal("cancelled timer ran")
+	}
+}
+
+// TestLiveWallChainAllocations: the live dispatcher sleeps between the
+// links of a timer chain without allocating, so a chain of n timers
+// costs O(1) objects, not O(n). An idle daemon's probe timers are such
+// a chain.
+func TestLiveWallChainAllocations(t *testing.T) {
+	w := NewWall()
+	defer w.Stop()
+	chain := func(n int) uint64 {
+		done := make(chan struct{})
+		left := n
+		var step func(any)
+		step = func(any) {
+			if left--; left == 0 {
+				close(done)
+				return
+			}
+			w.AfterCall(20*time.Microsecond, step, nil)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w.AfterCall(20*time.Microsecond, step, nil)
+		<-done
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	chain(10) // warm the record pool
+	short, long := chain(10), chain(1000)
+	if long > short+50 {
+		t.Fatalf("a chain of 1000 timers allocated %d objects, one of 10 allocated %d: the dispatcher allocates per sleep", long, short)
 	}
 }
 

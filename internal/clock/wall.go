@@ -202,9 +202,12 @@ func (w *Wall) RunUntil(t time.Duration) int {
 
 // loop is the live-mode dispatcher: it sleeps until the earliest
 // deadline (or a kick, when a sooner timer arrives), then runs every
-// due timer outside the lock.
+// due timer outside the lock. It sleeps on one reused timer, so an
+// idle daemon's timer chain allocates nothing per sleep.
 func (w *Wall) loop() {
 	var due []wallCall
+	tm := time.NewTimer(time.Hour)
+	tm.Stop()
 	for {
 		w.mu.Lock()
 		now := w.Now()
@@ -243,22 +246,25 @@ func (w *Wall) loop() {
 		}
 
 		var tc <-chan time.Time
-		var tm *time.Timer
 		if wait >= 0 {
-			tm = time.NewTimer(wait)
+			tm.Reset(wait)
 			tc = tm.C
 		}
 		select {
 		case <-tc:
 		case <-w.kick:
 		case <-w.done:
-			if tm != nil {
-				tm.Stop()
-			}
+			tm.Stop()
 			return
 		}
-		if tm != nil {
-			tm.Stop()
+		// go.mod's go 1.22 keeps the buffered timer channel: a tick
+		// that fired while a kick woke us must be drained before the
+		// next Reset. A late tick only costs one spurious pass.
+		if tc != nil && !tm.Stop() {
+			select {
+			case <-tm.C:
+			default:
+			}
 		}
 	}
 }

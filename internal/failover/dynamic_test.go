@@ -34,7 +34,7 @@ func TestDynamicFlapDegradation(t *testing.T) {
 				Interval: 250 * time.Microsecond,
 				Stop:     99 * time.Millisecond,
 			}},
-			Impairments: []chaos.Spec{{
+			Episodes: []chaos.Episode{{
 				// Node 3's rail-1 NIC — the rotor's first choice for
 				// destination 3 — flapping just faster than a frame's
 				// flight, the classic dynamic-failure adversary.

@@ -121,8 +121,8 @@ func randomEpisode(r *rng.Source, s *Schedule) Episode {
 	}
 	if e.Kind == KindPartition {
 		e.B = (e.A + 1 + r.Intn(s.Nodes-1)) % s.Nodes
-		e.Rail = r.Intn(rails+1) - 1 // AllRails, 0 or 1
-		e.Direction = []string{DirBoth, DirTx, DirRx}[r.Intn(3)]
+		e.Rail = r.Intn(rails+1) - 1 // all rails, 0 or 1
+		e.Direction = []string{"both", "tx", "rx"}[r.Intn(3)]
 	}
 	return e
 }

@@ -141,7 +141,7 @@ func violatingSchedule() Schedule {
 		Settle:        0,
 		Episodes: []Episode{
 			{Kind: KindSkew, A: 2, Start: scenario.Duration(500 * time.Millisecond), Stop: scenario.Duration(time.Second), Skew: scenario.Duration(50 * time.Millisecond)},
-			{Kind: KindPartition, A: 0, B: 1, Rail: AllRails, Direction: DirBoth, Start: scenario.Duration(time.Second), Stop: scenario.Duration(3 * time.Second)},
+			{Kind: KindPartition, A: 0, B: 1, Rail: -1, Direction: "both", Start: scenario.Duration(time.Second), Stop: scenario.Duration(3 * time.Second)},
 			{Kind: KindFlap, A: 2, Rail: 1, Start: scenario.Duration(time.Second), Stop: scenario.Duration(2 * time.Second), Period: scenario.Duration(200 * time.Millisecond)},
 		},
 	}
@@ -209,7 +209,7 @@ func TestDeliveryOnlyProtocols(t *testing.T) {
 		Horizon:       scenario.Duration(2 * time.Second),
 		Settle:        scenario.Duration(time.Second),
 		Episodes: []Episode{
-			{Kind: KindPartition, A: 0, B: 1, Rail: 0, Direction: DirBoth, Start: scenario.Duration(500 * time.Millisecond), Stop: scenario.Duration(1500 * time.Millisecond)},
+			{Kind: KindPartition, A: 0, B: 1, Rail: 0, Direction: "both", Start: scenario.Duration(500 * time.Millisecond), Stop: scenario.Duration(1500 * time.Millisecond)},
 		},
 	}
 	out, err := Run(s)
@@ -237,7 +237,7 @@ func TestBudgetScheduleHoldsBound(t *testing.T) {
 		Horizon:       scenario.Duration(4 * time.Second),
 		Settle:        scenario.Duration(2 * time.Second),
 		Episodes: []Episode{
-			{Kind: KindPartition, A: 0, B: 1, Rail: AllRails, Direction: DirBoth, Start: scenario.Duration(500 * time.Millisecond), Stop: scenario.Duration(2 * time.Second)},
+			{Kind: KindPartition, A: 0, B: 1, Rail: -1, Direction: "both", Start: scenario.Duration(500 * time.Millisecond), Stop: scenario.Duration(2 * time.Second)},
 			{Kind: KindCrash, A: 2, Start: scenario.Duration(time.Second), Stop: scenario.Duration(3 * time.Second), Warm: true},
 		},
 	}
@@ -313,9 +313,9 @@ func TestScheduleValidation(t *testing.T) {
 		{"zero horizon", func(s *Schedule) { s.Horizon = 0 }, "horizon"},
 		{"negative settle", func(s *Schedule) { s.Settle = scenario.Duration(-time.Second) }, "settle"},
 		{"window past horizon", func(s *Schedule) { s.Episodes[1].Stop = scenario.Duration(9 * time.Second) }, "outside"},
-		{"empty window", func(s *Schedule) { s.Episodes[1].Stop = s.Episodes[1].Start }, "outside"},
-		{"node out of range", func(s *Schedule) { s.Episodes[1].A = 7 }, "outside"},
-		{"partition self", func(s *Schedule) { s.Episodes[1].B = s.Episodes[1].A }, "peer"},
+		{"empty window", func(s *Schedule) { s.Episodes[1].Stop = s.Episodes[1].Start }, "not after start"},
+		{"node out of range", func(s *Schedule) { s.Episodes[1].A = 7 }, "unknown node 7"},
+		{"partition self", func(s *Schedule) { s.Episodes[1].B = s.Episodes[1].A }, "partitioned from itself"},
 		{"bad rail", func(s *Schedule) { s.Episodes[1].Rail = 5 }, "rail"},
 		{"bad direction", func(s *Schedule) { s.Episodes[1].Direction = "up" }, "direction"},
 		{"flap without period", func(s *Schedule) { s.Episodes[2].Period = 0 }, "period"},
@@ -326,7 +326,7 @@ func TestScheduleValidation(t *testing.T) {
 			s.Episodes = append(s.Episodes,
 				Episode{Kind: KindCrash, A: 0, Start: scenario.Duration(time.Second), Stop: scenario.Duration(2 * time.Second)},
 				Episode{Kind: KindCrash, A: 0, Start: scenario.Duration(1500 * time.Millisecond), Stop: scenario.Duration(2500 * time.Millisecond)})
-		}, "overlapping"},
+		}, "overlaps"},
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("base schedule invalid: %v", err)

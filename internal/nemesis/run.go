@@ -5,13 +5,14 @@ import (
 	"sort"
 	"time"
 
+	"drsnet/internal/chaos"
 	"drsnet/internal/clock"
 	"drsnet/internal/core"
-	"drsnet/internal/linkmon"
+	"drsnet/internal/netsim"
 	"drsnet/internal/overload"
 	"drsnet/internal/routing"
 	"drsnet/internal/runtime"
-	"drsnet/internal/scenario"
+	"drsnet/internal/topology"
 	"drsnet/internal/transport"
 )
 
@@ -54,11 +55,10 @@ func (o *Outcome) Failed() bool { return len(o.Violations) > 0 }
 // controller, and the same runtime.BuildNode router assembly the live
 // daemon uses. Everything runs on one goroutine (timer callbacks fire
 // synchronously inside Advance), so a schedule replays bit-identically
-// from its seed.
+// from its seed. It is the chaos.Target its episodes drive.
 type runner struct {
 	sched   Schedule
 	spec    runtime.ClusterSpec
-	budget  overload.Config // zero when the schedule has no budget block
 	clk     *clock.Wall
 	mem     *transport.Mem
 	faults  *transport.Faults
@@ -73,40 +73,18 @@ type runner struct {
 
 // Run executes the schedule against a fresh hermetic cluster and
 // checks the post-heal invariants. The only error is an invalid
-// schedule or an unbuildable cluster; protocol misbehavior is reported
-// as Violations, not an error.
+// schedule; protocol misbehavior is reported as Violations, not an
+// error.
 func Run(s Schedule) (*Outcome, error) {
-	if s.Protocol == "" {
-		s.Protocol = runtime.ProtoDRS
-	}
-	if s.ProbeInterval == 0 {
-		s.ProbeInterval = scenario.Duration(100 * time.Millisecond)
-	}
-	if err := s.Validate(); err != nil {
+	s.defaults()
+	spec, eps, err := s.plan()
+	if err != nil {
 		return nil, err
-	}
-	var budget overload.Config
-	if s.Budget != nil {
-		budget, _ = s.Budget.config() // Validate already vetted it
 	}
 	clk := clock.NewManual()
 	r := &runner{
-		sched: s,
-		spec: runtime.ClusterSpec{
-			Nodes:    s.Nodes,
-			Protocol: s.Protocol,
-			Tunables: runtime.Tunables{
-				ProbeInterval: time.Duration(s.ProbeInterval),
-				MissThreshold: 2,
-				// The lifecycle guards restarts; strict link evidence
-				// makes asymmetric cuts detectable instead of masked —
-				// without it every tx-only partition is a guaranteed
-				// (and uninteresting) violation.
-				Lifecycle:          true,
-				StrictLinkEvidence: true,
-			},
-		},
-		budget:      budget,
+		sched:       s,
+		spec:        spec,
 		clk:         clk,
 		mem:         transport.NewMem(s.Nodes, rails, clk, memLatency),
 		faults:      transport.NewFaults(s.Seed, clk),
@@ -115,20 +93,12 @@ func Run(s Schedule) (*Outcome, error) {
 		checkpoint:  make([]*core.Checkpoint, s.Nodes),
 		delivered:   make(map[int]bool),
 	}
-	if s.Budget != nil {
-		// Budgets bound the RTO retransmit storm, so the retransmits
-		// must exist: the budget block implies the adaptive RTO.
-		r.spec.Tunables.Overload = budget
-		r.spec.Tunables.AdaptiveRTO = linkmon.DefaultRTO()
-	}
 	for n := 0; n < s.Nodes; n++ {
 		if err := r.boot(n, 1, nil); err != nil {
 			return nil, err
 		}
 	}
-	for i := range s.Episodes {
-		r.arm(s.Episodes[i])
-	}
+	chaos.Schedule(r.clk, eps, r)
 	// Fault phase, then the heal barrier (episodes all end by the
 	// horizon; HealAll also clears anything a hand-written replay file
 	// left dangling), then the settle window.
@@ -166,58 +136,50 @@ func (r *runner) boot(n int, inc uint32, restore *core.Checkpoint) error {
 	return nil
 }
 
-// arm schedules one episode's state changes on the run's clock.
-func (r *runner) arm(e Episode) {
-	switch e.Kind {
-	case KindPartition:
-		for _, cut := range cuts(e) {
-			r.faults.PartitionWindow(cut.src, cut.dst, cut.rail, time.Duration(e.Start), time.Duration(e.Stop))
-		}
-	case KindCrash:
-		node, warm := e.A, e.Warm
-		r.clk.AfterFunc(time.Duration(e.Start), func() {
-			if d, ok := r.routers[node].(*core.Daemon); ok && warm {
-				r.checkpoint[node] = d.Checkpoint()
-			} else {
-				r.checkpoint[node] = nil
-			}
-			r.mem.FailNode(node)
-			r.routers[node].Stop()
-		})
-		r.clk.AfterFunc(time.Duration(e.Stop), func() {
-			r.mem.RestoreNode(node)
-			if err := r.boot(node, r.incarnation[node]+1, r.checkpoint[node]); err != nil {
-				// The spec built once already; a rebuild cannot fail.
-				panic(err)
-			}
-		})
-	case KindFlap:
-		node, rail := e.A, e.Rail
-		for at, up := time.Duration(e.Start), false; at < time.Duration(e.Stop); at, up = at+time.Duration(e.Period), !up {
-			state := up
-			r.clk.AfterFunc(at, func() { r.mem.SetNIC(node, rail, state) })
-		}
-		r.clk.AfterFunc(time.Duration(e.Stop), func() { r.mem.SetNIC(node, rail, true) })
-	case KindSkew:
-		node, skew := e.A, time.Duration(e.Skew)
-		r.clk.AfterFunc(time.Duration(e.Start), func() { r.faults.SetSkew(node, skew) })
-		r.clk.AfterFunc(time.Duration(e.Stop), func() { r.faults.SetSkew(node, 0) })
-	}
+// FailDir takes a NIC down; the in-memory fabric has no half-duplex
+// state, so dir is not consulted (schedules flap whole NICs).
+func (r *runner) FailDir(c topology.Component, dir netsim.Direction) {
+	r.mem.SetNIC(int(c)/rails, int(c)%rails, false)
 }
 
-type cutSpec struct{ src, dst, rail int }
+// RestoreDir brings a NIC back up.
+func (r *runner) RestoreDir(c topology.Component, dir netsim.Direction) {
+	r.mem.SetNIC(int(c)/rails, int(c)%rails, true)
+}
 
-// cuts expands a partition episode into its directed (src, dst, rail)
-// cuts: "both" is two directed cuts, "tx"/"rx" one.
-func cuts(e Episode) []cutSpec {
-	var out []cutSpec
-	if e.Direction != DirRx {
-		out = append(out, cutSpec{e.A, e.B, e.Rail})
+// SetImpairment and ClearImpairment are unreachable: a schedule
+// document has no per-component impairment.
+func (r *runner) SetImpairment(topology.Component, netsim.Impairment) error {
+	panic("nemesis: component impairment")
+}
+
+func (r *runner) ClearImpairment(topology.Component) { panic("nemesis: component impairment") }
+
+func (r *runner) Partition(src, dst, rail int) { r.faults.Partition(src, dst, rail) }
+
+func (r *runner) Heal(src, dst, rail int) { r.faults.Heal(src, dst, rail) }
+
+func (r *runner) SetSkew(node int, d time.Duration) { r.faults.SetSkew(node, d) }
+
+// Crash fail-stops a node's process, checkpointing a DRS daemon first
+// when the restart is warm.
+func (r *runner) Crash(node int, warm bool) {
+	if d, ok := r.routers[node].(*core.Daemon); ok && warm {
+		r.checkpoint[node] = d.Checkpoint()
+	} else {
+		r.checkpoint[node] = nil
 	}
-	if e.Direction != DirTx {
-		out = append(out, cutSpec{e.B, e.A, e.Rail})
+	r.mem.FailNode(node)
+	r.routers[node].Stop()
+}
+
+// Restart boots the node's next incarnation.
+func (r *runner) Restart(node int) {
+	r.mem.RestoreNode(node)
+	if err := r.boot(node, r.incarnation[node]+1, r.checkpoint[node]); err != nil {
+		// The node booted from the same spec once already.
+		panic(err)
 	}
-	return out
 }
 
 // checkStatusInvariants inspects each daemon's post-settle view. Only
@@ -373,7 +335,7 @@ func (r *runner) checkBudget(out *Outcome) {
 		if _, ok := rt.(*core.Daemon); !ok {
 			continue
 		}
-		vs = append(vs, budgetViolations(n, rt.Metrics().Snapshot(), r.budget, window)...)
+		vs = append(vs, budgetViolations(n, rt.Metrics().Snapshot(), r.spec.Tunables.Overload, window)...)
 	}
 	sortViolations(vs)
 	out.Violations = append(out.Violations, vs...)

@@ -21,8 +21,12 @@ import (
 	"fmt"
 	"time"
 
+	"drsnet/internal/chaos"
+	"drsnet/internal/linkmon"
 	"drsnet/internal/overload"
+	"drsnet/internal/runtime"
 	"drsnet/internal/scenario"
+	"drsnet/internal/topology"
 	"drsnet/internal/transport"
 )
 
@@ -42,16 +46,6 @@ const (
 	KindSkew = "skew"
 )
 
-// Directions for partition episodes.
-const (
-	DirBoth = "both"
-	DirTx   = "tx" // only A→B severed; B still reaches A
-	DirRx   = "rx" // only B→A severed
-)
-
-// AllRails, as an Episode.Rail value, cuts every rail of the pair.
-const AllRails = transport.AllRails
-
 // Episode is one fault window in a schedule. Which fields matter
 // depends on Kind; Start/Stop bound every kind.
 type Episode struct {
@@ -61,10 +55,11 @@ type Episode struct {
 	A int `json:"a"`
 	// B is the partition's second endpoint (partition only).
 	B int `json:"b"`
-	// Rail selects the severed or flapped rail; AllRails (-1) cuts
-	// every rail (partition only — a flap names one NIC).
+	// Rail selects the severed or flapped rail; -1 cuts every rail
+	// (partition only — a flap names one NIC).
 	Rail int `json:"rail"`
-	// Direction orients a partition: "both", "tx" (A→B only) or "rx".
+	// Direction orients a partition: "both" (or empty), "tx" (A→B
+	// only) or "rx".
 	Direction string `json:"direction,omitempty"`
 	// Start and Stop bound the window on the run's virtual clock.
 	Start scenario.Duration `json:"start"`
@@ -72,7 +67,8 @@ type Episode struct {
 	// Warm restarts a crashed node from its last checkpoint instead of
 	// cold (crash only).
 	Warm bool `json:"warm,omitempty"`
-	// Period is the flap toggle cadence (flap only).
+	// Period is the flap toggle cadence (flap only): down at Start, up
+	// one period later, and so on, up again at Stop.
 	Period scenario.Duration `json:"period,omitempty"`
 	// Skew is the delivery delay imposed on node A (skew only).
 	Skew scenario.Duration `json:"skew,omitempty"`
@@ -84,7 +80,7 @@ func (e Episode) String() string {
 	switch e.Kind {
 	case KindPartition:
 		rail := fmt.Sprintf("rail %d", e.Rail)
-		if e.Rail == AllRails {
+		if e.Rail == transport.AllRails {
 			rail = "all rails"
 		}
 		return fmt.Sprintf("partition %d–%d %s %s %s", e.A, e.B, e.Direction, rail, w)
@@ -178,74 +174,105 @@ func (b *BudgetSpec) config() (overload.Config, error) {
 }
 
 // Validate checks the schedule is executable. Generate always returns
-// valid schedules; Validate guards hand-written -replay files.
-func (s *Schedule) Validate() error {
-	if s.Nodes < 2 {
-		return fmt.Errorf("nemesis: %d nodes (want ≥ 2)", s.Nodes)
+// valid schedules; Validate guards hand-written -replay files, and Run
+// executes whatever it accepts.
+func (s Schedule) Validate() error {
+	s.defaults()
+	_, _, err := s.plan()
+	return err
+}
+
+// defaults fills the fields a schedule may leave zero.
+func (s *Schedule) defaults() {
+	if s.Protocol == "" {
+		s.Protocol = runtime.ProtoDRS
+	}
+	if s.ProbeInterval == 0 {
+		s.ProbeInterval = scenario.Duration(100 * time.Millisecond)
+	}
+}
+
+// plan translates the schedule, entry for entry, into the cluster spec
+// every node is built from and the fault episodes of the run, and
+// validates both with their packages' rules: the spec with
+// runtime.ClusterSpec.Normalize, the episodes with chaos.Validate. Only
+// the document's own form (kind and direction strings, flap addressing
+// and toggle period, horizon and settle) is checked here.
+func (s *Schedule) plan() (runtime.ClusterSpec, []chaos.Episode, error) {
+	spec := runtime.ClusterSpec{
+		Nodes:    s.Nodes,
+		Protocol: s.Protocol,
+		Tunables: runtime.Tunables{
+			ProbeInterval: time.Duration(s.ProbeInterval),
+			MissThreshold: 2,
+			// The lifecycle guards restarts; strict link evidence makes
+			// asymmetric cuts detectable instead of masked — without it
+			// every tx-only partition is a guaranteed (and
+			// uninteresting) violation.
+			Lifecycle:          true,
+			StrictLinkEvidence: true,
+		},
 	}
 	if s.Horizon <= 0 {
-		return fmt.Errorf("nemesis: horizon %v must be positive", time.Duration(s.Horizon))
+		return spec, nil, fmt.Errorf("nemesis: horizon %v must be positive", time.Duration(s.Horizon))
 	}
 	if s.Settle < 0 {
-		return fmt.Errorf("nemesis: negative settle %v", time.Duration(s.Settle))
-	}
-	if s.ProbeInterval < 0 {
-		return fmt.Errorf("nemesis: negative probe interval %v", time.Duration(s.ProbeInterval))
+		return spec, nil, fmt.Errorf("nemesis: negative settle %v", time.Duration(s.Settle))
 	}
 	if s.Budget != nil {
-		if _, err := s.Budget.config(); err != nil {
-			return fmt.Errorf("nemesis: budget: %v", err)
+		budget, err := s.Budget.config()
+		if err != nil {
+			return spec, nil, fmt.Errorf("nemesis: budget: %v", err)
 		}
+		// Budgets bound the RTO retransmit storm, so the retransmits
+		// must exist: the budget block implies the adaptive RTO.
+		spec.Tunables.Overload = budget
+		spec.Tunables.AdaptiveRTO = linkmon.DefaultRTO()
 	}
-	type window struct{ start, stop time.Duration }
-	crashes := make(map[int][]window)
+	if err := spec.Normalize(); err != nil {
+		return spec, nil, fmt.Errorf("nemesis: %v", err)
+	}
+	eps := make([]chaos.Episode, len(s.Episodes))
 	for i, e := range s.Episodes {
+		c := &eps[i]
+		*c = chaos.Episode{A: e.A, Start: time.Duration(e.Start), Stop: time.Duration(e.Stop)}
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("nemesis: episodes[%d] (%s): %s", i, e.Kind, fmt.Sprintf(format, args...))
 		}
-		if e.Start < 0 || e.Stop <= e.Start || e.Stop > s.Horizon {
-			return fail("window [%v,%v) outside (0, horizon %v]", time.Duration(e.Start), time.Duration(e.Stop), time.Duration(s.Horizon))
-		}
-		if e.A < 0 || e.A >= s.Nodes {
-			return fail("node %d outside [0,%d)", e.A, s.Nodes)
-		}
 		switch e.Kind {
 		case KindPartition:
-			if e.B < 0 || e.B >= s.Nodes || e.B == e.A {
-				return fail("peer %d invalid for endpoint %d", e.B, e.A)
+			dir, err := chaos.ParseDirection(e.Direction)
+			if err != nil {
+				return spec, nil, fail("%v", err)
 			}
-			if e.Rail != AllRails && (e.Rail < 0 || e.Rail >= rails) {
-				return fail("rail %d outside [0,%d) and not AllRails", e.Rail, rails)
-			}
-			switch e.Direction {
-			case DirBoth, DirTx, DirRx:
-			default:
-				return fail("direction %q (want both, tx or rx)", e.Direction)
-			}
+			c.Kind, c.B, c.Rail, c.Dir = chaos.Partition, e.B, e.Rail, dir
 		case KindCrash:
-			for _, w := range crashes[e.A] {
-				if time.Duration(e.Start) < w.stop && w.start < time.Duration(e.Stop) {
-					return fail("overlapping crash windows on node %d", e.A)
-				}
-			}
-			crashes[e.A] = append(crashes[e.A], window{time.Duration(e.Start), time.Duration(e.Stop)})
+			c.Kind, c.Warm = chaos.Crash, e.Warm
 		case KindFlap:
-			if e.Rail < 0 || e.Rail >= rails {
-				return fail("rail %d outside [0,%d)", e.Rail, rails)
+			if e.A < 0 || e.A >= s.Nodes || e.Rail < 0 || e.Rail >= rails {
+				return spec, nil, fail("nic(%d,%d) outside %d nodes × %d rails", e.A, e.Rail, s.Nodes, rails)
 			}
 			if e.Period <= 0 {
-				return fail("period %v must be positive", time.Duration(e.Period))
+				return spec, nil, fail("period %v must be positive", time.Duration(e.Period))
 			}
+			// Toggling every Period is a cycle of two periods, down for
+			// the first half.
+			c.Kind, c.Comp, c.FlapPeriod = chaos.Component, topology.Dual(s.Nodes).NIC(e.A, e.Rail), 2*time.Duration(e.Period)
 		case KindSkew:
-			if e.Skew <= 0 {
-				return fail("skew %v must be positive", time.Duration(e.Skew))
-			}
+			c.Kind, c.Skew = chaos.Skew, time.Duration(e.Skew)
 		default:
-			return fail("unknown kind")
+			return spec, nil, fail("unknown kind")
 		}
 	}
-	return nil
+	sh := chaos.Shape{Nodes: s.Nodes, Rails: rails, Horizon: time.Duration(s.Horizon)}
+	if err := chaos.Validate(eps, sh, episodeEntry); err != nil {
+		return spec, nil, fmt.Errorf("nemesis: %v", err)
+	}
+	return spec, eps, nil
 }
+
+// episodeEntry names episode i of a schedule document.
+func episodeEntry(i int) string { return fmt.Sprintf("episodes[%d]", i) }
 
 // without returns a copy of the schedule with episode i removed — the
 // shrinker's reduction step.

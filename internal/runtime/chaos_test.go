@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ func flappingRailSpec(damp linkmon.Damping) ClusterSpec {
 		Tunables: Tunables{FlapDamping: damp},
 		Flows:    []Flow{{From: 0, To: 1, Interval: 500 * time.Millisecond}},
 		Faults:   []Fault{{At: time.Second, Comp: cl.NIC(1, 1)}},
-		Impairments: []chaos.Spec{{
+		Episodes: []chaos.Episode{{
 			Comp:       cl.NIC(1, 0),
 			Start:      10 * time.Second,
 			FlapPeriod: 8 * time.Second,
@@ -58,7 +59,7 @@ func routeChurn(log *trace.Log) int {
 }
 
 // TestDampingReducesChurnEndToEnd drives the full stack — scenario
-// spec, chaos injector, DRS daemons — and checks the ISSUE's headline
+// spec, chaos scheduler, DRS daemons — and checks damping's headline
 // property: at identical seeds and identical flap schedules, damping
 // yields strictly fewer route transitions than the undamped run.
 func TestDampingReducesChurnEndToEnd(t *testing.T) {
@@ -91,7 +92,7 @@ func TestDampingReducesChurnEndToEnd(t *testing.T) {
 // the chaos layer.
 func TestImpairedRunIsDeterministic(t *testing.T) {
 	spec := flappingRailSpec(testDamping())
-	spec.Impairments = append(spec.Impairments, chaos.Spec{
+	spec.Episodes = append(spec.Episodes, chaos.Episode{
 		Comp:   topology.Dual(3).Backplane(1),
 		Start:  2 * time.Second,
 		Impair: netsim.Impairment{Loss: 0.05, Jitter: 200 * time.Microsecond},
@@ -122,8 +123,8 @@ func TestImpairedRunIsDeterministic(t *testing.T) {
 // refuse an impairment schedule that fails chaos validation.
 func TestRunRejectsBadImpairment(t *testing.T) {
 	spec := flappingRailSpec(linkmon.Damping{})
-	spec.Impairments[0].Impair.Loss = 2
-	if _, err := Build(spec); err == nil {
-		t.Fatal("Build accepted loss probability 2")
+	spec.Episodes[0].Impair.Loss = 2
+	if _, err := Build(spec); err == nil || !strings.Contains(err.Error(), "runtime: chaos: impairments[0] (nic(1,0)): netsim: impairment loss 2 outside [0,1]") {
+		t.Fatalf("Build of loss probability 2: error %v", err)
 	}
 }

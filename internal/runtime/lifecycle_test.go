@@ -26,7 +26,7 @@ func crashEpisodeSpec(warm bool) ClusterSpec {
 		Duration: 30 * time.Second,
 		Flows:    []Flow{{From: 0, To: 1, Interval: 250 * time.Millisecond}},
 		Faults:   []Fault{{At: time.Second, Comp: cl.NIC(2, 0)}},
-		Crashes:  []chaos.CrashSpec{{Node: 1, At: 10 * time.Second, RestartAt: 14 * time.Second, Warm: warm}},
+		Episodes: []chaos.Episode{{Kind: chaos.Crash, A: 1, Start: 10 * time.Second, Stop: 14 * time.Second, Warm: warm}},
 	}
 }
 
@@ -188,7 +188,6 @@ func TestCrashAdvancesIncarnation(t *testing.T) {
 	}
 	c.ScheduleFlows()
 	c.ScheduleFaults()
-	c.ScheduleCrashes()
 
 	c.RunUntil(12 * time.Second) // mid-outage
 	if c.Network().NodeUp(1) {

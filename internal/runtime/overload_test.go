@@ -63,7 +63,7 @@ func TestResultCountersBankAcrossRestart(t *testing.T) {
 	}
 
 	crashed := base
-	crashed.Crashes = []chaos.CrashSpec{{Node: 1, At: 8 * time.Second, RestartAt: 12 * time.Second}}
+	crashed.Episodes = []chaos.Episode{{Kind: chaos.Crash, A: 1, Start: 8 * time.Second, Stop: 12 * time.Second}}
 	split, err := Run(crashed)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestResultCountersOneWayCrashNotDoubled(t *testing.T) {
 		Protocol: ProtoDRS,
 		Seed:     7,
 		Duration: 20 * time.Second,
-		Crashes:  []chaos.CrashSpec{{Node: 1, At: 10 * time.Second}},
+		Episodes: []chaos.Episode{{Kind: chaos.Crash, A: 1, Start: 10 * time.Second}},
 	}
 	c, err := Build(spec)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestResultCountersOneWayCrashNotDoubled(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	c.ScheduleCrashes()
+	c.ScheduleFaults()
 	c.RunUntil(10*time.Second + time.Millisecond)
 	// The crash just banked the dead life; capture the banked total.
 	banked := c.pastCounters[1][routing.CtrProbesSent]

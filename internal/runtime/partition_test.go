@@ -22,8 +22,8 @@ func partitionSpec(dir netsim.Direction) ClusterSpec {
 		Tunables: Tunables{ProbeInterval: 500 * time.Millisecond, MissThreshold: 2,
 			StrictLinkEvidence: true},
 		Flows: []Flow{{From: 0, To: 1, Interval: 100 * time.Millisecond}},
-		Partitions: []chaos.PartitionSpec{{
-			A: 0, B: 1, Rail: 0, Direction: dir,
+		Episodes: []chaos.Episode{{
+			Kind: chaos.Partition, A: 0, B: 1, Rail: 0, Dir: dir,
 			Start: 3 * time.Second, Stop: 8 * time.Second,
 		}},
 	}
@@ -45,7 +45,7 @@ func TestAsymmetricPartitionRoutedAround(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	c.ScheduleFlows()
-	c.SchedulePartitions()
+	c.ScheduleFaults()
 	c.RunUntil(spec.Duration)
 	c.StopRouters()
 	run := c.Finish()
@@ -127,8 +127,8 @@ func TestSymmetricPartitionRun(t *testing.T) {
 // topologies are rejected at Build time with precise errors.
 func TestPartitionSpecValidation(t *testing.T) {
 	bad := partitionSpec(netsim.DirBoth)
-	bad.Partitions[0].B = 9
-	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "unknown node 9") {
+	bad.Episodes[0].B = 9
+	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "runtime: chaos: partitions[0]: unknown node 9") {
 		t.Fatalf("bad partition node: err %v", err)
 	}
 

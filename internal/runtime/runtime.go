@@ -59,9 +59,8 @@ func (s carrierSensor) CarrierUp(peer, rail int) bool {
 //
 // The canonical event-scheduling order — the determinism contract —
 // is Start (routers in node order), ScheduleFlows (spec order),
-// ScheduleFaults (spec order), ScheduleImpairments (spec order),
-// ScheduleCrashes (spec order), SchedulePartitions (spec order), then
-// RunUntil.
+// ScheduleFaults (the fail-stop Faults, then the Episodes, each in
+// spec order), then RunUntil.
 type Cluster struct {
 	spec    ClusterSpec
 	sched   *simtime.Scheduler
@@ -90,13 +89,10 @@ type Cluster struct {
 	banked       []bool
 	lifecycleErr error
 
-	started             bool
-	stopped             bool
-	flowsScheduled      bool
-	faultsScheduled     bool
-	impairsScheduled    bool
-	crashesScheduled    bool
-	partitionsScheduled bool
+	started         bool
+	stopped         bool
+	flowsScheduled  bool
+	faultsScheduled bool
 }
 
 // Build assembles a cluster from the spec: deterministic scheduler,
@@ -110,6 +106,11 @@ func Build(spec ClusterSpec) (*Cluster, error) {
 	builder, err := Lookup(spec.Protocol)
 	if err != nil {
 		return nil, err
+	}
+	for i, e := range spec.Episodes {
+		if e.Kind == chaos.Skew {
+			return nil, fmt.Errorf("runtime: %s: skew runs on the hermetic daemon cluster only", spec.entry(i))
+		}
 	}
 	sched := simtime.NewScheduler()
 	params := netsim.DefaultParams()
@@ -282,8 +283,8 @@ func (c *Cluster) ScheduleFlows() {
 	}
 }
 
-// ScheduleFaults installs the spec's component failure/repair script,
-// in spec order.
+// ScheduleFaults installs the spec's component failure/repair script
+// and then its fault episodes, each in spec order.
 func (c *Cluster) ScheduleFaults() {
 	if c.faultsScheduled {
 		return
@@ -299,59 +300,32 @@ func (c *Cluster) ScheduleFaults() {
 			}
 		})
 	}
+	if len(c.spec.Episodes) > 0 {
+		chaos.Schedule(c.Clock(), c.spec.Episodes, simFaults{c.net, c})
+	}
 }
 
-// ScheduleImpairments installs the spec's gray-failure script, in
-// spec order (the spec was validated at Build time).
-func (c *Cluster) ScheduleImpairments() error {
-	if c.impairsScheduled {
-		return nil
-	}
-	c.impairsScheduled = true
-	if len(c.spec.Impairments) == 0 {
-		return nil
-	}
-	inj, err := chaos.NewInjector(c.net, c.spec.Impairments)
-	if err != nil {
-		return err
-	}
-	inj.Schedule()
-	return nil
+// simFaults applies fault episodes to the simulated cluster: component
+// verbs act on the network, cuts on the dual-rail network (Normalize
+// keeps partitions off fabrics), crashes on the cluster's lifecycle.
+type simFaults struct {
+	netsim.Net
+	c *Cluster
 }
 
-// ScheduleCrashes installs the spec's daemon crash–restart script, in
-// spec order (validated at Build time). The cluster itself implements
-// chaos.Lifecycle.
-func (c *Cluster) ScheduleCrashes() {
-	if c.crashesScheduled {
-		return
-	}
-	c.crashesScheduled = true
-	if len(c.spec.Crashes) == 0 {
-		return
-	}
-	chaos.ScheduleCrashes(c.sched, c.spec.Crashes, c)
-}
+func (f simFaults) Partition(src, dst, rail int) { f.c.Network().Partition(src, dst, rail) }
+func (f simFaults) Heal(src, dst, rail int)      { f.c.Network().Heal(src, dst, rail) }
+func (f simFaults) Crash(node int, warm bool)    { f.c.Crash(node, warm) }
+func (f simFaults) Restart(node int)             { f.c.Restart(node) }
 
-// SchedulePartitions installs the spec's network-partition script, in
-// spec order (validated at Build time; the spec layer restricts
-// partitions to dual-rail clusters, whose Network implements the cut).
-func (c *Cluster) SchedulePartitions() {
-	if c.partitionsScheduled {
-		return
-	}
-	c.partitionsScheduled = true
-	if len(c.spec.Partitions) == 0 {
-		return
-	}
-	chaos.SchedulePartitions(c.sched, c.spec.Partitions, c.Network())
-}
+// SetSkew is unreachable: Build refuses skew episodes.
+func (f simFaults) SetSkew(int, time.Duration) { panic("runtime: skew on the simulator") }
 
 // Crash fail-stops node's routing process: the daemon is stopped and
 // the network blackholes every frame the node sends or would receive,
 // while its NICs stay electrically up. When warm, a checkpoint is
-// taken first for the next incarnation to restore. Crash implements
-// chaos.Lifecycle.
+// taken first for the next incarnation to restore. Crash episodes
+// call it.
 func (c *Cluster) Crash(node int, warm bool) {
 	if node < 0 || node >= len(c.routers) || c.stopped || !c.spec.Tunables.Lifecycle {
 		return
@@ -383,7 +357,7 @@ func (c *Cluster) Crash(node int, warm bool) {
 // Restart boots node's next incarnation: the network resumes carrying
 // its frames, the incarnation number advances, and a fresh router is
 // built — restoring the crash-time checkpoint when the episode was
-// warm — and started. Restart implements chaos.Lifecycle; build or
+// warm — and started. Crash episodes call it at their stop; build or
 // start failures surface as Run's error.
 func (c *Cluster) Restart(node int) {
 	if node < 0 || node >= len(c.routers) || c.stopped || !c.spec.Tunables.Lifecycle {
@@ -598,11 +572,6 @@ func Run(spec ClusterSpec) (*Result, error) {
 	}
 	c.ScheduleFlows()
 	c.ScheduleFaults()
-	if err := c.ScheduleImpairments(); err != nil {
-		return nil, err
-	}
-	c.ScheduleCrashes()
-	c.SchedulePartitions()
 	c.RunUntil(spec.Duration)
 	c.StopRouters()
 	if err := c.LifecycleErr(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"drsnet/internal/invariant"
 	"drsnet/internal/linkmon"
 	"drsnet/internal/overload"
+	"drsnet/internal/routing"
 	"drsnet/internal/topology"
 	"drsnet/internal/trace"
 )
@@ -64,7 +65,8 @@ type Tunables struct {
 	// monotonically increasing incarnation numbers, open with a rejoin
 	// broadcast, stamp their hellos and offers, and reject control
 	// frames from peers' previous lives. Set automatically when the
-	// spec carries Crashes; settable on its own for protocol studies.
+	// spec carries a crash episode; settable on its own for protocol
+	// studies.
 	Lifecycle bool
 }
 
@@ -165,21 +167,13 @@ type ClusterSpec struct {
 	Flows []Flow
 	// Faults is the component failure/repair script.
 	Faults []Fault
-	// Impairments is the gray-failure script: timed impairment
-	// episodes, unidirectional kills and link flapping (see
-	// internal/chaos). Empty means no impairments — the fail-stop
-	// world of the paper's experiments.
-	Impairments []chaos.Spec
-	// Crashes is the daemon crash–restart script (see chaos.CrashSpec):
-	// the node's process fail-stops at a scripted instant — NICs stay
-	// electrically up, frames blackhole — and optionally restarts cold
-	// or warm. A non-empty script implies Tunables.Lifecycle.
-	Crashes []chaos.CrashSpec
-	// Partitions is the network-partition script (see
-	// chaos.PartitionSpec): timed symmetric or asymmetric cuts between
-	// node pairs, per rail or across all rails, invisible to carrier
-	// sensing. Dual-rail clusters only.
-	Partitions []chaos.PartitionSpec
+	// Episodes is the timed fault script (see internal/chaos):
+	// impairment, kill and flap windows on components, node-pair
+	// partitions (dual-rail clusters only) and daemon crash–restarts.
+	// Its canonical order is a scenario document's: impairments, then
+	// crashes, then partitions. A crash implies Tunables.Lifecycle.
+	// Empty means the fail-stop world of the paper's experiments.
+	Episodes []chaos.Episode
 	// Invariant, if non-nil, runs the whole simulation under the
 	// forwarding-trace invariant checker (loop-freedom, delivery or
 	// provable disconnection, bounded stretch; see internal/invariant).
@@ -263,6 +257,19 @@ func (s *ClusterSpec) Normalize() error {
 		s.Tunables.AdvertiseInterval < 0 || s.Tunables.RouteTimeout < 0 {
 		return fmt.Errorf("runtime: negative protocol tunable")
 	}
+	// What the built-in builders derive from the tunables must exist:
+	// the DRS query timeout (half the probe interval), a link-state
+	// hello period within the fixed dead interval, and a reactive route
+	// that outlives one advertisement.
+	switch t := &s.Tunables; {
+	case s.Protocol == ProtoDRS && t.ProbeInterval/2 == 0:
+		return fmt.Errorf("runtime: probe interval %v leaves the DRS no query timeout (half the interval)", t.ProbeInterval)
+	case s.Protocol == ProtoLinkState && t.AdvertiseInterval > routing.DefaultLinkStateConfig().DeadInterval:
+		return fmt.Errorf("runtime: advertise interval %v above the link-state dead interval %v",
+			t.AdvertiseInterval, routing.DefaultLinkStateConfig().DeadInterval)
+	case s.Protocol == ProtoReactive && t.RouteTimeout < t.AdvertiseInterval:
+		return fmt.Errorf("runtime: route timeout %v below advertise interval %v", t.RouteTimeout, t.AdvertiseInterval)
+	}
 	if s.Tunables.FailoverTTL < 0 {
 		return fmt.Errorf("runtime: failover TTL %d must be ≥ 0", s.Tunables.FailoverTTL)
 	}
@@ -295,20 +302,6 @@ func (s *ClusterSpec) Normalize() error {
 			return fmt.Errorf("runtime: faults[%d] component %d outside universe %d", i, int(f.Comp), universe)
 		}
 	}
-	if len(s.Impairments) > 0 {
-		// Only an impaired spec pays for the fabric view of a dual-rail
-		// cluster: the sweeps build hundreds of unimpaired clusters.
-		f := s.fabric
-		if f == nil {
-			var err error
-			if f, err = topology.FromCluster(cl); err != nil {
-				return fmt.Errorf("runtime: %v", err)
-			}
-		}
-		if err := chaos.Validate(s.Impairments, f); err != nil {
-			return fmt.Errorf("runtime: %v", err)
-		}
-	}
 	if err := s.Tunables.FlapDamping.Normalize(); err != nil {
 		return fmt.Errorf("runtime: %v", err)
 	}
@@ -318,19 +311,33 @@ func (s *ClusterSpec) Normalize() error {
 	if err := s.Tunables.Overload.Normalize(); err != nil {
 		return fmt.Errorf("runtime: %v", err)
 	}
-	if err := chaos.ValidateCrashes(s.Crashes, s.Nodes); err != nil {
+	sh := chaos.Shape{Nodes: s.Nodes, Rails: s.Rails, Fabric: s.fabric}
+	if err := chaos.Validate(s.Episodes, sh, s.entry); err != nil {
 		return fmt.Errorf("runtime: %v", err)
 	}
-	if len(s.Partitions) > 0 && s.fabric != nil {
-		return fmt.Errorf("runtime: partitions are dual-rail only (fabric %q)", s.Topology.Kind)
-	}
-	if err := chaos.ValidatePartitions(s.Partitions, s.Nodes, s.Rails); err != nil {
-		return fmt.Errorf("runtime: %v", err)
-	}
-	if len(s.Crashes) > 0 {
-		s.Tunables.Lifecycle = true
+	for _, e := range s.Episodes {
+		if e.Kind == chaos.Crash {
+			s.Tunables.Lifecycle = true
+		}
 	}
 	return nil
+}
+
+// entry names episode i the way a scenario document lists it: by the
+// list its kind translates from and its place among that kind's
+// episodes.
+func (s *ClusterSpec) entry(i int) string {
+	list := map[chaos.Kind]string{
+		chaos.Component: "impairments", chaos.Crash: "crashes",
+		chaos.Partition: "partitions", chaos.Skew: "skews",
+	}[s.Episodes[i].Kind]
+	k := 0
+	for _, e := range s.Episodes[:i] {
+		if e.Kind == s.Episodes[i].Kind {
+			k++
+		}
+	}
+	return fmt.Sprintf("%s[%d]", list, k)
 }
 
 // topology returns the spec's cluster shape (after Normalize).

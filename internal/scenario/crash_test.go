@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/chaos"
 	"drsnet/internal/linkmon"
 	"drsnet/internal/trace"
 )
@@ -42,15 +43,15 @@ func TestCrashScenarioLoadsAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Crashes) != 2 {
-		t.Fatalf("spec crashes = %+v", spec.Crashes)
+	if len(spec.Episodes) != 2 {
+		t.Fatalf("spec episodes = %+v", spec.Episodes)
 	}
-	first := spec.Crashes[0]
-	if first.Node != 1 || first.At != 10*time.Second || first.RestartAt != 14*time.Second || !first.Warm {
+	first := spec.Episodes[0]
+	if first.Kind != chaos.Crash || first.A != 1 || first.Start != 10*time.Second || first.Stop != 14*time.Second || !first.Warm {
 		t.Fatalf("crash[0] = %+v", first)
 	}
-	if spec.Crashes[1].RestartAt != 0 || spec.Crashes[1].Warm {
-		t.Fatalf("crash[1] = %+v", spec.Crashes[1])
+	if spec.Episodes[1].Stop != 0 || spec.Episodes[1].Warm {
+		t.Fatalf("crash[1] = %+v", spec.Episodes[1])
 	}
 	if !spec.Tunables.Lifecycle {
 		t.Fatal("crash script did not imply the lifecycle")
@@ -104,7 +105,7 @@ func TestCrashScenarioValidation(t *testing.T) {
 		}, "outside [0,30s]"},
 		{"restart before crash", func(s *Scenario) {
 			s.Crashes = []CrashSpec{{Node: 1, At: sec(10), Restart: sec(5)}}
-		}, "not after crash"},
+		}, "crashes[0] (node 1): stop 5s not after start 10s"},
 		{"warm without restart", func(s *Scenario) {
 			s.Crashes = []CrashSpec{{Node: 1, At: sec(10), Warm: true}}
 		}, "never restarts"},
@@ -119,7 +120,7 @@ func TestCrashScenarioValidation(t *testing.T) {
 				{Node: 1, At: sec(5)},
 				{Node: 1, At: sec(10), Restart: sec(15)},
 			}
-		}, "never restarts it"},
+		}, "crashes[1] (node 1): crash window [10s,15s) overlaps crashes[0]"},
 		{"rto bounds without adaptiveRTO", func(s *Scenario) {
 			s.RTOMin = Duration(40 * time.Millisecond)
 		}, "adaptiveRTO is false"},

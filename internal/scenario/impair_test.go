@@ -111,14 +111,14 @@ func TestImpairmentSpecConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Impairments) != 3 {
-		t.Fatalf("impairments = %d", len(spec.Impairments))
+	if len(spec.Episodes) != 3 {
+		t.Fatalf("episodes = %d", len(spec.Episodes))
 	}
-	cl := spec.Impairments
+	cl := spec.Episodes
 	if cl[0].Impair.Loss != 0.1 || cl[0].Impair.Delay != 3*time.Millisecond {
 		t.Fatalf("backplane impairment = %+v", cl[0].Impair)
 	}
-	if !cl[1].Kill || cl[1].Direction != netsim.DirTx || cl[1].Stop != 25*time.Second {
+	if !cl[1].Kill || cl[1].Dir != netsim.DirTx || cl[1].Stop != 25*time.Second {
 		t.Fatalf("kill spec = %+v", cl[1])
 	}
 	if cl[2].FlapPeriod != 4*time.Second || cl[2].FlapDuty != 0.25 {

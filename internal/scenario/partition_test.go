@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/chaos"
 	"drsnet/internal/netsim"
 	"drsnet/internal/runtime"
 )
@@ -40,17 +41,17 @@ func TestPartitionScenarioLoadsAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Partitions) != 2 {
-		t.Fatalf("spec partitions = %+v", spec.Partitions)
+	if len(spec.Episodes) != 2 {
+		t.Fatalf("spec episodes = %+v", spec.Episodes)
 	}
-	first := spec.Partitions[0]
-	if first.A != 0 || first.B != 1 || first.Rail != 0 ||
+	first := spec.Episodes[0]
+	if first.Kind != chaos.Partition || first.A != 0 || first.B != 1 || first.Rail != 0 ||
 		first.Start != 3*time.Second || first.Stop != 8*time.Second ||
-		first.Direction != netsim.DirTx {
+		first.Dir != netsim.DirTx {
 		t.Fatalf("partition[0] = %+v", first)
 	}
-	if spec.Partitions[1].Rail != netsim.AllRails || spec.Partitions[1].Direction != netsim.DirBoth {
-		t.Fatalf("partition[1] = %+v", spec.Partitions[1])
+	if spec.Episodes[1].Rail != netsim.AllRails || spec.Episodes[1].Dir != netsim.DirBoth {
+		t.Fatalf("partition[1] = %+v", spec.Episodes[1])
 	}
 	if !spec.Tunables.StrictLinkEvidence {
 		t.Fatal("strictLinkEvidence did not thread into the tunables")

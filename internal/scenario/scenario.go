@@ -264,9 +264,10 @@ func Load(r io.Reader) (*Scenario, error) {
 // Validate checks what only the document form can get wrong,
 // translates the document into a runtime.ClusterSpec and normalizes
 // it: every cluster rule is runtime.ClusterSpec.Normalize's. The lists
-// translate entry for entry, so flows[i], crash[i] and spec[i] in a
-// runtime error name the document's traffic[i], crashes[i] and
-// impairments[i]. Load validates; a document edited afterwards must be
+// translate entry for entry, impairments, crashes and partitions in
+// that order, so a runtime error names the document's impairments[i],
+// crashes[i] or partitions[i], and flows[i] its traffic[i]. Load
+// validates; a document edited afterwards must be
 // validated again before Spec or Run see the edit.
 func (s *Scenario) Validate() error {
 	s.spec = nil
@@ -385,11 +386,12 @@ func (s *Scenario) translate() (runtime.ClusterSpec, error) {
 		if err != nil {
 			return spec, fmt.Errorf("scenario: impairments[%d] %v", i, err)
 		}
-		dir, err := parseDirection(im.Direction)
+		dir, err := chaos.ParseDirection(im.Direction)
 		if err != nil {
 			return spec, fmt.Errorf("scenario: impairments[%d] %v", i, err)
 		}
-		spec.Impairments = append(spec.Impairments, chaos.Spec{
+		spec.Episodes = append(spec.Episodes, chaos.Episode{
+			Kind:  chaos.Component,
 			Comp:  comp,
 			Start: time.Duration(im.Start),
 			Stop:  time.Duration(im.Stop),
@@ -400,7 +402,7 @@ func (s *Scenario) translate() (runtime.ClusterSpec, error) {
 				Jitter:  time.Duration(im.Jitter),
 			},
 			Kill:       im.Kill,
-			Direction:  dir,
+			Dir:        dir,
 			FlapPeriod: time.Duration(im.FlapPeriod),
 			FlapDuty:   im.FlapDuty,
 		})
@@ -409,11 +411,12 @@ func (s *Scenario) translate() (runtime.ClusterSpec, error) {
 		if err := s.instant("crashes", i, "at", c.At); err != nil {
 			return spec, err
 		}
-		spec.Crashes = append(spec.Crashes, chaos.CrashSpec{
-			Node:      c.Node,
-			At:        time.Duration(c.At),
-			RestartAt: time.Duration(c.Restart),
-			Warm:      c.Warm,
+		spec.Episodes = append(spec.Episodes, chaos.Episode{
+			Kind:  chaos.Crash,
+			A:     c.Node,
+			Start: time.Duration(c.At),
+			Stop:  time.Duration(c.Restart),
+			Warm:  c.Warm,
 		})
 	}
 	for i, p := range s.Partitions {
@@ -423,18 +426,15 @@ func (s *Scenario) translate() (runtime.ClusterSpec, error) {
 		if err := s.instant("partitions", i, "stop", p.Stop); err != nil {
 			return spec, err
 		}
-		dir, err := parseDirection(p.Direction)
+		dir, err := chaos.ParseDirection(p.Direction)
 		if err != nil {
 			return spec, fmt.Errorf("scenario: partitions[%d] %v", i, err)
 		}
-		rail := p.Rail
-		if rail == -1 {
-			rail = netsim.AllRails
-		}
-		spec.Partitions = append(spec.Partitions, chaos.PartitionSpec{
-			A: p.A, B: p.B, Rail: rail,
+		spec.Episodes = append(spec.Episodes, chaos.Episode{
+			Kind: chaos.Partition,
+			A:    p.A, B: p.B, Rail: p.Rail,
 			Start: time.Duration(p.Start), Stop: time.Duration(p.Stop),
-			Direction: dir,
+			Dir: dir,
 		})
 	}
 	return spec, nil
@@ -562,20 +562,6 @@ func (s *Scenario) rto() (linkmon.RTO, error) {
 		r.Max = time.Duration(s.RTOMax)
 	}
 	return r, nil
-}
-
-// parseDirection maps the JSON direction strings onto the simulator's
-// Direction values.
-func parseDirection(s string) (netsim.Direction, error) {
-	switch s {
-	case "", "both":
-		return netsim.DirBoth, nil
-	case "tx":
-		return netsim.DirTx, nil
-	case "rx":
-		return netsim.DirRx, nil
-	}
-	return 0, fmt.Errorf("direction %q (want both, tx or rx)", s)
 }
 
 // damping builds the DRS flap-damping config from the document's

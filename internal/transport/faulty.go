@@ -71,9 +71,8 @@ type FaultStats struct {
 // a deterministic inner transport (Mem on a manual clock, netsim) a
 // campaign replays bit-identically from its seed. Over UDP the
 // decisions are still seeded but goroutine interleaving orders them.
-//
-// Timed partition windows (PartitionWindow) run through the
-// controller's clock.Clock, keeping schedules on simulated time.
+// Timed windows are the caller's: chaos.Schedule drives Partition,
+// Heal and SetSkew from the same clock.
 type Faults struct {
 	mu    sync.Mutex
 	rng   *rng.Source
@@ -100,7 +99,7 @@ type faultDelivery struct {
 type cutKey struct{ src, dst, rail int }
 
 // NewFaults builds a controller whose decisions replay from seed and
-// whose deferred deliveries and partition windows run on clk.
+// whose deferred deliveries run on clk.
 func NewFaults(seed uint64, clk clock.Clock) *Faults {
 	return &Faults{
 		rng:  rng.New(seed).Split(0xfa017),
@@ -142,16 +141,6 @@ func (f *Faults) HealAll() {
 	defer f.mu.Unlock()
 	f.cuts = make(map[cutKey]struct{})
 	f.skew = make(map[int]time.Duration)
-}
-
-// PartitionWindow schedules a directed cut from start to stop on the
-// controller's clock (stop ≤ start: the cut lasts forever). Both are
-// delays from now, matching clock.Clock's AfterFunc.
-func (f *Faults) PartitionWindow(src, dst, rail int, start, stop time.Duration) {
-	f.clk.AfterFunc(start, func() { f.Partition(src, dst, rail) })
-	if stop > start {
-		f.clk.AfterFunc(stop, func() { f.Heal(src, dst, rail) })
-	}
 }
 
 // SetSkew delays every delivery to node by d (0 clears it) — a crude
