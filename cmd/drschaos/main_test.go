@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -161,6 +162,35 @@ func TestPlotMode(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("plot output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestPlotGolden pins the -plot chart byte for byte in two modes: loss,
+// and crash, whose cold and warm runs are separate legend entries on
+// an MTTR axis.
+func TestPlotGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"plot_loss.golden", []string{"-nodes", "4", "-duration", "20s", "-levels", "0,0.2",
+			"-protocols", "drs,static", "-plot"}},
+		{"plot_crash.golden", []string{"-mode", "crash", "-nodes", "4", "-duration", "30s",
+			"-protocols", "drs,reactive", "-seed", "3", "-plot"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out, errb bytes.Buffer
+			if code := run(tc.args, &out, &errb); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, errb.String())
+			}
+			if out.String() != string(want) {
+				t.Fatalf("plot drifted:\n--- got ---\n%s--- want ---\n%s", out.String(), want)
+			}
+		})
 	}
 }
 
