@@ -82,8 +82,8 @@ func BenchmarkQueryOfferChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := routeQuery{Origin: 1, Target: 2, Seq: uint32(i + 1), TTL: 1}
-		payload := wire.Envelope(wire.ProtoControl, marshalQuery(q))
+		q := wire.Query{Origin: 1, Target: 2, Seq: uint32(i + 1), TTL: 1}
+		payload := wire.Envelope(wire.ProtoControl, wire.MarshalQuery(q))
 		if err := c.net.Send(1, 0, 0, payload); err != nil {
 			b.Fatal(err)
 		}

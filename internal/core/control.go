@@ -17,30 +17,30 @@ func (d *Daemon) onControl(rail, src int, body []byte) {
 		return
 	}
 	switch body[0] {
-	case msgRouteQuery:
-		q, err := unmarshalQuery(body)
+	case wire.MsgRouteQuery:
+		q, err := wire.UnmarshalQuery(body)
 		if err != nil {
 			return
 		}
 		d.onQuery(rail, src, q)
-	case msgRouteOffer:
-		o, err := unmarshalOffer(body)
+	case wire.MsgRouteOffer:
+		o, err := wire.UnmarshalOffer(body)
 		if err != nil {
 			return
 		}
 		d.onOffer(rail, o)
-	case msgHello:
+	case wire.MsgHello:
 		d.onHello(rail, src)
-	case msgGoodbye:
+	case wire.MsgGoodbye:
 		d.onGoodbye(src)
-	case msgRejoin:
-		inc, err := unmarshalRejoin(body)
+	case wire.MsgRejoin:
+		inc, err := wire.UnmarshalRejoin(body)
 		if err != nil {
 			return
 		}
 		d.onRejoin(rail, src, inc)
-	case msgHelloInc:
-		inc, err := unmarshalHelloInc(body)
+	case wire.MsgHelloInc:
+		inc, err := wire.UnmarshalHelloInc(body)
 		if err != nil {
 			return
 		}
@@ -48,8 +48,8 @@ func (d *Daemon) onControl(rail, src int, body []byte) {
 			return
 		}
 		d.onHello(rail, src)
-	case msgOfferInc:
-		o, inc, err := unmarshalOfferInc(body)
+	case wire.MsgOfferInc:
+		o, inc, err := wire.UnmarshalOfferInc(body)
 		if err != nil {
 			return
 		}
@@ -97,7 +97,7 @@ func (d *Daemon) onGoodbye(src int) {
 		Peer: src, Rail: -1, Detail: "peer left (goodbye)"})
 }
 
-func (d *Daemon) onQuery(rail, src int, q routeQuery) {
+func (d *Daemon) onQuery(rail, src int, q wire.Query) {
 	self := d.tr.Node()
 	origin := int(q.Origin)
 	target := int(q.Target)
@@ -141,10 +141,10 @@ func (d *Daemon) onQuery(rail, src int, q routeQuery) {
 	d.mu.Unlock()
 
 	if canOffer {
-		offer := routeOffer{Origin: q.Origin, Target: q.Target, Seq: q.Seq, Relay: uint16(self)}
-		body := marshalOffer(offer)
+		offer := wire.Offer{Origin: q.Origin, Target: q.Target, Seq: q.Seq, Relay: uint16(self)}
+		body := wire.MarshalOffer(offer)
 		if d.cfg.Incarnation > 0 {
-			body = marshalOfferInc(offer, d.cfg.Incarnation)
+			body = wire.MarshalOfferInc(offer, d.cfg.Incarnation)
 		}
 		if err := d.tr.Send(rail, origin, wire.Envelope(wire.ProtoControl, body)); err == nil {
 			d.mset.Counter(routing.CtrOffersSent).Inc()
@@ -157,14 +157,14 @@ func (d *Daemon) onQuery(rail, src int, q routeQuery) {
 	// left (multi-rail topologies; a no-op at the default TTL of 1).
 	if ttl > 1 {
 		q.TTL = ttl - 1
-		payload := wire.Envelope(wire.ProtoControl, marshalQuery(q))
+		payload := wire.Envelope(wire.ProtoControl, wire.MarshalQuery(q))
 		for r := 0; r < d.tr.Rails(); r++ {
 			_ = d.tr.Send(r, transport.Broadcast, payload)
 		}
 	}
 }
 
-func (d *Daemon) onOffer(rail int, o routeOffer) {
+func (d *Daemon) onOffer(rail int, o wire.Offer) {
 	self := d.tr.Node()
 	if int(o.Origin) != self {
 		return // not addressed to us

@@ -168,8 +168,8 @@ func TestStaleOfferIgnored(t *testing.T) {
 
 	// Hand-craft an unsolicited offer to node 0 claiming node 2
 	// relays to node 1; with no pending discovery it must be ignored.
-	offer := routeOffer{Origin: 0, Target: 1, Seq: 999, Relay: 2}
-	payload := wire.Envelope(wire.ProtoControl, marshalOffer(offer))
+	offer := wire.Offer{Origin: 0, Target: 1, Seq: 999, Relay: 2}
+	payload := wire.Envelope(wire.ProtoControl, wire.MarshalOffer(offer))
 	if err := c.net.Send(2, 0, 0, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +246,8 @@ func TestSeenQueryCacheGC(t *testing.T) {
 	defer c.stop()
 	c.runFor(100 * time.Millisecond)
 	for i := 0; i < 6000; i++ {
-		q := routeQuery{Origin: 1, Target: 2, Seq: uint32(i), TTL: 1}
-		payload := wire.Envelope(wire.ProtoControl, marshalQuery(q))
+		q := wire.Query{Origin: 1, Target: 2, Seq: uint32(i), TTL: 1}
+		payload := wire.Envelope(wire.ProtoControl, wire.MarshalQuery(q))
 		if err := c.net.Send(1, 0, 0, payload); err != nil {
 			t.Fatal(err)
 		}

@@ -374,8 +374,8 @@ func TestStaleOfferRace(t *testing.T) {
 	// A delayed offer from node 2's incarnation 3 — two lives ago —
 	// arrives with the matching discovery sequence. Without the stamp
 	// this is indistinguishable from a valid answer.
-	stale := routeOffer{Origin: 0, Target: 1, Seq: q.Seq, Relay: 2}
-	d.onControl(0, 2, marshalOfferInc(stale, 3))
+	stale := wire.Offer{Origin: 0, Target: 1, Seq: q.Seq, Relay: 2}
+	d.onControl(0, 2, wire.MarshalOfferInc(stale, 3))
 	if got := d.Metrics().Counter(routing.CtrStaleControl).Value(); got != 1 {
 		t.Fatalf("control.stale = %d, want 1", got)
 	}
@@ -384,7 +384,7 @@ func TestStaleOfferRace(t *testing.T) {
 	}
 
 	// The same offer stamped with the current life is accepted.
-	d.onControl(0, 2, marshalOfferInc(stale, 5))
+	d.onControl(0, 2, wire.MarshalOfferInc(stale, 5))
 	if rt := d.RouteTo(1); rt.Kind != RouteRelay || rt.Via != 2 {
 		t.Fatalf("current-life offer rejected: route = %+v", rt)
 	}

@@ -213,7 +213,7 @@ func TestStaticModeIgnoresHellos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Stop()
-	if err := net.Send(2, 0, 0, wire.Envelope(wire.ProtoControl, marshalHello())); err != nil {
+	if err := net.Send(2, 0, 0, wire.Envelope(wire.ProtoControl, wire.MarshalHello())); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunUntil(simtime.Time(time.Second))

@@ -395,13 +395,13 @@ func (d *Daemon) sendQueryLocked(peer int, now time.Duration) {
 	if q == nil {
 		return // one discovery in flight per target
 	}
-	query := routeQuery{
+	query := wire.Query{
 		Origin: uint16(d.tr.Node()),
 		Target: uint16(peer),
 		Seq:    q.Seq,
 		TTL:    uint8(d.cfg.RelayTTL),
 	}
-	payload := wire.Envelope(wire.ProtoControl, marshalQuery(query))
+	payload := wire.Envelope(wire.ProtoControl, wire.MarshalQuery(query))
 	for rail := 0; rail < d.tr.Rails(); rail++ {
 		if err := d.tr.Send(rail, transport.Broadcast, payload); err == nil {
 			d.mset.Counter(routing.CtrQueriesSent).Inc()
