@@ -28,7 +28,7 @@ import (
 // (response time vs nodes at 5/10/15/25% budgets).
 func BenchmarkFigure1ProbeCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure1(costmodel.Defaults(), costmodel.FigureBudgets, 2, 128, 2)
+		res, err := experiments.Figure1Workers(costmodel.Defaults(), costmodel.FigureBudgets, 2, 128, 2, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,12 +67,12 @@ func BenchmarkFigure2Analytic(b *testing.B) {
 func BenchmarkFigure2Memoized(b *testing.B) {
 	fs := []int{2, 3, 4, 5, 6, 7, 8, 9, 10}
 	survival.ResetCaches()
-	if _, err := experiments.Figure2(fs, 63); err != nil {
+	if _, err := experiments.Figure2Workers(fs, 63, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure2(fs, 63); err != nil {
+		if _, err := experiments.Figure2Workers(fs, 63, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func BenchmarkFigure2Memoized(b *testing.B) {
 // P[Success] > 0.99 for f = 2, 3, 4 (paper: 18, 32, 45).
 func BenchmarkFigure2Thresholds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Thresholds([]int{2, 3, 4}, 0.99, 100)
+		rows, err := experiments.ThresholdsWorkers([]int{2, 3, 4}, 0.99, 100, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func SurvivabilityThreshold(f int, target float64, maxN int) (int, error) {
 // SurvivabilitySeries returns PSuccess(n, f) for n = f+1 .. maxN —
 // one curve of the paper's Figure 2.
 func SurvivabilitySeries(f, maxN int) []float64 {
-	return survival.Series(f, f+1, maxN)
+	return survival.SeriesWorkers(f, f+1, maxN, 1)
 }
 
 // SimulateSurvivability estimates PSuccess(n, f) by Monte Carlo

@@ -53,13 +53,8 @@ type Figure1Result struct {
 	Times [][]float64
 }
 
-// Figure1 computes the Figure 1 curves for node counts nMin..nMax in
-// steps of step.
-func Figure1(params costmodel.Params, budgets []float64, nMin, nMax, step int) (*Figure1Result, error) {
-	return Figure1Workers(params, budgets, nMin, nMax, step, 0)
-}
-
-// Figure1Workers is Figure1 on the parallel sweep engine: every
+// Figure1Workers computes the Figure 1 curves for node counts
+// nMin..nMax in steps of step, on the parallel sweep engine: every
 // (budget, node) cell is an independent evaluation written into its
 // own slot, so the result is bit-identical for every worker count
 // (0 = GOMAXPROCS).
@@ -129,14 +124,9 @@ type Figure2Result struct {
 	P [][]float64
 }
 
-// Figure2 computes P[Success] for every f in failures and every
-// f < N ≤ nMax (the paper plots f < N < 64).
-func Figure2(failures []int, nMax int) (*Figure2Result, error) {
-	return Figure2Workers(failures, nMax, 0)
-}
-
-// Figure2Workers is Figure2 on the parallel sweep engine. The sweep is
-// sharded over every (f, N) point — not per curve, so short curves do
+// Figure2Workers computes P[Success] for every f in failures and every
+// f < N ≤ nMax (the paper plots f < N < 64) on the parallel sweep
+// engine. The sweep is sharded over every (f, N) point — not per curve, so short curves do
 // not serialize behind long ones — and every point is an independent
 // exact evaluation written into its own slot: the result is
 // bit-identical for every worker count (0 = GOMAXPROCS).
@@ -200,15 +190,10 @@ type ThresholdRow struct {
 	Found bool
 }
 
-// Thresholds computes, for each f, the first N ≤ nMax at which
+// ThresholdsWorkers computes, for each f, the first N ≤ nMax at which
 // P[Success] exceeds target. The paper reports 18, 32 and 45 for
-// f = 2, 3, 4 at target 0.99.
-func Thresholds(failures []int, target float64, nMax int) ([]ThresholdRow, error) {
-	return ThresholdsWorkers(failures, target, nMax, 0)
-}
-
-// ThresholdsWorkers is Thresholds on the parallel sweep engine: each
-// failure count's scan is independent, so rows solve concurrently and
+// f = 2, 3, 4 at target 0.99. It runs on the parallel sweep engine:
+// each failure count's scan is independent, so rows solve concurrently and
 // land in input order (0 = GOMAXPROCS). Results are bit-identical for
 // every worker count.
 func ThresholdsWorkers(failures []int, target float64, nMax, workers int) ([]ThresholdRow, error) {

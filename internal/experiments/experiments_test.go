@@ -13,7 +13,7 @@ import (
 )
 
 func TestFigure1(t *testing.T) {
-	res, err := Figure1(costmodel.Defaults(), costmodel.FigureBudgets, 10, 100, 10)
+	res, err := Figure1Workers(costmodel.Defaults(), costmodel.FigureBudgets, 10, 100, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +51,19 @@ func TestFigure1(t *testing.T) {
 }
 
 func TestFigure1Errors(t *testing.T) {
-	if _, err := Figure1(costmodel.Defaults(), nil, 2, 10, 1); err == nil {
+	if _, err := Figure1Workers(costmodel.Defaults(), nil, 2, 10, 1, 0); err == nil {
 		t.Error("no budgets accepted")
 	}
-	if _, err := Figure1(costmodel.Defaults(), []float64{0.1}, 2, 10, 0); err == nil {
+	if _, err := Figure1Workers(costmodel.Defaults(), []float64{0.1}, 2, 10, 0, 0); err == nil {
 		t.Error("zero step accepted")
 	}
-	if _, err := Figure1(costmodel.Defaults(), []float64{2}, 2, 10, 1); err == nil {
+	if _, err := Figure1Workers(costmodel.Defaults(), []float64{2}, 2, 10, 1, 0); err == nil {
 		t.Error("budget > 1 accepted")
 	}
 }
 
 func TestFigure2(t *testing.T) {
-	res, err := Figure2([]int{2, 3, 4}, 63)
+	res, err := Figure2Workers([]int{2, 3, 4}, 63, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +79,16 @@ func TestFigure2(t *testing.T) {
 	if !strings.Contains(sb.String(), "Figure 2") {
 		t.Fatal("missing header")
 	}
-	if _, err := Figure2(nil, 63); err == nil {
+	if _, err := Figure2Workers(nil, 63, 0); err == nil {
 		t.Error("empty failure list accepted")
 	}
-	if _, err := Figure2([]int{70}, 63); err == nil {
+	if _, err := Figure2Workers([]int{70}, 63, 0); err == nil {
 		t.Error("f >= nMax accepted")
 	}
 }
 
 func TestThresholdsMatchPaper(t *testing.T) {
-	rows, err := Thresholds([]int{2, 3, 4}, 0.99, 100)
+	rows, err := ThresholdsWorkers([]int{2, 3, 4}, 0.99, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestThresholdsMatchPaper(t *testing.T) {
 }
 
 func TestThresholdsNotFoundRendered(t *testing.T) {
-	rows, err := Thresholds([]int{9}, 0.99, 10)
+	rows, err := ThresholdsWorkers([]int{9}, 0.99, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func sectionFigure1(w io.Writer, cfg Config) error {
 	if cfg.Quick {
 		step = 8
 	}
-	res, err := experiments.Figure1(costmodel.Defaults(), costmodel.FigureBudgets, 2, 128, step)
+	res, err := experiments.Figure1Workers(costmodel.Defaults(), costmodel.FigureBudgets, 2, 128, step, 0)
 	if err != nil {
 		return err
 	}
@@ -119,14 +119,14 @@ func sectionFigure2(w io.Writer, cfg Config) error {
 	if cfg.Quick {
 		fs = []int{2, 4, 10}
 	}
-	res, err := experiments.Figure2(fs, 63)
+	res, err := experiments.Figure2Workers(fs, 63, 0)
 	if err != nil {
 		return err
 	}
 	if err := codeBlock(w, res.WritePlot); err != nil {
 		return err
 	}
-	rows, err := experiments.Thresholds([]int{2, 3, 4}, 0.99, 200)
+	rows, err := experiments.ThresholdsWorkers([]int{2, 3, 4}, 0.99, 200, 0)
 	if err != nil {
 		return err
 	}

@@ -171,14 +171,9 @@ func PSuccessFloat(n, f int) float64 {
 	return v
 }
 
-// Series returns PSuccessFloat(n, f) for n = nMin..nMax inclusive —
-// one curve of the paper's Figure 2.
-func Series(f, nMin, nMax int) []float64 {
-	return SeriesWorkers(f, nMin, nMax, 1)
-}
-
-// SeriesWorkers is Series computed by the parallel sweep engine with
-// the given worker count (0 = GOMAXPROCS). Every point is an
+// SeriesWorkers returns PSuccessFloat(n, f) for n = nMin..nMax
+// inclusive — one curve of the paper's Figure 2 — computed by the
+// parallel sweep engine with the given worker count (0 = GOMAXPROCS). Every point is an
 // independent exact evaluation written into its own slot, so the
 // result is bit-identical for every worker count.
 func SeriesWorkers(f, nMin, nMax, workers int) []float64 {

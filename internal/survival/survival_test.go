@@ -262,7 +262,7 @@ func TestConvergesToOne(t *testing.T) {
 }
 
 func TestSeries(t *testing.T) {
-	s := Series(2, 3, 63)
+	s := SeriesWorkers(2, 3, 63, 1)
 	if len(s) != 61 {
 		t.Fatalf("series length %d, want 61", len(s))
 	}
@@ -279,10 +279,10 @@ func TestSeries(t *testing.T) {
 func TestSeriesPanicsOnBadRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Series(2, 10, 5) did not panic")
+			t.Fatal("SeriesWorkers(2, 10, 5, 1) did not panic")
 		}
 	}()
-	Series(2, 10, 5)
+	SeriesWorkers(2, 10, 5, 1)
 }
 
 func TestPSuccessPanicsOutOfRange(t *testing.T) {
@@ -368,6 +368,6 @@ func BenchmarkPSuccess(b *testing.B) {
 
 func BenchmarkSeriesF4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Series(4, 5, 63)
+		SeriesWorkers(4, 5, 63, 1)
 	}
 }
