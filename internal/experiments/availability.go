@@ -3,10 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"drsnet/internal/availability"
-	"drsnet/internal/failure"
+	"drsnet/internal/rng"
 	"drsnet/internal/runtime"
 	"drsnet/internal/topology"
 )
@@ -79,7 +80,7 @@ func MeasureAvailability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 		return nil, err
 	}
 	cluster := topology.Dual(cfg.Nodes)
-	plan, err := failure.RandomSchedule(cluster, failure.ScheduleConfig{
+	plan, err := RandomSchedule(cluster, ScheduleConfig{
 		Horizon: cfg.Horizon,
 		MTBF:    cfg.MTBF,
 		MTTR:    cfg.MTTR,
@@ -100,14 +101,14 @@ func MeasureAvailability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 		// Frames in flight at the horizon are microseconds from
 		// delivery — noise against an hours-long window — so no drain
 		// pass is needed (the flow runs to the horizon).
-		Flows: []runtime.Flow{{From: 0, To: 1, Interval: cfg.TrafficInterval}},
+		Flows:  []runtime.Flow{{From: 0, To: 1, Interval: cfg.TrafficInterval}},
+		Faults: plan,
 	}
 	failures := 0
-	for _, a := range plan {
-		if !a.Up {
+	for _, f := range plan {
+		if !f.Restore {
 			failures++
 		}
-		spec.Faults = append(spec.Faults, runtime.Fault{At: a.At, Comp: a.Component, Restore: a.Up})
 	}
 	run, err := runtime.Run(spec)
 	if err != nil {
@@ -134,6 +135,61 @@ func MeasureAvailability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 		Model:     model,
 		Failures:  failures,
 	}, nil
+}
+
+// ScheduleConfig parameterizes random failure/repair schedules.
+type ScheduleConfig struct {
+	// Horizon is the simulated time covered.
+	Horizon time.Duration
+	// MTBF is each component's mean time between failures.
+	MTBF time.Duration
+	// MTTR is the mean time to repair a failed component.
+	MTTR time.Duration
+	// Seed drives the sampling.
+	Seed uint64
+}
+
+func (c ScheduleConfig) validate() error {
+	if c.Horizon <= 0 || c.MTBF <= 0 || c.MTTR <= 0 {
+		return fmt.Errorf("experiments: horizon, MTBF and MTTR must be positive")
+	}
+	return nil
+}
+
+// RandomSchedule samples an alternating fail/repair process for every
+// component of the cluster: exponential up-times with mean MTBF and
+// down-times with mean MTTR, truncated at the horizon. The faults are
+// ordered by time, then component.
+func RandomSchedule(cluster topology.Cluster, cfg ScheduleConfig) ([]runtime.Fault, error) {
+	if err := cluster.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	r := rng.New(cfg.Seed)
+	var sched []runtime.Fault
+	for comp := 0; comp < cluster.Components(); comp++ {
+		sub := r.Split(uint64(comp))
+		t := time.Duration(sub.ExpFloat64() * float64(cfg.MTBF))
+		up := false // next transition takes the component down
+		for t < cfg.Horizon {
+			sched = append(sched, runtime.Fault{At: t, Comp: topology.Component(comp), Restore: up})
+			if up {
+				t += time.Duration(sub.ExpFloat64() * float64(cfg.MTBF))
+			} else {
+				t += time.Duration(sub.ExpFloat64() * float64(cfg.MTTR))
+			}
+			up = !up
+		}
+	}
+	sort.Slice(sched, func(i, j int) bool {
+		if sched[i].At != sched[j].At {
+			return sched[i].At < sched[j].At
+		}
+		return sched[i].Comp < sched[j].Comp
+	})
+	return sched, nil
 }
 
 // WriteAvailability renders a measurement next to its prediction.

@@ -1,24 +1,15 @@
-// Package failure generates the failure workloads of the paper's
-// evaluation:
-//
-//   - a synthetic fleet failure log reproducing the motivating
-//     statistic — "we evaluated one hundred deployed systems and found
-//     that over a one-year period, thirteen percent of the hardware
-//     failures were network related";
-//   - component failure/repair schedules for driving the packet-level
-//     simulator through long-running availability experiments (the
-//     voice-mail deployment scenario).
-//
-// Everything is seeded and deterministic.
+// Package failure generates the fleet failure log of the paper's
+// evaluation: a synthetic history reproducing the motivating statistic
+// — "we evaluated one hundred deployed systems and found that over a
+// one-year period, thirteen percent of the hardware failures were
+// network related". Everything is seeded and deterministic.
 package failure
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"drsnet/internal/rng"
-	"drsnet/internal/topology"
 )
 
 // Category classifies a hardware failure in the fleet log.
@@ -219,72 +210,4 @@ func (l *FleetLog) Summary() FleetSummary {
 		s.NetworkFraction = float64(s.Network) / float64(s.Total)
 	}
 	return s
-}
-
-// ---------------------------------------------------------------
-// Component failure schedules for the packet simulator.
-
-// Action is one scheduled component state change.
-type Action struct {
-	At        time.Duration
-	Component topology.Component
-	// Up false fails the component; true restores it.
-	Up bool
-}
-
-// Schedule is a time-ordered list of component state changes.
-type Schedule []Action
-
-// ScheduleConfig parameterizes random failure/repair schedules.
-type ScheduleConfig struct {
-	// Horizon is the simulated time covered.
-	Horizon time.Duration
-	// MTBF is each component's mean time between failures.
-	MTBF time.Duration
-	// MTTR is the mean time to repair a failed component.
-	MTTR time.Duration
-	// Seed drives the sampling.
-	Seed uint64
-}
-
-func (c ScheduleConfig) validate() error {
-	if c.Horizon <= 0 || c.MTBF <= 0 || c.MTTR <= 0 {
-		return fmt.Errorf("failure: horizon, MTBF and MTTR must be positive")
-	}
-	return nil
-}
-
-// RandomSchedule samples an alternating fail/repair process for every
-// component of the cluster: exponential up-times with mean MTBF and
-// down-times with mean MTTR, truncated at the horizon.
-func RandomSchedule(cluster topology.Cluster, cfg ScheduleConfig) (Schedule, error) {
-	if err := cluster.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	r := rng.New(cfg.Seed)
-	var sched Schedule
-	for comp := 0; comp < cluster.Components(); comp++ {
-		sub := r.Split(uint64(comp))
-		t := time.Duration(sub.ExpFloat64() * float64(cfg.MTBF))
-		up := false // next transition takes the component down
-		for t < cfg.Horizon {
-			sched = append(sched, Action{At: t, Component: topology.Component(comp), Up: up})
-			if up {
-				t += time.Duration(sub.ExpFloat64() * float64(cfg.MTBF))
-			} else {
-				t += time.Duration(sub.ExpFloat64() * float64(cfg.MTTR))
-			}
-			up = !up
-		}
-	}
-	sort.Slice(sched, func(i, j int) bool {
-		if sched[i].At != sched[j].At {
-			return sched[i].At < sched[j].At
-		}
-		return sched[i].Component < sched[j].Component
-	})
-	return sched, nil
 }
