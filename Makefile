@@ -98,6 +98,7 @@ smoke: benchsmoke fuzzsmoke
 	$(GO) run ./cmd/drsim -config examples/scenarios/static-failover.json
 	$(GO) run ./cmd/drsurvive -topology fatTree:k=4 -f 1,2,4 -mc 20000
 	$(GO) run ./cmd/drschaos -nodes 4 -duration 20s -levels 0,0.2 -protocols drs,static
+	$(GO) run ./cmd/drschaos -mode flap -nodes 4 -duration 20s -levels 0,0.4 -protocols drs,reactive -damping
 	$(GO) run ./cmd/drschaos -mode crash -nodes 4 -duration 30s -protocols drs,reactive -rto
 	$(GO) run ./cmd/drschaos -mode failover -nodes 4 -duration 20s -protocols failover-rotor,failover-arbor,failover-bounce,drs
 	$(GO) run ./cmd/drschaos -mode storm -nodes 5 -duration 30s -levels 0,0.5 -seed 3

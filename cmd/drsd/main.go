@@ -18,8 +18,10 @@
 //	SIGHUP   — graceful reload: re-read the config, and if it is
 //	           valid, hand the current routes to the next incarnation
 //	           in-process (an invalid config is logged and ignored).
-//	SIGTERM  — drain: announce departure (goodbye), write a final
-//	           checkpoint, exit 0. SIGINT behaves the same.
+//	SIGTERM  — drain: write a final checkpoint, stop the daemon, exit
+//	           0. No goodbye goes out (drsd runs the deployed DRS's
+//	           static membership): peers detect the silence by probe
+//	           misses, as after a kill -9. SIGINT behaves the same.
 //	kill -9  — nothing graceful happens, which is the point: the next
 //	           boot warm-starts from the last periodic checkpoint and
 //	           rejoins under a newer incarnation.
@@ -122,9 +124,10 @@ func start(configPath string, inc uint32, restore *core.Checkpoint) (*instance, 
 	return inst, nil
 }
 
-// stop tears the instance down. announce sends the membership goodbye
-// (drain); a reload keeps quiet so peers hold their routes for the
-// next incarnation's rejoin.
+// stop tears the instance down. announce (drain) stops the DRS through
+// Daemon.Leave, which would broadcast a membership goodbye only under
+// dynamic membership; no drsd cluster spec can enable that, so a
+// drained node just falls silent. A reload stops the router directly.
 func (i *instance) stop(announce bool) {
 	close(i.stopCh)
 	i.wg.Wait()

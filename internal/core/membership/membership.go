@@ -1,8 +1,9 @@
 // Package membership implements the DRS's dynamic-membership
 // extension: instead of the deployed system's statically configured
 // host list, daemons announce themselves with a hello each probe
-// round, retract themselves with a goodbye, and forget peers that
-// have gone silent. The Tracker only keeps the who-and-when
+// round and retract themselves with a goodbye; a learned peer that
+// goes silent stays a member, and probe misses take its links down
+// like any other peer's. The Tracker only keeps the who-and-when
 // bookkeeping; the owning daemon decides what joining or leaving does
 // to its monitoring and route state.
 //
