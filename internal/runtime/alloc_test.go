@@ -115,7 +115,9 @@ func TestDataPathAllocations(t *testing.T) {
 		}},
 		// Node 0 hears a distinct route query each time and answers it
 		// with an offer. The frames are built ahead of the measurement.
-		{"query to offer", 3, func(t *testing.T, c *Cluster) func() {
+		// The offer body stays on the stack: core calls the inlinable
+		// wire.MarshalOffer directly; only its envelope escapes.
+		{"query to offer", 2, func(t *testing.T, c *Cluster) func() {
 			frames := make([][]byte, runs+1) // AllocsPerRun warms up once
 			for i := range frames {
 				q := wire.Query{Origin: 1, Target: 2, Seq: uint32(i + 1), TTL: 1}
