@@ -94,6 +94,10 @@ smoke: benchsmoke fuzzsmoke
 	$(GO) test ./cmd/drsd/ -timeout 180s
 	$(GO) run ./cmd/drsim -config examples/scenarios/fat-tree.json
 	$(GO) run ./cmd/drsim -config examples/scenarios/flapping-rail.json
+	$(GO) run ./cmd/drsim -config examples/scenarios/lossy-switched.json
+	$(GO) run ./cmd/drsim -config examples/scenarios/nic-failover.json
+	$(GO) run ./cmd/drsim -config examples/scenarios/partition-heal.json
+	$(GO) run ./cmd/drsim -config examples/scenarios/rolling-backplane-maintenance.json
 	$(GO) run ./cmd/drsim -config examples/scenarios/rolling-crash.json
 	$(GO) run ./cmd/drsim -config examples/scenarios/static-failover.json
 	$(GO) run ./cmd/drsurvive -topology fatTree:k=4 -f 1,2,4 -mc 20000

@@ -222,6 +222,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if _, err := runtime.Lookup(p); err != nil {
 			return fail("%v", err)
 		}
+		if slices.Contains(c.protocols, p) {
+			return fail("protocol %q listed twice in -protocols", p)
+		}
 		c.protocols = append(c.protocols, p)
 	}
 	c.points = m.regimes

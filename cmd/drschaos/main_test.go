@@ -215,6 +215,26 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// A protocol listed twice is refused before anything runs, in the
+// default lineup's mode and in failover mode alike.
+func TestDuplicateProtocolRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-protocols", "drs,drs"},
+		{"-mode", "failover", "-protocols", "drs, reactive,drs"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 1 {
+			t.Errorf("args %v: exit %d, want 1", args, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("args %v printed a campaign:\n%s", args, out.String())
+		}
+		if want := `drschaos: protocol "drs" listed twice in -protocols`; !strings.Contains(errb.String(), want) {
+			t.Errorf("args %v: stderr %q, want %q", args, errb.String(), want)
+		}
+	}
+}
+
 // failoverGolden is the static fast-failover head-to-head table:
 // TestFailoverCampaignGolden pins it, and EXPERIMENTS.md quotes rows
 // of it.

@@ -160,7 +160,7 @@ func TestPartitionHealGolden(t *testing.T) {
   from     to       sent  delivered       loss
      0      1        150        144      4.00%
      1      0        150        149      0.67%
-route repairs: 2   utilization rail0 0.0347%  rail1 0.0429%
+route repairs: 2   utilization rail0 0.0206%  rail1 0.0269%
 `
 	var out, errb bytes.Buffer
 	code := run([]string{"-config", "../../examples/scenarios/partition-heal.json"}, &out, &errb)
@@ -181,7 +181,7 @@ func TestScenarioTraceGolden(t *testing.T) {
 		{"flapping-rail.json", "a3e468b262151adf9fcea6f3764dba163a45b46a0d239184610a166fd83ee55b"},
 		{"lossy-switched.json", "d70fb05ad886da9991a4e456fc8b29846cec430f717f2c0f8e1ebc618e1e00b0"},
 		{"nic-failover.json", "acf7f9e7a5e2839762d148de81fa3b90674e4f59b80f36e675c238b4bd905ca4"},
-		{"partition-heal.json", "2a3ba5a4fc599b4f915e39bc9a18e7ce4d26a23580ed93fc627e804b5138001d"},
+		{"partition-heal.json", "bd65ecb37f6b3769852fcda4105231703f25c42d36b34c89aa06d265c253f3a5"},
 		{"rolling-backplane-maintenance.json", "5cc5a14a19abe224fb3a83b8e94e910ff04033f9ea9207e912cf6a257bb89767"},
 		{"rolling-crash.json", "60e2b0e3ce684897eeb8a42dc3732a51779b5e5f80352f2bc893f660eac85f95"},
 		{"static-failover.json", "d2097bcbcc8dec695b592dd8298ad37c9547b2eb44fe6c60f27ddd63a591b7e5"},

@@ -148,9 +148,9 @@ func Render(w io.Writer, cfg Config, series ...Series) error {
 	if cfg.YLabel != "" {
 		fmt.Fprintf(w, "%s\n", cfg.YLabel)
 	}
-	const gutter = 9
+	const gutter = 7
 	for r, row := range grid {
-		label := "        "
+		label := ""
 		switch r {
 		case 0:
 			label = axisLabel(yMax)
@@ -159,9 +159,9 @@ func Render(w io.Writer, cfg Config, series ...Series) error {
 		case (cfg.Height - 1) / 2:
 			label = axisLabel((yMin + yMax) / 2)
 		}
-		fmt.Fprintf(w, "%*s |%s\n", gutter-2, label, string(row))
+		fmt.Fprintf(w, "%*s |%s\n", gutter, label, string(row))
 	}
-	fmt.Fprintf(w, "%*s +%s\n", gutter-2, "", strings.Repeat("-", cfg.Width))
+	fmt.Fprintf(w, "%*s +%s\n", gutter, "", strings.Repeat("-", cfg.Width))
 	lo, hi := axisLabel(xMin), axisLabel(xMax)
 	if cfg.LogX {
 		lo = fmt.Sprintf("10^%.0f", math.Log10(xMin))
@@ -171,9 +171,9 @@ func Render(w io.Writer, cfg Config, series ...Series) error {
 	if pad < 1 {
 		pad = 1
 	}
-	fmt.Fprintf(w, "%*s %s%s%s\n", gutter-2, "", lo, strings.Repeat(" ", pad), hi)
+	fmt.Fprintf(w, "%*s %s%s%s\n", gutter, "", lo, strings.Repeat(" ", pad), hi)
 	if cfg.XLabel != "" {
-		fmt.Fprintf(w, "%*s %s\n", gutter-2, "", center(cfg.XLabel, cfg.Width))
+		fmt.Fprintf(w, "%*s %s\n", gutter, "", center(cfg.XLabel, cfg.Width))
 	}
 	// Legend.
 	var legend []string
@@ -184,7 +184,7 @@ func Render(w io.Writer, cfg Config, series ...Series) error {
 		}
 		legend = append(legend, fmt.Sprintf("%c %s", markers[si%len(markers)], name))
 	}
-	fmt.Fprintf(w, "%*s %s\n", gutter-2, "", strings.Join(legend, "   "))
+	fmt.Fprintf(w, "%*s %s\n", gutter, "", strings.Join(legend, "   "))
 	return nil
 }
 

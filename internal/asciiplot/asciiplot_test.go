@@ -127,3 +127,17 @@ func TestNaNPointsSkipped(t *testing.T) {
 		t.Fatalf("plotted %d points, want 2:\n%s", count, out)
 	}
 }
+
+// Every plot row, labelled or not, puts its axis bar in the column of
+// the x axis's corner.
+func TestAxisBarOneColumn(t *testing.T) {
+	out := render(t, Config{Width: 20, Height: 7, YLabel: "P"},
+		Series{Name: "s", X: []float64{1, 100}, Y: []float64{0.5, 0.99}})
+	lines := strings.Split(out, "\n")
+	col := strings.IndexByte(lines[8], '+') // below the y label and 7 rows
+	for r, line := range lines[1:8] {
+		if got := strings.IndexByte(line, '|'); got != col {
+			t.Errorf("row %d's bar at column %d, the x axis's corner at %d:\n%s", r, got, col, out)
+		}
+	}
+}

@@ -396,15 +396,21 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 // probe misses, meets the check an answering round awaits, and may
 // re-raise the rail — cheap fast recovery, but it masks one-way cuts.
 // With StrictLinkEvidence set, link state moves solely on round-trip
-// evidence — confirmed replies to our own probes — so a dead tx
-// direction accumulates misses and fails over no matter how much the
-// peer is heard. Caller holds d.mu.
+// evidence, so a dead tx direction accumulates misses and fails over
+// no matter how much the peer is heard. The requesting end of a pair
+// credits only confirmed replies to its own probes. The answering end
+// credits a request only when it carries a fresh acknowledgement: a
+// nonzero RTT sample, which the requester sends only for a reply it
+// confirmed to its previous round's request (sendProbeLocked). The
+// request proves the src→us direction now and the acknowledged reply
+// the us→src direction one round ago, which is the round trip the
+// answering end's own probe would prove. Caller holds d.mu.
 func (d *Daemon) noteAliveLocked(rail, src int, data []byte) {
 	if d.stopped || !d.links.Monitored(src) {
 		return
 	}
 	d.members.Heard(src, d.clock.Now())
-	if d.cfg.StrictLinkEvidence {
+	if d.cfg.StrictLinkEvidence && (src > d.tr.Node() || !acknowledges(data)) {
 		return
 	}
 	st := d.links.State(src, rail)
@@ -419,6 +425,13 @@ func (d *Daemon) noteAliveLocked(rail, src int, data []byte) {
 	if !st.Up {
 		d.markUpLocked(src, rail, d.clock.Now())
 	}
+}
+
+// acknowledges reports whether a request's echo data carries an RTT
+// sample, which under strict evidence is the requester's
+// acknowledgement of the previous round's reply.
+func acknowledges(data []byte) bool {
+	return len(data) >= probeData && binary.BigEndian.Uint64(data[8:probeData]) != 0
 }
 
 func (d *Daemon) event(e trace.Event) {

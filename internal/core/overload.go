@@ -186,7 +186,7 @@ func (d *Daemon) reprobeLocked(peer int, now time.Duration) {
 		if down {
 			d.markDownLocked(peer, rail, now)
 		}
-		d.sendProbeLocked(peer, rail, seq, now, true)
+		d.sendProbeLocked(peer, rail, seq, now, false, true)
 		if d.cfg.AdaptiveRTO.Enabled() {
 			deadline := d.rtoDeadlineLocked(st)
 			d.clock.AfterCall(deadline, callFunc, func() { d.probeExpired(peer, rail, seq) })

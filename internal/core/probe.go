@@ -24,6 +24,7 @@ const probeData = 16
 type probe struct {
 	peer, rail int
 	seq        uint16
+	ack        bool          // acknowledges the previous round's reply
 	deadline   time.Duration // adaptive RTO; 0 = round-based misses
 }
 
@@ -50,9 +51,11 @@ func (d *Daemon) probeRound() {
 	rto := d.cfg.AdaptiveRTO
 	// One echo exchange per pair and rail: the lower id requests, and
 	// the higher id answers instead of probing once it has heard the
-	// peer's request. Strict evidence and adaptive deadlines need
-	// round trips of their own at both ends, so they keep probing.
-	shared := !d.cfg.StrictLinkEvidence && !rto.Enabled()
+	// peer's request. Under strict evidence only a request that
+	// acknowledges the reply to the previous round's request counts as
+	// heard (see noteAliveLocked). Adaptive deadlines need round trips
+	// of their own at both ends, so they keep probing.
+	shared := !rto.Enabled()
 	self := d.tr.Node()
 	probes := d.probes[:0]
 	for peer := 0; peer < d.links.Nodes(); peer++ {
@@ -61,14 +64,16 @@ func (d *Daemon) probeRound() {
 		}
 		answer := shared && peer < self
 		for rail := 0; rail < d.tr.Rails(); rail++ {
-			seq, send, down := d.links.BeginRound(peer, rail, d.cfg.MissThreshold, answer)
+			seq, send, fresh, down := d.links.BeginRound(peer, rail, d.cfg.MissThreshold, answer)
 			if down {
 				d.markDownLocked(peer, rail, now)
 			}
 			if !send {
 				continue
 			}
-			p := probe{peer: peer, rail: rail, seq: seq}
+			// An expired adaptive deadline clears Pending with no reply,
+			// so only shared rounds may trust fresh.
+			p := probe{peer: peer, rail: rail, seq: seq, ack: shared && fresh}
 			if rto.Enabled() {
 				p.deadline = d.rtoDeadlineLocked(d.links.State(peer, rail))
 			}
@@ -118,7 +123,7 @@ func (d *Daemon) probeRound() {
 // the instant it actually leaves, and arms its adaptive deadline.
 // Caller holds d.mu.
 func (d *Daemon) sendRoundProbeLocked(p probe) {
-	d.sendProbeLocked(p.peer, p.rail, p.seq, d.clock.Now(), false)
+	d.sendProbeLocked(p.peer, p.rail, p.seq, d.clock.Now(), p.ack, false)
 	if p.deadline > 0 {
 		d.clock.AfterCall(p.deadline, callFunc, func() { d.probeExpired(p.peer, p.rail, p.seq) })
 	}
@@ -128,11 +133,22 @@ func (d *Daemon) sendRoundProbeLocked(p probe) {
 // transmits it. Its data is the send time, whose echoed copy yields an
 // RTT sample with no per-probe state at the sender, then the newest
 // sample on this path not yet sent, which gives the answering end an
-// RTT of its own (zero when there is none). Caller holds d.mu.
-func (d *Daemon) sendProbeLocked(peer, rail int, seq uint16, now time.Duration, retransmit bool) {
+// RTT of its own (zero when there is none). Under strict evidence that
+// sample is also the acknowledgement: it is carried only when ack is
+// set, and then as at least 1 ns, so that a zero-latency fabric still
+// acknowledges. Caller holds d.mu.
+func (d *Daemon) sendProbeLocked(peer, rail int, seq uint16, now time.Duration, ack, retransmit bool) {
 	var data [probeData]byte
 	binary.BigEndian.PutUint64(data[:8], uint64(now))
-	binary.BigEndian.PutUint64(data[8:], uint64(d.links.State(peer, rail).TakeSample()))
+	rtt := d.links.State(peer, rail).TakeSample()
+	if d.cfg.StrictLinkEvidence {
+		if ack {
+			rtt = max(rtt, 1)
+		} else {
+			rtt = 0
+		}
+	}
+	binary.BigEndian.PutUint64(data[8:], uint64(rtt))
 	echo := icmp.Echo{Request: true, ID: uint16(d.tr.Node()), Seq: seq, Data: data[:]}
 	d.frameBuf = echo.AppendTo(append(d.frameBuf[:0], wire.ProtoICMP))
 	if err := d.tr.Send(rail, peer, d.frameBuf); err == nil {
@@ -181,7 +197,7 @@ func (d *Daemon) probeExpired(peer, rail int, seq uint16) {
 	}
 	nseq, _ := d.links.BeginProbe(peer, rail, d.cfg.MissThreshold)
 	deadline := d.rtoDeadlineLocked(st)
-	d.sendProbeLocked(peer, rail, nseq, now, true)
+	d.sendProbeLocked(peer, rail, nseq, now, false, true)
 	d.mu.Unlock()
 	d.clock.AfterCall(deadline, callFunc, func() { d.probeExpired(peer, rail, nseq) })
 }

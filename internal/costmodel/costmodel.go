@@ -41,8 +41,7 @@ type Params struct {
 	// from the request it saw. When true, every daemon independently
 	// probes every peer, doubling the traffic: the ablation, and what
 	// the daemon did before pairs shared one exchange (it still does
-	// with strict link evidence or adaptive deadlines, which need a
-	// round trip at each end).
+	// with adaptive deadlines, which time a probe at each end).
 	OrderedPairs bool
 	// Switched models a switched fabric instead of the paper's shared
 	// hubs: every node has a dedicated full-rate port, so the binding

@@ -299,7 +299,7 @@ func TestBeginRoundAnswersAfterHeardRequest(t *testing.T) {
 	st := tbl.State(0, 0)
 	round := func(wantProbe, wantDown bool, wantMisses int) uint16 {
 		t.Helper()
-		seq, probe, down := tbl.BeginRound(0, 0, 2, true)
+		seq, probe, _, down := tbl.BeginRound(0, 0, 2, true)
 		if probe != wantProbe || down != wantDown || st.Misses != wantMisses {
 			t.Fatalf("BeginRound = probe %v down %v misses %d, want %v %v %d",
 				probe, down, st.Misses, wantProbe, wantDown, wantMisses)
@@ -324,7 +324,7 @@ func TestBeginRoundAnswersAfterHeardRequest(t *testing.T) {
 
 	// Without answer set, a heard request changes nothing.
 	st.HeardRequest()
-	if _, probe, _ := tbl.BeginRound(0, 0, 2, false); !probe {
+	if _, probe, _, _ := tbl.BeginRound(0, 0, 2, false); !probe {
 		t.Fatal("a requesting end waited for a request")
 	}
 }
@@ -366,7 +366,7 @@ func TestGrantedWait(t *testing.T) {
 					tbl.Remove(0)
 					tbl.Add(0)
 				default:
-					_, probe, down := tbl.BeginRound(0, 0, 1, tc.answer)
+					_, probe, _, down := tbl.BeginRound(0, 0, 1, tc.answer)
 					if probe != (s.op == "probe") || down != (s.misses > 0) {
 						t.Fatalf("step %d: BeginRound = probe %v down %v, want %s", i, probe, down, s.op)
 					}
@@ -377,6 +377,48 @@ func TestGrantedWait(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBeginRoundFresh: a probe may acknowledge only the reply to the
+// path's previous round's probe. The first probe of a new path, a
+// probe after a miss and a probe that resumes after a wait are not
+// fresh, whatever RTT sample the path still holds.
+func TestBeginRoundFresh(t *testing.T) {
+	tbl := NewTable(2, 1)
+	tbl.Add(0)
+	st := tbl.State(0, 0)
+	round := func(answer, wantProbe, wantFresh bool) uint16 {
+		t.Helper()
+		seq, probe, fresh, _ := tbl.BeginRound(0, 0, 9, answer)
+		if probe != wantProbe || fresh != wantFresh {
+			t.Fatalf("BeginRound = probe %v fresh %v, want %v %v", probe, fresh, wantProbe, wantFresh)
+		}
+		return seq
+	}
+	confirm := func(seq uint16) {
+		t.Helper()
+		if _, ok := tbl.Confirm(0, 0, seq); !ok {
+			t.Fatal("reply not confirmed")
+		}
+		st.ObserveRTT(time.Millisecond)
+	}
+	// Requesting end.
+	confirm(round(false, true, false)) // a new path's first probe
+	round(false, true, true)           // answered last round
+	round(false, true, false)          // that probe was missed
+	confirm(round(false, true, false)) // still not: the miss was last round
+	round(false, true, true)
+
+	// Answering end: a wait, then the probe that resumes after an unmet
+	// wait, carry no acknowledgement.
+	tbl.Remove(0)
+	tbl.Add(0)
+	round(true, false, false)         // the granted wait
+	confirm(round(true, true, false)) // resumes probing
+	round(true, true, true)
+	st.HeardRequest()
+	round(true, false, false) // heard: wait
+	round(true, true, false)  // the wait went unmet: resume probing
 }
 
 // TestTakeSampleHandsEachSampleOnce: a request carries each RTT sample

@@ -228,7 +228,7 @@ func (t *Table) FirstUsable(peer int) (rail int, ok bool) {
 // The returned sequence number comes from the table-wide counter, so
 // no two outstanding probes share one.
 func (t *Table) BeginProbe(peer, rail, threshold int) (seq uint16, down bool) {
-	seq, _, down = t.BeginRound(peer, rail, threshold, false)
+	seq, _, _, down = t.BeginRound(peer, rail, threshold, false)
 	return seq, down
 }
 
@@ -243,8 +243,16 @@ func (t *Table) BeginProbe(peer, rail, threshold int) (seq uint16, down bool) {
 // and the path probes from the next round on. A path already dead at
 // the start is therefore declared down one round later at the
 // answering end than at the requester.
-func (t *Table) BeginRound(peer, rail, threshold int, answer bool) (seq uint16, probe, down bool) {
+//
+// fresh, set only with probe, reports that the previous round's check
+// was our own probe and its reply was confirmed: the new probe can
+// acknowledge that reply, which proves that the peer→us direction
+// worked one round ago (see core.Config.StrictLinkEvidence). A probe
+// after a missed one, after a wait or in a new path's first round is
+// not fresh.
+func (t *Table) BeginRound(peer, rail, threshold int, answer bool) (seq uint16, probe, fresh, down bool) {
 	st := &t.slab[peer*t.rails+rail]
+	fresh = !st.Pending && !st.awaiting && !st.granted
 	if st.Pending || st.awaiting && !st.granted {
 		st.Misses++
 		down = st.Up && st.Misses >= threshold
@@ -253,13 +261,13 @@ func (t *Table) BeginRound(peer, rail, threshold int, answer bool) (seq uint16, 
 	st.heard = false
 	if answer && heard {
 		st.Pending, st.awaiting = false, true
-		return 0, false, down
+		return 0, false, false, down
 	}
 	st.awaiting, st.granted = false, false
 	t.seq++
 	st.Pending = true
 	st.PendingSeq = t.seq
-	return t.seq, true, down
+	return t.seq, true, fresh, down
 }
 
 // HeardRequest credits a request heard from the peer on this path: it

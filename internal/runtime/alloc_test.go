@@ -40,16 +40,21 @@ func TestSteadyProbeRoundAllocations(t *testing.T) {
 	}
 }
 
-// Strict link evidence and adaptive deadlines each need a round trip
-// of their own at both ends of a pair, so with either set every daemon
-// still probes every peer: 360 frames a round on the same cluster.
+// Adaptive deadlines need a round trip of their own at both ends of a
+// pair, so with them every daemon still probes every peer: 360 frames a
+// round on the same cluster. Strict link evidence shares one exchange
+// per pair, its requests acknowledging the previous round's reply, so
+// it sends the 180 frames of the default mode.
 func TestPerDirectionModesProbeOrderedPairs(t *testing.T) {
-	for name, tun := range map[string]Tunables{
-		"strict evidence": {StrictLinkEvidence: true},
-		"adaptive RTO":    {AdaptiveRTO: linkmon.DefaultRTO()},
+	for name, tc := range map[string]struct {
+		tun  Tunables
+		want int64
+	}{
+		"strict evidence": {Tunables{StrictLinkEvidence: true}, 180},
+		"adaptive RTO":    {Tunables{AdaptiveRTO: linkmon.DefaultRTO()}, 360},
 	} {
 		t.Run(name, func(t *testing.T) {
-			c, err := Build(ClusterSpec{Nodes: 10, Tunables: tun})
+			c, err := Build(ClusterSpec{Nodes: 10, Tunables: tc.tun})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +66,8 @@ func TestPerDirectionModesProbeOrderedPairs(t *testing.T) {
 			const rounds = 5
 			c.RunFor(rounds * c.Spec().Tunables.ProbeInterval)
 			after := c.Net().Stats(0).FramesDelivered + c.Net().Stats(1).FramesDelivered
-			if per := (after - before) / rounds; per != 360 {
-				t.Fatalf("a round delivered %d frames, want 360", per)
+			if per := (after - before) / rounds; per != tc.want {
+				t.Fatalf("a round delivered %d frames, want %d", per, tc.want)
 			}
 		})
 	}
