@@ -82,12 +82,16 @@ fuzzsmoke:
 # the race detector without -short; the 3-process drsd cluster under
 # a 180 s timeout), then the shipped scenarios and one small campaign
 # per drschaos mode through their binaries, a fabric survivability
-# table, a fixed-seed nemesis campaign that must heal clean, and the
+# table, a fixed-seed nemesis campaign that must heal clean, the
 # pinned regression replay that must still reproduce its shrunk
-# violation (exit 1). These runs check that the binaries work end to
-# end; they compare no output. The byte-for-byte pins are tier-1
-# tests: cmd/drsim TestScenarioTraceGolden (every shipped scenario's
-# report and trace), the drschaos, drsim and drsnemesis goldens, and
+# violation (exit 1), and the live UDP example, which exits nonzero
+# unless its failover-then-relay datagrams all arrive. These runs
+# check that the binaries work end to end. One output is compared: the
+# full drsreport regenerated into a temp file must equal the committed
+# REPORT.md byte for byte (it is the same at any GOMAXPROCS). The
+# other byte-for-byte pins are tier-1 tests: cmd/drsim
+# TestScenarioTraceGolden (every shipped scenario's report and trace),
+# the drschaos, drsim, drsreport and drsnemesis goldens, and
 # internal/nemesis TestOutcomesGolden (30 generated schedules).
 smoke: benchsmoke fuzzsmoke
 	$(GO) test -race ./internal/nemesis/ ./cmd/drsnemesis/
@@ -109,6 +113,9 @@ smoke: benchsmoke fuzzsmoke
 	$(GO) run ./cmd/drsnemesis -seed 1 -schedules 10 -horizon 6s -repro /dev/null
 	$(GO) run ./cmd/drsnemesis -replay cmd/drsnemesis/testdata/regression.json; \
 		status=$$?; test $$status -eq 1 || { echo "regression replay exited $$status, want 1"; exit 1; }
+	$(GO) run ./examples/livecluster
+	tmp=$$(mktemp); $(GO) run ./cmd/drsreport -out $$tmp && cmp $$tmp REPORT.md; \
+		status=$$?; rm -f $$tmp; test $$status -eq 0 || { echo "REPORT.md is stale: go run ./cmd/drsreport -out REPORT.md"; exit 1; }
 
 clean:
 	$(GO) clean ./...

@@ -19,9 +19,10 @@
 //	           valid, hand the current routes to the next incarnation
 //	           in-process (an invalid config is logged and ignored).
 //	SIGTERM  — drain: write a final checkpoint, stop the daemon, exit
-//	           0. No goodbye goes out (drsd runs the deployed DRS's
-//	           static membership): peers detect the silence by probe
-//	           misses, as after a kill -9. SIGINT behaves the same.
+//	           0. Nothing is announced (membership is the configured
+//	           host list, as in the deployed DRS): peers detect the
+//	           silence by probe misses, as after a kill -9. SIGINT
+//	           behaves the same.
 //	kill -9  — nothing graceful happens, which is the point: the next
 //	           boot warm-starts from the last periodic checkpoint and
 //	           rejoins under a newer incarnation.
@@ -124,18 +125,14 @@ func start(configPath string, inc uint32, restore *core.Checkpoint) (*instance, 
 	return inst, nil
 }
 
-// stop tears the instance down. announce (drain) stops the DRS through
-// Daemon.Leave, which would broadcast a membership goodbye only under
-// dynamic membership; no drsd cluster spec can enable that, so a
-// drained node just falls silent. A reload stops the router directly.
-func (i *instance) stop(announce bool) {
+// stop tears the instance down, on drain and on reload alike: the
+// router stops and the node falls silent. Membership is the configured
+// host list, so nothing is announced; peers see the silence as probe
+// misses.
+func (i *instance) stop() {
 	close(i.stopCh)
 	i.wg.Wait()
-	if d, ok := i.router.(*core.Daemon); ok && announce {
-		d.Leave()
-	} else {
-		i.router.Stop()
-	}
+	i.router.Stop()
 	i.tr.Close()
 	i.clk.Stop()
 }
@@ -239,7 +236,7 @@ func runDaemon(configPath string) error {
 				continue
 			}
 			cp := inst.checkpointImage()
-			inst.stop(false)
+			inst.stop()
 			next, err := start(configPath, inst.inc+1, cp)
 			if err != nil {
 				return fmt.Errorf("drsd: reload: %v", err)
@@ -252,7 +249,7 @@ func runDaemon(configPath string) error {
 		// SIGTERM / SIGINT: drain.
 		log.Printf("draining on %v", sig)
 		inst.persistCheckpoint()
-		inst.stop(true)
+		inst.stop()
 		return nil
 	}
 	return nil

@@ -5,8 +5,11 @@
 // card would, without leaving the process.
 //
 // Four nodes probe each other every 50 ms on two rails (two UDP ports
-// per node). We unplug interfaces and watch the daemons fail over to
-// the second rail and then to a relay, live.
+// per node), each monitoring the other three as the deployed DRS does
+// its configured host list. We unplug interfaces and watch the daemons
+// fail over to the second rail and then to a relay, live. The example
+// exits nonzero unless all three datagrams arrive, so it doubles as an
+// end-to-end check of the live daemon.
 //
 //	go run ./examples/livecluster
 package main
@@ -165,13 +168,11 @@ func main() {
 		}
 	}()
 
-	// One DRS daemon per node, probing every 50 ms. Nobody is given a
-	// host list: the daemons discover each other over the wire
-	// (dynamic membership).
+	// One DRS daemon per node, probing every 50 ms. The default host
+	// list (a nil Monitor) is every other node.
 	cfg := core.DefaultConfig()
 	cfg.ProbeInterval = 50 * time.Millisecond
 	cfg.MissThreshold = 2
-	cfg.DynamicMembership = true
 
 	daemons := make([]*core.Daemon, nodes)
 	var deliveredMu sync.Mutex
@@ -206,7 +207,6 @@ func main() {
 	}
 
 	time.Sleep(300 * time.Millisecond)
-	fmt.Printf("discovered:     node 0 monitors %v\n", daemons[0].Peers())
 	fmt.Printf("healthy:        route 0→1 is %s\n", route(0, 1))
 	must(daemons[0].SendData(1, []byte("over the primary rail")))
 	time.Sleep(50 * time.Millisecond) // let the datagram land before unplugging
@@ -226,10 +226,13 @@ func main() {
 
 	time.Sleep(300 * time.Millisecond)
 	deliveredMu.Lock()
+	defer deliveredMu.Unlock()
 	for _, line := range delivered {
 		fmt.Println("delivered:", line)
 	}
-	deliveredMu.Unlock()
+	if len(delivered) != 3 {
+		log.Fatalf("delivered %d of 3 datagrams", len(delivered))
+	}
 }
 
 func must(err error) {

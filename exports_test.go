@@ -22,7 +22,6 @@ var exportAllowlist = map[string]string{
 	"drsnet/internal/invariant.Report.Err":           "the failover tests assert a clean report with one call",
 	"drsnet/internal/linkmon.Table.Seq":              "core's TestProbeSeqWraparound reads the probe sequence across the wrap",
 	"drsnet/internal/linkmon.Table.SetSeq":           "linkmon's and core's sequence-wrap tests start next to the wrap",
-	"drsnet/internal/metrics.Set.GaugeSnapshot":      "the metrics and experiments gauge tests read every gauge at once",
 	"drsnet/internal/routetable.Table.SeenSize":      "the routetable and core tests bound the duplicate-suppression cache",
 	"drsnet/internal/runtime.Deregister":             "the registry tests remove the protocols they register",
 	"drsnet/internal/survival.AllPairsSeriesWorkers": "BenchmarkAllPairsAnalytic times the all-pairs curve; TestAllPairsSeries and TestSeriesWorkersBitIdentical check it",

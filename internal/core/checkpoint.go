@@ -29,10 +29,11 @@ type Checkpoint struct {
 	Peers []PeerState `json:"peers,omitempty"`
 }
 
-// PeerState is the checkpointed view of one monitored peer.
+// PeerState is the checkpointed view of one monitored peer. Older
+// images also carry a "static" mark per peer; decoding ignores it, so
+// drsd still warm-starts from them across an upgrade.
 type PeerState struct {
-	Peer   int  `json:"peer"`
-	Static bool `json:"static,omitempty"`
+	Peer int `json:"peer"`
 	// LastHeard is the last time the peer produced valid traffic.
 	LastHeard time.Duration `json:"lastHeard"`
 	// Incarnation is the peer's last known incarnation (0 = unknown).
@@ -68,7 +69,6 @@ func (d *Daemon) Checkpoint() *Checkpoint {
 		}
 		ps := PeerState{
 			Peer:        peer,
-			Static:      d.members.IsStatic(peer),
 			LastHeard:   d.members.LastHeard(peer),
 			Incarnation: d.members.Incarnation(peer),
 			Route:       d.routes.Route(peer),
@@ -89,7 +89,8 @@ func (d *Daemon) Checkpoint() *Checkpoint {
 }
 
 // restoreLocked seeds a freshly built daemon from its previous life's
-// checkpoint: link states, RTT estimates, membership marks and routes.
+// checkpoint: link states, RTT estimates, last-heard times,
+// incarnations and routes.
 // Restored routes are recorded with SetRoute, not Install — a warm
 // restore is not a repair — but each one that differs from the cold
 // default emits a route-installed trace event (detail "warm restore"),
@@ -114,13 +115,7 @@ func (d *Daemon) restoreLocked(cp *Checkpoint) error {
 				ps.Peer, len(ps.Rails), d.tr.Rails())
 		}
 		if !d.links.Monitored(ps.Peer) {
-			if !d.cfg.DynamicMembership {
-				continue // peer dropped from the static monitor set
-			}
-			d.addPeerLocked(ps.Peer, 0)
-		}
-		if ps.Static {
-			d.members.MarkStatic(ps.Peer)
+			continue // peer dropped from the monitor set
 		}
 		d.members.Heard(ps.Peer, ps.LastHeard)
 		d.members.ObserveIncarnation(ps.Peer, ps.Incarnation)

@@ -47,12 +47,6 @@ type Config struct {
 	// segments — the difference between a once-a-second frame train
 	// and a smooth trickle.
 	StaggerProbes bool
-	// DynamicMembership switches the daemon from the deployed DRS's
-	// static host list to discovery: each round the daemon broadcasts
-	// a hello, and any hello it hears adds the sender to its monitored
-	// set. Monitor then lists only pre-seeded peers (nil means start
-	// empty). An extension beyond the paper.
-	DynamicMembership bool
 	// PreferLowLatency steers direct routes toward the rail with the
 	// lower smoothed probe RTT: each round, a route moves if another
 	// healthy rail has been measured at less than half its current
@@ -91,8 +85,8 @@ type Config struct {
 	// lifecycle: zero (the default) disables lifecycle tracking and
 	// keeps the legacy wire frames, so seeded goldens are unchanged.
 	// When ≥ 1 the daemon opens with a rejoin broadcast carrying the
-	// incarnation, stamps its hellos and route offers with it, and
-	// rejects control frames from peers' previous lives.
+	// incarnation, stamps its route offers with it, and rejects
+	// control frames from peers' previous lives.
 	Incarnation uint32
 	// Restore warm-starts the daemon from a checkpoint taken by its
 	// previous life: routes, membership view and RTT estimates are
@@ -101,13 +95,13 @@ type Config struct {
 	Restore *Checkpoint
 	// Overload enables the control-plane overload-protection layer:
 	// token-bucket budgets on probe retransmits and discovery
-	// broadcasts, deterministic jitter on RTO deadlines, hello storm
-	// suppression, a prioritized control queue for deferred work, and
-	// the degraded-mode governor that pins last-known-good routes when
-	// budgets saturate. The zero value disables the layer entirely and
-	// keeps seeded goldens byte-identical; enable with
-	// overload.Default() or explicit budgets. An extension beyond the
-	// paper, motivated by correlated-failure storm campaigns.
+	// broadcasts, deterministic jitter on RTO deadlines, a prioritized
+	// control queue for deferred work, and the degraded-mode governor
+	// that pins last-known-good routes when budgets saturate. The zero
+	// value disables the layer entirely and keeps seeded goldens
+	// byte-identical; enable with overload.Default() or explicit
+	// budgets. An extension beyond the paper, motivated by
+	// correlated-failure storm campaigns.
 	Overload overload.Config
 	// AdaptiveRTO replaces the fixed once-per-round probe deadline
 	// with a Jacobson/Karels adaptive timeout: each probe arms a timer
@@ -166,7 +160,7 @@ func (c *Config) normalize(nodes, self int) error {
 	if c.Restore != nil && c.Incarnation == 0 {
 		return fmt.Errorf("core: warm restore requires a nonzero incarnation")
 	}
-	if c.Monitor == nil && !c.DynamicMembership && nodes > 1 {
+	if c.Monitor == nil && nodes > 1 {
 		c.Monitor = make([]int, 0, nodes-1)
 		for n := 0; n < nodes; n++ {
 			if n != self {

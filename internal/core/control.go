@@ -10,7 +10,9 @@ import (
 )
 
 // Phase-2 control plane: route queries and offers (relay discovery)
-// and the hello/goodbye membership messages.
+// and the rejoin announcement. Membership is the configured host list,
+// so a control frame of any other type, the retired hello and goodbye
+// included, is ignored.
 
 func (d *Daemon) onControl(rail, src int, body []byte) {
 	if len(body) == 0 {
@@ -29,25 +31,12 @@ func (d *Daemon) onControl(rail, src int, body []byte) {
 			return
 		}
 		d.onOffer(rail, o)
-	case wire.MsgHello:
-		d.onHello(rail, src)
-	case wire.MsgGoodbye:
-		d.onGoodbye(src)
 	case wire.MsgRejoin:
 		inc, err := wire.UnmarshalRejoin(body)
 		if err != nil {
 			return
 		}
 		d.onRejoin(rail, src, inc)
-	case wire.MsgHelloInc:
-		inc, err := wire.UnmarshalHelloInc(body)
-		if err != nil {
-			return
-		}
-		if !d.admitIncarnation(src, inc) {
-			return
-		}
-		d.onHello(rail, src)
 	case wire.MsgOfferInc:
 		o, inc, err := wire.UnmarshalOfferInc(body)
 		if err != nil {
@@ -61,40 +50,6 @@ func (d *Daemon) onControl(rail, src int, body []byte) {
 		}
 		d.onOffer(rail, o)
 	}
-}
-
-// onHello learns a peer (dynamic membership) and refreshes liveness.
-func (d *Daemon) onHello(rail, src int) {
-	if !d.cfg.DynamicMembership || src == d.tr.Node() {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopped {
-		return
-	}
-	now := d.clock.Now()
-	d.members.Heard(src, now)
-	if !d.links.Monitored(src) {
-		d.addPeerLocked(src, rail)
-		d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindRouteInstalled,
-			Peer: src, Rail: rail, Detail: "peer discovered (hello)"})
-	}
-}
-
-// onGoodbye retracts a dynamically learned peer immediately.
-func (d *Daemon) onGoodbye(src int) {
-	if !d.cfg.DynamicMembership {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopped || !d.links.Monitored(src) || d.members.IsStatic(src) {
-		return
-	}
-	d.removePeerLocked(src)
-	d.event(trace.Event{At: d.clock.Now(), Node: d.tr.Node(), Kind: trace.KindRouteLost,
-		Peer: src, Rail: -1, Detail: "peer left (goodbye)"})
 }
 
 func (d *Daemon) onQuery(rail, src int, q wire.Query) {

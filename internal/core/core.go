@@ -33,10 +33,10 @@
 // layers: linkmon schedules the rounds and keeps per-(peer, rail)
 // probe and RTT state, routetable holds routes, repairs and the relay
 // discovery lifecycle, dataplane builds, queues and polices data
-// frames, membership tracks who belongs to the cluster, and
-// routing/wire encodes everything that crosses the network. This file
-// holds only the orchestration: what a probe means, when a route is
-// repaired, how discovery is answered.
+// frames, membership tracks when each peer was last heard and which
+// life it runs, and routing/wire encodes everything that crosses the
+// network. This file holds only the orchestration: what a probe means,
+// when a route is repaired, how discovery is answered.
 //
 // The daemon is transport-agnostic (transport.Transport / clock.Clock)
 // and runs unmodified over the deterministic packet simulator and over
@@ -103,7 +103,7 @@ type Daemon struct {
 
 	// The protocol layers. All are guarded by mu.
 	links   *linkmon.Table      // phase-1 probe state per (peer, rail)
-	members *membership.Tracker // static marks + last-heard times
+	members *membership.Tracker // last-heard times + incarnations
 	routes  *routetable.Table   // routes, repairs, discovery lifecycle
 	plane   *dataplane.Plane    // data frames + discovery queues
 
@@ -112,13 +112,11 @@ type Daemon struct {
 	// per-node deterministic timer spread, ctrlQ the prioritized queue
 	// of deferred control intents. pinned marks peers whose
 	// last-known-good route was kept while degraded, to re-repair on
-	// exit; nextHello is the earliest instant the next membership
-	// hello may broadcast.
+	// exit.
 	gov        *overload.Governor
 	jitter     *overload.Jitter
 	ctrlQ      *dataplane.ControlQueue
 	pinned     map[int]bool
-	nextHello  time.Duration
 	drainArmed bool
 
 	// frameBuf is scratch for every frame built and sent immediately
@@ -183,9 +181,14 @@ func New(tr transport.Transport, clock clock.Clock, cfg Config) (*Daemon, error)
 			})
 		d.pinned = make(map[int]bool)
 	}
+	// Monitor every configured peer, with a direct route on rail 0.
+	// Links start optimistically up: the deployed daemon assumes
+	// health until a check fails.
+	now := clock.Now()
 	for _, p := range cfg.Monitor {
-		d.addPeerLocked(p, 0)
-		d.members.MarkStatic(p)
+		d.links.Add(p)
+		d.routes.SetRoute(p, Route{Kind: RouteDirect, Rail: 0, Via: p})
+		d.members.Heard(p, now)
 	}
 	if cfg.Restore != nil {
 		if err := d.restoreLocked(cfg.Restore); err != nil {
@@ -193,44 +196,6 @@ func New(tr transport.Transport, clock clock.Clock, cfg Config) (*Daemon, error)
 		}
 	}
 	return d, nil
-}
-
-// addPeerLocked begins monitoring peer, with its initial direct route
-// on rail. Links start optimistically up: the deployed daemon assumes
-// health until a check fails. Caller holds d.mu (or is initializing).
-func (d *Daemon) addPeerLocked(peer, rail int) {
-	if !d.links.Add(peer) {
-		return
-	}
-	d.routes.SetRoute(peer, Route{Kind: RouteDirect, Rail: rail, Via: peer})
-	d.members.Heard(peer, d.clock.Now())
-}
-
-// removePeerLocked forgets a dynamically learned peer entirely.
-func (d *Daemon) removePeerLocked(peer int) {
-	if !d.links.Monitored(peer) || d.members.IsStatic(peer) {
-		return
-	}
-	d.links.Remove(peer)
-	d.plane.Discard(peer)
-	d.routes.Drop(peer)
-	// Routes relaying through the departed peer die with it: without
-	// this, data frames keep being forwarded into the dead relay until
-	// its own links finally time out.
-	d.purgeRelaysViaLocked(peer, d.clock.Now())
-}
-
-// Peers returns the currently monitored peers in ascending order.
-func (d *Daemon) Peers() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []int
-	for p := 0; p < d.links.Nodes(); p++ {
-		if d.links.Monitored(p) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Start installs the receiver and begins the probe loop.
@@ -265,15 +230,6 @@ func (d *Daemon) Stop() {
 			c()
 		}
 	}
-}
-
-// Leave announces departure to the cluster (dynamic membership) and
-// stops the daemon.
-func (d *Daemon) Leave() {
-	if d.cfg.DynamicMembership {
-		membership.Goodbye(d.tr)
-	}
-	d.Stop()
 }
 
 // SetDeliverFunc installs the application receive callback.

@@ -85,6 +85,33 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(cp, &back) {
 		t.Fatalf("round trip changed the checkpoint:\n%+v\n%+v", cp, &back)
 	}
+
+	// An image in the older format, written while dynamic membership
+	// existed, marks each peer "static". drsd reads images across an
+	// upgrade, so such an image must still restore, with every field
+	// but the mark intact.
+	const legacy = `{"node":0,"incarnation":1,"takenAt":7000000000,"peers":[` +
+		`{"peer":1,"static":true,"lastHeard":6000031880,"incarnation":1,"route":{"Kind":1,"Rail":1,"Via":1},` +
+		`"rails":[{"up":false,"srtt":47315,"rttvar":22827,"samples":3},{"up":true,"srtt":40929,"rttvar":15552,"samples":7}]},` +
+		`{"peer":2,"static":true,"lastHeard":6000038600,"incarnation":1,"route":{"Kind":1,"Rail":0,"Via":2},` +
+		`"rails":[{"up":true,"srtt":44704,"rttvar":19931,"samples":7},{"up":true,"srtt":47649,"rttvar":16150,"samples":7}]}]}`
+	var old Checkpoint
+	if err := json.Unmarshal([]byte(legacy), &old); err != nil {
+		t.Fatal(err)
+	}
+	cfg2 := DefaultConfig()
+	cfg2.Incarnation = 2
+	cfg2.Restore = &old
+	d, err := New(netsim.NewTransport(c.net, 0), simtime.Clock{Sched: c.sched}, cfg2)
+	if err != nil {
+		t.Fatalf("legacy image rejected: %v", err)
+	}
+	if rt := d.RouteTo(1); rt.Kind != RouteDirect || rt.Rail != 1 {
+		t.Fatalf("legacy route to 1 = %+v, want direct rail 1", rt)
+	}
+	if got := d.Checkpoint().Peers; !reflect.DeepEqual(got, old.Peers) {
+		t.Fatalf("legacy image restored as\n%+v\nwant\n%+v", got, old.Peers)
+	}
 }
 
 // TestWarmRestoreValidation: a checkpoint that cannot belong to this
@@ -248,112 +275,19 @@ func TestWarmRestoreSeedsPreviousLife(t *testing.T) {
 	}
 }
 
-// TestWarmRestoreDynamicReaddsPeers: under dynamic membership the
-// checkpointed peers are re-admitted to the monitored set instead of
-// waiting for their next hello.
-func TestWarmRestoreDynamicReaddsPeers(t *testing.T) {
-	sched := simtime.NewScheduler()
-	net, err := netsim.New(sched, topology.Dual(3), netsim.DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.DynamicMembership = true
-	cfg.Incarnation = 2
-	cfg.Restore = &Checkpoint{Node: 0, Incarnation: 1, Peers: []PeerState{{
-		Peer:        1,
-		LastHeard:   5 * time.Millisecond,
-		Incarnation: 3,
-		Route:       Route{Kind: RouteDirect, Rail: 1, Via: 1},
-		Rails:       []RailState{{Up: true}, {Up: false}},
-	}}}
-	d, err := New(netsim.NewTransport(net, 0), simtime.Clock{Sched: sched}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peers := d.Peers(); len(peers) != 1 || peers[0] != 1 {
-		t.Fatalf("peers after restore = %v, want [1]", peers)
-	}
-	if rt := d.RouteTo(1); rt.Kind != RouteDirect || rt.Rail != 1 {
-		t.Fatalf("route = %+v", rt)
-	}
-	if !d.LinkUp(1, 0) || d.LinkUp(1, 1) {
-		t.Fatal("rail states not restored")
-	}
-	if inc := d.members.Incarnation(1); inc != 3 {
-		t.Fatalf("peer incarnation = %d, want 3", inc)
-	}
-}
-
-// TestDeadRelayPurgedOnGoodbye is the purge-on-death regression test:
-// when a relay leaves the cluster, routes relaying through it must die
-// with it immediately — no data frame may be forwarded into the dead
-// relay while its links time out.
-func TestDeadRelayPurgedOnGoodbye(t *testing.T) {
-	cfg := DefaultConfig()
-	c := dynamicCluster(t, 4, cfg)
-	defer c.stop()
-	c.runFor(3 * time.Second)
-
-	// Strand 0 and 1 on opposite rails: only a relay connects them.
-	cl := c.net.Cluster()
-	c.net.Fail(cl.NIC(0, 0))
-	c.net.Fail(cl.NIC(1, 1))
-	c.runFor(time.Duration(cfg.MissThreshold+3) * cfg.ProbeInterval)
-	if err := c.daemons[0].SendData(1, []byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	c.runFor(2 * cfg.ProbeInterval)
-	rt := c.daemons[0].RouteTo(1)
-	if rt.Kind != RouteRelay {
-		t.Fatalf("route = %+v, want relay", rt)
-	}
-	relay := rt.Via
-	if len(c.delivered[1]) != 1 {
-		t.Fatalf("relay path never worked: %v", c.delivered[1])
-	}
-
-	// The relay dies with a goodbye. The route through it must be gone
-	// by the time the goodbye has propagated — not MissThreshold probe
-	// rounds later.
-	c.daemons[relay].Leave()
-	c.runFor(cfg.ProbeInterval)
-	if rt := c.daemons[0].RouteTo(1); rt.Kind == RouteRelay && rt.Via == relay {
-		t.Fatalf("route still relays through departed node %d", relay)
-	}
-
-	// Traffic after the death must flow via the surviving relay and
-	// never enter the dead one.
-	forwardedBefore := c.daemons[relay].Metrics().Counter(routing.CtrDataForwarded).Value()
-	if err := c.daemons[0].SendData(1, []byte("after")); err != nil {
-		t.Fatal(err)
-	}
-	c.runFor(2 * cfg.ProbeInterval)
-	if len(c.delivered[1]) != 2 || c.delivered[1][1].data != "after" {
-		t.Fatalf("delivery after relay death failed: %v", c.delivered[1])
-	}
-	if got := c.daemons[relay].Metrics().Counter(routing.CtrDataForwarded).Value(); got != forwardedBefore {
-		t.Fatalf("dead relay forwarded %d more frames", got-forwardedBefore)
-	}
-	if rt := c.daemons[0].RouteTo(1); rt.Kind != RouteRelay || rt.Via == relay {
-		t.Fatalf("post-death route = %+v, want relay via a survivor", rt)
-	}
-}
-
 // TestStaleOfferRace is the out-of-order-delivery race the incarnation
 // stamp exists for: a route offer issued by a relay's previous life
 // arrives after the relay rebooted. Accepting it would install a route
 // the relay's current life does not hold.
 func TestStaleOfferRace(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DynamicMembership = true
 	cfg.Incarnation = 1
 	d, _ := lifecycleDaemon(t, 3, cfg)
 
-	// Learn the two peers from stamped hellos: node 1 (the target) and
-	// node 2, whose current life is incarnation 5.
-	d.onControl(0, 1, wire.MarshalHelloInc(1))
-	d.onControl(0, 2, wire.MarshalHelloInc(5))
+	// Learn the two peers' lives from their rejoin broadcasts: node 1
+	// (the target) and node 2, whose current life is incarnation 5.
+	d.onControl(0, 1, wire.MarshalRejoin(1))
+	d.onControl(0, 2, wire.MarshalRejoin(5))
 
 	// Node 1 becomes unreachable; a send queues and opens discovery.
 	d.mu.Lock()
@@ -389,31 +323,11 @@ func TestStaleOfferRace(t *testing.T) {
 		t.Fatalf("current-life offer rejected: route = %+v", rt)
 	}
 
-	// A later hello revealing incarnation 6 (the rejoin broadcast was
-	// lost) purges the relay route installed against life 5.
-	d.onControl(0, 2, wire.MarshalHelloInc(6))
+	// A later offer stamped with incarnation 6 (the rejoin broadcast
+	// was lost) purges the relay route installed against life 5.
+	d.onControl(0, 2, wire.MarshalOfferInc(stale, 6))
 	if rt := d.RouteTo(1); rt.Kind == RouteRelay && rt.Via == 2 {
 		t.Fatal("relay route survived the relay's reboot")
-	}
-}
-
-// TestStaleHelloRejected: a hello from a previous life neither
-// refreshes liveness nor rolls the incarnation view back.
-func TestStaleHelloRejected(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DynamicMembership = true
-	cfg.Incarnation = 1
-	d, _ := lifecycleDaemon(t, 3, cfg)
-	d.onControl(0, 2, wire.MarshalHelloInc(5))
-	if inc := d.members.Incarnation(2); inc != 5 {
-		t.Fatalf("incarnation = %d, want 5", inc)
-	}
-	d.onControl(0, 2, wire.MarshalHelloInc(3))
-	if got := d.Metrics().Counter(routing.CtrStaleControl).Value(); got != 1 {
-		t.Fatalf("control.stale = %d, want 1", got)
-	}
-	if inc := d.members.Incarnation(2); inc != 5 {
-		t.Fatalf("stale hello rolled incarnation back to %d", inc)
 	}
 }
 

@@ -1,10 +1,6 @@
 package membership
 
-import (
-	"testing"
-
-	"drsnet/internal/routing/wire"
-)
+import "testing"
 
 // TestIncarnationObservation pins the reboot-detection contract: a
 // first sighting records silently, an advance from a known life
@@ -51,31 +47,5 @@ func TestStaleIncarnation(t *testing.T) {
 	}
 	if m.StaleIncarnation(1, 5) || m.StaleIncarnation(1, 6) {
 		t.Fatal("current/newer incarnation reported stale")
-	}
-}
-
-// TestRejoinAndAnnounceInc: the lifecycle broadcasts carry the
-// incarnation on every rail.
-func TestRejoinAndAnnounceInc(t *testing.T) {
-	tr := &broadcastRecorder{rails: 2}
-	Rejoin(tr, 7)
-	AnnounceInc(tr, 7)
-	if len(tr.frames) != 4 {
-		t.Fatalf("%d frames broadcast, want 4", len(tr.frames))
-	}
-	for i, frame := range tr.frames {
-		proto, body, err := wire.SplitEnvelope(frame)
-		if err != nil || proto != wire.ProtoControl {
-			t.Fatalf("frame %d malformed: %v", i, err)
-		}
-		var inc uint32
-		if i < 2 {
-			inc, err = wire.UnmarshalRejoin(body)
-		} else {
-			inc, err = wire.UnmarshalHelloInc(body)
-		}
-		if err != nil || inc != 7 {
-			t.Fatalf("frame %d: inc=%d err=%v", i, inc, err)
-		}
 	}
 }

@@ -1,11 +1,11 @@
-// Package membership implements the DRS's dynamic-membership
-// extension: instead of the deployed system's statically configured
-// host list, daemons announce themselves with a hello each probe
-// round and retract themselves with a goodbye; a learned peer that
-// goes silent stays a member, and probe misses take its links down
-// like any other peer's. The Tracker only keeps the who-and-when
-// bookkeeping; the owning daemon decides what joining or leaving does
-// to its monitoring and route state.
+// Package membership keeps the DRS daemon's view of its peers. As in
+// the deployed system, who belongs to the cluster is the configured
+// host list; the Tracker records what the daemon learns about those
+// hosts at run time: when each was last heard from and, when the
+// crash–restart lifecycle is enabled, which life (incarnation) each
+// runs. Rejoin is the one membership frame on the wire, the restart
+// handshake a recovering daemon opens with. The owning daemon decides
+// what a reboot observed here does to its monitoring and route state.
 //
 // A Tracker is not goroutine-safe; the daemon serializes access under
 // its own lock.
@@ -18,11 +18,10 @@ import (
 	"drsnet/internal/transport"
 )
 
-// Tracker records which peers are statically configured, when each
-// peer was last heard from, and — when the crash–restart lifecycle is
-// enabled — the highest incarnation number observed per peer.
+// Tracker records when each peer was last heard from and — when the
+// crash–restart lifecycle is enabled — the highest incarnation number
+// observed per peer.
 type Tracker struct {
-	static    []bool
 	lastHeard []time.Duration
 	inc       []uint32
 }
@@ -30,18 +29,10 @@ type Tracker struct {
 // New returns a tracker for a cluster of nodes.
 func New(nodes int) *Tracker {
 	return &Tracker{
-		static:    make([]bool, nodes),
 		lastHeard: make([]time.Duration, nodes),
 		inc:       make([]uint32, nodes),
 	}
 }
-
-// MarkStatic pins peer as pre-configured: static members stay
-// monitored even after a goodbye.
-func (m *Tracker) MarkStatic(peer int) { m.static[peer] = true }
-
-// IsStatic reports whether peer is pre-configured.
-func (m *Tracker) IsStatic(peer int) bool { return m.static[peer] }
 
 // Heard records valid traffic from peer at now.
 func (m *Tracker) Heard(peer int, now time.Duration) { m.lastHeard[peer] = now }
@@ -70,32 +61,6 @@ func (m *Tracker) ObserveIncarnation(peer int, inc uint32) (rebooted bool) {
 // peer — a control frame stamped with it must be dropped.
 func (m *Tracker) StaleIncarnation(peer int, inc uint32) bool {
 	return inc < m.inc[peer]
-}
-
-// Announce broadcasts a hello on every rail so unknown peers learn
-// the sender (and the sender learns them from their hellos).
-func Announce(tr transport.Transport) {
-	hello := wire.Envelope(wire.ProtoControl, wire.MarshalHello())
-	for rail := 0; rail < tr.Rails(); rail++ {
-		_ = tr.Send(rail, transport.Broadcast, hello)
-	}
-}
-
-// AnnounceInc broadcasts an incarnation-stamped hello on every rail
-// (the lifecycle-enabled variant of Announce).
-func AnnounceInc(tr transport.Transport, inc uint32) {
-	hello := wire.Envelope(wire.ProtoControl, wire.MarshalHelloInc(inc))
-	for rail := 0; rail < tr.Rails(); rail++ {
-		_ = tr.Send(rail, transport.Broadcast, hello)
-	}
-}
-
-// Goodbye broadcasts a departure announcement on every rail.
-func Goodbye(tr transport.Transport) {
-	bye := wire.Envelope(wire.ProtoControl, wire.MarshalGoodbye())
-	for rail := 0; rail < tr.Rails(); rail++ {
-		_ = tr.Send(rail, transport.Broadcast, bye)
-	}
 }
 
 // Rejoin broadcasts a rejoin announcement on every rail: the restart

@@ -10,17 +10,16 @@ import (
 
 func TestTracker(t *testing.T) {
 	m := New(4)
-	m.MarkStatic(1)
-	if !m.IsStatic(1) || m.IsStatic(2) {
-		t.Fatal("static marks wrong")
-	}
 	m.Heard(2, 5*time.Second)
 	if m.LastHeard(2) != 5*time.Second {
 		t.Fatalf("last heard = %v", m.LastHeard(2))
 	}
+	if m.LastHeard(1) != 0 {
+		t.Fatalf("unheard peer last heard at %v", m.LastHeard(1))
+	}
 }
 
-// broadcastRecorder counts hello/goodbye broadcasts per rail.
+// broadcastRecorder records every frame sent and its destination.
 type broadcastRecorder struct {
 	rails  int
 	frames [][]byte
@@ -37,27 +36,24 @@ func (r *broadcastRecorder) Send(rail, dst int, payload []byte) error {
 }
 func (r *broadcastRecorder) SetReceiver(func(rail, src int, payload []byte)) {}
 
-func TestAnnounceAndGoodbye(t *testing.T) {
+// TestRejoinBroadcastsOnEveryRail: the rejoin announcement is one
+// broadcast per rail, each carrying the incarnation.
+func TestRejoinBroadcastsOnEveryRail(t *testing.T) {
 	tr := &broadcastRecorder{rails: 2}
-	Announce(tr)
-	Goodbye(tr)
-	if len(tr.frames) != 4 {
-		t.Fatalf("%d frames broadcast, want 4", len(tr.frames))
+	Rejoin(tr, 7)
+	if len(tr.frames) != 2 {
+		t.Fatalf("%d frames broadcast, want 2", len(tr.frames))
 	}
 	for i, frame := range tr.frames {
 		if tr.dsts[i] != transport.Broadcast {
 			t.Fatalf("frame %d sent to %d, not broadcast", i, tr.dsts[i])
 		}
 		proto, body, err := wire.SplitEnvelope(frame)
-		if err != nil || proto != wire.ProtoControl || len(body) != 1 {
-			t.Fatalf("frame %d malformed: proto=%d body=%v err=%v", i, proto, body, err)
+		if err != nil || proto != wire.ProtoControl {
+			t.Fatalf("frame %d malformed: %v", i, err)
 		}
-		want := byte(wire.MsgHello)
-		if i >= 2 {
-			want = wire.MsgGoodbye
-		}
-		if body[0] != want {
-			t.Fatalf("frame %d type = %d, want %d", i, body[0], want)
+		if inc, err := wire.UnmarshalRejoin(body); err != nil || inc != 7 {
+			t.Fatalf("frame %d: inc=%d err=%v", i, inc, err)
 		}
 	}
 }

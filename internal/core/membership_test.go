@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,146 +9,25 @@ import (
 	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
+	"drsnet/internal/trace"
 )
 
-// dynamicCluster builds daemons with dynamic membership and an empty
-// initial monitor set.
-func dynamicCluster(t *testing.T, n int, cfg Config) *cluster {
-	t.Helper()
-	cfg.DynamicMembership = true
-	sched := simtime.NewScheduler()
-	net, err := netsim.New(sched, topology.Dual(n), netsim.DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &cluster{sched: sched, net: net, delivered: make([][]msg, n)}
-	clock := simtime.Clock{Sched: sched}
-	for node := 0; node < n; node++ {
-		node := node
-		d, err := New(netsim.NewTransport(net, node), clock, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SetDeliverFunc(func(src int, data []byte) {
-			c.delivered[node] = append(c.delivered[node], msg{src, string(data)})
-		})
-		c.daemons = append(c.daemons, d)
-	}
-	for _, d := range c.daemons {
-		if err := d.Start(); err != nil {
-			t.Fatal(err)
+// monitored returns d's monitored peers in ascending order.
+func monitored(d *Daemon) []int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var out []int
+	for p := 0; p < d.links.Nodes(); p++ {
+		if d.links.Monitored(p) {
+			out = append(out, p)
 		}
 	}
-	return c
-}
-
-func TestDynamicDiscoveryFromEmpty(t *testing.T) {
-	cfg := DefaultConfig()
-	c := dynamicCluster(t, 4, cfg)
-	defer c.stop()
-	// Before any hello exchange, nobody knows anybody.
-	if got := c.daemons[0].Peers(); len(got) != 0 {
-		t.Fatalf("peers before discovery = %v", got)
-	}
-	if err := c.daemons[0].SendData(1, []byte("x")); err == nil {
-		t.Fatal("send to undiscovered peer accepted")
-	}
-	c.runFor(3 * cfg.ProbeInterval)
-	for node, d := range c.daemons {
-		if got := d.Peers(); len(got) != 3 {
-			t.Fatalf("node %d discovered %v, want 3 peers", node, got)
-		}
-	}
-	// Discovered peers route and deliver.
-	if err := c.daemons[0].SendData(3, []byte("found-you")); err != nil {
-		t.Fatal(err)
-	}
-	c.runFor(200 * time.Millisecond)
-	if len(c.delivered[3]) != 1 || c.delivered[3][0].data != "found-you" {
-		t.Fatalf("delivered = %v", c.delivered[3])
-	}
-}
-
-func TestDynamicLateJoiner(t *testing.T) {
-	// Build 4 daemons but start the last one later: the early three
-	// must pick it up when it finally says hello.
-	cfg := DefaultConfig()
-	cfg.DynamicMembership = true
-	sched := simtime.NewScheduler()
-	net, err := netsim.New(sched, topology.Dual(4), netsim.DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := simtime.Clock{Sched: sched}
-	var daemons []*Daemon
-	for node := 0; node < 4; node++ {
-		d, err := New(netsim.NewTransport(net, node), clock, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		daemons = append(daemons, d)
-	}
-	for node := 0; node < 3; node++ {
-		if err := daemons[node].Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer func() {
-		for _, d := range daemons {
-			d.Stop()
-		}
-	}()
-	sched.RunUntil(simtime.Time(3 * time.Second))
-	if got := daemons[0].Peers(); len(got) != 2 {
-		t.Fatalf("early peers = %v, want 2", got)
-	}
-	if err := daemons[3].Start(); err != nil {
-		t.Fatal(err)
-	}
-	sched.RunUntil(simtime.Time(6 * time.Second))
-	for node := 0; node < 3; node++ {
-		found := false
-		for _, p := range daemons[node].Peers() {
-			if p == 3 {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("node %d did not discover the late joiner", node)
-		}
-	}
-	if got := daemons[3].Peers(); len(got) != 3 {
-		t.Fatalf("late joiner discovered %v", got)
-	}
-}
-
-func TestDynamicGoodbyeRemovesPeer(t *testing.T) {
-	cfg := DefaultConfig()
-	c := dynamicCluster(t, 3, cfg)
-	defer c.stop()
-	c.runFor(3 * cfg.ProbeInterval)
-	if len(c.daemons[0].Peers()) != 2 {
-		t.Fatal("discovery incomplete")
-	}
-	c.daemons[2].Leave()
-	c.runFor(cfg.ProbeInterval)
-	for node := 0; node < 2; node++ {
-		for _, p := range c.daemons[node].Peers() {
-			if p == 2 {
-				t.Fatalf("node %d still monitors departed peer", node)
-			}
-		}
-	}
-	// The departed node's routes are gone.
-	if rt := c.daemons[0].RouteTo(2); rt.Kind != RouteNone {
-		t.Fatalf("route to departed peer = %+v", rt)
-	}
+	return out
 }
 
 func TestStaticSeedsNeverForgotten(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DynamicMembership = true
-	cfg.Monitor = []int{1} // node 1 is a static seed
+	cfg.Monitor = []int{1} // node 1 is configured
 	sched := simtime.NewScheduler()
 	net, err := netsim.New(sched, topology.Dual(3), netsim.DefaultParams(), 1)
 	if err != nil {
@@ -162,77 +42,91 @@ func TestStaticSeedsNeverForgotten(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Stop()
-	// Nobody else runs: node 1 is silent forever, but being a static
-	// seed it must stay monitored (just marked down).
+	// Nobody else runs: node 1 is silent forever, but being configured
+	// it must stay monitored (just marked down).
 	sched.RunUntil(simtime.Time(10 * time.Second))
-	peers := d.Peers()
-	if len(peers) != 1 || peers[0] != 1 {
-		t.Fatalf("peers = %v, want the static seed", peers)
+	if peers := monitored(d); len(peers) != 1 || peers[0] != 1 {
+		t.Fatalf("peers = %v, want the configured peer", peers)
 	}
 	if d.LinkUp(1, 0) || d.LinkUp(1, 1) {
-		t.Fatal("silent static peer should be marked down")
+		t.Fatal("silent configured peer should be marked down")
 	}
 }
 
-func TestDynamicFailoverStillWorks(t *testing.T) {
-	cfg := DefaultConfig()
-	c := dynamicCluster(t, 4, cfg)
-	defer c.stop()
-	c.runFor(3 * time.Second)
-	c.net.Fail(c.net.Cluster().NIC(1, 0))
-	c.runFor(time.Duration(cfg.MissThreshold+2) * cfg.ProbeInterval)
-	rt := c.daemons[0].RouteTo(1)
-	if rt.Kind != RouteDirect || rt.Rail != 1 {
-		t.Fatalf("route = %+v, want direct rail 1", rt)
-	}
-	if err := c.daemons[0].SendData(1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	c.runFor(200 * time.Millisecond)
-	if len(c.delivered[1]) != 1 {
-		t.Fatal("failover delivery failed under dynamic membership")
-	}
-}
-
+// TestStaticModeIgnoresHellos: the host list is authoritative, as
+// deployed. Control types 3, 4 and 6 (the retired hello, goodbye and
+// incarnation-stamped hello) are unknown types: a well-formed frame of
+// each, from a monitored peer and from one outside the host list, on
+// every rail, leaves the monitored set, the routes, the counters, the
+// checkpointed view and the trace exactly as a run without them, both
+// at the instant they arrive and after further rounds.
 func TestStaticModeIgnoresHellos(t *testing.T) {
-	// A static-membership daemon must not learn peers from stray
-	// hellos (configuration is authoritative, as deployed).
-	cfg := DefaultConfig()
-	cfg.Monitor = []int{1}
-	sched := simtime.NewScheduler()
-	net, err := netsim.New(sched, topology.Dual(3), netsim.DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
+	retired := [][]byte{
+		{3},             // hello
+		{4},             // goodbye
+		{6, 0, 0, 0, 9}, // hello stamped with incarnation 9
 	}
-	clock := simtime.Clock{Sched: sched}
-	d, err := New(netsim.NewTransport(net, 0), clock, cfg)
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		peers  []int
+		routes []Route
+		ctrs   map[string]int64
+		cp     *Checkpoint
+		events []trace.Event
 	}
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
+	run := func(inject bool) []outcome {
+		cfg := DefaultConfig()
+		cfg.Incarnation = 1
+		// Node 0 monitors only node 1; node 2 runs but is outside
+		// node 0's host list.
+		c := buildClusterShape(t, topology.Dual(3), cfg, func(node int, cfg *Config) {
+			cfg.Monitor = map[int][]int{0: {1}, 1: {0, 2}, 2: {1}}[node]
+		})
+		for _, d := range c.daemons {
+			if err := d.Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		defer c.stop()
+		d := c.daemons[0]
+		snapshot := func() outcome {
+			out := outcome{peers: monitored(d), ctrs: d.Metrics().Snapshot(),
+				cp: d.Checkpoint(), events: c.log.Events()}
+			for p := 0; p < 3; p++ {
+				out.routes = append(out.routes, d.RouteTo(p))
+			}
+			return out
+		}
+		c.runFor(1500 * time.Millisecond)
+		if inject {
+			for _, src := range []int{1, 2} {
+				for rail := 0; rail < 2; rail++ {
+					for _, body := range retired {
+						d.onFrame(rail, src, wire.Envelope(wire.ProtoControl, body))
+					}
+				}
+			}
+		}
+		at := snapshot()
+		c.runFor(2500 * time.Millisecond)
+		return []outcome{at, snapshot()}
 	}
-	defer d.Stop()
-	if err := net.Send(2, 0, 0, wire.Envelope(wire.ProtoControl, wire.MarshalHello())); err != nil {
-		t.Fatal(err)
-	}
-	sched.RunUntil(simtime.Time(time.Second))
-	peers := d.Peers()
-	if len(peers) != 1 || peers[0] != 1 {
-		t.Fatalf("static daemon learned from hello: %v", peers)
-	}
-}
-
-func TestDynamicConfigValidation(t *testing.T) {
-	sched := simtime.NewScheduler()
-	net, err := netsim.New(sched, topology.Dual(3), netsim.DefaultParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.DynamicMembership = true
-	cfg.Monitor = []int{0} // a seed naming the daemon itself
-	if _, err := New(netsim.NewTransport(net, 0), simtime.Clock{Sched: sched}, cfg); err == nil {
-		t.Fatal("dynamic daemon seeded with itself accepted")
+	want, got := run(false), run(true)
+	for i, when := range []string{"on arrival", "2.5 s later"} {
+		w, g := want[i], got[i]
+		if len(g.peers) != 1 || g.peers[0] != 1 {
+			t.Fatalf("%s: static daemon learned from retired frames: %v", when, g.peers)
+		}
+		if !reflect.DeepEqual(g.routes, w.routes) {
+			t.Errorf("%s: routes %+v, want %+v", when, g.routes, w.routes)
+		}
+		if !reflect.DeepEqual(g.ctrs, w.ctrs) {
+			t.Errorf("%s: counters %v, want %v", when, g.ctrs, w.ctrs)
+		}
+		if !reflect.DeepEqual(g.cp, w.cp) {
+			t.Errorf("%s: checkpoint %+v, want %+v", when, g.cp, w.cp)
+		}
+		if !reflect.DeepEqual(g.events, w.events) {
+			t.Errorf("%s: trace differs: %d events, want %d", when, len(g.events), len(w.events))
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"drsnet/internal/core/membership"
 	"drsnet/internal/dataplane"
 	"drsnet/internal/linkmon"
 	"drsnet/internal/routing"
@@ -130,9 +129,9 @@ func (d *Daemon) unpinRoutesLocked(now time.Duration) {
 }
 
 // drainControlLocked services the prioritized control queue in class
-// order — liveness re-probes, then deferred discoveries, then
-// membership chatter — spending budget tokens as it goes and stopping
-// a class the moment its budget runs dry. Caller holds d.mu.
+// order — liveness re-probes, then deferred discoveries — spending
+// budget tokens as it goes and stopping a class the moment its budget
+// runs dry. Caller holds d.mu.
 func (d *Daemon) drainControlLocked(now time.Duration) {
 	if d.ctrlQ == nil {
 		return
@@ -162,15 +161,6 @@ func (d *Daemon) drainControlLocked(now time.Duration) {
 		d.ctrlQ.PopClass(dataplane.ClassRepair)
 		d.sendQueryLocked(it.Peer, now)
 	}
-	if d.ctrlQ.Depth(dataplane.ClassDiscovery) > 0 && d.helloAllowedLocked(now) {
-		// All queued hello intents collapse into the one broadcast.
-		for {
-			if _, ok := d.ctrlQ.PopClass(dataplane.ClassDiscovery); !ok {
-				break
-			}
-		}
-		d.announceLocked(now)
-	}
 }
 
 // reprobeLocked sends a budget-admitted replacement probe to peer on
@@ -191,32 +181,5 @@ func (d *Daemon) reprobeLocked(peer int, now time.Duration) {
 			deadline := d.rtoDeadlineLocked(st)
 			d.clock.AfterCall(deadline, callFunc, func() { d.probeExpired(peer, rail, seq) })
 		}
-	}
-}
-
-// helloAllowedLocked reports whether a membership hello may broadcast
-// now: not while degraded, and not before the min-interval gate
-// reopens. Caller holds d.mu.
-func (d *Daemon) helloAllowedLocked(now time.Duration) bool {
-	if d.gov == nil {
-		return true
-	}
-	if d.gov.Degraded() {
-		return false
-	}
-	return d.cfg.Overload.HelloMinInterval == 0 || now >= d.nextHello
-}
-
-// announceLocked broadcasts the membership hello and closes the
-// min-interval gate behind it, jittered so a cluster that restarted
-// in lock-step staggers its chatter. Caller holds d.mu.
-func (d *Daemon) announceLocked(now time.Duration) {
-	if d.cfg.Incarnation > 0 {
-		membership.AnnounceInc(d.tr, d.cfg.Incarnation)
-	} else {
-		membership.Announce(d.tr)
-	}
-	if d.gov != nil && d.cfg.Overload.HelloMinInterval > 0 {
-		d.nextHello = now + d.jitter.Scale(d.cfg.Overload.HelloMinInterval, d.cfg.Overload.JitterFrac)
 	}
 }

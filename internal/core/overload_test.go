@@ -195,43 +195,9 @@ func TestOverloadDegradedPinsAndRecovers(t *testing.T) {
 	}
 }
 
-func TestOverloadHelloSuppression(t *testing.T) {
-	ov := overload.Config{
-		Enabled:          true,
-		HelloMinInterval: 4 * time.Second,
-		DegradedSheds:    -1,
-	}
-	cfg := overloadConfig(ov)
-	cfg.DynamicMembership = true
-	c := newCluster(t, 3, cfg)
-	defer c.stop()
-	c.runFor(12 * time.Second)
-
-	// The classic cadence is one hello per probe round; the gate floors
-	// the gap at 4 s, so most rounds suppress their hello.
-	m := c.daemons[0].Metrics()
-	if m.Counter(routing.CtrHelloSuppressed).Value() == 0 {
-		t.Fatal("hello min-interval set but nothing was suppressed")
-	}
-	// Suppression must not break discovery: everyone still learns
-	// everyone from the hellos that do flow.
-	for node, d := range c.daemons {
-		for peer := 0; peer < 3; peer++ {
-			if peer == node {
-				continue
-			}
-			if rt := d.RouteTo(peer); rt.Kind == RouteNone {
-				t.Fatalf("node %d never found a route to %d under hello suppression", node, peer)
-			}
-		}
-	}
-}
-
 func TestOverloadEnabledDeterministic(t *testing.T) {
 	run := func() []trace.Event {
-		cfg := overloadConfig(overload.Default())
-		cfg.DynamicMembership = true
-		c := newCluster(t, 4, cfg)
+		c := newCluster(t, 4, overloadConfig(overload.Default()))
 		defer c.stop()
 		c.runFor(3 * time.Second)
 		cl := c.net.Cluster()

@@ -81,27 +81,7 @@ func (d *Daemon) probeRound() {
 		}
 	}
 	d.probes = probes
-	stagger := d.cfg.StaggerProbes && len(probes) > 1
-	dynamic := d.cfg.DynamicMembership
-	sendHello := dynamic
-	if dynamic && d.gov != nil && !d.helloAllowedLocked(now) {
-		// Hello storm suppression: while degraded, or inside the
-		// min-interval gate, this round's hello is withheld. The
-		// intent parks on the control queue so chatter resumes the
-		// moment the gate reopens — jittered, not in lock-step.
-		sendHello = false
-		d.mset.Counter(routing.CtrHelloSuppressed).Inc()
-		d.deferControlLocked(dataplane.ControlItem{Class: dataplane.ClassDiscovery, Peer: -1})
-	}
-	if sendHello {
-		// Announce ourselves so unknown peers learn us (and we learn
-		// them from their hellos). With the lifecycle enabled the hello
-		// carries our incarnation so peers can spot reboots they missed.
-		// (announceLocked sends under mu — transports never call back
-		// inline — and closes the overload min-interval gate.)
-		d.announceLocked(now)
-	}
-	if stagger {
+	if d.cfg.StaggerProbes && len(probes) > 1 {
 		// Staggered sends fire from timers across the interval, past
 		// this round's hold on mu, so they get their own list.
 		batch := append([]probe(nil), probes...)

@@ -4,8 +4,8 @@ import "drsnet/internal/metrics"
 
 // Class ranks deferred control work. Lower values are more important:
 // liveness re-checks outrank route repair, which outranks discovery
-// chatter — under a correlated failure storm the budget drains in
-// exactly that order.
+// — under a correlated failure storm the budget drains in exactly that
+// order.
 type Class int
 
 const (
@@ -14,7 +14,10 @@ const (
 	ClassLiveness Class = iota
 	// ClassRepair is a deferred route-discovery broadcast.
 	ClassRepair
-	// ClassDiscovery is deferred membership chatter (hello announces).
+	// ClassDiscovery is the least important class. The DRS daemon
+	// defers nothing into it (its membership is the configured host
+	// list, with no announcements to defer), but it keeps its shed
+	// counter and its entry in the per-class depth report.
 	ClassDiscovery
 	// NumClasses sizes per-class arrays.
 	NumClasses

@@ -179,6 +179,3 @@ func (p *Plane) Flush(dst int) [][]byte {
 	}
 	return q
 }
-
-// Discard drops dst's queue without returning it (peer removal).
-func (p *Plane) Discard(dst int) { delete(p.queued, dst) }

@@ -86,19 +86,6 @@ func TestEnqueueDropsOldestDeterministically(t *testing.T) {
 	}
 }
 
-func TestDiscard(t *testing.T) {
-	p := New(0, 4, 4, 8, nil)
-	p.Enqueue(1, []byte("a"))
-	p.Enqueue(3, []byte("b"))
-	p.Discard(1)
-	if p.QueueLen(1) != 0 {
-		t.Fatal("discard left frames behind")
-	}
-	if p.QueueLen(3) != 1 {
-		t.Fatal("discard hit the wrong destination")
-	}
-}
-
 func TestZeroCapacityDisablesQueueing(t *testing.T) {
 	p := New(0, 4, 4, 0, nil)
 	if p.CanQueue() {

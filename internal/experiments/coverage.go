@@ -105,7 +105,6 @@ func FaultCoverage(cfg CoverageConfig) (*CoverageResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	cluster := topology.Dual(cfg.Nodes)
 	eval, err := conn.NewEvaluator(cluster)
 	if err != nil {
@@ -124,7 +123,6 @@ func FaultCoverage(cfg CoverageConfig) (*CoverageResult, error) {
 	for i, scenario := range scenarios {
 		res.record(cluster, scenario, outcomes[i])
 	}
-	recordSweep("coverage", parallel.Workers(cfg.Workers, len(scenarios)), time.Since(start))
 	return res, nil
 }
 

@@ -18,28 +18,13 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"time"
 
 	"drsnet/internal/costmodel"
 	"drsnet/internal/failure"
-	"drsnet/internal/metrics"
 	"drsnet/internal/montecarlo"
 	"drsnet/internal/parallel"
 	"drsnet/internal/survival"
 )
-
-// Metrics collects per-sweep engine telemetry: for every parallel
-// generator run, sweep.<name>.wall_ns and sweep.<name>.workers gauges
-// record the last run's wall time and resolved worker count, and the
-// sweep.<name>.runs counter accumulates.
-var Metrics = metrics.NewSet()
-
-// recordSweep stores one sweep's telemetry.
-func recordSweep(name string, workers int, wall time.Duration) {
-	Metrics.Gauge("sweep." + name + ".wall_ns").Set(int64(wall))
-	Metrics.Gauge("sweep." + name + ".workers").Set(int64(workers))
-	Metrics.Counter("sweep." + name + ".runs").Inc()
-}
 
 // ---------------------------------------------------------------
 // E1: Figure 1 — Response Time vs Number of Nodes.
@@ -65,7 +50,6 @@ func Figure1Workers(params costmodel.Params, budgets []float64, nMin, nMax, step
 	if len(budgets) == 0 {
 		return nil, fmt.Errorf("experiments: no budgets")
 	}
-	start := time.Now()
 	res := &Figure1Result{Params: params, Budgets: budgets}
 	for n := nMin; n <= nMax; n += step {
 		res.Nodes = append(res.Nodes, n)
@@ -87,7 +71,6 @@ func Figure1Workers(params costmodel.Params, budgets []float64, nMin, nMax, step
 	if err != nil {
 		return nil, err
 	}
-	recordSweep("figure1", parallel.Workers(workers, cells), time.Since(start))
 	return res, nil
 }
 
@@ -134,7 +117,6 @@ func Figure2Workers(failures []int, nMax, workers int) (*Figure2Result, error) {
 	if len(failures) == 0 {
 		return nil, fmt.Errorf("experiments: no failure counts")
 	}
-	start := time.Now()
 	res := &Figure2Result{Failures: failures, NMax: nMax}
 	// Flatten the ragged (f, N) grid into one work list.
 	type cell struct{ fi, n int }
@@ -154,7 +136,6 @@ func Figure2Workers(failures []int, nMax, workers int) (*Figure2Result, error) {
 		res.P[c.fi][c.n-(f+1)] = survival.PSuccessFloat(c.n, f)
 		return nil
 	})
-	recordSweep("figure2", parallel.Workers(workers, len(cells)), time.Since(start))
 	return res, nil
 }
 
@@ -201,7 +182,6 @@ func ThresholdsWorkers(failures []int, target float64, nMax, workers int) ([]Thr
 	if rat.SetFloat64(target) == nil {
 		return nil, fmt.Errorf("experiments: bad target %v", target)
 	}
-	start := time.Now()
 	rows, err := parallel.Map(nil, workers, len(failures), func(i int) (ThresholdRow, error) {
 		f := failures[i]
 		n, err := survival.Threshold(f, rat, 2, nMax)
@@ -214,7 +194,6 @@ func ThresholdsWorkers(failures []int, target float64, nMax, workers int) ([]Thr
 	if err != nil {
 		return nil, err
 	}
-	recordSweep("thresholds", parallel.Workers(workers, len(failures)), time.Since(start))
 	return rows, nil
 }
 

@@ -143,24 +143,6 @@ func TestCoverageWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepTelemetryRecorded: every parallel generator must leave
-// wall-time and worker-count gauges behind.
-func TestSweepTelemetryRecorded(t *testing.T) {
-	if _, err := Figure2Workers([]int{2}, 20, 3); err != nil {
-		t.Fatal(err)
-	}
-	snap := Metrics.GaugeSnapshot()
-	if snap["sweep.figure2.workers"] != 3 {
-		t.Fatalf("sweep.figure2.workers = %d, want 3", snap["sweep.figure2.workers"])
-	}
-	if snap["sweep.figure2.wall_ns"] < 0 {
-		t.Fatalf("negative wall time %d", snap["sweep.figure2.wall_ns"])
-	}
-	if Metrics.Snapshot()["sweep.figure2.runs"] < 1 {
-		t.Fatal("sweep.figure2.runs not incremented")
-	}
-}
-
 // TestCoverageRejectsNegativeWorkers guards the config validation.
 func TestCoverageRejectsNegativeWorkers(t *testing.T) {
 	cfg := DefaultCoverageConfig()

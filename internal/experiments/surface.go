@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"drsnet/internal/availability"
 	"drsnet/internal/parallel"
@@ -37,7 +36,6 @@ func Surface(qs []float64, sizes []int, allPairs bool, workers int) (*SurfaceRes
 	if len(qs) == 0 || len(sizes) == 0 {
 		return nil, fmt.Errorf("experiments: empty availability surface")
 	}
-	start := time.Now()
 	res := &SurfaceResult{Qs: qs, Sizes: sizes, AllPairs: allPairs}
 	res.P = make([][]float64, len(qs))
 	for i := range res.P {
@@ -64,7 +62,6 @@ func Surface(qs []float64, sizes []int, allPairs bool, workers int) (*SurfaceRes
 	if err != nil {
 		return nil, err
 	}
-	recordSweep("surface", parallel.Workers(workers, cells), time.Since(start))
 	return res, nil
 }
 

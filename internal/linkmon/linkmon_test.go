@@ -151,52 +151,6 @@ func TestTableProbeLifecycle(t *testing.T) {
 	if rail, ok := firstUp(tbl, 1); !ok || rail != 1 || !tbl.AnyUp(1) {
 		t.Fatalf("FirstUp = %d,%v after rail 0 down", rail, ok)
 	}
-
-	tbl.Remove(1)
-	if tbl.Monitored(1) || tbl.AnyUp(1) || tbl.State(1, 0) != nil {
-		t.Fatal("peer survives Remove")
-	}
-}
-
-// TestTableRemoveAddResets: the rows share one slab, so a re-added
-// peer must get fresh rails, with a new granted wait, without
-// disturbing its neighbours' states.
-func TestTableRemoveAddResets(t *testing.T) {
-	tbl := NewTable(4, 2)
-	for peer := 0; peer < 4; peer++ {
-		tbl.Add(peer)
-		for rail := 0; rail < 2; rail++ {
-			seq, _ := tbl.BeginProbe(peer, rail, 2)
-			st, _ := tbl.Confirm(peer, rail, seq)
-			st.ObserveRTT(time.Duration(peer*10+rail+1) * time.Millisecond)
-			st.Misses = peer + 1
-			st.Up = rail == 0
-		}
-	}
-	want := map[int][]State{}
-	for _, peer := range []int{0, 2, 3} {
-		want[peer] = []State{*tbl.State(peer, 0), *tbl.State(peer, 1)}
-	}
-
-	tbl.Remove(1)
-	if !tbl.Add(1) {
-		t.Fatal("re-Add after Remove refused")
-	}
-	for rail := 0; rail < 2; rail++ {
-		if got := *tbl.State(1, rail); got != (State{Up: true, heard: true, granted: true}) {
-			t.Errorf("re-added peer 1 rail %d = %+v, want fresh", rail, got)
-		}
-	}
-	if cap(tbl.row(1)) != 2 {
-		t.Errorf("row capacity %d reaches into the neighbour's rails", cap(tbl.row(1)))
-	}
-	for peer, states := range want {
-		for rail, w := range states {
-			if got := *tbl.State(peer, rail); got != w {
-				t.Errorf("peer %d rail %d = %+v after peer 1 was re-added, want %+v", peer, rail, got, w)
-			}
-		}
-	}
 }
 
 func TestTableSeqSharedAndWraps(t *testing.T) {
@@ -332,8 +286,7 @@ func TestBeginRoundAnswersAfterHeardRequest(t *testing.T) {
 // TestGrantedWait pins the first rounds of a new path with a miss
 // threshold of 1, so that any miss counted would also take the link
 // down. Each script runs on a fresh table; "wait" and "probe" are
-// BeginRound's expected choice, "heard" a request arriving, "readd"
-// Remove followed by Add.
+// BeginRound's expected choice and "heard" a request arriving.
 func TestGrantedWait(t *testing.T) {
 	type step struct {
 		op     string
@@ -352,8 +305,6 @@ func TestGrantedWait(t *testing.T) {
 			[]step{{"wait", 0}, {"heard", 0}, {"wait", 0}, {"probe", 1}}},
 		{"requester path probes from round 0", false,
 			[]step{{"probe", 0}, {"probe", 1}}},
-		{"re-added path is granted again", true,
-			[]step{{"wait", 0}, {"heard", 0}, {"wait", 0}, {"readd", 0}, {"wait", 0}, {"probe", 0}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl := NewTable(2, 1)
@@ -362,9 +313,6 @@ func TestGrantedWait(t *testing.T) {
 				switch s.op {
 				case "heard":
 					tbl.State(0, 0).HeardRequest()
-				case "readd":
-					tbl.Remove(0)
-					tbl.Add(0)
 				default:
 					_, probe, _, down := tbl.BeginRound(0, 0, 1, tc.answer)
 					if probe != (s.op == "probe") || down != (s.misses > 0) {
@@ -411,8 +359,9 @@ func TestBeginRoundFresh(t *testing.T) {
 
 	// Answering end: a wait, then the probe that resumes after an unmet
 	// wait, carry no acknowledgement.
-	tbl.Remove(0)
+	tbl = NewTable(2, 1)
 	tbl.Add(0)
+	st = tbl.State(0, 0)
 	round(true, false, false)         // the granted wait
 	confirm(round(true, true, false)) // resumes probing
 	round(true, true, true)

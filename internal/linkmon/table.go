@@ -152,9 +152,6 @@ func (t *Table) Add(peer int) bool {
 	return true
 }
 
-// Remove forgets peer entirely.
-func (t *Table) Remove(peer int) { t.monitored[peer] = false }
-
 // Monitored reports whether peer is currently monitored.
 func (t *Table) Monitored(peer int) bool {
 	return peer >= 0 && peer < len(t.monitored) && t.monitored[peer]

@@ -23,30 +23,15 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a last-value-wins int64 — wall times, worker counts and
-// other point-in-time measurements the sweep engine records.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Set is a registry of counters and gauges keyed by name. Counters and
-// gauges live in separate namespaces: the same name may be used for
-// one of each.
+// Set is a registry of counters keyed by name.
 type Set struct {
 	mu sync.Mutex
 	m  map[string]*Counter
-	g  map[string]*Gauge
 }
 
 // NewSet returns an empty registry.
 func NewSet() *Set {
-	return &Set{m: make(map[string]*Counter), g: make(map[string]*Gauge)}
+	return &Set{m: make(map[string]*Counter)}
 }
 
 // Counter returns the counter with the given name, creating it on
@@ -84,33 +69,6 @@ func (h *Handle) Inc() {
 		h.c.Store(c)
 	}
 	c.Inc()
-}
-
-// Gauge returns the gauge with the given name, creating it on first
-// use. The returned pointer is stable: callers may cache it.
-func (s *Set) Gauge(name string) *Gauge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.g == nil {
-		s.g = make(map[string]*Gauge)
-	}
-	g, ok := s.g[name]
-	if !ok {
-		g = &Gauge{}
-		s.g[name] = g
-	}
-	return g
-}
-
-// GaugeSnapshot returns the current value of every gauge.
-func (s *Set) GaugeSnapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.g))
-	for name, g := range s.g {
-		out[name] = g.Value()
-	}
-	return out
 }
 
 // Snapshot returns the current value of every counter.

@@ -28,50 +28,6 @@ func TestSnapshotAndNames(t *testing.T) {
 	}
 }
 
-func TestGaugeBasics(t *testing.T) {
-	s := NewSet()
-	g := s.Gauge("sweep.figure2.wall_ns")
-	g.Set(1234)
-	if g.Value() != 1234 {
-		t.Fatalf("value = %d", g.Value())
-	}
-	g.Set(42) // last value wins
-	if g.Value() != 42 {
-		t.Fatalf("value = %d", g.Value())
-	}
-	if s.Gauge("sweep.figure2.wall_ns") != g {
-		t.Fatal("gauge pointer not stable")
-	}
-	snap := s.GaugeSnapshot()
-	if snap["sweep.figure2.wall_ns"] != 42 {
-		t.Fatalf("gauge snapshot = %v", snap)
-	}
-	// Counters and gauges are separate namespaces.
-	s.Counter("sweep.figure2.wall_ns").Add(7)
-	if g.Value() != 42 {
-		t.Fatal("counter bled into gauge")
-	}
-}
-
-func TestGaugeConcurrent(t *testing.T) {
-	s := NewSet()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				s.Gauge("y").Set(int64(w))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := s.Gauge("y").Value(); got < 0 || got > 7 {
-		t.Fatalf("value = %d", got)
-	}
-}
-
 func TestConcurrent(t *testing.T) {
 	s := NewSet()
 	var wg sync.WaitGroup

@@ -35,8 +35,8 @@ const (
 	// KindPartition is a directed or symmetric cut between two nodes
 	// over one rail or all rails, invisible to carrier sensing.
 	KindPartition = "partition"
-	// KindCrash fail-stops a node's process (no goodbye) and restarts
-	// it at the window's end, warm from a checkpoint or cold.
+	// KindCrash fail-stops a node's process (announcing nothing) and
+	// restarts it at the window's end, warm from a checkpoint or cold.
 	KindCrash = "crash"
 	// KindFlap toggles one of a node's NICs down and up every Period
 	// for the length of the window, ending up.

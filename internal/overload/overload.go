@@ -58,10 +58,6 @@ type Config struct {
 	// control queue and drained when tokens return.
 	QueryRate  float64
 	QueryBurst int
-	// HelloMinInterval floors the gap between membership hello
-	// broadcasts (dynamic membership only). Zero keeps the classic
-	// once-per-round cadence.
-	HelloMinInterval time.Duration
 	// QueueCapacity bounds the prioritized control queue of deferred
 	// intents (liveness > repair > discovery). Zero means the default.
 	QueueCapacity int
@@ -74,8 +70,8 @@ type Config struct {
 	DegradedSheds  int
 	DegradedWindow time.Duration
 	DegradedQuiet  time.Duration
-	// JitterFrac spreads RTO deadlines and hello resumption by up to
-	// this fraction of the base interval, drawn from a per-node seeded
+	// JitterFrac spreads RTO deadlines and control-queue drains by up
+	// to this fraction of the base interval, drawn from a per-node seeded
 	// stream, so synchronized nodes desynchronize instead of storming.
 	// Zero means the default; negative disables jitter.
 	JitterFrac float64
@@ -112,9 +108,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.ProbeBurst < 0 || c.QueryBurst < 0 {
 		return fmt.Errorf("overload: negative budget burst")
-	}
-	if c.HelloMinInterval < 0 {
-		return fmt.Errorf("overload: negative hello min interval")
 	}
 	if c.QueueCapacity < 0 {
 		return fmt.Errorf("overload: negative control queue capacity")

@@ -19,7 +19,6 @@ func TestConfigStrayFieldsRejected(t *testing.T) {
 	cases := []Config{
 		{ProbeRate: 1},
 		{QueryBurst: 2},
-		{HelloMinInterval: time.Second},
 		{DegradedSheds: 3},
 		{JitterFrac: 0.5},
 	}
@@ -54,7 +53,6 @@ func TestConfigRejectsBadValues(t *testing.T) {
 		{Enabled: true, ProbeRate: -1},
 		{Enabled: true, ProbeBurst: -1},
 		{Enabled: true, QueryRate: -0.5},
-		{Enabled: true, HelloMinInterval: -time.Second},
 		{Enabled: true, QueueCapacity: -1},
 		{Enabled: true, DegradedWindow: -time.Second},
 		{Enabled: true, JitterFrac: 1.5},

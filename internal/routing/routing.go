@@ -95,13 +95,11 @@ const (
 	// Overload-protection counters (zero unless the layer is enabled).
 	// CtrProbeShed counts probe retransmits refused by the budget;
 	// CtrQueryShed counts discovery broadcasts refused (deferred to
-	// the control queue); CtrHelloSuppressed counts membership hellos
-	// withheld by the min-interval/degraded gates; CtrCtrlDeferred
-	// counts intents parked on the prioritized control queue, and the
-	// CtrCtrlShed* family counts intents that queue evicted, by class.
+	// the control queue); CtrCtrlDeferred counts intents parked on the
+	// prioritized control queue, and the CtrCtrlShed* family counts
+	// intents that queue evicted, by class.
 	CtrProbeShed         = "overload.probe_shed"
 	CtrQueryShed         = "overload.query_shed"
-	CtrHelloSuppressed   = "overload.hello_suppressed"
 	CtrCtrlDeferred      = "overload.deferred"
 	CtrCtrlShedLiveness  = "overload.shed_liveness"
 	CtrCtrlShedRepair    = "overload.shed_repair"

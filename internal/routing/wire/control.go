@@ -10,33 +10,23 @@ const (
 	// discovery exchange.
 	MsgRouteQuery = 1
 	MsgRouteOffer = 2
-	// MsgHello and MsgGoodbye implement dynamic membership (an
-	// extension beyond the paper's statically configured host lists):
-	// hello announces the sender, goodbye retracts it. The sender's
-	// identity comes from the frame, so both are a bare type byte.
-	MsgHello   = 3
-	MsgGoodbye = 4
+	// Types 3, 4 and 6 (the retired hello, goodbye and stamped hello)
+	// stay unassigned, so that such a frame from an older daemon reads
+	// as an unknown type and is ignored, never as another message.
+	//
 	// MsgRejoin announces a restarted daemon's new life: the body
 	// carries a monotonically increasing incarnation number so peers
-	// purge routes that relay through the previous life. MsgHelloInc
-	// and MsgOfferInc are the incarnation-stamped variants of hello
-	// and route offer, emitted only when the crash–restart lifecycle
-	// is enabled (the legacy frames stay the default so seeded runs
-	// are byte-identical without it).
+	// purge routes that relay through the previous life. MsgOfferInc
+	// is the incarnation-stamped route offer, emitted only when the
+	// crash–restart lifecycle is enabled (the legacy offer stays the
+	// default so seeded runs are byte-identical without it).
 	MsgRejoin   = 5
-	MsgHelloInc = 6
 	MsgOfferInc = 7
 	// MsgLSHello and MsgLSA belong to the OSPF-lite baseline:
 	// adjacency heartbeat and link-state advertisement.
 	MsgLSHello = 64
 	MsgLSA     = 65
 )
-
-// MarshalHello encodes a membership announcement.
-func MarshalHello() []byte { return []byte{MsgHello} }
-
-// MarshalGoodbye encodes a membership retraction.
-func MarshalGoodbye() []byte { return []byte{MsgGoodbye} }
 
 // MarshalLSHello encodes a link-state adjacency heartbeat.
 func MarshalLSHello() []byte { return []byte{MsgLSHello} }
@@ -115,8 +105,8 @@ func UnmarshalOffer(b []byte) (Offer, error) {
 	}, nil
 }
 
-// RejoinLen is the encoded size of a rejoin announcement or an
-// incarnation-stamped hello: one type byte plus the incarnation.
+// RejoinLen is the encoded size of a rejoin announcement: one type
+// byte plus the incarnation.
 const RejoinLen = 1 + 4
 
 // MarshalRejoin encodes a rejoin announcement carrying the sender's
@@ -131,23 +121,6 @@ func MarshalRejoin(incarnation uint32) []byte {
 // UnmarshalRejoin decodes a rejoin announcement.
 func UnmarshalRejoin(b []byte) (incarnation uint32, err error) {
 	if len(b) < RejoinLen || b[0] != MsgRejoin {
-		return 0, ErrBadControl
-	}
-	return binary.BigEndian.Uint32(b[1:5]), nil
-}
-
-// MarshalHelloInc encodes an incarnation-stamped membership
-// announcement.
-func MarshalHelloInc(incarnation uint32) []byte {
-	b := make([]byte, RejoinLen)
-	b[0] = MsgHelloInc
-	binary.BigEndian.PutUint32(b[1:5], incarnation)
-	return b
-}
-
-// UnmarshalHelloInc decodes an incarnation-stamped hello.
-func UnmarshalHelloInc(b []byte) (incarnation uint32, err error) {
-	if len(b) < RejoinLen || b[0] != MsgHelloInc {
 		return 0, ErrBadControl
 	}
 	return binary.BigEndian.Uint32(b[1:5]), nil

@@ -6,8 +6,9 @@ import (
 )
 
 // seedFrames returns one well-formed frame of every kind the protocol
-// stack can emit — the shared corpus for FuzzFrame's seeds and the
-// deterministic truncation audit below.
+// stack can emit, plus frames of the retired control types — the
+// shared corpus for FuzzFrame's seeds and the deterministic truncation
+// audit below.
 func seedFrames() [][]byte {
 	advert, _ := MarshalAdvert(Advert{Reachable: []uint16{1, 9, 300}})
 	return [][]byte{
@@ -15,11 +16,14 @@ func seedFrames() [][]byte {
 		Envelope(ProtoAdvert, advert),
 		Envelope(ProtoControl, MarshalQuery(Query{Origin: 1, Target: 2, Seq: 3, TTL: 2})),
 		Envelope(ProtoControl, MarshalOffer(Offer{Origin: 1, Target: 2, Seq: 3, Relay: 7})),
-		Envelope(ProtoControl, MarshalHello()),
-		Envelope(ProtoControl, MarshalGoodbye()),
+		// The retired hello and goodbye (control types 3 and 4), now
+		// unknown types that every decoder must pass over.
+		Envelope(ProtoControl, []byte{3}),
+		Envelope(ProtoControl, []byte{4}),
 		Envelope(ProtoControl, MarshalLSA(LSA{Origin: 5, Seq: 9, Neighbors: []Adjacency{{1, 0}, {2, 1}}})),
 		Envelope(ProtoControl, MarshalRejoin(2)),
-		Envelope(ProtoControl, MarshalHelloInc(3)),
+		// The retired incarnation-stamped hello (type 6), likewise.
+		Envelope(ProtoControl, []byte{6, 0, 0, 0, 3}),
 		Envelope(ProtoControl, MarshalOfferInc(Offer{Origin: 1, Target: 2, Seq: 3, Relay: 7}, 4)),
 		Envelope(ProtoFailover, MarshalFailover(FailoverHeader{Origin: 1, Final: 2, Seq: 3, Attempt: 1, Hops: 2}, []byte("y"))),
 		Envelope(ProtoFailover, MarshalFailover(FailoverHeader{Origin: 9, Final: 0, Seq: 0xffffffff, Attempt: 255, Hops: 255}, nil)),
@@ -52,8 +56,6 @@ func decodeFrame(frame []byte) {
 			UnmarshalOffer(body)
 		case MsgRejoin:
 			UnmarshalRejoin(body)
-		case MsgHelloInc:
-			UnmarshalHelloInc(body)
 		case MsgOfferInc:
 			UnmarshalOfferInc(body)
 		case MsgLSA:

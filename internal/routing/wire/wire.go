@@ -1,10 +1,11 @@
 // Package wire defines every on-the-wire format the protocols share:
 // the frame envelope, the application data header, reactive-routing
 // advertisements, and the control-plane messages of both the DRS
-// (route query/offer, membership hello/goodbye) and the link-state
-// baseline (LSA). Keeping all codecs in one dependency-free package
-// gives every protocol the same decoding discipline and lets a single
-// fuzz target (FuzzFrame) exercise the whole parsing surface.
+// (route query/offer, rejoin, incarnation-stamped offer) and the
+// link-state baseline (LSA). Keeping all codecs in one
+// dependency-free package gives every protocol the same decoding
+// discipline and lets a single fuzz target (FuzzFrame) exercise the
+// whole parsing surface.
 package wire
 
 import (

@@ -143,13 +143,10 @@ func TestControlTruncatedAndMistyped(t *testing.T) {
 	}
 }
 
+// TestMembershipCodecs: the link-state adjacency heartbeat is a bare
+// type byte (the DRS's one membership frame, rejoin, has its own
+// round-trip test).
 func TestMembershipCodecs(t *testing.T) {
-	if got := MarshalHello(); len(got) != 1 || got[0] != MsgHello {
-		t.Fatalf("hello = %v", got)
-	}
-	if got := MarshalGoodbye(); len(got) != 1 || got[0] != MsgGoodbye {
-		t.Fatalf("goodbye = %v", got)
-	}
 	if got := MarshalLSHello(); len(got) != 1 || got[0] != MsgLSHello {
 		t.Fatalf("ls hello = %v", got)
 	}
@@ -197,16 +194,6 @@ func TestRejoinRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHelloIncRoundTrip(t *testing.T) {
-	err := quick.Check(func(inc uint32) bool {
-		got, err := UnmarshalHelloInc(MarshalHelloInc(inc))
-		return err == nil && got == inc
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOfferIncRoundTrip(t *testing.T) {
 	err := quick.Check(func(origin, target uint16, seq uint32, relay uint16, inc uint32) bool {
 		o := Offer{Origin: origin, Target: target, Seq: seq, Relay: relay}
@@ -220,14 +207,10 @@ func TestOfferIncRoundTrip(t *testing.T) {
 
 func TestIncarnationCodecsTruncatedAndMistyped(t *testing.T) {
 	rejoin := MarshalRejoin(7)
-	hello := MarshalHelloInc(7)
 	offer := MarshalOfferInc(Offer{Origin: 1, Target: 2, Seq: 3, Relay: 5}, 7)
 	for cut := 1; cut <= len(rejoin); cut++ {
 		if _, err := UnmarshalRejoin(rejoin[:len(rejoin)-cut]); err != ErrBadControl {
 			t.Fatalf("rejoin truncated by %d: %v", cut, err)
-		}
-		if _, err := UnmarshalHelloInc(hello[:len(hello)-cut]); err != ErrBadControl {
-			t.Fatalf("hello-inc truncated by %d: %v", cut, err)
 		}
 	}
 	for cut := 1; cut <= len(offer); cut++ {
@@ -236,11 +219,8 @@ func TestIncarnationCodecsTruncatedAndMistyped(t *testing.T) {
 		}
 	}
 	// Each decoder rejects the others' type bytes.
-	if _, err := UnmarshalRejoin(hello); err != ErrBadControl {
-		t.Fatalf("rejoin decoder accepted hello-inc: %v", err)
-	}
-	if _, err := UnmarshalHelloInc(rejoin); err != ErrBadControl {
-		t.Fatalf("hello-inc decoder accepted rejoin: %v", err)
+	if _, err := UnmarshalRejoin(append([]byte{MsgOfferInc}, rejoin[1:]...)); err != ErrBadControl {
+		t.Fatalf("rejoin decoder accepted offer-inc type: %v", err)
 	}
 	if _, _, err := UnmarshalOfferInc(append(rejoin, make([]byte, OfferIncLen)...)); err != ErrBadControl {
 		t.Fatalf("offer-inc decoder accepted rejoin: %v", err)
@@ -251,7 +231,7 @@ func TestIncarnationCodecsTruncatedAndMistyped(t *testing.T) {
 // mixed cluster must fail loudly, which requires the ranges to never
 // collide.
 func TestDisjointControlRanges(t *testing.T) {
-	drs := []byte{MsgRouteQuery, MsgRouteOffer, MsgHello, MsgGoodbye, MsgRejoin, MsgHelloInc, MsgOfferInc}
+	drs := []byte{MsgRouteQuery, MsgRouteOffer, MsgRejoin, MsgOfferInc}
 	ls := []byte{MsgLSHello, MsgLSA}
 	for _, d := range drs {
 		if d >= 64 {

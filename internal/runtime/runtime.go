@@ -9,7 +9,6 @@ import (
 	"drsnet/internal/clock"
 	"drsnet/internal/core"
 	"drsnet/internal/invariant"
-	"drsnet/internal/metrics"
 	"drsnet/internal/netsim"
 	"drsnet/internal/parallel"
 	"drsnet/internal/routing"
@@ -17,11 +16,6 @@ import (
 	"drsnet/internal/trace"
 	"drsnet/internal/transport"
 )
-
-// Metrics collects runtime engine telemetry: RunMany records
-// runmany.wall_ns and runmany.workers gauges plus a runmany.runs
-// counter for each sharded fleet call.
-var Metrics = metrics.NewSet()
 
 // The simulator's adapters live on the simulator's side and satisfy
 // the protocol seams structurally, so neither seam package imports a
@@ -586,15 +580,7 @@ func Run(spec ClusterSpec) (*Result, error) {
 // output is bit-identical for every worker count. A nil ctx means
 // context.Background().
 func RunMany(ctx context.Context, specs []ClusterSpec, workers int) ([]*Result, error) {
-	start := time.Now()
-	results, err := parallel.Map(ctx, workers, len(specs), func(i int) (*Result, error) {
+	return parallel.Map(ctx, workers, len(specs), func(i int) (*Result, error) {
 		return Run(specs[i])
 	})
-	if err != nil {
-		return nil, err
-	}
-	Metrics.Gauge("runmany.wall_ns").Set(int64(time.Since(start)))
-	Metrics.Gauge("runmany.workers").Set(int64(parallel.Workers(workers, len(specs))))
-	Metrics.Counter("runmany.runs").Inc()
-	return results, nil
 }

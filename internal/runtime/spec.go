@@ -51,11 +51,11 @@ type Tunables struct {
 	AdaptiveRTO linkmon.RTO
 	// Overload enables the DRS control-plane overload-protection layer
 	// (ignored by the baselines): token-bucket budgets on probe
-	// retransmits and discovery broadcasts, jittered RTO deadlines,
-	// hello storm suppression and the degraded-mode governor that pins
-	// last-known-good routes when budgets saturate. The zero value
-	// disables the layer (and keeps seeded goldens byte-identical); see
-	// overload.Default for stock settings.
+	// retransmits and discovery broadcasts, jittered RTO deadlines, a
+	// prioritized queue for deferred control work and the degraded-mode
+	// governor that pins last-known-good routes when budgets saturate.
+	// The zero value disables the layer (and keeps seeded goldens
+	// byte-identical); see overload.Default for stock settings.
 	Overload overload.Config
 	// FailoverTTL stamps the static fast-failover variants' ProtoData
 	// frames (rotor and arborescence; default 6). Defence in depth
@@ -63,9 +63,9 @@ type Tunables struct {
 	FailoverTTL int
 	// Lifecycle enables the crash–restart lifecycle: DRS daemons get
 	// monotonically increasing incarnation numbers, open with a rejoin
-	// broadcast, stamp their hellos and offers, and reject control
-	// frames from peers' previous lives. Set automatically when the
-	// spec carries a crash episode; settable on its own for protocol
+	// broadcast, stamp their route offers, and reject control frames
+	// from peers' previous lives. Set automatically when the spec
+	// carries a crash episode; settable on its own for protocol
 	// studies.
 	Lifecycle bool
 }

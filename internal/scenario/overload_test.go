@@ -16,7 +16,7 @@ const overloadJSON = `{
   "overload": {
     "probeRate": 1.5,
     "probeBurst": 3,
-    "helloMinInterval": "4s",
+    "queueCapacity": 32,
     "degradedSheds": 5,
     "degradedQuiet": "3s"
   },
@@ -37,7 +37,7 @@ func TestOverloadScenarioLoads(t *testing.T) {
 	got := spec.Tunables.Overload
 	want := overload.Default()
 	want.ProbeRate, want.ProbeBurst = 1.5, 3
-	want.HelloMinInterval = 4 * time.Second
+	want.QueueCapacity = 32
 	want.DegradedSheds = 5
 	want.DegradedQuiet = 3 * time.Second
 	if got != want {
@@ -78,6 +78,11 @@ func TestOverloadScenarioValidation(t *testing.T) {
   "overload": {"probeRates": 1},
   "traffic": [{"from": 0, "to": 1, "interval": "1s"}]
 }`, "probeRates"},
+		{"retired hello interval", `{
+  "nodes": 3, "duration": "5s",
+  "overload": {"helloMinInterval": "4s"},
+  "traffic": [{"from": 0, "to": 1, "interval": "1s"}]
+}`, "helloMinInterval"},
 		{"negative rate", `{
   "nodes": 3, "duration": "5s",
   "overload": {"probeRate": -1},

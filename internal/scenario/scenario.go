@@ -503,22 +503,21 @@ func (s *Scenario) component(fab *topology.Fabric, kind string, node, rail, inde
 
 // OverloadSpec configures the DRS control-plane overload-protection
 // layer: token-bucket budgets on probe retransmits and discovery
-// broadcasts, hello storm suppression, and the degraded-mode governor
-// that pins last-known-good routes when budgets saturate. Presence of
-// the block enables the layer; zero fields keep overload.Default
-// settings. degradedSheds < 0 disables the governor (budgets still
-// apply).
+// broadcasts, a prioritized queue for deferred control work, and the
+// degraded-mode governor that pins last-known-good routes when budgets
+// saturate. Presence of the block enables the layer; zero fields keep
+// overload.Default settings. degradedSheds < 0 disables the governor
+// (budgets still apply).
 type OverloadSpec struct {
-	ProbeRate        float64  `json:"probeRate,omitempty"`
-	ProbeBurst       int      `json:"probeBurst,omitempty"`
-	QueryRate        float64  `json:"queryRate,omitempty"`
-	QueryBurst       int      `json:"queryBurst,omitempty"`
-	HelloMinInterval Duration `json:"helloMinInterval,omitempty"`
-	QueueCapacity    int      `json:"queueCapacity,omitempty"`
-	DegradedSheds    int      `json:"degradedSheds,omitempty"`
-	DegradedWindow   Duration `json:"degradedWindow,omitempty"`
-	DegradedQuiet    Duration `json:"degradedQuiet,omitempty"`
-	JitterFrac       float64  `json:"jitterFrac,omitempty"`
+	ProbeRate      float64  `json:"probeRate,omitempty"`
+	ProbeBurst     int      `json:"probeBurst,omitempty"`
+	QueryRate      float64  `json:"queryRate,omitempty"`
+	QueryBurst     int      `json:"queryBurst,omitempty"`
+	QueueCapacity  int      `json:"queueCapacity,omitempty"`
+	DegradedSheds  int      `json:"degradedSheds,omitempty"`
+	DegradedWindow Duration `json:"degradedWindow,omitempty"`
+	DegradedQuiet  Duration `json:"degradedQuiet,omitempty"`
+	JitterFrac     float64  `json:"jitterFrac,omitempty"`
 }
 
 // overload builds the DRS overload-protection config from the
@@ -530,17 +529,16 @@ func (s *Scenario) overload() overload.Config {
 		return overload.Config{}
 	}
 	return overload.Config{
-		Enabled:          true,
-		ProbeRate:        o.ProbeRate,
-		ProbeBurst:       o.ProbeBurst,
-		QueryRate:        o.QueryRate,
-		QueryBurst:       o.QueryBurst,
-		HelloMinInterval: time.Duration(o.HelloMinInterval),
-		QueueCapacity:    o.QueueCapacity,
-		DegradedSheds:    o.DegradedSheds,
-		DegradedWindow:   time.Duration(o.DegradedWindow),
-		DegradedQuiet:    time.Duration(o.DegradedQuiet),
-		JitterFrac:       o.JitterFrac,
+		Enabled:        true,
+		ProbeRate:      o.ProbeRate,
+		ProbeBurst:     o.ProbeBurst,
+		QueryRate:      o.QueryRate,
+		QueryBurst:     o.QueryBurst,
+		QueueCapacity:  o.QueueCapacity,
+		DegradedSheds:  o.DegradedSheds,
+		DegradedWindow: time.Duration(o.DegradedWindow),
+		DegradedQuiet:  time.Duration(o.DegradedQuiet),
+		JitterFrac:     o.JitterFrac,
 	}
 }
 
