@@ -75,6 +75,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadConfig -fuzztime=10s ./cmd/drsd
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSchedule -fuzztime=10s ./internal/nemesis
+	$(GO) test -run='^$$' -fuzz=FuzzAppendBernoulli -fuzztime=10s ./internal/rng
 
 # End-to-end gate: one iteration of every benchmark (benchsmoke), the
 # ten-second fuzz passes (fuzzsmoke), then over the CLIs: the two test

@@ -38,8 +38,8 @@ func TestFabricGolden(t *testing.T) {
 # per-component steady state: MTBF 1000h0m0s, MTTR 4h0m0s → q = 0.003984
 # monitored pair: hosts 0 and 127 (11 active-path components)
 
-structural: 0.984900 ±0.001690 (Monte Carlo, 20000 iterations)
-detection penalty: 0.000006   effective: 0.984894 (1 nines, 132h20m0s downtime/yr)
+structural: 0.983500 ±0.001766 (Monte Carlo, 20000 iterations)
+detection penalty: 0.000006   effective: 0.983494 (1 nines, 144h36m0s downtime/yr)
 `
 	for _, workers := range []string{"1", "3"} {
 		var out, errb bytes.Buffer

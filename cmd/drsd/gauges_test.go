@@ -90,7 +90,7 @@ func TestOverloadGaugesGolden(t *testing.T) {
 	if err := json.Unmarshal(buf, &doc); err != nil {
 		t.Fatal(err)
 	}
-	const golden = `{"degraded":false,"probeTokens":4,"queryTokens":2,"deferred":[0,0,0],"pinned":0}`
+	const golden = `{"degraded":false,"probeTokens":4,"queryTokens":2,"deferred":[0,0],"pinned":0}`
 	if string(doc.Overload) != golden {
 		t.Fatalf("status overload block drifted:\n got: %s\nwant: %s", doc.Overload, golden)
 	}

@@ -175,9 +175,8 @@ func New(tr transport.Transport, clock clock.Clock, cfg Config) (*Daemon, error)
 		d.ctrlQ = dataplane.NewControlQueue(ov.QueueCapacity,
 			d.mset.Counter(routing.CtrCtrlDeferred),
 			[dataplane.NumClasses]*metrics.Counter{
-				dataplane.ClassLiveness:  d.mset.Counter(routing.CtrCtrlShedLiveness),
-				dataplane.ClassRepair:    d.mset.Counter(routing.CtrCtrlShedRepair),
-				dataplane.ClassDiscovery: d.mset.Counter(routing.CtrCtrlShedDiscovery),
+				dataplane.ClassLiveness: d.mset.Counter(routing.CtrCtrlShedLiveness),
+				dataplane.ClassRepair:   d.mset.Counter(routing.CtrCtrlShedRepair),
 			})
 		d.pinned = make(map[int]bool)
 	}

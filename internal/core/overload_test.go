@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/dataplane"
 	"drsnet/internal/linkmon"
 	"drsnet/internal/overload"
 	"drsnet/internal/routing"
@@ -38,7 +39,7 @@ func TestOverloadStatusGauges(t *testing.T) {
 	if got, want := s.Overload.QueryTokens, float64(overload.DefaultQueryBurst); got != want {
 		t.Fatalf("query tokens = %v, want %v", got, want)
 	}
-	if len(s.Overload.Deferred) != 3 {
+	if len(s.Overload.Deferred) != int(dataplane.NumClasses) {
 		t.Fatalf("deferred depths = %v, want one per class", s.Overload.Deferred)
 	}
 

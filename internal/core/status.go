@@ -39,7 +39,7 @@ type OverloadStatus struct {
 	ProbeTokens float64 `json:"probeTokens"`
 	QueryTokens float64 `json:"queryTokens"`
 	// Deferred holds per-class control-queue depths, indexed by
-	// dataplane.Class (liveness, repair, discovery).
+	// dataplane.Class (liveness, repair).
 	Deferred []int `json:"deferred"`
 	// Pinned counts routes held last-known-good by degraded mode.
 	Pinned int `json:"pinned"`

@@ -3,9 +3,8 @@ package dataplane
 import "drsnet/internal/metrics"
 
 // Class ranks deferred control work. Lower values are more important:
-// liveness re-checks outrank route repair, which outranks discovery
-// — under a correlated failure storm the budget drains in exactly that
-// order.
+// liveness re-checks outrank route repair — under a correlated failure
+// storm the budget drains in exactly that order.
 type Class int
 
 const (
@@ -14,16 +13,11 @@ const (
 	ClassLiveness Class = iota
 	// ClassRepair is a deferred route-discovery broadcast.
 	ClassRepair
-	// ClassDiscovery is the least important class. The DRS daemon
-	// defers nothing into it (its membership is the configured host
-	// list, with no announcements to defer), but it keeps its shed
-	// counter and its entry in the per-class depth report.
-	ClassDiscovery
 	// NumClasses sizes per-class arrays.
 	NumClasses
 )
 
-var classNames = [NumClasses]string{"liveness", "repair", "discovery"}
+var classNames = [NumClasses]string{"liveness", "repair"}
 
 // String implements fmt.Stringer.
 func (c Class) String() string {

@@ -18,11 +18,11 @@ func meters() (*metrics.Set, *metrics.Counter, [NumClasses]*metrics.Counter) {
 func TestControlQueuePriorityOrder(t *testing.T) {
 	_, def, shed := meters()
 	cq := NewControlQueue(8, def, shed)
-	cq.Push(ControlItem{ClassDiscovery, -1})
 	cq.Push(ControlItem{ClassRepair, 3})
 	cq.Push(ControlItem{ClassLiveness, 1})
 	cq.Push(ControlItem{ClassRepair, 4})
-	want := []ControlItem{{ClassLiveness, 1}, {ClassRepair, 3}, {ClassRepair, 4}, {ClassDiscovery, -1}}
+	cq.Push(ControlItem{ClassLiveness, 2})
+	want := []ControlItem{{ClassLiveness, 1}, {ClassLiveness, 2}, {ClassRepair, 3}, {ClassRepair, 4}}
 	for i, w := range want {
 		if it, ok := peek(cq); !ok || it != w {
 			t.Fatalf("peek %d = %v %v, want %v", i, it, ok, w)
@@ -42,34 +42,36 @@ func TestControlQueuePriorityOrder(t *testing.T) {
 func TestControlQueueShedsLeastImportantFirst(t *testing.T) {
 	_, def, shed := meters()
 	cq := NewControlQueue(3, def, shed)
-	cq.Push(ControlItem{ClassDiscovery, -1})
-	cq.Push(ControlItem{ClassDiscovery, -2})
-	cq.Push(ControlItem{ClassRepair, 7})
-	// Full. A liveness push evicts the oldest discovery intent.
-	if !cq.Push(ControlItem{ClassLiveness, 1}) {
+	cq.Push(ControlItem{ClassRepair, 5})
+	cq.Push(ControlItem{ClassRepair, 6})
+	cq.Push(ControlItem{ClassLiveness, 1})
+	// Full. A liveness push evicts the oldest repair intent.
+	if !cq.Push(ControlItem{ClassLiveness, 2}) {
 		t.Fatal("liveness push refused")
-	}
-	if got := shed[ClassDiscovery].Value(); got != 1 {
-		t.Fatalf("discovery sheds = %d, want 1", got)
-	}
-	if cq.Depth(ClassDiscovery) != 1 || cq.Depth(ClassRepair) != 1 || cq.Depth(ClassLiveness) != 1 {
-		t.Fatalf("depths = %d/%d/%d", cq.Depth(ClassLiveness), cq.Depth(ClassRepair), cq.Depth(ClassDiscovery))
-	}
-	// Another repair push evicts the remaining discovery intent; the
-	// one after that evicts the older repair intent (its own class).
-	cq.Push(ControlItem{ClassRepair, 8})
-	cq.Push(ControlItem{ClassRepair, 9})
-	if got := shed[ClassDiscovery].Value(); got != 2 {
-		t.Fatalf("discovery sheds = %d, want 2", got)
 	}
 	if got := shed[ClassRepair].Value(); got != 1 {
 		t.Fatalf("repair sheds = %d, want 1", got)
 	}
-	if it, _ := cq.Pop(); it != (ControlItem{ClassLiveness, 1}) {
-		t.Fatalf("head = %v", it)
+	if cq.Depth(ClassLiveness) != 2 || cq.Depth(ClassRepair) != 1 {
+		t.Fatalf("depths = %d/%d", cq.Depth(ClassLiveness), cq.Depth(ClassRepair))
 	}
-	if it, _ := cq.Pop(); it != (ControlItem{ClassRepair, 8}) {
-		t.Fatalf("second = %v (oldest repair should have been shed)", it)
+	// A repair push evicts the older repair intent (its own class), and
+	// the liveness push after it evicts the newer one.
+	cq.Push(ControlItem{ClassRepair, 7})
+	cq.Push(ControlItem{ClassLiveness, 3})
+	if got := shed[ClassRepair].Value(); got != 3 {
+		t.Fatalf("repair sheds = %d, want 3", got)
+	}
+	// Only liveness is left, so the next liveness push evicts the
+	// oldest liveness intent.
+	cq.Push(ControlItem{ClassLiveness, 4})
+	if got := shed[ClassLiveness].Value(); got != 1 {
+		t.Fatalf("liveness sheds = %d, want 1", got)
+	}
+	for _, want := range []ControlItem{{ClassLiveness, 2}, {ClassLiveness, 3}, {ClassLiveness, 4}} {
+		if it, _ := cq.Pop(); it != want {
+			t.Fatalf("pop = %v, want %v (oldest liveness should have been shed)", it, want)
+		}
 	}
 }
 
@@ -77,12 +79,12 @@ func TestControlQueueRefusesOutrankedNewcomer(t *testing.T) {
 	_, def, shed := meters()
 	cq := NewControlQueue(2, def, shed)
 	cq.Push(ControlItem{ClassLiveness, 1})
-	cq.Push(ControlItem{ClassRepair, 2})
-	if cq.Push(ControlItem{ClassDiscovery, -1}) {
-		t.Fatal("discovery push admitted over liveness+repair at capacity")
+	cq.Push(ControlItem{ClassLiveness, 2})
+	if cq.Push(ControlItem{ClassRepair, 3}) {
+		t.Fatal("repair push admitted over two liveness intents at capacity")
 	}
-	if got := shed[ClassDiscovery].Value(); got != 1 {
-		t.Fatalf("discovery sheds = %d, want 1", got)
+	if got := shed[ClassRepair].Value(); got != 1 {
+		t.Fatalf("repair sheds = %d, want 1", got)
 	}
 	if cq.Len() != 2 {
 		t.Fatalf("len = %d, want 2", cq.Len())

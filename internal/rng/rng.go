@@ -115,42 +115,46 @@ func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// AppendBernoulli makes n draws exactly as n calls of Float64 would,
-// appends T(i) to dst for every draw i below q, and returns the
-// extended slice; r is left in the state those calls would leave it.
-// q ≤ 0 selects nothing and q ≥ 1 selects every index. A NaN q also
-// selects nothing, as Float64() < NaN never holds, but a NaN
-// probability is a configuration error callers must reject.
+// AppendBernoulli selects each index of [0, n) independently with
+// probability q, appends T(i) for every selected i to dst in ascending
+// order, and returns the extended slice. q ≤ 0 selects nothing and
+// q ≥ 1 selects every index without drawing. A NaN q also selects
+// nothing, but a NaN probability is a configuration error callers must
+// reject.
 //
-// This is the hot path of the independent-failure Monte Carlo models:
-// the generator state stays in locals across the loop, and each draw
-// is compared as an integer. Float64() < q is x>>11 < ⌈q·2⁵³⌉ exactly,
-// because scaling by a power of two is exact.
+// This is the hot path of the independent-failure Monte Carlo models,
+// which fail about n·q of n components per trial. It skips between
+// selected indices geometrically: with U = 1 − Float64() in (0, 1],
+// the gap ⌊ln U / ln(1−q)⌋ before the next selected index is
+// Geometric(q), so a call makes about n·q + 1 draws instead of n. The
+// selected set has the distribution of n independent Float64() < q
+// tests, but not their realisation: the same seed selects different
+// indices than such a loop, and leaves r in a different state. Each
+// draw costs a logarithm, so the skip loses to an n-draw scan above
+// q ≈ 0.2 (n = 36 612 on a 2-vCPU x86-64 host; see
+// BenchmarkAppendBernoulli); every non-test caller passes a small
+// failure probability.
 func AppendBernoulli[T ~int](r *Source, dst []T, n int, q float64) []T {
-	var thresh uint64
-	switch {
-	case q >= 1:
-		thresh = 1 << 53
-	case q > 0:
-		thresh = uint64(math.Ceil(q * (1 << 53)))
+	if !(q > 0) {
+		return dst
 	}
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := 0; i < n; i++ {
-		// One Uint64 step, as in the method above.
-		x := bits.RotateLeft64(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
-		if x>>11 < thresh {
+	if q >= 1 {
+		for i := 0; i < n; i++ {
 			dst = append(dst, T(i))
 		}
+		return dst
 	}
-	r.s = [4]uint64{s0, s1, s2, s3}
-	return dst
+	lq := math.Log1p(-q)
+	for i := -1; ; {
+		// skip ≥ 0; for a tiny q it can be +Inf, which the bound test
+		// reads as no further selection.
+		skip := math.Floor(math.Log(1-r.Float64()) / lq)
+		if skip >= float64(n-1-i) {
+			return dst
+		}
+		i += int(skip) + 1
+		dst = append(dst, T(i))
+	}
 }
 
 // SampleK fills dst with k distinct integers drawn uniformly from

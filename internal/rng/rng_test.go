@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -204,39 +205,201 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestAppendBernoulliMatchesFloat64(t *testing.T) {
-	first := New(77).Float64()
-	qs := []float64{
-		0, 1e-300, 0.01, 0.5, math.Nextafter(1, 0), 1,
-		-1, 2, math.Inf(1), math.NaN(),
-		first, math.Nextafter(first, 0), math.Nextafter(first, 1),
-	}
-	for _, n := range []int{0, 1, 7, 36612} {
-		for _, q := range qs {
-			ref, got := New(77), New(77)
+// bernoulliEdges are probabilities whose selection is known: none for
+// q ≤ 0 or NaN, every index for q ≥ 1, and none for 1e-12 at the
+// n ≤ 100 of TestAppendBernoulliEdges.
+var bernoulliEdges = []float64{0, -1, math.NaN(), 1, 2, math.Inf(1), 1e-12}
+
+func TestAppendBernoulliEdges(t *testing.T) {
+	for _, n := range []int{0, 1, 100} {
+		for _, q := range bernoulliEdges {
+			r := New(77)
+			sel := AppendBernoulli(r, []int{-1}, n, q)
+			if sel[0] != -1 {
+				t.Fatalf("n=%d q=%v: dst prefix overwritten", n, q)
+			}
 			var want []int
-			for i := 0; i < n; i++ {
-				if ref.Float64() < q {
+			if q >= 1 {
+				for i := 0; i < n; i++ {
 					want = append(want, i)
 				}
 			}
-			sel := AppendBernoulli(got, []int{-1}, n, q)
-			if sel[0] != -1 || !slices.Equal(sel[1:], want) {
-				t.Fatalf("n=%d q=%v: selected %d indices, Float64 loop %d", n, q, len(sel)-1, len(want))
+			if !slices.Equal(sel[1:], want) {
+				t.Fatalf("n=%d q=%v: selected %v, want %v", n, q, sel[1:], want)
 			}
-			if a, b := got.Uint64(), ref.Uint64(); a != b {
-				t.Fatalf("n=%d q=%v: next Uint64 %d, Float64 loop leaves %d", n, q, a, b)
+			// Outside (0, 1) the answer needs no randomness.
+			if !(q > 0 && q < 1) && *r != *New(77) {
+				t.Fatalf("n=%d q=%v: advanced the stream", n, q)
 			}
 		}
 	}
 }
 
+// TestAppendBernoulliIndexFrequency checks that every index, the first
+// and the last included, is selected with probability q: a chi-square
+// over per-index counts, each Binomial(trials, q) on its own.
+func TestAppendBernoulliIndexFrequency(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		q      float64
+		trials int
+	}{
+		{64, 0.05, 20000},
+		{16, 0.5, 4000},
+		{3, 0.9, 4000},
+	} {
+		r := New(11)
+		counts := make([]int, tc.n)
+		var sel []int
+		for i := 0; i < tc.trials; i++ {
+			sel = AppendBernoulli(r, sel[:0], tc.n, tc.q)
+			for _, v := range sel {
+				counts[v]++
+			}
+		}
+		mean := float64(tc.trials) * tc.q
+		chi2 := 0.0
+		for _, c := range counts {
+			d := float64(c) - mean
+			chi2 += d * d / (mean * (1 - tc.q))
+		}
+		// n degrees of freedom: mean n, standard deviation √(2n).
+		if limit := float64(tc.n) + 5*math.Sqrt(2*float64(tc.n)); chi2 > limit {
+			t.Errorf("n=%d q=%v: chi-square %.1f over %d indices exceeds %.1f (counts %v)",
+				tc.n, tc.q, chi2, tc.n, limit, counts)
+		}
+	}
+}
+
+// TestAppendBernoulliCountBinomial checks the number selected per call
+// against Binomial(n, q): sample mean and variance, each within five
+// standard errors.
+func TestAppendBernoulliCountBinomial(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		q      float64
+		trials int
+	}{
+		{36612, 0.01, 2000},
+		{36612, 0.001, 2000},
+		{20, 0.3, 20000},
+	} {
+		r := New(23)
+		var sel []int
+		sum, sumSq := 0.0, 0.0
+		for i := 0; i < tc.trials; i++ {
+			sel = AppendBernoulli(r, sel[:0], tc.n, tc.q)
+			k := float64(len(sel))
+			sum += k
+			sumSq += k * k
+		}
+		trials := float64(tc.trials)
+		mean := sum / trials
+		variance := (sumSq - trials*mean*mean) / (trials - 1)
+		wantMean := float64(tc.n) * tc.q
+		wantVar := wantMean * (1 - tc.q)
+		if se := math.Sqrt(wantVar / trials); math.Abs(mean-wantMean) > 5*se {
+			t.Errorf("n=%d q=%v: mean count %.3f, want %.3f ± %.3f", tc.n, tc.q, mean, wantMean, 5*se)
+		}
+		// The variance of a sample variance is about 2σ⁴/(trials−1).
+		if se := wantVar * math.Sqrt(2/(trials-1)); math.Abs(variance-wantVar) > 5*se {
+			t.Errorf("n=%d q=%v: count variance %.3f, want %.3f ± %.3f", tc.n, tc.q, variance, wantVar, 5*se)
+		}
+	}
+}
+
+// TestAppendBernoulliGapsGeometric checks the runs of unselected
+// indices before each selected one against Geometric(q),
+// P(gap = k) = (1−q)^k·q, by a chi-square over about twenty bins of
+// near-equal probability. The run after the last selected index is cut
+// off by n and is left out.
+func TestAppendBernoulliGapsGeometric(t *testing.T) {
+	const n, calls, bins = 1 << 16, 8, 20
+	for _, q := range []float64{0.2, 0.01, 0.0005} {
+		lq := math.Log1p(-q)
+		// Bin j holds gaps in [edges[j], edges[j+1]); the last is open.
+		var edges []int
+		for j := 0; j < bins; j++ {
+			e := int(math.Round(math.Log1p(-float64(j)/bins) / lq))
+			if len(edges) == 0 || e > edges[len(edges)-1] {
+				edges = append(edges, e)
+			}
+		}
+		observed := make([]int, len(edges))
+		total := 0
+		r := New(5)
+		var sel []int
+		for c := 0; c < calls; c++ {
+			sel = AppendBernoulli(r, sel[:0], n, q)
+			prev := -1
+			for _, v := range sel {
+				gap := v - prev - 1
+				prev = v
+				j, _ := slices.BinarySearch(edges, gap+1)
+				observed[j-1]++
+				total++
+			}
+		}
+		chi2 := 0.0
+		for j, lo := range edges {
+			p := math.Exp(float64(lo) * lq)
+			if j+1 < len(edges) {
+				p -= math.Exp(float64(edges[j+1]) * lq)
+			}
+			want := p * float64(total)
+			d := float64(observed[j]) - want
+			chi2 += d * d / want
+		}
+		df := float64(len(edges) - 1)
+		if limit := df + 5*math.Sqrt(2*df); chi2 > limit {
+			t.Errorf("q=%v: gap chi-square %.1f over %d bins (%d gaps) exceeds %.1f; observed %v",
+				q, chi2, len(edges), total, limit, observed)
+		}
+	}
+}
+
+// FuzzAppendBernoulli checks the selection invariants for any seed,
+// n ≤ 1<<16 and q: ascending, distinct and in [0, n); nothing for
+// q ≤ 0 or NaN; everything for q ≥ 1; the same output for the same
+// seed.
+func FuzzAppendBernoulli(f *testing.F) {
+	for _, q := range append([]float64{0.01, 0.5, math.Nextafter(1, 0), 1e-300}, bernoulliEdges...) {
+		f.Add(uint64(1), uint32(36612), q)
+	}
+	f.Add(uint64(7), uint32(1<<16), 0.25)
+	f.Fuzz(func(t *testing.T, seed uint64, n32 uint32, q float64) {
+		n := int(n32 % (1<<16 + 1))
+		sel := AppendBernoulli(New(seed), []int(nil), n, q)
+		for i, v := range sel {
+			if v < 0 || v >= n || (i > 0 && v <= sel[i-1]) {
+				t.Fatalf("n=%d q=%v: selection %d is %d after %v", n, q, i, v, sel[:i])
+			}
+		}
+		switch {
+		case !(q > 0) && len(sel) != 0:
+			t.Fatalf("n=%d q=%v: selected %d, want none", n, q, len(sel))
+		case q >= 1 && len(sel) != n:
+			t.Fatalf("n=%d q=%v: selected %d, want all", n, q, len(sel))
+		}
+		if again := AppendBernoulli(New(seed), []int(nil), n, q); !slices.Equal(again, sel) {
+			t.Fatalf("n=%d q=%v seed=%d: a second run selected differently", n, q, seed)
+		}
+	})
+}
+
+// BenchmarkAppendBernoulli draws one fat-tree k=36 trial (36 612
+// components) per op, at failure probabilities on both sides of the
+// q ≈ 0.1 break-even with an n-draw scan.
 func BenchmarkAppendBernoulli(b *testing.B) {
-	r := New(1)
-	dst := make([]int, 0, 1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		dst = AppendBernoulli(r, dst[:0], 36612, 0.01)
+	for _, q := range []float64{0.001, 0.01, 0.1, 0.25} {
+		b.Run(fmt.Sprintf("q=%v", q), func(b *testing.B) {
+			r := New(1)
+			dst := make([]int, 0, 16384)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = AppendBernoulli(r, dst[:0], 36612, q)
+			}
+		})
 	}
 }
 

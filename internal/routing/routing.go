@@ -98,12 +98,11 @@ const (
 	// the control queue); CtrCtrlDeferred counts intents parked on the
 	// prioritized control queue, and the CtrCtrlShed* family counts
 	// intents that queue evicted, by class.
-	CtrProbeShed         = "overload.probe_shed"
-	CtrQueryShed         = "overload.query_shed"
-	CtrCtrlDeferred      = "overload.deferred"
-	CtrCtrlShedLiveness  = "overload.shed_liveness"
-	CtrCtrlShedRepair    = "overload.shed_repair"
-	CtrCtrlShedDiscovery = "overload.shed_discovery"
+	CtrProbeShed        = "overload.probe_shed"
+	CtrQueryShed        = "overload.query_shed"
+	CtrCtrlDeferred     = "overload.deferred"
+	CtrCtrlShedLiveness = "overload.shed_liveness"
+	CtrCtrlShedRepair   = "overload.shed_repair"
 	// CtrDegradedEnter counts degraded-mode episodes; CtrDegradedNs
 	// accumulates nanoseconds spent degraded; CtrRoutePinned counts
 	// routes pinned (kept last-known-good) while degraded.
