@@ -26,6 +26,7 @@ race:
 	$(GO) test -race -count=10 -run TestLiveScratchIsRaceFree ./internal/core/
 	$(GO) test -race -count=10 -run TestRoundsStopRacesTick ./internal/linkmon/
 	$(GO) test -race -count=10 -run 'TestManualAdvanceRacesAfterFunc|TestNowRacesAdvance' ./internal/clock/
+	$(GO) test -race -count=10 -run 'TestMemConcurrentChaosRace|TestFaultsConcurrentPolicyRace' ./internal/transport/
 	$(GO) test -race -count=10 -run TestUDPReceiverSwapRace ./internal/transport/
 
 bench:

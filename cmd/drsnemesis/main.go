@@ -3,10 +3,11 @@
 // asymmetric), process crashes with warm or cold restarts, NIC flaps
 // and clock-skew windows run against a hermetic in-process cluster —
 // the same runtime.BuildNode assembly cmd/drsd boots, over the
-// in-memory transport and a manual wall clock. After every schedule
-// heals, the post-heal invariants must hold: routes reconverge to
-// direct, no stale incarnation survives a restart, membership is
-// fresh, and the data plane delivers on every ordered pair.
+// in-memory transport and the simulator's deterministic clock. After
+// every schedule heals, the post-heal invariants must hold: routes
+// reconverge to direct, no stale incarnation survives a restart,
+// membership is fresh, and the data plane delivers on every ordered
+// pair.
 //
 // Everything replays from its seed. A failing schedule is
 // automatically shrunk to a minimal failing schedule (deterministic

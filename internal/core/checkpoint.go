@@ -59,7 +59,7 @@ func (d *Daemon) Checkpoint() *Checkpoint {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	cp := &Checkpoint{
-		Node:        d.tr.Node(),
+		Node:        d.self,
 		Incarnation: d.cfg.Incarnation,
 		TakenAt:     d.clock.Now(),
 	}
@@ -72,9 +72,9 @@ func (d *Daemon) Checkpoint() *Checkpoint {
 			LastHeard:   d.members.LastHeard(peer),
 			Incarnation: d.members.Incarnation(peer),
 			Route:       d.routes.Route(peer),
-			Rails:       make([]RailState, d.tr.Rails()),
+			Rails:       make([]RailState, d.rails),
 		}
-		for rail := 0; rail < d.tr.Rails(); rail++ {
+		for rail := 0; rail < d.rails; rail++ {
 			st := d.links.State(peer, rail)
 			ps.Rails[rail] = RailState{Up: st.Up}
 			if rtt, ok := st.RTT(); ok {
@@ -97,8 +97,8 @@ func (d *Daemon) Checkpoint() *Checkpoint {
 // which is what makes warm recovery measurable against cold. Called
 // from New before the daemon starts; d.mu is not yet contended.
 func (d *Daemon) restoreLocked(cp *Checkpoint) error {
-	if cp.Node != d.tr.Node() {
-		return fmt.Errorf("core: checkpoint of node %d restored on node %d", cp.Node, d.tr.Node())
+	if cp.Node != d.self {
+		return fmt.Errorf("core: checkpoint of node %d restored on node %d", cp.Node, d.self)
 	}
 	if cp.Incarnation >= d.cfg.Incarnation {
 		return fmt.Errorf("core: checkpoint incarnation %d not older than this life's %d",
@@ -106,13 +106,13 @@ func (d *Daemon) restoreLocked(cp *Checkpoint) error {
 	}
 	now := d.clock.Now()
 	for _, ps := range cp.Peers {
-		if ps.Peer < 0 || ps.Peer >= d.tr.Nodes() || ps.Peer == d.tr.Node() {
+		if ps.Peer < 0 || ps.Peer >= d.tr.Nodes() || ps.Peer == d.self {
 			return fmt.Errorf("core: checkpoint peer %d invalid for node %d of %d",
-				ps.Peer, d.tr.Node(), d.tr.Nodes())
+				ps.Peer, d.self, d.tr.Nodes())
 		}
-		if len(ps.Rails) != d.tr.Rails() {
+		if len(ps.Rails) != d.rails {
 			return fmt.Errorf("core: checkpoint peer %d carries %d rails, cluster has %d",
-				ps.Peer, len(ps.Rails), d.tr.Rails())
+				ps.Peer, len(ps.Rails), d.rails)
 		}
 		if !d.links.Monitored(ps.Peer) {
 			continue // peer dropped from the monitor set
@@ -128,12 +128,12 @@ func (d *Daemon) restoreLocked(cp *Checkpoint) error {
 		if rt.Kind == RouteNone || rt == d.routes.Route(ps.Peer) {
 			continue
 		}
-		if rt.Rail < 0 || rt.Rail >= d.tr.Rails() || rt.Via < 0 || rt.Via >= d.tr.Nodes() ||
-			!routeShaped(rt, d.tr.Node(), ps.Peer) {
+		if rt.Rail < 0 || rt.Rail >= d.rails || rt.Via < 0 || rt.Via >= d.tr.Nodes() ||
+			!routeShaped(rt, d.self, ps.Peer) {
 			return fmt.Errorf("core: checkpoint route to peer %d malformed", ps.Peer)
 		}
 		d.routes.SetRoute(ps.Peer, rt)
-		d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindRouteInstalled,
+		d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindRouteInstalled,
 			Peer: ps.Peer, Rail: rt.Rail, Detail: fmt.Sprintf("%s via %d (warm restore)", rt.Kind, rt.Via)})
 	}
 	return nil

@@ -53,7 +53,7 @@ func (d *Daemon) onControl(rail, src int, body []byte) {
 }
 
 func (d *Daemon) onQuery(rail, src int, q wire.Query) {
-	self := d.tr.Node()
+	self := d.self
 	origin := int(q.Origin)
 	target := int(q.Target)
 	if origin == self || origin < 0 || origin >= d.tr.Nodes() ||
@@ -113,14 +113,14 @@ func (d *Daemon) onQuery(rail, src int, q wire.Query) {
 	if ttl > 1 {
 		q.TTL = ttl - 1
 		payload := wire.Envelope(wire.ProtoControl, wire.MarshalQuery(q))
-		for r := 0; r < d.tr.Rails(); r++ {
+		for r := 0; r < d.rails; r++ {
 			_ = d.tr.Send(r, transport.Broadcast, payload)
 		}
 	}
 }
 
 func (d *Daemon) onOffer(rail int, o wire.Offer) {
-	self := d.tr.Node()
+	self := d.self
 	if int(o.Origin) != self {
 		return // not addressed to us
 	}

@@ -95,6 +95,9 @@ type Daemon struct {
 	tr    transport.Transport
 	clock clock.Clock
 	mset  *metrics.Set
+	// self and rails are tr's node index and rail count, read once:
+	// neither changes over a transport's life.
+	self, rails int
 
 	mu      sync.Mutex
 	started bool
@@ -149,6 +152,8 @@ func New(tr transport.Transport, clock clock.Clock, cfg Config) (*Daemon, error)
 		tr:      tr,
 		clock:   clock,
 		mset:    metrics.NewSet(),
+		self:    tr.Node(),
+		rails:   tr.Rails(),
 		links:   linkmon.NewTable(tr.Nodes(), tr.Rails()),
 		members: membership.New(tr.Nodes()),
 		routes:  routetable.New(tr.Nodes()),
@@ -321,7 +326,7 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 	if d.stopped || !d.links.Monitored(src) {
 		return
 	}
-	if echo.ID != uint16(d.tr.Node()) {
+	if echo.ID != uint16(d.self) {
 		return // not ours
 	}
 	st, ok := d.links.Confirm(src, rail, echo.Seq)
@@ -365,7 +370,7 @@ func (d *Daemon) noteAliveLocked(rail, src int, data []byte) {
 		return
 	}
 	d.members.Heard(src, d.clock.Now())
-	if d.cfg.StrictLinkEvidence && (src > d.tr.Node() || !acknowledges(data)) {
+	if d.cfg.StrictLinkEvidence && (src > d.self || !acknowledges(data)) {
 		return
 	}
 	st := d.links.State(src, rail)

@@ -43,7 +43,7 @@ func (d *Daemon) SendData(dst int, data []byte) error {
 		d.mu.Unlock()
 		return routing.ErrStopped
 	}
-	if dst < 0 || dst >= d.tr.Nodes() || dst == d.tr.Node() {
+	if dst < 0 || dst >= d.tr.Nodes() || dst == d.self {
 		d.mu.Unlock()
 		return fmt.Errorf("core: bad destination %d", dst)
 	}
@@ -94,7 +94,7 @@ func (d *Daemon) onData(rail, src int, body []byte) {
 		}
 		d.dataDelivered.Inc()
 		if d.tracing() {
-			d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindDataDelivered,
+			d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindDataDelivered,
 				Peer: int(h.Origin), Rail: rail, Detail: detailSeq(h.Seq)})
 		}
 		deliver(int(h.Origin), data)
@@ -136,7 +136,7 @@ func (d *Daemon) onData(rail, src int, body []byte) {
 		d.mu.Unlock()
 		d.dataForwarded.Inc()
 		if d.tracing() {
-			d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindDataForwarded,
+			d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindDataForwarded,
 				Peer: final, Rail: outRail, Detail: detailOriginSeq(h.Origin, h.Seq)})
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // purge every route that relays through it, because those routes were
 // installed against a route table the reboot erased.
 func (d *Daemon) onRejoin(rail, src int, inc uint32) {
-	if src == d.tr.Node() || src < 0 || src >= d.tr.Nodes() {
+	if src == d.self || src < 0 || src >= d.tr.Nodes() {
 		return
 	}
 	d.mu.Lock()
@@ -47,7 +47,7 @@ func (d *Daemon) onRejoin(rail, src int, inc uint32) {
 	if prev == 0 {
 		return // first sighting (cluster start): nothing to purge
 	}
-	d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindPeerRejoined,
+	d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindPeerRejoined,
 		Peer: src, Rail: rail, Detail: fmt.Sprintf("incarnation %d->%d", prev, inc)})
 	d.purgeRelaysViaLocked(src, now)
 }
@@ -59,7 +59,7 @@ func (d *Daemon) onRejoin(rail, src int, inc uint32) {
 // broadcast may have been lost) purges relay routes through the
 // peer's earlier life before the frame is processed.
 func (d *Daemon) admitIncarnation(peer int, inc uint32) bool {
-	if peer < 0 || peer >= d.tr.Nodes() || peer == d.tr.Node() {
+	if peer < 0 || peer >= d.tr.Nodes() || peer == d.self {
 		return false
 	}
 	d.mu.Lock()

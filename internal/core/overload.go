@@ -42,7 +42,7 @@ func (d *Daemon) shedLocked(now time.Duration) {
 	}
 	if d.gov.Shed(now) {
 		d.mset.Counter(routing.CtrDegradedEnter).Inc()
-		d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindDegradedEnter,
+		d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindDegradedEnter,
 			Peer: -1, Rail: -1})
 	}
 }
@@ -101,7 +101,7 @@ func (d *Daemon) overloadRoundLocked(now time.Duration) {
 	}
 	if exited, held := d.gov.Tick(now); exited {
 		d.mset.Counter(routing.CtrDegradedNs).Add(int64(held))
-		d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindDegradedExit,
+		d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindDegradedExit,
 			Peer: -1, Rail: -1, Detail: fmt.Sprintf("held %v", held)})
 		d.unpinRoutesLocked(now)
 	}
@@ -167,7 +167,7 @@ func (d *Daemon) drainControlLocked(now time.Duration) {
 // every rail without an outstanding one — the liveness intent a shed
 // retransmit parked. Caller holds d.mu.
 func (d *Daemon) reprobeLocked(peer int, now time.Duration) {
-	for rail := 0; rail < d.tr.Rails(); rail++ {
+	for rail := 0; rail < d.rails; rail++ {
 		st := d.links.State(peer, rail)
 		if st == nil || st.Pending {
 			continue

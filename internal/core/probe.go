@@ -56,14 +56,14 @@ func (d *Daemon) probeRound() {
 	// heard (see noteAliveLocked). Adaptive deadlines need round trips
 	// of their own at both ends, so they keep probing.
 	shared := !rto.Enabled()
-	self := d.tr.Node()
+	self := d.self
 	probes := d.probes[:0]
 	for peer := 0; peer < d.links.Nodes(); peer++ {
 		if !d.links.Monitored(peer) {
 			continue
 		}
 		answer := shared && peer < self
-		for rail := 0; rail < d.tr.Rails(); rail++ {
+		for rail := 0; rail < d.rails; rail++ {
 			seq, send, fresh, down := d.links.BeginRound(peer, rail, d.cfg.MissThreshold, answer)
 			if down {
 				d.markDownLocked(peer, rail, now)
@@ -129,7 +129,7 @@ func (d *Daemon) sendProbeLocked(peer, rail int, seq uint16, now time.Duration, 
 		}
 	}
 	binary.BigEndian.PutUint64(data[8:], uint64(rtt))
-	echo := icmp.Echo{Request: true, ID: uint16(d.tr.Node()), Seq: seq, Data: data[:]}
+	echo := icmp.Echo{Request: true, ID: uint16(d.self), Seq: seq, Data: data[:]}
 	d.frameBuf = echo.AppendTo(append(d.frameBuf[:0], wire.ProtoICMP))
 	if err := d.tr.Send(rail, peer, d.frameBuf); err == nil {
 		d.probesSent.Inc()
@@ -207,7 +207,7 @@ func (d *Daemon) steerByLatencyLocked(now time.Duration) {
 		}
 		best := rt.Rail
 		bestRTT := curRTT
-		for rail := 0; rail < d.tr.Rails(); rail++ {
+		for rail := 0; rail < d.rails; rail++ {
 			if rail == rt.Rail {
 				continue
 			}
@@ -235,7 +235,7 @@ func (d *Daemon) markDownLocked(peer, rail int, now time.Duration) {
 	st.RecordFlap(d.cfg.FlapDamping, now)
 	d.mset.Counter(routing.CtrLinkDown).Inc()
 	d.mset.Counter(routing.CtrLinkFlaps).Inc()
-	d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindLinkDown,
+	d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindLinkDown,
 		Peer: peer, Rail: rail})
 	// Repair the peer's own route if it used this rail directly.
 	if rt := d.routes.Route(peer); rt.Kind == RouteDirect && rt.Rail == rail {
@@ -263,13 +263,13 @@ func (d *Daemon) markUpLocked(peer, rail int, now time.Duration) {
 	}
 	st.Up = true
 	d.mset.Counter(routing.CtrLinkUp).Inc()
-	d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindLinkUp,
+	d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindLinkUp,
 		Peer: peer, Rail: rail})
 	if st.Damped() || st.Suppressed(d.cfg.FlapDamping, now) {
 		if !st.Damped() {
 			st.EnterDamped(now)
 			d.mset.Counter(routing.CtrRouteDamped).Inc()
-			d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindRouteDamped,
+			d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindRouteDamped,
 				Peer: peer, Rail: rail,
 				Detail: fmt.Sprintf("penalty %.2f", st.Penalty(d.cfg.FlapDamping, now))})
 		}
@@ -293,14 +293,14 @@ func (d *Daemon) releaseDampedLocked(now time.Duration) {
 		if !d.links.Monitored(peer) {
 			continue
 		}
-		for rail := 0; rail < d.tr.Rails(); rail++ {
+		for rail := 0; rail < d.rails; rail++ {
 			st := d.links.State(peer, rail)
 			held, released := st.TryRelease(d.cfg.FlapDamping, now)
 			if !released {
 				continue
 			}
 			d.mset.Counter(routing.CtrDampedNs).Add(int64(held))
-			d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindRouteUndamped,
+			d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindRouteUndamped,
 				Peer: peer, Rail: rail, Detail: fmt.Sprintf("held %v", held)})
 			if !st.Up {
 				continue
@@ -329,7 +329,7 @@ func (d *Daemon) repairLocked(peer int, now time.Duration) {
 			if !d.pinned[peer] {
 				d.pinned[peer] = true
 				d.mset.Counter(routing.CtrRoutePinned).Inc()
-				d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindRoutePinned,
+				d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindRoutePinned,
 					Peer: peer, Rail: rt.Rail, Detail: fmt.Sprintf("%s via %d", rt.Kind, rt.Via)})
 			}
 			return
@@ -338,7 +338,7 @@ func (d *Daemon) repairLocked(peer int, now time.Duration) {
 	// No direct path remains: note the loss and ask the cluster.
 	if d.routes.Route(peer).Kind != RouteNone {
 		d.routes.SetRoute(peer, Route{Kind: RouteNone})
-		d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindRouteLost, Peer: peer, Rail: -1})
+		d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindRouteLost, Peer: peer, Rail: -1})
 	}
 	d.startQueryLocked(peer, now)
 }
@@ -357,7 +357,7 @@ func (d *Daemon) installLocked(peer int, rt Route, now time.Duration) {
 		return
 	}
 	delete(d.pinned, peer) // a fresh install supersedes any pin
-	d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindRouteInstalled,
+	d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindRouteInstalled,
 		Peer: peer, Rail: rt.Rail, Detail: fmt.Sprintf("%s via %d", rt.Kind, rt.Via)})
 	d.mset.Counter(routing.CtrRepairs).Inc()
 	// Flush outside the lock is unnecessary: transports never call
@@ -392,18 +392,18 @@ func (d *Daemon) sendQueryLocked(peer int, now time.Duration) {
 		return // one discovery in flight per target
 	}
 	query := wire.Query{
-		Origin: uint16(d.tr.Node()),
+		Origin: uint16(d.self),
 		Target: uint16(peer),
 		Seq:    q.Seq,
 		TTL:    uint8(d.cfg.RelayTTL),
 	}
 	payload := wire.Envelope(wire.ProtoControl, wire.MarshalQuery(query))
-	for rail := 0; rail < d.tr.Rails(); rail++ {
+	for rail := 0; rail < d.rails; rail++ {
 		if err := d.tr.Send(rail, transport.Broadcast, payload); err == nil {
 			d.mset.Counter(routing.CtrQueriesSent).Inc()
 		}
 	}
-	d.event(trace.Event{At: now, Node: d.tr.Node(), Kind: trace.KindQuerySent,
+	d.event(trace.Event{At: now, Node: d.self, Kind: trace.KindQuerySent,
 		Peer: peer, Rail: -1, Detail: fmt.Sprintf("seq=%d ttl=%d", q.Seq, query.TTL)})
 	q.Cancel = d.clock.AfterFunc(d.cfg.QueryTimeout, func() { d.queryExpired(peer, q.Seq) })
 }

@@ -75,7 +75,7 @@ func (d *Daemon) Status() Status {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := Status{
-		Node:        d.tr.Node(),
+		Node:        d.self,
 		Incarnation: d.cfg.Incarnation,
 		Now:         d.clock.Now(),
 		Repairs:     d.routes.RepairCount(),
@@ -93,9 +93,9 @@ func (d *Daemon) Status() Status {
 			Via:         rt.Via,
 			LastHeard:   d.members.LastHeard(peer),
 			Incarnation: d.members.Incarnation(peer),
-			Rails:       make([]RailStatus, d.tr.Rails()),
+			Rails:       make([]RailStatus, d.rails),
 		}
-		for rail := 0; rail < d.tr.Rails(); rail++ {
+		for rail := 0; rail < d.rails; rail++ {
 			st := d.links.State(peer, rail)
 			ps.Rails[rail] = RailStatus{Up: st.Up}
 			if rtt, ok := st.RTT(); ok {

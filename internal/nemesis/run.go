@@ -6,12 +6,12 @@ import (
 	"time"
 
 	"drsnet/internal/chaos"
-	"drsnet/internal/clock"
 	"drsnet/internal/core"
 	"drsnet/internal/netsim"
 	"drsnet/internal/overload"
 	"drsnet/internal/routing"
 	"drsnet/internal/runtime"
+	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 	"drsnet/internal/transport"
 )
@@ -50,16 +50,17 @@ type Outcome struct {
 // Failed reports whether any invariant was violated.
 func (o *Outcome) Failed() bool { return len(o.Violations) > 0 }
 
-// runner is the hermetic cluster one schedule executes against:
-// manual wall clock, in-memory transport wrapped by one shared fault
-// controller, and the same runtime.BuildNode router assembly the live
-// daemon uses. Everything runs on one goroutine (timer callbacks fire
-// synchronously inside Advance), so a schedule replays bit-identically
-// from its seed. It is the chaos.Target its episodes drive.
+// runner is the hermetic cluster one schedule executes against: the
+// simulator's deterministic scheduler behind the clock seam, in-memory
+// transport wrapped by one shared fault controller, and the same
+// runtime.BuildNode router assembly the live daemon uses. Everything
+// runs on one goroutine (timer callbacks fire synchronously inside
+// RunUntil), so a schedule replays bit-identically from its seed. It
+// is the chaos.Target its episodes drive.
 type runner struct {
 	sched   Schedule
 	spec    runtime.ClusterSpec
-	clk     *clock.Wall
+	clk     simtime.Clock
 	mem     *transport.Mem
 	faults  *transport.Faults
 	routers []routing.Router
@@ -81,7 +82,7 @@ func Run(s Schedule) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	clk := clock.NewManual()
+	clk := simtime.Clock{Sched: simtime.NewScheduler()}
 	r := &runner{
 		sched:       s,
 		spec:        spec,
@@ -102,9 +103,9 @@ func Run(s Schedule) (*Outcome, error) {
 	// Fault phase, then the heal barrier (episodes all end by the
 	// horizon; HealAll also clears anything a hand-written replay file
 	// left dangling), then the settle window.
-	r.clk.RunUntil(time.Duration(s.Horizon))
+	r.clk.Sched.RunUntil(simtime.Time(s.Horizon))
 	r.faults.HealAll()
-	r.clk.RunUntil(time.Duration(s.Horizon) + time.Duration(s.Settle))
+	r.clk.Sched.RunUntil(simtime.Time(s.Horizon + s.Settle))
 
 	out := &Outcome{Schedule: s}
 	r.checkStatusInvariants(out)
@@ -274,7 +275,7 @@ func (r *runner) checkDelivery(out *Outcome) {
 			}
 		}
 	}
-	r.clk.Advance(r.deliveryWindow())
+	r.clk.Sched.RunUntil(r.clk.Sched.Now().Add(r.deliveryWindow()))
 	var vs []Violation
 	for src := 0; src < r.sched.Nodes; src++ {
 		for dst := 0; dst < r.sched.Nodes; dst++ {

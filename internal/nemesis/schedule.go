@@ -1,12 +1,12 @@
 // Package nemesis is the deterministic partition/fault-schedule fuzzer
 // for the live daemon stack: it generates randomized schedules of
 // network partitions, process crashes, NIC flaps and clock-skew
-// windows, executes them against a hermetic cluster (manual wall
-// clock, in-memory transport, the same runtime.BuildNode assembly the
-// real daemon uses), and after everything heals checks that the
-// protocol actually recovered — routes reconverge, no stale
-// incarnation survives, membership agrees, and the data plane
-// delivers.
+// windows, executes them against a hermetic cluster (the simulator's
+// deterministic scheduler behind the clock seam, in-memory transport,
+// the same runtime.BuildNode assembly the real daemon uses), and after
+// everything heals checks that the protocol actually recovered —
+// routes reconverge, no stale incarnation survives, membership agrees,
+// and the data plane delivers.
 //
 // Everything is replayable: a schedule is a plain value generated from
 // a seed, the run executes on virtual time with every random draw

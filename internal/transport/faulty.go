@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drsnet/internal/clock"
@@ -68,11 +69,14 @@ type FaultStats struct {
 // so it composes identically over netsim, Mem and UDP transports.
 //
 // Every random decision comes from one rng.Source substream, so under
-// a deterministic inner transport (Mem on a manual clock, netsim) a
-// campaign replays bit-identically from its seed. Over UDP the
+// a deterministic inner transport (Mem on a deterministic clock,
+// netsim) a campaign replays bit-identically from its seed. Over UDP the
 // decisions are still seeded but goroutine interleaving orders them.
 // Timed windows are the caller's: chaos.Schedule drives Partition,
 // Heal and SetSkew from the same clock.
+//
+// While no spec, cut or skew is installed the controller is idle: a
+// frame passes straight through, taking no lock and drawing nothing.
 type Faults struct {
 	mu    sync.Mutex
 	rng   *rng.Source
@@ -80,8 +84,12 @@ type Faults struct {
 	spec  FaultSpec
 	cuts  map[cutKey]struct{}
 	skew  map[int]time.Duration
-	stats FaultStats
+	stats FaultStats     // all but Delivered
 	free  *faultDelivery // recycled deferred-delivery records
+	// idle is set, under mu, whenever spec, cuts and skew are all
+	// empty; delivered counts frames handed up on either path.
+	idle      atomic.Bool
+	delivered atomic.Int64
 }
 
 // faultDelivery is one deferred frame: its own copy of the payload and
@@ -101,12 +109,19 @@ type cutKey struct{ src, dst, rail int }
 // NewFaults builds a controller whose decisions replay from seed and
 // whose deferred deliveries run on clk.
 func NewFaults(seed uint64, clk clock.Clock) *Faults {
-	return &Faults{
+	f := &Faults{
 		rng:  rng.New(seed).Split(0xfa017),
 		clk:  clk,
 		cuts: make(map[cutKey]struct{}),
 		skew: make(map[int]time.Duration),
 	}
+	f.idle.Store(true)
+	return f
+}
+
+// policyChanged recomputes the idle flag. Caller holds f.mu.
+func (f *Faults) policyChanged() {
+	f.idle.Store(f.spec == FaultSpec{} && len(f.cuts) == 0 && len(f.skew) == 0)
 }
 
 // SetSpec replaces the impairment policy (the zero spec clears it).
@@ -118,6 +133,7 @@ func (f *Faults) SetSpec(spec FaultSpec) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.spec = spec
+	f.policyChanged()
 }
 
 // Partition installs a directed cut: frames src→dst on rail (AllRails
@@ -126,6 +142,7 @@ func (f *Faults) Partition(src, dst, rail int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.cuts[cutKey{src, dst, rail}] = struct{}{}
+	f.policyChanged()
 }
 
 // Heal removes the directed cut installed with the same arguments.
@@ -133,6 +150,7 @@ func (f *Faults) Heal(src, dst, rail int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	delete(f.cuts, cutKey{src, dst, rail})
+	f.policyChanged()
 }
 
 // HealAll removes every cut and skew window.
@@ -141,6 +159,7 @@ func (f *Faults) HealAll() {
 	defer f.mu.Unlock()
 	f.cuts = make(map[cutKey]struct{})
 	f.skew = make(map[int]time.Duration)
+	f.policyChanged()
 }
 
 // SetSkew delays every delivery to node by d (0 clears it) — a crude
@@ -154,16 +173,19 @@ func (f *Faults) SetSkew(node int, d time.Duration) {
 	defer f.mu.Unlock()
 	if d == 0 {
 		delete(f.skew, node)
-		return
+	} else {
+		f.skew[node] = d
 	}
-	f.skew[node] = d
+	f.policyChanged()
 }
 
 // Stats returns a snapshot of the controller's counters.
 func (f *Faults) Stats() FaultStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.stats
+	st := f.stats
+	st.Delivered = f.delivered.Load()
+	return st
 }
 
 // cut reports whether src→dst on rail is severed. Caller holds f.mu.
@@ -219,8 +241,14 @@ func (t *Faulty) SetReceiver(fn func(rail, src int, payload []byte)) {
 // deliver runs one received frame through the policy: partition check,
 // drop/duplicate/corrupt/reorder draws, then immediate or deferred
 // hand-off. Deferred copies the payload into a pooled record (the wire
-// buffer is the inner transport's to reuse).
+// buffer is the inner transport's to reuse). An idle controller hands
+// the frame up at once.
 func (f *Faults) deliver(dst, rail, src int, payload []byte, fn func(rail, src int, payload []byte)) {
+	if f.idle.Load() {
+		f.delivered.Add(1)
+		fn(rail, src, payload)
+		return
+	}
 	f.mu.Lock()
 	if len(f.cuts) > 0 && f.cut(src, dst, rail) {
 		f.stats.Partitioned++
@@ -260,7 +288,7 @@ func (f *Faults) deliver(dst, rail, src int, payload []byte, fn func(rail, src i
 		f.stats.Duplicated++
 		copies = 2
 	}
-	f.stats.Delivered += int64(copies)
+	f.delivered.Add(int64(copies))
 	if delay <= 0 {
 		f.mu.Unlock()
 		for i := 0; i < copies; i++ {

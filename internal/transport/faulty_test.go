@@ -298,6 +298,55 @@ func TestFaultySkew(t *testing.T) {
 	}
 }
 
+// TestFaultyDeliveredCountsBothPaths: Stats().Delivered counts a frame
+// handed up by an idle controller exactly as one handed up under a
+// policy, with policies switched on and off mid-stream.
+func TestFaultyDeliveredCountsBothPaths(t *testing.T) {
+	clk, f, trs, logs := faultyPair(t, 7)
+	steps := []struct {
+		name   string
+		set    func()
+		idle   bool
+		copies int
+	}{
+		{"idle", func() {}, true, 1},
+		{"delay", func() { f.SetSpec(FaultSpec{Delay: 50 * time.Microsecond}) }, false, 1},
+		{"spec cleared", func() { f.SetSpec(FaultSpec{}) }, true, 1},
+		// A cut the stream does not cross still takes the policy path.
+		{"cut elsewhere", func() { f.Partition(2, 0, AllRails) }, false, 1},
+		{"cut healed", func() { f.Heal(2, 0, AllRails) }, true, 1},
+		{"skew", func() { f.SetSkew(1, time.Millisecond) }, false, 1},
+		{"skew cleared", func() { f.SetSkew(1, 0) }, true, 1},
+		{"duplicate", func() { f.SetSpec(FaultSpec{Duplicate: 1}) }, false, 2},
+		{"cut and skew", func() {
+			f.SetSpec(FaultSpec{})
+			f.Partition(2, 1, 0)
+			f.SetSkew(2, time.Millisecond)
+		}, false, 1},
+		{"heal all", func() { f.HealAll() }, true, 1},
+	}
+	want := 0
+	for _, st := range steps {
+		st.set()
+		if got := f.idle.Load(); got != st.idle {
+			t.Fatalf("%s: idle %v, want %v", st.name, got, st.idle)
+		}
+		for i := 0; i < 10; i++ {
+			if err := trs[0].Send(i%2, 1, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.Advance(2 * time.Millisecond)
+		want += 10 * st.copies
+		if len(*logs[1]) != want {
+			t.Fatalf("%s: node 1 has %d frames, want %d", st.name, len(*logs[1]), want)
+		}
+		if got := f.Stats().Delivered; got != int64(want) {
+			t.Fatalf("%s: Delivered %d, want %d", st.name, got, want)
+		}
+	}
+}
+
 // TestFaultSpecValidation: malformed specs panic loudly.
 func TestFaultSpecValidation(t *testing.T) {
 	mustPanic := func(name string, fn func()) {

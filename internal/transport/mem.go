@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"drsnet/internal/clock"
@@ -10,21 +11,26 @@ import (
 
 // Mem is an in-memory cluster fabric: every node's Transport is a
 // method-call pair into shared state, with delivery deferred through
-// a clock.Clock. Under a drained clock (clock.NewManual) a
-// multi-daemon test is fully deterministic and needs no sockets;
-// under a live clock it behaves like a zero-loss LAN.
+// a clock.Clock. Under a deterministic clock (simtime.Clock, or a
+// drained clock.NewManual) a multi-daemon test is fully deterministic
+// and needs no sockets; under a live clock it behaves like a zero-loss
+// LAN.
 //
 // Fault injection mirrors netsim's crash semantics: FailNode
 // blackholes a node in both directions, RestoreNode brings it back
 // with all NICs up; SetNIC kills or revives one (node, rail) NIC.
 // Receiver state is checked at delivery time, so frames in flight to
 // a node that crashes mid-latency are dropped.
+//
+// The frame path reads NIC, crash and receiver state through atomics,
+// as transport.UDP reads its receiver; the only lock guards the
+// delivery-record freelist.
 type Mem struct {
-	mu      sync.Mutex
 	clk     clock.Clock
 	latency time.Duration
 	rails   int
 	nodes   []*MemNode
+	mu      sync.Mutex   // guards free
 	free    *memDelivery // recycled delivery records
 }
 
@@ -43,9 +49,9 @@ type memDelivery struct {
 type MemNode struct {
 	m     *Mem
 	node  int
-	recv  func(rail, src int, payload []byte)
-	nicUp []bool // per rail
-	down  bool   // crashed: blackhole both directions
+	recv  atomic.Pointer[func(rail, src int, payload []byte)]
+	nicUp []atomic.Bool // per rail
+	down  atomic.Bool   // crashed: blackhole both directions
 }
 
 // NewMem builds an in-memory fabric of nodes×rails with the given
@@ -60,11 +66,11 @@ func NewMem(nodes, rails int, clk clock.Clock, latency time.Duration) *Mem {
 	m := &Mem{clk: clk, latency: latency, rails: rails}
 	m.nodes = make([]*MemNode, nodes)
 	for i := range m.nodes {
-		up := make([]bool, rails)
-		for r := range up {
-			up[r] = true
+		n := &MemNode{m: m, node: i, nicUp: make([]atomic.Bool, rails)}
+		for r := range n.nicUp {
+			n.nicUp[r].Store(true)
 		}
-		m.nodes[i] = &MemNode{m: m, node: i, nicUp: up}
+		m.nodes[i] = n
 	}
 	return m
 }
@@ -74,29 +80,24 @@ func (m *Mem) Node(i int) *MemNode { return m.nodes[i] }
 
 // FailNode crashes node i: every frame to or from it is dropped until
 // RestoreNode.
-func (m *Mem) FailNode(i int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nodes[i].down = true
-}
+func (m *Mem) FailNode(i int) { m.nodes[i].down.Store(true) }
 
-// RestoreNode revives node i with all NICs up.
+// RestoreNode revives node i with all NICs up. The NICs come up before
+// the crash flag clears, so a frame that sees the node alive also sees
+// its NICs up.
 func (m *Mem) RestoreNode(i int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	n := m.nodes[i]
-	n.down = false
 	for r := range n.nicUp {
-		n.nicUp[r] = true
+		n.nicUp[r].Store(true)
 	}
+	n.down.Store(false)
 }
 
 // SetNIC sets the up/down state of node i's NIC on rail.
-func (m *Mem) SetNIC(i, rail int, up bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nodes[i].nicUp[rail] = up
-}
+func (m *Mem) SetNIC(i, rail int, up bool) { m.nodes[i].nicUp[rail].Store(up) }
+
+// up reports whether the node is alive and its NIC on rail is up.
+func (n *MemNode) up(rail int) bool { return !n.down.Load() && n.nicUp[rail].Load() }
 
 // Node implements Transport.
 func (n *MemNode) Node() int { return n.node }
@@ -109,9 +110,11 @@ func (n *MemNode) Rails() int { return n.m.rails }
 
 // SetReceiver implements Transport.
 func (n *MemNode) SetReceiver(fn func(rail, src int, payload []byte)) {
-	n.m.mu.Lock()
-	defer n.m.mu.Unlock()
-	n.recv = fn
+	if fn == nil {
+		n.recv.Store(nil)
+		return
+	}
+	n.recv.Store(&fn)
 }
 
 // Send implements Transport. The payload is copied per destination —
@@ -143,12 +146,11 @@ func (n *MemNode) Send(rail, dst int, payload []byte) error {
 // deliverAfter puts one copy of payload in flight to dst, unless the
 // sender is crashed or its NIC dead: then the frame silently vanishes.
 func (n *MemNode) deliverAfter(rail, dst int, payload []byte) {
-	m := n.m
-	m.mu.Lock()
-	if n.down || !n.nicUp[rail] {
-		m.mu.Unlock()
+	if !n.up(rail) {
 		return
 	}
+	m := n.m
+	m.mu.Lock()
 	d := m.free
 	if d != nil {
 		m.free = d.next
@@ -168,14 +170,10 @@ func runDelivery(d any) { d.(*memDelivery).run() }
 // recycles the record once the receiver has returned.
 func (d *memDelivery) run() {
 	m := d.m
-	m.mu.Lock()
-	var recv func(rail, src int, payload []byte)
-	if to := m.nodes[d.dst]; !to.down && to.nicUp[d.rail] {
-		recv = to.recv
-	}
-	m.mu.Unlock()
-	if recv != nil {
-		recv(d.rail, d.src, d.body)
+	if to := m.nodes[d.dst]; to.up(d.rail) {
+		if recv := to.recv.Load(); recv != nil {
+			(*recv)(d.rail, d.src, d.body)
+		}
 	}
 	m.mu.Lock()
 	d.next = m.free

@@ -10,16 +10,27 @@ import (
 
 // A frame through Mem allocates nothing in steady state: the payload
 // copy, the delivery record and the clock's timer record are all
-// recycled. A skewed frame through Faults.Wrap(Mem) takes the deferred
-// path, whose record and payload copy are recycled too.
+// recycled. Faults.Wrap(Mem) with no policy installed passes the frame
+// straight through, and a skewed frame takes the deferred path, whose
+// record and payload copy are recycled too.
 func TestMemFrameAllocations(t *testing.T) {
-	for _, skew := range []time.Duration{0, 3 * time.Millisecond} {
+	for _, c := range []struct {
+		name   string
+		faults bool
+		skew   time.Duration
+	}{
+		{"mem", false, 0},
+		{"faults idle", true, 0},
+		{"faults skew", true, 3 * time.Millisecond},
+	} {
 		clk := clock.NewManual()
 		m := NewMem(2, 1, clk, time.Millisecond)
 		var tx, rx Transport = m.Node(0), m.Node(1)
-		if skew > 0 {
+		if c.faults {
 			f := NewFaults(1, clk)
-			f.SetSkew(1, skew)
+			if c.skew > 0 {
+				f.SetSkew(1, c.skew)
+			}
 			tx, rx = f.Wrap(tx), f.Wrap(rx)
 		}
 		got := 0
@@ -29,14 +40,14 @@ func TestMemFrameAllocations(t *testing.T) {
 			if err := tx.Send(0, 1, payload); err != nil {
 				t.Fatal(err)
 			}
-			clk.Advance(time.Millisecond + skew)
+			clk.Advance(time.Millisecond + c.skew)
 		}
 		exchange()
 		if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
-			t.Errorf("skew %v: a frame allocates %v times, want 0", skew, allocs)
+			t.Errorf("%s: a frame allocates %v times, want 0", c.name, allocs)
 		}
 		if got != 102 {
-			t.Errorf("skew %v: %d frames delivered, want 102", skew, got)
+			t.Errorf("%s: %d frames delivered, want 102", c.name, got)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func TestMemConcurrentChaosRace(t *testing.T) {
 	}
 
 	// Receiver churn: node 0's callback is swapped while frames are in
-	// flight (delivery re-reads it under the fabric lock).
+	// flight (delivery re-reads it atomically).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -111,6 +111,98 @@ func TestMemConcurrentChaosRace(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	if delivered.Load() == 0 {
 		t.Fatal("no frame survived — the fabric deadlocked or dropped everything")
+	}
+}
+
+// TestFaultsConcurrentPolicyRace sprays frames through Faults.Wrap(Mem)
+// over a live clock while one goroutine installs and heals cuts, sets
+// and clears skew, and switches an impairment spec on and off, so
+// frames cross the idle fast path and the policy path as the flag
+// flips. Under -race this is the gate on that flag. Once the traffic
+// stops, every frame Stats counts as delivered must reach a receiver.
+func TestFaultsConcurrentPolicyRace(t *testing.T) {
+	clk := clock.NewWall()
+	defer clk.Stop()
+	const nodes, rails = 4, 2
+	m := NewMem(nodes, rails, clk, 50*time.Microsecond)
+	f := NewFaults(1, clk)
+	var received atomic.Int64
+	trs := make([]Transport, nodes)
+	for i := range trs {
+		trs[i] = f.Wrap(m.Node(i))
+		trs[i].SetReceiver(func(rail, src int, payload []byte) { received.Add(1) })
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < nodes; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				dst := (i + 1 + n%(nodes-1)) % nodes
+				if n%13 == 0 {
+					dst = Broadcast
+				}
+				if err := trs[i].Send(n%rails, dst, []byte("x")); err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+
+	var flips atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a, b := n%nodes, (n+1)%nodes
+			f.Partition(a, b, n%rails)
+			f.SetSkew(b, 30*time.Microsecond)
+			f.SetSpec(FaultSpec{Drop: 0.2, Duplicate: 0.2, Corrupt: 0.1, Reorder: 0.2, Jitter: 20 * time.Microsecond})
+			time.Sleep(50 * time.Microsecond)
+			_ = f.Stats()
+			f.Heal(a, b, n%rails)
+			f.SetSkew(b, 0)
+			f.SetSpec(FaultSpec{})
+			if n%5 == 0 {
+				f.Partition(b, a, AllRails)
+				f.HealAll()
+			}
+			flips.Add(1)
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for (flips.Load() < 50 || received.Load() < 100) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if received.Load() == 0 {
+		t.Fatal("no frame survived the policy churn")
+	}
+	// Deferred copies are counted when scheduled and received when
+	// they fire: wait for the last of them.
+	for f.Stats().Delivered != received.Load() && time.Now().Before(deadline.Add(time.Second)) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := f.Stats(); st.Delivered != received.Load() {
+		t.Fatalf("Stats counts %d delivered, receivers saw %d", st.Delivered, received.Load())
 	}
 }
 
