@@ -17,12 +17,12 @@ func TestRecoveryGoldenAllProtocols(t *testing.T) {
 	const golden = `# Recovery: scenario=nic nodes=10 traffic every 100ms, failure at 10s
 protocol             sent      lost   recov       outage       detect       repair  masked tcp-alive
 drs                   400        21    true  2.00031412s           2s           2s   false      true
-failover-arbor        400         1    true      11.72µs           0s           0s    true      true
-failover-bounce       400         1    true      11.72µs           0s           0s    true      true
-failover-rotor        400         1    true      11.72µs           0s           0s    true      true
-linkstate             400        32    true  3.10001172s           0s           0s   false      true
-reactive              400        52    true  5.10001172s           0s           0s   false      true
-static                400       301   false         >30s           0s           0s   false     false
+failover-arbor        400         1    true      11.72µs            –            –    true      true
+failover-bounce       400         1    true      11.72µs            –            –    true      true
+failover-rotor        400         1    true      11.72µs            –            –    true      true
+linkstate             400        32    true  3.10001172s            –            –   false      true
+reactive              400        52    true  5.10001172s            –            –   false      true
+static                400       301   false         >30s            –            –   false     false
 `
 	var out, errb bytes.Buffer
 	if code := run(nil, &out, &errb); code != 0 {

@@ -110,11 +110,12 @@ func EstimateIID(n int, q float64, allPairs bool, iterations int64, seed uint64)
 		return 0, 0, err
 	}
 	r := rng.New(seed)
+	bern := rng.NewBernoulli(q)
 	m := cluster.Components()
 	failed := make([]topology.Component, 0, m)
 	var successes int64
 	for i := int64(0); i < iterations; i++ {
-		failed = rng.AppendBernoulli(r, failed[:0], m, q)
+		failed = rng.AppendBernoulli(r, &bern, failed[:0], m)
 		ok := false
 		if allPairs {
 			ok = eval.AllConnected(failed)

@@ -178,8 +178,9 @@ func TestEstimateIIDValidation(t *testing.T) {
 }
 
 // TestEstimateIIDPinned pins exact estimates for a seed: any change to
-// how rng.AppendBernoulli turns the seeded stream into failed
-// components, or to how connectivity is evaluated, shows up here.
+// how rng.NewBernoulli's table and rng.AppendBernoulli turn the seeded
+// stream into failed components, or to how connectivity is evaluated,
+// shows up here.
 func TestEstimateIIDPinned(t *testing.T) {
 	for _, c := range []struct {
 		allPairs bool

@@ -166,12 +166,13 @@ func (e *FabricEvaluator) bfs(sc *FabricScratch, a int) {
 }
 
 // meet reports whether hosts a ≠ b can communicate, by a two-ended
-// level-synchronous search: each side has its own mark and queue, each
-// step expands the whole current level of the side whose level is
-// smaller, and the search succeeds when an edge reaches a vertex
-// carrying the other side's mark. It fails when a side's next level
-// comes up empty. Every usable edge is usable both ways, so the answer
-// is bfs's, at the cost of two small balls instead of one large one.
+// search that expands one vertex at a time: each side has its own mark
+// and queue, each step pops the next vertex of the side with fewer
+// queued, unexpanded vertices, and the search succeeds at the first
+// edge that reaches a vertex carrying the other side's mark. It fails
+// when a side runs out of vertices to expand. Every usable edge is
+// usable both ways, so the answer is bfs's, at the cost of two small
+// balls instead of one large one.
 func (e *FabricEvaluator) meet(sc *FabricScratch, a, b int) bool {
 	mine := sc.newMarks(2)
 	other := mine + 1
@@ -180,35 +181,33 @@ func (e *FabricEvaluator) meet(sc *FabricScratch, a, b int) bool {
 	visited[a], visited[b] = mine, other
 	// Both queues hold every vertex, so the appends never reallocate.
 	q, qo := append(sc.queue[:0], int32(a)), append(sc.queueB[:0], int32(b))
-	lo, loO := 0, 0 // the sides' current levels are q[lo:] and qo[loO:]
+	head, headO := 0, 0 // the sides' unexpanded vertices are q[head:] and qo[headO:]
 	for {
-		if len(q)-lo > len(qo)-loO {
-			q, qo, lo, loO, mine, other = qo, q, loO, lo, other, mine
+		if len(q)-head > len(qo)-headO {
+			q, qo, head, headO, mine, other = qo, q, headO, head, other, mine
 		}
-		end := len(q)
-		for _, u := range q[lo:end] {
-			for i := off[u]; i < off[u+1]; i++ {
-				if failed[comp[i]] {
-					continue
-				}
-				v := adj[i]
-				switch visited[v] {
-				case mine:
-					continue
-				case other:
-					return true
-				}
-				if v >= e.hosts && failed[v+e.swComp] {
-					continue
-				}
-				visited[v] = mine
-				q = append(q, v)
-			}
-		}
-		if len(q) == end {
+		if head == len(q) {
 			return false
 		}
-		lo = end
+		u := q[head]
+		head++
+		for i := off[u]; i < off[u+1]; i++ {
+			if failed[comp[i]] {
+				continue
+			}
+			v := adj[i]
+			switch visited[v] {
+			case mine:
+				continue
+			case other:
+				return true
+			}
+			if v >= e.hosts && failed[v+e.swComp] {
+				continue
+			}
+			visited[v] = mine
+			q = append(q, v)
+		}
 	}
 }
 

@@ -189,8 +189,9 @@ func TestPairSearchMatchesBFS(t *testing.T) {
 		r := rng.New(2)
 		var failed []topology.Component
 		for _, q := range []float64{0.02, 0.1, 0.25, 0.5} {
+			bern := rng.NewBernoulli(q)
 			for set := 0; set < sets; set++ {
-				failed = rng.AppendBernoulli(r, failed[:0], f.Components(), q)
+				failed = rng.AppendBernoulli(r, &bern, failed[:0], f.Components())
 				for a := 0; a < f.Hosts(); a++ {
 					reach := fe.hostsReachable(sc, failed, a)
 					for b, want := range reach {
@@ -198,6 +199,60 @@ func TestPairSearchMatchesBFS(t *testing.T) {
 							t.Fatalf("%s, %d hosts, failed %v: PairConnected(%d,%d) = %v, hostsReachable says %v",
 								f.Kind, f.Hosts(), failed, a, b, got, want)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPairSearchMatchesBFSAtScale: on the 11 664-host fat-tree of the
+// Monte Carlo benchmark and on a 512-host BCube, the vertex-at-a-time
+// pair search answers what bfs from a says, queried both ways round,
+// over seeded failure sets from the benchmark's q to nearly a third of
+// the fabric down. Each set checks the benchmark's pair (0, last host)
+// and a few random ones.
+func TestPairSearchMatchesBFSAtScale(t *testing.T) {
+	sets := 60
+	if testing.Short() {
+		sets = 15
+	}
+	fat, err := topology.FatTree(36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcube, err := topology.BCube(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*topology.Fabric{fat, bcube} {
+		fe, err := NewFabricEvaluator(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := fe.NewScratch()
+		r := rng.New(3)
+		var failed []topology.Component
+		for _, q := range []float64{0.01, 0.05, 0.3} {
+			bern := rng.NewBernoulli(q)
+			for set := 0; set < sets; set++ {
+				failed = rng.AppendBernoulli(r, &bern, failed[:0], f.Components())
+				pairs := [][2]int{{0, f.Hosts() - 1}}
+				for len(pairs) < 4 {
+					if a, b := r.Intn(f.Hosts()), r.Intn(f.Hosts()); a != b {
+						pairs = append(pairs, [2]int{a, b})
+					}
+				}
+				for _, p := range pairs {
+					a, b := p[0], p[1]
+					sc.mark(failed)
+					fe.bfs(sc, a)
+					want := sc.visited[b] == sc.epoch
+					ab, ba := fe.meet(sc, a, b), fe.meet(sc, b, a)
+					sc.unmark(failed)
+					if ab != want || ba != want {
+						t.Fatalf("%s q=%v set %d: meet(%d,%d) = %v, meet(%d,%d) = %v, bfs says %v",
+							f.Kind, q, set, a, b, ab, b, a, ba, want)
 					}
 				}
 			}
@@ -217,6 +272,7 @@ func TestFabricEpochWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(5)
+	bern := rng.NewBernoulli(0.25)
 	var failed []topology.Component
 	for _, start := range []int32{1<<31 - 4, 1<<31 - 3, 1<<31 - 2} {
 		sc := fe.NewScratch()
@@ -225,7 +281,7 @@ func TestFabricEpochWrap(t *testing.T) {
 		fe.AllConnected(sc, nil)
 		sc.epoch = start
 		for i := 0; i < 8; i++ {
-			failed = rng.AppendBernoulli(r, failed[:0], f.Components(), 0.25)
+			failed = rng.AppendBernoulli(r, &bern, failed[:0], f.Components())
 			a, b := r.Intn(f.Hosts()), r.Intn(f.Hosts())
 			fresh := fe.NewScratch()
 			if got, want := fe.PairConnected(sc, failed, a, b), fe.PairConnected(fresh, failed, a, b); got != want {
@@ -311,4 +367,30 @@ func (e *FabricEvaluator) hostsReachable(sc *FabricScratch, failed []topology.Co
 	out[a] = true
 	sc.unmark(failed)
 	return out
+}
+
+// BenchmarkPairConnectedFatTree36 is one Monte Carlo trial's query on
+// the 11 664-host fat-tree: the pair (0, last host) under one of 64
+// seeded failure sets at q = 0.01, as the benchmark workload draws.
+func BenchmarkPairConnectedFatTree36(b *testing.B) {
+	f, err := topology.FatTree(36)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fe, err := NewFabricEvaluator(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(1)
+	bern := rng.NewBernoulli(0.01)
+	sets := make([][]topology.Component, 64)
+	for i := range sets {
+		sets[i] = rng.AppendBernoulli(r, &bern, sets[i], f.Components())
+	}
+	sc := fe.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fe.PairConnected(sc, sets[i%len(sets)], 0, f.Hosts()-1)
+	}
 }

@@ -167,7 +167,10 @@ func CompareFlowRecovery(base FlowRecoveryConfig) ([]*FlowRecoveryResult, error)
 	return out, nil
 }
 
-// WriteFlowRecovery renders the connection-level comparison.
+// WriteFlowRecovery renders the connection-level comparison. A stream
+// that did not survive is still waiting at the end of the run, so its
+// max-stall and recv-gap count that open wait too, printed as ">" and
+// its length so far when it is the longest.
 func WriteFlowRecovery(w io.Writer, results []*FlowRecoveryResult) error {
 	if len(results) == 0 {
 		return nil
@@ -177,12 +180,29 @@ func WriteFlowRecovery(w io.Writer, results []*FlowRecoveryResult) error {
 		c.Scenario, c.Nodes, c.SegmentInterval, c.FailAt, c.Flow.RTO); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-9s %9s %9s %9s %12s %12s %9s\n",
-		"protocol", "enqueued", "acked", "retrans", "max-stall", "recv-gap", "survived")
+	width := len("protocol")
 	for _, r := range results {
-		fmt.Fprintf(w, "%-9s %9d %9d %9d %12v %12v %9v\n",
-			r.Config.Protocol, r.Flow.Enqueued, r.Flow.Acked, r.Flow.Retransmissions,
-			r.Flow.MaxAckStall, r.Sink.MaxGap, r.Survived)
+		width = max(width, len(r.Config.Protocol))
+	}
+	fmt.Fprintf(w, "%-*s %9s %9s %9s %13s %13s %9s\n",
+		width, "protocol", "enqueued", "acked", "retrans", "max-stall", "recv-gap", "survived")
+	for _, r := range results {
+		stall, gap := r.Flow.MaxAckStall.String(), r.Sink.MaxGap.String()
+		if !r.Survived {
+			stall, gap = longestWait(r.Flow.MaxAckStall, r.Flow.Waiting), longestWait(r.Sink.MaxGap, r.Sink.Idle)
+		}
+		fmt.Fprintf(w, "%-*s %9d %9d %9d %13s %13s %9v\n",
+			width, r.Config.Protocol, r.Flow.Enqueued, r.Flow.Acked, r.Flow.Retransmissions,
+			stall, gap, r.Survived)
 	}
 	return nil
+}
+
+// longestWait renders the longer of a closed wait and one still open,
+// the open one as a lower bound.
+func longestWait(closed, open time.Duration) string {
+	if open > closed {
+		return ">" + open.String()
+	}
+	return closed.String()
 }

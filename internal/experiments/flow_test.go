@@ -73,6 +73,17 @@ func TestFlowRecoveryComparison(t *testing.T) {
 	if !strings.Contains(sb.String(), "survived") {
 		t.Fatalf("table: %q", sb.String())
 	}
+	// The wedged stream's row shows its open waits as lower bounds, and
+	// every row's columns line up under the header's.
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	for _, l := range lines[1:] {
+		if len([]rune(l)) != len([]rune(lines[1])) {
+			t.Errorf("row %q is not as wide as the header %q", l, lines[1])
+		}
+		if f := strings.Fields(l); f[0] == runtime.ProtoStatic && !(strings.HasPrefix(f[4], ">") && strings.HasPrefix(f[5], ">")) {
+			t.Errorf("wedged stream shows closed waits: %q", l)
+		}
+	}
 }
 
 func TestFlowRecoveryCrossRail(t *testing.T) {

@@ -259,9 +259,14 @@ func WriteRecovery(w io.Writer, results []*RecoveryResult) error {
 		if !r.Recovered {
 			outage = ">" + outage
 		}
-		fmt.Fprintf(w, "%-15s %9d %9d %7v %12s %12v %12v %7v %9v\n",
+		// Only the DRS has a failure detector to time.
+		detect, repair := "–", "–"
+		if r.Config.Protocol == runtime.ProtoDRS {
+			detect, repair = r.DetectionLatency.String(), r.RepairLatency.String()
+		}
+		fmt.Fprintf(w, "%-15s %9d %9d %7v %12s %12s %12s %7v %9v\n",
 			r.Config.Protocol, r.Sent, r.Lost, r.Recovered, outage,
-			r.DetectionLatency, r.RepairLatency, r.MaskedFromTCP, r.SurvivedByTCP)
+			detect, repair, r.MaskedFromTCP, r.SurvivedByTCP)
 	}
 	return nil
 }

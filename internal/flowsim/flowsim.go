@@ -154,7 +154,7 @@ func (e *Endpoint) Dial(dst int, flowID uint16, cfg FlowConfig) (*Flow, error) {
 
 // Listen creates a receiving sink for flow id from src.
 func (e *Endpoint) Listen(src int, flowID uint16) (*Sink, error) {
-	s := &Sink{ep: e, src: src, flowID: flowID}
+	s := &Sink{ep: e, src: src, flowID: flowID, lastAt: e.clock.Now()}
 	key := flowKey{peer: src, flowID: flowID}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -176,6 +176,10 @@ type FlowStats struct {
 	// first transmission to acknowledgement — the application-visible
 	// hiccup.
 	MaxAckStall time.Duration
+	// Waiting is how long the segment in flight has waited for its
+	// acknowledgement when the snapshot is taken: zero when none is in
+	// flight, still counting after a reset.
+	Waiting time.Duration
 	// Dead reports whether the retry budget was exhausted (the
 	// connection reset).
 	Dead bool
@@ -284,7 +288,11 @@ func (f *Flow) onAck(seq uint32) {
 func (f *Flow) Stats() FlowStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.stats
+	st := f.stats
+	if f.inFlight {
+		st.Waiting = f.ep.clock.Now() - f.sentAt
+	}
+	return st
 }
 
 // SinkStats summarizes a receiver's experience.
@@ -298,6 +306,9 @@ type SinkStats struct {
 	// MaxGap is the longest time between consecutive in-order
 	// deliveries.
 	MaxGap time.Duration
+	// Idle is the time since the last in-order delivery (or since
+	// Listen, before the first) when the snapshot is taken.
+	Idle time.Duration
 }
 
 // Sink is the receiving half: it acknowledges every segment and
@@ -309,7 +320,7 @@ type Sink struct {
 
 	mu       sync.Mutex
 	expected uint32
-	lastAt   time.Duration
+	lastAt   time.Duration // the last in-order delivery, or Listen
 	haveLast bool
 	stats    SinkStats
 	// deliver receives each in-order payload; only tests set it.
@@ -357,5 +368,7 @@ func (s *Sink) onSegment(seq uint32, payload []byte) {
 func (s *Sink) Stats() SinkStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.Idle = s.ep.clock.Now() - s.lastAt
+	return st
 }

@@ -195,7 +195,8 @@ func TestFlowDiesOnStaticOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Listen(0, 1); err != nil {
+	sink, err := b.Listen(0, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	net.Fail(net.Cluster().Backplane(0))
@@ -206,6 +207,11 @@ func TestFlowDiesOnStaticOutage(t *testing.T) {
 	fs := flow.Stats()
 	if !fs.Dead {
 		t.Fatalf("flow survived a permanent outage: %+v", fs)
+	}
+	// The doomed segment, sent at 0, still waits after the reset, and
+	// the sink has waited since Listen.
+	if ss := sink.Stats(); fs.Waiting != 10*time.Second || ss.Idle != 10*time.Second || fs.MaxAckStall != 0 {
+		t.Fatalf("open waits: flow %v (max stall %v), sink %v; want 10s, 0, 10s", fs.Waiting, fs.MaxAckStall, ss.Idle)
 	}
 	if fs.Retransmissions != fcfg.MaxRetries {
 		t.Fatalf("retransmissions = %d, want %d", fs.Retransmissions, fcfg.MaxRetries)

@@ -110,6 +110,7 @@ func EstimateFabric(cfg FabricConfig) (Result, error) {
 
 	nChunks := (cfg.Iterations + chunkSize - 1) / chunkSize
 	parent := rng.New(cfg.Seed)
+	bern := rng.NewBernoulli(cfg.Q) // shared read-only by every worker
 	m := cfg.Fabric.Components()
 	var next int64 // atomic chunk cursor
 	var successes int64
@@ -146,7 +147,7 @@ func EstimateFabric(cfg FabricConfig) (Result, error) {
 							failed = append(failed, topology.Component(v))
 						}
 					} else {
-						failed = rng.AppendBernoulli(sub, failed, m, cfg.Q)
+						failed = rng.AppendBernoulli(sub, &bern, failed, m)
 					}
 					ok := false
 					if cfg.AllPairs {

@@ -115,44 +115,141 @@ func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// AppendBernoulli selects each index of [0, n) independently with
-// probability q, appends T(i) for every selected i to dst in ascending
-// order, and returns the extended slice. q ≤ 0 selects nothing and
-// q ≥ 1 selects every index without drawing. A NaN q also selects
-// nothing, but a NaN probability is a configuration error callers must
-// reject.
+// Bernoulli is a failure probability q prepared for AppendBernoulli.
+// Build it once with NewBernoulli; it is read-only afterwards, so any
+// number of goroutines may share one. The zero value selects nothing.
+type Bernoulli struct {
+	q  float64
+	lq float64 // ln(1−q)
+	// tab is t[0..k+1] followed by the guide, four 16-bit entries to a
+	// word. t[j] is the least 53-bit x with gap(x, lq) ≥ j (2⁵³ if
+	// there is none), so t[0] = 0, and t[k+1] = MaxUint64 stops every
+	// scan. Guide entry h is the gap of the least x with
+	// x>>shift == h, capped at k.
+	tab   []uint64
+	k     int
+	shift uint
+}
+
+// The table fits in 64 KiB: at most 4096 threshold words and 2¹⁴
+// guide entries. Eight guide buckets per threshold leave most buckets
+// without one, so a lookup rarely scans.
+const (
+	maxThresholds = 4094
+	guideBits     = 3
+	maxGuideBits  = 14
+)
+
+// gap maps the 53 random bits x of one draw to the number of
+// unselected indices before the next selected one, ⌊ln U / ln(1−q)⌋
+// with U = 1 − x/2⁵³ in (0, 1], which is Geometric(q). For a tiny q
+// it can be +Inf.
+func gap(x uint64, lq float64) float64 {
+	return math.Floor(math.Log(1-float64(x)/(1<<53)) / lq)
+}
+
+// NewBernoulli prepares the failure probability q. For q in (0, 1)
+// it tabulates the draws that map to each gap below k, with k the
+// least gap whose tail (1−q)^k is ≤ 2⁻¹⁰, or 4094 if that is
+// smaller. Each threshold starts from the closed form
+// 2⁵³·(1 − (1−q)^j) and is moved to where gap itself changes. gap
+// never decreases as x grows (Log is monotone), so a table lookup
+// returns what gap returns for every draw.
+func NewBernoulli(q float64) Bernoulli {
+	b := Bernoulli{q: q}
+	if !(q > 0 && q < 1) {
+		return b
+	}
+	b.lq = math.Log1p(-q)
+	if kf := math.Ceil(-10 * math.Ln2 / b.lq); kf < maxThresholds {
+		b.k = int(kf)
+	} else {
+		b.k = maxThresholds
+	}
+	g := min(uint(bits.Len(uint(b.k)))+guideBits, maxGuideBits)
+	b.shift = 53 - g
+	b.tab = make([]uint64, b.k+2+1<<g/4)
+	t, guide := b.tab[:b.k+2], b.tab[b.k+2:]
+	const top = 1 << 53
+	for j := 1; j <= b.k; j++ {
+		c := uint64(top)
+		if est := math.Ceil(-math.Expm1(float64(j)*b.lq) * top); est < top {
+			c = uint64(int64(est))
+		}
+		// The closed form lands within a step or two of where gap
+		// itself reaches j; walk there. Each threshold is found on its
+		// own, so the iterations overlap.
+		for c > 0 && gap(c-1, b.lq) >= float64(j) {
+			c--
+		}
+		for c < top && gap(c, b.lq) < float64(j) {
+			c++
+		}
+		t[j] = c
+	}
+	t[b.k+1] = math.MaxUint64
+	j := 0
+	for h := uint64(0); h < 1<<g; h++ {
+		for t[j+1] <= h<<b.shift {
+			j++
+		}
+		guide[h/4] |= uint64(j) << (h % 4 * 16)
+	}
+	return b
+}
+
+// guideEntry reads entry h of a packed guide.
+func guideEntry(guide []uint64, h uint64) int {
+	return int(guide[h/4] >> (h % 4 * 16) & 0xffff)
+}
+
+// AppendBernoulli selects each index of [0, n) independently with the
+// probability b was built for, appends T(i) for every selected i to
+// dst in ascending order, and returns the extended slice. q ≤ 0 or NaN
+// selects nothing and q ≥ 1 every index, both without drawing; a NaN
+// probability is a configuration error callers must reject.
 //
 // This is the hot path of the independent-failure Monte Carlo models,
 // which fail about n·q of n components per trial. It skips between
-// selected indices geometrically: with U = 1 − Float64() in (0, 1],
-// the gap ⌊ln U / ln(1−q)⌋ before the next selected index is
-// Geometric(q), so a call makes about n·q + 1 draws instead of n. The
-// selected set has the distribution of n independent Float64() < q
-// tests, but not their realisation: the same seed selects different
-// indices than such a loop, and leaves r in a different state. Each
-// draw costs a logarithm, so the skip loses to an n-draw scan above
-// q ≈ 0.2 (n = 36 612 on a 2-vCPU x86-64 host; see
-// BenchmarkAppendBernoulli); every non-test caller passes a small
-// failure probability.
-func AppendBernoulli[T ~int](r *Source, dst []T, n int, q float64) []T {
-	if !(q > 0) {
+// selected indices geometrically, one Uint64 per selected index plus
+// one, so a call makes about n·q + 1 draws instead of n; the selected
+// set has the distribution of n independent Float64() < q tests, not
+// their realisation. Each draw's gap is looked up in b's threshold
+// table, starting at the guide entry for its high bits; only a draw
+// past the table's last threshold that could still select an index
+// evaluates the logarithm.
+func AppendBernoulli[T ~int](r *Source, b *Bernoulli, dst []T, n int) []T {
+	if !(b.q > 0) {
 		return dst
 	}
-	if q >= 1 {
+	if b.q >= 1 {
 		for i := 0; i < n; i++ {
 			dst = append(dst, T(i))
 		}
 		return dst
 	}
-	lq := math.Log1p(-q)
+	// Locals keep the table and the stream state in registers; the
+	// state is written back when the call returns.
+	k, lq, shift := b.k, b.lq, b.shift
+	t, guide := b.tab[:k+2], b.tab[k+2:]
+	src := *r
 	for i := -1; ; {
-		// skip ≥ 0; for a tiny q it can be +Inf, which the bound test
-		// reads as no further selection.
-		skip := math.Floor(math.Log(1-r.Float64()) / lq)
-		if skip >= float64(n-1-i) {
+		x := src.Uint64() >> 11
+		j := guideEntry(guide, x>>shift)
+		for t[j+1] <= x {
+			j++
+		}
+		// j is the gap, or its lower bound k past the table.
+		rem := n - 1 - i
+		if j == k && j < rem {
+			s := gap(x, lq)
+			j = int(min(s, float64(rem)))
+		}
+		if j >= rem {
+			*r = src
 			return dst
 		}
-		i += int(skip) + 1
+		i += j + 1
 		dst = append(dst, T(i))
 	}
 }

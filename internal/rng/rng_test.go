@@ -205,6 +205,31 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
+// appendBernoulliLog is the selection AppendBernoulli makes, computed
+// the direct way: one logarithm per draw, U = 1 − Float64() and a gap
+// of ⌊ln U / ln(1−q)⌋ before each selected index. The tests hold the
+// table-driven sampler to it draw for draw.
+func appendBernoulliLog[T ~int](r *Source, dst []T, n int, q float64) []T {
+	if !(q > 0) {
+		return dst
+	}
+	if q >= 1 {
+		for i := 0; i < n; i++ {
+			dst = append(dst, T(i))
+		}
+		return dst
+	}
+	lq := math.Log1p(-q)
+	for i := -1; ; {
+		skip := math.Floor(math.Log(1-r.Float64()) / lq)
+		if skip >= float64(n-1-i) {
+			return dst
+		}
+		i += int(skip) + 1
+		dst = append(dst, T(i))
+	}
+}
+
 // bernoulliEdges are probabilities whose selection is known: none for
 // q ≤ 0 or NaN, every index for q ≥ 1, and none for 1e-12 at the
 // n ≤ 100 of TestAppendBernoulliEdges.
@@ -214,7 +239,8 @@ func TestAppendBernoulliEdges(t *testing.T) {
 	for _, n := range []int{0, 1, 100} {
 		for _, q := range bernoulliEdges {
 			r := New(77)
-			sel := AppendBernoulli(r, []int{-1}, n, q)
+			b := NewBernoulli(q)
+			sel := AppendBernoulli(r, &b, []int{-1}, n)
 			if sel[0] != -1 {
 				t.Fatalf("n=%d q=%v: dst prefix overwritten", n, q)
 			}
@@ -230,6 +256,97 @@ func TestAppendBernoulliEdges(t *testing.T) {
 			// Outside (0, 1) the answer needs no randomness.
 			if !(q > 0 && q < 1) && *r != *New(77) {
 				t.Fatalf("n=%d q=%v: advanced the stream", n, q)
+			}
+			if !(q > 0 && q < 1) && b.tab != nil {
+				t.Fatalf("q=%v: built a table of %d words", q, len(b.tab))
+			}
+		}
+	}
+	var zero Bernoulli
+	if sel := AppendBernoulli(New(77), &zero, []int(nil), 100); len(sel) != 0 {
+		t.Fatalf("zero Bernoulli selected %v", sel)
+	}
+}
+
+// bernoulliQs span the table's regimes: q = 1e-6 and 1e-3 are capped
+// at maxThresholds with a long tail past the table, 0.01 to 0.5 cover
+// the 2⁻¹⁰ tail, and 0.99 needs two thresholds.
+var bernoulliQs = []float64{1e-6, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.99}
+
+// TestAppendBernoulliMatchesLog holds the table-driven sampler to the
+// log-per-draw loop: the same selection and the same Source state
+// after every call. Each q runs 10⁵ calls at each of n = 1, 2 and 100
+// and up to 10⁵ at n = 36 612 (fewer where q·n makes a call long).
+func TestAppendBernoulliMatchesLog(t *testing.T) {
+	for _, q := range bernoulliQs {
+		b := NewBernoulli(q)
+		for _, n := range []int{1, 2, 100, 36612} {
+			trials := 100000
+			if testing.Short() {
+				trials /= 10
+			}
+			if n > 100 {
+				trials = max(100, min(trials, int(2e6/(float64(n)*q+1))))
+			}
+			r, ref := New(uint64(n)), New(uint64(n))
+			var sel, want []int
+			for i := 0; i < trials; i++ {
+				sel = AppendBernoulli(r, &b, sel[:0], n)
+				want = appendBernoulliLog(ref, want[:0], n, q)
+				if !slices.Equal(sel, want) {
+					t.Fatalf("q=%v n=%d call %d: selected %v, the log loop %v", q, n, i, sel, want)
+				}
+				if *r != *ref {
+					t.Fatalf("q=%v n=%d call %d: Source state differs from the log loop's", q, n, i)
+				}
+			}
+		}
+	}
+}
+
+// TestBernoulliTable checks every threshold against gap itself,
+// skip(t[j]−1) < j ≤ skip(t[j]), every guide entry against the
+// thresholds, the 64 KiB bound, and the 2⁻¹⁰ tail wherever the table
+// is not capped. The extra probabilities stress repeated thresholds
+// (1e-17, 1e-300: the first nonzero draw already skips many indices)
+// and the largest q below 1.
+func TestBernoulliTable(t *testing.T) {
+	const top = 1 << 53
+	for _, q := range append([]float64{1e-300, 1e-17, 0.3, math.Nextafter(1, 0)}, bernoulliQs...) {
+		b := NewBernoulli(q)
+		if b.k < 1 || b.k > maxThresholds || 8*len(b.tab) > 64<<10 {
+			t.Fatalf("q=%v: k=%d with %d table words", q, b.k, len(b.tab))
+		}
+		if b.k < maxThresholds && math.Pow(1-q, float64(b.k)) > 1.0/1024 {
+			t.Errorf("q=%v: tail (1−q)^%d = %v exceeds 2⁻¹⁰", q, b.k, math.Pow(1-q, float64(b.k)))
+		}
+		th := b.tab[:b.k+2]
+		if th[0] != 0 || th[b.k+1] != math.MaxUint64 {
+			t.Fatalf("q=%v: t[0] = %d, sentinel %d", q, th[0], th[b.k+1])
+		}
+		for j := 1; j <= b.k; j++ {
+			x := th[j]
+			if x < th[j-1] || x > top {
+				t.Fatalf("q=%v: t[%d] = %d after t[%d] = %d", q, j, x, j-1, th[j-1])
+			}
+			if x < top && gap(x, b.lq) < float64(j) {
+				t.Errorf("q=%v: skip(t[%d] = %d) = %v < %d", q, j, x, gap(x, b.lq), j)
+			}
+			if x > 0 && gap(x-1, b.lq) >= float64(j) {
+				t.Errorf("q=%v: skip(t[%d]−1 = %d) = %v ≥ %d", q, j, x-1, gap(x-1, b.lq), j)
+			}
+		}
+		buckets := uint64(1) << (53 - b.shift)
+		if words := uint64(len(b.tab) - b.k - 2); words*4 != buckets {
+			t.Fatalf("q=%v: %d guide words for %d buckets", q, words, buckets)
+		}
+		guide := b.tab[b.k+2:]
+		for h := uint64(0); h < buckets; h++ {
+			lo := h << b.shift
+			j := guideEntry(guide, h)
+			if j > b.k || th[j] > lo || th[j+1] <= lo {
+				t.Fatalf("q=%v: guide[%d] = %d, but bucket starts at %d (t[j] = %d, t[j+1] = %d)",
+					q, h, j, lo, th[j], th[j+1])
 			}
 		}
 	}
@@ -249,10 +366,11 @@ func TestAppendBernoulliIndexFrequency(t *testing.T) {
 		{3, 0.9, 4000},
 	} {
 		r := New(11)
+		b := NewBernoulli(tc.q)
 		counts := make([]int, tc.n)
 		var sel []int
 		for i := 0; i < tc.trials; i++ {
-			sel = AppendBernoulli(r, sel[:0], tc.n, tc.q)
+			sel = AppendBernoulli(r, &b, sel[:0], tc.n)
 			for _, v := range sel {
 				counts[v]++
 			}
@@ -285,10 +403,11 @@ func TestAppendBernoulliCountBinomial(t *testing.T) {
 		{20, 0.3, 20000},
 	} {
 		r := New(23)
+		b := NewBernoulli(tc.q)
 		var sel []int
 		sum, sumSq := 0.0, 0.0
 		for i := 0; i < tc.trials; i++ {
-			sel = AppendBernoulli(r, sel[:0], tc.n, tc.q)
+			sel = AppendBernoulli(r, &b, sel[:0], tc.n)
 			k := float64(len(sel))
 			sum += k
 			sumSq += k * k
@@ -328,9 +447,10 @@ func TestAppendBernoulliGapsGeometric(t *testing.T) {
 		observed := make([]int, len(edges))
 		total := 0
 		r := New(5)
+		b := NewBernoulli(q)
 		var sel []int
 		for c := 0; c < calls; c++ {
-			sel = AppendBernoulli(r, sel[:0], n, q)
+			sel = AppendBernoulli(r, &b, sel[:0], n)
 			prev := -1
 			for _, v := range sel {
 				gap := v - prev - 1
@@ -360,8 +480,8 @@ func TestAppendBernoulliGapsGeometric(t *testing.T) {
 
 // FuzzAppendBernoulli checks the selection invariants for any seed,
 // n ≤ 1<<16 and q: ascending, distinct and in [0, n); nothing for
-// q ≤ 0 or NaN; everything for q ≥ 1; the same output for the same
-// seed.
+// q ≤ 0 or NaN; everything for q ≥ 1; and the log-per-draw loop's
+// selection and final Source state.
 func FuzzAppendBernoulli(f *testing.F) {
 	for _, q := range append([]float64{0.01, 0.5, math.Nextafter(1, 0), 1e-300}, bernoulliEdges...) {
 		f.Add(uint64(1), uint32(36612), q)
@@ -369,7 +489,9 @@ func FuzzAppendBernoulli(f *testing.F) {
 	f.Add(uint64(7), uint32(1<<16), 0.25)
 	f.Fuzz(func(t *testing.T, seed uint64, n32 uint32, q float64) {
 		n := int(n32 % (1<<16 + 1))
-		sel := AppendBernoulli(New(seed), []int(nil), n, q)
+		b := NewBernoulli(q)
+		r := New(seed)
+		sel := AppendBernoulli(r, &b, []int(nil), n)
 		for i, v := range sel {
 			if v < 0 || v >= n || (i > 0 && v <= sel[i-1]) {
 				t.Fatalf("n=%d q=%v: selection %d is %d after %v", n, q, i, v, sel[:i])
@@ -381,23 +503,49 @@ func FuzzAppendBernoulli(f *testing.F) {
 		case q >= 1 && len(sel) != n:
 			t.Fatalf("n=%d q=%v: selected %d, want all", n, q, len(sel))
 		}
-		if again := AppendBernoulli(New(seed), []int(nil), n, q); !slices.Equal(again, sel) {
-			t.Fatalf("n=%d q=%v seed=%d: a second run selected differently", n, q, seed)
+		ref := New(seed)
+		if want := appendBernoulliLog(ref, []int(nil), n, q); !slices.Equal(sel, want) || *r != *ref {
+			t.Fatalf("n=%d q=%v seed=%d: selected %v, the log loop %v", n, q, seed, sel, want)
 		}
 	})
 }
 
+// bernoulliBenchQs sweeps the failure probabilities of the fabric and
+// dual-rail IID models and beyond.
+var bernoulliBenchQs = []float64{1e-4, 0.001, 0.01, 0.1, 0.25, 0.5}
+
 // BenchmarkAppendBernoulli draws one fat-tree k=36 trial (36 612
-// components) per op, at failure probabilities on both sides of the
-// q ≈ 0.1 break-even with an n-draw scan.
+// components) per op from a prebuilt table; /log runs the log-per-draw
+// loop it replaced on the same stream.
 func BenchmarkAppendBernoulli(b *testing.B) {
-	for _, q := range []float64{0.001, 0.01, 0.1, 0.25} {
+	for _, q := range bernoulliBenchQs {
+		bern := NewBernoulli(q)
 		b.Run(fmt.Sprintf("q=%v", q), func(b *testing.B) {
 			r := New(1)
-			dst := make([]int, 0, 16384)
+			dst := make([]int, 0, 32768)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dst = AppendBernoulli(r, dst[:0], 36612, q)
+				dst = AppendBernoulli(r, &bern, dst[:0], 36612)
+			}
+		})
+		b.Run(fmt.Sprintf("log/q=%v", q), func(b *testing.B) {
+			r := New(1)
+			dst := make([]int, 0, 32768)
+			for i := 0; i < b.N; i++ {
+				dst = appendBernoulliLog(r, dst[:0], 36612, q)
+			}
+		})
+	}
+}
+
+// BenchmarkNewBernoulli times building one table, which
+// EstimateFabric and EstimateIID pay once per estimate.
+func BenchmarkNewBernoulli(b *testing.B) {
+	for _, q := range append([]float64{1e-6}, bernoulliBenchQs...) {
+		b.Run(fmt.Sprintf("q=%v", q), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewBernoulli(q)
 			}
 		})
 	}
