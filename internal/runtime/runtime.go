@@ -66,6 +66,10 @@ type Cluster struct {
 
 	sent       []int
 	deliveries map[pair][]time.Duration
+	// flows and faults are the records the scheduled flow ticks and
+	// fail-stop faults carry (see ScheduleFlows and ScheduleFaults).
+	flows  []flowRec
+	faults []faultRec
 
 	// Crash–restart lifecycle state (allocated only when the spec's
 	// Tunables.Lifecycle is on): the incarnation number each node's
@@ -241,17 +245,19 @@ func (c *Cluster) Start() error {
 }
 
 // ScheduleFlows installs the spec's application flows, in spec order.
+// Each flow is one record that reschedules itself on the scheduler's
+// handle-free path, so a tick allocates nothing.
 func (c *Cluster) ScheduleFlows() {
 	if c.flowsScheduled {
 		return
 	}
 	c.flowsScheduled = true
-	for i := range c.spec.Flows {
-		i := i
-		f := c.spec.Flows[i]
-		payload := f.Payload
-		if payload == nil {
-			payload = defaultPayload
+	c.flows = make([]flowRec, len(c.spec.Flows))
+	for i, f := range c.spec.Flows {
+		fr := &c.flows[i]
+		fr.c, fr.i, fr.f, fr.payload = c, i, f, f.Payload
+		if fr.payload == nil {
+			fr.payload = defaultPayload
 		}
 		start := f.Interval
 		switch {
@@ -260,20 +266,48 @@ func (c *Cluster) ScheduleFlows() {
 		case f.Start == StartImmediately:
 			start = 0
 		}
-		var tick func()
-		tick = func() {
-			if f.Stop > 0 && c.sched.Now().Duration() >= f.Stop {
-				return
-			}
-			// A router legitimately returns ErrNoRoute during warm-up
-			// and outages; the message is simply lost, exactly as an
-			// application datagram would be. The application still
-			// tried, so the send counts either way.
-			_ = c.routers[f.From].SendData(f.To, payload)
-			c.sent[i]++
-			c.sched.After(f.Interval, tick)
-		}
-		c.sched.After(start, tick)
+		c.sched.AtCall(c.sched.Now().Add(start), runFlowTick, fr)
+	}
+}
+
+// flowRec is one application flow's scheduled state: the event a tick
+// carries.
+type flowRec struct {
+	c       *Cluster
+	i       int
+	f       Flow
+	payload []byte
+}
+
+// runFlowTick sends one message of a flow and schedules the next.
+func runFlowTick(arg any) {
+	fr := arg.(*flowRec)
+	c := fr.c
+	if fr.f.Stop > 0 && c.sched.Now().Duration() >= fr.f.Stop {
+		return
+	}
+	// A router legitimately returns ErrNoRoute during warm-up and
+	// outages; the message is simply lost, exactly as an application
+	// datagram would be. The application still tried, so the send
+	// counts either way.
+	_ = c.routers[fr.f.From].SendData(fr.f.To, fr.payload)
+	c.sent[fr.i]++
+	c.sched.AtCall(c.sched.Now().Add(fr.f.Interval), runFlowTick, fr)
+}
+
+// faultRec is one scheduled fail-stop fault: the event it carries.
+type faultRec struct {
+	c *Cluster
+	f Fault
+}
+
+// runFault applies a scheduled fail-stop fault.
+func runFault(arg any) {
+	fr := arg.(*faultRec)
+	if fr.f.Restore {
+		fr.c.net.Restore(fr.f.Comp)
+	} else {
+		fr.c.net.Fail(fr.f.Comp)
 	}
 }
 
@@ -284,15 +318,10 @@ func (c *Cluster) ScheduleFaults() {
 		return
 	}
 	c.faultsScheduled = true
-	for _, f := range c.spec.Faults {
-		f := f
-		c.sched.At(simtime.Time(f.At), func() {
-			if f.Restore {
-				c.net.Restore(f.Comp)
-			} else {
-				c.net.Fail(f.Comp)
-			}
-		})
+	c.faults = make([]faultRec, len(c.spec.Faults))
+	for i, f := range c.spec.Faults {
+		c.faults[i] = faultRec{c: c, f: f}
+		c.sched.AtCall(simtime.Time(f.At), runFault, &c.faults[i])
 	}
 	if len(c.spec.Episodes) > 0 {
 		chaos.Schedule(c.Clock(), c.spec.Episodes, simFaults{c.net, c})
