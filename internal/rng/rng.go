@@ -148,8 +148,9 @@ func gap(x uint64, lq float64) float64 {
 	return math.Floor(math.Log(1-float64(x)/(1<<53)) / lq)
 }
 
-// NewBernoulli prepares the failure probability q. For q in (0, 1)
-// it tabulates the draws that map to each gap below k, with k the
+// NewBernoulli prepares the failure probability q. For q in (0, 1),
+// unless q is below about 1.7·10⁻⁴, where it builds no table, it
+// tabulates the draws that map to each gap below k, with k the
 // least gap whose tail (1−q)^k is ≤ 2⁻¹⁰, or 4094 if that is
 // smaller. Each threshold starts from the closed form
 // 2⁵³·(1 − (1−q)^j) and is moved to where gap itself changes. gap
@@ -161,6 +162,13 @@ func NewBernoulli(q float64) Bernoulli {
 		return b
 	}
 	b.lq = math.Log1p(-q)
+	if -b.lq*maxThresholds < math.Ln2 {
+		// Below q ≈ ln 2 / maxThresholds ≈ 1.7·10⁻⁴ most draws would
+		// land past a capped table and pay for the scan and the
+		// logarithm both; without a table every draw takes the
+		// logarithm alone.
+		return b
+	}
 	if kf := math.Ceil(-10 * math.Ln2 / b.lq); kf < maxThresholds {
 		b.k = int(kf)
 	} else {
@@ -215,9 +223,9 @@ func guideEntry(guide []uint64, h uint64) int {
 // one, so a call makes about n·q + 1 draws instead of n; the selected
 // set has the distribution of n independent Float64() < q tests, not
 // their realisation. Each draw's gap is looked up in b's threshold
-// table, starting at the guide entry for its high bits; only a draw
-// past the table's last threshold that could still select an index
-// evaluates the logarithm.
+// table, when b has one, starting at the guide entry for its high
+// bits; only a draw past the table's last threshold that could still
+// select an index evaluates the logarithm.
 func AppendBernoulli[T ~int](r *Source, b *Bernoulli, dst []T, n int) []T {
 	if !(b.q > 0) {
 		return dst
@@ -227,6 +235,19 @@ func AppendBernoulli[T ~int](r *Source, b *Bernoulli, dst []T, n int) []T {
 			dst = append(dst, T(i))
 		}
 		return dst
+	}
+	if b.tab == nil {
+		// Too small a q for a table: every draw's gap is its logarithm.
+		src := *r
+		for i := -1; ; {
+			s := gap(src.Uint64()>>11, b.lq)
+			if s >= float64(n-1-i) {
+				*r = src
+				return dst
+			}
+			i += int(s) + 1
+			dst = append(dst, T(i))
+		}
 	}
 	// Locals keep the table and the stream state in registers; the
 	// state is written back when the call returns.

@@ -268,10 +268,11 @@ func TestAppendBernoulliEdges(t *testing.T) {
 	}
 }
 
-// bernoulliQs span the table's regimes: q = 1e-6 and 1e-3 are capped
-// at maxThresholds with a long tail past the table, 0.01 to 0.5 cover
-// the 2⁻¹⁰ tail, and 0.99 needs two thresholds.
-var bernoulliQs = []float64{1e-6, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.99}
+// bernoulliQs span the table's regimes: q = 1e-6 and 1e-4 get no
+// table, 2e-4 and 1e-3 are capped at maxThresholds with a tail past
+// the table, 0.01 to 0.5 cover the 2⁻¹⁰ tail, and 0.99 needs two
+// thresholds.
+var bernoulliQs = []float64{1e-6, 1e-4, 2e-4, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.99}
 
 // TestAppendBernoulliMatchesLog holds the table-driven sampler to the
 // log-per-draw loop: the same selection and the same Source state
@@ -307,13 +308,20 @@ func TestAppendBernoulliMatchesLog(t *testing.T) {
 // TestBernoulliTable checks every threshold against gap itself,
 // skip(t[j]−1) < j ≤ skip(t[j]), every guide entry against the
 // thresholds, the 64 KiB bound, and the 2⁻¹⁰ tail wherever the table
-// is not capped. The extra probabilities stress repeated thresholds
-// (1e-17, 1e-300: the first nonzero draw already skips many indices)
-// and the largest q below 1.
+// is not capped. Below the cutoff, where a capped table would leave
+// most draws past its end (1e-300, 1e-17 and the smallest of
+// bernoulliQs), no table is built. The extra probabilities also take
+// the largest q below 1.
 func TestBernoulliTable(t *testing.T) {
 	const top = 1 << 53
 	for _, q := range append([]float64{1e-300, 1e-17, 0.3, math.Nextafter(1, 0)}, bernoulliQs...) {
 		b := NewBernoulli(q)
+		if tail := math.Pow(1-q, maxThresholds); tail > 0.5 {
+			if b.tab != nil {
+				t.Fatalf("q=%v: built a table of %d words, though %.2f of draws lie past it", q, len(b.tab), tail)
+			}
+			continue
+		}
 		if b.k < 1 || b.k > maxThresholds || 8*len(b.tab) > 64<<10 {
 			t.Fatalf("q=%v: k=%d with %d table words", q, b.k, len(b.tab))
 		}
