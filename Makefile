@@ -28,6 +28,8 @@ race:
 	$(GO) test -race -count=10 -run 'TestManualAdvanceRacesAfterFunc|TestNowRacesAdvance' ./internal/clock/
 	$(GO) test -race -count=10 -run 'TestMemConcurrentChaosRace|TestFaultsConcurrentPolicyRace' ./internal/transport/
 	$(GO) test -race -count=10 -run TestUDPReceiverSwapRace ./internal/transport/
+	$(GO) test -race -count=10 -run TestForkConcurrent ./internal/runtime/
+	$(GO) test -race -short -run TestCoverageForkWorkers ./internal/experiments/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -63,9 +65,10 @@ fuzz:
 # the fabric evaluator's two-ended pair search against its
 # single-source search, over the two files drsd reads at boot (the
 # warm-start checkpoint image and the node config), over the scenario
-# loader drsim and drsd both parse cluster documents with, and over
-# the nemesis schedule validator hand-written -replay files pass
-# through (every schedule it accepts must run).
+# loader drsim and drsd both parse cluster documents with, over the
+# nemesis schedule validator hand-written -replay files pass through
+# (every schedule it accepts must run), and over cluster forks (a fork
+# at any instant before the faults must run as the unforked cluster).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=10s ./internal/routing/wire
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/icmp
@@ -77,6 +80,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSchedule -fuzztime=10s ./internal/nemesis
 	$(GO) test -run='^$$' -fuzz=FuzzAppendBernoulli -fuzztime=10s ./internal/rng
+	$(GO) test -run='^$$' -fuzz=FuzzFork -fuzztime=10s ./internal/runtime
 
 # End-to-end gate: one iteration of every benchmark (benchsmoke), the
 # ten-second fuzz passes (fuzzsmoke), then over the CLIs: the two test

@@ -160,12 +160,7 @@ func New(tr transport.Transport, clock clock.Clock, cfg Config) (*Daemon, error)
 		rounds:  linkmon.NewRounds(clock),
 		probes:  make([]probe, 0, tr.Nodes()*tr.Rails()),
 	}
-	d.probesSent = d.mset.Handle(routing.CtrProbesSent)
-	d.probeReplies = d.mset.Handle(routing.CtrProbeReplies)
-	d.dataSent = d.mset.Handle(routing.CtrDataSent)
-	d.dataDelivered = d.mset.Handle(routing.CtrDataDelivered)
-	d.dataForwarded = d.mset.Handle(routing.CtrDataForwarded)
-	d.dataDropped = d.mset.Handle(routing.CtrDataDropped)
+	d.bindCounters()
 	d.plane = dataplane.New(tr.Node(), tr.Nodes(), cfg.DataTTL, cfg.QueueCapacity,
 		d.mset.Counter(routing.CtrQueueOverflow))
 	if ov := cfg.Overload; ov.Enabled {
@@ -200,6 +195,75 @@ func New(tr transport.Transport, clock clock.Clock, cfg Config) (*Daemon, error)
 		}
 	}
 	return d, nil
+}
+
+// bindCounters resolves the per-frame counter handles on d.mset.
+func (d *Daemon) bindCounters() {
+	d.probesSent = d.mset.Handle(routing.CtrProbesSent)
+	d.probeReplies = d.mset.Handle(routing.CtrProbeReplies)
+	d.dataSent = d.mset.Handle(routing.CtrDataSent)
+	d.dataDelivered = d.mset.Handle(routing.CtrDataDelivered)
+	d.dataForwarded = d.mset.Handle(routing.CtrDataForwarded)
+	d.dataDropped = d.mset.Handle(routing.CtrDataDropped)
+}
+
+// Fork returns a copy of d that runs over tr and clock, the copies of
+// d's transport and clock in a forked simulation, and logs to tlog
+// (nil: nowhere): its link table, membership view, routes and
+// repairs, data plane, counter values and probe rounds, started and
+// stopped as d is. The copy has no deliver callback. The rounds'
+// pending timer belongs to d's scheduler, whose fork maps it with
+// ForkEvent. Staggered sends, adaptive-RTO deadlines, the overload
+// layer's drains and a discovery's timeout are closures or records
+// the copy could not follow, so Fork refuses a daemon that may have
+// one pending. Fork only reads d.
+func (d *Daemon) Fork(tr transport.Transport, clock clock.Clock, tlog *trace.Log) (*Daemon, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	switch {
+	case d.cfg.StaggerProbes:
+		return nil, fmt.Errorf("core: node %d: cannot fork staggered probe sends", d.self)
+	case d.cfg.AdaptiveRTO.Enabled():
+		return nil, fmt.Errorf("core: node %d: cannot fork adaptive-RTO deadlines", d.self)
+	case d.cfg.Overload.Enabled:
+		return nil, fmt.Errorf("core: node %d: cannot fork the overload layer", d.self)
+	}
+	routes, err := d.routes.Fork()
+	if err != nil {
+		return nil, fmt.Errorf("core: node %d: %v", d.self, err)
+	}
+	f := &Daemon{
+		cfg:     d.cfg,
+		tr:      tr,
+		clock:   clock,
+		mset:    d.mset.Fork(),
+		self:    d.self,
+		rails:   d.rails,
+		started: d.started,
+		stopped: d.stopped,
+		links:   d.links.Fork(),
+		members: d.members.Fork(),
+		routes:  routes,
+		probes:  make([]probe, 0, cap(d.probes)),
+	}
+	f.cfg.Trace = tlog
+	f.bindCounters()
+	f.plane = d.plane.Fork(f.mset.Counter(routing.CtrQueueOverflow))
+	f.rounds = d.rounds.Fork(clock, f.probeRound)
+	if f.started {
+		tr.SetReceiver(f.onFrame)
+	}
+	return f, nil
+}
+
+// ForkEvent returns the copy in f, a Fork of d, of the arg one of d's
+// pending events carries: the probe rounds' timer. It reports false
+// for an arg that is not d's.
+func (d *Daemon) ForkEvent(arg any, f *Daemon) (any, bool) {
+	if arg == any(d.rounds) {
+		return f.rounds, true
+	}
+	return nil, false
 }
 
 // Start installs the receiver and begins the probe loop.

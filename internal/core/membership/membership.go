@@ -34,6 +34,14 @@ func New(nodes int) *Tracker {
 	}
 }
 
+// Fork returns a copy of the tracker, for a forked simulation.
+func (m *Tracker) Fork() *Tracker {
+	return &Tracker{
+		lastHeard: append([]time.Duration(nil), m.lastHeard...),
+		inc:       append([]uint32(nil), m.inc...),
+	}
+}
+
 // Heard records valid traffic from peer at now.
 func (m *Tracker) Heard(peer int, now time.Duration) { m.lastHeard[peer] = now }
 

@@ -66,6 +66,20 @@ func New(node, nodes, ttl, capacity int, overflow *metrics.Counter) *Plane {
 	}
 }
 
+// Fork returns a copy of the plane, queued frames included, whose
+// evictions count on overflow, for a forked simulation.
+func (p *Plane) Fork(overflow *metrics.Counter) *Plane {
+	f := *p
+	f.overflow = overflow
+	f.queued = make(map[int][][]byte, len(p.queued))
+	for dst, q := range p.queued {
+		// Queued frames are never written once enqueued; the queue
+		// itself is, so each copy gets its own.
+		f.queued[dst] = append([][]byte(nil), q...)
+	}
+	return &f
+}
+
 // NewFrame assigns the next origin sequence number and builds the
 // complete ProtoData frame for dst.
 func (p *Plane) NewFrame(dst int, data []byte) []byte {

@@ -14,7 +14,7 @@ import (
 
 // CoverageConfig describes a fault-coverage campaign: EVERY failure
 // scenario up to MaxFaults simultaneous component failures is injected
-// into a fresh packet-level cluster, and the running DRS's behaviour
+// into a packet-level cluster, and the running DRS's behaviour
 // is checked against the analytic connectivity predicate — the
 // systematic version of the paper's survivability claim.
 type CoverageConfig struct {
@@ -96,11 +96,12 @@ type CoverageResult struct {
 	FirstInconsistency string
 }
 
-// FaultCoverage runs the campaign. Scenarios are enumerated in a
-// fixed order, simulated concurrently (cfg.Workers goroutines, each
-// scenario in its own simulator), and reduced back in enumeration
-// order — so the result, down to the first-inconsistency report, is
-// identical to a serial run.
+// FaultCoverage runs the campaign. The fault-free history before
+// FailAt is simulated once; scenarios are enumerated in a fixed order,
+// each simulated on its own fork of that history, concurrently
+// (cfg.Workers goroutines), and reduced back in enumeration order — so
+// the result, down to the first-inconsistency report, is identical to
+// a serial run.
 func FaultCoverage(cfg CoverageConfig) (*CoverageResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -112,8 +113,12 @@ func FaultCoverage(cfg CoverageConfig) (*CoverageResult, error) {
 	}
 
 	scenarios := enumerateScenarios(cluster.Components(), cfg.MaxFaults)
+	prefix, err := coveragePrefix(cfg)
+	if err != nil {
+		return nil, err
+	}
 	outcomes, err := parallel.Map(nil, cfg.Workers, len(scenarios), func(i int) (scenarioOutcome, error) {
-		return runScenario(cfg, cluster, eval, scenarios[i])
+		return runScenario(cfg, prefix, eval, scenarios[i])
 	})
 	if err != nil {
 		return nil, err
@@ -184,7 +189,7 @@ type scenarioOutcome struct {
 // scenarioSpec is the cluster one fault scenario runs on: the 0→1
 // traffic flow, with every component of the scenario failing at FailAt.
 func scenarioSpec(cfg CoverageConfig, scenario []topology.Component) runtime.ClusterSpec {
-	spec := runtime.ClusterSpec{
+	return runtime.ClusterSpec{
 		Nodes:    cfg.Nodes,
 		Protocol: runtime.ProtoDRS,
 		Seed:     cfg.Seed,
@@ -199,44 +204,68 @@ func scenarioSpec(cfg CoverageConfig, scenario []topology.Component) runtime.Clu
 			Interval: cfg.TrafficInterval,
 			Payload:  []byte("c"),
 		}},
+		Faults: scenarioFaults(cfg, scenario),
 	}
-	for _, comp := range scenario {
-		spec.Faults = append(spec.Faults, runtime.Fault{At: cfg.FailAt, Comp: comp})
-	}
-	return spec
 }
 
-// runScenario simulates one fault scenario in a private runtime
-// cluster and judges it against the analytic predicate. It mutates
-// nothing shared, so any number of scenarios can run concurrently.
+// scenarioFaults fails every component of the scenario at FailAt.
+func scenarioFaults(cfg CoverageConfig, scenario []topology.Component) []runtime.Fault {
+	faults := make([]runtime.Fault, len(scenario))
+	for i, comp := range scenario {
+		faults[i] = runtime.Fault{At: cfg.FailAt, Comp: comp}
+	}
+	return faults
+}
+
+// coveragePrefix simulates the history every scenario shares once: the
+// scenario cluster with MaxFaults fault slots at FailAt, run to the
+// last traffic-slice boundary strictly before FailAt. Until FailAt a
+// scenario's faults change nothing but the place their events hold in
+// the schedule, and the slots hold exactly those places.
+func coveragePrefix(cfg CoverageConfig) (*runtime.Cluster, error) {
+	c, err := runtime.Build(scenarioSpec(cfg, make([]topology.Component, cfg.MaxFaults)))
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Start(); err != nil {
+		return nil, err
+	}
+	c.ScheduleFlows()
+	c.ScheduleFaults()
+	c.RunUntil((cfg.FailAt - 1) / cfg.TrafficInterval * cfg.TrafficInterval)
+	return c, nil
+}
+
+// runScenario simulates one fault scenario on a fork of the campaign's
+// prefix and judges it against the analytic predicate. Forking only
+// reads the prefix and the fork is private, so any number of scenarios
+// can run concurrently.
 //
 // The verdict is fixed by the first 0→1 delivery at or after FailAt:
 // deliveries are observed in event order, so nothing simulated later
 // can change it. The run therefore advances in traffic-interval slices
 // and stops at the end of the slice holding that delivery; a scenario
-// that never recovers runs to Deadline. Slicing RunUntil does not
-// reorder events, so the outcome is the one a full run would give.
-func runScenario(cfg CoverageConfig, cluster topology.Cluster, eval *conn.Evaluator, scenario []topology.Component) (scenarioOutcome, error) {
+// that never recovers runs to Deadline. The prefix stops on a slice
+// boundary, and neither forking nor slicing RunUntil reorders events,
+// so the outcome is the one a full run from time zero would give.
+func runScenario(cfg CoverageConfig, prefix *runtime.Cluster, eval *conn.Evaluator, scenario []topology.Component) (scenarioOutcome, error) {
 	want := eval.PairConnected(scenario, 0, 1)
-
-	var firstAfter time.Duration = -1
-	spec := scenarioSpec(cfg, scenario)
-	spec.OnDeliver = func(at time.Duration, src, dst int, _ []byte) {
-		if firstAfter < 0 && src == 0 && dst == 1 && at >= cfg.FailAt {
-			firstAfter = at
-		}
-	}
-	c, err := runtime.Build(spec)
+	c, err := prefix.Fork()
 	if err != nil {
 		return scenarioOutcome{}, err
 	}
-	if err := c.Start(); err != nil {
+	if err := c.SetFaults(scenarioFaults(cfg, scenario)); err != nil {
 		return scenarioOutcome{}, err
 	}
-	c.ScheduleFlows()
-	c.ScheduleFaults()
+	var firstAfter time.Duration = -1
+	seen := 0
 	for firstAfter < 0 && c.Now() < cfg.Deadline {
 		c.RunUntil(min(c.Now()+cfg.TrafficInterval, cfg.Deadline))
+		for del := c.Deliveries(0, 1); seen < len(del) && firstAfter < 0; seen++ {
+			if del[seen] >= cfg.FailAt {
+				firstAfter = del[seen]
+			}
+		}
 	}
 	c.StopRouters()
 

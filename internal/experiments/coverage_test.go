@@ -64,27 +64,38 @@ func TestFaultCoverageExhaustiveConsistency(t *testing.T) {
 	}
 }
 
-// TestCoverageStopMatchesFullRun: a scenario stopped at its verdict has
-// exactly the outcome of the same spec run to Deadline, for every
-// scenario of a 6-node cluster up to two faults, with the failure on a
-// traffic send and between two sends. Recovered scenarios stop within
-// one traffic slice of their first post-failure delivery, and the
+// TestCoverageStopMatchesFullRun: a scenario forked from the shared
+// prefix and stopped at its verdict has exactly the outcome of the same
+// spec run fresh to Deadline, for every scenario of a 6-node cluster
+// up to two faults, with the failure on a traffic send, between two
+// sends, and 1 ms after a probe round, which forks the prefix with the
+// round's frames in flight. Recovered scenarios stop within one
+// traffic slice of their first post-failure delivery, and the
 // campaign's simulated time falls below half the full-run total.
 func TestCoverageStopMatchesFullRun(t *testing.T) {
 	onSend := DefaultCoverageConfig()
 	onSend.Nodes = 6
 	between := onSend
 	between.FailAt += 57 * time.Millisecond
-	for _, cfg := range []CoverageConfig{onSend, between} {
+	afterRound := onSend
+	afterRound.FailAt += time.Millisecond
+	for _, cfg := range []CoverageConfig{onSend, between, afterRound} {
 		cluster := topology.Dual(cfg.Nodes)
 		eval, err := conn.NewEvaluator(cluster)
 		if err != nil {
 			t.Fatal(err)
 		}
+		prefix, err := coveragePrefix(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.FailAt == afterRound.FailAt && prefix.Scheduler().Pending() <= cfg.Nodes+1+cfg.MaxFaults {
+			t.Fatalf("FailAt %v: %d events pending at the fork, no frame in flight", cfg.FailAt, prefix.Scheduler().Pending())
+		}
 		scenarios := enumerateScenarios(cluster.Components(), cfg.MaxFaults)
 		var simulated time.Duration
 		for _, scenario := range scenarios {
-			got, err := runScenario(cfg, cluster, eval, scenario)
+			got, err := runScenario(cfg, prefix, eval, scenario)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -140,6 +141,28 @@ func TestCoverageWorkersByteIdentical(t *testing.T) {
 	got := coverageCampaign(t, 8)
 	if got != ref {
 		t.Fatalf("coverage matrix diverges between workers=1 and workers=8:\n--- serial ---\n%s--- parallel ---\n%s", ref, got)
+	}
+}
+
+// TestCoverageForkWorkers: four workers forking one campaign prefix at
+// once give the serial campaign's result (make race runs it under the
+// race detector).
+func TestCoverageForkWorkers(t *testing.T) {
+	cfg := DefaultCoverageConfig()
+	cfg.Nodes = 5
+	cfg.Workers = 1
+	ref, err := FaultCoverage(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 4
+	got, err := FaultCoverage(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Config.Workers = ref.Config.Workers
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("4 workers: %+v, serial: %+v", got, ref)
 	}
 }
 

@@ -40,6 +40,17 @@ func (r *Rounds) Run(interval time.Duration, body func()) {
 	r.tick()
 }
 
+// Fork returns a copy of r that runs body on clock, for a protocol
+// forked into another simulation: the same interval and stopped
+// state. The copy's pending timer is the copy of r's, which the fork
+// of r's scheduler maps from r to the copy.
+func (r *Rounds) Fork(clock clock.Clock, body func()) *Rounds {
+	r.mu.Lock()
+	stopped := r.stopped
+	r.mu.Unlock()
+	return &Rounds{clock: clock, interval: r.interval, body: body, stopped: stopped}
+}
+
 // runTick is the rounds timer's callback, arg being the *Rounds.
 func runTick(r any) { r.(*Rounds).tick() }
 

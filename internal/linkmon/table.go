@@ -125,6 +125,27 @@ func NewTable(nodes, rails int) *Table {
 	return &Table{rails: rails, slab: make([]State, nodes*rails), monitored: make([]bool, nodes)}
 }
 
+// Fork returns a deep copy of the table, for a forked simulation.
+func (t *Table) Fork() *Table {
+	f := &Table{
+		rails:     t.rails,
+		slab:      append([]State(nil), t.slab...),
+		monitored: append([]bool(nil), t.monitored...),
+		seq:       t.seq,
+	}
+	for i := range f.slab {
+		if c := f.slab[i].cold; c != nil {
+			cp := *c
+			f.slab[i].cold = &cp
+		}
+	}
+	if b := t.retransmitBudget; b != nil {
+		cp := *b
+		f.retransmitBudget = &cp
+	}
+	return f
+}
+
 // Nodes returns the cluster size the table was created for.
 func (t *Table) Nodes() int { return len(t.monitored) }
 

@@ -47,6 +47,22 @@ func (s *Set) Counter(name string) *Counter {
 	return c
 }
 
+// Fork returns a new set holding a counter of the same name and value
+// for each of s's, allocated in one block.
+func (s *Set) Fork() *Set {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := &Set{m: make(map[string]*Counter, len(s.m))}
+	block := make([]Counter, len(s.m))
+	i := 0
+	for name, c := range s.m {
+		block[i].v.Store(c.Value())
+		f.m[name] = &block[i]
+		i++
+	}
+	return f
+}
+
 // Handle returns a lazily resolving reference to the named counter.
 func (s *Set) Handle(name string) *Handle { return &Handle{set: s, name: name} }
 

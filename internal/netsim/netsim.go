@@ -262,6 +262,9 @@ type Network struct {
 	// and buffer per frame.
 	freeEv    *frameEvent
 	deliverEv func(any)
+	// forkEvs is the block a fork cuts its copied in-flight frame
+	// records from (see ForkTimer).
+	forkEvs []frameEvent
 	// rx[node] is node's copy of the broadcast it is receiving, reused
 	// from one broadcast to the next.
 	rx [][]byte

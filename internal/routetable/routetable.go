@@ -13,6 +13,7 @@ package routetable
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"drsnet/internal/overload"
@@ -102,6 +103,34 @@ func New(nodes int) *Table {
 		pending: make(map[int]*Discovery),
 		seen:    make(map[uint64]time.Duration),
 	}
+}
+
+// Fork returns a copy of the table, for a forked simulation. A
+// pending discovery's timeout is its owner's timer, which the copy
+// could not cancel, so Fork refuses a table with one pending.
+func (t *Table) Fork() (*Table, error) {
+	if len(t.pending) > 0 {
+		dst := -1
+		for d := range t.pending {
+			if dst < 0 || d < dst {
+				dst = d
+			}
+		}
+		return nil, fmt.Errorf("routetable: cannot fork while the discovery timeout for node %d is pending", dst)
+	}
+	f := &Table{
+		routes:    append([]Route(nil), t.routes...),
+		repairs:   append([]Repair(nil), t.repairs...),
+		pending:   make(map[int]*Discovery),
+		querySeq:  t.querySeq,
+		seen:      maps.Clone(t.seen),
+		seenSwept: t.seenSwept,
+	}
+	if b := t.queryBudget; b != nil {
+		cp := *b
+		f.queryBudget = &cp
+	}
+	return f, nil
 }
 
 // Route returns the current route to dst.

@@ -185,6 +185,12 @@ func (c *Cluster) buildRouter(node int) (routing.Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: building %s router for node %d: %v", c.spec.Protocol, node, err)
 	}
+	c.wireDeliver(node, r)
+	return r, nil
+}
+
+// wireDeliver installs node's delivery accounting on its router r.
+func (c *Cluster) wireDeliver(node int, r routing.Router) {
 	r.SetDeliverFunc(func(src int, data []byte) {
 		at := c.sched.Now().Duration()
 		k := pair{from: src, to: node}
@@ -193,7 +199,6 @@ func (c *Cluster) buildRouter(node int) (routing.Router, error) {
 			c.spec.OnDeliver(at, src, node, data)
 		}
 	})
-	return r, nil
 }
 
 // Spec returns the normalized spec the cluster was built from.
@@ -295,18 +300,25 @@ func runFlowTick(arg any) {
 	c.sched.AtCall(c.sched.Now().Add(fr.f.Interval), runFlowTick, fr)
 }
 
-// faultRec is one scheduled fail-stop fault: the event it carries.
+// faultRec is one scheduled fail-stop fault: the event it carries. A
+// slot emptied by SetFaults does nothing when it fires.
 type faultRec struct {
-	c *Cluster
-	f Fault
+	c     *Cluster
+	i     int
+	f     Fault
+	empty bool
+	fired bool
 }
 
 // runFault applies a scheduled fail-stop fault.
 func runFault(arg any) {
 	fr := arg.(*faultRec)
-	if fr.f.Restore {
+	fr.fired = true
+	switch {
+	case fr.empty:
+	case fr.f.Restore:
 		fr.c.net.Restore(fr.f.Comp)
-	} else {
+	default:
 		fr.c.net.Fail(fr.f.Comp)
 	}
 }
@@ -320,7 +332,7 @@ func (c *Cluster) ScheduleFaults() {
 	c.faultsScheduled = true
 	c.faults = make([]faultRec, len(c.spec.Faults))
 	for i, f := range c.spec.Faults {
-		c.faults[i] = faultRec{c: c, f: f}
+		c.faults[i] = faultRec{c: c, i: i, f: f}
 		c.sched.AtCall(simtime.Time(f.At), runFault, &c.faults[i])
 	}
 	if len(c.spec.Episodes) > 0 {

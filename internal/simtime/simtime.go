@@ -161,21 +161,27 @@ func (s *Scheduler) At(at Time, fn func()) *Timer {
 // cancelled; `call` should be a long-lived bound value (a method
 // value stored once, not a fresh closure per call).
 func (s *Scheduler) AtCall(at Time, call func(any), arg any) {
-	var t *Timer
-	if n := len(s.free); n > 0 {
-		t = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		if len(s.slab) == cap(s.slab) {
-			s.slab = make([]Timer, 0, 128)
-		}
-		s.slab = s.slab[:len(s.slab)+1]
-		t = &s.slab[len(s.slab)-1]
-		t.pooled = true
-	}
+	t := s.pooledTimer()
 	t.Bind(call, arg)
 	s.LaneTimer(nil, at, t)
+}
+
+// pooledTimer returns an idle pooled timer, from the free list or a
+// fresh slab.
+func (s *Scheduler) pooledTimer() *Timer {
+	if n := len(s.free); n > 0 {
+		t := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return t
+	}
+	if len(s.slab) == cap(s.slab) {
+		s.slab = make([]Timer, 0, 128)
+	}
+	s.slab = s.slab[:len(s.slab)+1]
+	t := &s.slab[len(s.slab)-1]
+	t.pooled = true
+	return t
 }
 
 // LaneTimer schedules the caller-owned timer t, bound with Bind, to

@@ -164,6 +164,20 @@ func (l *Log) copyOut(dst []Event) {
 	copy(dst[first:], l.ring[:l.n-first])
 }
 
+// Fork returns a copy of the log, for a forked simulation: the same
+// retained events, capacity and drop count, so both logs go on
+// retaining and dropping alike.
+func (l *Log) Fork() *Log {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	f := &Log{n: l.n, max: l.max, dropped: l.dropped}
+	if len(l.ring) > 0 {
+		f.ring = make([]Event, len(l.ring))
+		l.copyOut(f.ring)
+	}
+	return f
+}
+
 // Events returns a copy of the retained events in append order.
 func (l *Log) Events() []Event {
 	l.mu.Lock()
