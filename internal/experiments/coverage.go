@@ -258,12 +258,12 @@ func runScenario(cfg CoverageConfig, prefix *runtime.Cluster, eval *conn.Evaluat
 		return scenarioOutcome{}, err
 	}
 	var firstAfter time.Duration = -1
-	seen := 0
 	for firstAfter < 0 && c.Now() < cfg.Deadline {
 		c.RunUntil(min(c.Now()+cfg.TrafficInterval, cfg.Deadline))
-		for del := c.Deliveries(0, 1); seen < len(del) && firstAfter < 0; seen++ {
-			if del[seen] >= cfg.FailAt {
-				firstAfter = del[seen]
+		for _, at := range c.Deliveries(0, 1) {
+			if at >= cfg.FailAt {
+				firstAfter = at
+				break
 			}
 		}
 	}

@@ -238,9 +238,9 @@ func AppendBernoulli[T ~int](r *Source, b *Bernoulli, dst []T, n int) []T {
 	}
 	if b.tab == nil {
 		// Too small a q for a table: every draw's gap is its logarithm.
-		src := *r
+		src, lq := *r, b.lq
 		for i := -1; ; {
-			s := gap(src.Uint64()>>11, b.lq)
+			s := gap(src.Uint64()>>11, lq)
 			if s >= float64(n-1-i) {
 				*r = src
 				return dst
