@@ -14,9 +14,10 @@ import (
 // clocks and the traffic counters. It installs no handler, since the
 // copies of the nodes' transports install their own, and it holds no
 // frame yet: ForkTimer copies each in-flight frame as the scheduler's
-// fork meets it. A switched network, a tap and an impairment that
-// delays frames deliver through closures a copy could not follow, so
-// Fork refuses them. Fork only reads n.
+// fork meets it. A switched network and an impairment that delays
+// frames deliver through closures a copy could not follow, and a tap
+// is an observer the copy would share, so Fork refuses them. Fork only
+// reads n.
 func (n *Network) Fork(sched *simtime.Scheduler) (*Network, error) {
 	if n.params.Switched {
 		return nil, fmt.Errorf("netsim: cannot fork a switched network: its hub deliveries are closures")

@@ -15,9 +15,11 @@ import (
 // scheduler, network, routers and accounting, whose every later event
 // is the one c would run, at the same (at, seq). Driving the copy
 // forward therefore gives the Result a run of c's spec would, and c
-// itself is left as it was, so it can go on or be forked again. Fork
-// only reads c: any number of goroutines may fork one cluster at
-// once, provided nothing drives it meanwhile.
+// itself is left as it was, so it can go on or be forked again. The
+// copy logs to a copy of c's trace, and reports its deliveries to the
+// spec's OnDeliver, if any, as c does. Fork only reads c: any number of
+// goroutines may fork one cluster at once, provided nothing drives it
+// meanwhile.
 //
 // Each layer copies its own state and the records its pending events
 // carry: the scheduler its pending set, the network its fault state,

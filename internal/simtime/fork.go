@@ -105,11 +105,11 @@ func (s *Scheduler) forkTimer(t *Timer, cp EventCopier) (*Timer, error) {
 }
 
 // ForkLane makes l, a lane of a forked scheduler, the copy of src: it
-// is called with each timer t of the source's lanes and its copy, and
-// l takes copy as its tail when t is src's tail still queued. A lane
+// is called with each timer t of the source's lanes and its copy cp,
+// and l takes cp as its tail when t is src's tail still queued. A lane
 // never matched stays empty, as src is once its tail has run.
-func (l *Lane) ForkLane(src *Lane, t, copy *Timer) {
+func (l *Lane) ForkLane(src *Lane, t, cp *Timer) {
 	if src.tail == t && src.queued() {
-		l.tail, l.seq = copy, src.seq
+		l.tail, l.seq = cp, src.seq
 	}
 }
