@@ -249,26 +249,28 @@ func TestForkRefuses(t *testing.T) {
 		{"discovery", func(s *ClusterSpec) { *s = lossy }, nil, 5 * time.Second, "discovery timeout"},
 		{"closure", nil, func(c *Cluster) { c.Scheduler().After(time.Hour, func() {}) }, time.Second, "closure event"},
 	} {
-		spec := forkSpec(4)
-		if c.spec != nil {
-			c.spec(&spec)
-		}
-		src, err := Build(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if err := src.Start(); err != nil {
-			t.Fatal(err)
-		}
-		src.ScheduleFlows()
-		src.ScheduleFaults()
-		if c.setup != nil {
-			c.setup(src)
-		}
-		src.RunUntil(c.at)
-		if _, err := src.Fork(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: Fork error %v, want one naming %q", c.name, err, c.want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			spec := forkSpec(4)
+			if c.spec != nil {
+				c.spec(&spec)
+			}
+			src, err := Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Start(); err != nil {
+				t.Fatal(err)
+			}
+			src.ScheduleFlows()
+			src.ScheduleFaults()
+			if c.setup != nil {
+				c.setup(src)
+			}
+			src.RunUntil(c.at)
+			if _, err := src.Fork(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Fork error %v, want one naming %q", err, c.want)
+			}
+		})
 	}
 }
 
