@@ -244,7 +244,10 @@ func (d *Daemon) Fork(tr transport.Transport, clock clock.Clock, tlog *trace.Log
 		links:   d.links.Fork(),
 		members: d.members.Fork(),
 		routes:  routes,
-		probes:  make([]probe, 0, cap(d.probes)),
+		// Scratch as large as d's, so the copy allocates the same
+		// whenever it is taken and however far it then runs.
+		frameBuf: make([]byte, 0, cap(d.frameBuf)),
+		probes:   make([]probe, 0, cap(d.probes)),
 	}
 	f.cfg.Trace = tlog
 	f.bindCounters()

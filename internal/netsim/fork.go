@@ -14,10 +14,12 @@ import (
 // clocks and the traffic counters. It installs no handler, since the
 // copies of the nodes' transports install their own, and it holds no
 // frame yet: ForkTimer copies each in-flight frame as the scheduler's
-// fork meets it. A switched network and an impairment that delays
-// frames deliver through closures a copy could not follow, and a tap
-// is an observer the copy would share, so Fork refuses them. Fork only
-// reads n.
+// fork meets it. The copy's frame records are made in one block, as
+// many as n has made, so a fork allocates the same whenever it is
+// taken and however far it then runs. A switched network and an
+// impairment that delays frames deliver through closures a copy could
+// not follow, and a tap is an observer the copy would share, so Fork
+// refuses them. Fork only reads n.
 func (n *Network) Fork(sched *simtime.Scheduler) (*Network, error) {
 	if n.params.Switched {
 		return nil, fmt.Errorf("netsim: cannot fork a switched network: its hub deliveries are closures")
@@ -44,6 +46,13 @@ func (n *Network) Fork(sched *simtime.Scheduler) (*Network, error) {
 		f.part = maps.Clone(n.part)
 	}
 	f.deliverEv = f.deliverEvent
+	block := make([]frameEvent, n.records)
+	for i := range block {
+		ev := &block[i]
+		ev.tm.Bind(f.deliverEv, ev)
+		ev.next, f.freeEv = f.freeEv, ev
+	}
+	f.records = n.records
 	return f, nil
 }
 
@@ -55,21 +64,12 @@ func (n *Network) ForkTimer(into *Network, t *simtime.Timer) (*simtime.Timer, er
 	if !ok || t != &ev.tm {
 		return nil, fmt.Errorf("netsim: cannot fork a timer carrying %T", t.Arg())
 	}
-	if len(into.forkEvs) == 0 {
-		into.forkEvs = make([]frameEvent, forkBlock)
-	}
-	c := &into.forkEvs[0]
-	into.forkEvs = into.forkEvs[1:]
-	c.tm.Bind(into.deliverEv, c)
+	c := into.frameRecord()
 	c.p.set(ev.p.bytes())
 	c.src, c.dst, c.rail = ev.src, ev.dst, ev.rail
 	into.segs[ev.rail].lane.ForkLane(&n.segs[ev.rail].lane, t, &c.tm)
 	return &c.tm, nil
 }
-
-// forkBlock is how many in-flight frame records a fork allocates at a
-// time.
-const forkBlock = 64
 
 // fork copies the fault state onto sched, with no handler or tap.
 func (s *state) fork(sched *simtime.Scheduler) state {

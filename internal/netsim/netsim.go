@@ -262,9 +262,10 @@ type Network struct {
 	// and buffer per frame.
 	freeEv    *frameEvent
 	deliverEv func(any)
-	// forkEvs is the block a fork cuts its copied in-flight frame
-	// records from (see ForkTimer).
-	forkEvs []frameEvent
+	// records counts the frame records made, free or in flight: a fork
+	// starts with as many, so its sends draw on a pool as warm as the
+	// source's (see Fork).
+	records int
 	// rx[node] is node's copy of the broadcast it is receiving, reused
 	// from one broadcast to the next.
 	rx [][]byte
@@ -373,14 +374,7 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 	// Shared medium (hub): one frame at a time on the whole segment.
 	end := occupy(&seg.busyUntil, n.sched.Now(), txTime)
 	seg.stats.BitsSent += bits
-	ev := n.freeEv
-	if ev != nil {
-		n.freeEv = ev.next
-		ev.next = nil
-	} else {
-		ev = new(frameEvent)
-		ev.tm.Bind(n.deliverEv, ev)
-	}
+	ev := n.frameRecord()
 	// The sender may reuse its buffer: the event keeps its own copy.
 	ev.p.set(payload)
 	if corrupt {
@@ -390,6 +384,20 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 	ev.src, ev.dst, ev.rail = int32(src), int32(dst), int32(rail)
 	n.sched.LaneTimer(&seg.lane, end.Add(n.params.Latency+extra), &ev.tm)
 	return nil
+}
+
+// frameRecord takes a frame record off the freelist, or makes one.
+func (n *Network) frameRecord() *frameEvent {
+	ev := n.freeEv
+	if ev != nil {
+		n.freeEv = ev.next
+		ev.next = nil
+		return ev
+	}
+	ev = new(frameEvent)
+	ev.tm.Bind(n.deliverEv, ev)
+	n.records++
+	return ev
 }
 
 // deliverEvent is the scheduler callback for hub-mode deliveries. The

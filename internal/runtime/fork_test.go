@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"reflect"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -297,4 +298,32 @@ func FuzzFork(f *testing.F) {
 		}
 		sameResult(t, "fork at "+fork.String(), finishRun(fc), want)
 	})
+}
+
+// TestForkRunsWarm: a fork draws its frame records and send scratch
+// from stores as large as its source's, so a probe round run on a fork
+// taken between rounds allocates about what the source allocates
+// running the same round, not a record per frame in flight.
+func TestForkRunsWarm(t *testing.T) {
+	const at, until = 2750 * time.Millisecond, 3600 * time.Millisecond
+	src := startCluster(t, forkSpec(12), at)
+	fork := func() *Cluster {
+		f, err := src.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	forkOnly := testing.AllocsPerRun(5, func() { fork() })
+	forkRun := testing.AllocsPerRun(5, func() { fork().RunUntil(until) })
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	src.RunUntil(until)
+	goruntime.ReadMemStats(&m1)
+	// A fork's delivery lists are cut to length, so its first
+	// deliveries may grow them where the source's had room.
+	const slack = 8
+	if run, srcRun := forkRun-forkOnly, float64(m1.Mallocs-m0.Mallocs); run > srcRun+slack {
+		t.Fatalf("a fork ran the round in %v allocations, its source in %v", run, srcRun)
+	}
 }
