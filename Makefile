@@ -23,7 +23,7 @@ test:
 race:
 	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -short -count=1 ./... || exit 1; done
 	$(GO) test -race ./internal/parallel/ ./internal/survival/ ./internal/metrics/
-	$(GO) test -race -count=10 -run TestLiveScratchIsRaceFree ./internal/core/
+	$(GO) test -race -count=10 -run 'TestLiveScratchIsRaceFree|TestLiveAnswerDeadlineIsRaceFree' ./internal/core/
 	$(GO) test -race -count=10 -run TestRoundsStopRacesTick ./internal/linkmon/
 	$(GO) test -race -count=10 -run 'TestManualAdvanceRacesAfterFunc|TestNowRacesAdvance' ./internal/clock/
 	$(GO) test -race -count=10 -run 'TestMemConcurrentChaosRace|TestFaultsConcurrentPolicyRace' ./internal/transport/

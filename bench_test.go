@@ -248,30 +248,6 @@ func BenchmarkAblationMissThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationProbePolicy quantifies the factor-two cost of
-// ordered-pair probing in the Figure 1 model.
-func BenchmarkAblationProbePolicy(b *testing.B) {
-	for _, ordered := range []bool{false, true} {
-		name := "per-pair"
-		if ordered {
-			name = "ordered-pairs"
-		}
-		b.Run(name, func(b *testing.B) {
-			params := costmodel.Defaults()
-			params.OrderedPairs = ordered
-			var rt float64
-			for i := 0; i < b.N; i++ {
-				var err error
-				rt, err = params.ResponseTime(90, 0.10)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(rt, "round-s")
-		})
-	}
-}
-
 // BenchmarkAblationHubVsSwitch quantifies the alternative-topology
 // study: the same probe round on the paper's shared hub vs a switched
 // fabric, in the cost model and empirically in the packet simulator.

@@ -365,9 +365,9 @@ func TestStormCampaignGolden(t *testing.T) {
 	const golden = `# chaos campaign: correlated-failure storm fraction (5 nodes, 30s, seed 3)
   protocol  fraction  budget   avail%  crashes  repairs   shed  degraded  max-rt  max-qry
        drs      0.00     off    98.33        0       20      0         0     128        0
-       drs      0.00      on    98.33        0       20    310         5      54        0
+       drs      0.00      on    98.33        0       20    310         5      53        0
        drs      0.50     off    93.33        2       26      0         0     144       14
-       drs      0.50      on    90.67        2       24    211         3      55        8
+       drs      0.50      on    90.67        2       24    210         3      53        8
 `
 	var out, errb bytes.Buffer
 	args := []string{"-mode", "storm", "-nodes", "5", "-duration", "30s",

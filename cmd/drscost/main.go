@@ -5,7 +5,7 @@
 // Usage:
 //
 //	drscost [-rate bits] [-frame bytes] [-budgets list] [-min n] [-max n]
-//	        [-step n] [-workers w] [-ordered]
+//	        [-step n] [-workers w] [-plot]
 package main
 
 import (
@@ -34,13 +34,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxN := flags.Int("max", 128, "largest cluster size")
 	step := flags.Int("step", 2, "cluster size step")
 	workers := flags.Int("workers", 0, "sweep worker goroutines (0 = all CPUs); output is identical for every count")
-	ordered := flags.Bool("ordered", false, "model every daemon probing every peer, as the daemon did before pairs shared one exchange (doubles traffic)")
 	plot := flags.Bool("plot", false, "render the figure as an ASCII chart instead of a table")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
 
-	params := costmodel.Params{LinkRate: *rate, FrameBytes: *frame, OrderedPairs: *ordered}
+	params := costmodel.Params{LinkRate: *rate, FrameBytes: *frame}
 	var buds []float64
 	for _, tok := range strings.Split(*budgets, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)

@@ -183,7 +183,7 @@ func TestScenarioTraceGolden(t *testing.T) {
 		{"nic-failover.json", "acf7f9e7a5e2839762d148de81fa3b90674e4f59b80f36e675c238b4bd905ca4"},
 		{"partition-heal.json", "bd65ecb37f6b3769852fcda4105231703f25c42d36b34c89aa06d265c253f3a5"},
 		{"rolling-backplane-maintenance.json", "5cc5a14a19abe224fb3a83b8e94e910ff04033f9ea9207e912cf6a257bb89767"},
-		{"rolling-crash.json", "60e2b0e3ce684897eeb8a42dc3732a51779b5e5f80352f2bc893f660eac85f95"},
+		{"rolling-crash.json", "f8988e69233526134450b1342a6b012d07857e18ce1c3897697b4b7dc0538bd8"},
 		{"static-failover.json", "d2097bcbcc8dec695b592dd8298ad37c9547b2eb44fe6c60f27ddd63a591b7e5"},
 	} {
 		t.Run(tc.file, func(t *testing.T) {

@@ -101,10 +101,6 @@ type CostModel struct {
 	// ProbeFrameBytes is the on-wire size of one probe frame
 	// (default 84: a minimum Ethernet frame plus preamble and gap).
 	ProbeFrameBytes int
-	// OrderedPairs, when true, models every daemon independently
-	// probing every peer (double the traffic of per-pair checking):
-	// the ablation of the daemon's one exchange per pair.
-	OrderedPairs bool
 }
 
 func (c CostModel) params() costmodel.Params {
@@ -115,7 +111,6 @@ func (c CostModel) params() costmodel.Params {
 	if c.ProbeFrameBytes > 0 {
 		p.FrameBytes = c.ProbeFrameBytes
 	}
-	p.OrderedPairs = c.OrderedPairs
 	return p
 }
 

@@ -82,16 +82,15 @@ func TestClusterRestoreNIC(t *testing.T) {
 }
 
 func TestCostModelCustomParams(t *testing.T) {
-	m := CostModel{LinkRateBits: 1e9, ProbeFrameBytes: 84, OrderedPairs: true}
+	m := CostModel{LinkRateBits: 1e9, ProbeFrameBytes: 84}
 	rt, err := m.ResponseTime(90, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Gigabit: 10× faster than the default net the ordered-pairs 2×:
-	// 2 × 0.538s / 10 = 107.7ms.
-	want := 2 * 0.53827 / 10
+	// Gigabit: 10× faster than the default net: 0.538s / 10 = 53.8ms.
+	want := 0.53827 / 10
 	if math.Abs(rt.Seconds()-want) > 1e-3 {
-		t.Fatalf("gigabit ordered response = %v, want ~%vs", rt, want)
+		t.Fatalf("gigabit response = %v, want ~%vs", rt, want)
 	}
 }
 

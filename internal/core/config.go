@@ -107,9 +107,12 @@ type Config struct {
 	// with a Jacobson/Karels adaptive timeout: each probe arms a timer
 	// at srtt + 4·rttvar (clamped, exponentially backed off on
 	// consecutive misses) and the miss is counted the moment it
-	// expires instead of at the next round. The zero value keeps the
-	// classic round-based miss accounting. It needs a deadline per
-	// probe at each end, so every daemon probes every peer.
+	// expires instead of at the next round. The answering end of a
+	// shared exchange sends no probe to time: each request it hears
+	// arms a deadline one probe interval plus the same timeout later
+	// for the next, and when that expires it counts the miss and
+	// retransmits a probe of its own. Pairs still share one exchange.
+	// The zero value keeps the classic round-based miss accounting.
 	AdaptiveRTO linkmon.RTO
 	// Trace, if non-nil, receives protocol events.
 	Trace *trace.Log

@@ -9,7 +9,8 @@
 //	Phase 1 (link checks): every probe interval, each pair of daemons
 //	shares one ICMP echo exchange on every rail. The lower id sends
 //	the request; the higher id answers it, and probes the peer itself
-//	only after a round in which it heard no request (a new path
+//	only after a round in which it heard no request, or under
+//	adaptive deadlines once the next request is overdue (a new path
 //	starts as if one had been heard, so the first round shares too).
 //	A returned echo proves "the hub, wiring, network interface card,
 //	device driver, network protocol stack and host kernel are
@@ -213,18 +214,16 @@ func (d *Daemon) bindCounters() {
 // repairs, data plane, counter values and probe rounds, started and
 // stopped as d is. The copy has no deliver callback. The rounds'
 // pending timer belongs to d's scheduler, whose fork maps it with
-// ForkEvent. Staggered sends, adaptive-RTO deadlines, the overload
-// layer's drains and a discovery's timeout are closures or records
-// the copy could not follow, so Fork refuses a daemon that may have
-// one pending. Fork only reads d.
+// ForkEvent, as it does the adaptive-RTO deadlines. Staggered sends,
+// the overload layer's drains and a discovery's timeout are closures
+// or records the copy could not follow, so Fork refuses a daemon that
+// may have one pending. Fork only reads d.
 func (d *Daemon) Fork(tr transport.Transport, clock clock.Clock, tlog *trace.Log) (*Daemon, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	switch {
 	case d.cfg.StaggerProbes:
 		return nil, fmt.Errorf("core: node %d: cannot fork staggered probe sends", d.self)
-	case d.cfg.AdaptiveRTO.Enabled():
-		return nil, fmt.Errorf("core: node %d: cannot fork adaptive-RTO deadlines", d.self)
 	case d.cfg.Overload.Enabled:
 		return nil, fmt.Errorf("core: node %d: cannot fork the overload layer", d.self)
 	}
@@ -260,11 +259,20 @@ func (d *Daemon) Fork(tr transport.Transport, clock clock.Clock, tlog *trace.Log
 }
 
 // ForkEvent returns the copy in f, a Fork of d, of the arg one of d's
-// pending events carries: the probe rounds' timer. It reports false
-// for an arg that is not d's.
+// pending events carries: the probe rounds' timer or an adaptive
+// deadline. It reports false for an arg that is not d's.
 func (d *Daemon) ForkEvent(arg any, f *Daemon) (any, bool) {
-	if arg == any(d.rounds) {
-		return f.rounds, true
+	switch a := arg.(type) {
+	case *linkmon.Rounds:
+		if a == d.rounds {
+			return f.rounds, true
+		}
+	case *rtoCheck:
+		if a.d == d {
+			cp := *a
+			cp.d = f
+			return &cp, true
+		}
 	}
 	return nil, false
 }
@@ -431,7 +439,9 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 // confirmed to its previous round's request (sendProbeLocked). The
 // request proves the src→us direction now and the acknowledged reply
 // the us→src direction one round ago, which is the round trip the
-// answering end's own probe would prove. Caller holds d.mu.
+// answering end's own probe would prove. Under AdaptiveRTO a request
+// credited at the answering end also arms the deadline for the next
+// one (see linkmon.Table.AwaitRequest). Caller holds d.mu.
 func (d *Daemon) noteAliveLocked(rail, src int, data []byte) {
 	if d.stopped || !d.links.Monitored(src) {
 		return
@@ -448,6 +458,12 @@ func (d *Daemon) noteAliveLocked(rail, src int, data []byte) {
 		if rtt := time.Duration(binary.BigEndian.Uint64(data[8:probeData])); rtt > 0 {
 			st.ObserveRTT(rtt)
 		}
+	}
+	if d.cfg.AdaptiveRTO.Enabled() && src < d.self {
+		// The answering end times the next request as a requester
+		// times its reply: one round later, plus the learned timeout.
+		seq := d.links.AwaitRequest(src, rail)
+		d.armDeadline(src, rail, seq, d.cfg.ProbeInterval+d.rtoDeadlineLocked(st))
 	}
 	if !st.Up {
 		d.markUpLocked(src, rail, d.clock.Now())

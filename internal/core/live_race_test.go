@@ -8,6 +8,7 @@ import (
 
 	"drsnet/internal/clock"
 	"drsnet/internal/icmp"
+	"drsnet/internal/linkmon"
 	"drsnet/internal/routing"
 	"drsnet/internal/routing/wire"
 	"drsnet/internal/transport"
@@ -113,4 +114,65 @@ func TestLiveScratchIsRaceFree(t *testing.T) {
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d frames left the daemon corrupted", n)
 	}
+}
+
+// TestLiveAnswerDeadlineIsRaceFree runs node 1, the answering end of
+// its pair with node 0, on a live clock with adaptive deadlines. Node 0
+// never starts: two goroutines play its requests, one per rail, in
+// bursts separated by pauses longer than the answering end's deadline,
+// so deadlines fire on the clock's dispatcher goroutine while requests
+// arm new ones from the pumps, and Stop runs while both still go on.
+// Run under -race; the loops only wait until deadlines have fired,
+// and until the pumps have sent two bursts more after Stop.
+func TestLiveAnswerDeadlineIsRaceFree(t *testing.T) {
+	clk := clock.NewWall()
+	defer clk.Stop()
+	mem := transport.NewMem(2, 2, clk, 100*time.Microsecond)
+	cfg := DefaultConfig()
+	cfg.ProbeInterval = 2 * time.Millisecond
+	cfg.AdaptiveRTO = linkmon.RTO{Min: 500 * time.Microsecond, Max: time.Millisecond}
+	d, err := New(mem.Node(1), clk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var sent atomic.Int64
+	for rail := 0; rail < 2; rail++ {
+		wg.Add(1)
+		go func(rail int) {
+			defer wg.Done()
+			data := make([]byte, probeData)
+			data[15] = 1 // a 1 ns RTT sample
+			req := icmp.Echo{Request: true, ID: 0, Seq: uint16(rail), Data: data}.
+				AppendTo([]byte{wire.ProtoICMP})
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				d.onFrame(rail, 0, req)
+				sent.Add(1)
+				if i%8 == 7 {
+					time.Sleep(5 * time.Millisecond)
+				} else {
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+		}(rail)
+	}
+	expired := d.Metrics().Counter(routing.CtrRTOExpired)
+	for expired.Value() < 20 {
+		time.Sleep(time.Millisecond)
+	}
+	d.Stop()
+	for after := sent.Load(); sent.Load() < after+32; {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
 }

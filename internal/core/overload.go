@@ -178,8 +178,7 @@ func (d *Daemon) reprobeLocked(peer int, now time.Duration) {
 		}
 		d.sendProbeLocked(peer, rail, seq, now, false, true)
 		if d.cfg.AdaptiveRTO.Enabled() {
-			deadline := d.rtoDeadlineLocked(st)
-			d.clock.AfterCall(deadline, callFunc, func() { d.probeExpired(peer, rail, seq) })
+			d.armDeadline(peer, rail, seq, d.rtoDeadlineLocked(st))
 		}
 	}
 }

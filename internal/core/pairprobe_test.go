@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/linkmon"
 	"drsnet/internal/routing"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
@@ -239,5 +240,38 @@ func TestLatencySteeringAtAnsweringEnd(t *testing.T) {
 	c.runFor(5 * time.Second)
 	if rt := c.daemons[1].RouteTo(0); rt.Kind != RouteDirect || rt.Rail != 1 {
 		t.Fatalf("answering end's route to node 0 = %+v, want direct on rail 1", rt)
+	}
+}
+
+// A NIC cut under adaptive deadlines, at ten instants spread across
+// one probe round and at two phases of the two daemons' rounds, on a
+// fabric whose round trip (tens of microseconds) is far below RTO.Min.
+// Each end declares the link down within ProbeInterval +
+// (2^MissThreshold − 1)·RTO.Min of the cut, the bound a daemon probing
+// the peer itself meets: the requester's next probe expires RTO.Min
+// after it leaves and its retransmits back off, and the answering
+// end's deadline runs from the last request it heard, which came
+// before the cut. An answering end that left the missing request to
+// its next round could take two rounds.
+func TestAdaptiveRTOPhaseSweep(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.AdaptiveRTO = linkmon.DefaultRTO()
+	bound := cfg.ProbeInterval + (1<<cfg.MissThreshold-1)*cfg.AdaptiveRTO.Min
+	for _, phase := range []time.Duration{0, 370 * time.Millisecond} {
+		for k := 0; k < 10; k++ {
+			c := newClusterStarting(t, 2, cfg, 0, phase)
+			c.runFor(4*time.Second + time.Duration(k)*cfg.ProbeInterval/10)
+			cut := time.Duration(c.sched.Now())
+			c.net.Fail(c.net.Cluster().NIC(1, 0))
+			c.runFor(3 * cfg.ProbeInterval)
+			c.stop()
+			for node := 0; node < 2; node++ {
+				e, ok := c.log.First(trace.KindLinkDown, node)
+				if !ok || e.Rail != 0 || e.At-cut > bound {
+					t.Errorf("phase %v, cut at %v: node %d declared %+v (found %v), want rail 0 down by %v",
+						phase, cut, node, e, ok, cut+bound)
+				}
+			}
+		}
 	}
 }

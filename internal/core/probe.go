@@ -53,16 +53,15 @@ func (d *Daemon) probeRound() {
 	// the higher id answers instead of probing once it has heard the
 	// peer's request. Under strict evidence only a request that
 	// acknowledges the reply to the previous round's request counts as
-	// heard (see noteAliveLocked). Adaptive deadlines need round trips
-	// of their own at both ends, so they keep probing.
-	shared := !rto.Enabled()
+	// heard, and under adaptive deadlines each heard request arms the
+	// answering end's deadline for the next (see noteAliveLocked).
 	self := d.self
 	probes := d.probes[:0]
 	for peer := 0; peer < d.links.Nodes(); peer++ {
 		if !d.links.Monitored(peer) {
 			continue
 		}
-		answer := shared && peer < self
+		answer := peer < self
 		for rail := 0; rail < d.rails; rail++ {
 			seq, send, fresh, down := d.links.BeginRound(peer, rail, d.cfg.MissThreshold, answer)
 			if down {
@@ -71,9 +70,7 @@ func (d *Daemon) probeRound() {
 			if !send {
 				continue
 			}
-			// An expired adaptive deadline clears Pending with no reply,
-			// so only shared rounds may trust fresh.
-			p := probe{peer: peer, rail: rail, seq: seq, ack: shared && fresh}
+			p := probe{peer: peer, rail: rail, seq: seq, ack: fresh}
 			if rto.Enabled() {
 				p.deadline = d.rtoDeadlineLocked(d.links.State(peer, rail))
 			}
@@ -105,7 +102,7 @@ func (d *Daemon) probeRound() {
 func (d *Daemon) sendRoundProbeLocked(p probe) {
 	d.sendProbeLocked(p.peer, p.rail, p.seq, d.clock.Now(), p.ack, false)
 	if p.deadline > 0 {
-		d.clock.AfterCall(p.deadline, callFunc, func() { d.probeExpired(p.peer, p.rail, p.seq) })
+		d.armDeadline(p.peer, p.rail, p.seq, p.deadline)
 	}
 }
 
@@ -139,27 +136,50 @@ func (d *Daemon) sendProbeLocked(peer, rail int, seq uint16, now time.Duration, 
 	}
 }
 
-// probeExpired is the adaptive-RTO deadline handler: the probe is
+// rtoCheck is one adaptive deadline in flight: the check numbered seq
+// on d's (peer, rail) path, the reply to a probe or, at the answering
+// end, the peer's next request. It is the arg of the clock event that
+// fires the deadline, so a forked simulation can map it to its copy
+// (see ForkEvent).
+type rtoCheck struct {
+	d          *Daemon
+	peer, rail int
+	seq        uint16
+}
+
+// runRTOCheck is an adaptive deadline's callback, arg its *rtoCheck.
+func runRTOCheck(arg any) {
+	c := arg.(*rtoCheck)
+	c.d.probeExpired(c.peer, c.rail, c.seq)
+}
+
+// armDeadline schedules the adaptive deadline of the check numbered seq
+// on (peer, rail) after the given delay. The deadline is never
+// cancelled: a check met meanwhile makes it a no-op.
+func (d *Daemon) armDeadline(peer, rail int, seq uint16, after time.Duration) {
+	d.clock.AfterCall(after, runRTOCheck, &rtoCheck{d: d, peer: peer, rail: rail, seq: seq})
+}
+
+// probeExpired is the adaptive-RTO deadline handler: the check is
 // overdue against the learned RTT, so the miss is counted now —
 // typically within tens of milliseconds — instead of at the next
 // round, and a replacement probe goes out under an exponentially
-// backed-off deadline. A probe that was already answered (or
-// superseded by a newer round's probe) makes this a no-op.
+// backed-off deadline. The answering end, whose check was the peer's
+// next request, retransmits a probe of its own just the same. A check
+// that was already met (or superseded by a newer one) makes this a
+// no-op.
 func (d *Daemon) probeExpired(peer, rail int, seq uint16) {
 	d.mu.Lock()
-	if d.stopped || !d.links.Monitored(peer) {
+	if d.stopped {
 		d.mu.Unlock()
 		return
 	}
-	st := d.links.State(peer, rail)
-	if st == nil || !st.Pending || st.PendingSeq != seq {
+	st, ok := d.links.Expire(peer, rail, seq)
+	if !ok {
 		d.mu.Unlock()
 		return
 	}
 	now := d.clock.Now()
-	st.Pending = false
-	st.Misses++
-	st.RecordRTOMiss()
 	d.mset.Counter(routing.CtrRTOExpired).Inc()
 	if st.Misses >= d.cfg.MissThreshold {
 		d.markDownLocked(peer, rail, now)
@@ -179,12 +199,8 @@ func (d *Daemon) probeExpired(peer, rail int, seq uint16) {
 	deadline := d.rtoDeadlineLocked(st)
 	d.sendProbeLocked(peer, rail, nseq, now, false, true)
 	d.mu.Unlock()
-	d.clock.AfterCall(deadline, callFunc, func() { d.probeExpired(peer, rail, nseq) })
+	d.armDeadline(peer, rail, nseq, deadline)
 }
-
-// callFunc runs a func() scheduled through clock.Clock.AfterCall: the
-// deadline is never cancelled, so it needs no handle.
-func callFunc(fn any) { fn.(func())() }
 
 // steerByLatencyLocked moves direct routes to a clearly faster rail.
 // A move needs both rails measured (≥ minSteerSamples each) and the

@@ -7,7 +7,9 @@ import (
 
 	"drsnet/internal/clock"
 	"drsnet/internal/icmp"
+	"drsnet/internal/linkmon"
 	"drsnet/internal/netsim"
+	"drsnet/internal/overload"
 	"drsnet/internal/routing"
 	"drsnet/internal/routing/wire"
 	"drsnet/internal/topology"
@@ -84,6 +86,51 @@ func TestStrictOneWayCutDetection(t *testing.T) {
 						dir.name, phase, failAt, down[0], down[1], ordered[0], ordered[1])
 				}
 			}
+		}
+	}
+}
+
+// Strict evidence under adaptive deadlines: an expired deadline clears
+// the outstanding probe with no reply, and the next request must not
+// acknowledge the reply that never came. A one-way cut of rail 0
+// between nodes 0 and 1 of three, in either direction, is declared at
+// both ends, and no other path goes down. With a starved retransmit
+// budget no retransmit follows the expiry, so the next round's probe
+// is the first since the missed reply.
+func TestStrictAdaptiveRTOOneWayCut(t *testing.T) {
+	starved := overload.Default()
+	starved.ProbeRate, starved.ProbeBurst = 1e-6, 1
+	for _, tc := range []struct {
+		name     string
+		src, dst int
+		budget   overload.Config
+	}{
+		{"requester tx", 0, 1, overload.Config{}},
+		{"answerer tx", 1, 0, overload.Config{}},
+		{"requester tx, starved retransmits", 0, 1, starved},
+		{"answerer tx, starved retransmits", 1, 0, starved},
+	} {
+		cfg := strictConfig()
+		cfg.AdaptiveRTO = linkmon.DefaultRTO()
+		cfg.Overload = tc.budget
+		c := newCluster(t, 3, cfg)
+		c.runFor(4 * time.Second)
+		c.net.Partition(tc.src, tc.dst, 0)
+		c.runFor(6 * cfg.ProbeInterval)
+		c.stop()
+		var declared [2]bool
+		for _, e := range c.log.Events() {
+			if e.Kind != trace.KindLinkDown {
+				continue
+			}
+			if e.Node > 1 || e.Peer != 1-e.Node || e.Rail != 0 {
+				t.Errorf("%s: a healthy path went down: %+v", tc.name, e)
+				continue
+			}
+			declared[e.Node] = true
+		}
+		if !declared[0] || !declared[1] {
+			t.Errorf("%s: rail 0 declared down by node 0 %v, by node 1 %v; want both", tc.name, declared[0], declared[1])
 		}
 	}
 }

@@ -27,22 +27,15 @@ const (
 	DefaultFrameBytes = 84    // 64-byte minimum frame + preamble + IFG
 )
 
-// Params configures the probing cost model.
+// Params configures the probing cost model. The model prices the DRS
+// daemon's one probing policy: every unordered pair of hosts shares one
+// echo exchange per rail per round, whatever deadlines the daemons run.
 type Params struct {
 	// LinkRate is the raw capacity of one rail in bits/s.
 	LinkRate float64
 	// FrameBytes is the on-wire size of one probe frame (request or
 	// reply), including preamble and inter-frame gap.
 	FrameBytes int
-	// OrderedPairs selects the probing policy. When false (the
-	// default, and the DRS daemon's policy), each unordered pair is
-	// checked once per round per rail: the lower id sends the request,
-	// and the answering daemon refreshes its own state for the peer
-	// from the request it saw. When true, every daemon independently
-	// probes every peer, doubling the traffic: the ablation, and what
-	// the daemon did before pairs shared one exchange (it still does
-	// with adaptive deadlines, which time a probe at each end).
-	OrderedPairs bool
 	// Switched models a switched fabric instead of the paper's shared
 	// hubs: every node has a dedicated full-rate port, so the binding
 	// constraint is the busiest port, not the shared medium. Round
@@ -66,18 +59,16 @@ func (p Params) validate() error {
 }
 
 // FramesPerRound returns the number of probe frames one full round of
-// link checks places on each rail for an n-node cluster. Each check is
-// an echo request plus an echo reply.
+// link checks places on each rail for an n-node cluster. Each pair of
+// daemons shares one check per rail, as the DRS daemon does: the lower
+// id sends an echo request and the higher id answers it with an echo
+// reply.
 func (p Params) FramesPerRound(n int) int64 {
 	if n < 2 {
 		return 0
 	}
 	pairs := int64(n) * int64(n-1) / 2
-	frames := 2 * pairs // request + reply
-	if p.OrderedPairs {
-		frames *= 2
-	}
-	return frames
+	return 2 * pairs // request + reply
 }
 
 // BitsPerRound returns the number of bits one full round of checks
@@ -89,18 +80,13 @@ func (p Params) BitsPerRound(n int) float64 {
 // FramesPerRoundPort returns, for a switched fabric, the number of
 // frames one round pushes through the busiest node port. Every node
 // emits a request (or answers with a reply) toward each of its n-1
-// peers: with per-pair probing each pair exchanges one request and one
-// reply, so a port carries n-1 frames outbound; with ordered pairs
-// each daemon both probes everyone and answers everyone: 2(n-1).
+// peers: each pair exchanges one request and one reply, so a port
+// carries n-1 frames outbound.
 func (p Params) FramesPerRoundPort(n int) int64 {
 	if n < 2 {
 		return 0
 	}
-	frames := int64(n - 1)
-	if p.OrderedPairs {
-		frames *= 2
-	}
-	return frames
+	return int64(n - 1)
 }
 
 // bitsPerRoundBottleneck returns the bits the binding resource must
@@ -116,9 +102,11 @@ func (p Params) bitsPerRoundBottleneck(n int) float64 {
 // ResponseTime returns the time, in seconds, to complete one full
 // round of link checks on an n-node cluster when probing may use at
 // most budget (a fraction in (0, 1]) of each rail's capacity. Because
-// a failure is detected within one round, this is the system's
-// error-detection response time. Both rails are probed concurrently,
-// so the per-rail cost is the system cost.
+// a failure is detected within one round (plus, under adaptive
+// deadlines, a few retransmit timeouts, which add no frames to a
+// healthy round), this is the system's error-detection response time.
+// Both rails are probed concurrently, so the per-rail cost is the
+// system cost.
 func (p Params) ResponseTime(n int, budget float64) (float64, error) {
 	if err := p.validate(); err != nil {
 		return 0, err
@@ -164,12 +152,8 @@ func (p Params) MaxNodes(budget, responseTime float64) (int, error) {
 		return 0, fmt.Errorf("costmodel: response time must be positive")
 	}
 	// Solve the budget equation for an over-estimate of n, then
-	// correct by scanning downward (which also absorbs the
-	// ordered-pairs factor and integer effects).
+	// correct by scanning downward (which absorbs integer effects).
 	perCheck := float64(p.FrameBytes) * 8 * 2 // request + reply bits
-	if p.OrderedPairs {
-		perCheck *= 2
-	}
 	budgetBits := budget * p.LinkRate * responseTime
 	var n int
 	if p.Switched {

@@ -17,10 +17,6 @@ func TestFramesPerRound(t *testing.T) {
 	if got := p.FramesPerRound(1); got != 0 {
 		t.Fatalf("1 node: %d frames, want 0", got)
 	}
-	p.OrderedPairs = true
-	if got := p.FramesPerRound(4); got != 24 {
-		t.Fatalf("ordered pairs 4 nodes: %d frames, want 24", got)
-	}
 }
 
 func TestPaperHeadlineNinetyHosts(t *testing.T) {
@@ -161,23 +157,6 @@ func TestBudgetOrdering(t *testing.T) {
 			}
 			prev = rt
 		}
-	}
-}
-
-func TestOrderedPairsDoublesCost(t *testing.T) {
-	base := Defaults()
-	doubled := Defaults()
-	doubled.OrderedPairs = true
-	rt1, err := base.ResponseTime(50, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt2, err := doubled.ResponseTime(50, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rt2-2*rt1) > 1e-12 {
-		t.Fatalf("ordered pairs: %v, want exactly double %v", rt2, rt1)
 	}
 }
 

@@ -54,10 +54,6 @@ func TestSwitchedFramesPerRoundPort(t *testing.T) {
 	if got := p.FramesPerRoundPort(10); got != 9 {
 		t.Fatalf("per-pair port frames = %d, want 9", got)
 	}
-	p.OrderedPairs = true
-	if got := p.FramesPerRoundPort(10); got != 18 {
-		t.Fatalf("ordered port frames = %d, want 18", got)
-	}
 	if got := p.FramesPerRoundPort(1); got != 0 {
 		t.Fatalf("1 node port frames = %d, want 0", got)
 	}

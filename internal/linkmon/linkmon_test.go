@@ -368,6 +368,57 @@ func TestBeginRoundFresh(t *testing.T) {
 	st.HeardRequest()
 	round(true, false, false) // heard: wait
 	round(true, true, false)  // the wait went unmet: resume probing
+
+	// A probe whose adaptive deadline expired, with no retransmit
+	// after it, is not acknowledged either.
+	tbl = NewTable(2, 1)
+	tbl.Add(0)
+	seq := round(false, true, false)
+	if _, ok := tbl.Expire(0, 0, seq); !ok {
+		t.Fatal("the probe's deadline did not expire it")
+	}
+	round(false, true, false)
+}
+
+// TestAwaitRequest walks the answering end under adaptive deadlines:
+// a heard request makes the next one the path's outstanding check,
+// which rounds leave to its deadline, the next request meets and
+// replaces, and an expired deadline counts as a miss, after which the
+// round probes again. No reply confirms a request check.
+func TestAwaitRequest(t *testing.T) {
+	tbl := NewTable(2, 1)
+	tbl.Add(0)
+	st := tbl.State(0, 0)
+	round := func(wantProbe bool, wantMisses int) uint16 {
+		t.Helper()
+		seq, probe, _, _ := tbl.BeginRound(0, 0, 3, true)
+		if probe != wantProbe || st.Misses != wantMisses {
+			t.Fatalf("BeginRound = probe %v, %d misses; want %v, %d", probe, st.Misses, wantProbe, wantMisses)
+		}
+		return seq
+	}
+	round(false, 0) // the granted wait
+	if !st.HeardRequest() {
+		t.Fatal("the granted wait did not await the request")
+	}
+	first := tbl.AwaitRequest(0, 0)
+	round(false, 0)
+	round(false, 0) // no request yet: still the deadline's to judge
+	if _, ok := tbl.Confirm(0, 0, first); ok {
+		t.Fatal("a reply confirmed a request check")
+	}
+	if !st.HeardRequest() {
+		t.Fatal("the awaited request was not reported as awaited")
+	}
+	second := tbl.AwaitRequest(0, 0)
+	round(false, 0)
+	if _, ok := tbl.Expire(0, 0, first); ok {
+		t.Fatal("the replaced check's deadline expired the new one")
+	}
+	if _, ok := tbl.Expire(0, 0, second); !ok || st.Misses != 1 || st.Pending {
+		t.Fatalf("expiry: ok %v, %d misses, pending %v; want a miss and no check", ok, st.Misses, st.Pending)
+	}
+	round(true, 1) // nothing heard since: probe
 }
 
 // TestTakeSampleHandsEachSampleOnce: a request carries each RTT sample

@@ -2,6 +2,7 @@ package linkmon
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -10,8 +11,12 @@ import (
 // with an RTO enabled the monitor arms a per-probe timer at
 // srtt + 4·rttvar (clamped to [Min, Max]) and counts the miss the
 // moment it expires, retransmitting with exponential backoff. The
-// zero value disables the feature entirely, which keeps seeded runs
-// byte-identical with the fixed-deadline behavior.
+// answering end of a shared exchange, which sends no probe of its own,
+// times the peer's next request the same way: each heard request arms
+// a deadline one probe interval plus that timeout later (see
+// Table.AwaitRequest). The zero value disables the feature entirely,
+// which keeps seeded runs byte-identical with the fixed-deadline
+// behavior.
 type RTO struct {
 	// Min floors the computed deadline so one fast sample cannot arm
 	// a hair-trigger timer. Zero means DefaultRTOMin.
@@ -95,8 +100,13 @@ func (st *State) Deadline(cfg RTO) time.Duration {
 }
 
 // RecordRTOMiss notes one more consecutive unanswered probe, growing
-// the backoff. Confirm resets it.
-func (st *State) RecordRTOMiss() { st.backoff++ }
+// the backoff; the count saturates, far above any MaxBackoff. Confirm
+// resets it.
+func (st *State) RecordRTOMiss() {
+	if st.backoff < math.MaxUint8 {
+		st.backoff++
+	}
+}
 
 // SeedRTT restores a checkpointed RTT estimate so a warm-started
 // daemon begins with its previous life's deadlines instead of the

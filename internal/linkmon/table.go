@@ -24,7 +24,10 @@ type RTTStats struct {
 // by the peer's reply) or, at the answering end of a shared echo
 // exchange, a wait for the peer's request (awaiting); see BeginRound.
 // A new path's first wait is granted rather than earned (granted): no
-// request has been heard yet, so missing it is no evidence.
+// request has been heard yet, so missing it is no evidence. Under
+// adaptive deadlines the answering end's wait is an outstanding check
+// of its own (Pending with request set; see AwaitRequest), which its
+// deadline, not the round, expires.
 type State struct {
 	// RTT estimation (Jacobson/Karels) from probe timestamps.
 	srtt    time.Duration
@@ -36,21 +39,22 @@ type State struct {
 
 	// Misses counts consecutive unanswered probes.
 	Misses int
-	// backoff counts consecutive adaptive-RTO misses (see rto.go);
-	// each doubles the next probe deadline up to the configured cap.
-	backoff int32
 	// flaps counts down transitions, damped or not.
 	flaps int32
+	// PendingSeq identifies the outstanding check.
+	PendingSeq uint16
+	// backoff counts consecutive adaptive-RTO misses (see rto.go);
+	// each doubles the next probe deadline up to the configured cap.
+	backoff uint8
+	// Up is the declared link state. Links start optimistically up:
+	// the deployed daemon assumes health until a check fails.
+	Up bool
 	// cold holds the damping penalty and hold-down times; nil until
 	// the first flap recorded with damping enabled.
 	cold *dampState
 
-	// PendingSeq identifies the outstanding probe.
-	PendingSeq uint16
-	// Up is the declared link state. Links start optimistically up:
-	// the deployed daemon assumes health until a check fails.
-	Up bool
-	// Pending marks an outstanding probe.
+	// Pending marks an outstanding check: our probe, or with request
+	// set the peer's next request.
 	Pending bool
 	// damped holds the path down (see damping.go). It sits here, not
 	// in cold, because Usable reads it on every route decision.
@@ -59,6 +63,12 @@ type State struct {
 	// awaiting marks a round whose check is the peer's next request;
 	// granted marks a wait that Add granted, whose miss is no miss.
 	heard, awaiting, granted bool
+	// request marks the outstanding check as the peer's next request,
+	// timed by an adaptive deadline (see AwaitRequest).
+	request bool
+	// confirmed marks the reply to a probe sent since the round began:
+	// the next round's probe may acknowledge it (see BeginRound).
+	confirmed bool
 }
 
 // ObserveRTT folds one probe round-trip sample into the smoothed
@@ -260,23 +270,28 @@ func (t *Table) BeginProbe(peer, rail, threshold int) (seq uint16, down bool) {
 // waits on Add's grant; if no request meets that wait it is no miss,
 // and the path probes from the next round on. A path already dead at
 // the start is therefore declared down one round later at the
-// answering end than at the requester.
+// answering end than at the requester. A request awaited under an
+// adaptive deadline (see AwaitRequest) is the deadline's to judge: the
+// round leaves it outstanding and waits.
 //
-// fresh, set only with probe, reports that the previous round's check
-// was our own probe and its reply was confirmed: the new probe can
+// fresh, set only with probe, reports that the reply to a probe sent
+// during the previous round was confirmed: the new probe can
 // acknowledge that reply, which proves that the peer→us direction
 // worked one round ago (see core.Config.StrictLinkEvidence). A probe
-// after a missed one, after a wait or in a new path's first round is
-// not fresh.
+// after a missed or expired one, after a wait or in a new path's first
+// round is not fresh.
 func (t *Table) BeginRound(peer, rail, threshold int, answer bool) (seq uint16, probe, fresh, down bool) {
 	st := &t.slab[peer*t.rails+rail]
-	fresh = !st.Pending && !st.awaiting && !st.granted
+	fresh, st.confirmed = st.confirmed, false
+	heard := st.heard
+	st.heard = false
+	if st.request {
+		return 0, false, false, false
+	}
 	if st.Pending || st.awaiting && !st.granted {
 		st.Misses++
 		down = st.Up && st.Misses >= threshold
 	}
-	heard := st.heard
-	st.heard = false
 	if answer && heard {
 		st.Pending, st.awaiting = false, true
 		return 0, false, false, down
@@ -293,10 +308,24 @@ func (t *Table) BeginRound(peer, rail, threshold int, answer bool) (seq uint16, 
 // again, and reports whether this round was waiting for it. The next
 // wait is earned, so missing it counts.
 func (st *State) HeardRequest() (awaited bool) {
-	awaited = st.awaiting
+	awaited = st.awaiting || st.request
 	st.awaiting, st.granted = false, false
 	st.heard = true
 	return awaited
+}
+
+// AwaitRequest makes the peer's next request on (peer, rail) the
+// path's outstanding check, numbered seq from the table-wide counter:
+// the answering end's side of an adaptive deadline, armed each time a
+// request is heard. The next heard request replaces the check, and
+// Expire counts it missed. It supersedes a probe of our own still
+// outstanding, and clears the backoff as a confirmed reply does.
+func (t *Table) AwaitRequest(peer, rail int) (seq uint16) {
+	st := &t.slab[peer*t.rails+rail]
+	t.seq++
+	st.Pending, st.request, st.PendingSeq = true, true, t.seq
+	st.backoff = 0
+	return t.seq
 }
 
 // Confirm matches an echo reply against the outstanding probe for
@@ -305,12 +334,28 @@ func (st *State) HeardRequest() (awaited bool) {
 // returns ok=false.
 func (t *Table) Confirm(peer, rail int, seq uint16) (st *State, ok bool) {
 	st = t.State(peer, rail)
-	if st == nil || !st.Pending || st.PendingSeq != seq {
+	if st == nil || !st.Pending || st.request || st.PendingSeq != seq {
 		return nil, false
 	}
 	st.Pending = false
 	st.Misses = 0
 	st.backoff = 0
+	st.confirmed = true
+	return st, true
+}
+
+// Expire counts the check numbered seq on (peer, rail) missed, its
+// adaptive deadline having passed, and backs the next deadline off. A
+// check already met, superseded or judged by a round returns ok=false
+// and changes nothing.
+func (t *Table) Expire(peer, rail int, seq uint16) (st *State, ok bool) {
+	st = t.State(peer, rail)
+	if st == nil || !st.Pending || st.PendingSeq != seq {
+		return nil, false
+	}
+	st.Pending, st.request = false, false
+	st.Misses++
+	st.RecordRTOMiss()
 	return st, true
 }
 

@@ -40,21 +40,19 @@ func TestSteadyProbeRoundAllocations(t *testing.T) {
 	}
 }
 
-// Adaptive deadlines need a round trip of their own at both ends of a
-// pair, so with them every daemon still probes every peer: 360 frames a
-// round on the same cluster. Strict link evidence shares one exchange
-// per pair, its requests acknowledging the previous round's reply, so
-// it sends the 180 frames of the default mode.
-func TestPerDirectionModesProbeOrderedPairs(t *testing.T) {
-	for name, tc := range map[string]struct {
-		tun  Tunables
-		want int64
-	}{
-		"strict evidence": {Tunables{StrictLinkEvidence: true}, 180},
-		"adaptive RTO":    {Tunables{AdaptiveRTO: linkmon.DefaultRTO()}, 360},
+// The modes that judge each direction of a link share one exchange per
+// pair as the default mode does, and send its 180 frames a round on the
+// same cluster: strict link evidence, whose requests acknowledge the
+// previous round's reply, and adaptive deadlines, whose answering end
+// times the peer's next request instead of probing (360 frames while
+// adaptive deadlines probed every ordered pair).
+func TestPerDirectionModesShareExchanges(t *testing.T) {
+	for name, tun := range map[string]Tunables{
+		"strict evidence": {StrictLinkEvidence: true},
+		"adaptive RTO":    {AdaptiveRTO: linkmon.DefaultRTO()},
 	} {
 		t.Run(name, func(t *testing.T) {
-			c, err := Build(ClusterSpec{Nodes: 10, Tunables: tc.tun})
+			c, err := Build(ClusterSpec{Nodes: 10, Tunables: tun})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,10 +64,39 @@ func TestPerDirectionModesProbeOrderedPairs(t *testing.T) {
 			const rounds = 5
 			c.RunFor(rounds * c.Spec().Tunables.ProbeInterval)
 			after := c.Net().Stats(0).FramesDelivered + c.Net().Stats(1).FramesDelivered
-			if per := (after - before) / rounds; per != tc.want {
-				t.Fatalf("a round delivered %d frames, want %d", per, tc.want)
+			if per := (after - before) / rounds; per != 180 {
+				t.Fatalf("a round delivered %d frames, want 180", per)
 			}
 		})
+	}
+}
+
+// Figure 1's headline with adaptive deadlines on: 90 hosts probing
+// every 0.538 s, the round time the cost model gives for a 10% budget,
+// load rail 0 by 10% (20% while adaptive deadlines probed every ordered
+// pair). The load is measured past the first round, as
+// experiments.ProbeOverhead measures it.
+func TestAdaptiveRTOFigure1Headline(t *testing.T) {
+	const (
+		budget   = 0.10
+		interval = 538 * time.Millisecond
+		horizon  = 10 * time.Second
+	)
+	c, err := Build(ClusterSpec{Nodes: 90, Seed: 1,
+		Tunables: Tunables{ProbeInterval: interval, AdaptiveRTO: linkmon.DefaultRTO()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c.RunUntil(interval)
+	warm := c.Network().Utilization(0) * interval.Seconds()
+	c.RunUntil(horizon)
+	c.StopRouters()
+	load := (c.Network().Utilization(0)*horizon.Seconds() - warm) / (horizon - interval).Seconds()
+	if rel := (load - budget) / budget; rel > 0.15 || rel < -0.15 {
+		t.Fatalf("Dual(90) at %v loads rail 0 by %.4f, want within 15%% of %v", interval, load, budget)
 	}
 }
 

@@ -23,14 +23,14 @@ import (
 //
 // Each layer copies its own state and the records its pending events
 // carry: the scheduler its pending set, the network its fault state,
-// counters and in-flight frames, each DRS daemon its tables, counters
-// and probe rounds, and the cluster its flows, faults, deliveries and
-// trace. What a layer cannot copy Fork refuses, naming it: a fabric, a
-// protocol other than the DRS, an invariant checker, chaos episodes
-// and the crash–restart lifecycle here; a switched network and an
-// impairment delay in the network; staggered sends, adaptive-RTO
-// deadlines, the overload layer and a pending discovery timeout in
-// the daemons; and any other pending closure in the scheduler.
+// counters and in-flight frames, each DRS daemon its tables, counters,
+// probe rounds and adaptive-RTO deadlines, and the cluster its flows,
+// faults, deliveries and trace. What a layer cannot copy Fork refuses,
+// naming it: a fabric, a protocol other than the DRS, an invariant
+// checker, chaos episodes and the crash–restart lifecycle here; a
+// switched network and an impairment delay in the network; staggered
+// sends, the overload layer and a pending discovery timeout in the
+// daemons; and any other pending closure in the scheduler.
 func (c *Cluster) Fork() (*Cluster, error) {
 	if err := c.forkable(); err != nil {
 		return nil, err
@@ -113,7 +113,7 @@ func (c *Cluster) forkable() error {
 type forkCopier struct{ src, dst *Cluster }
 
 // CopyArg implements simtime.EventCopier: flow ticks and faults are
-// the cluster's, probe rounds the daemons'.
+// the cluster's, probe rounds and adaptive deadlines the daemons'.
 func (fc forkCopier) CopyArg(arg any) (any, error) {
 	switch a := arg.(type) {
 	case *flowRec:

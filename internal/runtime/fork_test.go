@@ -13,6 +13,7 @@ import (
 	"drsnet/internal/linkmon"
 	"drsnet/internal/netsim"
 	"drsnet/internal/overload"
+	"drsnet/internal/routing"
 	"drsnet/internal/topology"
 )
 
@@ -29,6 +30,13 @@ func forkSpec(n int, comps ...topology.Component) ClusterSpec {
 	for _, c := range comps {
 		spec.Faults = append(spec.Faults, Fault{At: 3 * time.Second, Comp: c})
 	}
+	return spec
+}
+
+// rtoForkSpec is forkSpec with adaptive deadlines on.
+func rtoForkSpec(n int, comps ...topology.Component) ClusterSpec {
+	spec := forkSpec(n, comps...)
+	spec.Tunables.AdaptiveRTO = linkmon.DefaultRTO()
 	return spec
 }
 
@@ -107,7 +115,9 @@ var forkInstants = []struct {
 // TestForkMatchesFreshRun: a fork run to the horizon gives the whole
 // Result an unforked run of the same spec gives, on 6 and 12 nodes
 // with no fault, one and two, forked with frames in flight, at a probe
-// round and between sends.
+// round and between sends. With adaptive deadlines on, deadlines are
+// pending at each fork instant, and the NIC that fails after it makes
+// them expire in the fork.
 func TestForkMatchesFreshRun(t *testing.T) {
 	for _, spec := range []ClusterSpec{
 		forkSpec(6),
@@ -115,16 +125,35 @@ func TestForkMatchesFreshRun(t *testing.T) {
 		forkSpec(6, 0, 3),
 		forkSpec(12, 24),
 		forkSpec(12, 2, 25),
+		rtoForkSpec(6, 0),
 	} {
 		want, err := Run(spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if spec.Tunables.AdaptiveRTO.Enabled() {
+			var expired int64
+			for _, ctr := range want.Counters {
+				expired += ctr[routing.CtrRTOExpired]
+			}
+			if expired == 0 {
+				t.Fatal("no adaptive deadline expired after the fault")
+			}
 		}
 		for _, in := range forkInstants {
 			src := startCluster(t, spec, in.at)
 			for rail := 0; rail < 2 && in.wire != ""; rail++ {
 				if n := inFlight(src.Net(), rail); (n > 0) != (in.wire == "both") {
 					t.Fatalf("%d nodes, %s: %d frames in flight on rail %d", spec.Nodes, in.name, n, rail)
+				}
+			}
+			if spec.Tunables.AdaptiveRTO.Enabled() {
+				// The same cluster without adaptive deadlines sends the
+				// same frames: every event more is a deadline.
+				plain := spec
+				plain.Tunables.AdaptiveRTO = linkmon.RTO{}
+				if n, m := src.Scheduler().Pending(), startCluster(t, plain, in.at).Scheduler().Pending(); n <= m {
+					t.Fatalf("%s: %d events pending with adaptive deadlines, %d without", in.name, n, m)
 				}
 			}
 			f, err := src.Fork()
@@ -238,7 +267,6 @@ func TestForkRefuses(t *testing.T) {
 		{"overload", func(s *ClusterSpec) { s.Tunables.Overload = overload.Default() }, nil, time.Second, "overload"},
 		{"invariant", func(s *ClusterSpec) { s.Invariant = &invariant.Config{} }, nil, time.Second, "invariant checker"},
 		{"stagger", func(s *ClusterSpec) { s.Tunables.StaggerProbes = true }, nil, time.Second, "staggered"},
-		{"rto", func(s *ClusterSpec) { s.Tunables.AdaptiveRTO = linkmon.DefaultRTO() }, nil, time.Second, "adaptive-RTO"},
 		{"switched", func(s *ClusterSpec) { s.Switched = true }, nil, time.Second, "switched"},
 		{"chaos", func(s *ClusterSpec) { *s = episode }, nil, time.Second, "chaos episode"},
 		{"lifecycle", func(s *ClusterSpec) { *s = crash }, nil, time.Second, "lifecycle restart"},
@@ -275,17 +303,20 @@ func TestForkRefuses(t *testing.T) {
 	}
 }
 
-// FuzzFork: for any fork instant up to the failure and any set of at
-// most two failing components, the forked run gives the Result of the
-// unforked one.
+// FuzzFork: for any fork instant up to the failure, any set of at most
+// two failing components and adaptive deadlines on or off, the forked
+// run gives the Result of the unforked one.
 func FuzzFork(f *testing.F) {
-	f.Add(uint64(2500*time.Millisecond+20*time.Microsecond), uint8(0), uint8(3), uint8(2))
-	f.Add(uint64(3*time.Second), uint8(8), uint8(9), uint8(1))
-	f.Add(uint64(0), uint8(1), uint8(2), uint8(0))
-	f.Fuzz(func(t *testing.T, at uint64, a, b, n uint8) {
+	f.Add(uint64(2500*time.Millisecond+20*time.Microsecond), uint8(0), uint8(3), uint8(2), true)
+	f.Add(uint64(3*time.Second), uint8(8), uint8(9), uint8(1), false)
+	f.Add(uint64(0), uint8(1), uint8(2), uint8(0), true)
+	f.Fuzz(func(t *testing.T, at uint64, a, b, n uint8, rto bool) {
 		const comps = 10 // 4 nodes: 8 NICs, 2 back planes
 		fork := time.Duration(at % uint64(3*time.Second+1))
 		spec := forkSpec(4, topology.Component(a%comps), topology.Component(b%comps))
+		if rto {
+			spec = rtoForkSpec(4, topology.Component(a%comps), topology.Component(b%comps))
+		}
 		spec.Faults = spec.Faults[:n%3]
 		spec.Duration = 5 * time.Second
 		want, err := Run(spec)

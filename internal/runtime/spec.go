@@ -45,9 +45,12 @@ type Tunables struct {
 	FlapDamping linkmon.Damping
 	// AdaptiveRTO enables Jacobson/Karels adaptive probe deadlines in
 	// the DRS: per-probe timers at srtt + 4·rttvar with exponential
-	// backoff, instead of once-per-round miss accounting. The zero
-	// value keeps the classic fixed deadline (and the seeded goldens
-	// byte-identical); see linkmon.DefaultRTO for stock settings.
+	// backoff, instead of once-per-round miss accounting, and at the
+	// answering end of each shared exchange a timer on the peer's next
+	// request (see core.Config.AdaptiveRTO); no frame is added. The
+	// zero value keeps the classic fixed deadline (and the seeded
+	// goldens byte-identical); see linkmon.DefaultRTO for stock
+	// settings.
 	AdaptiveRTO linkmon.RTO
 	// Overload enables the DRS control-plane overload-protection layer
 	// (ignored by the baselines): token-bucket budgets on probe
