@@ -367,7 +367,7 @@ func TestStormCampaignGolden(t *testing.T) {
        drs      0.00     off    98.33        0       20      0         0     128        0
        drs      0.00      on    98.33        0       20    310         5      53        0
        drs      0.50     off    93.33        2       26      0         0     144       14
-       drs      0.50      on    90.67        2       24    210         3      53        8
+       drs      0.50      on    90.67        2       24    232         3      53        8
 `
 	var out, errb bytes.Buffer
 	args := []string{"-mode", "storm", "-nodes", "5", "-duration", "30s",

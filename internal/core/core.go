@@ -132,12 +132,19 @@ type Daemon struct {
 	// round's per-round work list, likewise guarded by mu.
 	frameBuf []byte
 	probes   []probe
+	// checks holds fired adaptive-deadline records for reuse (see
+	// newCheckLocked), likewise guarded by mu.
+	checks []*rtoCheck
 
 	// Per-frame counters, resolved on first use (see metrics.Handle).
 	probesSent, probeReplies                            *metrics.Handle
 	dataSent, dataDelivered, dataForwarded, dataDropped *metrics.Handle
 
 	rounds *linkmon.Rounds // probe-round driver (own locking)
+	// recv and round are d.onFrame and d.probeRound, bound once: a
+	// fork into d reinstalls them without allocating.
+	recv  func(rail, src int, payload []byte)
+	round func()
 }
 
 // New creates a DRS daemon for the node tr is attached to.
@@ -161,6 +168,7 @@ func New(tr transport.Transport, clock clock.Clock, cfg Config) (*Daemon, error)
 		rounds:  linkmon.NewRounds(clock),
 		probes:  make([]probe, 0, tr.Nodes()*tr.Rails()),
 	}
+	d.recv, d.round = d.onFrame, d.probeRound
 	d.bindCounters()
 	d.plane = dataplane.New(tr.Node(), tr.Nodes(), cfg.DataTTL, cfg.QueueCapacity,
 		d.mset.Counter(routing.CtrQueueOverflow))
@@ -212,13 +220,19 @@ func (d *Daemon) bindCounters() {
 // d's transport and clock in a forked simulation, and logs to tlog
 // (nil: nowhere): its link table, membership view, routes and
 // repairs, data plane, counter values and probe rounds, started and
-// stopped as d is. The copy has no deliver callback. The rounds'
-// pending timer belongs to d's scheduler, whose fork maps it with
-// ForkEvent, as it does the adaptive-RTO deadlines. Staggered sends,
-// the overload layer's drains and a discovery's timeout are closures
-// or records the copy could not follow, so Fork refuses a daemon that
-// may have one pending. Fork only reads d.
-func (d *Daemon) Fork(tr transport.Transport, clock clock.Clock, tlog *trace.Log) (*Daemon, error) {
+// stopped as d is. The rounds' pending timer belongs to d's scheduler,
+// whose fork maps it with ForkEvent, as it does the adaptive-RTO
+// deadlines. Staggered sends, the overload layer's drains and a
+// discovery's timeout are closures or records the copy could not
+// follow, so Fork refuses a daemon that may have one pending. Fork
+// only reads d.
+//
+// With into nil the copy is new and has no deliver callback.
+// Otherwise into, a daemon of a finished fork that nothing else uses,
+// is overwritten and returned: its tables, counters and counter
+// handles, scratch, rounds driver, adaptive-deadline records and
+// deliver callback are reused.
+func (d *Daemon) Fork(into *Daemon, tr transport.Transport, clock clock.Clock, tlog *trace.Log) (*Daemon, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	switch {
@@ -227,35 +241,48 @@ func (d *Daemon) Fork(tr transport.Transport, clock clock.Clock, tlog *trace.Log
 	case d.cfg.Overload.Enabled:
 		return nil, fmt.Errorf("core: node %d: cannot fork the overload layer", d.self)
 	}
-	routes, err := d.routes.Fork()
+	f := into
+	if f == nil {
+		f = &Daemon{}
+		f.recv, f.round = f.onFrame, f.probeRound
+	}
+	routes, err := d.routes.Fork(f.routes)
 	if err != nil {
 		return nil, fmt.Errorf("core: node %d: %v", d.self, err)
 	}
-	f := &Daemon{
-		cfg:     d.cfg,
-		tr:      tr,
-		clock:   clock,
-		mset:    d.mset.Fork(),
-		self:    d.self,
-		rails:   d.rails,
-		started: d.started,
-		stopped: d.stopped,
-		links:   d.links.Fork(),
-		members: d.members.Fork(),
-		routes:  routes,
-		// Scratch as large as d's, so the copy allocates the same
-		// whenever it is taken and however far it then runs.
-		frameBuf: make([]byte, 0, cap(d.frameBuf)),
-		probes:   make([]probe, 0, cap(d.probes)),
-	}
+	f.cfg, f.tr, f.clock, f.self, f.rails = d.cfg, tr, clock, d.self, d.rails
 	f.cfg.Trace = tlog
-	f.bindCounters()
-	f.plane = d.plane.Fork(f.mset.Counter(routing.CtrQueueOverflow))
-	f.rounds = d.rounds.Fork(clock, f.probeRound)
-	if f.started {
-		tr.SetReceiver(f.onFrame)
+	f.started, f.stopped = d.started, d.stopped
+	f.links, f.members, f.routes = d.links.Fork(f.links), d.members.Fork(f.members), routes
+	// Scratch as large as d's, so the copy allocates the same
+	// whenever it is taken and however far it then runs.
+	if cap(f.frameBuf) < cap(d.frameBuf) {
+		f.frameBuf = make([]byte, 0, cap(d.frameBuf))
 	}
+	if cap(f.probes) < cap(d.probes) {
+		f.probes = make([]probe, 0, cap(d.probes))
+	}
+	f.mset = d.mset.Fork(f.mset)
+	if into == nil {
+		f.bindCounters()
+	} else {
+		for _, h := range f.handles() {
+			h.Reset()
+		}
+	}
+	f.plane = d.plane.Fork(f.plane, f.mset.Counter(routing.CtrQueueOverflow))
+	f.rounds = d.rounds.Fork(f.rounds, clock, f.round)
+	var recv func(rail, src int, payload []byte)
+	if f.started {
+		recv = f.recv
+	}
+	tr.SetReceiver(recv)
 	return f, nil
+}
+
+// handles lists the per-frame counter handles bindCounters resolves.
+func (d *Daemon) handles() [6]*metrics.Handle {
+	return [6]*metrics.Handle{d.probesSent, d.probeReplies, d.dataSent, d.dataDelivered, d.dataForwarded, d.dataDropped}
 }
 
 // ForkEvent returns the copy in f, a Fork of d, of the arg one of d's
@@ -269,9 +296,9 @@ func (d *Daemon) ForkEvent(arg any, f *Daemon) (any, bool) {
 		}
 	case *rtoCheck:
 		if a.d == d {
-			cp := *a
-			cp.d = f
-			return &cp, true
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			return f.newCheckLocked(a.peer, a.rail, a.seq), true
 		}
 	}
 	return nil, false
@@ -286,14 +313,14 @@ func (d *Daemon) Start() error {
 	}
 	d.started = true
 	d.mu.Unlock()
-	d.tr.SetReceiver(d.onFrame)
+	d.tr.SetReceiver(d.recv)
 	if d.cfg.Incarnation > 0 {
 		// Open with the rejoin handshake: peers that knew a previous
 		// life purge routes relaying through it before the first probe
 		// round even runs.
 		membership.Rejoin(d.tr, d.cfg.Incarnation)
 	}
-	d.rounds.Run(d.cfg.ProbeInterval, d.probeRound)
+	d.rounds.Run(d.cfg.ProbeInterval, d.round)
 	return nil
 }
 
@@ -463,7 +490,7 @@ func (d *Daemon) noteAliveLocked(rail, src int, data []byte) {
 		// The answering end times the next request as a requester
 		// times its reply: one round later, plus the learned timeout.
 		seq := d.links.AwaitRequest(src, rail)
-		d.armDeadline(src, rail, seq, d.cfg.ProbeInterval+d.rtoDeadlineLocked(st))
+		d.armDeadlineLocked(src, rail, seq, d.cfg.ProbeInterval+d.rtoDeadlineLocked(src, st))
 	}
 	if !st.Up {
 		d.markUpLocked(src, rail, d.clock.Now())

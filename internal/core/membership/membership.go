@@ -34,12 +34,15 @@ func New(nodes int) *Tracker {
 	}
 }
 
-// Fork returns a copy of the tracker, for a forked simulation.
-func (m *Tracker) Fork() *Tracker {
-	return &Tracker{
-		lastHeard: append([]time.Duration(nil), m.lastHeard...),
-		inc:       append([]uint32(nil), m.inc...),
+// Fork returns a copy of the tracker, for a forked simulation: into
+// overwritten in place, or a new tracker when into is nil.
+func (m *Tracker) Fork(into *Tracker) *Tracker {
+	if into == nil {
+		into = &Tracker{}
 	}
+	into.lastHeard = append(into.lastHeard[:0], m.lastHeard...)
+	into.inc = append(into.inc[:0], m.inc...)
+	return into
 }
 
 // Heard records valid traffic from peer at now.

@@ -21,12 +21,21 @@ import (
 // a nil check) unless cfg.Overload.Enabled, so seeded goldens stay
 // byte-identical with the layer off.
 
-// rtoDeadlineLocked is the adaptive-RTO deadline for st, extended by
-// up to JitterFrac of deterministic per-node jitter when overload
-// protection is on — synchronized nodes desynchronize their
-// retransmits instead of storming in lock-step. Caller holds d.mu.
-func (d *Daemon) rtoDeadlineLocked(st *linkmon.State) time.Duration {
-	dl := st.Deadline(d.cfg.AdaptiveRTO)
+// rtoDeadlineLocked is the adaptive-RTO deadline for st, the state of
+// the path to peer, extended by up to JitterFrac of deterministic
+// per-node jitter when overload protection is on — synchronized nodes
+// desynchronize their retransmits instead of storming in lock-step.
+// Before its first RTT sample a path's base deadline is RTO.Max,
+// except at the answering end (peer < self), where it is RTO.Min: the
+// answering end takes its samples from the requester's requests, and
+// the first request carries none, so with Max a cut in a path's first
+// round would be declared there seconds late. Caller holds d.mu.
+func (d *Daemon) rtoDeadlineLocked(peer int, st *linkmon.State) time.Duration {
+	rto := d.cfg.AdaptiveRTO
+	if _, samples := st.SRTT(); samples == 0 && peer < d.self {
+		rto.Max = rto.Min
+	}
+	dl := st.Deadline(rto)
 	if d.gov != nil {
 		dl = d.jitter.Scale(dl, d.cfg.Overload.JitterFrac)
 	}
@@ -178,7 +187,7 @@ func (d *Daemon) reprobeLocked(peer int, now time.Duration) {
 		}
 		d.sendProbeLocked(peer, rail, seq, now, false, true)
 		if d.cfg.AdaptiveRTO.Enabled() {
-			d.armDeadline(peer, rail, seq, d.rtoDeadlineLocked(st))
+			d.armDeadlineLocked(peer, rail, seq, d.rtoDeadlineLocked(peer, st))
 		}
 	}
 }

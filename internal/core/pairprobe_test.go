@@ -252,26 +252,45 @@ func TestLatencySteeringAtAnsweringEnd(t *testing.T) {
 // after it leaves and its retransmits back off, and the answering
 // end's deadline runs from the last request it heard, which came
 // before the cut. An answering end that left the missing request to
-// its next round could take two rounds.
+// its next round could take two rounds. The bound holds also without
+// warm-up, for a cut in the path's first round, before the answering
+// end has an RTT sample.
 func TestAdaptiveRTOPhaseSweep(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AdaptiveRTO = linkmon.DefaultRTO()
 	bound := cfg.ProbeInterval + (1<<cfg.MissThreshold-1)*cfg.AdaptiveRTO.Min
-	for _, phase := range []time.Duration{0, 370 * time.Millisecond} {
-		for k := 0; k < 10; k++ {
-			c := newClusterStarting(t, 2, cfg, 0, phase)
-			c.runFor(4*time.Second + time.Duration(k)*cfg.ProbeInterval/10)
-			cut := time.Duration(c.sched.Now())
-			c.net.Fail(c.net.Cluster().NIC(1, 0))
-			c.runFor(3 * cfg.ProbeInterval)
-			c.stop()
-			for node := 0; node < 2; node++ {
-				e, ok := c.log.First(trace.KindLinkDown, node)
-				if !ok || e.Rail != 0 || e.At-cut > bound {
-					t.Errorf("phase %v, cut at %v: node %d declared %+v (found %v), want rail 0 down by %v",
-						phase, cut, node, e, ok, cut+bound)
-				}
+	for _, warm := range []bool{true, false} {
+		for _, phase := range []time.Duration{0, 370 * time.Millisecond} {
+			// Without warm-up the cut falls in the path's first round,
+			// after the first request, which carries no RTT sample,
+			// and before the second.
+			start := 4 * time.Second
+			if !warm {
+				start = (phase+cfg.ProbeInterval-1)/cfg.ProbeInterval*cfg.ProbeInterval + time.Millisecond
 			}
+			for k := 0; k < 10; k++ {
+				sweepCut(t, cfg, warm, phase, start+time.Duration(k)*cfg.ProbeInterval/10, bound)
+			}
+		}
+	}
+}
+
+// sweepCut cuts node 1's rail-0 NIC at the instant at on a two-node
+// cluster whose second daemon starts at phase, and fails t unless both
+// ends declare rail 0 down within bound of the cut.
+func sweepCut(t *testing.T, cfg Config, warm bool, phase, at, bound time.Duration) {
+	t.Helper()
+	c := newClusterStarting(t, 2, cfg, 0, phase)
+	c.runFor(at)
+	cut := time.Duration(c.sched.Now())
+	c.net.Fail(c.net.Cluster().NIC(1, 0))
+	c.runFor(3 * cfg.ProbeInterval)
+	c.stop()
+	for node := 0; node < 2; node++ {
+		e, ok := c.log.First(trace.KindLinkDown, node)
+		if !ok || e.Rail != 0 || e.At-cut > bound {
+			t.Errorf("warm %v, phase %v, cut at %v: node %d declared %+v (found %v), want rail 0 down by %v",
+				warm, phase, cut, node, e, ok, cut+bound)
 		}
 	}
 }

@@ -72,7 +72,7 @@ func (d *Daemon) probeRound() {
 			}
 			p := probe{peer: peer, rail: rail, seq: seq, ack: fresh}
 			if rto.Enabled() {
-				p.deadline = d.rtoDeadlineLocked(d.links.State(peer, rail))
+				p.deadline = d.rtoDeadlineLocked(peer, d.links.State(peer, rail))
 			}
 			probes = append(probes, p)
 		}
@@ -102,7 +102,7 @@ func (d *Daemon) probeRound() {
 func (d *Daemon) sendRoundProbeLocked(p probe) {
 	d.sendProbeLocked(p.peer, p.rail, p.seq, d.clock.Now(), p.ack, false)
 	if p.deadline > 0 {
-		d.armDeadline(p.peer, p.rail, p.seq, p.deadline)
+		d.armDeadlineLocked(p.peer, p.rail, p.seq, p.deadline)
 	}
 }
 
@@ -150,14 +150,31 @@ type rtoCheck struct {
 // runRTOCheck is an adaptive deadline's callback, arg its *rtoCheck.
 func runRTOCheck(arg any) {
 	c := arg.(*rtoCheck)
-	c.d.probeExpired(c.peer, c.rail, c.seq)
+	c.d.probeExpired(c)
 }
 
-// armDeadline schedules the adaptive deadline of the check numbered seq
-// on (peer, rail) after the given delay. The deadline is never
-// cancelled: a check met meanwhile makes it a no-op.
-func (d *Daemon) armDeadline(peer, rail int, seq uint16, after time.Duration) {
-	d.clock.AfterCall(after, runRTOCheck, &rtoCheck{d: d, peer: peer, rail: rail, seq: seq})
+// newCheckLocked returns a record for the check numbered seq on
+// (peer, rail), from the freelist probeExpired refills when there is
+// one. Caller holds d.mu.
+func (d *Daemon) newCheckLocked(peer, rail int, seq uint16) *rtoCheck {
+	var c *rtoCheck
+	if n := len(d.checks); n > 0 {
+		c = d.checks[n-1]
+		d.checks[n-1] = nil
+		d.checks = d.checks[:n-1]
+	} else {
+		c = new(rtoCheck)
+	}
+	*c = rtoCheck{d: d, peer: peer, rail: rail, seq: seq}
+	return c
+}
+
+// armDeadlineLocked schedules the adaptive deadline of the check
+// numbered seq on (peer, rail) after the given delay. The deadline is
+// never cancelled: a check met meanwhile makes it a no-op. Caller
+// holds d.mu.
+func (d *Daemon) armDeadlineLocked(peer, rail int, seq uint16, after time.Duration) {
+	d.clock.AfterCall(after, runRTOCheck, d.newCheckLocked(peer, rail, seq))
 }
 
 // probeExpired is the adaptive-RTO deadline handler: the check is
@@ -168,8 +185,10 @@ func (d *Daemon) armDeadline(peer, rail int, seq uint16, after time.Duration) {
 // next request, retransmits a probe of its own just the same. A check
 // that was already met (or superseded by a newer one) makes this a
 // no-op.
-func (d *Daemon) probeExpired(peer, rail int, seq uint16) {
+func (d *Daemon) probeExpired(c *rtoCheck) {
 	d.mu.Lock()
+	peer, rail, seq := c.peer, c.rail, c.seq
+	d.checks = append(d.checks, c)
 	if d.stopped {
 		d.mu.Unlock()
 		return
@@ -196,10 +215,10 @@ func (d *Daemon) probeExpired(peer, rail int, seq uint16) {
 		return
 	}
 	nseq, _ := d.links.BeginProbe(peer, rail, d.cfg.MissThreshold)
-	deadline := d.rtoDeadlineLocked(st)
+	deadline := d.rtoDeadlineLocked(peer, st)
 	d.sendProbeLocked(peer, rail, nseq, now, false, true)
+	d.armDeadlineLocked(peer, rail, nseq, deadline)
 	d.mu.Unlock()
-	d.armDeadline(peer, rail, nseq, deadline)
 }
 
 // steerByLatencyLocked moves direct routes to a clearly faster rail.

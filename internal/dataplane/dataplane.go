@@ -67,17 +67,27 @@ func New(node, nodes, ttl, capacity int, overflow *metrics.Counter) *Plane {
 }
 
 // Fork returns a copy of the plane, queued frames included, whose
-// evictions count on overflow, for a forked simulation.
-func (p *Plane) Fork(overflow *metrics.Counter) *Plane {
-	f := *p
-	f.overflow = overflow
-	f.queued = make(map[int][][]byte, len(p.queued))
+// evictions count on overflow, for a forked simulation: into
+// overwritten in place, its queues reused, or a new plane when into is
+// nil.
+func (p *Plane) Fork(into *Plane, overflow *metrics.Counter) *Plane {
+	if into == nil {
+		into = &Plane{queued: make(map[int][][]byte, len(p.queued))}
+	}
+	queued := into.queued
+	*into = *p
+	into.overflow, into.queued = overflow, queued
+	for dst := range queued {
+		if _, ok := p.queued[dst]; !ok {
+			delete(queued, dst)
+		}
+	}
 	for dst, q := range p.queued {
 		// Queued frames are never written once enqueued; the queue
 		// itself is, so each copy gets its own.
-		f.queued[dst] = append([][]byte(nil), q...)
+		queued[dst] = append(queued[dst][:0], q...)
 	}
-	return &f
+	return into
 }
 
 // NewFrame assigns the next origin sequence number and builds the

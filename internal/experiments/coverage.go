@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"drsnet/internal/conn"
@@ -117,8 +118,9 @@ func FaultCoverage(cfg CoverageConfig) (*CoverageResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	var spent spentForks
 	outcomes, err := parallel.Map(nil, cfg.Workers, len(scenarios), func(i int) (scenarioOutcome, error) {
-		return runScenario(cfg, prefix, eval, scenarios[i])
+		return runScenario(cfg, prefix, &spent, eval, scenarios[i])
 	})
 	if err != nil {
 		return nil, err
@@ -236,10 +238,42 @@ func coveragePrefix(cfg CoverageConfig) (*runtime.Cluster, error) {
 	return c, nil
 }
 
+// spentForks holds the campaign's finished scenario forks. Each
+// scenario forks the prefix into one it takes, reusing its storage, and
+// puts it back when it is done. A fork's outcome does not depend on
+// which spent fork it overwrote, so the campaign's result does not
+// depend on how the workers interleave.
+type spentForks struct {
+	mu sync.Mutex
+	cs []*runtime.Cluster
+}
+
+// take returns a spent fork, or nil when there is none.
+func (s *spentForks) take() *runtime.Cluster {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.cs)
+	if n == 0 {
+		return nil
+	}
+	c := s.cs[n-1]
+	s.cs[n-1] = nil
+	s.cs = s.cs[:n-1]
+	return c
+}
+
+// put returns the stopped fork c for a later scenario to fork into.
+func (s *spentForks) put(c *runtime.Cluster) {
+	s.mu.Lock()
+	s.cs = append(s.cs, c)
+	s.mu.Unlock()
+}
+
 // runScenario simulates one fault scenario on a fork of the campaign's
-// prefix and judges it against the analytic predicate. Forking only
-// reads the prefix and the fork is private, so any number of scenarios
-// can run concurrently.
+// prefix, made into a spent fork from spent when there is one, and
+// judges it against the analytic predicate. Forking only reads the
+// prefix and the fork is private, so any number of scenarios can run
+// concurrently.
 //
 // The verdict is fixed by the first 0→1 delivery at or after FailAt:
 // deliveries are observed in event order, so nothing simulated later
@@ -248,9 +282,9 @@ func coveragePrefix(cfg CoverageConfig) (*runtime.Cluster, error) {
 // that never recovers runs to Deadline. The prefix stops on a slice
 // boundary, and neither forking nor slicing RunUntil reorders events,
 // so the outcome is the one a full run from time zero would give.
-func runScenario(cfg CoverageConfig, prefix *runtime.Cluster, eval *conn.Evaluator, scenario []topology.Component) (scenarioOutcome, error) {
+func runScenario(cfg CoverageConfig, prefix *runtime.Cluster, spent *spentForks, eval *conn.Evaluator, scenario []topology.Component) (scenarioOutcome, error) {
 	want := eval.PairConnected(scenario, 0, 1)
-	c, err := prefix.Fork()
+	c, err := prefix.Fork(spent.take())
 	if err != nil {
 		return scenarioOutcome{}, err
 	}
@@ -270,6 +304,7 @@ func runScenario(cfg CoverageConfig, prefix *runtime.Cluster, eval *conn.Evaluat
 	c.StopRouters()
 
 	out := scenarioOutcome{want: want, recovered: firstAfter >= 0, ranUntil: c.Now()}
+	spent.put(c)
 	if out.recovered {
 		out.outage = firstAfter - cfg.FailAt
 	}

@@ -94,8 +94,9 @@ func TestCoverageStopMatchesFullRun(t *testing.T) {
 		}
 		scenarios := enumerateScenarios(cluster.Components(), cfg.MaxFaults)
 		var simulated time.Duration
+		var spent spentForks
 		for _, scenario := range scenarios {
-			got, err := runScenario(cfg, prefix, eval, scenario)
+			got, err := runScenario(cfg, prefix, &spent, eval, scenario)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -145,7 +145,8 @@ func TestCoverageWorkersByteIdentical(t *testing.T) {
 }
 
 // TestCoverageForkWorkers: four workers forking one campaign prefix at
-// once give the serial campaign's result (make race runs it under the
+// once, each scenario into a spent fork another worker may have put
+// back, give the serial campaign's result (make race runs it under the
 // race detector).
 func TestCoverageForkWorkers(t *testing.T) {
 	cfg := DefaultCoverageConfig()

@@ -42,13 +42,20 @@ func (r *Rounds) Run(interval time.Duration, body func()) {
 
 // Fork returns a copy of r that runs body on clock, for a protocol
 // forked into another simulation: the same interval and stopped
-// state. The copy's pending timer is the copy of r's, which the fork
-// of r's scheduler maps from r to the copy.
-func (r *Rounds) Fork(clock clock.Clock, body func()) *Rounds {
+// state. The copy is into, overwritten, or a new driver when into is
+// nil. Its pending timer is the copy of r's, which the fork of r's
+// scheduler maps from r to the copy.
+func (r *Rounds) Fork(into *Rounds, clock clock.Clock, body func()) *Rounds {
 	r.mu.Lock()
 	stopped := r.stopped
 	r.mu.Unlock()
-	return &Rounds{clock: clock, interval: r.interval, body: body, stopped: stopped}
+	if into == nil {
+		into = &Rounds{}
+	}
+	into.mu.Lock()
+	into.clock, into.interval, into.body, into.stopped = clock, r.interval, body, stopped
+	into.mu.Unlock()
+	return into
 }
 
 // runTick is the rounds timer's callback, arg being the *Rounds.

@@ -21,9 +21,11 @@ type RTO struct {
 	// Min floors the computed deadline so one fast sample cannot arm
 	// a hair-trigger timer. Zero means DefaultRTOMin.
 	Min time.Duration
-	// Max caps the base deadline and is the deadline used before the
-	// first RTT sample (conservative: a cold path can never fire a
-	// false link-down). Zero disables adaptive deadlines.
+	// Max caps the base deadline and is the deadline a requester uses
+	// before the first RTT sample (conservative: a cold path can never
+	// fire a false link-down; the answering end, which times the
+	// peer's requests, starts from Min instead). Zero disables
+	// adaptive deadlines.
 	Max time.Duration
 	// MaxBackoff caps the exponential backoff: after k consecutive
 	// unanswered probes the deadline is doubled min(k, MaxBackoff)

@@ -135,25 +135,28 @@ func NewTable(nodes, rails int) *Table {
 	return &Table{rails: rails, slab: make([]State, nodes*rails), monitored: make([]bool, nodes)}
 }
 
-// Fork returns a deep copy of the table, for a forked simulation.
-func (t *Table) Fork() *Table {
-	f := &Table{
-		rails:     t.rails,
-		slab:      append([]State(nil), t.slab...),
-		monitored: append([]bool(nil), t.monitored...),
-		seq:       t.seq,
+// Fork returns a deep copy of the table, for a forked simulation: into
+// overwritten in place, its storage reused, or a new table when into
+// is nil.
+func (t *Table) Fork(into *Table) *Table {
+	if into == nil {
+		into = &Table{}
 	}
-	for i := range f.slab {
-		if c := f.slab[i].cold; c != nil {
+	into.rails, into.seq = t.rails, t.seq
+	into.slab = append(into.slab[:0], t.slab...)
+	into.monitored = append(into.monitored[:0], t.monitored...)
+	for i := range into.slab {
+		if c := into.slab[i].cold; c != nil {
 			cp := *c
-			f.slab[i].cold = &cp
+			into.slab[i].cold = &cp
 		}
 	}
+	into.retransmitBudget = nil
 	if b := t.retransmitBudget; b != nil {
 		cp := *b
-		f.retransmitBudget = &cp
+		into.retransmitBudget = &cp
 	}
-	return f
+	return into
 }
 
 // Nodes returns the cluster size the table was created for.

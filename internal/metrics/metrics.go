@@ -47,20 +47,46 @@ func (s *Set) Counter(name string) *Counter {
 	return c
 }
 
-// Fork returns a new set holding a counter of the same name and value
-// for each of s's, allocated in one block.
-func (s *Set) Fork() *Set {
+// Fork returns a set holding a counter of the same name and value for
+// each of s's: into, overwritten, or a new set when into is nil. A
+// counter into already has under one of s's names is kept, so a handle
+// resolved to it stays valid; into's other counters are dropped, and
+// the handles resolved to them must be Reset. The counters into lacks
+// are allocated in one block.
+func (s *Set) Fork(into *Set) *Set {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := &Set{m: make(map[string]*Counter, len(s.m))}
-	block := make([]Counter, len(s.m))
-	i := 0
-	for name, c := range s.m {
-		block[i].v.Store(c.Value())
-		f.m[name] = &block[i]
-		i++
+	if into == nil {
+		into = &Set{m: make(map[string]*Counter, len(s.m))}
 	}
-	return f
+	into.mu.Lock()
+	defer into.mu.Unlock()
+	missing := 0
+	for name, c := range s.m {
+		if fc, ok := into.m[name]; ok {
+			fc.v.Store(c.Value())
+		} else {
+			missing++
+		}
+	}
+	if len(into.m) > len(s.m)-missing {
+		for name := range into.m {
+			if _, ok := s.m[name]; !ok {
+				delete(into.m, name)
+			}
+		}
+	}
+	if missing == 0 {
+		return into
+	}
+	block := make([]Counter, missing)
+	for name, c := range s.m {
+		if _, ok := into.m[name]; !ok {
+			block[0].v.Store(c.Value())
+			into.m[name], block = &block[0], block[1:]
+		}
+	}
+	return into
 }
 
 // Handle returns a lazily resolving reference to the named counter.
@@ -86,6 +112,10 @@ func (h *Handle) Inc() {
 	}
 	c.Inc()
 }
+
+// Reset drops the resolved counter: the next Inc looks the name up
+// again, for a handle whose set was forked into (see Set.Fork).
+func (h *Handle) Reset() { h.c.Store(nil) }
 
 // Snapshot returns the current value of every counter.
 func (s *Set) Snapshot() map[string]int64 {

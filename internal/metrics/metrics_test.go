@@ -85,3 +85,30 @@ func TestHandleConcurrentFirstUse(t *testing.T) {
 		t.Fatalf("value = %d, want 8000", v)
 	}
 }
+
+// Forking into a set keeps the counters it shares with the source, so
+// a handle resolved to one stays valid, drops the rest, and adds what
+// it lacks, each with the source's value.
+func TestForkInto(t *testing.T) {
+	src := NewSet()
+	src.Counter("a").Add(3)
+	src.Counter("b").Add(5)
+	into := NewSet()
+	kept := into.Counter("a")
+	into.Counter("stale").Inc()
+	h := into.Handle("a")
+	h.Inc()
+	if got := src.Fork(into); got != into {
+		t.Fatal("Fork into a set returned another set")
+	}
+	if into.Counter("a") != kept {
+		t.Fatal("Fork replaced a counter the destination shared with the source")
+	}
+	h.Inc()
+	if snap := into.Snapshot(); len(snap) != 2 || snap["a"] != 4 || snap["b"] != 5 {
+		t.Fatalf("forked set %v, want a=4 (3 and one Inc), b=5", snap)
+	}
+	if snap := src.Fork(nil).Snapshot(); len(snap) != 2 || snap["a"] != 3 || snap["b"] != 5 {
+		t.Fatalf("new fork %v, want a=3, b=5", snap)
+	}
+}

@@ -6,21 +6,28 @@ import (
 
 	"drsnet/internal/rng"
 	"drsnet/internal/simtime"
+	"drsnet/internal/topology"
 )
 
 // Fork returns a copy of n on sched, a scheduler being forked from
 // n's (simtime.Scheduler.ForkFrom): the component and process state,
 // both random streams, the impairments and partitions, the segment
-// clocks and the traffic counters. It installs no handler, since the
-// copies of the nodes' transports install their own, and it holds no
-// frame yet: ForkTimer copies each in-flight frame as the scheduler's
-// fork meets it. The copy's frame records are made in one block, as
-// many as n has made, so a fork allocates the same whenever it is
-// taken and however far it then runs. A switched network and an
-// impairment that delays frames deliver through closures a copy could
-// not follow, and a tap is an observer the copy would share, so Fork
-// refuses them. Fork only reads n.
-func (n *Network) Fork(sched *simtime.Scheduler) (*Network, error) {
+// clocks and the traffic counters. It holds no frame yet: ForkTimer
+// copies each in-flight frame as the scheduler's fork meets it. The
+// copy's frame records are one block, as many as n has made, so a fork
+// allocates the same whenever it is taken and however far it then runs.
+// A switched network and an impairment that delays frames deliver
+// through closures a copy could not follow, and a tap is an observer
+// the copy would share, so Fork refuses them. Fork only reads n.
+//
+// With into nil the copy is new and installs no handler, since the
+// copies of the nodes' transports install their own. Otherwise into, a
+// network of a finished fork whose scheduler is now sched, is
+// overwritten and returned: it keeps its handlers, the transports its
+// nodes' copies reuse, and rebuilds its freelist from its own record
+// block, leaving alone the frames its stopped run left pending, which
+// sched has dropped.
+func (n *Network) Fork(into *Network, sched *simtime.Scheduler) (*Network, error) {
 	if n.params.Switched {
 		return nil, fmt.Errorf("netsim: cannot fork a switched network: its hub deliveries are closures")
 	}
@@ -32,23 +39,33 @@ func (n *Network) Fork(sched *simtime.Scheduler) (*Network, error) {
 			return nil, fmt.Errorf("netsim: cannot fork under an impairment delay on component %d: delayed frames are closures", int(c))
 		}
 	}
-	f := &Network{
-		state:   n.state.fork(sched),
-		cluster: n.cluster,
-		segs:    make([]segment, len(n.segs)),
-		rx:      make([][]byte, len(n.rx)),
-		fabric:  n.fabric,
+	f := into
+	if f == nil {
+		f = &Network{}
+		f.deliverEv = f.deliverEvent
+	}
+	n.state.fork(&f.state, sched)
+	f.cluster, f.fabric = n.cluster, n.fabric
+	if len(f.segs) != len(n.segs) {
+		f.segs = make([]segment, len(n.segs))
 	}
 	for r := range n.segs {
-		f.segs[r].busyUntil, f.segs[r].stats = n.segs[r].busyUntil, n.segs[r].stats
+		f.segs[r] = segment{busyUntil: n.segs[r].busyUntil, stats: n.segs[r].stats}
 	}
+	if len(f.rx) != len(n.rx) {
+		f.rx = make([][]byte, len(n.rx))
+	}
+	f.part = nil
 	if n.part != nil {
 		f.part = maps.Clone(n.part)
 	}
-	f.deliverEv = f.deliverEvent
-	block := make([]frameEvent, n.records)
-	for i := range block {
-		ev := &block[i]
+	if cap(f.block) < n.records {
+		f.block = make([]frameEvent, n.records)
+	}
+	f.block, f.freeEv = f.block[:n.records], nil
+	for i := range f.block {
+		ev := &f.block[i]
+		ev.tm = simtime.Timer{}
 		ev.tm.Bind(f.deliverEv, ev)
 		ev.next, f.freeEv = f.freeEv, ev
 	}
@@ -71,23 +88,41 @@ func (n *Network) ForkTimer(into *Network, t *simtime.Timer) (*simtime.Timer, er
 	return &c.tm, nil
 }
 
-// fork copies the fault state onto sched, with no handler or tap.
-func (s *state) fork(sched *simtime.Scheduler) state {
-	f := *s
-	f.sched = sched
-	up := make([]bool, 2*len(s.txUp)+len(s.nodeUp))
-	f.txUp = up[:len(s.txUp):len(s.txUp)]
-	f.rxUp = up[len(s.txUp) : 2*len(s.txUp) : 2*len(s.txUp)]
-	f.nodeUp = up[2*len(s.txUp):]
-	copy(f.txUp, s.txUp)
-	copy(f.rxUp, s.rxUp)
-	copy(f.nodeUp, s.nodeUp)
-	f.handler = make([]Handler, len(s.handler))
-	f.tap = nil
-	rs := &[2]rng.Source{*s.rnd, *s.impRnd}
-	f.rnd, f.impRnd = &rs[0], &rs[1]
-	if s.imp != nil {
-		f.imp = maps.Clone(s.imp)
+// fork makes into a copy of the fault state on sched, with no tap,
+// reusing into's storage where its shape matches. into keeps its
+// handlers; a new one gets empty slots.
+func (s *state) fork(into *state, sched *simtime.Scheduler) {
+	txUp, rxUp, nodeUp := into.txUp, into.rxUp, into.nodeUp
+	handler, rnd, impRnd, imp := into.handler, into.rnd, into.impRnd, into.imp
+	*into = *s
+	into.sched, into.tap = sched, nil
+	if len(txUp) != len(s.txUp) || len(nodeUp) != len(s.nodeUp) {
+		up := make([]bool, 2*len(s.txUp)+len(s.nodeUp))
+		txUp = up[:len(s.txUp):len(s.txUp)]
+		rxUp = up[len(s.txUp) : 2*len(s.txUp) : 2*len(s.txUp)]
+		nodeUp = up[2*len(s.txUp):]
 	}
-	return f
+	into.txUp, into.rxUp, into.nodeUp = txUp, rxUp, nodeUp
+	copy(txUp, s.txUp)
+	copy(rxUp, s.rxUp)
+	copy(nodeUp, s.nodeUp)
+	if len(handler) != len(s.handler) {
+		handler = make([]Handler, len(s.handler))
+	}
+	into.handler = handler
+	if rnd == nil {
+		rs := new([2]rng.Source)
+		rnd, impRnd = &rs[0], &rs[1]
+	}
+	*rnd, *impRnd = *s.rnd, *s.impRnd
+	into.rnd, into.impRnd = rnd, impRnd
+	into.imp = nil
+	if s.imp != nil {
+		if imp == nil {
+			imp = make(map[topology.Component]Impairment, len(s.imp))
+		}
+		clear(imp)
+		maps.Copy(imp, s.imp)
+		into.imp = imp
+	}
 }

@@ -266,6 +266,9 @@ type Network struct {
 	// starts with as many, so its sends draw on a pool as warm as the
 	// source's (see Fork).
 	records int
+	// block backs the records a fork starts with; forking into the
+	// network again rebuilds them in place (see Fork).
+	block []frameEvent
 	// rx[node] is node's copy of the broadcast it is receiving, reused
 	// from one broadcast to the next.
 	rx [][]byte

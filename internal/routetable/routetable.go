@@ -105,10 +105,13 @@ func New(nodes int) *Table {
 	}
 }
 
-// Fork returns a copy of the table, for a forked simulation. A
-// pending discovery's timeout is its owner's timer, which the copy
-// could not cancel, so Fork refuses a table with one pending.
-func (t *Table) Fork() (*Table, error) {
+// Fork returns a copy of the table, for a forked simulation: into
+// overwritten in place, its storage reused, or a new table when into
+// is nil. A pending discovery's timeout is its owner's timer, which
+// the copy could not cancel, so Fork refuses a table with one pending;
+// into's own pending discoveries are dropped, their timers with the
+// run that armed them.
+func (t *Table) Fork(into *Table) (*Table, error) {
 	if len(t.pending) > 0 {
 		dst := -1
 		for d := range t.pending {
@@ -118,19 +121,21 @@ func (t *Table) Fork() (*Table, error) {
 		}
 		return nil, fmt.Errorf("routetable: cannot fork while the discovery timeout for node %d is pending", dst)
 	}
-	f := &Table{
-		routes:    append([]Route(nil), t.routes...),
-		repairs:   append([]Repair(nil), t.repairs...),
-		pending:   make(map[int]*Discovery),
-		querySeq:  t.querySeq,
-		seen:      maps.Clone(t.seen),
-		seenSwept: t.seenSwept,
+	if into == nil {
+		into = &Table{pending: make(map[int]*Discovery), seen: make(map[uint64]time.Duration, len(t.seen))}
 	}
+	into.routes = append(into.routes[:0], t.routes...)
+	into.repairs = append(into.repairs[:0], t.repairs...)
+	clear(into.pending)
+	clear(into.seen)
+	maps.Copy(into.seen, t.seen)
+	into.querySeq, into.seenSwept = t.querySeq, t.seenSwept
+	into.queryBudget = nil
 	if b := t.queryBudget; b != nil {
 		cp := *b
-		f.queryBudget = &cp
+		into.queryBudget = &cp
 	}
-	return f, nil
+	return into, nil
 }
 
 // Route returns the current route to dst.

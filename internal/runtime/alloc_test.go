@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -17,26 +18,32 @@ import (
 // buffer on that path is scratch or pooled and every round is
 // rescheduled without a timer handle, so a round allocates nothing
 // (1180 times before the buffer-ownership rule was used, 20 while
-// each daemon's round took a cancellable timer).
+// each daemon's round took a cancellable timer). Under adaptive
+// deadlines the round also arms 180 deadlines, one per check at each
+// end, whose records each daemon recycles once they fire, so it too
+// allocates nothing (180 times while every deadline made its own
+// record).
 func TestSteadyProbeRoundAllocations(t *testing.T) {
-	c, err := Build(ClusterSpec{Nodes: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(2 * time.Second) // pools and scratch reach steady size
-	interval := c.Spec().Tunables.ProbeInterval
-	before := c.Net().Stats(0).FramesDelivered + c.Net().Stats(1).FramesDelivered
-	const rounds = 20
-	allocs := testing.AllocsPerRun(rounds, func() { c.RunFor(interval) })
-	after := c.Net().Stats(0).FramesDelivered + c.Net().Stats(1).FramesDelivered
-	if per := (after - before) / (rounds + 1); per != 180 {
-		t.Fatalf("a round delivered %d frames, want 180", per)
-	}
-	if allocs != 0 {
-		t.Fatalf("a steady probe round allocates %.0f times, want 0", allocs)
+	for _, tun := range []Tunables{{}, {AdaptiveRTO: linkmon.DefaultRTO()}} {
+		c, err := Build(ClusterSpec{Nodes: 10, Tunables: tun})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		c.RunFor(2 * time.Second) // pools and scratch reach steady size
+		interval := c.Spec().Tunables.ProbeInterval
+		before := c.Net().Stats(0).FramesDelivered + c.Net().Stats(1).FramesDelivered
+		const rounds = 20
+		allocs := testing.AllocsPerRun(rounds, func() { c.RunFor(interval) })
+		after := c.Net().Stats(0).FramesDelivered + c.Net().Stats(1).FramesDelivered
+		if per := (after - before) / (rounds + 1); per != 180 {
+			t.Fatalf("adaptive deadlines %v: a round delivered %d frames, want 180", tun.AdaptiveRTO.Enabled(), per)
+		}
+		if allocs != 0 {
+			t.Fatalf("adaptive deadlines %v: a steady probe round allocates %.0f times, want 0", tun.AdaptiveRTO.Enabled(), allocs)
+		}
 	}
 }
 
@@ -178,5 +185,36 @@ func TestDataPathAllocations(t *testing.T) {
 				t.Fatalf("%s allocates %v times, want exactly %v", tc.name, got, tc.want)
 			}
 		})
+	}
+}
+
+// Forking the coverage campaign's prefix (twelve nodes, two fault
+// slots, run to the last traffic slice before the faults) into the
+// spent fork of the scenario before reuses every layer's storage, so
+// each such fork after the first allocates nothing (396 allocations
+// while every scenario forked into a new cluster). Each spent fork has
+// run a different fault set past the prefix's instant first, so frames
+// are in flight and discovery timeouts pending when it stops.
+func TestRecycledForkAllocations(t *testing.T) {
+	src := startCluster(t, forkSpec(12, 0, 0), 2900*time.Millisecond)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1)) // as AllocsPerRun measures
+	var spent *Cluster
+	for i, comps := range [][]topology.Component{{0}, {2, 25}, {24}, {1, 3}, nil, {5}} {
+		var m0, m1 goruntime.MemStats
+		goruntime.ReadMemStats(&m0)
+		f, err := src.Fork(spent)
+		goruntime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := m1.Mallocs - m0.Mallocs; i > 1 && n != 0 {
+			t.Errorf("fork %d into a spent fork allocates %d times, want 0", i, n)
+		}
+		if err := f.SetFaults(forkSpec(12, comps...).Faults); err != nil {
+			t.Fatal(err)
+		}
+		f.RunUntil(4100 * time.Millisecond)
+		f.StopRouters()
+		spent = f
 	}
 }

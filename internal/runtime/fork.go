@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"drsnet/internal/chaos"
+	"drsnet/internal/core"
 	"drsnet/internal/netsim"
 	"drsnet/internal/routing"
 	"drsnet/internal/simtime"
@@ -21,6 +22,14 @@ import (
 // goroutines may fork one cluster at once, provided nothing drives it
 // meanwhile.
 //
+// With into nil the copy is new. Otherwise into must be a spent fork:
+// a cluster Fork returned, of c's size, whose routers were stopped.
+// Fork then overwrites it in place and returns it, reusing the storage
+// of every layer, so forking one prefix over and over into the fork
+// before allocates nothing once the layers have grown to size. into's
+// previous run is gone, its Result's trace with it, and a Fork that
+// fails after the checks leaves into unusable.
+//
 // Each layer copies its own state and the records its pending events
 // carry: the scheduler its pending set, the network its fault state,
 // counters and in-flight frames, each DRS daemon its tables, counters,
@@ -31,56 +40,91 @@ import (
 // switched network and an impairment delay in the network; staggered
 // sends, the overload layer and a pending discovery timeout in the
 // daemons; and any other pending closure in the scheduler.
-func (c *Cluster) Fork() (*Cluster, error) {
+func (c *Cluster) Fork(into *Cluster) (*Cluster, error) {
 	if err := c.forkable(); err != nil {
 		return nil, err
 	}
-	src := c.Network()
-	sched := simtime.NewScheduler()
-	net, err := src.Fork(sched)
+	f := into
+	if f == nil {
+		f = &Cluster{sched: simtime.NewScheduler(), deliveries: make(map[pair][]time.Duration, len(c.deliveries))}
+	} else if err := c.spent(f); err != nil {
+		return nil, err
+	}
+	net, err := c.Network().Fork(f.Network(), f.sched)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %v", err)
 	}
-	f := &Cluster{
-		spec:            c.spec,
-		sched:           sched,
-		net:             net,
-		builder:         c.builder,
-		log:             c.log.Fork(),
-		sent:            append([]int(nil), c.sent...),
-		deliveries:      make(map[pair][]time.Duration, len(c.deliveries)),
-		started:         c.started,
-		stopped:         c.stopped,
-		flowsScheduled:  c.flowsScheduled,
-		faultsScheduled: c.faultsScheduled,
-	}
+	f.spec, f.net, f.builder = c.spec, net, c.builder
+	f.log = c.log.Fork(f.log)
 	f.spec.Trace = f.log
-	f.spec.Faults = slices.Clone(c.spec.Faults)
-	for k, del := range c.deliveries {
-		f.deliveries[k] = append([]time.Duration(nil), del...)
+	f.setSpecFaults(c.spec.Faults)
+	f.sent = append(f.sent[:0], c.sent...)
+	for k := range f.deliveries {
+		if _, ok := c.deliveries[k]; !ok {
+			delete(f.deliveries, k)
+		}
 	}
-	f.flows = append([]flowRec(nil), c.flows...)
+	for k, del := range c.deliveries {
+		// As much room as c's lists, so the copy's next deliveries
+		// allocate as c's would.
+		fd := f.deliveries[k][:0]
+		if cap(fd) < cap(del) {
+			fd = make([]time.Duration, 0, cap(del))
+		}
+		f.deliveries[k] = append(fd, del...)
+	}
+	f.flows = append(f.flows[:0], c.flows...)
 	for i := range f.flows {
 		f.flows[i].c = f
 	}
-	f.faults = append([]faultRec(nil), c.faults...)
+	f.faults = append(f.faults[:0], c.faults...)
 	for i := range f.faults {
 		f.faults[i].c = f
 	}
-	f.routers = make([]routing.Router, len(c.routers))
+	f.started, f.stopped = c.started, c.stopped
+	f.flowsScheduled, f.faultsScheduled = c.flowsScheduled, c.faultsScheduled
+	if into == nil {
+		f.routers = make([]routing.Router, len(c.routers))
+		f.trs = make([]*netsim.Transport, len(c.routers))
+		for node := range f.trs {
+			f.trs[node] = netsim.NewTransport(net, node)
+		}
+	}
 	for node := range c.routers {
 		d, _ := c.Daemon(node)
-		r, err := d.Fork(netsim.NewTransport(net, node), simtime.Clock{Sched: sched}, f.log)
+		dd, _ := f.routers[node].(*core.Daemon)
+		r, err := d.Fork(dd, f.trs[node], simtime.Clock{Sched: f.sched}, f.log)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: %v", err)
 		}
-		f.wireDeliver(node, r)
+		if into == nil {
+			f.wireDeliver(node, r)
+		}
 		f.routers[node] = r
 	}
-	if err := sched.ForkFrom(c.sched, forkCopier{src: c, dst: f}); err != nil {
+	f.copier = forkCopier{src: c, dst: f}
+	err = f.sched.ForkFrom(c.sched, &f.copier)
+	f.copier = forkCopier{}
+	if err != nil {
 		return nil, fmt.Errorf("runtime: %v", err)
 	}
 	return f, nil
+}
+
+// spent refuses a destination for Fork that is not a spent fork of
+// c's size.
+func (c *Cluster) spent(into *Cluster) error {
+	switch {
+	case into == c:
+		return fmt.Errorf("runtime: cannot fork a cluster into itself")
+	case into.trs == nil:
+		return fmt.Errorf("runtime: cannot fork into a cluster Fork did not return")
+	case !into.stopped:
+		return fmt.Errorf("runtime: cannot fork into a cluster whose routers run")
+	case len(into.routers) != len(c.routers):
+		return fmt.Errorf("runtime: cannot fork %d nodes into a cluster of %d", len(c.routers), len(into.routers))
+	}
+	return nil
 }
 
 // forkable refuses what Fork does not copy at the cluster level.
@@ -114,7 +158,7 @@ type forkCopier struct{ src, dst *Cluster }
 
 // CopyArg implements simtime.EventCopier: flow ticks and faults are
 // the cluster's, probe rounds and adaptive deadlines the daemons'.
-func (fc forkCopier) CopyArg(arg any) (any, error) {
+func (fc *forkCopier) CopyArg(arg any) (any, error) {
 	switch a := arg.(type) {
 	case *flowRec:
 		return &fc.dst.flows[a.i], nil
@@ -133,7 +177,7 @@ func (fc forkCopier) CopyArg(arg any) (any, error) {
 
 // CopyTimer implements simtime.EventCopier: the only owned timers are
 // the network's in-flight frames.
-func (fc forkCopier) CopyTimer(t *simtime.Timer) (*simtime.Timer, error) {
+func (fc *forkCopier) CopyTimer(t *simtime.Timer) (*simtime.Timer, error) {
 	return fc.src.Network().ForkTimer(fc.dst.Network(), t)
 }
 
@@ -172,8 +216,26 @@ func (c *Cluster) SetFaults(faults []Fault) error {
 			fr.f = faults[i]
 		}
 	}
-	c.spec.Faults = slices.Clone(faults)
+	if c.trs == nil {
+		c.spec.Faults = slices.Clone(faults)
+	} else {
+		c.setSpecFaults(faults)
+	}
 	return nil
+}
+
+// setSpecFaults makes the fork c's spec list a copy of faults, in the
+// storage the fork keeps for it.
+func (c *Cluster) setSpecFaults(faults []Fault) {
+	c.spec.Faults = nil
+	if faults == nil {
+		return
+	}
+	if c.faultBuf == nil {
+		c.faultBuf = make([]Fault, 0, len(faults))
+	}
+	c.faultBuf = append(c.faultBuf[:0], faults...)
+	c.spec.Faults = c.faultBuf[:len(faults):len(faults)]
 }
 
 // Deliveries returns the times of every delivery from src to dst so
@@ -183,4 +245,4 @@ func (c *Cluster) Deliveries(src, dst int) []time.Duration {
 	return c.deliveries[pair{from: src, to: dst}]
 }
 
-var _ simtime.EventCopier = forkCopier{}
+var _ simtime.EventCopier = (*forkCopier)(nil)

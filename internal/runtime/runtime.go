@@ -91,6 +91,14 @@ type Cluster struct {
 	stopped         bool
 	flowsScheduled  bool
 	faultsScheduled bool
+
+	// trs are a fork's transports and faultBuf the storage of its
+	// spec's fault list, kept so that a fork into it reuses them;
+	// copier maps events while it is being forked into (see Fork).
+	// All are unset on a cluster Build made.
+	trs      []*netsim.Transport
+	faultBuf []Fault
+	copier   forkCopier
 }
 
 // Build assembles a cluster from the spec: deterministic scheduler,

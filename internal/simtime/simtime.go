@@ -10,6 +10,7 @@ package simtime
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -115,8 +116,9 @@ type Scheduler struct {
 	// Timer recycling for the handle-free AtCall path. Fired pooled
 	// timers go back on the free list; timers handed out by At never
 	// do, because the caller may still hold the handle.
-	free []*Timer
-	slab []Timer // block-allocated backing store for pooled timers
+	free   []*Timer
+	slab   []Timer // block-allocated backing store for pooled timers
+	pooled int     // pooled timers made, free or pending
 
 	index [1 << indexBits]slot // instant -> the run open there (see file)
 }
@@ -176,7 +178,11 @@ func (s *Scheduler) pooledTimer() *Timer {
 		return t
 	}
 	if len(s.slab) == cap(s.slab) {
-		s.slab = make([]Timer, 0, 128)
+		s.slab = make([]Timer, 0, slabTimers)
+		// The free list can hold every pooled timer at once, as it
+		// must when ForkFrom drops a spent run's events.
+		s.pooled += slabTimers
+		s.free = slices.Grow(s.free, s.pooled-len(s.free))
 	}
 	s.slab = s.slab[:len(s.slab)+1]
 	t := &s.slab[len(s.slab)-1]
@@ -351,6 +357,8 @@ type slot struct {
 }
 
 const (
+	// slabTimers is how many pooled timers one slab holds.
+	slabTimers = 128
 	// runAfter is how many timers at one instant go into the heap
 	// alone before the next opens a run: a hub's lockstep pairs are
 	// cheaper as lone entries than as a run.

@@ -166,16 +166,24 @@ func (l *Log) copyOut(dst []Event) {
 
 // Fork returns a copy of the log, for a forked simulation: the same
 // retained events, capacity and drop count, so both logs go on
-// retaining and dropping alike.
-func (l *Log) Fork() *Log {
+// retaining and dropping alike. The copy's ring is as long as l's,
+// and only the retained events are copied into it. With into not nil
+// the copy is into, overwritten, and reuses its ring when that is
+// large enough.
+func (l *Log) Fork(into *Log) *Log {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	f := &Log{n: l.n, max: l.max, dropped: l.dropped}
-	if len(l.ring) > 0 {
-		f.ring = make([]Event, len(l.ring))
-		l.copyOut(f.ring)
+	if into == nil {
+		into = &Log{}
 	}
-	return f
+	ring := into.ring[:0]
+	if cap(ring) < len(l.ring) {
+		ring = make([]Event, len(l.ring))
+	}
+	ring = ring[:len(l.ring)]
+	l.copyOut(ring)
+	into.ring, into.start, into.n, into.max, into.dropped = ring, 0, l.n, l.max, l.dropped
+	return into
 }
 
 // Events returns a copy of the retained events in append order.
