@@ -244,6 +244,17 @@ func (d *Daemon) Fork(into *Daemon, tr transport.Transport, clock clock.Clock, t
 	f := into
 	if f == nil {
 		f = &Daemon{}
+	}
+	// Keep only into's storage, so that nothing of its previous run
+	// carries over that a new copy would not have.
+	*f = Daemon{
+		links: f.links, members: f.members, routes: f.routes, plane: f.plane,
+		mset: f.mset, rounds: f.rounds, frameBuf: f.frameBuf, probes: f.probes, checks: f.checks,
+		deliver: f.deliver, recv: f.recv, round: f.round,
+		probesSent: f.probesSent, probeReplies: f.probeReplies,
+		dataSent: f.dataSent, dataDelivered: f.dataDelivered, dataForwarded: f.dataForwarded, dataDropped: f.dataDropped,
+	}
+	if into == nil {
 		f.recv, f.round = f.onFrame, f.probeRound
 	}
 	routes, err := d.routes.Fork(f.routes)

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"drsnet/internal/chaos"
@@ -49,6 +48,13 @@ func (c *Cluster) Fork(into *Cluster) (*Cluster, error) {
 		f = &Cluster{sched: simtime.NewScheduler(), deliveries: make(map[pair][]time.Duration, len(c.deliveries))}
 	} else if err := c.spent(f); err != nil {
 		return nil, err
+	}
+	// Keep only into's storage, so that nothing of its previous run
+	// carries over that a new copy would not have.
+	*f = Cluster{
+		sched: f.sched, net: f.net, routers: f.routers, log: f.log,
+		sent: f.sent, deliveries: f.deliveries, flows: f.flows, faults: f.faults,
+		trs: f.trs, faultBuf: f.faultBuf,
 	}
 	net, err := c.Network().Fork(f.Network(), f.sched)
 	if err != nil {
@@ -216,16 +222,12 @@ func (c *Cluster) SetFaults(faults []Fault) error {
 			fr.f = faults[i]
 		}
 	}
-	if c.trs == nil {
-		c.spec.Faults = slices.Clone(faults)
-	} else {
-		c.setSpecFaults(faults)
-	}
+	c.setSpecFaults(faults)
 	return nil
 }
 
-// setSpecFaults makes the fork c's spec list a copy of faults, in the
-// storage the fork keeps for it.
+// setSpecFaults makes c's spec list a copy of faults, in the storage
+// c keeps for it.
 func (c *Cluster) setSpecFaults(faults []Fault) {
 	c.spec.Faults = nil
 	if faults == nil {

@@ -92,10 +92,10 @@ type Cluster struct {
 	flowsScheduled  bool
 	faultsScheduled bool
 
-	// trs are a fork's transports and faultBuf the storage of its
-	// spec's fault list, kept so that a fork into it reuses them;
-	// copier maps events while it is being forked into (see Fork).
-	// All are unset on a cluster Build made.
+	// trs are a fork's transports, kept so that a fork into it reuses
+	// them, and copier maps events while it is being forked into (see
+	// Fork); both are unset on a cluster Build made. faultBuf is the
+	// storage of the spec's fault list once SetFaults or Fork set it.
 	trs      []*netsim.Transport
 	faultBuf []Fault
 	copier   forkCopier
